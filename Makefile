@@ -2,41 +2,23 @@
 #
 #   make check   vet + build + full test suite + race-detector pass
 #   make lint    vet + gofmt formatting check (no test run)
-#   make test    full test suite only
-#   make race    race pass on the concurrency-sensitive packages: the
-#                sim kernel, the KPN engine, the serving subsystem, the
-#                shell transport, and the parallel sweep runners (guards
-#                that no *sim.Kernel is ever shared across sweep worker
-#                goroutines)
+#   make test    full test suite only (tier-1; includes the benchmark
+#                rig's own tests via TestBenchmarkRig)
+#   make race    the full test suite under the race detector, plus the
+#                segment-parallel tests again at GOMAXPROCS=4
 #   make fuzz-smoke  a few seconds of each media-layer fuzzer — the CI
 #                    guard that the corpus-reachable code stays panic-free
 #                    (includes the parallel/serial decode-parity fuzzer
 #                    and the fused/two-phase transcode-parity fuzzer)
-#   make bench-smoke single-iteration run of the decode/encode/shell
-#                    benchmarks, so CI catches harness breakage cheaply
-#   make bench-transcode  fused vs two-phase transcode benchmark with
-#                         allocation stats and the peak-in-flight gauge
-#   make bench-gop   GOP-parallel transcode: segments 1 vs min(NumCPU, 8)
-#                    on the same closed-GOP clip; updates the
-#                    transcode_seg_* fields of BENCH_kernel.json
-#                    (multi-core numbers; ~1x expected on one CPU)
-#   make bench   paper-experiment benchmarks with allocation stats
-#   make bench-media  media kernel microbenchmarks (bit I/O, VLC, SAD,
-#                     DCT, full encode) with allocation stats
-#   make perf    refresh the BENCH_kernel.json engine-speed,
-#                shell-transport, and media-kernel trajectories
-#
-#   make bench-baseline   save the current benchmark results as the
-#                         comparison baseline (bench-baseline.txt)
-#   make benchcmp         re-run the benchmarks and compare against the
-#                         saved baseline with benchstat when available
-#                         (falls back to printing both runs)
+#   make bench-smoke single-iteration run of every Go benchmark, so CI
+#                    catches harness breakage cheaply
+#   make bench   every Go benchmark with allocation stats, for local
+#                profiling only — performance claims come from the rig
+#                in benchmark/ (see benchmark/README.md), not from here
 
 GO ?= go
-BENCH_BASELINE ?= bench-baseline.txt
-BENCH_NEW      ?= bench-new.txt
 
-.PHONY: check lint vet build test race fuzz-smoke bench-smoke bench bench-media bench-transcode bench-gop bench-gateway bench-gateway-cache perf bench-baseline benchcmp
+.PHONY: check lint vet build test race fuzz-smoke bench-smoke bench
 
 check: vet build test race
 
@@ -56,9 +38,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/sim ./internal/kpn ./internal/serve ./internal/shell ./internal/cluster
-	$(GO) test -race -run 'Parallel|Sweep|Coupling|MemoryOrg' .
-	$(GO) test -race -run 'Encode|Golden|ParallelParity|DecodeOptions|DisplayFramesInto|Streaming|StreamSink' ./internal/media
+	$(GO) test -race ./...
 	GOMAXPROCS=4 $(GO) test -race -run 'Segment' ./internal/media ./internal/serve
 
 fuzz-smoke:
@@ -69,72 +49,8 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzTranscodeFusedParity -fuzztime=5s ./internal/serve
 	$(GO) test -run=NONE -fuzz=FuzzTranscodeSegmentedParity -fuzztime=5s ./internal/serve
 
-# bench-smoke compiles and runs every decode/encode/shell benchmark for
-# exactly one iteration — a CI-friendly guard that the benchmark
-# harnesses themselves stay green without paying for real measurement.
-# The first invocation also re-asserts the pinned golden hashes
-# (bitstream + reconstruction + simcycles) and the sim kernel's
-# allocs-per-op guard in the same pass, so a perf-motivated change
-# cannot drift the outputs or the engine's steady-state allocation
-# profile without this target going red.
 bench-smoke:
-	$(GO) test -run='Golden|StressAllocs' -bench='Decode|Fig10' -benchtime=1x ./internal/media ./internal/sim .
-	$(GO) test -run=NONE -bench='Encode' -benchtime=1x ./internal/media
-	$(GO) test -run=NONE -bench=. -benchtime=1x ./internal/shell
+	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
 bench:
 	$(GO) test -run=NONE -bench=. -benchmem ./...
-
-bench-media:
-	$(GO) test -run=NONE -bench=. -benchmem ./internal/media
-
-bench-transcode:
-	$(GO) test -run=NONE -bench=BenchmarkTranscode -benchmem ./internal/serve
-
-# bench-gop compares the segment-parallel transcode engine (K =
-# min(NumCPU, 8) closed-GOP segments) against the fused serial pipeline
-# on the same clip and records the transcode_seg_* trajectory fields.
-# CAVEAT: the speedup is a multi-core number — on a single-CPU host the
-# segmented path is the same serial work plus an indexing pass, so
-# expect ~1x there (the entry records transcode_seg_num_cpu).
-bench-gop:
-	$(GO) run ./cmd/eclipse-bench gop
-
-# bench-gateway stands up 3 in-process eclipse-serve backends (one with
-# an injected 60ms tail) behind the cluster gateway and records the
-# gateway_* trajectory fields: warm cache-affinity hit rate, hedge rate,
-# and p50/p99 with hedging off, on, and with one backend hard-killed.
-bench-gateway:
-	$(GO) run ./cmd/eclipse-bench gateway
-
-# bench-gateway-cache stands up 3 backends behind a simulated 5ms
-# network gap and records the gateway_l1_* trajectory fields: warm L1
-# hit p50/p99 vs the proxied two-hop warm hit, the hit rate, the
-# revalidation (If-None-Match/304) count, and the backend request
-# counts for the hit pass (must be 0) and a 32-way same-key storm
-# (must be exactly 1). Hard-fails unless the warm L1 hit p50 is >=10x
-# faster than the proxied warm-hit p50.
-bench-gateway-cache:
-	$(GO) run ./cmd/eclipse-bench gatewaycache pr10-gateway-l1
-
-perf:
-	$(GO) run ./cmd/eclipse-bench kernel
-	$(GO) run ./cmd/eclipse-bench shell
-	$(GO) run ./cmd/eclipse-bench media
-	$(GO) run ./cmd/eclipse-bench loadgen
-	$(GO) run ./cmd/eclipse-bench gop
-	$(GO) run ./cmd/eclipse-bench gateway
-	$(GO) run ./cmd/eclipse-bench gatewaycache pr10-gateway-l1
-
-bench-baseline:
-	$(GO) test -run=NONE -bench=. -benchmem -count=5 ./... | tee $(BENCH_BASELINE)
-
-benchcmp:
-	@test -f $(BENCH_BASELINE) || { \
-		echo "no $(BENCH_BASELINE); run 'make bench-baseline' first"; exit 1; }
-	$(GO) test -run=NONE -bench=. -benchmem -count=5 ./... | tee $(BENCH_NEW)
-	@if command -v benchstat >/dev/null 2>&1; then \
-		benchstat $(BENCH_BASELINE) $(BENCH_NEW); \
-	else \
-		echo "benchstat not installed; raw results in $(BENCH_BASELINE) / $(BENCH_NEW)"; \
-	fi

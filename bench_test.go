@@ -4,20 +4,50 @@ package eclipse
 // EXPERIMENTS.md for the index). Each benchmark iteration performs one
 // full cycle-accurate simulation run; the interesting outputs are the
 // reported custom metrics (simulated cycles, utilization, rates) plus the
-// engine-speed metrics (Mevents/s and allocs/op) tracked across PRs in
-// BENCH_kernel.json. Regenerate everything with:
+// engine-speed metrics (Mevents/s and allocs/op). Regenerate everything
+// with:
 //
 //	go test -bench=. -benchmem ./...
 //
-// or the cmd/eclipse-bench tool for human-readable tables; `eclipse-bench
-// kernel` refreshes BENCH_kernel.json.
+// or the cmd/eclipse-bench tool for human-readable tables. These are for
+// local profiling; performance claims come from the rig in benchmark/
+// (see benchmark/README.md), whose own tests TestBenchmarkRig runs.
 
 import (
+	"os"
+	"os/exec"
+	"strings"
 	"sync"
 	"testing"
 
 	"eclipse/internal/media"
 )
+
+// TestBenchmarkRig runs the tests of the nested benchmark module, which
+// `go test ./...` from the root does not reach, so that a change to a
+// signature or Metrics field the rig drives fails tier-1.
+func TestBenchmarkRig(t *testing.T) {
+	if testing.Short() {
+		t.Skip("nested go test in -short mode")
+	}
+	// go caches a passing result until the test binary or a file the test
+	// opened changes. The rig's sources and the serve and cluster packages
+	// are outside this package's imports, so open every directory the rig
+	// builds from.
+	dirs, err := exec.Command("go", "-C", "benchmark", "list", "-deps",
+		"-f", "{{if not .Standard}}{{.Dir}}{{end}}", ".").Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	for _, dir := range strings.Fields(string(dirs)) {
+		if _, err := os.ReadDir(dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if out, err := exec.Command("go", "-C", "benchmark", "test", "./...").CombinedOutput(); err != nil {
+		t.Fatalf("go -C benchmark test ./...: %v\n%s", err, out)
+	}
+}
 
 // benchStreams builds the shared workloads once.
 var benchStreams struct {

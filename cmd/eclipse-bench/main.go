@@ -14,14 +14,8 @@
 //	buffers     Section 2.2: decode buffer sizing sweep
 //	throughput  Section 6: ops/cycle proxy and bus utilization
 //	pipelined   Section 7 follow-up: pipelined DCT ablation
-//	kernel      engine wall-clock speed; updates BENCH_kernel.json
-//	shell       shell-transport wall-clock speed; updates BENCH_kernel.json
-//	media       codec-kernel wall-clock speed; updates BENCH_kernel.json
-//	loadgen     serving-path load generation; updates BENCH_kernel.json
-//	gop         GOP-parallel transcode, segments 1 vs K; updates BENCH_kernel.json
-//	gateway     cluster gateway affinity/hedging/failover; updates BENCH_kernel.json
-//	gatewaycache  gateway L1 edge cache hit/storm/revalidation; updates BENCH_kernel.json
-//	all         everything above except the BENCH_kernel.json writers
+//	memorg      Section 6: centralized vs distributed stream memory
+//	all         everything above
 package main
 
 import (
@@ -42,26 +36,19 @@ func main() {
 		cmd = os.Args[1]
 	}
 	cmds := map[string]func(){
-		"fig10":        fig10,
-		"fig9":         fig9,
-		"mapping":      mapping,
-		"instance":     instance,
-		"cachesweep":   cacheSweep,
-		"prefetch":     prefetchSweep,
-		"bussweep":     busSweep,
-		"schedsweep":   schedSweep,
-		"coupling":     coupling,
-		"buffers":      buffers,
-		"throughput":   throughput,
-		"pipelined":    pipelined,
-		"memorg":       memorg,
-		"kernel":       kernelBench,
-		"shell":        shellBench,
-		"media":        mediaBench,
-		"loadgen":      loadgenBench,
-		"gop":          gopBench,
-		"gateway":      gatewayBench,
-		"gatewaycache": gatewayCacheBench,
+		"fig10":      fig10,
+		"fig9":       fig9,
+		"mapping":    mapping,
+		"instance":   instance,
+		"cachesweep": cacheSweep,
+		"prefetch":   prefetchSweep,
+		"bussweep":   busSweep,
+		"schedsweep": schedSweep,
+		"coupling":   coupling,
+		"buffers":    buffers,
+		"throughput": throughput,
+		"pipelined":  pipelined,
+		"memorg":     memorg,
 	}
 	if cmd == "all" {
 		order := []string{"fig10", "fig9", "mapping", "instance", "cachesweep",

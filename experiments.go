@@ -10,8 +10,9 @@ import (
 )
 
 // This file implements the paper's experiments as reusable runners shared
-// by the test suite, the benchmark harness (bench_test.go), and the
-// cmd/eclipse-bench tool. See EXPERIMENTS.md for the experiment index.
+// by the test suite, the benchmark harness (bench_test.go), the
+// cmd/eclipse-bench tool, and the sim_fig10 workload of the benchmark rig
+// (benchmark/). See EXPERIMENTS.md for the experiment index.
 
 // Fig10Config parameterizes the Figure 10 reproduction: decoding one
 // MPEG-style stream while sampling the available data in the RLSQ, DCT,

@@ -16,6 +16,14 @@ func TestFig10BottleneckRotation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The QCIF IPBB run is the workload every engine-speed number is
+	// quoted on; simulated time is part of the model's semantics, so a
+	// faster kernel must reproduce both counts exactly.
+	const goldenCycles, goldenEvents = 478139, 614561
+	if res.Cycles != goldenCycles || res.Events != goldenEvents {
+		t.Errorf("Fig. 10 run took %d simulated cycles / %d events, golden values are %d / %d — "+
+			"kernel event ordering changed", res.Cycles, res.Events, goldenCycles, goldenEvents)
+	}
 	if got := res.MajorityBottleneck(media.FrameI); got != "rlsq" {
 		t.Errorf("I-frame bottleneck = %q, want rlsq (summary %v)", got, res.RotationSummary())
 	}

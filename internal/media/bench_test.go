@@ -5,7 +5,7 @@ import "testing"
 // Microbenchmarks for the hot kernels rewritten in the fast-kernels
 // pass. The decode-side kernels (bit reads, VLC decode, SAD, IDCT) must
 // report 0 allocs/op: the steady-state decode loop owns all its
-// buffers. Run with `make bench-media`.
+// buffers.
 
 // benchStream builds a pseudo-random bitstream plus the (v, n) write
 // schedule that produced it, shared by the reader benchmarks.

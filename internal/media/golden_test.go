@@ -18,7 +18,7 @@ import (
 )
 
 // goldenFig10 describes the canonical Fig. 10 workload: QCIF, 12 frames,
-// Q=6, source seed 1 (identical to the eclipse-bench / BenchmarkFig10
+// Q=6, source seed 1 (identical to the DefaultFig10 / BenchmarkFig10
 // stream builder in the root package).
 const (
 	goldenW      = 176

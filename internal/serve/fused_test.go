@@ -13,8 +13,73 @@ import (
 	"testing"
 	"time"
 
+	"eclipse/internal/kpn"
 	"eclipse/internal/media"
 )
+
+// newTranscodeJobTwoPhase is the pre-fusion reference implementation:
+// fully decode into pooled display-order frames, then re-encode as a
+// single checkpointed Kahn task. It materializes every display frame at
+// once (O(frames) pool traffic) and is retained as the baseline that
+// parity tests and BenchmarkTranscode measure the fused pipeline
+// against.
+func newTranscodeJobTwoPhase(ctx context.Context, tenant string, stream []byte, q int, pool *media.SyncFramePool, workers, encWorkers int) (*Job, error) {
+	seq, err := media.ParseSeqHeader(media.NewBitReader(stream))
+	if err != nil {
+		return nil, err
+	}
+	cfg := TranscodeConfig(seq, q)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	body := func(ctx context.Context, gate *kpn.Gate) (Result, error) {
+		// Phase 1: decode into pooled display-order frames.
+		frames, putSlice, err := decodeFrames(ctx, gate, stream, seq, pool, workers)
+		if err != nil {
+			return Result{}, err
+		}
+		defer putSlice()
+		// Phase 2: re-encode as a single checkpointed Kahn task under the
+		// same gate, recycling each source frame once coded.
+		eg := kpn.NewGraph("xcode")
+		eg.AddTask("enc", "encode")
+		var out []byte
+		var stats *media.EncodeStats
+		efuncs := map[string]kpn.TaskFunc{
+			"encode": func(c *kpn.TaskCtx) error {
+				se, err := media.NewStreamEncoder(cfg, len(frames))
+				if err != nil {
+					return err
+				}
+				se.Workers = encWorkers
+				se.Recycle = pool.Put
+				for i, f := range frames {
+					if err := c.Checkpoint(); err != nil {
+						se.Abort() // recycle frames buffered in the reorder window
+						return err
+					}
+					frames[i] = nil // ownership moves to the encoder
+					if err := se.Push(f); err != nil {
+						pool.Put(f)
+						se.Abort()
+						return err
+					}
+				}
+				out, stats, err = se.Close()
+				return err
+			},
+		}
+		if err := kpn.RunContext(ctx, eg, efuncs, kpn.WithGate(gate)); err != nil {
+			pool.PutAll(frames) // frames not yet handed to the encoder
+			return Result{}, err
+		}
+		meta := seqMeta(seq, seq.Frames)
+		meta["X-Seq-Q"] = strconv.Itoa(q)
+		meta["X-Seq-Bits"] = strconv.Itoa(stats.TotalBits())
+		return Result{Body: out, Meta: meta}, nil
+	}
+	return NewJob(tenant, KindTranscode, ctx, body), nil
+}
 
 // xcodeSched builds a scheduler that runs jobs without interference:
 // one worker, a slice long enough that nothing preempts.
@@ -65,7 +130,7 @@ func TestTranscodeFusedParity(t *testing.T) {
 				if err != nil {
 					t.Fatalf("fused: %v", err)
 				}
-				tj, err := NewTranscodeJobTwoPhase(context.Background(), "t", stream, q, pool, dw, ew)
+				tj, err := newTranscodeJobTwoPhase(context.Background(), "t", stream, q, pool, dw, ew)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -259,7 +324,7 @@ func FuzzTranscodeFusedParity(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tj, err := NewTranscodeJobTwoPhase(context.Background(), "t", stream, xq, pool, 1+int(dw)%8, 1+int(ew)%4)
+		tj, err := newTranscodeJobTwoPhase(context.Background(), "t", stream, xq, pool, 1+int(dw)%8, 1+int(ew)%4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -321,7 +386,7 @@ func BenchmarkTranscode(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			j, err := NewTranscodeJobTwoPhase(context.Background(), "t", stream, q, pool, 4, 0)
+			j, err := newTranscodeJobTwoPhase(context.Background(), "t", stream, q, pool, 4, 0)
 			if err != nil {
 				b.Fatal(err)
 			}

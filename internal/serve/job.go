@@ -558,75 +558,11 @@ func fusedTranscodeBody(stream []byte, seq media.SeqHeader, cfg media.CodecConfi
 	}
 }
 
-// NewTranscodeJobTwoPhase is the pre-fusion reference implementation:
-// fully decode into pooled display-order frames, then re-encode as a
-// single checkpointed Kahn task. It materializes every display frame at
-// once (O(frames) pool traffic) and is retained as the baseline that
-// parity tests and BenchmarkTranscode measure the fused pipeline
-// against.
-func NewTranscodeJobTwoPhase(ctx context.Context, tenant string, stream []byte, q int, pool *media.SyncFramePool, workers, encWorkers int) (*Job, error) {
-	seq, err := media.ParseSeqHeader(media.NewBitReader(stream))
-	if err != nil {
-		return nil, err
-	}
-	cfg := TranscodeConfig(seq, q)
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	body := func(ctx context.Context, gate *kpn.Gate) (Result, error) {
-		// Phase 1: decode into pooled display-order frames.
-		frames, putSlice, err := decodeFrames(ctx, gate, stream, seq, pool, workers)
-		if err != nil {
-			return Result{}, err
-		}
-		defer putSlice()
-		// Phase 2: re-encode as a single checkpointed Kahn task under the
-		// same gate, recycling each source frame once coded.
-		eg := kpn.NewGraph("xcode")
-		eg.AddTask("enc", "encode")
-		var out []byte
-		var stats *media.EncodeStats
-		efuncs := map[string]kpn.TaskFunc{
-			"encode": func(c *kpn.TaskCtx) error {
-				se, err := media.NewStreamEncoder(cfg, len(frames))
-				if err != nil {
-					return err
-				}
-				se.Workers = encWorkers
-				se.Recycle = pool.Put
-				for i, f := range frames {
-					if err := c.Checkpoint(); err != nil {
-						se.Abort() // recycle frames buffered in the reorder window
-						return err
-					}
-					frames[i] = nil // ownership moves to the encoder
-					if err := se.Push(f); err != nil {
-						pool.Put(f)
-						se.Abort()
-						return err
-					}
-				}
-				out, stats, err = se.Close()
-				return err
-			},
-		}
-		if err := kpn.RunContext(ctx, eg, efuncs, kpn.WithGate(gate)); err != nil {
-			pool.PutAll(frames) // frames not yet handed to the encoder
-			return Result{}, err
-		}
-		meta := seqMeta(seq, seq.Frames)
-		meta["X-Seq-Q"] = strconv.Itoa(q)
-		meta["X-Seq-Bits"] = strconv.Itoa(stats.TotalBits())
-		return Result{Body: out, Meta: meta}, nil
-	}
-	return NewJob(tenant, KindTranscode, ctx, body), nil
-}
-
 // TranscodeConfig derives the re-encode configuration for a source
 // sequence at a new quantizer: dimensions, GOP structure, and half-pel
 // mode follow the source; the motion search radius is the codec default.
-// Exported so offline reference checks (loadgen, tests) reproduce the
-// server's output bit-exactly.
+// Exported so offline reference checks (the benchmark rig, tests)
+// reproduce the server's output bit-exactly.
 func TranscodeConfig(seq media.SeqHeader, q int) media.CodecConfig {
 	cfg := media.DefaultCodec(seq.W(), seq.H())
 	cfg.Q = q

@@ -4,7 +4,7 @@ package shell
 // reads and writes, demand-miss reads, and reads spanning the circular-
 // buffer seam (two window segments per access). All report allocations —
 // the steady-state transport is expected to allocate nothing per
-// operation (see BENCH_kernel.json for the trajectory).
+// operation.
 
 import (
 	"testing"

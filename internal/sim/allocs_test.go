@@ -3,7 +3,7 @@ package sim
 // Allocation guard for the simulation kernel's construction and
 // steady-state paths.
 //
-// History: the eclipse-bench kernel-stress allocs/run figure crept from
+// History: the allocs/run figure of a 200 000-round kernel stress crept from
 // 231 to 232 when the direct-handoff rewrite added a driver channel to
 // NewKernel without reclaiming an allocation elsewhere. This test pins
 // the per-run allocation count of a miniature version of that stress
@@ -16,7 +16,7 @@ import (
 	"testing"
 )
 
-// stressRun is a scaled-down replica of eclipse-bench's kernel-stress
+// stressRun is a scaled-down replica of that kernel-stress
 // workload: one producer firing a signal with mixed short/far delays
 // (wheel and heap paths both exercised), three consumers on the signal.
 func stressRun(rounds int) {
@@ -56,9 +56,9 @@ func stressRun(rounds int) {
 // nothing once warm — that is what keeps this number independent of
 // `rounds`, which TestKernelStressAllocsScaleFree checks explicitly.
 //
-// 228 = the 232 measured by eclipse-bench at pr4 minus the four yield
-// channels reclaimed by merging each Proc's resume/yield pair into one
-// rendezvous channel.
+// 228 = the 232 measured on the full-size stress at pr4 minus the four
+// yield channels reclaimed by merging each Proc's resume/yield pair into
+// one rendezvous channel.
 const kernelStressAllocBudget = 228
 
 // TestKernelStressAllocs pins the allocation count of the stress mix.
