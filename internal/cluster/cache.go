@@ -1,15 +1,15 @@
 package cluster
 
 import (
-	"math/bits"
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
+	"eclipse/internal/flight"
 	"eclipse/internal/serve"
+	"eclipse/internal/slab"
 )
 
 // The gateway's L1 edge cache. The backends' content-addressed result
@@ -21,12 +21,10 @@ import (
 // mutex and a memcpy instead of a proxied HTTP exchange; only misses,
 // storms' leaders, and revalidations travel to the backends.
 //
-// Ownership follows the PR 6 slab/refcount discipline: an entry's body
-// is an immutable snapshot in a slab-pooled buffer. The cache's
-// residency holds one reference; every hit acquires another under the
-// shard lock before eviction can unlink the entry, and the slab returns
-// to the pool only at refcount zero — so eviction under byte pressure
-// can never truncate or alias a response a client is still reading.
+// The LRU, its slab-backed refcounted entries and their ownership
+// discipline are internal/slab — one mechanism at two sizes, shared
+// with the backends' cache; storm collapse is internal/flight. What
+// lives here is the gateway's own: freshness and revalidation.
 //
 // Freshness is the coherency protocol of the hierarchy: an entry is
 // served without any backend traffic while inside its freshness window
@@ -37,151 +35,64 @@ import (
 // ETag is the content address, a live backend always answers 304; the
 // revalidation is a liveness/coherency check, not a data transfer.
 
-// l1ShardCount is the number of independently locked shards; a power of
-// two so the shard index is a bit mask over the key hash.
-const l1ShardCount = 16
-
 // l1EntryOverhead approximates an entry's bookkeeping bytes (struct,
 // map header, header copy, LRU links) for budget accounting.
 const l1EntryOverhead = 256
 
-// l1Entry is one immutable cached response. prev/next are the intrusive
-// LRU links of its shard (head = most recently used). The freshness
-// stamps are atomics because a 304 refresh touches them without the
-// shard lock.
-type l1Entry struct {
-	key     serve.CacheKey
-	body    []byte // slab-backed; len is the exact body size
+// l1Meta is the gateway's per-entry data. The freshness stamps are
+// atomics because a 304 refresh touches them without the shard lock —
+// which is also why entries carry it by pointer.
+type l1Meta struct {
 	header  http.Header
-	backend string // the backend whose response filled the entry
-	size    int64
-	refs    atomic.Int32 // cache residency counts as 1
+	backend string       // the backend whose response filled the entry
 	filled  atomic.Int64 // UnixNano of the fill or last 304 refresh
 	expires atomic.Int64 // UnixNano the freshness window closes
-	prev    *l1Entry
-	next    *l1Entry
 }
 
-// release drops one reference; the last one returns the slab.
-func (e *l1Entry) release(c *l1Cache) {
-	if e.refs.Add(-1) == 0 {
-		c.slabs.put(e.body)
-	}
-}
+type l1Entry = slab.Entry[*l1Meta]
 
 // fresh reports whether the entry may be served without revalidation.
-func (e *l1Entry) fresh(now time.Time) bool { return now.UnixNano() < e.expires.Load() }
+func (m *l1Meta) fresh(now time.Time) bool { return now.UnixNano() < m.expires.Load() }
 
 // ageSeconds is the Age response header value: seconds of residency
 // since the fill or the last successful revalidation.
-func (e *l1Entry) ageSeconds(now time.Time) int {
-	a := int(now.Sub(time.Unix(0, e.filled.Load())) / time.Second)
-	if a < 0 {
-		a = 0
-	}
-	return a
+func (m *l1Meta) ageSeconds(now time.Time) int {
+	return max(0, int(now.Sub(time.Unix(0, m.filled.Load()))/time.Second))
 }
 
-// l1Shard is one lock domain: a key map plus an intrusive LRU list
-// under a byte budget.
-type l1Shard struct {
-	mu         sync.Mutex
-	m          map[serve.CacheKey]*l1Entry
-	head, tail *l1Entry
-	bytes      int64
-	budget     int64
+// touch (re)starts the freshness window: at fill time, and after a 304
+// — the backend confirmed the bytes, so residency is refreshed without
+// a body transfer. Atomics only — the entry may even have been evicted
+// concurrently, in which case the refresh is a harmless no-op on a
+// dying entry.
+func (m *l1Meta) touch(ttl time.Duration) {
+	now := time.Now()
+	m.filled.Store(now.UnixNano())
+	m.expires.Store(now.Add(ttl).UnixNano())
 }
 
-func (s *l1Shard) pushFront(e *l1Entry) {
-	e.prev = nil
-	e.next = s.head
-	if s.head != nil {
-		s.head.prev = e
-	}
-	s.head = e
-	if s.tail == nil {
-		s.tail = e
-	}
-}
-
-func (s *l1Shard) unlink(e *l1Entry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		s.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		s.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (s *l1Shard) moveToFront(e *l1Entry) {
-	if s.head == e {
-		return
-	}
-	s.unlink(e)
-	s.pushFront(e)
-}
-
-// l1Cache is the sharded, byte-budgeted L1 with its integrated flight
-// table (fill.go). Counters live in the gateway's Metrics registry so
-// /varz and /metrics render them alongside the proxy counters.
+// l1Cache is the L1: the shared LRU instantiated with the gateway's
+// metadata, plus the flight table whose leaders fill it (fill.go). A
+// lookup (Get) returns fresh and stale entries alike — freshness is the
+// caller's decision, a stale entry is a revalidation candidate, not a
+// miss. Counters live in the gateway's Metrics registry so /varz and
+// /metrics render them alongside the proxy counters.
 type l1Cache struct {
-	shards  [l1ShardCount]l1Shard
-	slabs   slabPool
-	flights l1FlightTable
-	budget  int64
+	*slab.LRU[*l1Meta]
+	flights flight.Table[doResult]
 	met     *Metrics
 }
 
-// newL1Cache builds an L1 with the given total byte budget, split
-// evenly across the shards.
+// newL1Cache builds an L1 with the given total byte budget.
 func newL1Cache(budgetBytes int64, met *Metrics) *l1Cache {
-	if budgetBytes < l1ShardCount {
-		budgetBytes = l1ShardCount
-	}
-	c := &l1Cache{budget: budgetBytes, met: met}
-	for i := range c.shards {
-		c.shards[i].m = map[serve.CacheKey]*l1Entry{}
-		c.shards[i].budget = budgetBytes / l1ShardCount
-	}
-	c.flights.m = map[serve.CacheKey]*l1Flight{}
-	return c
+	return &l1Cache{LRU: slab.NewLRU[*l1Meta](budgetBytes), met: met}
 }
 
-// shardOf maps a key to its shard by the hash's first byte.
-func (c *l1Cache) shardOf(key serve.CacheKey) *l1Shard {
-	return &c.shards[int(key[0])&(l1ShardCount-1)]
-}
-
-// lookup finds a resident entry (fresh or stale) and acquires a reader
-// reference under the shard lock, so eviction cannot recycle the slab
-// while the caller holds it. Freshness is the caller's decision — a
-// stale entry is a revalidation candidate, not a miss.
-func (c *l1Cache) lookup(key serve.CacheKey) (*l1Entry, bool) {
-	sh := c.shardOf(key)
-	sh.mu.Lock()
-	e := sh.m[key]
-	if e == nil {
-		sh.mu.Unlock()
-		return nil, false
-	}
-	sh.moveToFront(e)
-	e.refs.Add(1)
-	sh.mu.Unlock()
-	return e, true
-}
-
-// put copies a 200 response into a slab-backed immutable entry and
-// inserts it, replacing any resident entry for the key (a revalidation
-// that came back 200 carries fresher bytes than the stale resident) and
-// evicting from the LRU tail until the shard is back under budget.
-// Oversized bodies were already diverted to the streaming path by the
-// proxy's tee cap, but a shard budget smaller than one entry still
-// skips the fill rather than wiping the shard.
+// put copies a 200 response into the L1, replacing any resident entry
+// for the key (a revalidation that came back 200 carries fresher bytes
+// than the stale resident). Oversized bodies were already diverted to
+// the streaming path by the proxy's tee cap, but a shard budget smaller
+// than one entry still skips the fill rather than wiping the shard.
 func (c *l1Cache) put(key serve.CacheKey, backend string, header http.Header, body []byte, ttl time.Duration) bool {
 	size := int64(len(body)) + l1EntryOverhead
 	for k, vv := range header {
@@ -189,80 +100,21 @@ func (c *l1Cache) put(key serve.CacheKey, backend string, header http.Header, bo
 			size += int64(len(k) + len(v))
 		}
 	}
-	sh := c.shardOf(key)
-	if size > sh.budget {
+	meta := &l1Meta{header: header, backend: backend}
+	meta.touch(ttl)
+	dropped, ok := c.Put(key, body, meta, size)
+	if !ok {
 		c.met.L1TooLarge.Add(1)
 		return false
 	}
-	slab := c.slabs.get(len(body))
-	copy(slab, body)
-	now := time.Now()
-	e := &l1Entry{key: key, body: slab, header: header, backend: backend, size: size}
-	e.refs.Store(1)
-	e.filled.Store(now.UnixNano())
-	e.expires.Store(now.Add(ttl).UnixNano())
-
-	var dropped []*l1Entry
-	sh.mu.Lock()
-	if old := sh.m[key]; old != nil {
-		sh.unlink(old)
-		delete(sh.m, key)
-		sh.bytes -= old.size
-		dropped = append(dropped, old)
-	}
-	sh.m[key] = e
-	sh.pushFront(e)
-	sh.bytes += size
-	evicted := 0
-	for sh.bytes > sh.budget && sh.tail != e {
-		t := sh.tail
-		sh.unlink(t)
-		delete(sh.m, t.key)
-		sh.bytes -= t.size
-		dropped = append(dropped, t)
-		evicted++
-	}
-	sh.mu.Unlock()
-
 	c.met.L1Fills.Add(1)
-	c.met.L1Evictions.Add(uint64(evicted))
-	for _, t := range dropped {
-		t.release(c)
+	for _, d := range dropped {
+		if d.Key != key { // a replaced resident is not an eviction
+			c.met.L1Evictions.Add(1)
+		}
+		c.Release(d)
 	}
 	return true
-}
-
-// touch refreshes an entry's residency after a 304: the backend
-// confirmed the bytes, so the freshness window restarts without a body
-// transfer. Atomics only — the entry may even have been evicted
-// concurrently, in which case the refresh is a harmless no-op on a
-// dying entry.
-func (c *l1Cache) touch(e *l1Entry, ttl time.Duration) {
-	now := time.Now()
-	e.filled.Store(now.UnixNano())
-	e.expires.Store(now.Add(ttl).UnixNano())
-}
-
-// ResidentBytes reports the bytes held across all shards.
-func (c *l1Cache) ResidentBytes() int64 {
-	var n int64
-	for i := range c.shards {
-		c.shards[i].mu.Lock()
-		n += c.shards[i].bytes
-		c.shards[i].mu.Unlock()
-	}
-	return n
-}
-
-// Len reports the number of resident entries.
-func (c *l1Cache) Len() int {
-	n := 0
-	for i := range c.shards {
-		c.shards[i].mu.Lock()
-		n += len(c.shards[i].m)
-		c.shards[i].mu.Unlock()
-	}
-	return n
 }
 
 // freshnessTTL derives an entry's freshness window: the gateway's
@@ -281,61 +133,4 @@ func freshnessTTL(h http.Header, def time.Duration) time.Duration {
 		}
 	}
 	return def
-}
-
-// slabPool recycles entry bodies in power-of-two size classes with a
-// bounded free list per class — the L1 sibling of the serve cache's
-// pool: fills under eviction churn reuse recycled slabs instead of
-// allocating. Slabs above l1MaxPooledSlab go straight to the GC.
-type slabPool struct {
-	mu      sync.Mutex
-	classes [l1SlabClasses][][]byte
-}
-
-const (
-	l1SlabClasses      = 23      // classes up to 1<<22 = 4 MiB
-	l1MaxPooledSlab    = 1 << 22 // bigger bodies are not worth retaining
-	l1SlabsPerClassCap = 8
-)
-
-// slabClass returns the class whose capacity 1<<class fits n.
-func slabClass(n int) int {
-	if n <= 1 {
-		return 0
-	}
-	return bits.Len(uint(n - 1))
-}
-
-// get returns a slab of length n (capacity rounded up to the class).
-func (p *slabPool) get(n int) []byte {
-	if n == 0 {
-		return nil
-	}
-	cl := slabClass(n)
-	if n <= l1MaxPooledSlab {
-		p.mu.Lock()
-		if l := p.classes[cl]; len(l) > 0 {
-			s := l[len(l)-1]
-			p.classes[cl] = l[:len(l)-1]
-			p.mu.Unlock()
-			return s[:n]
-		}
-		p.mu.Unlock()
-	}
-	return make([]byte, n, 1<<cl)
-}
-
-// put returns a slab to its class; mis-sized or surplus slabs are
-// dropped for the GC.
-func (p *slabPool) put(b []byte) {
-	cp := cap(b)
-	if cp == 0 || cp > l1MaxPooledSlab || cp&(cp-1) != 0 {
-		return
-	}
-	cl := slabClass(cp)
-	p.mu.Lock()
-	if len(p.classes[cl]) < l1SlabsPerClassCap {
-		p.classes[cl] = append(p.classes[cl], b[:0])
-	}
-	p.mu.Unlock()
 }

@@ -1,11 +1,6 @@
 package cluster
 
-import (
-	"io"
-	"sync"
-
-	"eclipse/internal/serve"
-)
+import "io"
 
 // Gateway-side singleflight. With the L1 enabled, concurrent requests
 // for the same content address collapse onto one leader: a 32-way storm
@@ -15,12 +10,9 @@ import (
 // near-tier twin of the backends' own flight table (internal/serve):
 // the backend collapses a storm that reaches it into one decode; the
 // gateway collapses it into one request that reaches the backend at
-// all.
-//
-// The leadership discipline mirrors serve's: a leader whose failure is
-// specific to its own request — budget expired, client hung up —
-// abdicates, and one parked follower is promoted to lead a fresh
-// attempt rather than the key being stranded.
+// all. Both use the one table and abdication/promotion protocol of
+// internal/flight; here a leader-specific failure is a budget that
+// expired or a client that hung up.
 
 // flightOutcome says how a finished flight's followers proceed.
 type flightOutcome int
@@ -42,101 +34,14 @@ const (
 	flightSolo
 )
 
-// l1Flight is one in-flight key. State transitions happen under the
-// table mutex; doneCh/promoteCh carry the cross-goroutine signals. At
-// most one promotion token is ever outstanding: only the current
-// leader abdicates, and abdication clears hasLeader until a follower
-// claims the token.
-type l1Flight struct {
-	doneCh    chan struct{} // closed on terminal completion
-	promoteCh chan struct{} // cap 1; a token transfers leadership
-	outcome   flightOutcome
-	res       *attemptResp // flightShared with an upstream response
-	gwStatus  int          // flightShared with a gateway-origin error
-	gwMsg     string
-	waiters   int
-	hasLeader bool
-}
-
-// l1FlightTable maps keys to their in-flight state. One mutex is
-// enough: it is touched only on L1 misses and revalidations, and a
-// same-key storm serializes on its flight either way.
-type l1FlightTable struct {
-	mu sync.Mutex
-	m  map[serve.CacheKey]*l1Flight
-}
-
-// join returns the key's flight and whether the caller leads it.
-func (t *l1FlightTable) join(key serve.CacheKey) (*l1Flight, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if f, ok := t.m[key]; ok {
-		f.waiters++
-		return f, false
-	}
-	f := &l1Flight{
-		doneCh:    make(chan struct{}),
-		promoteCh: make(chan struct{}, 1),
-		hasLeader: true,
-	}
-	t.m[key] = f
-	return f, true
-}
-
-// complete publishes the terminal outcome, removes the flight, and
-// wakes every follower.
-func (t *l1FlightTable) complete(key serve.CacheKey, f *l1Flight, outcome flightOutcome, res *attemptResp, gwStatus int, gwMsg string) {
-	t.mu.Lock()
-	f.outcome, f.res, f.gwStatus, f.gwMsg = outcome, res, gwStatus, gwMsg
-	if t.m[key] == f {
-		delete(t.m, key)
-	}
-	t.mu.Unlock()
-	close(f.doneCh)
-}
-
-// abdicate hands leadership to one parked follower, or retires the
-// flight if nobody is waiting.
-func (t *l1FlightTable) abdicate(key serve.CacheKey, f *l1Flight) {
-	t.mu.Lock()
-	f.hasLeader = false
-	if f.waiters > 0 {
-		// Buffered send cannot block: a token is outstanding only while
-		// hasLeader is false, and we just cleared it.
-		f.promoteCh <- struct{}{}
-		t.mu.Unlock()
-		return
-	}
-	if t.m[key] == f {
-		delete(t.m, key)
-	}
-	t.mu.Unlock()
-}
-
-// claim records that a follower took the promotion token.
-func (t *l1FlightTable) claim(f *l1Flight) {
-	t.mu.Lock()
-	f.waiters--
-	f.hasLeader = true
-	t.mu.Unlock()
-}
-
-// leave removes a follower whose own context died. The last leaver of
-// a leaderless flight drains any unclaimed promotion token and retires
-// the flight so the key is never stranded.
-func (t *l1FlightTable) leave(key serve.CacheKey, f *l1Flight) {
-	t.mu.Lock()
-	f.waiters--
-	if f.waiters == 0 && !f.hasLeader {
-		select {
-		case <-f.promoteCh:
-		default:
-		}
-		if t.m[key] == f {
-			delete(t.m, key)
-		}
-	}
-	t.mu.Unlock()
+// doResult tells the L1 layer how a proxied exchange ended. It is what
+// a flight's leader publishes, so the followers know how to proceed.
+type doResult struct {
+	outcome    flightOutcome
+	res        *attemptResp // flightShared with an upstream response
+	gwStatus   int          // flightShared with a gateway-origin error
+	gwMsg      string
+	leaderSpec bool // budget expired / client gone: abdicate, don't publish
 }
 
 // readCapped reads r into memory up to max bytes (plus one sentinel

@@ -75,7 +75,7 @@ func TestL1Lifecycle(t *testing.T) {
 
 	// Fresh hits: served locally, byte-identical, no upstream attempts —
 	// the hedge trigger's AttemptLat distribution must not move.
-	attemptBase := met.AttemptLat[serve.KindDecode].Snapshot().Count
+	attemptBase := met.AttemptLat[serve.KindDecode].Count()
 	hedgeBase := met.Hedges[serve.KindDecode].Load()
 	for i := 0; i < 3; i++ {
 		resp, body = c.post(t, "/v1/decode", items[0].stream)
@@ -89,7 +89,7 @@ func TestL1Lifecycle(t *testing.T) {
 			t.Fatalf("hit %d: body differs from offline codec (L1 must be byte-identical to L2)", i)
 		}
 	}
-	if n := met.AttemptLat[serve.KindDecode].Snapshot().Count; n != attemptBase {
+	if n := met.AttemptLat[serve.KindDecode].Count(); n != attemptBase {
 		t.Fatalf("hit phase moved AttemptLat %d→%d: L1 hits are poisoning the hedge trigger", attemptBase, n)
 	}
 	if n := met.Hedges[serve.KindDecode].Load(); n != hedgeBase {
@@ -402,17 +402,17 @@ func TestL1StormAfterWarm(t *testing.T) {
 
 	payload := []byte("warm-me")
 	l1Post(t, ts.URL, "/v1/decode", payload, nil) // fill
-	latBase := g.Metrics().Latency[serve.KindDecode].Snapshot().Count
+	latBase := g.Metrics().Latency[serve.KindDecode].Count()
 	for i := 0; i < 5; i++ {
 		resp, _ := l1Post(t, ts.URL, "/v1/decode", payload, nil)
 		if got := resp.Header.Get(CacheHeader); got != XCacheL1Hit {
 			t.Fatalf("warm request %d: X-Cache %q, want %q", i, got, XCacheL1Hit)
 		}
 	}
-	if n := g.Metrics().Latency[serve.KindDecode].Snapshot().Count; n != latBase {
+	if n := g.Metrics().Latency[serve.KindDecode].Count(); n != latBase {
 		t.Fatalf("L1 hits entered the proxied latency histogram (%d→%d)", latBase, n)
 	}
-	if n := g.Metrics().L1HitLat.Snapshot().Count; n != 5 {
+	if n := g.Metrics().L1HitLat.Count(); n != 5 {
 		t.Fatalf("L1HitLat count %d, want 5", n)
 	}
 	if f.hits.Load() != 1 {

@@ -1,19 +1,16 @@
 package cluster
 
 import (
-	"fmt"
 	"io"
 	"sync/atomic"
 	"time"
 
+	"eclipse/internal/metrics"
 	"eclipse/internal/serve"
 )
 
-// nKinds mirrors the serve package's job kinds (decode/encode/transcode).
-const nKinds = 3
-
-// kinds enumerates them for metric rendering.
-var kinds = [nKinds]serve.Kind{serve.KindDecode, serve.KindEncode, serve.KindTranscode}
+// nKinds sizes the per-kind arrays from the backends' own kind list.
+const nKinds = len(serve.Kinds)
 
 // Metrics is the gateway's counter/histogram registry. Everything is
 // atomic; the request path never takes a lock here.
@@ -26,8 +23,8 @@ type Metrics struct {
 	// hedge waits); AttemptLat is per-attempt upstream latency of
 	// successful attempts only — the distribution that feeds the hedge
 	// trigger, uncontaminated by the hedges it causes.
-	Latency    [nKinds]serve.Hist
-	AttemptLat [nKinds]serve.Hist
+	Latency    [nKinds]metrics.Hist
+	AttemptLat [nKinds]metrics.Hist
 	Hedges     [nKinds]atomic.Uint64 // hedge attempts launched
 	HedgeWins  [nKinds]atomic.Uint64 // requests won by the hedge attempt
 
@@ -51,7 +48,7 @@ type Metrics struct {
 	L1Fills         atomic.Uint64 // bodies copied into the L1
 	L1Evictions     atomic.Uint64 // entries dropped for byte pressure
 	L1TooLarge      atomic.Uint64 // fills skipped: entry exceeds a shard budget
-	L1HitLat        serve.Hist    // L1 hit latency (kept out of Latency/AttemptLat)
+	L1HitLat        metrics.Hist  // L1 hit latency (kept out of Latency/AttemptLat)
 
 	StreamThrough   atomic.Uint64 // over-cap responses streamed without buffering
 	StreamTruncated atomic.Uint64 // stream relays that died mid-copy (connection severed)
@@ -110,95 +107,54 @@ type Snapshot struct {
 	BytesOut        uint64            `json:"bytes_out_total"`
 }
 
-func ms(d time.Duration) float64 { return float64(d) / 1e6 }
-
 // WritePrometheus renders the gateway metric families in the Prometheus
-// text exposition format, dependency-free like the serve registry.
+// text exposition format: one internal/metrics call per family, in
+// exposition order.
 func (g *Gateway) WritePrometheus(w io.Writer) {
+	const ns = "eclipse_gateway_"
 	m := g.met
-	p := func(format string, args ...any) { fmt.Fprintf(w, format, args...) }
-
-	p("# HELP eclipse_gateway_uptime_seconds Time since gateway start.\n")
-	p("# TYPE eclipse_gateway_uptime_seconds gauge\n")
-	p("eclipse_gateway_uptime_seconds %g\n", time.Since(m.Start).Seconds())
-
-	p("# HELP eclipse_gateway_requests_total Client requests by kind.\n")
-	p("# TYPE eclipse_gateway_requests_total counter\n")
-	for _, k := range kinds {
-		p("eclipse_gateway_requests_total{kind=%q} %d\n", k.String(), m.Requests[k].Load())
+	kinds := serve.Kinds[:]
+	byKind := func(a *[nKinds]atomic.Uint64) func(serve.Kind) (string, uint64) {
+		return func(k serve.Kind) (string, uint64) { return k.String(), a[k].Load() }
 	}
-	p("# HELP eclipse_gateway_errors_total Requests that ended non-2xx/3xx, by kind.\n")
-	p("# TYPE eclipse_gateway_errors_total counter\n")
-	for _, k := range kinds {
-		p("eclipse_gateway_errors_total{kind=%q} %d\n", k.String(), m.Errors[k].Load())
-	}
-	p("# HELP eclipse_gateway_hedges_total Hedge attempts launched, by kind.\n")
-	p("# TYPE eclipse_gateway_hedges_total counter\n")
-	for _, k := range kinds {
-		p("eclipse_gateway_hedges_total{kind=%q} %d\n", k.String(), m.Hedges[k].Load())
-	}
-	p("# HELP eclipse_gateway_hedge_wins_total Requests answered first by the hedge attempt, by kind.\n")
-	p("# TYPE eclipse_gateway_hedge_wins_total counter\n")
-	for _, k := range kinds {
-		p("eclipse_gateway_hedge_wins_total{kind=%q} %d\n", k.String(), m.HedgeWins[k].Load())
-	}
-
-	p("# HELP eclipse_gateway_retries_total Retry attempts launched after safe failures.\n")
-	p("# TYPE eclipse_gateway_retries_total counter\n")
-	p("eclipse_gateway_retries_total %d\n", m.Retries.Load())
-	p("# HELP eclipse_gateway_ring_churn_total Backend state transitions (edits to the routable set).\n")
-	p("# TYPE eclipse_gateway_ring_churn_total counter\n")
-	p("eclipse_gateway_ring_churn_total %d\n", m.RingChurn.Load())
-	p("# HELP eclipse_gateway_no_backend_total Requests refused because no backend was routable.\n")
-	p("# TYPE eclipse_gateway_no_backend_total counter\n")
-	p("eclipse_gateway_no_backend_total %d\n", m.NoBackend.Load())
-	p("# HELP eclipse_gateway_mid_stream_errors_total Upstream connections that died after the response headers (returned as 502, never a partial body).\n")
-	p("# TYPE eclipse_gateway_mid_stream_errors_total counter\n")
-	p("eclipse_gateway_mid_stream_errors_total %d\n", m.MidStream.Load())
-	p("# HELP eclipse_gateway_pushback_passthrough_total 429/503 pushback responses relayed verbatim after retries were exhausted.\n")
-	p("# TYPE eclipse_gateway_pushback_passthrough_total counter\n")
-	p("eclipse_gateway_pushback_passthrough_total %d\n", m.Passthrough.Load())
-	p("# HELP eclipse_gateway_stream_through_total Over-cap upstream responses streamed to the client without buffering.\n")
-	p("# TYPE eclipse_gateway_stream_through_total counter\n")
-	p("eclipse_gateway_stream_through_total %d\n", m.StreamThrough.Load())
-	p("# HELP eclipse_gateway_stream_truncated_total Streamed relays that died mid-copy (client connection severed).\n")
-	p("# TYPE eclipse_gateway_stream_truncated_total counter\n")
-	p("eclipse_gateway_stream_truncated_total %d\n", m.StreamTruncated.Load())
-	p("# HELP eclipse_gateway_bytes_in_total Request payload bytes accepted.\n")
-	p("# TYPE eclipse_gateway_bytes_in_total counter\n")
-	p("eclipse_gateway_bytes_in_total %d\n", m.BytesIn.Load())
-	p("# HELP eclipse_gateway_bytes_out_total Response payload bytes sent.\n")
-	p("# TYPE eclipse_gateway_bytes_out_total counter\n")
-	p("eclipse_gateway_bytes_out_total %d\n", m.BytesOut.Load())
+	metrics.Gauge(w, ns+"uptime_seconds", "Time since gateway start.", time.Since(m.Start).Seconds())
+	metrics.CounterVec(w, ns+"requests_total", "Client requests by kind.", "kind", kinds, byKind(&m.Requests))
+	metrics.CounterVec(w, ns+"errors_total", "Requests that ended non-2xx/3xx, by kind.", "kind", kinds, byKind(&m.Errors))
+	metrics.CounterVec(w, ns+"hedges_total", "Hedge attempts launched, by kind.", "kind", kinds, byKind(&m.Hedges))
+	metrics.CounterVec(w, ns+"hedge_wins_total", "Requests answered first by the hedge attempt, by kind.", "kind", kinds, byKind(&m.HedgeWins))
 
 	for _, fam := range []struct {
 		name, help string
-		val        uint64
+		val        *atomic.Uint64
 	}{
-		{"l1_hits_total", "Requests served from a fresh resident L1 entry.", m.L1Hits.Load()},
-		{"l1_misses_total", "Requests with no resident L1 entry at lookup.", m.L1Misses.Load()},
-		{"l1_stale_total", "L1 lookups that found an entry past its freshness window.", m.L1Stale.Load()},
-		{"l1_revalidations_total", "Stale entries refreshed by an upstream 304 without a body transfer.", m.L1Revalidations.Load()},
-		{"l1_client_not_modified_total", "Client If-None-Match requests answered 304 at the gateway.", m.L1ClientNotMod.Load()},
-		{"l1_collapsed_total", "Requests served off another request's in-flight fill.", m.L1Collapsed.Load()},
-		{"l1_fills_total", "Response bodies copied into the L1.", m.L1Fills.Load()},
-		{"l1_evictions_total", "L1 entries evicted for byte pressure.", m.L1Evictions.Load()},
-		{"l1_too_large_total", "L1 fills skipped because the entry exceeds a shard budget.", m.L1TooLarge.Load()},
+		{"retries_total", "Retry attempts launched after safe failures.", &m.Retries},
+		{"ring_churn_total", "Backend state transitions (edits to the routable set).", &m.RingChurn},
+		{"no_backend_total", "Requests refused because no backend was routable.", &m.NoBackend},
+		{"mid_stream_errors_total", "Upstream connections that died after the response headers (returned as 502, never a partial body).", &m.MidStream},
+		{"pushback_passthrough_total", "429/503 pushback responses relayed verbatim after retries were exhausted.", &m.Passthrough},
+		{"stream_through_total", "Over-cap upstream responses streamed to the client without buffering.", &m.StreamThrough},
+		{"stream_truncated_total", "Streamed relays that died mid-copy (client connection severed).", &m.StreamTruncated},
+		{"bytes_in_total", "Request payload bytes accepted.", &m.BytesIn},
+		{"bytes_out_total", "Response payload bytes sent.", &m.BytesOut},
+		{"l1_hits_total", "Requests served from a fresh resident L1 entry.", &m.L1Hits},
+		{"l1_misses_total", "Requests with no resident L1 entry at lookup.", &m.L1Misses},
+		{"l1_stale_total", "L1 lookups that found an entry past its freshness window.", &m.L1Stale},
+		{"l1_revalidations_total", "Stale entries refreshed by an upstream 304 without a body transfer.", &m.L1Revalidations},
+		{"l1_client_not_modified_total", "Client If-None-Match requests answered 304 at the gateway.", &m.L1ClientNotMod},
+		{"l1_collapsed_total", "Requests served off another request's in-flight fill.", &m.L1Collapsed},
+		{"l1_fills_total", "Response bodies copied into the L1.", &m.L1Fills},
+		{"l1_evictions_total", "L1 entries evicted for byte pressure.", &m.L1Evictions},
+		{"l1_too_large_total", "L1 fills skipped because the entry exceeds a shard budget.", &m.L1TooLarge},
 	} {
-		p("# HELP eclipse_gateway_%s %s\n", fam.name, fam.help)
-		p("# TYPE eclipse_gateway_%s counter\n", fam.name)
-		p("eclipse_gateway_%s %d\n", fam.name, fam.val)
+		metrics.Counter(w, ns+fam.name, fam.help, fam.val.Load())
 	}
-	p("# HELP eclipse_gateway_l1_resident_bytes Bytes currently resident in the L1 edge cache.\n")
-	p("# TYPE eclipse_gateway_l1_resident_bytes gauge\n")
 	var l1Resident int64
 	if g.l1 != nil {
-		l1Resident = g.l1.ResidentBytes()
+		l1Resident, _ = g.l1.Resident()
 	}
-	p("eclipse_gateway_l1_resident_bytes %d\n", l1Resident)
+	metrics.Gauge(w, ns+"l1_resident_bytes", "Bytes currently resident in the L1 edge cache.", l1Resident)
 
-	p("# HELP eclipse_gateway_backend_state Backend routability (1 = in the named state).\n")
-	p("# TYPE eclipse_gateway_backend_state gauge\n")
+	metrics.Header(w, ns+"backend_state", "Backend routability (1 = in the named state).", "gauge")
 	for _, b := range g.backends {
 		st := b.State()
 		for _, s := range []BackendState{StateDown, StateUp, StateDraining} {
@@ -206,7 +162,7 @@ func (g *Gateway) WritePrometheus(w io.Writer) {
 			if st == s {
 				v = 1
 			}
-			p("eclipse_gateway_backend_state{backend=%q,state=%q} %d\n", b.name, s.String(), v)
+			metrics.Sample(w, ns+"backend_state", v, "backend", b.name, "state", s.String())
 		}
 	}
 	for _, fam := range []struct {
@@ -220,57 +176,30 @@ func (g *Gateway) WritePrometheus(w io.Writer) {
 		{"backend_drains_total", "Transitions into the draining state.", func(b *Backend) uint64 { return b.drains.Load() }},
 		{"backend_probe_failures_total", "Active health probes that failed.", func(b *Backend) uint64 { return b.probeFail.Load() }},
 	} {
-		p("# HELP eclipse_gateway_%s %s\n", fam.name, fam.help)
-		p("# TYPE eclipse_gateway_%s counter\n", fam.name)
-		for _, b := range g.backends {
-			p("eclipse_gateway_%s{backend=%q} %d\n", fam.name, b.name, fam.val(b))
-		}
+		metrics.CounterVec(w, ns+fam.name, fam.help, "backend", g.backends,
+			func(b *Backend) (string, uint64) { return b.name, fam.val(b) })
 	}
 
-	p("# HELP eclipse_gateway_latency_seconds End-to-end request latency through the gateway (includes retries and hedge waits).\n")
-	p("# TYPE eclipse_gateway_latency_seconds histogram\n")
-	for _, k := range kinds {
-		snap := m.Latency[k].Snapshot()
-		var cum uint64
-		for i := range snap.Buckets {
-			cum += snap.Buckets[i]
-			le := float64(serve.BucketUpperUS(i)) / 1e6
-			p("eclipse_gateway_latency_seconds_bucket{kind=%q,le=%q} %d\n", k.String(), fmt.Sprintf("%g", le), cum)
-		}
-		p("eclipse_gateway_latency_seconds_bucket{kind=%q,le=\"+Inf\"} %d\n", k.String(), snap.Count)
-		p("eclipse_gateway_latency_seconds_sum{kind=%q} %g\n", k.String(), float64(snap.SumNs)/1e9)
-		p("eclipse_gateway_latency_seconds_count{kind=%q} %d\n", k.String(), snap.Count)
-	}
-
-	p("# HELP eclipse_gateway_l1_hit_latency_seconds L1 hit latency (excluded from the proxied latency and hedge-trigger histograms).\n")
-	p("# TYPE eclipse_gateway_l1_hit_latency_seconds histogram\n")
-	hsnap := m.L1HitLat.Snapshot()
-	var hcum uint64
-	for i := range hsnap.Buckets {
-		hcum += hsnap.Buckets[i]
-		le := float64(serve.BucketUpperUS(i)) / 1e6
-		p("eclipse_gateway_l1_hit_latency_seconds_bucket{le=%q} %d\n", fmt.Sprintf("%g", le), hcum)
-	}
-	p("eclipse_gateway_l1_hit_latency_seconds_bucket{le=\"+Inf\"} %d\n", hsnap.Count)
-	p("eclipse_gateway_l1_hit_latency_seconds_sum %g\n", float64(hsnap.SumNs)/1e9)
-	p("eclipse_gateway_l1_hit_latency_seconds_count %d\n", hsnap.Count)
+	metrics.HistogramVec(w, ns+"latency_seconds", "End-to-end request latency through the gateway (includes retries and hedge waits).", "kind", kinds,
+		func(k serve.Kind) (string, *metrics.Hist) { return k.String(), &m.Latency[k] })
+	metrics.Histogram(w, ns+"l1_hit_latency_seconds", "L1 hit latency (excluded from the proxied latency and hedge-trigger histograms).", &m.L1HitLat)
 }
 
 // varz assembles the JSON status document.
 func (g *Gateway) varz() Snapshot {
 	m := g.met
 	ks := make([]KindSnapshot, 0, nKinds)
-	for _, k := range kinds {
+	for _, k := range serve.Kinds {
 		ks = append(ks, KindSnapshot{
 			Kind:      k.String(),
 			Requests:  m.Requests[k].Load(),
 			Errors:    m.Errors[k].Load(),
 			Hedges:    m.Hedges[k].Load(),
 			HedgeWins: m.HedgeWins[k].Load(),
-			P50Ms:     ms(m.Latency[k].Quantile(0.50)),
-			P99Ms:     ms(m.Latency[k].Quantile(0.99)),
-			MeanMs:    ms(m.Latency[k].Mean()),
-			HedgeMs:   ms(g.hedgeDelay(k)),
+			P50Ms:     metrics.Ms(m.Latency[k].Quantile(0.50)),
+			P99Ms:     metrics.Ms(m.Latency[k].Quantile(0.99)),
+			MeanMs:    metrics.Ms(m.Latency[k].Mean()),
+			HedgeMs:   metrics.Ms(g.hedgeDelay(k)),
 		})
 	}
 	bs := make([]BackendSnapshot, 0, len(g.backends))
@@ -287,14 +216,13 @@ func (g *Gateway) varz() Snapshot {
 		Fills:         m.L1Fills.Load(),
 		Evictions:     m.L1Evictions.Load(),
 		TooLarge:      m.L1TooLarge.Load(),
-		HitP50Ms:      ms(m.L1HitLat.Quantile(0.50)),
-		HitP99Ms:      ms(m.L1HitLat.Quantile(0.99)),
+		HitP50Ms:      metrics.Ms(m.L1HitLat.Quantile(0.50)),
+		HitP99Ms:      metrics.Ms(m.L1HitLat.Quantile(0.99)),
 	}
 	if g.l1 != nil {
 		l1.Enabled = true
-		l1.ResidentBytes = g.l1.ResidentBytes()
-		l1.Entries = g.l1.Len()
-		l1.BudgetBytes = g.l1.budget
+		l1.ResidentBytes, l1.Entries = g.l1.Resident()
+		l1.BudgetBytes = g.l1.Budget()
 	}
 	return Snapshot{
 		UptimeSec:       time.Since(m.Start).Seconds(),

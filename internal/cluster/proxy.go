@@ -125,16 +125,6 @@ type attemptResp struct {
 	hedge         bool
 }
 
-// doResult tells the L1 layer how a proxied exchange ended, so the
-// flight table can decide what the followers do (fill.go).
-type doResult struct {
-	outcome    flightOutcome
-	res        *attemptResp // flightShared with an upstream response
-	gwStatus   int          // flightShared with a gateway-origin error
-	gwMsg      string
-	leaderSpec bool // budget expired / client gone: abdicate, don't broadcast
-}
-
 // handleMedia serves POST /v1/{decode,encode,transcode}.
 func (g *Gateway) handleMedia(w http.ResponseWriter, r *http.Request) {
 	kind, ok := kindOfPath(r.URL.Path)
@@ -211,8 +201,8 @@ func (g *Gateway) serveL1(ctx context.Context, w http.ResponseWriter, r *http.Re
 attempt:
 	for {
 		var reval *l1Entry // stale resident entry to revalidate, ref held
-		if e, ok := g.l1.lookup(key); ok {
-			if e.fresh(time.Now()) {
+		if e, ok := g.l1.Get(key); ok {
+			if e.Meta.fresh(time.Now()) {
 				xc := XCacheL1Hit
 				if collapsed {
 					g.met.L1Collapsed.Add(1)
@@ -221,7 +211,7 @@ attempt:
 					g.met.L1Hits.Add(1)
 				}
 				g.serveL1Entry(w, kind, e, xc)
-				e.release(g.l1)
+				g.l1.Release(e)
 				g.met.L1HitLat.Observe(time.Since(start))
 				return
 			}
@@ -231,17 +221,17 @@ attempt:
 			g.met.L1Misses.Add(1)
 		}
 
-		f, leader := g.l1.flights.join(key)
+		f, leader := g.l1.flights.Join(key)
 		if !leader && reval != nil {
 			// A follower parks without the entry; the flight's leader is
 			// already revalidating (or refilling) this key.
-			reval.release(g.l1)
+			g.l1.Release(reval)
 			reval = nil
 		}
 		for !leader {
 			select {
-			case <-f.doneCh:
-				switch f.outcome {
+			case <-f.Done():
+				switch got := f.Result(); got.outcome {
 				case flightFilled:
 					// The key is resident now; serve it under our own
 					// entry reference.
@@ -249,10 +239,10 @@ attempt:
 					continue attempt
 				case flightShared:
 					g.met.L1Collapsed.Add(1)
-					if f.res != nil {
-						g.writeShared(w, kind, f.res)
+					if got.res != nil {
+						g.writeShared(w, kind, got.res)
 					} else {
-						g.writeError(w, kind, f.gwStatus, f.gwMsg)
+						g.writeError(w, kind, got.gwStatus, got.gwMsg)
 					}
 					return
 				default:
@@ -264,11 +254,11 @@ attempt:
 					g.met.Latency[kind].Observe(time.Since(pstart))
 					return
 				}
-			case <-f.promoteCh:
-				g.l1.flights.claim(f)
+			case <-f.Promoted():
+				g.l1.flights.Claim(f)
 				leader = true
 			case <-ctx.Done():
-				g.l1.flights.leave(key, f)
+				g.l1.flights.Leave(key, f)
 				if errors.Is(ctx.Err(), context.DeadlineExceeded) {
 					g.writeError(w, kind, http.StatusGatewayTimeout, "cluster: timeout budget exhausted")
 				} else {
@@ -283,12 +273,12 @@ attempt:
 		// promoted leader inherits that window too. This recheck is what
 		// makes "32 identical requests, one backend round-trip" airtight.
 		if reval == nil {
-			if e, ok := g.l1.lookup(key); ok {
-				if e.fresh(time.Now()) {
-					g.l1.flights.complete(key, f, flightFilled, nil, 0, "")
+			if e, ok := g.l1.Get(key); ok {
+				if e.Meta.fresh(time.Now()) {
+					g.l1.flights.Complete(key, f, doResult{outcome: flightFilled})
 					g.met.L1Hits.Add(1)
 					g.serveL1Entry(w, kind, e, XCacheL1Hit)
-					e.release(g.l1)
+					g.l1.Release(e)
 					g.met.L1HitLat.Observe(time.Since(start))
 					return
 				}
@@ -302,22 +292,22 @@ attempt:
 			// Panic safety: a leader that unwinds without completing
 			// abdicates so followers are promoted, never stranded.
 			if !finished {
-				g.l1.flights.abdicate(key, f)
+				g.l1.flights.Abdicate(key, f)
 			}
 		}()
 		pstart := time.Now()
 		dr := g.do(ctx, w, r, kind, key, body, deadline, true, reval)
 		g.met.Latency[kind].Observe(time.Since(pstart))
 		if reval != nil {
-			reval.release(g.l1)
+			g.l1.Release(reval)
 		}
 		finished = true
 		if dr.leaderSpec {
 			// Our budget died or our client hung up — the key is fine.
 			// Hand leadership to a parked follower.
-			g.l1.flights.abdicate(key, f)
+			g.l1.flights.Abdicate(key, f)
 		} else {
-			g.l1.flights.complete(key, f, dr.outcome, dr.res, dr.gwStatus, dr.gwMsg)
+			g.l1.flights.Complete(key, f, dr)
 		}
 		return
 	}
@@ -328,16 +318,16 @@ attempt:
 // eviction cannot recycle the slab mid-response.
 func (g *Gateway) serveL1Entry(w http.ResponseWriter, kind serve.Kind, e *l1Entry, xcache string) {
 	h := w.Header()
-	for k, vv := range e.header {
+	for k, vv := range e.Meta.header {
 		h[k] = vv
 	}
-	h.Set(BackendHeader, e.backend)
+	h.Set(BackendHeader, e.Meta.backend)
 	h.Set(CacheHeader, xcache)
-	h.Set("Age", strconv.Itoa(e.ageSeconds(time.Now())))
-	h.Set("Content-Length", strconv.Itoa(len(e.body)))
+	h.Set("Age", strconv.Itoa(e.Meta.ageSeconds(time.Now())))
+	h.Set("Content-Length", strconv.Itoa(len(e.Body)))
 	w.WriteHeader(http.StatusOK)
-	w.Write(e.body)
-	g.met.BytesOut.Add(uint64(len(e.body)))
+	w.Write(e.Body)
+	g.met.BytesOut.Add(uint64(len(e.Body)))
 }
 
 // writeShared relays a flight leader's buffered response to a
@@ -521,7 +511,7 @@ func (g *Gateway) do(ctx context.Context, w http.ResponseWriter, r *http.Request
 					// The backend confirmed the entry's content address:
 					// refresh residency, serve the resident bytes, and no
 					// body ever crossed the wire.
-					g.l1.touch(reval, freshnessTTL(res.header, g.cfg.L1TTL))
+					reval.Meta.touch(freshnessTTL(res.header, g.cfg.L1TTL))
 					g.met.L1Revalidations.Add(1)
 					g.serveL1Entry(w, kind, reval, XCacheL1Revalidated)
 					return doResult{outcome: flightFilled}

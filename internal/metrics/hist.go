@@ -1,22 +1,10 @@
-// Package serve is the production media-serving subsystem: an HTTP
-// front end that admits decode / encode / transcode jobs into bounded
-// per-tenant queues and executes them on the goroutine KPN runtime under
-// an Eclipse-style scheduler (see DESIGN.md §"Serving" for the full
-// mapping). The paper's concepts translate as:
-//
-//   - worker ⇔ coprocessor: a fixed pool of workers each runs a
-//     weighted round-robin loop over the tenant queues (Section 5.3's
-//     distributed task scheduling);
-//   - tenant queue ⇔ task-table row: the unit the round-robin rotates
-//     over, with a per-tenant weight;
-//   - time slice ⇔ cycle budget: a job runs for weight×BaseSlice of
-//     wall clock, then is preempted at a KPN step boundary (gate) and
-//     requeued behind its tenant's other jobs;
-//   - 429 ⇔ GetSpace failure: admission is a bounded space claim; a
-//     full tenant queue rejects instead of buffering unboundedly, and
-//     the client retries later (Retry-After), exactly like a producer
-//     blocked on PutSpace backpressure.
-package serve
+// Package metrics is the measurement kit both serving tiers share: the
+// lock-free latency histogram their registries are made of (hist.go)
+// and the handful of functions that render one Prometheus text-format
+// family each (prom.go). It is deliberately not a registry: each tier's
+// Metrics struct keeps its exported atomic fields, and its
+// WritePrometheus is a table of calls into this package.
+package metrics
 
 import (
 	"math/bits"
@@ -107,24 +95,4 @@ func (h *Hist) Quantile(q float64) time.Duration {
 		}
 	}
 	return time.Duration(BucketUpperUS(histBuckets-1)) * time.Microsecond
-}
-
-// HistSnapshot is a consistent-enough copy for rendering: buckets are
-// read individually, so a snapshot taken under load may be off by the
-// samples that landed mid-read — fine for monitoring.
-type HistSnapshot struct {
-	Count   uint64
-	SumNs   int64
-	Buckets [histBuckets]uint64
-}
-
-// Snapshot copies the histogram state.
-func (h *Hist) Snapshot() HistSnapshot {
-	var s HistSnapshot
-	s.Count = h.count.Load()
-	s.SumNs = h.sumNs.Load()
-	for i := range s.Buckets {
-		s.Buckets[i] = h.b[i].Load()
-	}
-	return s
 }

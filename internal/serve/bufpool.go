@@ -1,12 +1,14 @@
 package serve
 
+import "eclipse/internal/slab"
+
 // Response-body buffer pool. Decode responses are large (frames × W×H
 // bytes of raw luma) and short-lived, so NewDecodeJob draws them from a
 // size-classed pool — the same power-of-two slab scheme as the result
 // cache's entry bodies — instead of allocating a fresh slice per
 // request.
 //
-// Ownership rules (who may call putRespBuf):
+// Ownership rules (who may call respBufs.Put):
 //
 //   - The job body owns the buffer until it returns it as Result.Body.
 //   - On the UNCACHED tail (submitAndWait) exactly one handler writes
@@ -19,16 +21,8 @@ package serve
 //     out after the leader finishes. Those bodies are left to the GC.
 //
 // Violating the rule hands the pool a buffer another handler is reading;
-// a later getRespBuf would then scribble over an in-flight response.
-var respBufs slabPool
-
-// getRespBuf returns a length-n buffer from the pool (capacity rounded
-// up to its power-of-two class). Contents are NOT zeroed; callers must
-// overwrite all n bytes.
-func getRespBuf(n int) []byte { return respBufs.get(n) }
-
-// putRespBuf recycles a response body. Callers must be the sole owner —
-// see the ownership rules above. Buffers with non-power-of-two or
-// oversized capacity are dropped silently, so it is safe to feed it any
-// Result.Body whose provenance satisfies the ownership rule.
-func putRespBuf(b []byte) { respBufs.put(b) }
+// a later Get would then scribble over an in-flight response. Get does
+// NOT zero the buffer (callers must overwrite all n bytes); Put drops
+// buffers with non-power-of-two or oversized capacity silently, so it is
+// safe to feed it any Result.Body whose provenance satisfies the rule.
+var respBufs slab.Pool

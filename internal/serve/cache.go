@@ -1,11 +1,13 @@
 package serve
 
 import (
-	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
+
+	"eclipse/internal/flight"
+	"eclipse/internal/metrics"
+	"eclipse/internal/slab"
 )
 
 // The result cache is the serving layer's answer to the popular-content
@@ -15,86 +17,24 @@ import (
 // that can see it — lifted one level, from stream windows to whole
 // responses.
 //
-// Ownership discipline (the FramePool/dispPool rules, applied to cached
-// bytes): an entry's body is an immutable snapshot copied into a
-// slab-pooled buffer at fill time — never aliased into live frame
-// arenas or a job's Result. The cache holds one reference; every hit
-// acquires another under the shard lock before the entry can be
-// evicted, and the slab returns to the pool only when the last
-// reference drops. Eviction under byte pressure therefore can never
-// truncate or recycle a buffer a response writer is still reading.
-
-// cacheShardCount is the number of independently locked shards; a
-// power of two so the shard index is a bit mask over the key hash.
-const cacheShardCount = 16
+// The LRU, its slab-backed refcounted entries and their ownership
+// discipline are internal/slab, shared with the gateway's L1; storm
+// collapse is internal/flight. What lives here is this tier's own:
+// tenant attribution, the hit/miss histograms, the /varz snapshot and
+// Fetch's follower loop (singleflight.go).
 
 // entryOverhead approximates an entry's bookkeeping bytes (struct, map
 // header, LRU links) for budget accounting.
 const entryOverhead = 160
 
-// cacheEntry is one immutable cached response. prev/next are the
-// intrusive LRU links of its shard (head = most recently used).
-type cacheEntry struct {
-	key    CacheKey
-	body   []byte // slab-backed; len is the exact body size
+// cacheMeta is this tier's per-entry data: the response headers and the
+// counter block of the tenant whose leader filled the entry.
+type cacheMeta struct {
 	meta   map[string]string
-	tenant string // the tenant whose leader filled the entry
-	size   int64
-	refs   atomic.Int32 // cache's own reference counts as 1
-	prev   *cacheEntry
-	next   *cacheEntry
+	filler *tenantCacheStats
 }
 
-// release drops one reference; the last one returns the slab.
-func (e *cacheEntry) release(c *Cache) {
-	if e.refs.Add(-1) == 0 {
-		c.slabs.put(e.body)
-	}
-}
-
-// cacheShard is one lock domain: a key map plus an intrusive LRU list
-// under a byte budget.
-type cacheShard struct {
-	mu         sync.Mutex
-	m          map[CacheKey]*cacheEntry
-	head, tail *cacheEntry
-	bytes      int64
-	budget     int64
-}
-
-func (s *cacheShard) pushFront(e *cacheEntry) {
-	e.prev = nil
-	e.next = s.head
-	if s.head != nil {
-		s.head.prev = e
-	}
-	s.head = e
-	if s.tail == nil {
-		s.tail = e
-	}
-}
-
-func (s *cacheShard) unlink(e *cacheEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		s.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		s.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (s *cacheShard) moveToFront(e *cacheEntry) {
-	if s.head == e {
-		return
-	}
-	s.unlink(e)
-	s.pushFront(e)
-}
+type cacheEntry = slab.Entry[cacheMeta]
 
 // tenantCacheStats are one tenant's cache counters. Hits/misses/
 // collapses are attributed to the requesting tenant; resident bytes and
@@ -104,16 +44,20 @@ type tenantCacheStats struct {
 	resident                                        atomic.Int64
 }
 
-// Cache is the sharded, byte-budgeted, content-addressed result cache
-// with an integrated singleflight table (singleflight.go). Concurrency:
-// the hot hit path takes exactly one shard mutex; all counters are
-// atomics; the flight table has its own mutex and is touched only on
-// misses.
+// fetched is what a flight's leader publishes to its followers.
+type fetched struct {
+	res Result
+	err error
+}
+
+// Cache is the content-addressed result cache with its singleflight
+// table. Concurrency: a Fetch resolves its tenant's counter block once
+// (the tenant-table mutex, held for a map read) and a hit then takes
+// exactly one shard mutex; all counters are atomics; the flight table
+// has its own mutex and is touched only on misses.
 type Cache struct {
-	shards  [cacheShardCount]cacheShard
-	slabs   slabPool
-	flights flightTable
-	budget  int64
+	lru     *slab.LRU[cacheMeta]
+	flights flight.Table[fetched]
 
 	hits        atomic.Uint64
 	misses      atomic.Uint64
@@ -124,31 +68,16 @@ type Cache struct {
 	notModified atomic.Uint64
 	tooLarge    atomic.Uint64
 
-	hitLat  Hist
-	missLat Hist
+	hitLat  metrics.Hist
+	missLat metrics.Hist
 
 	tmu     sync.Mutex
 	tenants map[string]*tenantCacheStats
 }
 
-// NewCache builds a cache with the given total byte budget, split
-// evenly across the shards.
+// NewCache builds a cache with the given total byte budget.
 func NewCache(budgetBytes int64) *Cache {
-	if budgetBytes < cacheShardCount {
-		budgetBytes = cacheShardCount
-	}
-	c := &Cache{budget: budgetBytes, tenants: map[string]*tenantCacheStats{}}
-	for i := range c.shards {
-		c.shards[i].m = map[CacheKey]*cacheEntry{}
-		c.shards[i].budget = budgetBytes / cacheShardCount
-	}
-	c.flights.m = map[CacheKey]*cacheFlight{}
-	return c
-}
-
-// shardOf maps a key to its shard by the hash's first bytes.
-func (c *Cache) shardOf(key CacheKey) *cacheShard {
-	return &c.shards[int(key[0])&(cacheShardCount-1)]
+	return &Cache{lru: slab.NewLRU[cacheMeta](budgetBytes), tenants: map[string]*tenantCacheStats{}}
 }
 
 // tstats returns (creating if needed) a tenant's counter block.
@@ -163,114 +92,61 @@ func (c *Cache) tstats(name string) *tenantCacheStats {
 	return s
 }
 
-// lookup finds a live entry and acquires a reader reference under the
-// shard lock, so eviction cannot recycle the slab while the caller
-// holds it. countMiss selects whether an absent key counts as a miss
-// (the leader's post-join recheck passes false to keep the counters
-// one-per-request).
-func (c *Cache) lookup(key CacheKey, tenant string, countMiss bool) (*cacheEntry, bool) {
-	sh := c.shardOf(key)
-	sh.mu.Lock()
-	e := sh.m[key]
-	if e == nil {
-		sh.mu.Unlock()
+// lookup finds a live entry and acquires a reader reference (the caller
+// must c.lru.Release it), counting the hit or miss against the
+// requesting tenant ts. countMiss selects whether an absent key counts
+// as a miss (the leader's post-join recheck passes false to keep the
+// counters one-per-request).
+func (c *Cache) lookup(key CacheKey, ts *tenantCacheStats, countMiss bool) (*cacheEntry, bool) {
+	e, ok := c.lru.Get(key)
+	if !ok {
 		if countMiss {
 			c.misses.Add(1)
-			c.tstats(tenant).misses.Add(1)
+			ts.misses.Add(1)
 		}
 		return nil, false
 	}
-	sh.moveToFront(e)
-	e.refs.Add(1)
-	sh.mu.Unlock()
 	c.hits.Add(1)
-	c.tstats(tenant).hits.Add(1)
+	ts.hits.Add(1)
 	return e, true
 }
 
-// put copies a successful result into a slab-backed immutable entry and
-// inserts it, evicting from the LRU tail until the shard is back under
-// budget. Oversized results are skipped rather than wiping the shard.
-func (c *Cache) put(key CacheKey, tenant string, res Result) {
+// put copies a successful result into the cache on behalf of the
+// filling tenant ts. Oversized results are skipped rather than wiping
+// a shard.
+func (c *Cache) put(key CacheKey, ts *tenantCacheStats, res Result) {
 	size := int64(len(res.Body)) + entryOverhead
+	meta := make(map[string]string, len(res.Meta))
 	for k, v := range res.Meta {
 		size += int64(len(k) + len(v))
+		meta[k] = v
 	}
-	sh := c.shardOf(key)
-	if size > sh.budget {
+	dropped, ok := c.lru.Put(key, res.Body, cacheMeta{meta: meta, filler: ts}, size)
+	if !ok {
 		c.tooLarge.Add(1)
 		return
 	}
-	body := c.slabs.get(len(res.Body))
-	copy(body, res.Body)
-	meta := make(map[string]string, len(res.Meta))
-	for k, v := range res.Meta {
-		meta[k] = v
-	}
-	e := &cacheEntry{key: key, body: body, meta: meta, tenant: tenant, size: size}
-	e.refs.Store(1)
-
-	var evicted []*cacheEntry
-	sh.mu.Lock()
-	if sh.m[key] != nil {
-		// A racing leader filled the key first (possible only across
-		// flight generations); keep the resident entry.
-		sh.mu.Unlock()
-		c.slabs.put(body)
-		return
-	}
-	sh.m[key] = e
-	sh.pushFront(e)
-	sh.bytes += size
-	for sh.bytes > sh.budget && sh.tail != e {
-		t := sh.tail
-		sh.unlink(t)
-		delete(sh.m, t.key)
-		sh.bytes -= t.size
-		evicted = append(evicted, t)
-	}
-	sh.mu.Unlock()
-
 	c.fills.Add(1)
-	c.tstats(tenant).resident.Add(size)
-	for _, t := range evicted {
-		c.evictions.Add(1)
-		ts := c.tstats(t.tenant)
-		ts.evictions.Add(1)
-		ts.resident.Add(-t.size)
-		t.release(c)
+	ts.resident.Add(size)
+	for _, d := range dropped {
+		// A same-key entry replaced by a racing leader's fill (possible
+		// only across flight generations) gives its bytes back but is
+		// not an eviction.
+		if d.Key != key {
+			c.evictions.Add(1)
+			d.Meta.filler.evictions.Add(1)
+		}
+		d.Meta.filler.resident.Add(-d.Charge)
+		c.lru.Release(d)
 	}
 }
 
-// recordNotModified counts an If-None-Match revalidation (304).
 // recordNotModified counts an If-None-Match revalidation answered 304.
 // 304s are tracked separately from hits so the per-tenant hit counters
 // always sum to the global one.
 func (c *Cache) recordNotModified(tenant string) {
 	c.notModified.Add(1)
 	c.tstats(tenant).notModified.Add(1)
-}
-
-// ResidentBytes reports the bytes held across all shards.
-func (c *Cache) ResidentBytes() int64 {
-	var n int64
-	for i := range c.shards {
-		c.shards[i].mu.Lock()
-		n += c.shards[i].bytes
-		c.shards[i].mu.Unlock()
-	}
-	return n
-}
-
-// Len reports the number of resident entries.
-func (c *Cache) Len() int {
-	n := 0
-	for i := range c.shards {
-		c.shards[i].mu.Lock()
-		n += len(c.shards[i].m)
-		c.shards[i].mu.Unlock()
-	}
-	return n
 }
 
 // CacheTenantSnapshot is one tenant's cache row in /varz and /metrics.
@@ -307,10 +183,11 @@ type CacheSnapshot struct {
 // Snapshot assembles a consistent-enough view for /varz, /metrics, and
 // the drain report (counters are read individually, like HistSnapshot).
 func (c *Cache) Snapshot() CacheSnapshot {
+	resident, entries := c.lru.Resident()
 	s := CacheSnapshot{
-		BudgetBytes:   c.budget,
-		ResidentBytes: c.ResidentBytes(),
-		Entries:       c.Len(),
+		BudgetBytes:   c.lru.Budget(),
+		ResidentBytes: resident,
+		Entries:       entries,
 		Hits:          c.hits.Load(),
 		Misses:        c.misses.Load(),
 		Collapsed:     c.collapsed.Load(),
@@ -319,10 +196,10 @@ func (c *Cache) Snapshot() CacheSnapshot {
 		Evictions:     c.evictions.Load(),
 		Promotions:    c.promotions.Load(),
 		TooLarge:      c.tooLarge.Load(),
-		HitP50Ms:      ms(c.hitLat.Quantile(0.50)),
-		HitP99Ms:      ms(c.hitLat.Quantile(0.99)),
-		MissP50Ms:     ms(c.missLat.Quantile(0.50)),
-		MissP99Ms:     ms(c.missLat.Quantile(0.99)),
+		HitP50Ms:      metrics.Ms(c.hitLat.Quantile(0.50)),
+		HitP99Ms:      metrics.Ms(c.hitLat.Quantile(0.99)),
+		MissP50Ms:     metrics.Ms(c.missLat.Quantile(0.50)),
+		MissP99Ms:     metrics.Ms(c.missLat.Quantile(0.99)),
 	}
 	c.tmu.Lock()
 	for name, ts := range c.tenants {
@@ -339,66 +216,4 @@ func (c *Cache) Snapshot() CacheSnapshot {
 	c.tmu.Unlock()
 	sort.Slice(s.Tenants, func(i, j int) bool { return s.Tenants[i].Name < s.Tenants[j].Name })
 	return s
-}
-
-// ObserveHit/ObserveMiss record the request wall time of the two paths;
-// the handler calls them so the histograms measure what the client saw.
-func (c *Cache) ObserveHit(d time.Duration)  { c.hitLat.Observe(d) }
-func (c *Cache) ObserveMiss(d time.Duration) { c.missLat.Observe(d) }
-
-// slabPool recycles entry bodies in power-of-two size classes with a
-// bounded free list per class, the cache-side sibling of the shell's
-// bufPool: fills under eviction churn reuse recycled slabs instead of
-// allocating. Slabs above maxPooledSlab go straight to the GC.
-type slabPool struct {
-	mu      sync.Mutex
-	classes [slabClasses][][]byte
-}
-
-const (
-	slabClasses      = 23      // classes up to 1<<22 = 4 MiB
-	maxPooledSlab    = 1 << 22 // bigger bodies are not worth retaining
-	slabsPerClassCap = 8
-)
-
-// slabClass returns the class whose capacity 1<<class fits n.
-func slabClass(n int) int {
-	if n <= 1 {
-		return 0
-	}
-	return bits.Len(uint(n - 1))
-}
-
-// get returns a slab of length n (capacity rounded up to the class).
-func (p *slabPool) get(n int) []byte {
-	if n == 0 {
-		return nil
-	}
-	cl := slabClass(n)
-	if n <= maxPooledSlab {
-		p.mu.Lock()
-		if l := p.classes[cl]; len(l) > 0 {
-			s := l[len(l)-1]
-			p.classes[cl] = l[:len(l)-1]
-			p.mu.Unlock()
-			return s[:n]
-		}
-		p.mu.Unlock()
-	}
-	return make([]byte, n, 1<<cl)
-}
-
-// put returns a slab to its class; mis-sized or surplus slabs are
-// dropped for the GC.
-func (p *slabPool) put(b []byte) {
-	cp := cap(b)
-	if cp == 0 || cp > maxPooledSlab || cp&(cp-1) != 0 {
-		return
-	}
-	cl := slabClass(cp)
-	p.mu.Lock()
-	if len(p.classes[cl]) < slabsPerClassCap {
-		p.classes[cl] = append(p.classes[cl], b[:0])
-	}
-	p.mu.Unlock()
 }

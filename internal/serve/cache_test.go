@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"eclipse/internal/media"
+	"eclipse/internal/slab"
 )
 
 // TestCacheKeyDistinct pins the injectivity the keying schema promises:
@@ -71,8 +72,8 @@ func TestETagMatches(t *testing.T) {
 		{`"nope"`, false},
 		{"", false},
 	} {
-		if got := etagMatches(tc.header, k); got != tc.want {
-			t.Errorf("etagMatches(%q) = %v, want %v", tc.header, got, tc.want)
+		if got := ETagMatches(tc.header, k); got != tc.want {
+			t.Errorf("ETagMatches(%q) = %v, want %v", tc.header, got, tc.want)
 		}
 	}
 }
@@ -83,7 +84,7 @@ func shardKeys(c *Cache, shard, n int) []CacheKey {
 	var out []CacheKey
 	for i := 0; len(out) < n; i++ {
 		k := DecodeKey([]byte(fmt.Sprintf("key-%d", i)))
-		if int(k[0])&(cacheShardCount-1) == shard {
+		if int(k[0])&(slab.ShardCount-1) == shard {
 			out = append(out, k)
 		}
 	}
@@ -97,36 +98,36 @@ func TestCacheLRUEviction(t *testing.T) {
 	const bodyLen = 1000
 	entrySize := int64(bodyLen + entryOverhead)
 	// Budget for exactly 3 entries per shard.
-	c := NewCache(3 * entrySize * cacheShardCount)
+	c := NewCache(3 * entrySize * slab.ShardCount)
 	keys := shardKeys(c, 0, 5)
 	body := func(i int) []byte { return bytes.Repeat([]byte{byte(i + 1)}, bodyLen) }
 	for i := 0; i < 4; i++ {
-		c.put(keys[i], "alice", Result{Body: body(i)})
+		c.put(keys[i], c.tstats("alice"), Result{Body: body(i)})
 	}
 	// 4 fills into a 3-entry shard: keys[0] (LRU tail) must be gone.
-	if _, ok := c.lookup(keys[0], "alice", false); ok {
+	if _, ok := c.lookup(keys[0], c.tstats("alice"), false); ok {
 		t.Fatal("oldest entry survived eviction")
 	}
 	if got := c.evictions.Load(); got != 1 {
 		t.Fatalf("evictions = %d, want 1", got)
 	}
-	if got := c.ResidentBytes(); got != 3*entrySize {
+	if got, _ := c.lru.Resident(); got != 3*entrySize {
 		t.Fatalf("resident bytes %d, want %d", got, 3*entrySize)
 	}
 	// Touch keys[1] so keys[2] becomes the tail, then overflow again.
-	if e, ok := c.lookup(keys[1], "alice", false); !ok {
+	if e, ok := c.lookup(keys[1], c.tstats("alice"), false); !ok {
 		t.Fatal("keys[1] should be resident")
 	} else {
-		e.release(c)
+		c.lru.Release(e)
 	}
-	c.put(keys[4], "bob", Result{Body: body(4)})
-	if _, ok := c.lookup(keys[2], "alice", false); ok {
+	c.put(keys[4], c.tstats("bob"), Result{Body: body(4)})
+	if _, ok := c.lookup(keys[2], c.tstats("alice"), false); ok {
 		t.Fatal("LRU order ignored the recency touch")
 	}
-	if e, ok := c.lookup(keys[1], "alice", false); !ok {
+	if e, ok := c.lookup(keys[1], c.tstats("alice"), false); !ok {
 		t.Fatal("recently touched entry evicted")
 	} else {
-		e.release(c)
+		c.lru.Release(e)
 	}
 	snap := c.Snapshot()
 	if snap.Entries != 3 || snap.Evictions != 2 {
@@ -146,36 +147,14 @@ func TestCacheLRUEviction(t *testing.T) {
 // TestCacheTooLarge checks oversized results are skipped, not force-fed
 // through a shard wipe.
 func TestCacheTooLarge(t *testing.T) {
-	c := NewCache(cacheShardCount * 1024)
+	c := NewCache(slab.ShardCount * 1024)
 	k := DecodeKey([]byte("big"))
-	c.put(k, "a", Result{Body: make([]byte, 4096)})
-	if _, ok := c.lookup(k, "a", false); ok {
+	c.put(k, c.tstats("a"), Result{Body: make([]byte, 4096)})
+	if _, ok := c.lookup(k, c.tstats("a"), false); ok {
 		t.Fatal("oversized entry was cached")
 	}
 	if c.tooLarge.Load() != 1 {
 		t.Fatal("too-large fill not counted")
-	}
-}
-
-// TestSlabPool checks class rounding and buffer identity on reuse.
-func TestSlabPool(t *testing.T) {
-	var p slabPool
-	b := p.get(1000)
-	if len(b) != 1000 || cap(b) != 1024 {
-		t.Fatalf("len/cap = %d/%d, want 1000/1024", len(b), cap(b))
-	}
-	p.put(b)
-	b2 := p.get(700) // same class: must reuse the recycled slab
-	if &b2[:1][0] != &b[:1][0] {
-		t.Fatal("slab not recycled within its class")
-	}
-	if len(b2) != 700 {
-		t.Fatalf("recycled slab len %d, want 700", len(b2))
-	}
-	p.put(make([]byte, 1000)) // non-power-of-two cap: dropped
-	b3 := p.get(1000)
-	if cap(b3) != 1024 {
-		t.Fatalf("mis-sized slab entered the pool (cap %d)", cap(b3))
 	}
 }
 
@@ -184,11 +163,7 @@ func TestSlabPool(t *testing.T) {
 func (c *Cache) flightWaiters(key CacheKey, n int) bool {
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		c.flights.mu.Lock()
-		f := c.flights.m[key]
-		ok := f != nil && f.waiters >= n
-		c.flights.mu.Unlock()
-		if ok {
+		if w, ok := c.flights.Waiters(key); ok && w >= n {
 			return true
 		}
 		time.Sleep(100 * time.Microsecond)
@@ -331,7 +306,7 @@ func TestCacheDeterministicErrorBroadcast(t *testing.T) {
 	if failed.Load() != n || runs.Load() != 1 {
 		t.Fatalf("failed=%d runs=%d, want %d/1", failed.Load(), runs.Load(), n)
 	}
-	if _, ok := c.lookup(key, "t", false); ok {
+	if _, ok := c.lookup(key, c.tstats("t"), false); ok {
 		t.Fatal("failed result must not be cached")
 	}
 }
@@ -375,10 +350,7 @@ func TestCacheFollowerContextDeath(t *testing.T) {
 	time.Sleep(2 * time.Millisecond)
 	close(release)
 	wg.Wait()
-	c.flights.mu.Lock()
-	left := len(c.flights.m)
-	c.flights.mu.Unlock()
-	if left != 0 {
+	if left := c.flights.Len(); left != 0 {
 		t.Fatalf("%d flights leaked", left)
 	}
 }
@@ -396,7 +368,7 @@ func TestCacheEvictionAliasingStress(t *testing.T) {
 	)
 	// Budget small enough that only a handful of entries fit: maximum
 	// eviction churn.
-	c := NewCache(int64(cacheShardCount * 3 * (bodyLen + entryOverhead)))
+	c := NewCache(int64(slab.ShardCount * 3 * (bodyLen + entryOverhead)))
 	keyOf := make([]CacheKey, nKeys)
 	for i := range keyOf {
 		keyOf[i] = DecodeKey([]byte(fmt.Sprintf("stress-%d", i)))

@@ -3,11 +3,11 @@ package serve
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"io"
 	"strings"
 
 	"eclipse/internal/media"
+	"eclipse/internal/slab"
 )
 
 // CacheKey is the content address of a response: the SHA-256 of the
@@ -17,25 +17,16 @@ import (
 // them. Decode/encode worker counts are deliberately NOT part of the
 // key: output is proven bit-identical across worker counts (the
 // parallel-parity guards in internal/media), so tenants on different
-// engines share cache entries.
-type CacheKey [sha256.Size]byte
-
-// ETag renders the key as a strong HTTP entity tag. Because the key is
-// the content address of the request, the tag is valid forever: a
-// client that presents it in If-None-Match gets 304 without the server
-// even needing a cache entry.
-func (k CacheKey) ETag() string { return `"` + hex.EncodeToString(k[:]) + `"` }
+// engines share cache entries. The type itself (and its ETag rendering)
+// lives with the cache mechanism both tiers store under it.
+type CacheKey = slab.Key
 
 // ETagMatches reports whether an If-None-Match header value matches the
-// key's entity tag. Exported because the gateway tier answers client
-// revalidations locally and revalidates its own L1 entries against the
-// backends using the same content-address tags (internal/cluster).
-func ETagMatches(header string, k CacheKey) bool { return etagMatches(header, k) }
-
-// etagMatches reports whether an If-None-Match header value matches the
 // key's entity tag: a comma-separated list of (possibly weak) tags or
-// the wildcard "*".
-func etagMatches(header string, k CacheKey) bool {
+// the wildcard "*". Exported because the gateway tier answers client
+// revalidations locally using the same content-address tags
+// (internal/cluster).
+func ETagMatches(header string, k CacheKey) bool {
 	want := k.ETag()
 	for _, part := range strings.Split(header, ",") {
 		tag := strings.TrimSpace(part)

@@ -24,6 +24,16 @@ const (
 	nKinds
 )
 
+// Kinds enumerates the job kinds in label order. It is the one source
+// for every per-kind array and loop, here and in the gateway
+// ([len(serve.Kinds)]…), so adding a kind cannot mis-size either tier.
+var Kinds = func() (ks [nKinds]Kind) {
+	for i := range ks {
+		ks[i] = Kind(i)
+	}
+	return ks
+}()
+
 // String names the kind for metrics labels.
 func (k Kind) String() string {
 	switch k {
@@ -233,7 +243,7 @@ func NewDecodeJob(ctx context.Context, tenant string, stream []byte, pool *media
 		plane := seq.W() * seq.H()
 		// Pooled response body: recycled by the uncached HTTP tail once
 		// written (see bufpool.go for the ownership rules).
-		out := getRespBuf(len(frames) * plane)
+		out := respBufs.Get(len(frames) * plane)
 		off := 0
 		for _, f := range frames {
 			off += copy(out[off:], f.Pix)
@@ -545,7 +555,7 @@ func fusedTranscodeBody(stream []byte, seq media.SeqHeader, cfg media.CodecConfi
 			release(f)
 		}
 		if met != nil {
-			met.recordXcodePeak(track.peak.Load())
+			storeMax(&met.XcodePeakFrames, track.peak.Load())
 		}
 		if err != nil {
 			return Result{}, err

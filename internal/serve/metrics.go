@@ -1,11 +1,12 @@
 package serve
 
 import (
-	"fmt"
 	"io"
 	"sort"
 	"sync/atomic"
 	"time"
+
+	"eclipse/internal/metrics"
 )
 
 // Metrics holds the subsystem's global counters: per-kind request /
@@ -16,7 +17,7 @@ type Metrics struct {
 	Start       time.Time
 	Requests    [nKinds]atomic.Uint64
 	Errors      [nKinds]atomic.Uint64
-	Latency     [nKinds]Hist
+	Latency     [nKinds]metrics.Hist
 	Rejects     atomic.Uint64
 	Preemptions atomic.Uint64
 	BytesIn     atomic.Uint64
@@ -46,23 +47,11 @@ type Metrics struct {
 	XcodeSegSkewNs   atomic.Int64
 }
 
-// recordXcodeSegSkew folds one segmented job's fastest/slowest segment
-// spread into the global high-water mark.
-func (m *Metrics) recordXcodeSegSkew(skewNs int64) {
+// storeMax folds v into a high-water-mark gauge.
+func storeMax(a *atomic.Int64, v int64) {
 	for {
-		cur := m.XcodeSegSkewNs.Load()
-		if skewNs <= cur || m.XcodeSegSkewNs.CompareAndSwap(cur, skewNs) {
-			return
-		}
-	}
-}
-
-// recordXcodePeak folds one job's peak in-flight frame count into the
-// global high-water mark.
-func (m *Metrics) recordXcodePeak(peak int64) {
-	for {
-		cur := m.XcodePeakFrames.Load()
-		if peak <= cur || m.XcodePeakFrames.CompareAndSwap(cur, peak) {
+		cur := a.Load()
+		if v <= cur || a.CompareAndSwap(cur, v) {
 			return
 		}
 	}
@@ -128,134 +117,62 @@ type Snapshot struct {
 	XcodeSegSkewMs   float64 `json:"transcode_segment_skew_ms_peak"`
 }
 
-func ms(d time.Duration) float64 { return float64(d) / 1e6 }
-
 // kindSnapshots collects the per-kind rows.
 func (m *Metrics) kindSnapshots() []KindSnapshot {
-	out := make([]KindSnapshot, 0, int(nKinds))
-	for k := Kind(0); k < nKinds; k++ {
+	out := make([]KindSnapshot, 0, len(Kinds))
+	for _, k := range Kinds {
 		h := &m.Latency[k]
 		out = append(out, KindSnapshot{
 			Kind:     k.String(),
 			Requests: m.Requests[k].Load(),
 			Errors:   m.Errors[k].Load(),
-			P50Ms:    ms(h.Quantile(0.50)),
-			P90Ms:    ms(h.Quantile(0.90)),
-			P99Ms:    ms(h.Quantile(0.99)),
-			MeanMs:   ms(h.Mean()),
+			P50Ms:    metrics.Ms(h.Quantile(0.50)),
+			P90Ms:    metrics.Ms(h.Quantile(0.90)),
+			P99Ms:    metrics.Ms(h.Quantile(0.99)),
+			MeanMs:   metrics.Ms(h.Mean()),
 		})
 	}
 	return out
 }
 
 // WritePrometheus renders the Prometheus text exposition format
-// (counters, gauges, and the per-kind latency histograms) without any
-// external dependency.
+// (counters, gauges, and the per-kind latency histograms): one
+// internal/metrics call per family, in exposition order.
 func (m *Metrics) WritePrometheus(w io.Writer, sched *Scheduler, poolRetained int, cache *Cache) {
-	p := func(format string, args ...any) { fmt.Fprintf(w, format, args...) }
-
-	p("# HELP eclipse_serve_uptime_seconds Time since server start.\n")
-	p("# TYPE eclipse_serve_uptime_seconds gauge\n")
-	p("eclipse_serve_uptime_seconds %g\n", time.Since(m.Start).Seconds())
-
-	p("# HELP eclipse_serve_requests_total Admitted jobs by kind.\n")
-	p("# TYPE eclipse_serve_requests_total counter\n")
-	for k := Kind(0); k < nKinds; k++ {
-		p("eclipse_serve_requests_total{kind=%q} %d\n", k.String(), m.Requests[k].Load())
+	const ns = "eclipse_serve_"
+	byKind := func(a *[nKinds]atomic.Uint64) func(Kind) (string, uint64) {
+		return func(k Kind) (string, uint64) { return k.String(), a[k].Load() }
 	}
-	p("# HELP eclipse_serve_errors_total Failed jobs by kind.\n")
-	p("# TYPE eclipse_serve_errors_total counter\n")
-	for k := Kind(0); k < nKinds; k++ {
-		p("eclipse_serve_errors_total{kind=%q} %d\n", k.String(), m.Errors[k].Load())
-	}
+	metrics.Gauge(w, ns+"uptime_seconds", "Time since server start.", time.Since(m.Start).Seconds())
+	metrics.CounterVec(w, ns+"requests_total", "Admitted jobs by kind.", "kind", Kinds[:], byKind(&m.Requests))
+	metrics.CounterVec(w, ns+"errors_total", "Failed jobs by kind.", "kind", Kinds[:], byKind(&m.Errors))
+	metrics.Counter(w, ns+"admission_rejects_total", "Jobs rejected by full tenant queues (the GetSpace-failure path).", m.Rejects.Load())
+	metrics.Counter(w, ns+"preemptions_total", "Scheduling slices that ended in preemption.", m.Preemptions.Load())
+	metrics.Counter(w, ns+"bytes_in_total", "Request payload bytes accepted.", m.BytesIn.Load())
+	metrics.Counter(w, ns+"bytes_out_total", "Response payload bytes sent.", m.BytesOut.Load())
+	metrics.Gauge(w, ns+"frame_pool_retained", "Frames held by the shared cross-request pool.", poolRetained)
 
-	p("# HELP eclipse_serve_admission_rejects_total Jobs rejected by full tenant queues (the GetSpace-failure path).\n")
-	p("# TYPE eclipse_serve_admission_rejects_total counter\n")
-	p("eclipse_serve_admission_rejects_total %d\n", m.Rejects.Load())
-
-	p("# HELP eclipse_serve_preemptions_total Scheduling slices that ended in preemption.\n")
-	p("# TYPE eclipse_serve_preemptions_total counter\n")
-	p("eclipse_serve_preemptions_total %d\n", m.Preemptions.Load())
-
-	p("# HELP eclipse_serve_bytes_in_total Request payload bytes accepted.\n")
-	p("# TYPE eclipse_serve_bytes_in_total counter\n")
-	p("eclipse_serve_bytes_in_total %d\n", m.BytesIn.Load())
-	p("# HELP eclipse_serve_bytes_out_total Response payload bytes sent.\n")
-	p("# TYPE eclipse_serve_bytes_out_total counter\n")
-	p("eclipse_serve_bytes_out_total %d\n", m.BytesOut.Load())
-
-	p("# HELP eclipse_serve_frame_pool_retained Frames held by the shared cross-request pool.\n")
-	p("# TYPE eclipse_serve_frame_pool_retained gauge\n")
-	p("eclipse_serve_frame_pool_retained %d\n", poolRetained)
-
-	p("# HELP eclipse_serve_transcode_inflight_frames Peak frames simultaneously in flight inside a single fused transcode job.\n")
-	p("# TYPE eclipse_serve_transcode_inflight_frames gauge\n")
-	p("eclipse_serve_transcode_inflight_frames %d\n", m.XcodePeakFrames.Load())
-	p("# HELP eclipse_serve_transcode_stalls_total Fused-pipeline handoff stalls by side (push = decoder waited on encoder, pull = encoder waited on decoder).\n")
-	p("# TYPE eclipse_serve_transcode_stalls_total counter\n")
-	p("eclipse_serve_transcode_stalls_total{side=\"push\"} %d\n", m.XcodePushStalls.Load())
-	p("eclipse_serve_transcode_stalls_total{side=\"pull\"} %d\n", m.XcodePullStalls.Load())
-
-	p("# HELP eclipse_serve_transcode_segments_jobs_total Transcode jobs that ran segment-parallel (two or more closed-GOP segments).\n")
-	p("# TYPE eclipse_serve_transcode_segments_jobs_total counter\n")
-	p("eclipse_serve_transcode_segments_jobs_total %d\n", m.XcodeSegJobs.Load())
-	p("# HELP eclipse_serve_transcode_segments_total Closed-GOP segments executed by segment-parallel transcode jobs.\n")
-	p("# TYPE eclipse_serve_transcode_segments_total counter\n")
-	p("eclipse_serve_transcode_segments_total %d\n", m.XcodeSegments.Load())
-	p("# HELP eclipse_serve_transcode_segments_stitch_bytes_total Bytes produced by the bitstream stitcher.\n")
-	p("# TYPE eclipse_serve_transcode_segments_stitch_bytes_total counter\n")
-	p("eclipse_serve_transcode_segments_stitch_bytes_total %d\n", m.XcodeStitchBytes.Load())
-	p("# HELP eclipse_serve_transcode_segments_skew_seconds Peak slowest-minus-fastest segment wall time within one segmented job.\n")
-	p("# TYPE eclipse_serve_transcode_segments_skew_seconds gauge\n")
-	p("eclipse_serve_transcode_segments_skew_seconds %g\n", float64(m.XcodeSegSkewNs.Load())/1e9)
+	metrics.Gauge(w, ns+"transcode_inflight_frames", "Peak frames simultaneously in flight inside a single fused transcode job.", m.XcodePeakFrames.Load())
+	metrics.Header(w, ns+"transcode_stalls_total", "Fused-pipeline handoff stalls by side (push = decoder waited on encoder, pull = encoder waited on decoder).", "counter")
+	metrics.Sample(w, ns+"transcode_stalls_total", m.XcodePushStalls.Load(), "side", "push")
+	metrics.Sample(w, ns+"transcode_stalls_total", m.XcodePullStalls.Load(), "side", "pull")
+	metrics.Counter(w, ns+"transcode_segments_jobs_total", "Transcode jobs that ran segment-parallel (two or more closed-GOP segments).", m.XcodeSegJobs.Load())
+	metrics.Counter(w, ns+"transcode_segments_total", "Closed-GOP segments executed by segment-parallel transcode jobs.", m.XcodeSegments.Load())
+	metrics.Counter(w, ns+"transcode_segments_stitch_bytes_total", "Bytes produced by the bitstream stitcher.", m.XcodeStitchBytes.Load())
+	metrics.Gauge(w, ns+"transcode_segments_skew_seconds", "Peak slowest-minus-fastest segment wall time within one segmented job.", float64(m.XcodeSegSkewNs.Load())/1e9)
 
 	tenants := sched.SnapshotTenants()
 	sort.Slice(tenants, func(i, j int) bool { return tenants[i].Name < tenants[j].Name })
-	p("# HELP eclipse_serve_queue_depth Jobs waiting in the tenant queue.\n")
-	p("# TYPE eclipse_serve_queue_depth gauge\n")
-	for _, t := range tenants {
-		p("eclipse_serve_queue_depth{tenant=%q} %d\n", t.Name, t.QueueDepth)
-	}
-	p("# HELP eclipse_serve_tenant_admitted Jobs admitted and unfinished (waiting + running).\n")
-	p("# TYPE eclipse_serve_tenant_admitted gauge\n")
-	for _, t := range tenants {
-		p("eclipse_serve_tenant_admitted{tenant=%q} %d\n", t.Name, t.Admitted)
-	}
-	p("# HELP eclipse_serve_tenant_completed_total Jobs finished successfully.\n")
-	p("# TYPE eclipse_serve_tenant_completed_total counter\n")
-	for _, t := range tenants {
-		p("eclipse_serve_tenant_completed_total{tenant=%q} %d\n", t.Name, t.Completed)
-	}
-	p("# HELP eclipse_serve_tenant_rejects_total Admission rejects per tenant.\n")
-	p("# TYPE eclipse_serve_tenant_rejects_total counter\n")
-	for _, t := range tenants {
-		p("eclipse_serve_tenant_rejects_total{tenant=%q} %d\n", t.Name, t.Rejects)
-	}
-	p("# HELP eclipse_serve_tenant_preemptions_total Slice preemptions per tenant.\n")
-	p("# TYPE eclipse_serve_tenant_preemptions_total counter\n")
-	for _, t := range tenants {
-		p("eclipse_serve_tenant_preemptions_total{tenant=%q} %d\n", t.Name, t.Preempts)
-	}
-	p("# HELP eclipse_serve_tenant_service_seconds_total Wall-clock execution time per tenant.\n")
-	p("# TYPE eclipse_serve_tenant_service_seconds_total counter\n")
-	for _, t := range tenants {
-		p("eclipse_serve_tenant_service_seconds_total{tenant=%q} %g\n", t.Name, t.ServiceSec)
-	}
+	type ts = TenantSnapshot
+	metrics.GaugeVec(w, ns+"queue_depth", "Jobs waiting in the tenant queue.", "tenant", tenants, func(t ts) (string, int) { return t.Name, t.QueueDepth })
+	metrics.GaugeVec(w, ns+"tenant_admitted", "Jobs admitted and unfinished (waiting + running).", "tenant", tenants, func(t ts) (string, int) { return t.Name, t.Admitted })
+	metrics.CounterVec(w, ns+"tenant_completed_total", "Jobs finished successfully.", "tenant", tenants, func(t ts) (string, uint64) { return t.Name, t.Completed })
+	metrics.CounterVec(w, ns+"tenant_rejects_total", "Admission rejects per tenant.", "tenant", tenants, func(t ts) (string, uint64) { return t.Name, t.Rejects })
+	metrics.CounterVec(w, ns+"tenant_preemptions_total", "Slice preemptions per tenant.", "tenant", tenants, func(t ts) (string, uint64) { return t.Name, t.Preempts })
+	metrics.CounterVec(w, ns+"tenant_service_seconds_total", "Wall-clock execution time per tenant.", "tenant", tenants, func(t ts) (string, float64) { return t.Name, t.ServiceSec })
 
-	p("# HELP eclipse_serve_latency_seconds End-to-end job latency (admission to completion).\n")
-	p("# TYPE eclipse_serve_latency_seconds histogram\n")
-	for k := Kind(0); k < nKinds; k++ {
-		snap := m.Latency[k].Snapshot()
-		var cum uint64
-		for i := 0; i < histBuckets; i++ {
-			cum += snap.Buckets[i]
-			le := float64(BucketUpperUS(i)) / 1e6
-			p("eclipse_serve_latency_seconds_bucket{kind=%q,le=%q} %d\n", k.String(), fmt.Sprintf("%g", le), cum)
-		}
-		p("eclipse_serve_latency_seconds_bucket{kind=%q,le=\"+Inf\"} %d\n", k.String(), snap.Count)
-		p("eclipse_serve_latency_seconds_sum{kind=%q} %g\n", k.String(), float64(snap.SumNs)/1e9)
-		p("eclipse_serve_latency_seconds_count{kind=%q} %d\n", k.String(), snap.Count)
-	}
+	metrics.HistogramVec(w, ns+"latency_seconds", "End-to-end job latency (admission to completion).", "kind", Kinds[:],
+		func(k Kind) (string, *metrics.Hist) { return k.String(), &m.Latency[k] })
 
 	if cache != nil {
 		writeCachePrometheus(w, cache)
@@ -264,73 +181,23 @@ func (m *Metrics) WritePrometheus(w io.Writer, sched *Scheduler, poolRetained in
 
 // writeCachePrometheus renders the result-cache metric families.
 func writeCachePrometheus(w io.Writer, cache *Cache) {
-	p := func(format string, args ...any) { fmt.Fprintf(w, format, args...) }
+	const ns = "eclipse_serve_cache_"
 	cs := cache.Snapshot()
+	metrics.Gauge(w, ns+"budget_bytes", "Result cache byte budget.", cs.BudgetBytes)
+	metrics.Gauge(w, ns+"resident_bytes", "Bytes held by resident cache entries.", cs.ResidentBytes)
+	metrics.Gauge(w, ns+"entries", "Resident cache entries.", cs.Entries)
+	metrics.Counter(w, ns+"fills_total", "Successful results copied into the cache.", cs.Fills)
+	metrics.Counter(w, ns+"promotions_total", "Singleflight followers promoted to leader after a leader-specific failure.", cs.Promotions)
+	metrics.Counter(w, ns+"not_modified_total", "If-None-Match revalidations answered 304.", cs.NotModified)
+	metrics.Counter(w, ns+"too_large_total", "Results skipped because they exceed a shard budget.", cs.TooLarge)
 
-	p("# HELP eclipse_serve_cache_budget_bytes Result cache byte budget.\n")
-	p("# TYPE eclipse_serve_cache_budget_bytes gauge\n")
-	p("eclipse_serve_cache_budget_bytes %d\n", cs.BudgetBytes)
-	p("# HELP eclipse_serve_cache_resident_bytes Bytes held by resident cache entries.\n")
-	p("# TYPE eclipse_serve_cache_resident_bytes gauge\n")
-	p("eclipse_serve_cache_resident_bytes %d\n", cs.ResidentBytes)
-	p("# HELP eclipse_serve_cache_entries Resident cache entries.\n")
-	p("# TYPE eclipse_serve_cache_entries gauge\n")
-	p("eclipse_serve_cache_entries %d\n", cs.Entries)
+	type ts = CacheTenantSnapshot
+	metrics.CounterVec(w, ns+"hits_total", "Cache hits by requesting tenant.", "tenant", cs.Tenants, func(t ts) (string, uint64) { return t.Name, t.Hits })
+	metrics.CounterVec(w, ns+"misses_total", "Cache misses by requesting tenant.", "tenant", cs.Tenants, func(t ts) (string, uint64) { return t.Name, t.Misses })
+	metrics.CounterVec(w, ns+"collapsed_total", "Requests served by parking on another request's in-flight decode.", "tenant", cs.Tenants, func(t ts) (string, uint64) { return t.Name, t.Collapsed })
+	metrics.CounterVec(w, ns+"evictions_total", "Entries evicted under byte pressure, by filling tenant.", "tenant", cs.Tenants, func(t ts) (string, uint64) { return t.Name, t.Evictions })
+	metrics.GaugeVec(w, ns+"tenant_resident_bytes", "Resident bytes attributed to the filling tenant.", "tenant", cs.Tenants, func(t ts) (string, int64) { return t.Name, t.ResidentBytes })
 
-	p("# HELP eclipse_serve_cache_fills_total Successful results copied into the cache.\n")
-	p("# TYPE eclipse_serve_cache_fills_total counter\n")
-	p("eclipse_serve_cache_fills_total %d\n", cs.Fills)
-	p("# HELP eclipse_serve_cache_promotions_total Singleflight followers promoted to leader after a leader-specific failure.\n")
-	p("# TYPE eclipse_serve_cache_promotions_total counter\n")
-	p("eclipse_serve_cache_promotions_total %d\n", cs.Promotions)
-	p("# HELP eclipse_serve_cache_not_modified_total If-None-Match revalidations answered 304.\n")
-	p("# TYPE eclipse_serve_cache_not_modified_total counter\n")
-	p("eclipse_serve_cache_not_modified_total %d\n", cs.NotModified)
-	p("# HELP eclipse_serve_cache_too_large_total Results skipped because they exceed a shard budget.\n")
-	p("# TYPE eclipse_serve_cache_too_large_total counter\n")
-	p("eclipse_serve_cache_too_large_total %d\n", cs.TooLarge)
-
-	p("# HELP eclipse_serve_cache_hits_total Cache hits by requesting tenant.\n")
-	p("# TYPE eclipse_serve_cache_hits_total counter\n")
-	for _, t := range cs.Tenants {
-		p("eclipse_serve_cache_hits_total{tenant=%q} %d\n", t.Name, t.Hits)
-	}
-	p("# HELP eclipse_serve_cache_misses_total Cache misses by requesting tenant.\n")
-	p("# TYPE eclipse_serve_cache_misses_total counter\n")
-	for _, t := range cs.Tenants {
-		p("eclipse_serve_cache_misses_total{tenant=%q} %d\n", t.Name, t.Misses)
-	}
-	p("# HELP eclipse_serve_cache_collapsed_total Requests served by parking on another request's in-flight decode.\n")
-	p("# TYPE eclipse_serve_cache_collapsed_total counter\n")
-	for _, t := range cs.Tenants {
-		p("eclipse_serve_cache_collapsed_total{tenant=%q} %d\n", t.Name, t.Collapsed)
-	}
-	p("# HELP eclipse_serve_cache_evictions_total Entries evicted under byte pressure, by filling tenant.\n")
-	p("# TYPE eclipse_serve_cache_evictions_total counter\n")
-	for _, t := range cs.Tenants {
-		p("eclipse_serve_cache_evictions_total{tenant=%q} %d\n", t.Name, t.Evictions)
-	}
-	p("# HELP eclipse_serve_cache_tenant_resident_bytes Resident bytes attributed to the filling tenant.\n")
-	p("# TYPE eclipse_serve_cache_tenant_resident_bytes gauge\n")
-	for _, t := range cs.Tenants {
-		p("eclipse_serve_cache_tenant_resident_bytes{tenant=%q} %d\n", t.Name, t.ResidentBytes)
-	}
-
-	for _, h := range []struct {
-		name string
-		hist *Hist
-	}{{"hit", &cache.hitLat}, {"miss", &cache.missLat}} {
-		snap := h.hist.Snapshot()
-		p("# HELP eclipse_serve_cache_%s_latency_seconds Request wall time on the %s path.\n", h.name, h.name)
-		p("# TYPE eclipse_serve_cache_%s_latency_seconds histogram\n", h.name)
-		var cum uint64
-		for i := 0; i < histBuckets; i++ {
-			cum += snap.Buckets[i]
-			le := float64(BucketUpperUS(i)) / 1e6
-			p("eclipse_serve_cache_%s_latency_seconds_bucket{le=%q} %d\n", h.name, fmt.Sprintf("%g", le), cum)
-		}
-		p("eclipse_serve_cache_%s_latency_seconds_bucket{le=\"+Inf\"} %d\n", h.name, snap.Count)
-		p("eclipse_serve_cache_%s_latency_seconds_sum %g\n", h.name, float64(snap.SumNs)/1e9)
-		p("eclipse_serve_cache_%s_latency_seconds_count %d\n", h.name, snap.Count)
-	}
+	metrics.Histogram(w, ns+"hit_latency_seconds", "Request wall time on the hit path.", &cache.hitLat)
+	metrics.Histogram(w, ns+"miss_latency_seconds", "Request wall time on the miss path.", &cache.missLat)
 }

@@ -132,7 +132,7 @@ func NewTranscodeJobSegmented(ctx context.Context, tenant string, stream []byte,
 		}
 		err := kpn.RunContext(ctx, g, funcs, kpn.WithGate(gate))
 		if met != nil {
-			met.recordXcodePeak(track.peak.Load())
+			storeMax(&met.XcodePeakFrames, track.peak.Load())
 		}
 		if err != nil {
 			return Result{}, err
@@ -159,7 +159,7 @@ func NewTranscodeJobSegmented(ctx context.Context, tenant string, stream []byte,
 			met.XcodeSegJobs.Add(1)
 			met.XcodeSegments.Add(uint64(nseg))
 			met.XcodeStitchBytes.Add(uint64(len(out)))
-			met.recordXcodeSegSkew(int64(maxW - minW))
+			storeMax(&met.XcodeSegSkewNs, int64(maxW-minW))
 		}
 		meta := seqMeta(seq, seq.Frames)
 		meta["X-Seq-Q"] = strconv.Itoa(q)

@@ -1,3 +1,21 @@
+// Package serve is the production media-serving subsystem: an HTTP
+// front end that admits decode / encode / transcode jobs into bounded
+// per-tenant queues and executes them on the goroutine KPN runtime under
+// an Eclipse-style scheduler (see DESIGN.md §"Serving" for the full
+// mapping). The paper's concepts translate as:
+//
+//   - worker ⇔ coprocessor: a fixed pool of workers each runs a
+//     weighted round-robin loop over the tenant queues (Section 5.3's
+//     distributed task scheduling);
+//   - tenant queue ⇔ task-table row: the unit the round-robin rotates
+//     over, with a per-tenant weight;
+//   - time slice ⇔ cycle budget: a job runs for weight×BaseSlice of
+//     wall clock, then is preempted at a KPN step boundary (gate) and
+//     requeued behind its tenant's other jobs;
+//   - 429 ⇔ GetSpace failure: admission is a bounded space claim; a
+//     full tenant queue rejects instead of buffering unboundedly, and
+//     the client retries later (Retry-After), exactly like a producer
+//     blocked on PutSpace backpressure.
 package serve
 
 import (
@@ -12,6 +30,7 @@ import (
 	"time"
 
 	"eclipse/internal/media"
+	"eclipse/internal/metrics"
 )
 
 // Server is the HTTP front end: it owns the scheduler, the metrics
@@ -182,7 +201,7 @@ func (s *Server) submitAndWait(w http.ResponseWriter, r *http.Request, ctx conte
 	w.Header().Set("X-Job-Preempts", strconv.Itoa(j.Preempts()))
 	s.writeResult(w, res)
 	if j.Kind == KindDecode {
-		putRespBuf(res.Body)
+		respBufs.Put(res.Body)
 	}
 }
 
@@ -192,7 +211,7 @@ func (s *Server) submitAndWait(w http.ResponseWriter, r *http.Request, ctx conte
 // up leading its key's flight.
 func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, ctx context.Context, tenant string, key CacheKey, j *Job) {
 	start := time.Now()
-	if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatches(inm, key) {
+	if inm := r.Header.Get("If-None-Match"); inm != "" && ETagMatches(inm, key) {
 		// The ETag is the content address, so a match proves the client
 		// already holds the exact bytes — no cache entry or decode needed.
 		s.cache.recordNotModified(tenant)
@@ -210,12 +229,13 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, ctx context
 		return
 	}
 	defer release()
+	// Request wall time, so the histograms measure what the client saw.
 	if outcome == CacheHit {
-		s.cache.ObserveHit(time.Since(start))
+		s.cache.hitLat.Observe(time.Since(start))
 	} else {
 		// Collapsed followers waited on a real decode; their latency
 		// belongs to the miss path so the hit histogram stays honest.
-		s.cache.ObserveMiss(time.Since(start))
+		s.cache.missLat.Observe(time.Since(start))
 	}
 	w.Header().Set("ETag", key.ETag())
 	w.Header().Set("Cache-Control", s.cacheControl())
@@ -412,7 +432,7 @@ func (s *Server) varz() Snapshot {
 		State:       s.sched.StateString(),
 		UptimeSec:   time.Since(s.met.Start).Seconds(),
 		Workers:     s.cfg.Workers,
-		BaseSliceMs: ms(s.cfg.BaseSlice),
+		BaseSliceMs: metrics.Ms(s.cfg.BaseSlice),
 		Admitted:    s.sched.Admitted(),
 		Rejects:     s.met.Rejects.Load(),
 		Preemptions: s.met.Preemptions.Load(),

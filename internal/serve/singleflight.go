@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"sync"
 )
 
 // Singleflight collapse: concurrent requests for the same cache key
@@ -15,108 +14,12 @@ import (
 // queues (the GetSpace analogue) see popular content as a single unit
 // of work.
 //
-// Leadership is not sticky: a leader that fails for reasons specific to
-// its own request — its client disconnected, its deadline expired, its
-// tenant's queue was full, the server is draining — abdicates, and one
-// parked follower is promoted to lead a fresh attempt instead of the
-// key being stranded. Deterministic failures (a malformed bitstream
-// produces the same error for every requester) are broadcast to all
-// followers instead.
-
-// cacheFlight is one in-flight key. All state transitions happen under
-// the flightTable mutex; doneCh/promoteCh carry the cross-goroutine
-// signals. Invariant: at most one promotion token is outstanding,
-// because only the current leader can abdicate and abdication clears
-// hasLeader until a follower claims it.
-type cacheFlight struct {
-	doneCh    chan struct{} // closed on terminal completion
-	promoteCh chan struct{} // cap 1; a token transfers leadership
-	res       Result
-	err       error
-	waiters   int
-	hasLeader bool
-}
-
-// flightTable maps keys to their in-flight state. A single mutex is
-// enough: it is touched only on cache misses, and a same-key storm
-// serializes on its flight either way.
-type flightTable struct {
-	mu sync.Mutex
-	m  map[CacheKey]*cacheFlight
-}
-
-// join returns the key's flight and whether the caller leads it.
-func (t *flightTable) join(key CacheKey) (*cacheFlight, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if f, ok := t.m[key]; ok {
-		f.waiters++
-		return f, false
-	}
-	f := &cacheFlight{
-		doneCh:    make(chan struct{}),
-		promoteCh: make(chan struct{}, 1),
-		hasLeader: true,
-	}
-	t.m[key] = f
-	return f, true
-}
-
-// complete publishes the terminal result, removes the flight, and wakes
-// every follower.
-func (t *flightTable) complete(key CacheKey, f *cacheFlight, res Result, err error) {
-	t.mu.Lock()
-	f.res, f.err = res, err
-	if t.m[key] == f {
-		delete(t.m, key)
-	}
-	t.mu.Unlock()
-	close(f.doneCh)
-}
-
-// abdicate hands leadership to one parked follower, or retires the
-// flight if nobody is waiting.
-func (t *flightTable) abdicate(key CacheKey, f *cacheFlight) {
-	t.mu.Lock()
-	f.hasLeader = false
-	if f.waiters > 0 {
-		// Buffered send cannot block: a token is outstanding only while
-		// hasLeader is false, and we just cleared it.
-		f.promoteCh <- struct{}{}
-		t.mu.Unlock()
-		return
-	}
-	if t.m[key] == f {
-		delete(t.m, key)
-	}
-	t.mu.Unlock()
-}
-
-// claim records that a follower took the promotion token.
-func (t *flightTable) claim(f *cacheFlight) {
-	t.mu.Lock()
-	f.waiters--
-	f.hasLeader = true
-	t.mu.Unlock()
-}
-
-// leave removes a follower whose own context died. The last leaver of a
-// leaderless flight drains any unclaimed promotion token and retires
-// the flight so the key is never stranded.
-func (t *flightTable) leave(key CacheKey, f *cacheFlight) {
-	t.mu.Lock()
-	f.waiters--
-	if f.waiters == 0 && !f.hasLeader {
-		select {
-		case <-f.promoteCh:
-		default:
-		}
-		if t.m[key] == f {
-			delete(t.m, key)
-		}
-	}
-	t.mu.Unlock()
-}
+// The table and its abdication/promotion protocol are internal/flight.
+// Here a leader abdicates when its failure is specific to its own
+// request — its client disconnected, its deadline expired, its tenant's
+// queue was full, the server is draining — and broadcasts deterministic
+// failures (a malformed bitstream produces the same error for every
+// requester) to all followers.
 
 // errFlightRetry is the internal completion sentinel for "the leader
 // found the key already cached": followers re-read the cache (each
@@ -168,34 +71,36 @@ func (o CacheOutcome) String() string {
 // calling goroutine, at most once per Fetch.
 func (c *Cache) Fetch(ctx context.Context, key CacheKey, tenant string, run func() (Result, error)) (res Result, release func(), outcome CacheOutcome, err error) {
 	noop := func() {}
+	ts := c.tstats(tenant)
 	countMiss := true
 attempt:
 	for {
-		if e, ok := c.lookup(key, tenant, countMiss); ok {
-			return Result{Body: e.body, Meta: e.meta}, func() { e.release(c) }, CacheHit, nil
+		if e, ok := c.lookup(key, ts, countMiss); ok {
+			return Result{Body: e.Body, Meta: e.Meta.meta}, func() { c.lru.Release(e) }, CacheHit, nil
 		}
 		countMiss = false
-		f, leader := c.flights.join(key)
+		f, leader := c.flights.Join(key)
 		for !leader {
 			select {
-			case <-f.doneCh:
-				if f.err == errFlightRetry {
+			case <-f.Done():
+				got := f.Result()
+				if got.err == errFlightRetry {
 					// The previous leader found a fresh fill; re-read it
 					// under our own entry reference.
 					continue attempt
 				}
-				if f.err != nil {
-					return Result{}, noop, CacheCollapsed, f.err
+				if got.err != nil {
+					return Result{}, noop, CacheCollapsed, got.err
 				}
 				c.collapsed.Add(1)
-				c.tstats(tenant).collapsed.Add(1)
-				return f.res, noop, CacheCollapsed, nil
-			case <-f.promoteCh:
-				c.flights.claim(f)
+				ts.collapsed.Add(1)
+				return got.res, noop, CacheCollapsed, nil
+			case <-f.Promoted():
+				c.flights.Claim(f)
 				c.promotions.Add(1)
 				leader = true
 			case <-ctx.Done():
-				c.flights.leave(key, f)
+				c.flights.Leave(key, f)
 				return Result{}, noop, CacheCollapsed, ctx.Err()
 			}
 		}
@@ -203,29 +108,29 @@ attempt:
 		// filled the key between our lookup and join, and a promoted
 		// leader inherits that window too. This recheck is what makes
 		// "N identical requests, exactly one decode" airtight.
-		if e, ok := c.lookup(key, tenant, false); ok {
-			c.flights.complete(key, f, Result{}, errFlightRetry)
-			return Result{Body: e.body, Meta: e.meta}, func() { e.release(c) }, CacheHit, nil
+		if e, ok := c.lookup(key, ts, false); ok {
+			c.flights.Complete(key, f, fetched{err: errFlightRetry})
+			return Result{Body: e.Body, Meta: e.Meta.meta}, func() { c.lru.Release(e) }, CacheHit, nil
 		}
 		finished := false
 		defer func() {
 			// Panic safety: a leader that unwinds without completing
 			// abdicates so followers are promoted, never stranded.
 			if !finished {
-				c.flights.abdicate(key, f)
+				c.flights.Abdicate(key, f)
 			}
 		}()
 		res, err = run()
 		if err != nil && leaderSpecificErr(err) {
 			finished = true
-			c.flights.abdicate(key, f)
+			c.flights.Abdicate(key, f)
 			return Result{}, noop, CacheMiss, err
 		}
 		if err == nil {
-			c.put(key, tenant, res)
+			c.put(key, ts, res)
 		}
 		finished = true
-		c.flights.complete(key, f, res, err)
+		c.flights.Complete(key, f, fetched{res, err})
 		return res, noop, CacheMiss, err
 	}
 }
