@@ -99,6 +99,11 @@ func TestPipelinedDCTShiftsPBottleneck(t *testing.T) {
 		if err := app.VerifyAgainstReference(stream); err != nil {
 			t.Fatal(err)
 		}
+		// Off-chip memory is demand-paged: the decode writes the bit-stream
+		// and three QCIF frame slots, a sliver of the 16 MiB it can address.
+		if got, size := sys.DRAM.Resident(), sys.DRAM.Size(); got == 0 || got > size/16 {
+			t.Errorf("DRAM holds %d resident bytes of %d after a Fig. 10 decode, want 0 < resident <= size/16", got, size)
+		}
 		res := &Fig10Result{
 			Collector: sys.Collector,
 			BufSizes:  map[string]int{"rlsq": bufs.Tok, "dct": bufs.Coef, "mc": bufs.Resid},

@@ -79,7 +79,7 @@ func (rs *RawStore) FetchMB(p *sim.Proc, frame, mbx, mby int, dst *media.MBPixel
 	addr := rs.base + uint32(frame*f.W*f.H+(mby*media.MBSize)*f.W+mbx*media.MBSize)
 	fc := popFetchCtx(&rs.fetchFree, p, "mefetch")
 	for r := 0; r < media.MBSize; r++ {
-		rs.dram.ReadAsync(addr+uint32(r*f.W), fc.row[:], fc.cb)
+		rs.dram.ScheduleRead(addr+uint32(r*f.W), media.MBSize, fc.cb)
 	}
 	p.Wait(fc.sig)
 	rs.fetchFree = append(rs.fetchFree, fc)

@@ -24,21 +24,36 @@ type Framestore struct {
 	pool   *media.FramePool // recycles frames evicted from the slots
 
 	// fetchFree recycles prediction-fetch contexts (signal + completion
-	// closure + row buffer). FetchRegion blocks until its fetch
-	// completes, so a context is back on the free list before the same
-	// task can fetch again; the list only grows past one entry if
-	// several tasks share a framestore and overlap fetches.
+	// closure). FetchRegion blocks until its fetch completes, so a
+	// context is back on the free list before the same task can fetch
+	// again; the list only grows past one entry if several tasks share a
+	// framestore and overlap fetches.
 	fetchFree []*fetchCtx
+	// storeFree recycles macroblock writeback contexts. StoreMB does not
+	// block, so the list grows to the number of writebacks the bus lets
+	// overlap and then stays there.
+	storeFree []*storeCtx
 }
 
 // fetchCtx is the per-FetchRegion completion state, pooled so the
 // steady-state prediction path does not allocate a signal and sixteen
-// callback closures per macroblock.
+// callback closures per macroblock. The fetch is timing only — pixel
+// values come from the mirror frames — so no bytes are moved.
 type fetchCtx struct {
 	sig  *sim.Signal
 	done int
 	cb   func()
-	row  [media.MBSize]byte
+}
+
+// storeCtx is one macroblock writeback in flight: it owns a copy of the
+// pixels from StoreMB until the last of the sixteen row writes completes,
+// and cb stores one row per completion. The single write bus completes
+// transfers in issue order, so counting completions identifies the row.
+type storeCtx struct {
+	pix  media.MBPixels
+	addr uint32 // off-chip address of the row the next completion stores
+	rows int    // rows stored so far
+	cb   func()
 }
 
 // NewFramestore reserves three frame slots in off-chip memory starting at
@@ -103,11 +118,30 @@ func (fs *Framestore) Refs(ftype media.FrameType) (fwd, bwd *media.Frame) {
 // for the writeback, but the bus occupancy is real).
 func (fs *Framestore) StoreMB(f *media.Frame, mbx, mby int, pix *media.MBPixels) {
 	f.SetMB(mbx, mby, pix)
-	slot := fs.slotOf[f]
-	x, y := mbx*media.MBSize, mby*media.MBSize
+	addr := fs.slotAddr(fs.slotOf[f], mbx*media.MBSize, mby*media.MBSize)
+	sc := fs.popStoreCtx()
+	sc.pix, sc.addr, sc.rows = *pix, addr, 0
 	for row := 0; row < media.MBSize; row++ {
-		fs.dram.WriteAsync(fs.slotAddr(slot, x, y+row), pix[row*media.MBSize:(row+1)*media.MBSize], nil)
+		fs.dram.ScheduleWrite(addr+uint32(row*fs.w), media.MBSize, sc.cb)
 	}
+}
+
+// popStoreCtx pops (or creates) a pooled writeback context; its pre-bound
+// callback returns it to the pool after the sixteenth row.
+func (fs *Framestore) popStoreCtx() *storeCtx {
+	if sc := popFree(&fs.storeFree); sc != nil {
+		return sc
+	}
+	sc := &storeCtx{}
+	sc.cb = func() {
+		fs.dram.Poke(sc.addr, sc.pix[sc.rows*media.MBSize:(sc.rows+1)*media.MBSize])
+		sc.addr += uint32(fs.w)
+		sc.rows++
+		if sc.rows == media.MBSize {
+			fs.storeFree = append(fs.storeFree, sc)
+		}
+	}
+	return sc
 }
 
 // FetchRegion charges the off-chip reads for a 16×16 prediction fetch at
@@ -122,7 +156,7 @@ func (fs *Framestore) FetchRegion(p *sim.Proc, f *media.Frame, x, y int) {
 	cx, cy := clampRegion(x, fs.w), clampRegion(y, fs.h)
 	fc := popFetchCtx(&fs.fetchFree, p, "mcfetch")
 	for r := 0; r < media.MBSize; r++ {
-		fs.dram.ReadAsync(fs.slotAddr(slot, cx, cy+rowClamp(r, cy, fs.h)), fc.row[:], fc.cb)
+		fs.dram.ScheduleRead(fs.slotAddr(slot, cx, cy+rowClamp(r, cy, fs.h)), media.MBSize, fc.cb)
 	}
 	p.Wait(fc.sig)
 	fs.fetchFree = append(fs.fetchFree, fc)
@@ -133,12 +167,8 @@ func (fs *Framestore) FetchRegion(p *sim.Proc, f *media.Frame, x, y int) {
 // The free list is caller-owned so the framestore (prediction fetches)
 // and the raw store (ME input fetches) each keep their own pool.
 func popFetchCtx(free *[]*fetchCtx, p *sim.Proc, name string) *fetchCtx {
-	var fc *fetchCtx
-	if n := len(*free); n > 0 {
-		fc = (*free)[n-1]
-		(*free)[n-1] = nil
-		*free = (*free)[:n-1]
-	} else {
+	fc := popFree(free)
+	if fc == nil {
 		fc = &fetchCtx{sig: p.Kernel().NewSignal(name)}
 		fc.cb = func() {
 			fc.done++
@@ -149,6 +179,19 @@ func popFetchCtx(free *[]*fetchCtx, p *sim.Proc, name string) *fetchCtx {
 	}
 	fc.done = 0
 	return fc
+}
+
+// popFree pops the most recently recycled context off a free list, or
+// returns nil when the list is empty.
+func popFree[T any](free *[]*T) *T {
+	n := len(*free)
+	if n == 0 {
+		return nil
+	}
+	x := (*free)[n-1]
+	(*free)[n-1] = nil
+	*free = (*free)[:n-1]
+	return x
 }
 
 // clampRegion clamps a region origin so a 16-pixel span stays in frame.

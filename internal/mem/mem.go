@@ -12,6 +12,12 @@
 // granularity (bus word width), and access latency. Functional content
 // and timing are deliberately separate so that callers can move bytes
 // exactly when the modeled transfer completes.
+//
+// Backing storage is demand-paged: a Memory holds a page table and
+// allocates a page on the first Poke that touches it, so a 16 MiB
+// off-chip DRAM of which a decode touches a few hundred KiB costs a few
+// hundred KiB of host memory, not a 16 MiB zero-fill per System. Unwritten
+// memory reads as zeros, exactly as a freshly made slice did.
 package mem
 
 import (
@@ -60,12 +66,17 @@ func Fig8DRAM() Config {
 	}
 }
 
+// pageSize is the granularity of the demand-paged backing store. It must
+// be a power of two.
+const pageSize = 4096
+
 // Memory is byte-addressable storage behind one or two bandwidth- and
 // latency-modeled ports.
 type Memory struct {
-	cfg   Config
-	k     *sim.Kernel
-	data  []byte
+	cfg Config
+	k   *sim.Kernel
+	// pages[i] backs [i*pageSize, (i+1)*pageSize); nil until first written.
+	pages []*[pageSize]byte
 	read  *Port
 	write *Port
 }
@@ -75,7 +86,7 @@ func New(k *sim.Kernel, cfg Config) *Memory {
 	if cfg.Size <= 0 || cfg.Width <= 0 {
 		panic(fmt.Sprintf("mem: invalid config %+v", cfg))
 	}
-	m := &Memory{cfg: cfg, k: k, data: make([]byte, cfg.Size)}
+	m := &Memory{cfg: cfg, k: k, pages: make([]*[pageSize]byte, (cfg.Size+pageSize-1)/pageSize)}
 	m.read = newPort(k, cfg.Name+".rd", cfg.Width, cfg.ReadLatency)
 	if cfg.DualPort {
 		m.write = newPort(k, cfg.Name+".wr", cfg.Width, cfg.WriteLatency)
@@ -98,15 +109,60 @@ func (m *Memory) ReadPort() *Port { return m.read }
 // memories this is the same port as ReadPort.
 func (m *Memory) WritePort() *Port { return m.write }
 
+// Resident returns the number of bytes of backing storage actually
+// allocated: pageSize for every page written so far. It is a diagnostic
+// accessor for tests that pin the paged store's saving; the model itself
+// never reads it.
+func (m *Memory) Resident() int {
+	n := 0
+	for _, pg := range m.pages {
+		if pg != nil {
+			n += pageSize
+		}
+	}
+	return n
+}
+
+// span checks that [addr, addr+n) lies inside the memory. An access
+// outside it is a model bug and panics, as an out-of-range slice would.
+func (m *Memory) span(addr uint32, n int) {
+	if int(addr)+n > m.cfg.Size {
+		panic(fmt.Sprintf("mem: %s access [%d, %d) out of range (size %d)", m.cfg.Name, addr, int(addr)+n, m.cfg.Size))
+	}
+}
+
 // Peek copies memory content without consuming simulated time. It is
 // meant for test assertions and zero-time initialization.
 func (m *Memory) Peek(addr uint32, buf []byte) {
-	copy(buf, m.data[addr:int(addr)+len(buf)])
+	m.span(addr, len(buf))
+	for off := int(addr); len(buf) > 0; {
+		in := off & (pageSize - 1)
+		n := min(len(buf), pageSize-in)
+		if pg := m.pages[off/pageSize]; pg != nil {
+			copy(buf[:n], pg[in:])
+		} else {
+			clear(buf[:n])
+		}
+		buf = buf[n:]
+		off += n
+	}
 }
 
 // Poke stores memory content without consuming simulated time.
 func (m *Memory) Poke(addr uint32, data []byte) {
-	copy(m.data[addr:int(addr)+len(data)], data)
+	m.span(addr, len(data))
+	for off := int(addr); len(data) > 0; {
+		in := off & (pageSize - 1)
+		n := min(len(data), pageSize-in)
+		pg := m.pages[off/pageSize]
+		if pg == nil {
+			pg = new([pageSize]byte)
+			m.pages[off/pageSize] = pg
+		}
+		copy(pg[in:], data[:n])
+		data = data[n:]
+		off += n
+	}
 }
 
 // ReadAccess performs a timed read: it blocks the calling process for the
@@ -126,13 +182,13 @@ func (m *Memory) WriteAccess(p *sim.Proc, addr uint32, data []byte) {
 }
 
 // ReadAsync starts a read without blocking the caller; done runs (with
-// the data copied into buf) when the modeled transfer completes. It is
-// used by the shells' prefetch engines.
+// the data copied into buf) when the modeled transfer completes. It is the
+// convenience form, one closure per call; the shells and the framestore
+// use the zero-closure ScheduleRead instead.
 //
 // Buffer ownership: the memory owns buf from this call until done runs —
 // the caller must neither reuse nor recycle it earlier, and done is the
-// single point where ownership returns to the caller (the shells recycle
-// pooled scratch buffers there).
+// single point where ownership returns to the caller.
 func (m *Memory) ReadAsync(addr uint32, buf []byte, done func()) {
 	m.read.AccessAsync(addr, len(buf), m.cfg.ReadLatency, func() {
 		m.Peek(addr, buf)
@@ -145,8 +201,8 @@ func (m *Memory) ReadAsync(addr uint32, buf []byte, done func()) {
 // WriteAsync starts a write without blocking the caller; done (optional)
 // runs when the modeled transfer completes. The data is captured
 // immediately and stored at completion time, so the caller may reuse data
-// as soon as the call returns (at the cost of an allocation per call —
-// hot paths with stable buffers should use WriteAsyncOwned).
+// as soon as the call returns (at the cost of a copy and a closure per
+// call — hot paths use ScheduleWrite).
 func (m *Memory) WriteAsync(addr uint32, data []byte, done func()) {
 	cp := make([]byte, len(data))
 	copy(cp, data)
@@ -156,9 +212,8 @@ func (m *Memory) WriteAsync(addr uint32, data []byte, done func()) {
 // WriteAsyncOwned starts a write without blocking the caller and without
 // copying: ownership of data transfers to the memory until done runs.
 // The caller must not mutate, reuse, or recycle data before then; done is
-// where ownership returns (the shells' flush path hands over a pooled
-// buffer and recycles it in done). The bytes are stored at the modeled
-// completion time, matching WriteAsync's semantics.
+// where ownership returns. The bytes are stored at the modeled completion
+// time, matching WriteAsync's semantics.
 func (m *Memory) WriteAsyncOwned(addr uint32, data []byte, done func()) {
 	m.write.AccessAsync(addr, len(data), m.cfg.WriteLatency, func() {
 		m.Poke(addr, data)
@@ -172,8 +227,9 @@ func (m *Memory) WriteAsyncOwned(addr uint32, data []byte, done func()) {
 // the read port and runs done at the modeled completion cycle. Unlike
 // ReadAsync it moves no bytes: done itself must Peek the data it wants.
 // This zero-closure variant exists for hot paths that reuse a pre-bound
-// completion callback (the shells' pooled fetch requests) — the package's
-// functional-content/timing split makes the caller-side copy safe.
+// completion callback (the shells' pooled fetch requests, the framestore's
+// prediction fetches) — the package's functional-content/timing split makes
+// the caller-side copy safe.
 func (m *Memory) ScheduleRead(addr uint32, n int, done func()) {
 	m.read.AccessAsync(addr, n, m.cfg.ReadLatency, done)
 }

@@ -24,6 +24,64 @@ func TestPeekPoke(t *testing.T) {
 	}
 }
 
+func TestPagedBackingStore(t *testing.T) {
+	// Pages appear on first write; everything else reads as zeros. The
+	// size is deliberately not a page multiple so the last page is partial.
+	const size = 3*pageSize + 100
+	cfg := testCfg()
+	cfg.Size = size
+	m := New(sim.NewKernel(), cfg)
+	if m.Size() != size || m.Resident() != 0 {
+		t.Fatalf("fresh memory: Size %d Resident %d, want %d and 0", m.Size(), m.Resident(), size)
+	}
+
+	// Never-written memory is zero, and reading it allocates nothing.
+	all := bytes.Repeat([]byte{0xAA}, size)
+	m.Peek(0, all)
+	if !bytes.Equal(all, make([]byte, size)) {
+		t.Fatal("Peek over never-written memory returned non-zero bytes")
+	}
+	if m.Resident() != 0 {
+		t.Fatalf("Peek made %d bytes resident", m.Resident())
+	}
+
+	// A write straddling a page boundary round-trips, makes exactly the two
+	// touched pages resident, and leaves its neighbours zero.
+	want := []byte{1, 2, 3, 4, 5, 6}
+	m.Poke(2*pageSize-3, want)
+	got := make([]byte, len(want)+2)
+	m.Peek(2*pageSize-4, got)
+	if !bytes.Equal(got, append(append([]byte{0}, want...), 0)) {
+		t.Fatalf("across the page boundary: got %v", got)
+	}
+	if m.Resident() != 2*pageSize {
+		t.Fatalf("Resident = %d after a two-page write, want %d", m.Resident(), 2*pageSize)
+	}
+
+	// The last byte is addressable; one past it is not.
+	m.Poke(size-1, []byte{9})
+	last := make([]byte, 1)
+	m.Peek(size-1, last)
+	if last[0] != 9 {
+		t.Fatalf("byte at Size()-1 = %d, want 9", last[0])
+	}
+	m.Peek(size, nil) // empty access at the very end stays legal
+	for name, access := range map[string]func(){
+		"Peek past end":     func() { m.Peek(size-1, make([]byte, 2)) },
+		"Poke past end":     func() { m.Poke(size-1, []byte{1, 2}) },
+		"Peek beyond range": func() { m.Peek(size+pageSize, make([]byte, 1)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			access()
+		}()
+	}
+}
+
 func TestBeatsAlignment(t *testing.T) {
 	k := sim.NewKernel()
 	m := New(k, testCfg())

@@ -16,9 +16,9 @@ package shell
 //
 // Ownership contract: get hands the caller exclusive use of the buffer;
 // the owner (or the completion callback of the async transfer the buffer
-// was handed to) must put it back exactly once. Buffers handed to
-// mem.ReadAsync / mem.WriteAsyncOwned remain owned by the transfer until
-// its done callback runs.
+// was handed to) must put it back exactly once. A buffer riding on a
+// mem.ScheduleRead / mem.ScheduleWrite booking (see async.go) remains
+// owned by that transfer until its completion callback runs.
 type bufPool struct {
 	lineBytes int
 	free      [][]byte

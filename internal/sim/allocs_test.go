@@ -3,13 +3,10 @@ package sim
 // Allocation guard for the simulation kernel's construction and
 // steady-state paths.
 //
-// History: the allocs/run figure of a 200 000-round kernel stress crept from
-// 231 to 232 when the direct-handoff rewrite added a driver channel to
-// NewKernel without reclaiming an allocation elsewhere. This test pins
-// the per-run allocation count of a miniature version of that stress
-// mix so the next creep fails a test instead of surfacing two PRs later
-// in a benchmark diff. The budget is deliberately exact: if you add an
-// allocation to NewKernel / NewProc / the run loop on purpose, re-count
+// This test pins the per-run allocation count of a miniature kernel
+// stress mix so that a creep fails a test instead of surfacing two PRs
+// later in a benchmark diff. The budget is deliberately exact: if you add
+// an allocation to NewKernel / NewProc / the run loop on purpose, re-count
 // and update the constant alongside the justification.
 
 import (
@@ -47,19 +44,21 @@ func stressRun(rounds int) {
 }
 
 // kernelStressAllocBudget is the full allocation budget of one stress
-// run: kernel construction (Kernel, driver channel), one signal, four
-// processes (Proc + rendezvous channel + goroutine closure each), the
-// producer/consumer body closures, warm-up growth of the wheel buckets
-// and far-event heap, and the terminal DeadlockError report (name and
-// wait-state strings for the three blocked consumers). The run loop
-// itself (Delay, Wait, Fire, park, direct handoff) must contribute
-// nothing once warm — that is what keeps this number independent of
-// `rounds`, which TestKernelStressAllocsScaleFree checks explicitly.
+// run: the Kernel, one signal, four processes, the producer/consumer body
+// closures, warm-up growth of the wheel buckets and far-event heap, and
+// the terminal DeadlockError report (name and wait-state strings for the
+// three blocked consumers). A process costs 13 objects at launch: the
+// Proc, the closure wrapping its body, and what iter.Pull builds around
+// it (the coroutine, its next/stop/yield closures and their escaped
+// control variables). The run loop itself (Delay, Wait, Fire, park,
+// next/yield) must contribute nothing once warm — that is what keeps this
+// number independent of `rounds`, which TestKernelStressAllocsScaleFree
+// checks explicitly.
 //
-// 228 = the 232 measured on the full-size stress at pr4 minus the four
-// yield channels reclaimed by merging each Proc's resume/yield pair into
-// one rendezvous channel.
-const kernelStressAllocBudget = 228
+// 267 = the 228 of the channel-handoff kernel (3 objects per process:
+// Proc, channel, goroutine closure) plus 10 per process for iter.Pull,
+// minus the Run caller's wake-up channel that NewKernel no longer makes.
+const kernelStressAllocBudget = 267
 
 // TestKernelStressAllocs pins the allocation count of the stress mix.
 // A failure here means a construction- or hot-path allocation was added
@@ -76,7 +75,7 @@ func TestKernelStressAllocs(t *testing.T) {
 
 // TestKernelStressAllocsScaleFree verifies the budget is round-count
 // independent: quadrupling the rounds must not add allocations, proving
-// Delay/Wait/Fire and the handoff machinery are allocation-free in
+// Delay/Wait/Fire and the coroutine switch are allocation-free in
 // steady state.
 func TestKernelStressAllocsScaleFree(t *testing.T) {
 	small := testing.AllocsPerRun(5, func() { stressRun(512) })

@@ -10,28 +10,31 @@
 //     for the same cycle run in scheduling order, so simulation is fully
 //     deterministic.
 //   - Processes: hardware threads of control (one per coprocessor, per
-//     prefetch engine, per memory port, ...). Each process runs on its own
-//     goroutine but the kernel resumes exactly one process at a time with a
-//     strict channel handoff, so process code may use ordinary sequential
-//     control flow (like the paper's coprocessor pseudo-code) without any
-//     data races or nondeterminism.
+//     prefetch engine, per memory port, ...). Each process body runs as a
+//     runtime coroutine (iter.Pull) that the kernel's event loop resumes
+//     one at a time, so process code may use ordinary sequential control
+//     flow (like the paper's coprocessor pseudo-code) without any data
+//     races or nondeterminism.
 //
-// # Direct handoff (hot path)
+// # One loop, coroutine processes (hot path)
 //
-// The run loop is not pinned to the goroutine that called Run. It is a
-// baton carried by whichever goroutine currently has control: when a
-// process parks (Delay/Wait), its own goroutine keeps executing the event
-// loop — callbacks run inline, and on the next dispatch event the baton
-// passes straight to the target process with a single channel send. The
-// old shape (park → wake the driver goroutine → driver dispatches the
-// next process) cost two goroutine switches per simulated event; direct
-// handoff costs one, and when the next event is the parking process's own
-// wakeup (common under Delay) it costs none at all — park returns inline
-// with no channel operation. The Run caller ("driver") only regains
-// control when the simulation finishes, fails, deadlocks, or pauses at a
-// cycle limit. Event pop order is untouched, so execution remains
-// bit-identical to the single-driver loop; only the goroutine executing
-// each event differs, which the model cannot observe.
+// Kernel.Run is the one and only event loop. It pops events in (cycle,
+// seq) order on the goroutine that called Run; a callback runs inline, and
+// a dispatch or launch resumes the target process with next() and gets
+// control back when that process parks (Delay/Wait call yield) or its body
+// returns. The single-owner invariant follows directly: model state is
+// touched only by the loop itself or between a next() and the matching
+// yield, never by two goroutines at once. A process goroutine never pops an
+// event, runs a callback or resumes another process.
+//
+// next/yield are runtime coroswitches: control passes goroutine to
+// goroutine without going through the Go scheduler's run queues, so no
+// idle P is woken and no futex is touched — which a channel send/receive
+// per dispatch does pay, and which made a strictly sequential Fig. 10 run
+// burn more CPU time than wall time (DESIGN.md has the profile and the
+// before/after table). iter needs a Go ≥ 1.23 toolchain; proc.go carries
+// a go1.23 build constraint for it, and the go directive stays at 1.22
+// because the benchmark rig's module pins that line.
 //
 // # Event representation (hot path)
 //
@@ -167,19 +170,13 @@ type Kernel struct {
 	stopped bool
 	failure error
 
-	// Direct-handoff state. curIdx is the consumed prefix of the current
-	// cycle's wheel bucket; it lives on the kernel (not a run-loop stack
-	// frame) because the loop migrates between goroutines. driver is the
-	// channel on which the Run caller waits while a process goroutine
-	// carries the event loop; limit is the active Run cycle limit.
+	// curIdx is the consumed prefix of the current cycle's wheel bucket.
 	curIdx int
-	driver chan struct{}
-	limit  uint64
 }
 
 // NewKernel returns an empty kernel at cycle 0.
 func NewKernel() *Kernel {
-	return &Kernel{driver: make(chan struct{})}
+	return &Kernel{}
 }
 
 // Now returns the current simulation cycle.
@@ -256,71 +253,23 @@ func (e *LimitError) Error() string {
 // events, a *LimitError on limit exhaustion, or the error passed to Fail.
 //
 // A *LimitError is a pause, not a termination: no pending event is
-// consumed or discarded, and process goroutines stay parked, so calling
+// consumed or discarded, and process coroutines stay suspended, so calling
 // Run again with a higher (or zero) limit resumes exactly where the
 // previous call stopped. A caller that abandons a kernel after a
-// LimitError should call Shutdown to release its goroutines. Every other
+// LimitError should call Shutdown to release its coroutines. Every other
 // return value is terminal and shuts the kernel down automatically.
 func (k *Kernel) Run(limit uint64) error {
-	k.limit = limit
 	paused := false
 	defer func() {
-		// Terminal returns (and panics escaping an event callback) release
-		// the parked process goroutines; a LimitError pause keeps them.
+		// The loop has exited: no process is executing, so the
+		// outside-process guards in Delay/Wait must see a nil running.
+		k.running = nil
+		// Terminal returns (and panics escaping an event callback) unwind
+		// the suspended processes; a LimitError pause keeps them.
 		if !paused {
 			k.Shutdown()
 		}
 	}()
-	for {
-		if k.advance(nil) == advTransferred {
-			// A process goroutine carries the event loop now; it hands the
-			// baton back here only when a terminal/pause condition holds.
-			<-k.driver
-		}
-		// The driver holds the baton: no process is executing, so the
-		// outside-process guards in Delay/Wait must see a nil running.
-		k.running = nil
-		if k.stopped {
-			k.dropConsumed()
-			return k.failure
-		}
-		at, ok := k.nextAt()
-		if !ok {
-			if blocked := k.blockedProcs(); len(blocked) > 0 {
-				return &DeadlockError{Cycle: k.now, Blocked: blocked}
-			}
-			return nil // all quiet: clean finish
-		}
-		if limit != 0 && at > limit {
-			// Peek-only: the event stays queued so a later Run resumes it.
-			paused = true
-			return &LimitError{Limit: limit}
-		}
-	}
-}
-
-// Baton-transfer outcomes of advance.
-const (
-	// advTransferred: the baton was handed to a process goroutine with a
-	// channel send; the caller must wait for its own wakeup.
-	advTransferred = iota
-	// advSelf: the next event was the calling process's own dispatch; it
-	// continues inline with no channel operation at all.
-	advSelf
-	// advDone: stopped, out of events, or at the cycle limit; the driver
-	// must evaluate the terminal condition.
-	advDone
-)
-
-// advance is the event loop, executed by whichever goroutine holds the
-// control baton (the Run caller, a process inside park, or an exiting
-// process goroutine releasing control). It pops events in exactly the
-// (cycle, seq) order of the single-driver loop — callbacks run inline;
-// a dispatch or launch transfers the baton and returns. self is the
-// process whose goroutine is executing the loop (nil for the driver and
-// for exiting processes): a dispatch event for self returns control
-// inline instead of round-tripping through channels.
-func (k *Kernel) advance(self *Proc) int {
 	for !k.stopped {
 		slot := k.now & (wheelSize - 1)
 		bucket := k.wheel[slot] // re-read each pass: may have grown or moved
@@ -336,62 +285,44 @@ func (k *Kernel) advance(self *Proc) int {
 			}
 			at, ok := k.nextAt()
 			if !ok {
-				return advDone // finish or deadlock: driver decides
+				if blocked := k.blockedProcs(); len(blocked) > 0 {
+					return &DeadlockError{Cycle: k.now, Blocked: blocked}
+				}
+				return nil // all quiet: clean finish
 			}
-			if k.limit != 0 && at > k.limit {
-				return advDone // pause: the event stays queued
+			if limit != 0 && at > limit {
+				// Peek-only: the event stays queued so a later Run resumes it.
+				paused = true
+				return &LimitError{Limit: limit}
 			}
 			k.now = at
 			continue
 		}
+		// Merge the wheel bucket and same-cycle heap events by seq.
 		var e event
-		switch {
-		case hasW && hasH:
-			if bucket[k.curIdx].seq < k.events[0].seq {
-				e = bucket[k.curIdx]
-				k.curIdx++
-				k.wheelLen--
-			} else {
-				e = k.events.pop()
-			}
-		case hasW:
+		if hasW && (!hasH || bucket[k.curIdx].seq < k.events[0].seq) {
 			e = bucket[k.curIdx]
 			k.curIdx++
 			k.wheelLen--
-		default:
+		} else {
 			e = k.events.pop()
 		}
 		k.executed++
 		switch e.kind {
-		case evDispatch:
-			if e.p == self {
-				k.running = self
-				return advSelf
-			}
-			k.running = e.p
-			e.p.ch <- struct{}{}
-			return advTransferred
 		case evLaunch:
 			e.p.start()
+			fallthrough
+		case evDispatch:
+			// Control comes back when the process parks or its body ends.
 			k.running = e.p
-			e.p.ch <- struct{}{}
-			return advTransferred
-		default:
+			e.p.next()
 			k.running = nil
+		default:
 			e.fn()
 		}
 	}
-	return advDone
-}
-
-// release is called by a goroutine that holds the baton but cannot take
-// it back (a process whose body returned, or a process parking when no
-// further event can reach it before a terminal condition): it keeps the
-// loop going, handing the baton to the next process or to the driver.
-func (k *Kernel) release() {
-	if k.advance(nil) == advDone {
-		k.driver <- struct{}{}
-	}
+	k.dropConsumed()
+	return k.failure
 }
 
 // dropConsumed discards the consumed prefix of the current cycle's wheel
@@ -453,17 +384,17 @@ func (k *Kernel) blockedProcs() []string {
 	return out
 }
 
-// Shutdown unblocks any still-parked process goroutines so they can
-// terminate, preventing goroutine leaks across repeated simulations in
-// one Go process (e.g. during tests and benchmarks). Run calls it on
-// every terminal return; callers only need it when abandoning a kernel
-// after a *LimitError pause. Shutdown is idempotent.
+// Shutdown unwinds every still-suspended process (its pending Delay/Wait
+// panics with an internal sentinel, so the body's deferred calls run) and
+// releases its coroutine, preventing goroutine leaks across repeated
+// simulations in one Go process (e.g. during tests and benchmarks). Run
+// calls it on every terminal return; callers only need it when abandoning
+// a kernel after a *LimitError pause. Shutdown is idempotent. A process
+// that was registered but never launched has no coroutine to release.
 func (k *Kernel) Shutdown() {
 	for _, p := range k.procs {
-		if !p.done && p.started {
-			p.kill = true
-			p.ch <- struct{}{}
-			<-p.ch
+		if p.started && !p.done {
+			p.stop()
 		}
 	}
 }

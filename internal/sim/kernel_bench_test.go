@@ -19,7 +19,7 @@ func reportMevents(b *testing.B, events uint64) {
 }
 
 // BenchmarkKernelDelay measures the dominant operation: processes doing
-// short Delays through the timing wheel, with strict handoffs.
+// short Delays through the timing wheel, a next/yield pair each.
 func BenchmarkKernelDelay(b *testing.B) {
 	b.ReportAllocs()
 	var events uint64

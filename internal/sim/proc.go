@@ -1,32 +1,33 @@
+//go:build go1.23
+
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"strconv"
 )
 
 // Proc is a simulated hardware process: an independent thread of control
 // such as a coprocessor, a prefetch engine, or a memory port server.
 //
-// A Proc runs on its own goroutine, but the kernel guarantees that at most
-// one Proc executes at any instant (strict handoff), so Proc bodies may
-// freely touch shared model state without locking. Time only advances when
-// the body calls Delay or Wait.
+// A Proc body runs as a coroutine of the kernel's event loop: it executes
+// only between a next() issued by Kernel.Run and its own following yield
+// (in Delay/Wait), so at most one Proc executes at any instant and Proc
+// bodies may freely touch shared model state without locking. Time only
+// advances when the body calls Delay or Wait.
 type Proc struct {
 	name string
 	k    *Kernel
-	// ch is the process's single rendezvous channel. In normal operation
-	// the kernel sends on it to hand the baton to the process (resume). In
-	// the Shutdown handshake the roles flip once: the killer sends the kill
-	// resume, and the dying goroutine sends back on the same channel to
-	// acknowledge unwinding. One channel instead of a resume/yield pair
-	// keeps NewProc at two allocations (Proc + channel), which the
-	// kernel-stress allocation guard pins.
-	ch      chan struct{}
-	body    func(*Proc)
+	body func(*Proc)
+	// next resumes the coroutine until its next park, stop unwinds it, and
+	// yield (valid inside the body) suspends it; all three come from
+	// iter.Pull in start and are nil until the process is launched.
+	next    func() (struct{}, bool)
+	stop    func()
+	yield   func(struct{}) bool
 	started bool
 	done    bool
-	kill    bool
 
 	// Wait-state bookkeeping for deadlock reports. Stored as tag + args
 	// rather than a formatted string so parking never allocates (Delay is
@@ -58,76 +59,46 @@ func (p *Proc) waitDesc() string {
 	}
 }
 
-// killProc is the panic value used to unwind a process goroutine when the
-// kernel shuts down before the process body has returned.
+// killProc is the panic value used to unwind a process body when the
+// kernel shuts down before the body has returned.
 type killProc struct{}
 
 // NewProc registers a process with the kernel. The body starts running at
 // cycle `start`. The name is used in deadlock reports and traces.
 func (k *Kernel) NewProc(name string, start uint64, body func(*Proc)) *Proc {
-	p := &Proc{
-		name: name,
-		k:    k,
-		ch:   make(chan struct{}),
-		body: body,
-	}
+	p := &Proc{name: name, k: k, body: body}
 	k.procs = append(k.procs, p)
 	k.push(start, evLaunch, p, nil)
 	return p
 }
 
-// start creates the process goroutine, parked on its first resume. The
-// kernel's evLaunch handler transfers the baton to it immediately after.
+// start creates the process coroutine, suspended before the body's first
+// instruction; the kernel's evLaunch handler resumes it immediately after.
+// The coroutine never lets a panic escape into the event loop: killProc
+// (a Shutdown unwinding) is swallowed, anything else becomes the kernel's
+// failure.
 func (p *Proc) start() {
 	p.started = true
-	go func() {
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(killProc); ok {
-					// Shutdown handshake: the killer waits for this ack on the
-					// same channel it sent the kill resume on.
-					p.done = true
-					p.ch <- struct{}{}
-					return
-				}
-				p.done = true
-				p.k.failure = fmt.Errorf("sim: process %s panicked: %v", p.name, r)
-				p.k.stopped = true
-				p.k.release() // stopped: goes straight to the driver
-				return
-			}
-			// Body returned: this goroutine holds the baton and is about to
-			// die, so it keeps the event loop going on the way out.
 			p.done = true
-			p.k.release()
+			if r := recover(); r != nil {
+				if _, ok := r.(killProc); !ok {
+					p.k.Fail(fmt.Errorf("sim: process %s panicked: %v", p.name, r))
+				}
+			}
 		}()
-		<-p.ch
-		if p.kill {
-			panic(killProc{})
-		}
 		p.body(p)
-	}()
+	})
 }
 
-// park yields control and blocks until dispatched again. The caller has
-// already recorded the wait state and scheduled any wakeup event. The
-// parking goroutine itself carries the event loop forward: if the next
-// dispatch is its own it simply continues (no channel operation); if the
-// baton goes to another process or the driver it blocks on resume.
+// park suspends the process until the event loop dispatches it again. The
+// caller has already recorded the wait state and scheduled any wakeup
+// event. yield returns false when Shutdown stops the coroutine instead;
+// the panic unwinds the body so its deferred calls run.
 func (p *Proc) park() {
-	switch p.k.advance(p) {
-	case advSelf:
-		// Inline continuation: our own wakeup was the next event.
-	case advDone:
-		// Terminal/pause condition while we hold the baton: wake the
-		// driver, then wait like any parked process (the next Run — or
-		// Shutdown — will resume or kill us).
-		p.k.driver <- struct{}{}
-		<-p.ch
-	default: // advTransferred
-		<-p.ch
-	}
-	if p.kill {
+	if !p.yield(struct{}{}) {
 		panic(killProc{})
 	}
 	p.waitKind = waitNone

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -545,44 +546,53 @@ func TestWheelBoundaryDelays(t *testing.T) {
 	}
 }
 
+// orderRec is one event of orderProgram: its cycle and scheduling index.
+type orderRec struct{ at, idx uint64 }
+
+// orderProgram runs an arbitrary nested scheduling program that mixes near
+// (wheel) and far (heap) delays, and returns every event as scheduled and
+// as executed.
+func orderProgram(t *testing.T, seed int64) (sched, exec []orderRec) {
+	rng := rand.New(rand.NewSource(seed))
+	k := NewKernel()
+	var idx uint64
+	var spawn func(depth int)
+	spawn = func(depth int) {
+		if depth > 5 || idx > 500 {
+			return
+		}
+		for i := 0; i < rng.Intn(5); i++ {
+			// Mix near (wheel) and far (heap) delays.
+			var d uint64
+			if rng.Intn(2) == 0 {
+				d = uint64(rng.Intn(wheelSize))
+			} else {
+				d = uint64(rng.Intn(1000))
+			}
+			id := idx
+			idx++
+			at := k.Now() + d
+			sched = append(sched, orderRec{at, id})
+			k.Schedule(d, func() {
+				exec = append(exec, orderRec{k.Now(), id})
+				spawn(depth + 1)
+			})
+		}
+	}
+	spawn(0)
+	if err := k.Run(0); err != nil {
+		t.Fatalf("seed %d: Run: %v", seed, err)
+	}
+	return sched, exec
+}
+
 func TestGlobalEventOrderProperty(t *testing.T) {
 	// Property: for an arbitrary nested scheduling program, events execute
 	// in (cycle, scheduling-sequence) order — the exact contract a single
 	// global priority queue would give, regardless of how events are split
 	// between the timing wheel and the fallback heap.
 	for seed := int64(1); seed <= 8; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		k := NewKernel()
-		type rec struct{ at, idx uint64 }
-		var sched, exec []rec
-		var idx uint64
-		var spawn func(depth int)
-		spawn = func(depth int) {
-			if depth > 5 || idx > 500 {
-				return
-			}
-			for i := 0; i < rng.Intn(5); i++ {
-				// Mix near (wheel) and far (heap) delays.
-				var d uint64
-				if rng.Intn(2) == 0 {
-					d = uint64(rng.Intn(wheelSize))
-				} else {
-					d = uint64(rng.Intn(1000))
-				}
-				id := idx
-				idx++
-				at := k.Now() + d
-				sched = append(sched, rec{at, id})
-				k.Schedule(d, func() {
-					exec = append(exec, rec{k.Now(), id})
-					spawn(depth + 1)
-				})
-			}
-		}
-		spawn(0)
-		if err := k.Run(0); err != nil {
-			t.Fatalf("seed %d: Run: %v", seed, err)
-		}
+		sched, exec := orderProgram(t, seed)
 		if len(exec) != len(sched) {
 			t.Fatalf("seed %d: executed %d of %d", seed, len(exec), len(sched))
 		}
@@ -592,6 +602,175 @@ func TestGlobalEventOrderProperty(t *testing.T) {
 				t.Fatalf("seed %d: out of order at %d: %v then %v", seed, i, a, b)
 			}
 		}
+	}
+}
+
+func TestTraceIndependentOfGOMAXPROCS(t *testing.T) {
+	// The event loop and its coroutines are one logical thread, so the
+	// number of Ps must not be observable: the property program's execution
+	// trace and a signal-coupled process interleaving are identical at
+	// GOMAXPROCS 1 and 4.
+	trace := func(procs int) string {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		var sb strings.Builder
+		for seed := int64(1); seed <= 4; seed++ {
+			_, exec := orderProgram(t, seed)
+			fmt.Fprintf(&sb, "%v\n", exec)
+		}
+		k := NewKernel()
+		sig := k.NewSignal("tick")
+		k.NewProc("ticker", 0, func(p *Proc) {
+			for j := 0; j < 40; j++ {
+				p.Delay(uint64(1 + j%7))
+				sig.Fire()
+			}
+		})
+		for i := 0; i < 6; i++ {
+			i := i
+			k.NewProc(fmt.Sprintf("w%d", i), uint64(i%3), func(p *Proc) {
+				for j := 0; j < 8; j++ {
+					p.Wait(sig)
+					p.Delay(uint64((i + j) % 4))
+					fmt.Fprintf(&sb, "%d.%d@%d;", i, j, p.Now())
+				}
+			})
+		}
+		if err := k.Run(0); err != nil {
+			t.Fatalf("GOMAXPROCS %d: Run: %v", procs, err)
+		}
+		return sb.String()
+	}
+	if one, four := trace(1), trace(4); one != four {
+		t.Fatalf("trace differs between GOMAXPROCS 1 and 4:\n%s\n%s", one, four)
+	}
+}
+
+func TestNoGoroutineLeftBehind(t *testing.T) {
+	// Every way a kernel can end must release every process coroutine: the
+	// goroutine count is back at its baseline the moment Run (or Shutdown,
+	// for a kernel abandoned at a LimitError) returns.
+	spin := func(p *Proc) {
+		for {
+			p.Delay(10)
+		}
+	}
+	cases := []struct {
+		name string
+		run  func(t *testing.T, k *Kernel)
+	}{
+		{"clean finish", func(t *testing.T, k *Kernel) {
+			for i := 0; i < 4; i++ {
+				k.NewProc("p", uint64(i), func(p *Proc) { p.Delay(5) })
+			}
+			if err := k.Run(0); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+		}},
+		{"stop", func(t *testing.T, k *Kernel) {
+			k.NewProc("spin", 0, spin)
+			k.NewProc("sink", 0, func(p *Proc) { p.Delay(25); k.Stop() })
+			if err := k.Run(0); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+		}},
+		{"deadlock", func(t *testing.T, k *Kernel) {
+			sig := k.NewSignal("never")
+			for i := 0; i < 4; i++ {
+				k.NewProc("w", 0, func(p *Proc) { p.Wait(sig) })
+			}
+			var dl *DeadlockError
+			if err := k.Run(0); !errors.As(err, &dl) {
+				t.Fatalf("err = %v, want DeadlockError", err)
+			}
+		}},
+		{"process panic", func(t *testing.T, k *Kernel) {
+			k.NewProc("spin", 0, spin)
+			k.NewProc("bad", 0, func(p *Proc) { p.Delay(3); panic("oops") })
+			if err := k.Run(0); err == nil || !strings.Contains(err.Error(), "oops") {
+				t.Fatalf("err = %v, want panic error", err)
+			}
+		}},
+		{"abandoned at limit", func(t *testing.T, k *Kernel) {
+			k.NewProc("spin", 0, spin)
+			k.NewProc("late", 500, spin) // registered, never launched
+			var le *LimitError
+			if err := k.Run(100); !errors.As(err, &le) {
+				t.Fatalf("err = %v, want LimitError", err)
+			}
+			k.Shutdown()
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			tc.run(t, NewKernel())
+			if got := runtime.NumGoroutine(); got != base {
+				t.Fatalf("%d goroutines after the kernel ended, %d before it started", got, base)
+			}
+		})
+	}
+}
+
+func TestShutdownRunsProcessDefers(t *testing.T) {
+	// Shutdown unwinds a suspended body rather than dropping it, so the
+	// body's deferred calls run — after a deadlock and after an abandoned
+	// LimitError pause alike.
+	var deferred []string
+	k := NewKernel()
+	sig := k.NewSignal("never")
+	k.NewProc("waiter", 0, func(p *Proc) {
+		defer func() { deferred = append(deferred, "waiter") }()
+		p.Wait(sig)
+		t.Error("waiter must not resume normally")
+	})
+	var dl *DeadlockError
+	if err := k.Run(0); !errors.As(err, &dl) {
+		t.Fatalf("err = %v, want DeadlockError", err)
+	}
+	k = NewKernel()
+	k.NewProc("spin", 0, func(p *Proc) {
+		defer func() { deferred = append(deferred, "spin") }()
+		for {
+			p.Delay(10)
+		}
+	})
+	var le *LimitError
+	if err := k.Run(100); !errors.As(err, &le) {
+		t.Fatalf("err = %v, want LimitError", err)
+	}
+	if len(deferred) != 1 {
+		t.Fatalf("deferred = %v before Shutdown, want [waiter]", deferred)
+	}
+	k.Shutdown()
+	if got := strings.Join(deferred, ","); got != "waiter,spin" {
+		t.Fatalf("deferred = %q, want \"waiter,spin\"", got)
+	}
+}
+
+func TestNestedRunInsideProcess(t *testing.T) {
+	// A process body may build and run a kernel of its own (sweeps and
+	// examples do): the inner loop resumes inner coroutines from the outer
+	// coroutine's goroutine, and the outer simulation is undisturbed.
+	outer := NewKernel()
+	var innerEnd, outerEnd uint64
+	outer.NewProc("host", 0, func(p *Proc) {
+		p.Delay(7)
+		inner := NewKernel()
+		sig := inner.NewSignal("go")
+		inner.NewProc("a", 0, func(q *Proc) { q.Delay(30); sig.Fire() })
+		inner.NewProc("b", 0, func(q *Proc) { q.Wait(sig); q.Delay(12); innerEnd = q.Now() })
+		if err := inner.Run(0); err != nil {
+			t.Errorf("inner Run: %v", err)
+		}
+		p.Delay(5)
+		outerEnd = p.Now()
+	})
+	outer.NewProc("other", 0, func(p *Proc) { p.Delay(9) })
+	if err := outer.Run(0); err != nil {
+		t.Fatalf("outer Run: %v", err)
+	}
+	if innerEnd != 42 || outerEnd != 12 {
+		t.Fatalf("inner ended at %d, outer at %d; want 42 and 12", innerEnd, outerEnd)
 	}
 }
 
