@@ -5,7 +5,8 @@
 #   make test    full test suite only (tier-1; includes the benchmark
 #                rig's own tests via TestBenchmarkRig)
 #   make race    the full test suite under the race detector, plus the
-#                segment-parallel tests again at GOMAXPROCS=4
+#                segment-parallel and decode-width tests again at
+#                GOMAXPROCS=4 (real parallelism for every width > 1 path)
 #   make fuzz-smoke  a few seconds of each media-layer fuzzer — the CI
 #                    guard that the corpus-reachable code stays panic-free
 #                    (includes the parallel/serial decode-parity fuzzer
@@ -39,7 +40,7 @@ test:
 
 race:
 	$(GO) test -race ./...
-	GOMAXPROCS=4 $(GO) test -race -run 'Segment' ./internal/media ./internal/serve
+	GOMAXPROCS=4 $(GO) test -race -run 'Segment|DecodeWorkers' ./internal/media ./internal/serve
 
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzBitReaderRoundTrip -fuzztime=5s ./internal/media

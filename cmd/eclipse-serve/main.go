@@ -1,8 +1,10 @@
 // Command eclipse-serve runs the media-serving subsystem: an HTTP
 // server that admits decode / encode / transcode jobs into bounded
-// per-tenant queues and executes them on the goroutine KPN runtime
-// under the Eclipse-style weighted-round-robin scheduler (see
-// internal/serve and DESIGN.md §"Serving").
+// per-tenant queues and executes them as checkpointed Kahn tasks under
+// the Eclipse-style weighted-round-robin scheduler (see internal/serve
+// and DESIGN.md §"Serving"). It links the codec and the Kahn runtime,
+// not the simulator: the paper's six-task decode network runs in
+// eclipse-sim / eclipse-bench, where each stage is its own engine.
 //
 // Endpoints:
 //
@@ -16,7 +18,8 @@
 //
 // Requests carry an optional X-Tenant header (scheduling identity,
 // default "default") and an optional X-Timeout-Ms deadline that is
-// enforced end-to-end through the job's Kahn network.
+// enforced end-to-end: a running job observes it at its next frame
+// checkpoint.
 //
 // Identical requests are served from a content-addressed result cache
 // with singleflight collapse (-cache-bytes budget, per-tenant on/off
@@ -104,7 +107,7 @@ func main() {
 		queueCap = flag.Int("queue-cap", 8, "default per-tenant admission bound")
 		maxBody  = flag.Int64("max-body", 64<<20, "request body cap in bytes")
 		poolCap  = flag.Int("frame-pool", 256, "frames retained by the shared pool")
-		decodeW  = flag.Int("decode-workers", 1, "default per-tenant decode worker count (1 = six-task KPN pipeline, >1 = pipeline-parallel decoder)")
+		decodeW  = flag.Int("decode-workers", 1, "default per-tenant decode width (1 = serial decoder, >1 = that many reconstruction workers beside the entropy parse; same output)")
 		encodeW  = flag.Int("encode-workers", 0, "per-job encode analysis fan-out (0 = NumCPU)")
 		cacheB   = flag.Int64("cache-bytes", 256<<20, "result cache byte budget (0 disables)")
 		cacheAge = flag.Duration("cache-max-age", 60*time.Second, "freshness window advertised via Cache-Control max-age (bounds gateway L1 TTLs)")

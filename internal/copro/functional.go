@@ -24,19 +24,8 @@ type FunctionalSink struct {
 }
 
 // FunctionalDecodeFuncs returns the task functions for a decode graph
-// built by eclipse.DecodeGraph, keyed by Kahn function name.
+// built by the root package's DecodeGraph, keyed by Kahn function name.
 func FunctionalDecodeFuncs(stream []byte, seq media.SeqHeader, out *FunctionalSink) map[string]kpn.TaskFunc {
-	return FunctionalDecodeFuncsPooled(stream, seq, out, nil)
-}
-
-// FunctionalDecodeFuncsPooled is FunctionalDecodeFuncs drawing every
-// frame (the MC's per-GOP temporaries and the sink's output frames) from
-// a shared concurrency-safe pool, so a server running many decode jobs
-// reuses pixel storage across requests instead of allocating per job.
-// The caller owns out.Frames afterwards and is responsible for returning
-// them to the pool once consumed. A nil pool falls back to per-run
-// allocation.
-func FunctionalDecodeFuncsPooled(stream []byte, seq media.SeqHeader, out *FunctionalSink, pool *media.SyncFramePool) map[string]kpn.TaskFunc {
 	out.Seq = seq
 	out.Frames = make([]*media.Frame, seq.Frames)
 	return map[string]kpn.TaskFunc{
@@ -56,17 +45,9 @@ func FunctionalDecodeFuncsPooled(stream []byte, seq media.SeqHeader, out *Functi
 		"vld":  functionalVLD,
 		"rlsq": functionalRLSQ(seq),
 		"idct": functionalIDCT,
-		"mc":   functionalMC(seq, pool),
-		"sink": functionalSink(seq, out, pool),
+		"mc":   functionalMC(seq),
+		"sink": functionalSink(seq, out),
 	}
-}
-
-// framePool abstracts media.FramePool (single-goroutine) and
-// media.SyncFramePool (shared across requests) behind the two calls the
-// functional tasks need.
-type framePool interface {
-	Get(w, h int) *media.Frame
-	Put(f *media.Frame)
 }
 
 func functionalVLD(c *kpn.TaskCtx) error {
@@ -183,7 +164,7 @@ func functionalIDCT(c *kpn.TaskCtx) error {
 	}
 }
 
-func functionalMC(seq media.SeqHeader, shared *media.SyncFramePool) kpn.TaskFunc {
+func functionalMC(seq media.SeqHeader) kpn.TaskFunc {
 	return func(c *kpn.TaskCtx) error {
 		var refs media.RefChain
 		var (
@@ -191,16 +172,7 @@ func functionalMC(seq media.SeqHeader, shared *media.SyncFramePool) kpn.TaskFunc
 			hbuf   [media.MBHeaderSize]byte
 			rbuf   [media.MBCoefBytes]byte
 		)
-		var pool framePool = media.NewFramePool()
-		if shared != nil {
-			pool = shared
-		}
-		// The MC's frames are internal temporaries; on exit the reference
-		// chain still holds the last two, so hand them back to the pool.
-		defer func() {
-			pool.Put(refs.A)
-			pool.Put(refs.B)
-		}()
+		pool := media.NewFramePool()
 		for f := 0; f < seq.Frames; f++ {
 			if err := c.Read("hdr", frameB[:]); err != nil {
 				return err
@@ -251,12 +223,8 @@ func functionalMC(seq media.SeqHeader, shared *media.SyncFramePool) kpn.TaskFunc
 	}
 }
 
-func functionalSink(seq media.SeqHeader, out *FunctionalSink, shared *media.SyncFramePool) kpn.TaskFunc {
+func functionalSink(seq media.SeqHeader, out *FunctionalSink) kpn.TaskFunc {
 	return func(c *kpn.TaskCtx) error {
-		newFrame := media.NewFrame
-		if shared != nil {
-			newFrame = func(w, h int) *media.Frame { return shared.Get(w, h) }
-		}
 		for f := 0; f < seq.Frames; f++ {
 			rec := make([]byte, media.FrameRecSize)
 			if err := c.Read("hdr", rec); err != nil {
@@ -266,7 +234,7 @@ func functionalSink(seq media.SeqHeader, out *FunctionalSink, shared *media.Sync
 			if err != nil {
 				return err
 			}
-			frame := newFrame(seq.W(), seq.H())
+			frame := media.NewFrame(seq.W(), seq.H())
 			for mb := 0; mb < seq.MBCount(); mb++ {
 				var hbuf [media.MBHeaderSize]byte
 				if err := c.Read("hdr", hbuf[:]); err != nil {
@@ -280,8 +248,6 @@ func functionalSink(seq media.SeqHeader, out *FunctionalSink, shared *media.Sync
 			}
 			if int(hdr.TRef) < len(out.Frames) && out.Frames[hdr.TRef] == nil {
 				out.Frames[hdr.TRef] = frame
-			} else if shared != nil {
-				shared.Put(frame) // malformed tref: recycle instead of leaking
 			}
 		}
 		return nil

@@ -47,7 +47,7 @@ func TestCacheKeyDistinct(t *testing.T) {
 		t.Fatal("identical inputs must produce identical keys")
 	}
 	// Worker counts must not affect the key: output is bit-identical
-	// across engine widths, so tenants on different engines share entries.
+	// across decode widths, so tenants at different widths share entries.
 	old := media.EncodeWorkers
 	media.EncodeWorkers = 7
 	k7 := EncodeKey(cfg, stream)

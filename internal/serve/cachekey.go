@@ -16,8 +16,8 @@ import (
 // when the codec is guaranteed to produce byte-identical output for
 // them. Decode/encode worker counts are deliberately NOT part of the
 // key: output is proven bit-identical across worker counts (the
-// parallel-parity guards in internal/media), so tenants on different
-// engines share cache entries. The type itself (and its ETag rendering)
+// parallel-parity guards in internal/media), so tenants at different
+// widths share cache entries. The type itself (and its ETag rendering)
 // lives with the cache mechanism both tiers store under it.
 type CacheKey = slab.Key
 

@@ -1,10 +1,11 @@
 package serve
 
-// End-to-end coverage for the per-tenant decode-engine selection: a
-// tenant configured with DecodeWorkers > 1 runs its decode and
-// transcode requests on the pipeline-parallel decoder while a
-// DecodeWorkers = 1 tenant stays on the six-task KPN pipeline — and
-// both must produce responses bit-identical to the reference decoder,
+// End-to-end coverage for the per-tenant decode width: there is one
+// decode body (decodeFrames), and a tenant configured with
+// DecodeWorkers > 1 runs its decode and transcode requests with that
+// many reconstruction workers beside the entropy parse while a
+// DecodeWorkers = 1 tenant runs the same decoder serially — and both
+// must produce responses bit-identical to the reference decoder,
 // concurrently, under one scheduler and one shared frame pool.
 
 import (
@@ -54,8 +55,8 @@ func TestDecodeWorkersPlumbing(t *testing.T) {
 }
 
 // TestHTTPTwoTenantDecodeWorkers runs two tenants with different decode
-// engines concurrently against one server and requires every response —
-// decode and transcode, from either engine — to be bit-identical to the
+// widths concurrently against one server and requires every response —
+// decode and transcode, at either width — to be bit-identical to the
 // offline reference.
 func TestHTTPTwoTenantDecodeWorkers(t *testing.T) {
 	srv := New(Config{

@@ -34,42 +34,38 @@ func newTranscodeJobTwoPhase(ctx context.Context, tenant string, stream []byte, 
 	}
 	body := func(ctx context.Context, gate *kpn.Gate) (Result, error) {
 		// Phase 1: decode into pooled display-order frames.
-		frames, putSlice, err := decodeFrames(ctx, gate, stream, seq, pool, workers)
+		frames, putSlice, err := decodeFrames(ctx, gate, stream, pool, workers)
 		if err != nil {
 			return Result{}, err
 		}
 		defer putSlice()
 		// Phase 2: re-encode as a single checkpointed Kahn task under the
 		// same gate, recycling each source frame once coded.
-		eg := kpn.NewGraph("xcode")
-		eg.AddTask("enc", "encode")
 		var out []byte
 		var stats *media.EncodeStats
-		efuncs := map[string]kpn.TaskFunc{
-			"encode": func(c *kpn.TaskCtx) error {
-				se, err := media.NewStreamEncoder(cfg, len(frames))
-				if err != nil {
+		err = runTask(ctx, gate, "enc", func(checkpoint func() error) error {
+			se, err := media.NewStreamEncoder(cfg, len(frames))
+			if err != nil {
+				return err
+			}
+			se.Workers = encWorkers
+			se.Recycle = pool.Put
+			for i, f := range frames {
+				if err := checkpoint(); err != nil {
+					se.Abort() // recycle frames buffered in the reorder window
 					return err
 				}
-				se.Workers = encWorkers
-				se.Recycle = pool.Put
-				for i, f := range frames {
-					if err := c.Checkpoint(); err != nil {
-						se.Abort() // recycle frames buffered in the reorder window
-						return err
-					}
-					frames[i] = nil // ownership moves to the encoder
-					if err := se.Push(f); err != nil {
-						pool.Put(f)
-						se.Abort()
-						return err
-					}
+				frames[i] = nil // ownership moves to the encoder
+				if err := se.Push(f); err != nil {
+					pool.Put(f)
+					se.Abort()
+					return err
 				}
-				out, stats, err = se.Close()
-				return err
-			},
-		}
-		if err := kpn.RunContext(ctx, eg, efuncs, kpn.WithGate(gate)); err != nil {
+			}
+			out, stats, err = se.Close()
+			return err
+		})
+		if err != nil {
 			pool.PutAll(frames) // frames not yet handed to the encoder
 			return Result{}, err
 		}
@@ -268,7 +264,7 @@ func TestTranscodeFusedPreemptNoLeak(t *testing.T) {
 
 // TestTranscodeFusedBadStream truncates the bitstream mid-frame: the
 // fused job must fail with ErrBitstream (for the 400 mapping) and leak
-// nothing, for both decode engines.
+// nothing, at both decode widths.
 func TestTranscodeFusedBadStream(t *testing.T) {
 	stream, _, _ := testStream(t, 64, 48, 8, func(c *media.CodecConfig) { c.GOPM = 3 })
 	bad := stream[:len(stream)*2/3]

@@ -8,8 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"eclipse"
-	"eclipse/internal/copro"
 	"eclipse/internal/kpn"
 	"eclipse/internal/media"
 )
@@ -53,10 +51,10 @@ type Result struct {
 	Meta map[string]string // response headers (X-Seq-*)
 }
 
-// Job is one admitted unit of work. Its body executes on the KPN runtime
-// under the job's gate, so the scheduler can pause and resume the whole
-// network at stream-operation boundaries; the context carries the
-// request deadline end-to-end through the KPN task bodies.
+// Job is one admitted unit of work. Its body executes as checkpointed
+// Kahn tasks under the job's gate, so the scheduler can pause and resume
+// it at the tasks' frame checkpoints; the context carries the request
+// deadline end-to-end through the task bodies.
 type Job struct {
 	Tenant string
 	Kind   Kind
@@ -110,7 +108,7 @@ func (j *Job) run() {
 // Done is closed when the job has finished (successfully or not).
 func (j *Job) Done() <-chan struct{} { return j.done }
 
-// Cancel aborts the job: its KPN network is poisoned and unwinds even if
+// Cancel aborts the job: its gate is poisoned, so it unwinds even if
 // currently descheduled.
 func (j *Job) Cancel() { j.cancel() }
 
@@ -120,123 +118,105 @@ func (j *Job) Result() (Result, error) { return j.res, j.err }
 // Preempts reports how many times the scheduler preempted the job.
 func (j *Job) Preempts() int { return int(j.preempts.Load()) }
 
-// serveDecodeBuffers sizes the decode pipeline's FIFO buffers for a
-// software server: the cycle model's defaults emulate a 32 kB on-chip
-// SRAM and would force a task switch every few hundred bytes; here the
-// buffers only bound memory per in-flight job (~26 kB each), so larger
-// ones cut goroutine ping-pong.
-func serveDecodeBuffers() eclipse.DecodeBuffers {
-	return eclipse.DecodeBuffers{
-		Bits:  4096,
-		Tok:   8192,
-		Hdr:   2048,
-		Coef:  8192,
-		Resid: 8192,
-		Pix:   8192,
-	}
-}
-
-// rawChunk is the transfer unit for streaming raw frames into an encode
-// pipeline.
-const rawChunk = 8192
-
 // dispPool recycles the display-order scratch slices the response path
 // fills via DecodeResult.DisplayFramesInto, so serializing a response
 // does not allocate a fresh []*Frame per request.
 var dispPool = sync.Pool{New: func() any { return new([]*media.Frame) }}
 
-// runParallelDecode executes the pipeline-parallel decoder as a single
-// Kahn task under the job's gate: the entropy front-end checkpoints at
-// every frame header, so the scheduler can preempt (and cancellation can
-// poison) the whole decode — reconstruction workers and all — at frame
-// boundaries. Frames are drawn from and, on failure, returned to the
-// shared pool.
-func runParallelDecode(ctx context.Context, gate *kpn.Gate, stream []byte, pool *media.SyncFramePool, workers int) (*media.DecodeResult, error) {
-	g := kpn.NewGraph("pardec")
-	g.AddTask("dec", "decode")
-	var res *media.DecodeResult
-	funcs := map[string]kpn.TaskFunc{
-		"decode": func(c *kpn.TaskCtx) error {
-			var err error
-			res, err = media.DecodeWithOptions(stream, media.DecodeOptions{
-				Workers:  workers,
-				NewFrame: pool.Get,
-				Recycle:  pool.Put,
-				OnFrame:  func(int) error { return c.Checkpoint() },
-			})
-			return err
-		},
+// runTask runs fn as a one-task Kahn network under the job's gate: the
+// scheduler can preempt it, and cancellation can poison it, wherever fn
+// calls checkpoint (once per frame). Every job body that is a single
+// loop over frames (decode, encode, the GOP-index scan) runs through
+// here; no payload byte crosses a kpn FIFO.
+//
+// checkpoint reads the request deadline off the clock as well as off the
+// context: a loop that never blocks never enters the Go scheduler, and
+// the runtime fires a busy P's timers only there, so when no P is idle
+// (at GOMAXPROCS=1, always) the context's own timer lags until sysmon's
+// 10 ms forced preemption — longer than most decodes take. The slice
+// budget rides the same timers and can be late by the same bound, which
+// lengthens a turn but breaks no contract. (runtime.Gosched here would
+// cover both, but queues the job behind every other job's runnable
+// goroutines at each frame.)
+func runTask(ctx context.Context, gate *kpn.Gate, name string, fn func(checkpoint func() error) error) error {
+	g := kpn.NewGraph(name)
+	g.AddTask(name, name)
+	deadline, timed := ctx.Deadline()
+	task := func(c *kpn.TaskCtx) error {
+		return fn(func() error {
+			if timed && !time.Now().Before(deadline) {
+				return context.DeadlineExceeded
+			}
+			return c.Checkpoint()
+		})
 	}
-	if err := kpn.RunContext(ctx, g, funcs, kpn.WithGate(gate)); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return kpn.RunContext(ctx, g, map[string]kpn.TaskFunc{name: task}, kpn.WithGate(gate))
 }
 
-// decodeFrames runs the decode phase shared by decode and transcode
-// jobs and returns the display-order frames, every entry non-nil and
-// drawn from pool (the caller takes ownership). workers selects the
-// engine: the six-task KPN pipeline at <= 1 (bulk tenants keep the
-// fine-grained coprocessor-shaped network), the pipeline-parallel
-// decoder above that (interactive tenants overlap entropy parse with
-// per-row reconstruction). putSlice returns the slice's backing storage
-// to a shared pool; call it once the frames have been consumed.
-func decodeFrames(ctx context.Context, gate *kpn.Gate, stream []byte, seq media.SeqHeader, pool *media.SyncFramePool, workers int) (frames []*media.Frame, putSlice func(), err error) {
-	if workers > 1 {
-		res, err := runParallelDecode(ctx, gate, stream, pool, workers)
-		if err != nil {
-			return nil, nil, err
-		}
-		sp := dispPool.Get().(*[]*media.Frame)
-		disp := res.DisplayFramesInto(*sp)
-		release := func() {
-			for i := range disp {
-				disp[i] = nil // don't retain frames through the slice pool
-			}
-			*sp = disp[:0]
-			dispPool.Put(sp)
-		}
-		for i, f := range disp {
-			if f == nil { // malformed tref (out of range or duplicate)
-				for _, df := range res.Coded {
-					pool.Put(df.Frame)
-				}
-				release()
-				return nil, nil, fmt.Errorf("serve: decoded stream missing frame %d", i)
-			}
-		}
-		return disp, release, nil
-	}
-	var sink copro.FunctionalSink
-	g := eclipse.DecodeGraph("job", serveDecodeBuffers())
-	funcs := copro.FunctionalDecodeFuncsPooled(stream, seq, &sink, pool)
-	if err := kpn.RunContext(ctx, g, funcs, kpn.WithGate(gate)); err != nil {
-		pool.PutAll(sink.Frames)
+// decodeFrames is the one decode body of the serving tier, shared by
+// decode jobs and the two-phase transcode reference: media's decoder as
+// a single checkpointed task. The entropy front-end checkpoints at every
+// frame header, so preemption and cancellation land at frame boundaries
+// — reconstruction workers and all. workers is a width, not an engine:
+// 1 is the serial decoder, above that the same decoder overlaps entropy
+// parse with per-row reconstruction on that many workers; output and
+// errors are identical for every width. It returns the display-order
+// frames, every entry non-nil and drawn from pool (the caller takes
+// ownership; on failure they are already back in the pool). putSlice
+// returns the slice's backing storage to a shared pool; call it once the
+// frames have been consumed.
+func decodeFrames(ctx context.Context, gate *kpn.Gate, stream []byte, pool *media.SyncFramePool, workers int) (frames []*media.Frame, putSlice func(), err error) {
+	var res *media.DecodeResult
+	err = runTask(ctx, gate, "dec", func(checkpoint func() error) error {
+		var err error
+		res, err = media.DecodeWithOptions(stream, media.DecodeOptions{
+			Workers:  workers,
+			NewFrame: pool.Get,
+			Recycle:  pool.Put,
+			OnFrame:  func(int) error { return checkpoint() },
+		})
+		return err
+	})
+	if err != nil {
 		return nil, nil, err
 	}
-	for i, f := range sink.Frames {
-		if f == nil {
-			pool.PutAll(sink.Frames)
-			return nil, nil, fmt.Errorf("serve: decoded stream missing frame %d", i)
+	sp := dispPool.Get().(*[]*media.Frame)
+	disp := res.DisplayFramesInto(*sp)
+	release := func() {
+		for i := range disp {
+			disp[i] = nil // don't retain frames through the slice pool
+		}
+		*sp = disp[:0]
+		dispPool.Put(sp)
+	}
+	for i, f := range disp {
+		if f == nil { // malformed tref (out of range or duplicate)
+			for _, df := range res.Coded {
+				pool.Put(df.Frame)
+			}
+			release()
+			return nil, nil, fmt.Errorf("%w: no frame for display index %d", media.ErrBitstream, i)
 		}
 	}
-	return sink.Frames, func() {}, nil
+	return disp, release, nil
 }
 
 // NewDecodeJob builds a job that decodes an ECL1 bitstream and returns
-// the display-order frames concatenated as raw 8-bit luma planes. With
-// workers <= 1 the decode runs on the six-task KPN pipeline
-// (src→vld→rlsq→idct→mc→sink); above that it runs the pipeline-parallel
-// decoder with `workers` reconstruction workers (see decodeFrames).
-// The sequence header is validated synchronously so malformed requests
-// fail before admission.
+// the display-order frames concatenated as raw 8-bit luma planes. workers
+// is the decode width (see decodeFrames): 1 — and anything below it — is
+// the serial decoder, above that `workers` reconstruction workers run
+// beside the entropy parse. The sequence header is validated
+// synchronously so malformed requests fail before admission.
 func NewDecodeJob(ctx context.Context, tenant string, stream []byte, pool *media.SyncFramePool, workers int) (*Job, error) {
 	seq, err := media.ParseSeqHeader(media.NewBitReader(stream))
 	if err != nil {
 		return nil, err
 	}
+	if workers <= 0 {
+		workers = 1 // not media.DecodeWorkers: the default width is serial
+	}
 	body := func(ctx context.Context, gate *kpn.Gate) (Result, error) {
-		frames, putSlice, err := decodeFrames(ctx, gate, stream, seq, pool, workers)
+		frames, putSlice, err := decodeFrames(ctx, gate, stream, pool, workers)
 		if err != nil {
 			return Result{}, err
 		}
@@ -257,12 +237,12 @@ func NewDecodeJob(ctx context.Context, tenant string, stream []byte, pool *media
 }
 
 // NewEncodeJob builds a job that encodes raw display-order luma frames
-// (len(raw) must be frames×W×H bytes) into an ECL1 bitstream. The raw
-// plane is streamed through a two-task KPN graph (rawsrc→enc) so the
-// job is preemptible at frame granularity; the encode itself is the
-// push-based StreamEncoder, bit-identical to the batch encoder.
-// encWorkers bounds the per-frame analysis fan-out (0 = the
-// media.EncodeWorkers default).
+// (len(raw) must be frames×W×H bytes) into an ECL1 bitstream. It is one
+// task that checkpoints once per frame, so the job is preemptible at
+// frame granularity; each plane is copied straight from the payload into
+// a pooled frame and pushed into the StreamEncoder, bit-identical to the
+// batch encoder. encWorkers bounds the per-frame analysis fan-out (0 =
+// the media.EncodeWorkers default).
 func NewEncodeJob(ctx context.Context, tenant string, cfg media.CodecConfig, raw []byte, pool *media.SyncFramePool, encWorkers int) (*Job, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -273,50 +253,34 @@ func NewEncodeJob(ctx context.Context, tenant string, cfg media.CodecConfig, raw
 	}
 	frames := len(raw) / plane
 	body := func(ctx context.Context, gate *kpn.Gate) (Result, error) {
-		g := kpn.NewGraph("encjob")
-		g.AddTask("src", "rawsrc").AddOut("raw")
-		g.AddTask("enc", "encode").AddIn("raw")
-		g.MustConnect("src.raw", 2*rawChunk, "enc.raw")
 		var (
 			stream []byte
 			stats  *media.EncodeStats
 		)
-		funcs := map[string]kpn.TaskFunc{
-			"rawsrc": func(c *kpn.TaskCtx) error {
-				for off := 0; off < len(raw); off += rawChunk {
-					end := off + rawChunk
-					if end > len(raw) {
-						end = len(raw)
-					}
-					if err := c.Write("raw", raw[off:end]); err != nil {
-						return err
-					}
-				}
-				return nil
-			},
-			"encode": func(c *kpn.TaskCtx) error {
-				se, err := media.NewStreamEncoder(cfg, frames)
-				if err != nil {
+		err := runTask(ctx, gate, "enc", func(checkpoint func() error) error {
+			se, err := media.NewStreamEncoder(cfg, frames)
+			if err != nil {
+				return err
+			}
+			se.Workers = encWorkers
+			se.Recycle = pool.Put
+			for i := 0; i < frames; i++ {
+				if err := checkpoint(); err != nil {
+					se.Abort() // recycle frames buffered in the reorder window
 					return err
 				}
-				se.Workers = encWorkers
-				se.Recycle = pool.Put
-				for i := 0; i < frames; i++ {
-					f := pool.Get(cfg.W, cfg.H)
-					if err := c.Read("raw", f.Pix); err != nil {
-						pool.Put(f)
-						return fmt.Errorf("frame %d: %w", i, err)
-					}
-					if err := se.Push(f); err != nil {
-						pool.Put(f)
-						return err
-					}
+				f := pool.Get(cfg.W, cfg.H)
+				copy(f.Pix, raw[i*plane:(i+1)*plane])
+				if err := se.Push(f); err != nil {
+					pool.Put(f) // Push failed before taking custody
+					se.Abort()
+					return err
 				}
-				stream, stats, err = se.Close()
-				return err
-			},
-		}
-		if err := kpn.RunContext(ctx, g, funcs, kpn.WithGate(gate)); err != nil {
+			}
+			stream, stats, err = se.Close()
+			return err
+		})
+		if err != nil {
 			return Result{}, err
 		}
 		meta := map[string]string{

@@ -30,10 +30,10 @@ type Config struct {
 	// FramePoolCap bounds the shared frame pool (frames retained across
 	// requests). Default 256.
 	FramePoolCap int
-	// DecodeWorkers is the default decode worker count for tenants that
-	// do not declare one. 1 selects the six-task KPN pipeline; above 1
-	// the pipeline-parallel decoder overlaps entropy parse with per-row
-	// reconstruction on that many workers. Default 1.
+	// DecodeWorkers is the default decode width for tenants that do not
+	// declare one. There is one decoder; 1 runs it serially, above 1 it
+	// overlaps entropy parse with per-row reconstruction on that many
+	// workers. Output is identical at every width. Default 1.
 	DecodeWorkers int
 	// EncodeWorkers bounds each encode/transcode job's per-frame
 	// analysis fan-out (macroblock rows processed concurrently). 0 keeps
@@ -79,12 +79,13 @@ func (m CacheMode) String() string {
 	return "default"
 }
 
-// TenantConfig declares one tenant's scheduling parameters.
+// TenantConfig declares one tenant's scheduling parameters. Zero fields
+// follow the server-wide Config (see Config.resolve).
 type TenantConfig struct {
 	Name              string
-	Weight            int       // scheduling-slice multiplier; ≥1
-	QueueCap          int       // admission bound; ≥1
-	DecodeWorkers     int       // decode engine width; 0 → Config.DecodeWorkers
+	Weight            int       // scheduling-slice multiplier; 0 → Config.DefaultWeight
+	QueueCap          int       // admission bound; 0 → Config.QueueCap
+	DecodeWorkers     int       // decode width; 0 → Config.DecodeWorkers
 	Cache             CacheMode // per-tenant result-cache override
 	TranscodeSegments int       // segment fan-out; 0 → Config.TranscodeSegments
 }
@@ -127,6 +128,26 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// resolve fills a tenant declaration's zero fields from the (defaulted)
+// server-wide settings: the one place a tenant's effective parameters
+// are decided, for declared and undeclared tenants alike. Cache stays as
+// declared; CacheDefault is resolved per request (CacheEnabledFor).
+func (c Config) resolve(tc TenantConfig) TenantConfig {
+	if tc.Weight <= 0 {
+		tc.Weight = c.DefaultWeight
+	}
+	if tc.QueueCap <= 0 {
+		tc.QueueCap = c.QueueCap
+	}
+	if tc.DecodeWorkers <= 0 {
+		tc.DecodeWorkers = c.DecodeWorkers
+	}
+	if tc.TranscodeSegments <= 0 {
+		tc.TranscodeSegments = c.TranscodeSegments
+	}
+	return tc
+}
+
 // ErrDraining rejects submissions while the scheduler shuts down.
 var ErrDraining = errors.New("serve: shutting down")
 
@@ -153,12 +174,7 @@ const (
 
 // tenant is one row of the scheduler's task table.
 type tenant struct {
-	name          string
-	weight        int
-	cap           int
-	decodeWorkers int
-	cacheMode     CacheMode
-	xcodeSegments int
+	cfg TenantConfig // resolved: no zero field left but Cache
 
 	q        []*Job // admitted, waiting (including preempted jobs)
 	admitted int    // waiting + running, not yet finished
@@ -198,7 +214,7 @@ func NewScheduler(cfg Config, met *Metrics) *Scheduler {
 	s := &Scheduler{cfg: cfg, met: met, byName: map[string]*tenant{}}
 	s.cond = sync.NewCond(&s.mu)
 	for _, tc := range cfg.Tenants {
-		s.tenantLocked(tc.Name, tc.Weight, tc.QueueCap, tc.DecodeWorkers, tc.TranscodeSegments, tc.Cache)
+		s.tenantLocked(tc)
 	}
 	s.workers.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
@@ -207,53 +223,41 @@ func NewScheduler(cfg Config, met *Metrics) *Scheduler {
 	return s
 }
 
-// tenantLocked returns the named tenant, creating it with the given (or
-// default) parameters. Caller holds s.mu or is the constructor.
-func (s *Scheduler) tenantLocked(name string, weight, qcap, dworkers, xsegs int, cache CacheMode) *tenant {
-	if t, ok := s.byName[name]; ok {
+// tenantLocked returns the tenant tc names, creating it from tc on first
+// sight (an undeclared tenant arrives as just a name). Caller holds s.mu
+// or is the constructor.
+func (s *Scheduler) tenantLocked(tc TenantConfig) *tenant {
+	if t, ok := s.byName[tc.Name]; ok {
 		return t
 	}
-	if weight <= 0 {
-		weight = s.cfg.DefaultWeight
-	}
-	if qcap <= 0 {
-		qcap = s.cfg.QueueCap
-	}
-	if dworkers <= 0 {
-		dworkers = s.cfg.DecodeWorkers
-	}
-	if xsegs <= 0 {
-		xsegs = s.cfg.TranscodeSegments
-	}
-	t := &tenant{name: name, weight: weight, cap: qcap, decodeWorkers: dworkers, cacheMode: cache, xcodeSegments: xsegs}
+	t := &tenant{cfg: s.cfg.resolve(tc)}
 	s.tenants = append(s.tenants, t)
-	s.byName[name] = t
+	s.byName[tc.Name] = t
 	return t
 }
 
-// DecodeWorkersFor reports the decode worker count for a tenant: its
-// declared value if pre-registered, else the config default. Handlers
-// call this before building decode/transcode jobs so each tenant's
-// requests run on its configured engine.
-func (s *Scheduler) DecodeWorkersFor(name string) int {
+// paramsFor reports a tenant's effective parameters: its resolved
+// declaration if registered, else what an undeclared tenant would get.
+func (s *Scheduler) paramsFor(name string) TenantConfig {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if t, ok := s.byName[name]; ok {
-		return t.decodeWorkers
+		return t.cfg
 	}
-	return s.cfg.DecodeWorkers
+	return s.cfg.resolve(TenantConfig{Name: name})
 }
+
+// DecodeWorkersFor reports the decode width for a tenant: its declared
+// value if pre-registered, else the config default. Handlers call this
+// before building decode/transcode jobs so each tenant's requests run
+// at its configured width (1 = serial; see Config.DecodeWorkers).
+func (s *Scheduler) DecodeWorkersFor(name string) int { return s.paramsFor(name).DecodeWorkers }
 
 // TranscodeSegmentsFor reports the segment fan-out for a tenant's
 // transcode jobs: its declared value if pre-registered, else the config
 // default. 1 means the single fused pipeline.
 func (s *Scheduler) TranscodeSegmentsFor(name string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if t, ok := s.byName[name]; ok {
-		return t.xcodeSegments
-	}
-	return s.cfg.TranscodeSegments
+	return s.paramsFor(name).TranscodeSegments
 }
 
 // EncodeWorkers reports the server-wide per-job encode analysis
@@ -265,13 +269,7 @@ func (s *Scheduler) EncodeWorkers() int { return s.cfg.EncodeWorkers }
 // tenant's requests: the server-wide setting (CacheBytes > 0) unless
 // the tenant declared an explicit on/off override.
 func (s *Scheduler) CacheEnabledFor(name string) bool {
-	s.mu.Lock()
-	mode := CacheDefault
-	if t, ok := s.byName[name]; ok {
-		mode = t.cacheMode
-	}
-	s.mu.Unlock()
-	switch mode {
+	switch s.paramsFor(name).Cache {
 	case CacheOn:
 		return true
 	case CacheOff:
@@ -288,13 +286,13 @@ func (s *Scheduler) Submit(j *Job) error {
 		s.mu.Unlock()
 		return ErrDraining
 	}
-	t := s.tenantLocked(j.Tenant, 0, 0, 0, 0, CacheDefault)
-	if t.admitted >= t.cap {
+	t := s.tenantLocked(TenantConfig{Name: j.Tenant})
+	if t.admitted >= t.cfg.QueueCap {
 		t.rejects++
 		ra := s.retryAfterLocked(t)
 		s.mu.Unlock()
 		s.met.Rejects.Add(1)
-		return &QueueFullError{Tenant: t.name, Cap: t.cap, RetryAfter: ra}
+		return &QueueFullError{Tenant: t.cfg.Name, Cap: t.cfg.QueueCap, RetryAfter: ra}
 	}
 	t.admitted++
 	s.admitted++
@@ -361,10 +359,10 @@ func (s *Scheduler) next(cursor *int) (*Job, *tenant) {
 
 // runSlice executes one scheduling turn: open the job's gate for up to
 // weight×BaseSlice, then retire it (finished) or preempt it (gate
-// closed at the next KPN step boundary, job requeued behind its
-// tenant's other work).
+// closed; the job parks at its next frame checkpoint and is requeued
+// behind its tenant's other work).
 func (s *Scheduler) runSlice(j *Job, t *tenant) {
-	budget := time.Duration(t.weight) * s.cfg.BaseSlice
+	budget := time.Duration(t.cfg.Weight) * s.cfg.BaseSlice
 	if !j.started {
 		j.started = true
 		j.firstRun = time.Now()
@@ -504,12 +502,12 @@ func (s *Scheduler) SnapshotTenants() []TenantSnapshot {
 	out := make([]TenantSnapshot, 0, len(s.tenants))
 	for _, t := range s.tenants {
 		out = append(out, TenantSnapshot{
-			Name:              t.name,
-			Weight:            t.weight,
-			QueueCap:          t.cap,
-			DecodeWorkers:     t.decodeWorkers,
-			CacheMode:         t.cacheMode.String(),
-			TranscodeSegments: t.xcodeSegments,
+			Name:              t.cfg.Name,
+			Weight:            t.cfg.Weight,
+			QueueCap:          t.cfg.QueueCap,
+			DecodeWorkers:     t.cfg.DecodeWorkers,
+			CacheMode:         t.cfg.Cache.String(),
+			TranscodeSegments: t.cfg.TranscodeSegments,
 			QueueDepth:        len(t.q),
 			Admitted:          t.admitted,
 			Completed:         t.completed,

@@ -50,16 +50,12 @@ func NewTranscodeJobSegmented(ctx context.Context, tenant string, stream []byte,
 		// index (frame bit offsets + closed-cut set) and validates the
 		// stream's structure before any pixel work starts.
 		var ix *media.GOPIndex
-		ig := kpn.NewGraph("gopindex")
-		ig.AddTask("ix", "index")
-		ifuncs := map[string]kpn.TaskFunc{
-			"index": func(c *kpn.TaskCtx) error {
-				var err error
-				ix, err = media.IndexGOPs(stream, func(int) error { return c.Checkpoint() })
-				return err
-			},
-		}
-		if err := kpn.RunContext(ctx, ig, ifuncs, kpn.WithGate(gate)); err != nil {
+		err := runTask(ctx, gate, "ix", func(checkpoint func() error) error {
+			var err error
+			ix, err = media.IndexGOPs(stream, func(int) error { return checkpoint() })
+			return err
+		})
+		if err != nil {
 			return Result{}, err
 		}
 		cuts := ix.TranscodeCuts(cfg.GOPN, cfg.GOPM)
@@ -130,7 +126,7 @@ func NewTranscodeJobSegmented(ctx context.Context, tenant string, stream []byte,
 				return nil
 			},
 		}
-		err := kpn.RunContext(ctx, g, funcs, kpn.WithGate(gate))
+		err = kpn.RunContext(ctx, g, funcs, kpn.WithGate(gate))
 		if met != nil {
 			storeMax(&met.XcodePeakFrames, track.peak.Load())
 		}

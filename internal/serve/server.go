@@ -1,8 +1,13 @@
 // Package serve is the production media-serving subsystem: an HTTP
 // front end that admits decode / encode / transcode jobs into bounded
-// per-tenant queues and executes them on the goroutine KPN runtime under
+// per-tenant queues and executes them as checkpointed Kahn tasks under
 // an Eclipse-style scheduler (see DESIGN.md §"Serving" for the full
-// mapping). The paper's concepts translate as:
+// mapping). A job is coarse-grained software on general-purpose cores:
+// one decoder, one encoder, pause points once per frame. The paper's
+// fine-grained six-task decode network pays only where each stage is its
+// own engine, so it lives in the simulator (and root
+// RunFunctionalDecode), and this package does not import either — a rule
+// TestServingImportGraph enforces. The paper's concepts translate as:
 //
 //   - worker ⇔ coprocessor: a fixed pool of workers each runs a
 //     weighted round-robin loop over the tenant queues (Section 5.3's
@@ -10,8 +15,8 @@
 //   - tenant queue ⇔ task-table row: the unit the round-robin rotates
 //     over, with a per-tenant weight;
 //   - time slice ⇔ cycle budget: a job runs for weight×BaseSlice of
-//     wall clock, then is preempted at a KPN step boundary (gate) and
-//     requeued behind its tenant's other jobs;
+//     wall clock, then is preempted at its next frame checkpoint (gate)
+//     and requeued behind its tenant's other jobs;
 //   - 429 ⇔ GetSpace failure: admission is a bounded space claim; a
 //     full tenant queue rejects instead of buffering unboundedly, and
 //     the client retries later (Retry-After), exactly like a producer
@@ -126,22 +131,18 @@ func httpError(w http.ResponseWriter, code int, err error) {
 }
 
 // runJob submits a job through admission control and waits for its
-// completion (or the request's disconnect/deadline). It is the unit of
-// work the cache's singleflight leader executes: admission rejections
-// and context deaths come back as errors for leaderSpecificErr to
-// classify.
-func (s *Server) runJob(ctx context.Context, j *Job) (Result, error) {
+// completion. It is the unit of work the cache's singleflight leader
+// executes: admission rejections and context deaths come back as errors
+// for leaderSpecificErr to classify. The job's context derives from the
+// request's (NewJob), so a client disconnect or deadline poisons the
+// job by itself and with the request's own error — cancelling here as
+// well would race that propagation and turn a 504 into a 499. Waiting
+// for the unwind releases the job's admission space in order.
+func (s *Server) runJob(j *Job) (Result, error) {
 	if err := s.sched.Submit(j); err != nil {
 		return Result{}, err
 	}
-	select {
-	case <-j.Done():
-	case <-ctx.Done():
-		// Client gone or deadline hit: poison the job's network and wait
-		// for it to unwind so its admission space is released in order.
-		j.Cancel()
-		<-j.Done()
-	}
+	<-j.Done()
 	return j.Result()
 }
 
@@ -191,8 +192,8 @@ func (s *Server) writeResult(w http.ResponseWriter, res Result) {
 // sole owner of the result body here (no cache copy, no singleflight
 // sharing), so decode bodies go back to the response-buffer pool after
 // the write — the cached tail must never do this, see bufpool.go.
-func (s *Server) submitAndWait(w http.ResponseWriter, r *http.Request, ctx context.Context, j *Job) {
-	res, err := s.runJob(ctx, j)
+func (s *Server) submitAndWait(w http.ResponseWriter, r *http.Request, j *Job) {
+	res, err := s.runJob(j)
 	if err != nil {
 		writeJobError(w, err)
 		return
@@ -222,7 +223,7 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, ctx context
 		return
 	}
 	res, release, outcome, err := s.cache.Fetch(ctx, key, tenant, func() (Result, error) {
-		return s.runJob(ctx, j)
+		return s.runJob(j)
 	})
 	if err != nil {
 		writeJobError(w, err)
@@ -260,7 +261,7 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, ctx context.Co
 		s.serveCached(w, r, ctx, tenant, key, j)
 		return
 	}
-	s.submitAndWait(w, r, ctx, j)
+	s.submitAndWait(w, r, j)
 }
 
 // handleDecode serves POST /v1/decode: body is an ECL1 bitstream, the
