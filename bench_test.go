@@ -70,7 +70,7 @@ func reportMevents(b *testing.B, events uint64) {
 	}
 }
 
-func benchSetup(b *testing.B) {
+func benchSetup(b testing.TB) {
 	b.Helper()
 	benchStreams.once.Do(func() {
 		mk := func(w, h, n, q int, seed int64) []byte {

@@ -44,6 +44,33 @@ func TestFig10BottleneckRotation(t *testing.T) {
 	}
 }
 
+// TestEncodeGoldenCycles pins the simulated encode that BenchmarkEncode
+// only reports (its inputs: 96×80, 8 frames, source seed 4, default codec,
+// Fig. 8 instance). The ME coprocessor is charged SearchResult.Ops ·
+// MEPerCandidate per macroblock — the hardware full search's cost, not a
+// count of the SADs the software kernel happens to compute — so a faster
+// media.MotionSearch must leave this count where it is.
+func TestEncodeGoldenCycles(t *testing.T) {
+	const goldenCycles = 454576
+	benchSetup(t)
+	sys := NewSystem(Fig8())
+	app, err := sys.AddEncodeApp("enc", benchStreams.encCfg, benchStreams.encFrames, EncodeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycles, err := sys.Run(50_000_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := app.VerifyAgainstReference(benchStreams.encCfg, benchStreams.encFrames); err != nil {
+		t.Fatal(err)
+	}
+	if cycles != goldenCycles {
+		t.Errorf("encode took %d simulated cycles, golden value is %d — "+
+			"the ME cost driver (search Ops) or event ordering changed", cycles, goldenCycles)
+	}
+}
+
 // TestFig10WindowsCoverRun sanity-checks the analysis windows.
 func TestFig10WindowsCoverRun(t *testing.T) {
 	cfg := DefaultFig10()

@@ -80,18 +80,33 @@ func benchFrame(w, h int) *Frame {
 	return f
 }
 
+// BenchmarkSAD times the exported SAD without early-out on its two paths:
+// inside, where the block is read in place from the frame, and edge, a
+// corner macroblock whose vectors all point outside, where it is gathered
+// with clamping first.
 func BenchmarkSAD(b *testing.B) {
 	ref := benchFrame(176, 144)
-	var cur MBPixels
-	ref.GetMB(3, 3, &cur)
-	mvs := []MV{{0, 0}, {1, -1}, {-3, 2}, {7, 5}, {-8, -8}, {4, 0}}
-	b.ReportAllocs()
-	b.ResetTimer()
-	sink := 0
-	for i := 0; i < b.N; i++ {
-		sink += SAD(&cur, ref, 48, 48, mvs[i%len(mvs)], 1<<30)
+	for _, c := range []struct {
+		name     string
+		mbx, mby int
+		mvs      []MV
+	}{
+		{"inside", 3, 3, []MV{{0, 0}, {1, -1}, {-3, 2}, {7, 5}, {-8, -8}, {4, 0}}},
+		{"edge", 0, 0, []MV{{-1, 0}, {0, -1}, {-3, 2}, {5, -7}, {-8, -8}, {-4, -1}}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var cur MBPixels
+			ref.GetMB(c.mbx, c.mby, &cur)
+			x, y := c.mbx*MBSize, c.mby*MBSize
+			b.ReportAllocs()
+			b.ResetTimer()
+			sink := 0
+			for i := 0; i < b.N; i++ {
+				sink += SAD(&cur, ref, x, y, c.mvs[i%len(c.mvs)], 1<<30)
+			}
+			benchSink = sink
+		})
 	}
-	benchSink = sink
 }
 
 var benchSink int

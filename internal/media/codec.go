@@ -147,8 +147,8 @@ func (c *CodecConfig) validate() error {
 	if c.GOPM < 1 || c.GOPM > 15 || c.GOPM > c.GOPN {
 		return fmt.Errorf("media: GOP M %d invalid for N %d", c.GOPM, c.GOPN)
 	}
-	if c.SearchRange < 0 || c.SearchRange > 63 {
-		return fmt.Errorf("media: search range %d out of range [0,63]", c.SearchRange)
+	if c.SearchRange < 0 || c.SearchRange > maxSearchRange {
+		return fmt.Errorf("media: search range %d out of range [0,%d]", c.SearchRange, maxSearchRange)
 	}
 	return nil
 }

@@ -129,3 +129,72 @@ func sumSHA(b []byte) []byte {
 	h := sha256.Sum256(b)
 	return h[:]
 }
+
+// goldenEncodes pins the bitstreams of the shapes the benchmark rig's
+// transcode workloads actually encode, which TestGoldenFig10Hashes does
+// not reach (the rig verifies served bytes against media.Encode of the
+// same binary, so it cannot see encoder drift). A clip is generated the
+// way benchmark/clips.go does it — DefaultSource at the clip seed,
+// DefaultCodec with the clip's GOP — and, where xcodeQ is set, decoded
+// and re-encoded with the serve.TranscodeConfig parameters written out:
+// DefaultCodec at the new Q, GOP and half-pel mode following the source.
+//
+// Both hashes of every row were taken at the parent of the motion-search
+// rewrite (commit 4f52466, raster full search); they must never change.
+var goldenEncodes = []struct {
+	name         string
+	w, h, frames int
+	seed         int64
+	gopN, gopM   int
+	searchRange  int
+	halfPel      bool
+	xcodeQ       int // 0: pin the source encode only
+	srcSHA       string
+	xcodeSHA     string
+}{
+	// xcode_cold clip 0 of --seed 1: QCIF, 26 frames, closed N=13/M=3 GOPs, re-encoded at Q=9.
+	{name: "xcode_cold", w: 176, h: 144, frames: 26, seed: 1, gopN: 13, gopM: 3, searchRange: 7, xcodeQ: 9,
+		srcSHA: "0991551f0216476c17b7057c149393c2009edbfea8928720d33f05074cb7b734", xcodeSHA: "62d34558d7d272f4145ccab85cd17d17129f7183d1b501edff485e8371e38b8b"},
+	{name: "xcode_cold_halfpel", w: 176, h: 144, frames: 26, seed: 1, gopN: 13, gopM: 3, searchRange: 7, halfPel: true, xcodeQ: 9,
+		srcSHA: "2876c1e67d016d4439290fdab82a609fa8c1d977f8e5eca59f1b025e7338d6b2", xcodeSHA: "c317733390225e2fd7624037f734b8ce95287b5c72e2fe4a6b666a9d7aaa839d"},
+	// tenant_open's bronze clip 0 of --seed 1 (clipSeed(1, 100)): 6×5 macroblocks, 18 of 30 on a border.
+	{name: "tenant_open_bronze", w: 96, h: 80, frames: 26, seed: 1 + 7919*100, gopN: 13, gopM: 3, searchRange: 7, xcodeQ: 9,
+		srcSHA: "377351633072f617724b0cf774d466f3bd2c244a8f4b3e8ed206eb466d8dceb9", xcodeSHA: "9ce60872d605bcc99bc56bb08ff465255455ff0b4830ac6001f889546350c530"},
+	// A wide search: the ±15 window reaches outside the frame from every macroblock of a 96×80 picture.
+	{name: "range15", w: 96, h: 80, frames: 7, seed: 3, gopN: 12, gopM: 3, searchRange: 15, halfPel: true,
+		srcSHA: "2bb31d6acd2c6f571c36f3d815e69b320e2037463e5d72b2e1f7479701e609aa"},
+}
+
+func TestGoldenEncodeHashes(t *testing.T) {
+	for _, g := range goldenEncodes {
+		t.Run(g.name, func(t *testing.T) {
+			src := DefaultSource(g.w, g.h)
+			src.Seed = g.seed
+			cfg := DefaultCodec(g.w, g.h)
+			cfg.GOPN, cfg.GOPM, cfg.SearchRange, cfg.HalfPel = g.gopN, g.gopM, g.searchRange, g.halfPel
+			stream, _, _, err := Encode(cfg, NewSource(src).Frames(g.frames))
+			if err != nil {
+				t.Fatalf("encode: %v", err)
+			}
+			if got := hex.EncodeToString(sumSHA(stream)); got != g.srcSHA {
+				t.Errorf("source bitstream hash drifted:\n  got  %s\n  want %s", got, g.srcSHA)
+			}
+			if g.xcodeQ == 0 {
+				return
+			}
+			res, err := Decode(stream)
+			if err != nil {
+				t.Fatalf("decode: %v", err)
+			}
+			xcfg := DefaultCodec(res.Seq.W(), res.Seq.H())
+			xcfg.Q, xcfg.GOPN, xcfg.GOPM, xcfg.HalfPel = g.xcodeQ, res.Seq.GOPN, res.Seq.GOPM, res.Seq.HalfPel
+			out, _, _, err := Encode(xcfg, res.DisplayFrames())
+			if err != nil {
+				t.Fatalf("re-encode: %v", err)
+			}
+			if got := hex.EncodeToString(sumSHA(out)); got != g.xcodeSHA {
+				t.Errorf("transcoded bitstream hash drifted:\n  got  %s\n  want %s", got, g.xcodeSHA)
+			}
+		})
+	}
+}

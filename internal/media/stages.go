@@ -65,21 +65,13 @@ func DecideMB(mb *MBPixels, ftype FrameType, x, y int, fwdRef, bwdRef *Frame, se
 	f := search(fwdRef)
 	b := search(bwdRef)
 	ops = f.Ops + b.Ops
-	var bi MBPixels
-	PredictHP(&bi, PredBi, fwdRef, bwdRef, x, y, f.MV, b.MV, halfPel)
-	biSAD := 0
-	for i := range bi {
-		d := int(mb[i]) - int(bi[i])
-		if d < 0 {
-			d = -d
-		}
-		biSAD += d
-	}
 	best, mode := f.SAD, PredFwd
 	if b.SAD < best {
 		best, mode = b.SAD, PredBwd
 	}
-	if biSAD < best {
+	var bi MBPixels
+	PredictHP(&bi, PredBi, fwdRef, bwdRef, x, y, f.MV, b.MV, halfPel)
+	if biSAD := sadRows(mb, bi[:], MBSize, best); biSAD < best {
 		best, mode = biSAD, PredBi
 	}
 	if best > act {
