@@ -5,8 +5,9 @@
 #   make test    full test suite only (tier-1; includes the benchmark
 #                rig's own tests via TestBenchmarkRig)
 #   make race    the full test suite under the race detector, plus the
-#                segment-parallel and decode-width tests again at
-#                GOMAXPROCS=4 (real parallelism for every width > 1 path)
+#                segment-parallel, decode-width and task-group/gate tests
+#                again at GOMAXPROCS=4 (real parallelism for every
+#                width > 1 path and for parked siblings)
 #   make fuzz-smoke  a few seconds of each media-layer fuzzer — the CI
 #                    guard that the corpus-reachable code stays panic-free
 #                    (includes the parallel/serial decode-parity fuzzer,
@@ -41,7 +42,7 @@ test:
 
 race:
 	$(GO) test -race ./...
-	GOMAXPROCS=4 $(GO) test -race -run 'Segment|DecodeWorkers' ./internal/media ./internal/serve
+	GOMAXPROCS=4 $(GO) test -race -run 'Segment|DecodeWorkers|TaskGroup' ./internal/media ./internal/serve
 
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzBitReaderRoundTrip -fuzztime=5s ./internal/media

@@ -26,7 +26,6 @@ import (
 
 	"eclipse"
 	"eclipse/internal/media"
-	"eclipse/internal/trace"
 	"eclipse/internal/viz"
 )
 
@@ -443,5 +442,3 @@ func memorg() {
 	fmt.Println("(distributed banks remove cross-stream bus contention and the 32 kB")
 	fmt.Println(" capacity wall, at the cost of run-time buffer allocation flexibility)")
 }
-
-var _ = trace.Series{} // keep the import for future chart use

@@ -1,10 +1,12 @@
 // Command eclipse-serve runs the media-serving subsystem: an HTTP
 // server that admits decode / encode / transcode jobs into bounded
-// per-tenant queues and executes them as checkpointed Kahn tasks under
-// the Eclipse-style weighted-round-robin scheduler (see internal/serve
-// and DESIGN.md §"Serving"). It links the codec and the Kahn runtime,
-// not the simulator: the paper's six-task decode network runs in
-// eclipse-sim / eclipse-bench, where each stage is its own engine.
+// per-tenant queues and executes them as gated task groups (goroutines
+// that park at a frame checkpoint while the scheduler holds their job's
+// gate closed) under the Eclipse-style weighted-round-robin scheduler
+// (see internal/serve and DESIGN.md §"Serving"). It links the codec and
+// the serving packages, not the simulator or the Kahn executor: the
+// paper's six-task decode network runs in eclipse-sim / eclipse-bench,
+// where each stage is its own engine.
 //
 // Endpoints:
 //

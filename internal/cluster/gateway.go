@@ -43,12 +43,8 @@ type Config struct {
 	HedgeDisabled bool
 	// HedgeAfter, when positive, is a fixed hedge trigger delay. Zero
 	// selects the adaptive trigger: the per-kind p95 of successful
-	// attempt latencies, once HedgeMinSamples have been observed
-	// (HedgeColdDelay until then), floored at HedgeMinDelay.
-	HedgeAfter      time.Duration
-	HedgeColdDelay  time.Duration // default 100ms
-	HedgeMinDelay   time.Duration // default 2ms
-	HedgeMinSamples int           // default 32
+	// attempt latencies (see hedgeDelay).
+	HedgeAfter time.Duration
 
 	// MaxBodyBytes caps client request bodies. Default 64 MiB.
 	MaxBodyBytes int64
@@ -101,15 +97,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryMax <= 0 {
 		c.RetryMax = 250 * time.Millisecond
-	}
-	if c.HedgeColdDelay <= 0 {
-		c.HedgeColdDelay = 100 * time.Millisecond
-	}
-	if c.HedgeMinDelay <= 0 {
-		c.HedgeMinDelay = 2 * time.Millisecond
-	}
-	if c.HedgeMinSamples <= 0 {
-		c.HedgeMinSamples = 32
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 64 << 20

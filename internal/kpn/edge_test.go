@@ -2,13 +2,11 @@ package kpn
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"io"
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // fanoutGraph builds src.out -> {a.in, b.in} with one broadcast stream.
@@ -21,8 +19,8 @@ func fanoutGraph(buf int) *Graph {
 	return g
 }
 
-// TestMultiConsumerEOFAfterDrain checks the broadcast-FIFO edge case the
-// serving path leans on: after the producer closes, a consumer that has
+// TestMultiConsumerEOFAfterDrain checks a broadcast-FIFO edge case the
+// fan-out streams lean on: after the producer closes, a consumer that has
 // not yet read anything must still drain every buffered byte and only
 // then see io.EOF — and a consumer that already drained must not block
 // the laggard's access to the buffered data.
@@ -161,172 +159,5 @@ func TestMidStreamProducerAbort(t *testing.T) {
 	}
 	if n := sawEOF.Load(); n != 0 {
 		t.Fatalf("%d consumers saw clean EOF after a producer abort", n)
-	}
-}
-
-// TestRunContextCancel checks that cancelling the run context poisons an
-// otherwise endless network and RunContext returns the context error.
-func TestRunContextCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	started := make(chan struct{})
-	var once atomic.Bool
-	funcs := map[string]TaskFunc{
-		"src": func(c *TaskCtx) error {
-			buf := make([]byte, 8)
-			for {
-				if err := c.Write("out", buf); err != nil {
-					return nil
-				}
-			}
-		},
-		"sink": func(c *TaskCtx) error {
-			buf := make([]byte, 8)
-			for {
-				if _, err := c.ReadSome("in", buf); err != nil {
-					return nil
-				}
-				if once.CompareAndSwap(false, true) {
-					close(started)
-				}
-			}
-		},
-	}
-	g := NewGraph("cancel")
-	g.AddTask("src", "source").AddOut("out")
-	g.AddTask("dst", "sink").AddIn("in")
-	g.MustConnect("src.out", 64, "dst.in")
-	go func() {
-		<-started
-		cancel()
-	}()
-	errc := make(chan error, 1)
-	go func() { errc <- RunContext(ctx, g, funcs) }()
-	select {
-	case err := <-errc:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("RunContext = %v, want context.Canceled", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("RunContext did not return after cancel")
-	}
-}
-
-// TestGatePauseResume checks time-sliced stepping: closing the gate
-// parks the network at stream-operation boundaries (no further
-// progress), reopening resumes it to completion.
-func TestGatePauseResume(t *testing.T) {
-	const total = 4096
-	var moved atomic.Int64
-	funcs := map[string]TaskFunc{
-		"src": func(c *TaskCtx) error {
-			buf := make([]byte, 16)
-			for off := 0; off < total; off += len(buf) {
-				if err := c.Write("out", buf); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-		"sink": func(c *TaskCtx) error {
-			buf := make([]byte, 16)
-			for {
-				n, err := c.ReadSome("in", buf)
-				if err == io.EOF {
-					return nil
-				}
-				if err != nil {
-					return err
-				}
-				moved.Add(int64(n))
-				// Pace the drain so the test reliably pauses mid-stream.
-				time.Sleep(time.Millisecond)
-			}
-		},
-	}
-	g := NewGraph("gated")
-	g.AddTask("src", "source").AddOut("out")
-	g.AddTask("dst", "sink").AddIn("in")
-	g.MustConnect("src.out", 32, "dst.in")
-
-	gate := NewGate(true)
-	errc := make(chan error, 1)
-	go func() { errc <- RunContext(context.Background(), g, funcs, WithGate(gate)) }()
-
-	// Let it run a little, then pause.
-	for moved.Load() == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	gate.Close()
-	time.Sleep(20 * time.Millisecond) // settle: in-flight ops finish
-	before := moved.Load()
-	time.Sleep(50 * time.Millisecond)
-	if after := moved.Load(); after != before {
-		t.Fatalf("network progressed while gate closed: %d -> %d bytes", before, after)
-	}
-	if before == total {
-		t.Fatal("network finished before the pause; pause untested")
-	}
-	gate.Open()
-	select {
-	case err := <-errc:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("network did not finish after gate reopened")
-	}
-	if moved.Load() != total {
-		t.Fatalf("moved %d bytes, want %d", moved.Load(), total)
-	}
-}
-
-// TestCancelWhilePaused checks that a network paused by its gate still
-// unwinds when the run context is cancelled — the gate is poisoned by
-// the failure, so parked tasks wake with the error.
-func TestCancelWhilePaused(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	gate := NewGate(true)
-	started := make(chan struct{})
-	var once atomic.Bool
-	funcs := map[string]TaskFunc{
-		"src": func(c *TaskCtx) error {
-			buf := make([]byte, 8)
-			for {
-				if err := c.Write("out", buf); err != nil {
-					return nil
-				}
-				if once.CompareAndSwap(false, true) {
-					close(started)
-				}
-			}
-		},
-		"sink": func(c *TaskCtx) error {
-			buf := make([]byte, 8)
-			for {
-				if _, err := c.ReadSome("in", buf); err != nil {
-					return nil
-				}
-			}
-		},
-	}
-	g := NewGraph("paused-cancel")
-	g.AddTask("src", "source").AddOut("out")
-	g.AddTask("dst", "sink").AddIn("in")
-	g.MustConnect("src.out", 64, "dst.in")
-
-	errc := make(chan error, 1)
-	go func() { errc <- RunContext(ctx, g, funcs, WithGate(gate)) }()
-	<-started
-	gate.Close()
-	time.Sleep(10 * time.Millisecond) // let tasks park at the gate
-	cancel()
-	select {
-	case err := <-errc:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("RunContext = %v, want context.Canceled", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("paused network did not unwind on cancel")
 	}
 }

@@ -1,7 +1,6 @@
 package kpn
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -18,7 +17,6 @@ type TaskFunc func(c *TaskCtx) error
 // blocks while the FIFO is full.
 type TaskCtx struct {
 	task *Task
-	exec *Executor
 	ins  map[string]*fifoReader
 	outs map[string]*fifoWriter
 }
@@ -30,29 +28,6 @@ func (c *TaskCtx) Name() string { return c.task.Name }
 // delivers in the Eclipse mapping).
 func (c *TaskCtx) Info() uint32 { return c.task.Info }
 
-// Context returns the context the network was started with (from
-// RunContext), so task bodies can thread request-scoped deadlines and
-// cancellation into work they do between stream operations.
-func (c *TaskCtx) Context() context.Context {
-	if c.exec == nil || c.exec.ctx == nil {
-		return context.Background()
-	}
-	return c.exec.ctx
-}
-
-// Checkpoint marks a task-switch boundary: it parks while the network's
-// gate (if any) is closed and returns a non-nil error when the run
-// context was cancelled or the gate was poisoned. Read, ReadSome, and
-// Write checkpoint implicitly; bodies that compute for a long time
-// between stream operations should call Checkpoint at natural step
-// boundaries (e.g. once per frame) to stay preemptible.
-func (c *TaskCtx) Checkpoint() error {
-	if c.exec == nil {
-		return nil
-	}
-	return c.exec.checkpoint()
-}
-
 // Read fills buf from the named input port, blocking as needed. It
 // returns io.EOF when the stream ended cleanly before any byte, or
 // io.ErrUnexpectedEOF when it ended mid-request.
@@ -60,9 +35,6 @@ func (c *TaskCtx) Read(port string, buf []byte) error {
 	r, ok := c.ins[port]
 	if !ok {
 		return fmt.Errorf("kpn: task %s: no input port %q", c.task.Name, port)
-	}
-	if err := c.Checkpoint(); err != nil {
-		return err
 	}
 	return r.ReadFull(buf)
 }
@@ -76,9 +48,6 @@ func (c *TaskCtx) ReadSome(port string, buf []byte) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("kpn: task %s: no input port %q", c.task.Name, port)
 	}
-	if err := c.Checkpoint(); err != nil {
-		return 0, err
-	}
 	return r.ReadSome(buf)
 }
 
@@ -87,9 +56,6 @@ func (c *TaskCtx) Write(port string, data []byte) error {
 	w, ok := c.outs[port]
 	if !ok {
 		return fmt.Errorf("kpn: task %s: no output port %q", c.task.Name, port)
-	}
-	if err := c.Checkpoint(); err != nil {
-		return err
 	}
 	return w.Write(data)
 }
@@ -103,33 +69,12 @@ type Executor struct {
 	funcs map[string]TaskFunc
 	fifos map[*Stream]*fifo
 
-	ctx  context.Context // run context; cancellation poisons the network
-	gate *Gate           // optional pause/resume throttle (nil = always open)
-
 	epoch atomic.Uint64 // bumped on every FIFO state mutation
 
 	mu      sync.Mutex
 	live    int
 	blocked map[*blockedEntry]struct{}
 	failure error
-}
-
-// checkpoint implements the task-switch boundary: park while the gate is
-// closed, then observe cancellation.
-func (e *Executor) checkpoint() error {
-	if e.gate != nil {
-		if err := e.gate.Wait(); err != nil {
-			return err
-		}
-	}
-	if e.ctx != nil {
-		select {
-		case <-e.ctx.Done():
-			return e.ctx.Err()
-		default:
-		}
-	}
-	return nil
 }
 
 // blockedEntry describes one parked task: the FIFO it waits on and its
@@ -148,47 +93,14 @@ func (e *DeadlockError) Error() string {
 	return fmt.Sprintf("kpn: network deadlock (%d live tasks all blocked)", e.Live)
 }
 
-// RunOption customizes a RunContext execution.
-type RunOption func(*Executor)
-
-// WithGate installs a pause/resume gate on the network: every task
-// checkpoints against it at each stream operation. The same gate may be
-// reused across sequential RunContext calls of one logical job.
-func WithGate(gate *Gate) RunOption {
-	return func(e *Executor) { e.gate = gate }
-}
-
 // Run validates the graph, binds each task to funcs[task.Name] (falling
 // back to funcs[task.Fn]), executes the network, and returns the first
 // failure (task error or deadlock) or nil when all tasks finish.
 func Run(g *Graph, funcs map[string]TaskFunc) error {
-	return RunContext(context.Background(), g, funcs)
-}
-
-// RunContext is Run with request-scoped cancellation: when ctx is
-// cancelled the network is poisoned (blocked tasks wake with the context
-// error, the gate — if any — fails) and RunContext returns the context
-// error once all task goroutines have unwound. Options install a Gate
-// for time-sliced scheduling of the whole network.
-func RunContext(ctx context.Context, g *Graph, funcs map[string]TaskFunc, opts ...RunOption) error {
 	if err := g.Validate(); err != nil {
 		return err
 	}
-	e := &Executor{g: g, funcs: funcs, ctx: ctx, fifos: map[*Stream]*fifo{}, blocked: map[*blockedEntry]struct{}{}}
-	for _, opt := range opts {
-		opt(e)
-	}
-	if ctx.Done() != nil {
-		stop := make(chan struct{})
-		defer close(stop)
-		go func() {
-			select {
-			case <-ctx.Done():
-				e.fail(ctx.Err())
-			case <-stop:
-			}
-		}()
-	}
+	e := &Executor{g: g, funcs: funcs, fifos: map[*Stream]*fifo{}, blocked: map[*blockedEntry]struct{}{}}
 	for _, t := range g.Tasks {
 		if e.fn(t) == nil {
 			return fmt.Errorf("kpn: no function for task %s (fn %s)", t.Name, t.Fn)
@@ -243,7 +155,7 @@ func (e *Executor) fn(t *Task) TaskFunc {
 
 // bind builds a task's port endpoints.
 func (e *Executor) bind(t *Task) *TaskCtx {
-	ctx := &TaskCtx{task: t, exec: e, ins: map[string]*fifoReader{}, outs: map[string]*fifoWriter{}}
+	ctx := &TaskCtx{task: t, ins: map[string]*fifoReader{}, outs: map[string]*fifoWriter{}}
 	for _, p := range t.Ports {
 		ref := PortRef{Task: t.Name, Port: p.Name}
 		s := e.g.StreamFor(ref)
@@ -333,17 +245,13 @@ func (e *Executor) verifyDeadlock() {
 	}
 }
 
-// fail records the first failure and poisons the network, including the
-// gate — so a paused (descheduled) network still unwinds on failure.
+// fail records the first failure and poisons the network.
 func (e *Executor) fail(err error) {
 	e.mu.Lock()
 	if e.failure == nil {
 		e.failure = err
 	}
 	e.mu.Unlock()
-	if e.gate != nil {
-		e.gate.Fail(err)
-	}
 	e.poisonAll()
 }
 

@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"eclipse/internal/kpn"
 	"eclipse/internal/media"
 )
 
@@ -32,7 +31,7 @@ func newTranscodeJobTwoPhase(ctx context.Context, tenant string, stream []byte, 
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	body := func(ctx context.Context, gate *kpn.Gate) (Result, error) {
+	body := func(ctx context.Context, gate *Gate) (Result, error) {
 		// Phase 1: decode into pooled display-order frames.
 		frames, putSlice, err := decodeFrames(ctx, gate, stream, pool, workers)
 		if err != nil {
@@ -118,7 +117,7 @@ func TestTranscodeFusedParity(t *testing.T) {
 			t.Run("dw"+strconv.Itoa(dw)+"-ew"+strconv.Itoa(ew), func(t *testing.T) {
 				pool := media.NewSyncFramePool(64)
 				met := NewMetrics()
-				fj, err := NewTranscodeJob(context.Background(), "t", stream, q, pool, dw, ew, met)
+				fj, err := NewTranscodeJobSegmented(context.Background(), "t", stream, q, pool, dw, ew, 1, met)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -160,7 +159,7 @@ func TestTranscodeFusedBoundedInflight(t *testing.T) {
 	pool := media.NewSyncFramePool(64)
 	met := NewMetrics()
 	s := xcodeSched(t)
-	j, err := NewTranscodeJob(context.Background(), "t", stream, 9, pool, 4, 2, met)
+	j, err := NewTranscodeJobSegmented(context.Background(), "t", stream, 9, pool, 4, 2, 1, met)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +196,7 @@ func TestTranscodeFusedCancelNoLeak(t *testing.T) {
 			pool := media.NewSyncFramePool(128)
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			j, err := NewTranscodeJob(ctx, "t", stream, 9, pool, 4, 2, NewMetrics())
+			j, err := NewTranscodeJobSegmented(ctx, "t", stream, 9, pool, 4, 2, 1, NewMetrics())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -243,7 +242,7 @@ func TestTranscodeFusedPreemptNoLeak(t *testing.T) {
 	s := NewScheduler(Config{Workers: 1, BaseSlice: time.Millisecond, QueueCap: 8}, NewMetrics())
 	defer s.Drain(context.Background())
 	pool := media.NewSyncFramePool(64)
-	j, err := NewTranscodeJob(context.Background(), "t", stream, q, pool, 4, 2, NewMetrics())
+	j, err := NewTranscodeJobSegmented(context.Background(), "t", stream, q, pool, 4, 2, 1, NewMetrics())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +270,7 @@ func TestTranscodeFusedBadStream(t *testing.T) {
 	s := xcodeSched(t)
 	for _, dw := range []int{1, 4} {
 		pool := media.NewSyncFramePool(64)
-		j, err := NewTranscodeJob(context.Background(), "t", bad, 9, pool, dw, 2, NewMetrics())
+		j, err := NewTranscodeJobSegmented(context.Background(), "t", bad, 9, pool, dw, 2, 1, NewMetrics())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -312,7 +311,7 @@ func FuzzTranscodeFusedParity(f *testing.F) {
 		xq := 1 + int(q)%30
 		pool := media.NewSyncFramePool(64)
 		s := xcodeSched(t)
-		fj, err := NewTranscodeJob(context.Background(), "t", stream, xq, pool, 1+int(dw)%8, 1+int(ew)%4, NewMetrics())
+		fj, err := NewTranscodeJobSegmented(context.Background(), "t", stream, xq, pool, 1+int(dw)%8, 1+int(ew)%4, 1, NewMetrics())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -365,7 +364,7 @@ func BenchmarkTranscode(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			j, err := NewTranscodeJob(context.Background(), "t", stream, q, pool, 4, 0, met)
+			j, err := NewTranscodeJobSegmented(context.Background(), "t", stream, q, pool, 4, 0, 1, met)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"eclipse/internal/kpn"
 	"eclipse/internal/media"
 )
 
@@ -52,17 +51,17 @@ type Result struct {
 }
 
 // Job is one admitted unit of work. Its body executes as checkpointed
-// Kahn tasks under the job's gate, so the scheduler can pause and resume
-// it at the tasks' frame checkpoints; the context carries the request
-// deadline end-to-end through the task bodies.
+// tasks — goroutines under the job's gate (runTasks) — so the scheduler
+// can pause and resume it at the tasks' frame checkpoints; the context
+// carries the request deadline end-to-end through the task bodies.
 type Job struct {
 	Tenant string
 	Kind   Kind
 
 	ctx    context.Context
 	cancel context.CancelFunc
-	gate   *kpn.Gate
-	body   func(ctx context.Context, gate *kpn.Gate) (Result, error)
+	gate   *Gate
+	body   func(ctx context.Context, gate *Gate) (Result, error)
 	done   chan struct{}
 	res    Result
 	err    error
@@ -81,25 +80,33 @@ type Job struct {
 // NewJob wraps a body as a schedulable job. The gate starts closed; the
 // first scheduling slice opens it.
 func NewJob(tenant string, kind Kind, ctx context.Context,
-	body func(ctx context.Context, gate *kpn.Gate) (Result, error)) *Job {
+	body func(ctx context.Context, gate *Gate) (Result, error)) *Job {
 	jctx, cancel := context.WithCancel(ctx)
 	return &Job{
 		Tenant: tenant,
 		Kind:   kind,
 		ctx:    jctx,
 		cancel: cancel,
-		gate:   kpn.NewGate(false),
+		gate:   newGate(),
 		body:   body,
 		done:   make(chan struct{}),
 	}
 }
 
-// run executes the body; spawned once, by the first worker slice.
+// run executes the body; spawned once, by the first worker slice. The
+// job ties its two stop signals together for as long as the body runs: a
+// dead context poisons the gate, so a job parked at a closed gate still
+// unwinds on a client disconnect, a deadline, Cancel or a hard stop, with
+// the context's own error. When the body returns the derived context is
+// released, so a finished job does not stay registered with its parent.
 func (j *Job) run() {
+	stop := context.AfterFunc(j.ctx, func() { j.gate.Fail(j.ctx.Err()) })
 	defer func() {
 		if r := recover(); r != nil {
 			j.err = fmt.Errorf("serve: job panicked: %v", r)
 		}
+		stop()
+		j.cancel()
 		close(j.done)
 	}()
 	j.res, j.err = j.body(j.ctx, j.gate)
@@ -123,36 +130,6 @@ func (j *Job) Preempts() int { return int(j.preempts.Load()) }
 // does not allocate a fresh []*Frame per request.
 var dispPool = sync.Pool{New: func() any { return new([]*media.Frame) }}
 
-// runTask runs fn as a one-task Kahn network under the job's gate: the
-// scheduler can preempt it, and cancellation can poison it, wherever fn
-// calls checkpoint (once per frame). Every job body that is a single
-// loop over frames (decode, encode, the GOP-index scan) runs through
-// here; no payload byte crosses a kpn FIFO.
-//
-// checkpoint reads the request deadline off the clock as well as off the
-// context: a loop that never blocks never enters the Go scheduler, and
-// the runtime fires a busy P's timers only there, so when no P is idle
-// (at GOMAXPROCS=1, always) the context's own timer lags until sysmon's
-// 10 ms forced preemption — longer than most decodes take. The slice
-// budget rides the same timers and can be late by the same bound, which
-// lengthens a turn but breaks no contract. (runtime.Gosched here would
-// cover both, but queues the job behind every other job's runnable
-// goroutines at each frame.)
-func runTask(ctx context.Context, gate *kpn.Gate, name string, fn func(checkpoint func() error) error) error {
-	g := kpn.NewGraph(name)
-	g.AddTask(name, name)
-	deadline, timed := ctx.Deadline()
-	task := func(c *kpn.TaskCtx) error {
-		return fn(func() error {
-			if timed && !time.Now().Before(deadline) {
-				return context.DeadlineExceeded
-			}
-			return c.Checkpoint()
-		})
-	}
-	return kpn.RunContext(ctx, g, map[string]kpn.TaskFunc{name: task}, kpn.WithGate(gate))
-}
-
 // decodeFrames is the one decode body of the serving tier, shared by
 // decode jobs and the two-phase transcode reference: media's decoder as
 // a single checkpointed task. The entropy front-end checkpoints at every
@@ -165,7 +142,7 @@ func runTask(ctx context.Context, gate *kpn.Gate, name string, fn func(checkpoin
 // ownership; on failure they are already back in the pool). putSlice
 // returns the slice's backing storage to a shared pool; call it once the
 // frames have been consumed.
-func decodeFrames(ctx context.Context, gate *kpn.Gate, stream []byte, pool *media.SyncFramePool, workers int) (frames []*media.Frame, putSlice func(), err error) {
+func decodeFrames(ctx context.Context, gate *Gate, stream []byte, pool *media.SyncFramePool, workers int) (frames []*media.Frame, putSlice func(), err error) {
 	var res *media.DecodeResult
 	err = runTask(ctx, gate, "dec", func(checkpoint func() error) error {
 		var err error
@@ -215,7 +192,7 @@ func NewDecodeJob(ctx context.Context, tenant string, stream []byte, pool *media
 	if workers <= 0 {
 		workers = 1 // not media.DecodeWorkers: the default width is serial
 	}
-	body := func(ctx context.Context, gate *kpn.Gate) (Result, error) {
+	body := func(ctx context.Context, gate *Gate) (Result, error) {
 		frames, putSlice, err := decodeFrames(ctx, gate, stream, pool, workers)
 		if err != nil {
 			return Result{}, err
@@ -252,7 +229,7 @@ func NewEncodeJob(ctx context.Context, tenant string, cfg media.CodecConfig, raw
 		return nil, fmt.Errorf("serve: raw payload %d bytes is not a multiple of the %dx%d frame plane", len(raw), cfg.W, cfg.H)
 	}
 	frames := len(raw) / plane
-	body := func(ctx context.Context, gate *kpn.Gate) (Result, error) {
+	body := func(ctx context.Context, gate *Gate) (Result, error) {
 		var (
 			stream []byte
 			stats  *media.EncodeStats
@@ -372,72 +349,39 @@ func (t *inflightFrames) put(f *media.Frame) {
 	t.pool.Put(f)
 }
 
-// NewTranscodeJob builds a job that decodes a bitstream and re-encodes
-// it at quantizer q (GOP structure, dimensions, and half-pel mode
-// inherited from the source sequence header) as one fused streaming
-// pipeline: a two-task Kahn network where the decode task delivers
-// display-order frames through a bounded channel straight into the
-// encode task's StreamEncoder. Both tasks checkpoint once per frame, so
-// preemption and cancellation land at frame boundaries in either stage;
-// frames are jointly owned (see frameRefs) and recycled into pool the
-// moment both stages are done with them, keeping in-flight memory
-// bounded by the GOP reorder distance rather than the clip length. The
-// output is bit-identical to decoding everything first and batch
-// re-encoding. encWorkers bounds the encoder's per-frame analysis
-// fan-out (0 = the media.EncodeWorkers default); met, when non-nil,
-// receives the peak-in-flight gauge and handoff stall counters.
-func NewTranscodeJob(ctx context.Context, tenant string, stream []byte, q int, pool *media.SyncFramePool, workers, encWorkers int, met *Metrics) (*Job, error) {
-	seq, err := media.ParseSeqHeader(media.NewBitReader(stream))
-	if err != nil {
-		return nil, err
-	}
-	cfg := TranscodeConfig(seq, q)
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	body := fusedTranscodeBody(stream, seq, cfg, q, pool, workers, encWorkers, met)
-	return NewJob(tenant, KindTranscode, ctx, body), nil
-}
-
-// fusedTranscodeBody builds the fused two-task transcode body shared by
-// NewTranscodeJob and the segmented job's fallback path (clips too short
-// or without usable closed-GOP cuts).
-func fusedTranscodeBody(stream []byte, seq media.SeqHeader, cfg media.CodecConfig, q int, pool *media.SyncFramePool, workers, encWorkers int, met *Metrics) func(ctx context.Context, gate *kpn.Gate) (Result, error) {
-	return func(ctx context.Context, gate *kpn.Gate) (Result, error) {
+// fusedTranscodeBody builds the single fused transcode body: it decodes
+// stream and re-encodes it at quantizer q (cfg: GOP structure,
+// dimensions and half-pel mode inherited from the source sequence
+// header) as one streaming pipeline — a decode task that delivers
+// display-order frames through a bounded channel straight into an encode
+// task's StreamEncoder. NewTranscodeJobSegmented runs it for segments
+// <= 1 and for clips too short or without usable closed-GOP cuts. Both
+// tasks checkpoint once per frame, so preemption and cancellation land
+// at frame boundaries in either stage; frames are jointly owned (see
+// frameRefs) and recycled into pool the moment both stages are done with
+// them, keeping in-flight memory bounded by the GOP reorder distance
+// rather than the clip length. The output is bit-identical to decoding
+// everything first and batch re-encoding. encWorkers bounds the
+// encoder's per-frame analysis fan-out (0 = the media.EncodeWorkers
+// default); met, when non-nil, receives the peak-in-flight gauge and
+// handoff stall counters.
+func fusedTranscodeBody(stream []byte, seq media.SeqHeader, cfg media.CodecConfig, q int, pool *media.SyncFramePool, workers, encWorkers int, met *Metrics) func(ctx context.Context, gate *Gate) (Result, error) {
+	return func(ctx context.Context, gate *Gate) (Result, error) {
 		track := &inflightFrames{pool: pool}
 		refs := &frameRefs{n: make(map[*media.Frame]int)}
 		release := func(f *media.Frame) { refs.release(f, track.put) }
 
-		// Decoder→encoder handoff. `dead` breaks the decode side's
-		// blocking send once the encode task has failed (a Go-channel
-		// block is invisible to the KPN deadlock detector, so the handoff
-		// must unwind itself); encFailure carries the encoder's root
-		// cause so both tasks report the same error regardless of which
-		// one the executor records first.
 		handoff := make(chan *media.Frame, fusedHandoffDepth)
-		dead := make(chan struct{})
-		var deadOnce sync.Once
-		var encFailure error
-		encFailed := func(err error) {
-			deadOnce.Do(func() {
-				encFailure = err
-				close(dead)
-			})
-		}
-
-		g := kpn.NewGraph("xcode")
-		g.AddTask("dec", "decode")
-		g.AddTask("enc", "encode")
 		var out []byte
 		var stats *media.EncodeStats
-		funcs := map[string]kpn.TaskFunc{
-			"decode": func(c *kpn.TaskCtx) error {
+		err := runTasks(ctx, gate,
+			task{"dec", func(g *group) error {
 				defer close(handoff)
 				_, err := media.DecodeWithOptions(stream, media.DecodeOptions{
 					Workers:  workers,
 					NewFrame: track.get,
 					Recycle:  track.put, // undelivered frames: decoder is sole owner
-					OnFrame:  func(int) error { return c.Checkpoint() },
+					OnFrame:  func(int) error { return g.checkpoint() },
 					OnDisplayFrame: func(di int, f *media.Frame) error {
 						refs.add(f, 2) // decoder stake (until Retire) + encoder stake
 						select {
@@ -451,19 +395,20 @@ func fusedTranscodeBody(stream []byte, seq media.SeqHeader, cfg media.CodecConfi
 						select {
 						case handoff <- f:
 							return nil
-						case <-dead:
+						case <-g.ctx.Done():
+							// The encode task failed or the request died, and
+							// runTasks already holds that error.
 							release(f) // the encoder's stake; Retire still covers the decoder's
-							return encFailure
+							return g.ctx.Err()
 						}
 					},
 					Retire: release,
 				})
 				return err
-			},
-			"encode": func(c *kpn.TaskCtx) error {
+			}},
+			task{"enc", func(g *group) error {
 				se, err := media.NewStreamEncoder(cfg, seq.Frames)
 				if err != nil {
-					encFailed(err)
 					return err
 				}
 				se.Workers = encWorkers
@@ -484,15 +429,13 @@ func fusedTranscodeBody(stream []byte, seq media.SeqHeader, cfg media.CodecConfi
 						break
 					}
 					got++
-					if err := c.Checkpoint(); err != nil {
+					if err := g.checkpoint(); err != nil {
 						release(f)
-						encFailed(err)
 						se.Abort()
 						return err
 					}
 					if err := se.Push(f); err != nil {
 						release(f) // Push failed before taking custody
-						encFailed(err)
 						se.Abort()
 						return err
 					}
@@ -504,14 +447,8 @@ func fusedTranscodeBody(stream []byte, seq media.SeqHeader, cfg media.CodecConfi
 					return nil
 				}
 				out, stats, err = se.Close()
-				if err != nil {
-					encFailed(err)
-					return err
-				}
-				return nil
-			},
-		}
-		err := kpn.RunContext(ctx, g, funcs, kpn.WithGate(gate))
+				return err
+			}})
 		// Both tasks have returned: frames still sitting in the handoff
 		// were delivered (decoder stake already retired on unwind) but
 		// never reached the encoder — drop their encoder stake here.

@@ -169,10 +169,11 @@ func TestEncodeCancelNoLeak(t *testing.T) {
 
 // TestServingImportGraph states the tier rule as a fact of the import
 // graph: the serving and cluster tiers (and their commands) build on the
-// codec, the Kahn runtime and the shared shell packages only — never on
-// the simulator — so a simulator change cannot move a serving workload,
-// and vice versa. The six-task Kahn decode lives on the other side of
-// this line (root RunFunctionalDecode and the cycle-accurate mapping).
+// codec and the shared shell packages only — never on the simulator or
+// the Kahn executor — so a change on that side cannot move a serving
+// workload, and vice versa. The six-task Kahn decode lives on the other
+// side of this line (root RunFunctionalDecode and the cycle-accurate
+// mapping).
 func TestServingImportGraph(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs go list in -short mode")
@@ -185,7 +186,7 @@ func TestServingImportGraph(t *testing.T) {
 		t.Fatalf("go list: %v", err)
 	}
 	forbidden := map[string]bool{"eclipse": true}
-	for _, p := range []string{"sim", "mem", "shell", "copro", "coproc", "config", "trace", "viz"} {
+	for _, p := range []string{"sim", "mem", "shell", "copro", "coproc", "kpn", "config", "trace", "viz"} {
 		forbidden["eclipse/internal/"+p] = true
 	}
 	seen := 0

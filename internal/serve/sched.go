@@ -481,7 +481,7 @@ func (s *Scheduler) Drain(ctx context.Context) error {
 	s.cond.Broadcast()
 	for _, j := range orphans {
 		if j.started {
-			// Preempted mid-run: poison its network; run() closes done.
+			// Preempted mid-run: poison its gate; run() closes done.
 			j.Cancel()
 		} else {
 			// Never started: fail directly so its submitter unblocks.

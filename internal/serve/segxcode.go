@@ -2,12 +2,9 @@ package serve
 
 import (
 	"context"
-	"fmt"
 	"strconv"
-	"sync/atomic"
 	"time"
 
-	"eclipse/internal/kpn"
 	"eclipse/internal/media"
 )
 
@@ -17,20 +14,22 @@ import (
 // closed GOP anyway.
 const segMinFrames = 24
 
-// NewTranscodeJobSegmented builds a transcode job that splits the clip
-// at closed-GOP boundaries and runs up to `segments` independent fused
-// decode→encode pipelines in parallel, splicing their headerless
+// NewTranscodeJobSegmented builds the transcode job: it decodes a
+// bitstream and re-encodes it at quantizer q, splitting the clip at
+// closed-GOP boundaries and running up to `segments` independent fused
+// decode→encode pipelines in parallel, then splicing their headerless
 // bitstreams back together (media.StitchSegments) into output
 // byte-identical to the serial fused path. Each segment pipeline is its
-// own checkpointed Kahn task, so scheduler preemption and cancellation
-// land at frame boundaries in every segment at once; frames stay
-// jointly owned (frameRefs) and pooled, so peak in-flight memory is
-// bounded by segments × O(GOP M), never O(frames).
+// own checkpointed task, so scheduler preemption and cancellation land
+// at frame boundaries in every segment at once; frames stay jointly
+// owned (frameRefs) and pooled, so peak in-flight memory is bounded by
+// segments × O(GOP M), never O(frames).
 //
 // Clips shorter than segMinFrames, requests with segments <= 1, and
 // clips whose GOP structure yields no usable interior cut (open GOPs:
-// any N, M with (N-1)%M != 0 and M > 1) fall back to the single fused
-// pipeline; the X-Transcode-Segments response header reports the
+// any N, M with (N-1)%M != 0 and M > 1) run the single fused pipeline
+// (fusedTranscodeBody, which also documents workers, encWorkers and
+// met); the X-Transcode-Segments response header reports the
 // parallelism actually used.
 func NewTranscodeJobSegmented(ctx context.Context, tenant string, stream []byte, q int, pool *media.SyncFramePool, workers, encWorkers, segments int, met *Metrics) (*Job, error) {
 	seq, err := media.ParseSeqHeader(media.NewBitReader(stream))
@@ -42,7 +41,7 @@ func NewTranscodeJobSegmented(ctx context.Context, tenant string, stream []byte,
 		return nil, err
 	}
 	fused := fusedTranscodeBody(stream, seq, cfg, q, pool, workers, encWorkers, met)
-	body := func(ctx context.Context, gate *kpn.Gate) (Result, error) {
+	body := func(ctx context.Context, gate *Gate) (Result, error) {
 		if segments <= 1 || seq.Frames < segMinFrames {
 			return runFusedFallback(ctx, gate, fused)
 		}
@@ -65,8 +64,7 @@ func NewTranscodeJobSegmented(ctx context.Context, tenant string, stream []byte,
 		}
 
 		// Phase B: one fused decode→encode pipeline per span, all under
-		// the job gate. The spans are claimed atomically by K copies of a
-		// single task body; a failure in any segment poisons the gate, so
+		// the job gate. A failure in any segment poisons the gate, so
 		// sibling segments unwind at their next frame checkpoint.
 		nseg := len(spans)
 		track := &inflightFrames{pool: pool}
@@ -75,16 +73,11 @@ func NewTranscodeJobSegmented(ctx context.Context, tenant string, stream []byte,
 		writers := make([]*media.BitWriter, nseg)
 		segStats := make([]*media.EncodeStats, nseg)
 		wall := make([]time.Duration, nseg)
-		var claim atomic.Int64
 
-		g := kpn.NewGraph("segxcode")
-		for i := 0; i < nseg; i++ {
-			g.AddTask(fmt.Sprintf("seg%d", i), "segment")
-		}
-		funcs := map[string]kpn.TaskFunc{
-			"segment": func(c *kpn.TaskCtx) error {
-				i := int(claim.Add(1)) - 1
-				lo, hi := spans[i][0], spans[i][1]
+		tasks := make([]task, nseg)
+		for i := range tasks {
+			lo, hi := spans[i][0], spans[i][1]
+			tasks[i] = task{"seg" + strconv.Itoa(i), func(g *group) error {
 				enc, err := media.NewStreamEncoderSegment(cfg, seq.Frames, lo, hi)
 				if err != nil {
 					return err
@@ -96,7 +89,7 @@ func NewTranscodeJobSegmented(ctx context.Context, tenant string, stream []byte,
 					Workers:  workers,
 					NewFrame: track.get,
 					Recycle:  track.put, // undelivered frames: decoder is sole owner
-					OnFrame:  func(int) error { return c.Checkpoint() },
+					OnFrame:  func(int) error { return g.checkpoint() },
 					OnDisplayFrame: func(di int, f *media.Frame) error {
 						// Two stakes: the decoder keeps reading the frame as
 						// a prediction reference until Retire; the encoder's
@@ -124,9 +117,9 @@ func NewTranscodeJobSegmented(ctx context.Context, tenant string, stream []byte,
 				segStats[i] = stats
 				wall[i] = time.Since(start)
 				return nil
-			},
+			}}
 		}
-		err = kpn.RunContext(ctx, g, funcs, kpn.WithGate(gate))
+		err = runTasks(ctx, gate, tasks...)
 		if met != nil {
 			storeMax(&met.XcodePeakFrames, track.peak.Load())
 		}
@@ -169,8 +162,8 @@ func NewTranscodeJobSegmented(ctx context.Context, tenant string, stream []byte,
 
 // runFusedFallback runs the single fused pipeline under the same gate
 // and stamps the response as unsegmented.
-func runFusedFallback(ctx context.Context, gate *kpn.Gate,
-	fused func(ctx context.Context, gate *kpn.Gate) (Result, error)) (Result, error) {
+func runFusedFallback(ctx context.Context, gate *Gate,
+	fused func(ctx context.Context, gate *Gate) (Result, error)) (Result, error) {
 	res, err := fused(ctx, gate)
 	if err != nil {
 		return Result{}, err

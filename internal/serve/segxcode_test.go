@@ -292,7 +292,7 @@ func FuzzTranscodeSegmentedParity(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fj, err := NewTranscodeJob(context.Background(), "t", stream, xq, pool, 1+int(dw)%4, 2, NewMetrics())
+		fj, err := NewTranscodeJobSegmented(context.Background(), "t", stream, xq, pool, 1+int(dw)%4, 2, 1, NewMetrics())
 		if err != nil {
 			t.Fatal(err)
 		}

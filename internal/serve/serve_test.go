@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"eclipse/internal/kpn"
 	"eclipse/internal/media"
 )
 
@@ -34,21 +33,12 @@ func testStream(t *testing.T, w, h, frames int, mut func(*media.CodecConfig)) ([
 	return stream, cfg, fr
 }
 
-// ctxGateBody adapts a plain loop body to the scheduler's contract the
-// same way kpn.RunContext does: a watcher poisons the gate when the job
-// context dies, so a job parked at a closed gate still unwinds on
-// Cancel / hard-stop.
-func ctxGateBody(step func() (bool, error)) func(ctx context.Context, gate *kpn.Gate) (Result, error) {
-	return func(ctx context.Context, gate *kpn.Gate) (Result, error) {
-		stop := make(chan struct{})
-		defer close(stop)
-		go func() {
-			select {
-			case <-ctx.Done():
-				gate.Fail(ctx.Err())
-			case <-stop:
-			}
-		}()
+// ctxGateBody adapts a plain loop body to the scheduler's contract: it
+// parks at the gate before every step. The job poisons its gate when its
+// context dies (Job.run), so a job parked at a closed gate still unwinds
+// on Cancel / hard-stop.
+func ctxGateBody(step func() (bool, error)) func(ctx context.Context, gate *Gate) (Result, error) {
+	return func(ctx context.Context, gate *Gate) (Result, error) {
 		for {
 			if err := gate.Wait(); err != nil {
 				return Result{}, err

@@ -1,13 +1,16 @@
 // Package serve is the production media-serving subsystem: an HTTP
 // front end that admits decode / encode / transcode jobs into bounded
-// per-tenant queues and executes them as checkpointed Kahn tasks under
-// an Eclipse-style scheduler (see DESIGN.md §"Serving" for the full
+// per-tenant queues and executes them as gated task groups under an
+// Eclipse-style scheduler (see DESIGN.md §"Serving" for the full
 // mapping). A job is coarse-grained software on general-purpose cores:
-// one decoder, one encoder, pause points once per frame. The paper's
-// fine-grained six-task decode network pays only where each stage is its
-// own engine, so it lives in the simulator (and root
-// RunFunctionalDecode), and this package does not import either — a rule
-// TestServingImportGraph enforces. The paper's concepts translate as:
+// one decoder, one encoder, pause points once per frame — goroutines
+// that park at a frame checkpoint while the scheduler holds their job's
+// gate closed (tasks.go). The paper's application model, a Kahn graph of
+// tasks and FIFO streams, and its fine-grained six-task decode network
+// pay only where each stage is its own engine, so they live on the
+// simulator side (internal/kpn, root RunFunctionalDecode), and this
+// package imports none of it — a rule TestServingImportGraph enforces.
+// The paper's concepts translate as:
 //
 //   - worker ⇔ coprocessor: a fixed pool of workers each runs a
 //     weighted round-robin loop over the tenant queues (Section 5.3's
