@@ -115,7 +115,11 @@ func (fs *Framestore) Refs(ftype media.FrameType) (fwd, bwd *media.Frame) {
 
 // StoreMB writes a reconstructed macroblock into both the mirror frame
 // and the off-chip model (asynchronously — the coprocessor does not wait
-// for the writeback, but the bus occupancy is real).
+// for the writeback, but the bus occupancy is real). It runs with the
+// coprocessor's Compute steps still un-played (sim.Proc.Advance), which is
+// sound: the mirror frame and the popped context belong to this process
+// (completions only hand finished contexts back), and the first
+// ScheduleWrite syncs in the port before it books the bus.
 func (fs *Framestore) StoreMB(f *media.Frame, mbx, mby int, pix *media.MBPixels) {
 	f.SetMB(mbx, mby, pix)
 	addr := fs.slotAddr(fs.slotOf[f], mbx*media.MBSize, mby*media.MBSize)

@@ -181,52 +181,10 @@ func (m *Memory) WriteAccess(p *sim.Proc, addr uint32, data []byte) {
 	m.Poke(addr, data)
 }
 
-// ReadAsync starts a read without blocking the caller; done runs (with
-// the data copied into buf) when the modeled transfer completes. It is the
-// convenience form, one closure per call; the shells and the framestore
-// use the zero-closure ScheduleRead instead.
-//
-// Buffer ownership: the memory owns buf from this call until done runs —
-// the caller must neither reuse nor recycle it earlier, and done is the
-// single point where ownership returns to the caller.
-func (m *Memory) ReadAsync(addr uint32, buf []byte, done func()) {
-	m.read.AccessAsync(addr, len(buf), m.cfg.ReadLatency, func() {
-		m.Peek(addr, buf)
-		if done != nil {
-			done()
-		}
-	})
-}
-
-// WriteAsync starts a write without blocking the caller; done (optional)
-// runs when the modeled transfer completes. The data is captured
-// immediately and stored at completion time, so the caller may reuse data
-// as soon as the call returns (at the cost of a copy and a closure per
-// call — hot paths use ScheduleWrite).
-func (m *Memory) WriteAsync(addr uint32, data []byte, done func()) {
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	m.WriteAsyncOwned(addr, cp, done)
-}
-
-// WriteAsyncOwned starts a write without blocking the caller and without
-// copying: ownership of data transfers to the memory until done runs.
-// The caller must not mutate, reuse, or recycle data before then; done is
-// where ownership returns. The bytes are stored at the modeled completion
-// time, matching WriteAsync's semantics.
-func (m *Memory) WriteAsyncOwned(addr uint32, data []byte, done func()) {
-	m.write.AccessAsync(addr, len(data), m.cfg.WriteLatency, func() {
-		m.Poke(addr, data)
-		if done != nil {
-			done()
-		}
-	})
-}
-
 // ScheduleRead books an asynchronous read transfer of n bytes at addr on
-// the read port and runs done at the modeled completion cycle. Unlike
-// ReadAsync it moves no bytes: done itself must Peek the data it wants.
-// This zero-closure variant exists for hot paths that reuse a pre-bound
+// the read port and runs done at the modeled completion cycle.
+// It moves no bytes: done itself must Peek the data it wants.
+// The zero-closure form exists for hot paths that reuse a pre-bound
 // completion callback (the shells' pooled fetch requests, the framestore's
 // prediction fetches) — the package's functional-content/timing split makes
 // the caller-side copy safe.
@@ -235,8 +193,8 @@ func (m *Memory) ScheduleRead(addr uint32, n int, done func()) {
 }
 
 // ScheduleWrite books an asynchronous write transfer of n bytes at addr
-// on the write port and runs done at the modeled completion cycle. Unlike
-// WriteAsync it moves no bytes: done itself must Poke the data, which by
+// on the write port and runs done at the modeled completion cycle.
+// It moves no bytes: done itself must Poke the data, which by
 // the package's content/timing split is exactly equivalent to storing at
 // completion time. Zero-closure counterpart of ScheduleRead.
 func (m *Memory) ScheduleWrite(addr uint32, n int, done func()) {
@@ -282,7 +240,10 @@ func (pt *Port) Beats(addr uint32, n int) uint64 {
 }
 
 // schedule books the transfer on the bus and returns its completion cycle.
+// All four access paths meet here, so here a requester that ran ahead
+// (sim.Proc.Advance) rejoins the kernel clock before it arbitrates.
 func (pt *Port) schedule(addr uint32, n int, latency uint64) uint64 {
+	pt.k.Sync()
 	now := pt.k.Now()
 	start := now
 	if pt.nextFree > start {

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -219,41 +220,59 @@ func TestSinglePortSharedContention(t *testing.T) {
 	}
 }
 
-func TestAsyncReadCompletesWithData(t *testing.T) {
-	k := sim.NewKernel()
-	m := New(k, testCfg())
-	m.Poke(32, []byte{7, 8, 9})
-	buf := make([]byte, 3)
-	var doneAt uint64
-	k.Schedule(5, func() {
-		m.ReadAsync(32, buf, func() { doneAt = k.Now() })
-	})
-	if err := k.Run(0); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if doneAt != 8 { // 5 + 1 beat + 2 latency
-		t.Fatalf("doneAt = %d, want 8", doneAt)
-	}
-	if !bytes.Equal(buf, []byte{7, 8, 9}) {
-		t.Fatalf("buf = %v", buf)
-	}
-}
-
-func TestAsyncWriteCapturesDataAtIssue(t *testing.T) {
-	k := sim.NewKernel()
-	m := New(k, testCfg())
-	data := []byte{1, 2, 3}
-	k.Schedule(0, func() {
-		m.WriteAsync(0, data, nil)
-		data[0] = 99 // mutation after issue must not affect the write
-	})
-	if err := k.Run(0); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	got := make([]byte, 3)
-	m.Peek(0, got)
-	if !bytes.Equal(got, []byte{1, 2, 3}) {
-		t.Fatalf("got %v", got)
+func TestPortBringsRunAheadRequesterBackToTheClock(t *testing.T) {
+	// A process that recorded steps with Advance has not reached its
+	// logical time on the kernel clock yet. Every port entry point must
+	// play the steps out before it arbitrates, so a request another process
+	// makes in between is served first — exactly as if the requester had
+	// parked in Delay.
+	cfg := testCfg()
+	cfg.DualPort = false // one bus: every entry point contends with other
+	for _, entry := range []string{"ReadAccess", "WriteAccess", "ScheduleRead", "ScheduleWrite"} {
+		k := sim.NewKernel()
+		m := New(k, cfg)
+		m.Poke(32, []byte{7, 8, 9})
+		var aheadDone, otherDone uint64
+		k.NewProc("ahead", 0, func(p *sim.Proc) {
+			p.Advance(2)
+			p.Advance(3)
+			switch entry {
+			case "ReadAccess":
+				buf := make([]byte, 3)
+				m.ReadAccess(p, 32, buf)
+				if !bytes.Equal(buf, []byte{7, 8, 9}) {
+					t.Errorf("buf = %v", buf)
+				}
+				aheadDone = p.Now()
+			case "WriteAccess":
+				m.WriteAccess(p, 0, []byte{1})
+				aheadDone = p.Now()
+			case "ScheduleRead":
+				m.ScheduleRead(32, 3, func() { aheadDone = k.Now() })
+			case "ScheduleWrite":
+				m.ScheduleWrite(0, 1, func() { aheadDone = k.Now() })
+			}
+		})
+		k.NewProc("other", 0, func(p *sim.Proc) {
+			p.Delay(4)
+			m.ReadAccess(p, 0, make([]byte, 64))
+			otherDone = p.Now()
+		})
+		if err := k.Run(0); err != nil {
+			t.Fatalf("%s: Run: %v", entry, err)
+		}
+		// other books beats 4..7 (done 8+2=10); ahead arrives at 5, queues
+		// until 8, and completes 8 + 1 beat + latency (2 read, 1 write).
+		want := uint64(11)
+		if strings.Contains(entry, "Write") {
+			want = 10
+		}
+		if otherDone != 10 || aheadDone != want {
+			t.Errorf("%s: other done at %d, run-ahead requester at %d, want 10 and %d", entry, otherDone, aheadDone, want)
+		}
+		if st := m.ReadPort().Stats(); st.WaitSum != 3 {
+			t.Errorf("%s: WaitSum = %d, want 3 (the requester queued from 5 to 8)", entry, st.WaitSum)
+		}
 	}
 }
 

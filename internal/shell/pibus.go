@@ -32,6 +32,7 @@ func NewPIBus(k *sim.Kernel, cyclesPerAccess uint64) *PIBus {
 // returns the register value produced by fetch, evaluated at completion
 // time.
 func (b *PIBus) ReadReg(p *sim.Proc, fetch func() uint64) uint64 {
+	p.Sync() // arbitrate at the caller's logical time
 	start := b.k.Now()
 	if b.nextFree > start {
 		start = b.nextFree

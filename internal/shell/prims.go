@@ -22,14 +22,18 @@ func (sh *Shell) Proc() *sim.Proc { return sh.proc }
 
 // Compute charges function-specific computation time to the coprocessor —
 // the stand-in for the hardwired datapath doing actual work.
+// Advance, not Delay: Compute touches no state at all, and what the model
+// does before its next primitive is datapath-private (its registers and
+// frame mirrors; no callback or other process reads them).
 func (sh *Shell) Compute(cycles uint64) {
 	if cycles > 0 {
-		sh.proc.Delay(cycles)
+		sh.proc.Advance(cycles)
 	}
 }
 
-// Now returns the current cycle.
-func (sh *Shell) Now() uint64 { return sh.k.Now() }
+// Now returns the coprocessor's logical time (sim.Proc.Now): the kernel
+// cycle plus the Compute and cache-hit cycles not yet played.
+func (sh *Shell) Now() uint64 { return sh.proc.Now() }
 
 // ---------------------------------------------------------------------
 // Task scheduling (GetTask)
@@ -64,7 +68,7 @@ func (sh *Shell) runnable(task int) bool {
 // keeps the coprocessor while it is runnable and within its cycle budget;
 // otherwise the scan resumes after the current task.
 func (sh *Shell) GetTask() (task int, info uint32, ok bool) {
-	now := sh.k.Now()
+	now := sh.proc.Now() // the step ends after its un-played Compute
 	if sh.current != NoTask {
 		t := sh.tsks[sh.current]
 		t.stats.RunCycles += now - sh.lastRet
@@ -81,12 +85,12 @@ func (sh *Shell) GetTask() (task int, info uint32, ok bool) {
 		// Current task continues while runnable and within budget.
 		if sh.current != NoTask && sh.runnable(sh.current) {
 			t := sh.tsks[sh.current]
-			if sh.k.Now()-sh.slotStart < t.budget || !sh.anyOtherRunnable(sh.current) {
-				if sh.k.Now()-sh.slotStart >= t.budget {
-					sh.slotStart = sh.k.Now() // work-conserving budget refresh
+			if sh.proc.Now()-sh.slotStart < t.budget || !sh.anyOtherRunnable(sh.current) {
+				if sh.proc.Now()-sh.slotStart >= t.budget {
+					sh.slotStart = sh.proc.Now() // work-conserving budget refresh
 				}
 				t.stats.Steps++
-				sh.lastRet = sh.k.Now()
+				sh.lastRet = sh.proc.Now()
 				return sh.current, t.info, true
 			}
 		}
@@ -110,19 +114,19 @@ func (sh *Shell) GetTask() (task int, info uint32, ok bool) {
 				sh.tsks[picked].stats.Switches++
 			}
 			sh.current = picked
-			sh.slotStart = sh.k.Now()
+			sh.slotStart = sh.proc.Now()
 			t := sh.tsks[picked]
 			t.stats.Steps++
-			sh.lastRet = sh.k.Now()
+			sh.lastRet = sh.proc.Now()
 			return picked, t.info, true
 		}
 		// Nothing runnable: idle until a putspace message arrives.
-		idleFrom := sh.k.Now()
+		idleFrom := sh.proc.Now()
 		sh.blocked = true
 		sh.fab.checkStalled()
 		sh.proc.Wait(sh.wake)
 		sh.blocked = false
-		sh.idle += sh.k.Now() - idleFrom
+		sh.idle += sh.proc.Now() - idleFrom
 	}
 }
 
@@ -159,6 +163,9 @@ func (sh *Shell) allFinished() bool {
 // TaskDone marks a task finished (it will never be scheduled again). The
 // fabric stops the simulation once every task of every shell is done.
 func (sh *Shell) TaskDone(task int) {
+	// The finished counts are fabric-wide (checkStalled, Stop), and the run
+	// must not end before the task's last Compute has elapsed.
+	sh.proc.Sync()
 	t := sh.tsks[task]
 	if t.finished {
 		return
@@ -351,6 +358,11 @@ func (sh *Shell) Read(task, port int, offset uint32, buf []byte) {
 		return
 	}
 	r.stats.BytesRead += uint64(n)
+	if sh.inflight.Len() > 0 {
+		// A fetch completion may rewrite the read cache between the kernel's
+		// now and this process's logical now: look up from a synced clock.
+		sh.proc.Sync()
+	}
 	segs, cnt := r.segments(offset, n)
 	got := 0
 	for i := 0; i < cnt; i++ {
@@ -432,6 +444,8 @@ func (sh *Shell) readSeg(r *streamRow, s seg, buf []byte) {
 		ln := sh.rcache.lookup(addr)
 		if ln == nil || !ln.covers(addr-base, addr-base+inLine) {
 			// Miss: fetch the whole line over the read bus (blocking).
+			// Completions share the scratch pool: play earlier hits out first.
+			sh.proc.Sync()
 			sh.rcache.misses++
 			if sh.inflight.contains(base) {
 				sh.demandOverl++
@@ -461,7 +475,15 @@ func (sh *Shell) readSeg(r *streamRow, s seg, buf []byte) {
 			// replace this slot, and the value delivered must be the one
 			// that was valid at access time (as a hardware latch would).
 			copy(buf[:inLine], ln.data[addr-base:addr-base+inLine])
-			sh.proc.Delay(sh.cfg.AccessCycles)
+			// Advance: up to the next sync Read touches the read cache, the
+			// row's window and this shell's counters. Only a fetch completion
+			// that still matches the in-flight set also writes the read
+			// cache; the set is empty and only this process adds to it
+			// (prefetch, which syncs first). Otherwise park as before.
+			sh.proc.Advance(sh.cfg.AccessCycles)
+			if sh.inflight.Len() > 0 {
+				sh.proc.Sync()
+			}
 		}
 		buf = buf[inLine:]
 		addr += inLine
@@ -500,7 +522,10 @@ func (sh *Shell) prefetch(r *streamRow, from, span uint32) {
 			}
 			// Book the transfer with a pooled, pre-bound fetch request:
 			// fr.complete Peeks the bytes at the modeled completion cycle
-			// and merges them iff generation tok is still wanted.
+			// and merges them iff generation tok is still wanted. Completions
+			// share the free list and the pool, so Read's hits play out first;
+			// the checks above hold across that park (in-flight set empty).
+			sh.proc.Sync()
 			fr := sh.newFetch()
 			fr.r, fr.m, fr.addr = r, m, a
 			fr.tok = sh.inflight.add(a)
@@ -560,7 +585,9 @@ func (sh *Shell) writeSeg(s seg, data []byte) {
 			ln.tag = base
 			maskClear(ln.mask)
 		}
-		sh.proc.Delay(sh.cfg.AccessCycles)
+		// Advance: only this process touches the write cache (the eviction
+		// above syncs in the port; PutSpace's flush copies at issue time).
+		sh.proc.Advance(sh.cfg.AccessCycles)
 		off := addr - base
 		copy(ln.data[off:off+inLine], data[:inLine])
 		ln.markDirty(off, off+inLine)

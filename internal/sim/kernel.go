@@ -16,7 +16,7 @@
 //     flow (like the paper's coprocessor pseudo-code) without any data
 //     races or nondeterminism.
 //
-// # One loop, coroutine processes (hot path)
+// # One loop, coroutine processes, steps and switches (hot path)
 //
 // Kernel.Run is the one and only event loop. It pops events in (cycle,
 // seq) order on the goroutine that called Run; a callback runs inline, and
@@ -26,6 +26,22 @@
 // touched only by the loop itself or between a next() and the matching
 // yield, never by two goroutines at once. A process goroutine never pops an
 // event, runs a callback or resumes another process.
+//
+// The switch pair is the expensive part of a delay, the event is cheap, so
+// a process may run ahead of the clock: Advance(d) records a step in a
+// small fixed script inside the Proc and returns, Sync pushes the first
+// step and parks once, Delay is Advance + Sync. When the loop pops the
+// dispatch of a process with steps left it pushes the next step itself and
+// moves on; only the last step's dispatch calls next(). Every event the
+// all-Delay program queues is still queued, at the same kernel instant and
+// hence with the same seq, so the executed (cycle, seq, kind, target)
+// sequence, Events() and every cycle count are unchanged; only switches
+// go. Summing the steps into one Delay is not equivalent: the merged
+// wake-up takes its same-cycle place when the first step is issued, not
+// the last (Fig. 10: 478193 cycles / 517147 events, not 478139 / 614561).
+// Advance's caller owes privacy until its next sync; Delay, Wait, Schedule,
+// Fire and NewProc sync when the running process calls them, and
+// Kernel.Sync does it for models that hold no *Proc.
 //
 // next/yield are runtime coroswitches: control passes goroutine to
 // goroutine without going through the Go scheduler's run queues, so no
@@ -81,7 +97,7 @@ type evKind uint8
 const (
 	// evCallback runs an arbitrary func() (Kernel.Schedule).
 	evCallback evKind = iota
-	// evDispatch resumes a parked process (Proc.Delay, Signal.Fire).
+	// evDispatch resumes a parked process or queues its next recorded step.
 	evDispatch
 	// evLaunch starts a process body for the first time (Kernel.NewProc).
 	evLaunch
@@ -209,7 +225,17 @@ func (k *Kernel) push(delay uint64, kind evKind, p *Proc, fn func()) {
 // A delay of 0 runs fn later within the current cycle, after all
 // previously scheduled work for this cycle.
 func (k *Kernel) Schedule(delay uint64, fn func()) {
+	k.Sync()
 	k.push(delay, evCallback, nil, fn)
+}
+
+// Sync plays out the running process's step script (Proc.Advance); inside
+// a callback or outside Run it does nothing. Code that reads or books shared
+// state without holding the caller's *Proc — a bus port, Fire — calls it.
+func (k *Kernel) Sync() {
+	if p := k.running; p != nil && p.ns > 0 {
+		p.play()
+	}
 }
 
 // Stop terminates the simulation after the current event completes.
@@ -313,6 +339,15 @@ func (k *Kernel) Run(limit uint64) error {
 			e.p.start()
 			fallthrough
 		case evDispatch:
+			if p := e.p; p.pc < p.ns {
+				// One step of p's script elapsed, more are recorded: queue the
+				// next at the instant, and with the seq, p's own Delay would
+				// have used, and leave p suspended.
+				p.lag -= p.steps[p.pc-1]
+				k.push(p.steps[p.pc], evDispatch, p, nil)
+				p.pc++
+				continue
+			}
 			// Control comes back when the process parks or its body ends.
 			k.running = e.p
 			e.p.next()

@@ -3,7 +3,8 @@ package sim
 import "testing"
 
 // Pure-kernel microbenchmarks exercising the event hot paths in
-// isolation: Delay (typed evDispatch via the timing wheel), Signal.Fire
+// isolation: Delay (typed evDispatch via the timing wheel), Advance + Sync
+// (the same events played back without resuming the process), Signal.Fire
 // (typed wakeups), Schedule (callback events, wheel and heap paths), and
 // a mixed workload shaped like the decode pipeline's event profile.
 // Regenerate with:
@@ -33,6 +34,30 @@ func BenchmarkKernelDelay(b *testing.B) {
 				}
 			})
 		}
+		if err := k.Run(0); err != nil {
+			b.Fatal(err)
+		}
+		events += k.Events()
+	}
+	reportMevents(b, events)
+}
+
+// BenchmarkKernelAdvance measures the step script: one process recording
+// eight short steps and syncing once, so the loop plays eight events per next/yield pair instead
+// of one.
+func BenchmarkKernelAdvance(b *testing.B) {
+	b.ReportAllocs()
+	var events uint64
+	for i := 0; i < b.N; i++ {
+		k := NewKernel()
+		k.NewProc("p", 0, func(p *Proc) {
+			for j := 0; j < 1000; j++ {
+				for s := uint64(1); s <= 8; s++ {
+					p.Advance(s)
+				}
+				p.Sync()
+			}
+		})
 		if err := k.Run(0); err != nil {
 			b.Fatal(err)
 		}

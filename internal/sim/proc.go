@@ -15,7 +15,7 @@ import (
 // only between a next() issued by Kernel.Run and its own following yield
 // (in Delay/Wait), so at most one Proc executes at any instant and Proc
 // bodies may freely touch shared model state without locking. Time only
-// advances when the body calls Delay or Wait.
+// advances when the body calls Delay, Sync or Wait.
 type Proc struct {
 	name string
 	k    *Kernel
@@ -29,13 +29,22 @@ type Proc struct {
 	started bool
 	done    bool
 
+	// The step script: steps[:ns] are the delays recorded by Advance,
+	// steps[:pc] those already pushed as events (pc is live only while
+	// parked in play), lag the sum of the steps that have not elapsed yet.
+	steps  [scriptCap]uint64
+	ns, pc int
+	lag    uint64
+
 	// Wait-state bookkeeping for deadlock reports. Stored as tag + args
 	// rather than a formatted string so parking never allocates (Delay is
 	// the hottest operation in the simulator).
-	waitKind   waitKind
-	waitCycles uint64  // valid when waitKind == waitDelay
-	waitSig    *Signal // valid when waitKind == waitSignal
+	waitKind waitKind // waitDelay: lag cycles still to go
+	waitSig  *Signal  // valid when waitKind == waitSignal
 }
+
+// scriptCap is how many steps fit before Advance must play them out.
+const scriptCap = 16
 
 // waitKind tags what a parked process is blocked on.
 type waitKind uint8
@@ -51,7 +60,7 @@ const (
 func (p *Proc) waitDesc() string {
 	switch p.waitKind {
 	case waitDelay:
-		return "delay " + strconv.FormatUint(p.waitCycles, 10)
+		return "delay " + strconv.FormatUint(p.lag, 10)
 	case waitSignal:
 		return "wait " + p.waitSig.name
 	default:
@@ -66,6 +75,7 @@ type killProc struct{}
 // NewProc registers a process with the kernel. The body starts running at
 // cycle `start`. The name is used in deadlock reports and traces.
 func (k *Kernel) NewProc(name string, start uint64, body func(*Proc)) *Proc {
+	k.Sync()
 	p := &Proc{name: name, k: k, body: body}
 	k.procs = append(k.procs, p)
 	k.push(start, evLaunch, p, nil)
@@ -90,6 +100,7 @@ func (p *Proc) start() {
 			}
 		}()
 		p.body(p)
+		p.Sync() // steps recorded right before returning still elapse
 	})
 }
 
@@ -111,21 +122,58 @@ func (p *Proc) Name() string { return p.name }
 // Kernel returns the kernel this process belongs to.
 func (p *Proc) Kernel() *Kernel { return p.k }
 
-// Now returns the current simulation cycle.
-func (p *Proc) Now() uint64 { return p.k.now }
+// Now returns the process's logical time: the kernel's cycle plus the
+// recorded steps that have not elapsed (none after Delay, Sync or Wait).
+func (p *Proc) Now() uint64 { return p.k.now + p.lag }
+
+// Advance records a delay and returns without parking: the process runs
+// ahead of the kernel clock until its next sync (Sync, Delay, Wait, or a
+// Schedule, Fire, NewProc or Kernel.Sync it makes), which plays the steps
+// back as the events Delay would have queued. Until then it must touch only
+// state no callback and no other process reads or writes. Stop and Fail do
+// not sync. A full script is played out first; Advance never allocates.
+func (p *Proc) Advance(cycles uint64) {
+	if p.k.running != p {
+		panic("sim: Advance called from outside the process")
+	}
+	if p.ns == scriptCap {
+		p.play()
+	}
+	p.steps[p.ns] = cycles
+	p.ns++
+	p.lag += cycles
+}
+
+// Sync parks the process, once, until every recorded step has elapsed.
+func (p *Proc) Sync() {
+	if p.k.running != p {
+		panic("sim: Sync called from outside the process")
+	}
+	if p.ns > 0 {
+		p.play()
+	}
+}
+
+// play queues the first step and yields; Kernel.Run queues each next step
+// as the previous one's event pops and resumes the process after the last.
+func (p *Proc) play() {
+	p.k.push(p.steps[0], evDispatch, p, nil)
+	p.pc = 1
+	p.waitKind = waitDelay
+	p.park()
+	p.ns, p.lag = 0, 0
+}
 
 // Delay advances simulated time by the given number of cycles, modelling
 // the process being busy (or idle) for that long. Delay(0) re-schedules
 // the process at the current cycle behind already-pending work.
-// Delay allocates nothing: it enqueues a typed evDispatch event.
+// Delay is Advance + Sync and allocates nothing.
 func (p *Proc) Delay(cycles uint64) {
 	if p.k.running != p {
 		panic("sim: Delay called from outside the process")
 	}
-	p.k.push(cycles, evDispatch, p, nil)
-	p.waitKind = waitDelay
-	p.waitCycles = cycles
-	p.park()
+	p.Advance(cycles)
+	p.play()
 }
 
 // Wait blocks the process until the signal fires. If the signal fires
@@ -134,6 +182,7 @@ func (p *Proc) Wait(s *Signal) {
 	if p.k.running != p {
 		panic("sim: Wait called from outside the process")
 	}
+	p.Sync()
 	s.waiters = append(s.waiters, p)
 	p.waitKind = waitSignal
 	p.waitSig = s
@@ -160,6 +209,7 @@ func (k *Kernel) NewSignal(name string) *Signal {
 // allocates nothing: each wakeup is a typed evDispatch event, and the
 // waiter slice's capacity is retained for reuse.
 func (s *Signal) Fire() {
+	s.k.Sync()
 	for _, p := range s.waiters {
 		s.k.push(0, evDispatch, p, nil)
 	}
