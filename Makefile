@@ -5,9 +5,11 @@
 #   make test    full test suite only (tier-1; includes the benchmark
 #                rig's own tests via TestBenchmarkRig)
 #   make race    the full test suite under the race detector, plus the
-#                segment-parallel, decode-width and task-group/gate tests
+#                segment-parallel, decode-width, task-group/gate,
+#                fused/segmented transcode and both cache tiers' LRU tests
 #                again at GOMAXPROCS=4 (real parallelism for every
-#                width > 1 path and for parked siblings)
+#                width > 1 path, for parked siblings, for a transcode's
+#                two goroutines and for the single-lock cache)
 #   make fuzz-smoke  a few seconds of each media-layer fuzzer — the CI
 #                    guard that the corpus-reachable code stays panic-free
 #                    (includes the parallel/serial decode-parity fuzzer,
@@ -42,7 +44,8 @@ test:
 
 race:
 	$(GO) test -race ./...
-	GOMAXPROCS=4 $(GO) test -race -run 'Segment|DecodeWorkers|TaskGroup' ./internal/media ./internal/serve
+	GOMAXPROCS=4 $(GO) test -race -run 'Segment|DecodeWorkers|TaskGroup|Transcode|LRU|L1|Cache' \
+		./internal/media ./internal/serve ./internal/slab ./internal/cluster
 
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzBitReaderRoundTrip -fuzztime=5s ./internal/media

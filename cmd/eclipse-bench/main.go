@@ -372,7 +372,7 @@ func coupling() {
 			if p.Deadlock {
 				fmt.Printf(" %14s", "deadlock")
 			} else {
-				fmt.Printf(" %8d cyc", p.Cycles)
+				fmt.Printf(" %10d cyc", p.Cycles) // 15 wide, like the header and deadlock cells
 			}
 		}
 		fmt.Println()

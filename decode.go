@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"eclipse/internal/copro"
-	"eclipse/internal/coproc"
 	"eclipse/internal/kpn"
 	"eclipse/internal/media"
 )
@@ -134,7 +133,7 @@ func (s *System) AddDecodeApp(name string, stream []byte, opt DecodeOptions) (*D
 	costs := &s.Arch.Costs
 	sink := &copro.Sink{Costs: costs, Seq: seq}
 	p := func(n string) string { return name + "-" + n }
-	impls := map[string]coproc.Task{
+	impls := map[string]copro.Task{
 		p("src"):  &copro.BitSource{Costs: costs, DRAM: s.DRAM, Addr: bitAddr, Len: len(stream), Chunk: opt.Chunk},
 		p("vld"):  &copro.VLD{Costs: costs, Chunk: opt.Chunk},
 		p("rlsq"): &copro.RLSQ{Costs: costs, Seq: seq},

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"eclipse/internal/copro"
-	"eclipse/internal/coproc"
 	"eclipse/internal/kpn"
 	"eclipse/internal/media"
 )
@@ -154,7 +153,7 @@ func (s *System) AddEncodeApp(name string, cfg media.CodecConfig, frames []*medi
 	blocks := len(frames) * seq.MBCount() * media.BlocksPerMB
 	vle := &copro.VLE{Costs: costs, Seq: seq}
 	p := func(n string) string { return name + "-" + n }
-	impls := map[string]coproc.Task{
+	impls := map[string]copro.Task{
 		p("me"):   &copro.ME{Costs: costs, Cfg: cfg, Raw: raw, FS: fs},
 		p("fdct"): &copro.FDCT{Costs: costs, Blocks: blocks},
 		p("q"):    &copro.Q{Costs: costs, Seq: seq},

@@ -17,8 +17,8 @@ import (
 // memory of the paper's hierarchy — and this is the near tier next to
 // the client-facing port, the analogue of the coprocessor shell caches:
 // small, private, and absorbing the traffic the shared tier would
-// otherwise see as repeated round-trips. A warm hit costs one shard
-// mutex and a memcpy instead of a proxied HTTP exchange; only misses,
+// otherwise see as repeated round-trips. A warm hit costs one short
+// critical section and a memcpy instead of a proxied HTTP exchange; only misses,
 // storms' leaders, and revalidations travel to the backends.
 //
 // The LRU, its slab-backed refcounted entries and their ownership
@@ -40,7 +40,7 @@ import (
 const l1EntryOverhead = 256
 
 // l1Meta is the gateway's per-entry data. The freshness stamps are
-// atomics because a 304 refresh touches them without the shard lock —
+// atomics because a 304 refresh touches them without the cache lock —
 // which is also why entries carry it by pointer.
 type l1Meta struct {
 	header  http.Header
@@ -91,8 +91,8 @@ func newL1Cache(budgetBytes int64, met *Metrics) *l1Cache {
 // put copies a 200 response into the L1, replacing any resident entry
 // for the key (a revalidation that came back 200 carries fresher bytes
 // than the stale resident). Oversized bodies were already diverted to
-// the streaming path by the proxy's tee cap, but a shard budget smaller
-// than one entry still skips the fill rather than wiping the shard.
+// the streaming path by the proxy's tee cap, but an L1 budget smaller
+// than one entry still skips the fill rather than wiping the cache.
 func (c *l1Cache) put(key serve.CacheKey, backend string, header http.Header, body []byte, ttl time.Duration) bool {
 	size := int64(len(body)) + l1EntryOverhead
 	for k, vv := range header {
@@ -102,16 +102,17 @@ func (c *l1Cache) put(key serve.CacheKey, backend string, header http.Header, bo
 	}
 	meta := &l1Meta{header: header, backend: backend}
 	meta.touch(ttl)
-	dropped, ok := c.Put(key, body, meta, size)
+	replaced, evicted, ok := c.Put(key, body, meta, size)
 	if !ok {
 		c.met.L1TooLarge.Add(1)
 		return false
 	}
 	c.met.L1Fills.Add(1)
-	for _, d := range dropped {
-		if d.Key != key { // a replaced resident is not an eviction
-			c.met.L1Evictions.Add(1)
-		}
+	if replaced != nil {
+		c.Release(replaced)
+	}
+	c.met.L1Evictions.Add(uint64(len(evicted)))
+	for _, d := range evicted {
 		c.Release(d)
 	}
 	return true

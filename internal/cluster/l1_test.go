@@ -200,8 +200,8 @@ func TestL1StormSingleRoundTrip(t *testing.T) {
 func TestL1EvictionAliasingStress(t *testing.T) {
 	f := newFakeBackend(t)
 	f.mode.Store("echo")
-	// 64 KiB budget → 4 KiB per shard: a handful of resident entries,
-	// everything else is eviction traffic.
+	// 64 KiB budget: about half of the 48 ~2.3 KiB entries fit, the
+	// rest is eviction traffic.
 	g := newTestGateway(t, Config{HedgeDisabled: true, L1Bytes: 64 << 10, L1TTL: time.Minute}, f.addr())
 	forceUp(g)
 	ts := httptest.NewServer(g.Handler())

@@ -47,7 +47,7 @@ type Metrics struct {
 	L1Collapsed     atomic.Uint64 // followers served off another request's flight
 	L1Fills         atomic.Uint64 // bodies copied into the L1
 	L1Evictions     atomic.Uint64 // entries dropped for byte pressure
-	L1TooLarge      atomic.Uint64 // fills skipped: entry exceeds a shard budget
+	L1TooLarge      atomic.Uint64 // fills skipped: entry exceeds the cache budget
 	L1HitLat        metrics.Hist  // L1 hit latency (kept out of Latency/AttemptLat)
 
 	StreamThrough   atomic.Uint64 // over-cap responses streamed without buffering
@@ -144,7 +144,7 @@ func (g *Gateway) WritePrometheus(w io.Writer) {
 		{"l1_collapsed_total", "Requests served off another request's in-flight fill.", &m.L1Collapsed},
 		{"l1_fills_total", "Response bodies copied into the L1.", &m.L1Fills},
 		{"l1_evictions_total", "L1 entries evicted for byte pressure.", &m.L1Evictions},
-		{"l1_too_large_total", "L1 fills skipped because the entry exceeds a shard budget.", &m.L1TooLarge},
+		{"l1_too_large_total", "L1 fills skipped because the entry exceeds the cache budget.", &m.L1TooLarge},
 	} {
 		metrics.Counter(w, ns+fam.name, fam.help, fam.val.Load())
 	}

@@ -147,16 +147,16 @@ func (g *Gateway) handleMedia(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	timeout, err := serve.TimeoutFromHeader(r.Header)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
 	ctx := r.Context()
 	var deadline time.Time
-	if h := r.Header.Get("X-Timeout-Ms"); h != "" {
-		msv, perr := strconv.Atoi(h)
-		if perr != nil || msv <= 0 {
-			http.Error(w, fmt.Sprintf("cluster: bad X-Timeout-Ms %q", h), http.StatusBadRequest)
-			return
-		}
+	if timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(msv)*time.Millisecond)
+		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 		deadline, _ = ctx.Deadline()
 	}
@@ -758,13 +758,9 @@ func requestKey(kind serve.Kind, r *http.Request, body []byte) (serve.CacheKey, 
 		}
 		return serve.EncodeKey(cfg, body), nil
 	case serve.KindTranscode:
-		qs := r.URL.Query().Get("q")
-		if qs == "" {
-			return serve.CacheKey{}, fmt.Errorf("cluster: transcode requires the q query parameter")
-		}
-		q, err := strconv.Atoi(qs)
+		q, err := serve.TranscodeQFromQuery(r.URL.Query())
 		if err != nil {
-			return serve.CacheKey{}, fmt.Errorf("cluster: bad q=%q", qs)
+			return serve.CacheKey{}, err
 		}
 		return serve.TranscodeKey(q, body), nil
 	default:

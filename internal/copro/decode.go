@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"eclipse/internal/coproc"
 	"eclipse/internal/media"
 	"eclipse/internal/mem"
 )
@@ -34,7 +33,7 @@ type BitSource struct {
 }
 
 // Step transfers one chunk per processing step.
-func (b *BitSource) Step(c *coproc.Ctx) bool {
+func (b *BitSource) Step(c *Ctx) bool {
 	if !b.started {
 		b.started = true
 		if b.StartDelay > 0 {
@@ -95,7 +94,7 @@ const (
 
 // Step advances the VLD by one event (or one input transfer, or one
 // pending-output flush).
-func (v *VLD) Step(c *coproc.Ctx) bool {
+func (v *VLD) Step(c *Ctx) bool {
 	if v.parser == nil {
 		v.parser = media.NewStreamVLD()
 	}
@@ -145,7 +144,7 @@ func (v *VLD) Step(c *coproc.Ctx) bool {
 // fetchInput pulls more bitstream bytes into the parser; near the stream
 // tail (where a full chunk will never arrive) it degrades to single
 // bytes — the data-dependent input pattern of Section 4.2.
-func (v *VLD) fetchInput(c *coproc.Ctx) bool {
+func (v *VLD) fetchInput(c *Ctx) bool {
 	n := uint32(v.Chunk)
 	if !c.GetSpace(vldPortIn, n) {
 		n = 1
@@ -164,13 +163,13 @@ func (v *VLD) fetchInput(c *coproc.Ctx) bool {
 // commitInput releases fully consumed input bytes. The parser retains
 // unconsumed bytes internally, so the stream buffer space can be released
 // as soon as the bytes crossed the interface.
-func (v *VLD) commitInput(c *coproc.Ctx) {
+func (v *VLD) commitInput(c *Ctx) {
 	v.parser.Compact()
 }
 
 // flushPending tries to emit the pending records; returns false (leaving
 // the remainder pending) when output space is denied.
-func (v *VLD) flushPending(c *coproc.Ctx) bool {
+func (v *VLD) flushPending(c *Ctx) bool {
 	if v.pendTok != nil {
 		if !c.GetSpace(vldPortTok, uint32(len(v.pendTok))) {
 			return false
@@ -224,7 +223,7 @@ const (
 )
 
 // Step processes one frame record or one macroblock.
-func (r *RLSQ) Step(c *coproc.Ctx) bool {
+func (r *RLSQ) Step(c *Ctx) bool {
 	if !r.inFrame {
 		if !c.GetSpace(rlsqPortIn, media.FrameRecSize) {
 			return false
@@ -313,7 +312,7 @@ const (
 )
 
 // Step transforms one block.
-func (d *IDCT) Step(c *coproc.Ctx) bool {
+func (d *IDCT) Step(c *Ctx) bool {
 	if !c.GetSpace(dctPortIn, media.BlockBytes) {
 		return false
 	}
@@ -363,7 +362,7 @@ const (
 )
 
 // Step processes one frame record or one macroblock.
-func (m *MC) Step(c *coproc.Ctx) bool {
+func (m *MC) Step(c *Ctx) bool {
 	if !m.inFrame {
 		if !c.GetSpace(mcPortHdr, media.FrameRecSize) {
 			return false
@@ -483,7 +482,7 @@ const (
 )
 
 // Step consumes one frame record or one macroblock.
-func (s *Sink) Step(c *coproc.Ctx) bool {
+func (s *Sink) Step(c *Ctx) bool {
 	if s.Frames == nil {
 		s.Frames = make([]*media.Frame, s.Seq.Frames)
 	}

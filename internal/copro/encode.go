@@ -3,7 +3,6 @@ package copro
 import (
 	"fmt"
 
-	"eclipse/internal/coproc"
 	"eclipse/internal/media"
 	"eclipse/internal/mem"
 	"eclipse/internal/sim"
@@ -113,7 +112,7 @@ const (
 )
 
 // Step emits one frame record or one macroblock's residual and decision.
-func (m *ME) Step(c *coproc.Ctx) bool {
+func (m *ME) Step(c *Ctx) bool {
 	if m.types == nil {
 		n := len(m.Raw.frames)
 		m.types = media.GOPTypes(n, m.Cfg.GOPN, m.Cfg.GOPM)
@@ -203,7 +202,7 @@ type FDCT struct {
 }
 
 // Step transforms one block.
-func (d *FDCT) Step(c *coproc.Ctx) bool {
+func (d *FDCT) Step(c *Ctx) bool {
 	if !c.GetSpace(dctPortIn, media.BlockBytes) {
 		return false
 	}
@@ -257,7 +256,7 @@ const (
 )
 
 // Step processes one frame record or one macroblock.
-func (q *Q) Step(c *coproc.Ctx) bool {
+func (q *Q) Step(c *Ctx) bool {
 	if !q.inFrame {
 		if !c.GetSpace(qPortInfo, media.FrameRecSize) {
 			return false
@@ -373,7 +372,7 @@ const (
 )
 
 // Step dequantizes one block.
-func (d *IQ) Step(c *coproc.Ctx) bool {
+func (d *IQ) Step(c *Ctx) bool {
 	if !c.GetSpace(iqPortIn, media.BlockBytes) {
 		return false
 	}
@@ -422,7 +421,7 @@ const (
 )
 
 // Step processes one frame record or one macroblock.
-func (m *MCR) Step(c *coproc.Ctx) bool {
+func (m *MCR) Step(c *Ctx) bool {
 	if !m.inFrame {
 		if !c.GetSpace(mcrPortRq, media.FrameRecSize) {
 			return false
@@ -532,7 +531,7 @@ const (
 func (v *VLE) Bitstream() []byte { return v.out }
 
 // Step consumes one frame record or one macroblock.
-func (v *VLE) Step(c *coproc.Ctx) bool {
+func (v *VLE) Step(c *Ctx) bool {
 	if v.w == nil {
 		v.w = media.NewBitWriter()
 		media.WriteSeqHeader(v.w, &v.Seq)

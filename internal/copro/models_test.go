@@ -5,7 +5,6 @@ import (
 	"errors"
 	"testing"
 
-	"eclipse/internal/coproc"
 	"eclipse/internal/media"
 	"eclipse/internal/mem"
 	"eclipse/internal/shell"
@@ -36,7 +35,7 @@ type feeder struct {
 	sent  int
 }
 
-func (f *feeder) Step(c *coproc.Ctx) bool {
+func (f *feeder) Step(c *Ctx) bool {
 	n := f.chunk
 	if f.sent+n > len(f.data) {
 		n = len(f.data) - f.sent
@@ -61,7 +60,7 @@ type drain struct {
 	got   bytes.Buffer
 }
 
-func (d *drain) Step(c *coproc.Ctx) bool {
+func (d *drain) Step(c *Ctx) bool {
 	n := d.chunk
 	if rem := d.want - d.got.Len(); n > rem {
 		n = rem
@@ -80,13 +79,13 @@ func (d *drain) Step(c *coproc.Ctx) bool {
 }
 
 // start wires a single-task coprocessor for each installed model.
-func (r *rig) start(models map[string]coproc.Task, streams []struct {
+func (r *rig) start(models map[string]Task, streams []struct {
 	from, to string
 	buf      uint32
 }) map[string]*shell.Shell {
 	shells := map[string]*shell.Shell{}
 	tasks := map[string]int{}
-	copros := map[string]*coproc.Coprocessor{}
+	copros := map[string]*Coprocessor{}
 	ports := map[string]int{} // next port id per task
 	names := make([]string, 0, len(models))
 	for n := range models {
@@ -104,7 +103,7 @@ func (r *rig) start(models map[string]coproc.Task, streams []struct {
 		sh := r.fab.NewShell(shell.DefaultConfig(n))
 		shells[n] = sh
 		tasks[n] = sh.AddTask(n, 0, 0)
-		cp := coproc.New(sh)
+		cp := NewCoprocessor(sh)
 		cp.Install(tasks[n], models[n])
 		copros[n] = cp
 	}
@@ -137,7 +136,7 @@ func TestIDCTModelTransformsBlocks(t *testing.T) {
 
 	idct := &IDCT{Costs: &costs, Blocks: 2}
 	sink := &drain{want: 2 * media.BlockBytes, chunk: media.BlockBytes}
-	r.start(map[string]coproc.Task{
+	r.start(map[string]Task{
 		"feed": &feeder{data: payload, chunk: media.BlockBytes},
 		"idct": idct,
 		"sink": sink,
@@ -179,7 +178,7 @@ func TestFDCTAndIQModelsInverts(t *testing.T) {
 	}
 	fdct := &FDCT{Costs: &costs, Blocks: 1}
 	sink := &drain{want: media.BlockBytes, chunk: media.BlockBytes}
-	r.start(map[string]coproc.Task{
+	r.start(map[string]Task{
 		"feed": &feeder{data: media.AppendBlock(nil, &src), chunk: media.BlockBytes},
 		"fdct": fdct,
 		"sink": sink,
@@ -243,7 +242,7 @@ func TestVLDModelEmitsHostParsedRecords(t *testing.T) {
 	vld := &VLD{Costs: &costs, Chunk: 32}
 	tokSink := &drain{want: len(wantTok), chunk: 64}
 	hdrSink := &drain{want: len(wantHdr), chunk: 13}
-	r.start(map[string]coproc.Task{
+	r.start(map[string]Task{
 		"feed": &feeder{data: stream, chunk: 48},
 		"vld":  vld,
 		"tok":  tokSink,
@@ -278,7 +277,7 @@ func TestBitSourceTail(t *testing.T) {
 	r.dram.Poke(64, data)
 	src := &BitSource{Costs: &costs, DRAM: r.dram, Addr: 64, Len: len(data), Chunk: 32}
 	sink := &drain{want: len(data), chunk: 10}
-	r.start(map[string]coproc.Task{"src": src, "sink": sink}, []struct {
+	r.start(map[string]Task{"src": src, "sink": sink}, []struct {
 		from, to string
 		buf      uint32
 	}{{"src", "sink", 64}})
@@ -339,7 +338,7 @@ func TestRLSQModelReexecutesOnDeniedOutput(t *testing.T) {
 	// A coef buffer of exactly one record guarantees output denials while
 	// the previous record is still unconsumed.
 	sink := &drain{want: len(wantCoef), chunk: media.MBCoefBytes}
-	r.start(map[string]coproc.Task{
+	r.start(map[string]Task{
 		"feed": &feeder{data: tokBytes, chunk: 96},
 		"rlsq": rlsq,
 		"sink": sink,
@@ -369,7 +368,7 @@ func TestVLDModelCorruptStreamFailsLoudly(t *testing.T) {
 	vld := &VLD{Costs: &costs, Chunk: 16}
 	tokSink := &drain{want: 1 << 20, chunk: 16}
 	hdrSink := &drain{want: 1 << 20, chunk: 16}
-	r.start(map[string]coproc.Task{
+	r.start(map[string]Task{
 		"feed": &feeder{data: garbage, chunk: 16},
 		"vld":  vld,
 		"tok":  tokSink,

@@ -5,7 +5,7 @@
 //
 //   - the functional executor in this package (one goroutine per task,
 //     blocking reads/writes — the untimed Kahn reference semantics), and
-//   - the cycle-accurate Eclipse model (packages shell/coproc/copro),
+//   - the cycle-accurate Eclipse model (packages shell/copro),
 //     which maps tasks onto multi-tasking coprocessors.
 //
 // Kahn's theorem guarantees the sequence of bytes on every stream is

@@ -53,7 +53,7 @@ type fetched struct {
 // Cache is the content-addressed result cache with its singleflight
 // table. Concurrency: a Fetch resolves its tenant's counter block once
 // (the tenant-table mutex, held for a map read) and a hit then takes
-// exactly one shard mutex; all counters are atomics; the flight table
+// the LRU's mutex once; all counters are atomics; the flight table
 // has its own mutex and is touched only on misses.
 type Cache struct {
 	lru     *slab.LRU[cacheMeta]
@@ -112,8 +112,8 @@ func (c *Cache) lookup(key CacheKey, ts *tenantCacheStats, countMiss bool) (*cac
 }
 
 // put copies a successful result into the cache on behalf of the
-// filling tenant ts. Oversized results are skipped rather than wiping
-// a shard.
+// filling tenant ts. Results larger than the whole budget are skipped
+// rather than wiping the cache.
 func (c *Cache) put(key CacheKey, ts *tenantCacheStats, res Result) {
 	size := int64(len(res.Body)) + entryOverhead
 	meta := make(map[string]string, len(res.Meta))
@@ -121,21 +121,23 @@ func (c *Cache) put(key CacheKey, ts *tenantCacheStats, res Result) {
 		size += int64(len(k) + len(v))
 		meta[k] = v
 	}
-	dropped, ok := c.lru.Put(key, res.Body, cacheMeta{meta: meta, filler: ts}, size)
+	replaced, evicted, ok := c.lru.Put(key, res.Body, cacheMeta{meta: meta, filler: ts}, size)
 	if !ok {
 		c.tooLarge.Add(1)
 		return
 	}
 	c.fills.Add(1)
 	ts.resident.Add(size)
-	for _, d := range dropped {
-		// A same-key entry replaced by a racing leader's fill (possible
-		// only across flight generations) gives its bytes back but is
-		// not an eviction.
-		if d.Key != key {
-			c.evictions.Add(1)
-			d.Meta.filler.evictions.Add(1)
-		}
+	// A same-key entry replaced by a racing leader's fill (possible only
+	// across flight generations) gives its bytes back but is not an
+	// eviction.
+	if replaced != nil {
+		replaced.Meta.filler.resident.Add(-replaced.Charge)
+		c.lru.Release(replaced)
+	}
+	for _, d := range evicted {
+		c.evictions.Add(1)
+		d.Meta.filler.evictions.Add(1)
 		d.Meta.filler.resident.Add(-d.Charge)
 		c.lru.Release(d)
 	}

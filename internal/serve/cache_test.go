@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"eclipse/internal/media"
-	"eclipse/internal/slab"
 )
 
 // TestCacheKeyDistinct pins the injectivity the keying schema promises:
@@ -78,33 +77,23 @@ func TestETagMatches(t *testing.T) {
 	}
 }
 
-// stormKeys builds n distinct keys that all land in the given shard, so
-// eviction tests can exercise one LRU list deterministically.
-func shardKeys(c *Cache, shard, n int) []CacheKey {
-	var out []CacheKey
-	for i := 0; len(out) < n; i++ {
-		k := DecodeKey([]byte(fmt.Sprintf("key-%d", i)))
-		if int(k[0])&(slab.ShardCount-1) == shard {
-			out = append(out, k)
-		}
-	}
-	return out
-}
-
-// TestCacheLRUEviction fills one shard past its budget and checks the
+// TestCacheLRUEviction fills the cache past its budget and checks the
 // oldest entries leave first, byte accounting stays exact, and the
 // counters attribute evictions to the filling tenant.
 func TestCacheLRUEviction(t *testing.T) {
 	const bodyLen = 1000
 	entrySize := int64(bodyLen + entryOverhead)
-	// Budget for exactly 3 entries per shard.
-	c := NewCache(3 * entrySize * slab.ShardCount)
-	keys := shardKeys(c, 0, 5)
+	// Budget for exactly 3 entries.
+	c := NewCache(3 * entrySize)
+	keys := make([]CacheKey, 5)
+	for i := range keys {
+		keys[i] = DecodeKey([]byte(fmt.Sprintf("key-%d", i)))
+	}
 	body := func(i int) []byte { return bytes.Repeat([]byte{byte(i + 1)}, bodyLen) }
 	for i := 0; i < 4; i++ {
 		c.put(keys[i], c.tstats("alice"), Result{Body: body(i)})
 	}
-	// 4 fills into a 3-entry shard: keys[0] (LRU tail) must be gone.
+	// 4 fills into a 3-entry cache: keys[0] (LRU tail) must be gone.
 	if _, ok := c.lookup(keys[0], c.tstats("alice"), false); ok {
 		t.Fatal("oldest entry survived eviction")
 	}
@@ -145,9 +134,9 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 // TestCacheTooLarge checks oversized results are skipped, not force-fed
-// through a shard wipe.
+// through a cache wipe.
 func TestCacheTooLarge(t *testing.T) {
-	c := NewCache(slab.ShardCount * 1024)
+	c := NewCache(1024)
 	k := DecodeKey([]byte("big"))
 	c.put(k, c.tstats("a"), Result{Body: make([]byte, 4096)})
 	if _, ok := c.lookup(k, c.tstats("a"), false); ok {
@@ -368,7 +357,7 @@ func TestCacheEvictionAliasingStress(t *testing.T) {
 	)
 	// Budget small enough that only a handful of entries fit: maximum
 	// eviction churn.
-	c := NewCache(int64(slab.ShardCount * 3 * (bodyLen + entryOverhead)))
+	c := NewCache(int64(3 * (bodyLen + entryOverhead)))
 	keyOf := make([]CacheKey, nKeys)
 	for i := range keyOf {
 		keyOf[i] = DecodeKey([]byte(fmt.Sprintf("stress-%d", i)))
@@ -411,7 +400,7 @@ func TestCacheEvictionAliasingStress(t *testing.T) {
 	if c.evictions.Load() == 0 {
 		t.Fatal("stress produced no evictions; budget too large to test aliasing")
 	}
-	// All readers released: resident bytes must match the shard sums and
+	// All readers released: resident bytes must match the LRU's count and
 	// per-tenant attribution.
 	snap := c.Snapshot()
 	var tenantResident int64
@@ -419,7 +408,7 @@ func TestCacheEvictionAliasingStress(t *testing.T) {
 		tenantResident += ts.ResidentBytes
 	}
 	if tenantResident != snap.ResidentBytes {
-		t.Fatalf("tenant resident %d != shard resident %d", tenantResident, snap.ResidentBytes)
+		t.Fatalf("tenant resident %d != LRU resident %d", tenantResident, snap.ResidentBytes)
 	}
 }
 

@@ -189,7 +189,7 @@ func writeCachePrometheus(w io.Writer, cache *Cache) {
 	metrics.Counter(w, ns+"fills_total", "Successful results copied into the cache.", cs.Fills)
 	metrics.Counter(w, ns+"promotions_total", "Singleflight followers promoted to leader after a leader-specific failure.", cs.Promotions)
 	metrics.Counter(w, ns+"not_modified_total", "If-None-Match revalidations answered 304.", cs.NotModified)
-	metrics.Counter(w, ns+"too_large_total", "Results skipped because they exceed a shard budget.", cs.TooLarge)
+	metrics.Counter(w, ns+"too_large_total", "Results skipped because they exceed the cache budget.", cs.TooLarge)
 
 	type ts = CacheTenantSnapshot
 	metrics.CounterVec(w, ns+"hits_total", "Cache hits by requesting tenant.", "tenant", cs.Tenants, func(t ts) (string, uint64) { return t.Name, t.Hits })

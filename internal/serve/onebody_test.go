@@ -186,7 +186,7 @@ func TestServingImportGraph(t *testing.T) {
 		t.Fatalf("go list: %v", err)
 	}
 	forbidden := map[string]bool{"eclipse": true}
-	for _, p := range []string{"sim", "mem", "shell", "copro", "coproc", "kpn", "config", "trace", "viz"} {
+	for _, p := range []string{"sim", "mem", "shell", "copro", "kpn", "config", "trace", "viz"} {
 		forbidden["eclipse/internal/"+p] = true
 	}
 	seen := 0

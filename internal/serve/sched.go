@@ -279,11 +279,14 @@ func (s *Scheduler) CacheEnabledFor(name string) bool {
 }
 
 // Submit admits a job or rejects it: ErrDraining during shutdown, or a
-// *QueueFullError when the tenant's bounded queue has no space.
+// *QueueFullError when the tenant's bounded queue has no space. A
+// rejection is terminal for the job, so, like Job.run's end, it releases
+// the job's derived context.
 func (s *Scheduler) Submit(j *Job) error {
 	s.mu.Lock()
 	if s.state != stateRunning {
 		s.mu.Unlock()
+		j.cancel()
 		return ErrDraining
 	}
 	t := s.tenantLocked(TenantConfig{Name: j.Tenant})
@@ -291,6 +294,7 @@ func (s *Scheduler) Submit(j *Job) error {
 		t.rejects++
 		ra := s.retryAfterLocked(t)
 		s.mu.Unlock()
+		j.cancel()
 		s.met.Rejects.Add(1)
 		return &QueueFullError{Tenant: t.cfg.Name, Cap: t.cfg.QueueCap, RetryAfter: ra}
 	}
@@ -486,6 +490,7 @@ func (s *Scheduler) Drain(ctx context.Context) error {
 		} else {
 			// Never started: fail directly so its submitter unblocks.
 			j.err = ErrDraining
+			j.cancel()
 			close(j.done)
 		}
 		s.met.Errors[j.Kind].Add(1)

@@ -105,17 +105,31 @@ func tenantOf(r *http.Request) string {
 // requestCtx derives the job context: the client's disconnect context,
 // tightened by an optional X-Timeout-Ms deadline.
 func requestCtx(r *http.Request) (context.Context, context.CancelFunc, error) {
-	ctx := r.Context()
-	h := r.Header.Get("X-Timeout-Ms")
-	if h == "" {
-		return ctx, func() {}, nil
+	timeout, err := TimeoutFromHeader(r.Header)
+	if err != nil {
+		return nil, nil, err
 	}
-	ms, err := strconv.Atoi(h)
-	if err != nil || ms <= 0 {
-		return nil, nil, fmt.Errorf("serve: bad X-Timeout-Ms %q", h)
+	if timeout == 0 {
+		return r.Context(), func() {}, nil
 	}
-	ctx, cancel := context.WithTimeout(ctx, time.Duration(ms)*time.Millisecond)
+	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	return ctx, cancel, nil
+}
+
+// TimeoutFromHeader parses the optional X-Timeout-Ms request header: 0
+// when absent, an error unless it is a positive integer. Exported, like
+// EncodeConfigFromQuery, so the gateway budgets exactly the deadline the
+// backend will enforce.
+func TimeoutFromHeader(h http.Header) (time.Duration, error) {
+	v := h.Get("X-Timeout-Ms")
+	if v == "" {
+		return 0, nil
+	}
+	ms, err := strconv.Atoi(v)
+	if err != nil || ms <= 0 {
+		return 0, fmt.Errorf("serve: bad X-Timeout-Ms %q", v)
+	}
+	return time.Duration(ms) * time.Millisecond, nil
 }
 
 // readBody slurps the request payload under the configured cap.
@@ -341,6 +355,22 @@ func EncodeConfigFromQuery(q url.Values) (media.CodecConfig, error) {
 	return cfg, nil
 }
 
+// TranscodeQFromQuery parses transcode's required q parameter, the
+// target quantizer. Exported for the same reason as
+// EncodeConfigFromQuery: the gateway's routing key must be the one the
+// backend caches under.
+func TranscodeQFromQuery(q url.Values) (int, error) {
+	v := q.Get("q")
+	if v == "" {
+		return 0, fmt.Errorf("serve: transcode requires the q query parameter")
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil {
+		return 0, fmt.Errorf("serve: bad q=%q", v)
+	}
+	return n, nil
+}
+
 // handleEncode serves POST /v1/encode?w=&h=[&q=&gopn=&gopm=&search=&halfpel=]:
 // body is frames×w×h bytes of raw luma, the response is an ECL1 bitstream.
 func (s *Server) handleEncode(w http.ResponseWriter, r *http.Request) {
@@ -378,14 +408,9 @@ func (s *Server) handleTranscode(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
-	qs := r.URL.Query().Get("q")
-	if qs == "" {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("serve: transcode requires the q query parameter"))
-		return
-	}
-	q, err := strconv.Atoi(qs)
+	q, err := TranscodeQFromQuery(r.URL.Query())
 	if err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("serve: bad q=%q", qs))
+		httpError(w, http.StatusBadRequest, err)
 		return
 	}
 	body, err := s.readBody(w, r)

@@ -28,11 +28,84 @@ func finishGroup(t *testing.T, j *Job) error {
 	case <-time.After(10 * time.Second):
 		t.Fatal("the group did not unwind")
 	}
-	if j.ctx.Err() == nil {
-		t.Error("a finished job still holds its derived context")
-	}
+	released(t, j)
 	_, err := j.Result()
 	return err
+}
+
+// released checks a job that reached a terminal state has released its
+// derived context rather than staying registered with its parent.
+func released(t *testing.T, j *Job) {
+	t.Helper()
+	if j.ctx.Err() == nil {
+		t.Error("a terminal job still holds its derived context")
+	}
+}
+
+// TestJobContextReleased covers the terminal paths that never run the
+// job's body: both Submit rejections and a hard-stop Drain's
+// never-started orphans release the job's context like Job.run does.
+func TestJobContextReleased(t *testing.T) {
+	t.Run("queue-full", func(t *testing.T) {
+		s := NewScheduler(Config{Workers: 1, Tenants: []TenantConfig{{Name: "t", Weight: 1, QueueCap: 1}}}, NewMetrics())
+		release := make(chan struct{})
+		if err := s.Submit(blockedJob("t", release)); err != nil {
+			t.Fatal(err)
+		}
+		j := slowJob("t", 0)
+		var qf *QueueFullError
+		if err := s.Submit(j); !errors.As(err, &qf) {
+			t.Fatalf("Submit = %v, want *QueueFullError", err)
+		}
+		released(t, j)
+		close(release)
+		if err := s.Drain(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Run("draining", func(t *testing.T) {
+		s := NewScheduler(Config{Workers: 1}, NewMetrics())
+		if err := s.Drain(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		j := slowJob("t", 0)
+		if err := s.Submit(j); err != ErrDraining {
+			t.Fatalf("Submit = %v, want ErrDraining", err)
+		}
+		released(t, j)
+	})
+	t.Run("drain-orphan", func(t *testing.T) {
+		// One worker held by a job whose slice outlasts the test, so the
+		// job queued behind it is still unstarted at the hard stop.
+		s := NewScheduler(Config{Workers: 1, BaseSlice: time.Minute}, NewMetrics())
+		running, release := make(chan struct{}), make(chan struct{})
+		holder := NewJob("t", KindDecode, context.Background(), func(context.Context, *Gate) (Result, error) {
+			close(running)
+			<-release
+			return Result{}, nil
+		})
+		if err := s.Submit(holder); err != nil {
+			t.Fatal(err)
+		}
+		<-running
+		orphan := slowJob("t", 0)
+		if err := s.Submit(orphan); err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			<-orphan.Done() // failed by the hard stop: now let the worker go
+			close(release)
+		}()
+		expired, cancel := context.WithCancel(context.Background())
+		cancel()
+		if err := s.Drain(expired); err != context.Canceled {
+			t.Fatalf("Drain = %v, want context.Canceled", err)
+		}
+		if _, err := orphan.Result(); err != ErrDraining {
+			t.Fatalf("orphan = %v, want ErrDraining (it must never have started)", err)
+		}
+		released(t, orphan)
+	})
 }
 
 // stepper is a task body the test drives one checkpoint at a time: it

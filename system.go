@@ -3,7 +3,7 @@ package eclipse
 import (
 	"fmt"
 
-	"eclipse/internal/coproc"
+	"eclipse/internal/copro"
 	"eclipse/internal/kpn"
 	"eclipse/internal/mem"
 	"eclipse/internal/shell"
@@ -22,7 +22,7 @@ type System struct {
 	DRAM      *mem.Memory
 	Collector *trace.Collector
 
-	copros     map[string]*coproc.Coprocessor
+	copros     map[string]*copro.Coprocessor
 	coproOrder []string           // creation order, for deterministic process start
 	tasks      map[string]taskRef // graph task name → placement
 	taskOrder  []string           // mapping order, for deterministic monitors
@@ -32,7 +32,7 @@ type System struct {
 }
 
 type taskRef struct {
-	cp *coproc.Coprocessor
+	cp *copro.Coprocessor
 	id int
 }
 
@@ -57,17 +57,17 @@ func NewSystem(arch Arch) *System {
 		SRAM:      sram,
 		DRAM:      dram,
 		Collector: trace.NewCollector(k, arch.SampleInterval),
-		copros:    map[string]*coproc.Coprocessor{},
+		copros:    map[string]*copro.Coprocessor{},
 		tasks:     map[string]taskRef{},
 	}
 }
 
 // Copro returns (lazily creating) the named coprocessor.
-func (s *System) Copro(name string) *coproc.Coprocessor {
+func (s *System) Copro(name string) *copro.Coprocessor {
 	if cp, ok := s.copros[name]; ok {
 		return cp
 	}
-	cp := coproc.New(s.Fab.NewShell(s.Arch.shellConfig(name)))
+	cp := copro.NewCoprocessor(s.Fab.NewShell(s.Arch.shellConfig(name)))
 	s.copros[name] = cp
 	s.coproOrder = append(s.coproOrder, name)
 	return cp
@@ -104,7 +104,7 @@ func (s *System) AllocDRAM(n int) (uint32, error) {
 // impls[task.Name], and every stream becomes a buffer in the on-chip SRAM
 // with access points in the owning shells. budget is the per-task
 // weighted-round-robin budget in cycles (0 for the default).
-func (s *System) MapGraph(g *kpn.Graph, mapping map[string]string, impls map[string]coproc.Task, budget uint64) error {
+func (s *System) MapGraph(g *kpn.Graph, mapping map[string]string, impls map[string]copro.Task, budget uint64) error {
 	if err := g.Validate(); err != nil {
 		return err
 	}
