@@ -6,15 +6,16 @@
 #                rig's own tests via TestBenchmarkRig)
 #   make race    the full test suite under the race detector, plus the
 #                segment-parallel, decode-width, task-group/gate,
-#                fused/segmented transcode and both cache tiers' LRU tests
-#                again at GOMAXPROCS=4 (real parallelism for every
-#                width > 1 path, for parked siblings, for a transcode's
-#                two goroutines and for the single-lock cache)
+#                transcode and both cache tiers' LRU tests again at
+#                GOMAXPROCS=4 (real parallelism for every width > 1 path,
+#                for parked siblings, for a transcode's span tasks and for
+#                the single-lock cache)
 #   make fuzz-smoke  a few seconds of each media-layer fuzzer — the CI
 #                    guard that the corpus-reachable code stays panic-free
 #                    (includes the parallel/serial decode-parity fuzzer,
 #                    the motion-search/raster-reference parity fuzzer
-#                    and the fused/two-phase transcode-parity fuzzer)
+#                    and the one-span and span-count span-engine/two-phase
+#                    transcode-parity fuzzers)
 #   make bench-smoke single-iteration run of every Go benchmark, so CI
 #                    catches harness breakage cheaply
 #   make bench   every Go benchmark with allocation stats, for local

@@ -113,7 +113,7 @@ func main() {
 		encodeW  = flag.Int("encode-workers", 0, "per-job encode analysis fan-out (0 = NumCPU)")
 		cacheB   = flag.Int64("cache-bytes", 256<<20, "result cache byte budget (0 disables)")
 		cacheAge = flag.Duration("cache-max-age", 60*time.Second, "freshness window advertised via Cache-Control max-age (bounds gateway L1 TTLs)")
-		xcodeSeg = flag.Int("transcode-segments", 0, "segment fan-out for transcode jobs over closed-GOP cuts (1 = fused single pipeline, 0 = min(NumCPU, 8))")
+		xcodeSeg = flag.Int("transcode-segments", 0, "segment fan-out for transcode jobs over closed-GOP cuts (1 = one span, 0 = min(NumCPU, 8))")
 		drain    = flag.Duration("drain", 30*time.Second, "graceful shutdown budget")
 		tenants  tenantFlags
 	)

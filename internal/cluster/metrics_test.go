@@ -111,7 +111,7 @@ var (
 		"uptime_seconds gauge", "requests_total counter", "errors_total counter",
 		"admission_rejects_total counter", "preemptions_total counter",
 		"bytes_in_total counter", "bytes_out_total counter", "frame_pool_retained gauge",
-		"transcode_inflight_frames gauge", "transcode_stalls_total counter",
+		"transcode_inflight_frames gauge",
 		"transcode_segments_jobs_total counter", "transcode_segments_total counter",
 		"transcode_segments_stitch_bytes_total counter", "transcode_segments_skew_seconds gauge",
 		"queue_depth gauge", "tenant_admitted gauge", "tenant_completed_total counter",

@@ -94,7 +94,7 @@ func Encode(cfg CodecConfig, frames []*Frame) ([]byte, []*Frame, *EncodeStats, e
 			return nil, nil, nil, fmt.Errorf("media: frame %d is %dx%d, want %dx%d", i, f.W, f.H, cfg.W, cfg.H)
 		}
 	}
-	e := newEncoder(cfg, len(frames))
+	e := newEncoder(cfg, len(frames), true)
 
 	types := GOPTypes(len(frames), cfg.GOPN, cfg.GOPM)
 	order := CodedOrder(types)
@@ -105,31 +105,22 @@ func Encode(cfg CodecConfig, frames []*Frame) ([]byte, []*Frame, *EncodeStats, e
 	return e.w.Bytes(), recon, &e.stats, nil
 }
 
-// seqHeaderFor derives the sequence header an encode of `frames` frames
-// under cfg writes; shared so the segment stitcher reproduces it
-// bit-exactly.
-func seqHeaderFor(cfg CodecConfig, frames int) SeqHeader {
-	return SeqHeader{
+// newEncoder builds an Encoder for a declared frame count and, when
+// header is set, writes the sequence header. Shared by the batch Encode
+// and the push-based StreamEncoder so both produce bit-identical
+// streams: the batch encoder and the span at display 0 carry the header,
+// later spans stay headerless so StitchSegments can splice them behind
+// it.
+func newEncoder(cfg CodecConfig, frames int, header bool) *Encoder {
+	e := &Encoder{cfg: cfg, w: NewBitWriter(), seq: SeqHeader{
 		MBCols: cfg.W / MBSize, MBRows: cfg.H / MBSize,
 		Q: cfg.Q, GOPN: cfg.GOPN, GOPM: cfg.GOPM, Frames: frames,
 		HalfPel: cfg.HalfPel,
+	}}
+	if header {
+		WriteSeqHeader(e.w, &e.seq)
 	}
-}
-
-// newEncoder builds an Encoder for a declared frame count and writes the
-// sequence header. Shared by the batch Encode and the push-based
-// StreamEncoder so both produce bit-identical streams.
-func newEncoder(cfg CodecConfig, frames int) *Encoder {
-	e := newEncoderRaw(cfg, frames)
-	WriteSeqHeader(e.w, &e.seq)
 	return e
-}
-
-// newEncoderRaw builds an Encoder without writing the sequence header:
-// the segment-parallel transcoder's per-segment writers stay headerless
-// so StitchSegments can splice them under one header.
-func newEncoderRaw(cfg CodecConfig, frames int) *Encoder {
-	return &Encoder{cfg: cfg, seq: seqHeaderFor(cfg, frames), w: NewBitWriter()}
 }
 
 // encodeFrame codes one frame and returns its reconstruction, updating

@@ -144,7 +144,8 @@ func TestPartitionSegments(t *testing.T) {
 
 // transcodeSegmented runs the full media-layer segment pipeline: index,
 // partition into k spans, decode each span concurrently into its own
-// headerless segment encoder, stitch. Returns the stitched bitstream.
+// span encoder (only the first writes the sequence header), stitch.
+// Returns the stitched bitstream.
 func transcodeSegmented(t testing.TB, stream []byte, out CodecConfig, k, decWorkers int) []byte {
 	t.Helper()
 	ix, err := IndexGOPs(stream, nil)
@@ -185,11 +186,7 @@ func transcodeSegmented(t testing.TB, stream []byte, out CodecConfig, k, decWork
 			t.Fatalf("segment %d: %v", si, err)
 		}
 	}
-	stitched, err := StitchSegments(out, n, parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return stitched
+	return StitchSegments(parts)
 }
 
 // TestSegmentTranscodeGoldenSweep is the tentpole's bit-identity guard:

@@ -213,7 +213,7 @@ func (k *streamSink) waitDelivered() error {
 // run is the parallel decoder's delivery goroutine: it walks the
 // display order, waiting for each next frame to complete, and fires
 // OnDisplayFrame outside the sink lock (the callback may block on the
-// consumer for arbitrarily long — e.g. a bounded handoff channel).
+// consumer for arbitrarily long — e.g. a synchronous re-encode).
 func (k *streamSink) run() {
 	defer k.join.Done()
 	for {

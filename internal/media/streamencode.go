@@ -1,6 +1,9 @@
 package media
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // StreamEncoder is a push-based incremental encoder: callers feed frames
 // one at a time in display order and receive the coded bitstream at
@@ -45,36 +48,23 @@ type StreamEncoder struct {
 }
 
 // NewStreamEncoder validates the configuration and prepares an encoder
-// for exactly `frames` pushes.
+// for exactly `frames` pushes: the one span covering the whole sequence.
 func NewStreamEncoder(cfg CodecConfig, frames int) (*StreamEncoder, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if frames <= 0 || frames > 0xFFFF {
-		return nil, fmt.Errorf("media: frame count %d out of range", frames)
-	}
-	types := GOPTypes(frames, cfg.GOPN, cfg.GOPM)
-	e := &StreamEncoder{
-		enc:   newEncoder(cfg, frames),
-		types: types,
-		order: CodedOrder(types),
-		count: frames,
-	}
-	e.initRing(cfg.GOPM)
-	return e, nil
+	return NewStreamEncoderSegment(cfg, frames, 0, frames)
 }
 
-// NewStreamEncoderSegment prepares a headerless encoder for display
-// frames [lo, hi) of a totalFrames-frame sequence: the segment-parallel
-// transcoder runs one per segment and splices their CloseRaw outputs
-// with StitchSegments. lo and hi must be encode-closed cuts of the
+// NewStreamEncoderSegment prepares an encoder for display frames
+// [lo, hi) of a totalFrames-frame sequence: the span transcoder runs one
+// per span and splices their CloseRaw outputs with StitchSegments. The
+// span starting at display 0 writes the sequence header; every later
+// span is headerless. lo and hi must be encode-closed cuts of the
 // whole-sequence GOP structure (EncodeClosedCuts; 0 and totalFrames
 // always qualify) — closure is what makes the global coded order
-// restricted to [lo, hi) contiguous and the segment's reference chain
+// restricted to [lo, hi) contiguous and the span's reference chain
 // self-contained, so the spliced bits match a single whole-sequence
 // encode exactly. Frame types and TRefs are taken from the *global*
 // structure (including the last-frame B→P promotion), never recomputed
-// per segment.
+// per span.
 func NewStreamEncoderSegment(cfg CodecConfig, totalFrames, lo, hi int) (*StreamEncoder, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -85,25 +75,14 @@ func NewStreamEncoderSegment(cfg CodecConfig, totalFrames, lo, hi int) (*StreamE
 	if lo < 0 || hi > totalFrames || lo >= hi {
 		return nil, fmt.Errorf("media: segment [%d,%d) out of range [0,%d)", lo, hi, totalFrames)
 	}
-	cuts := EncodeClosedCuts(totalFrames, cfg.GOPN, cfg.GOPM)
 	for _, c := range [2]int{lo, hi} {
-		if c == 0 || c == totalFrames {
-			continue
-		}
-		ok := false
-		for _, v := range cuts {
-			if v == c {
-				ok = true
-				break
-			}
-		}
-		if !ok {
+		if c != 0 && c != totalFrames && !slices.Contains(EncodeClosedCuts(totalFrames, cfg.GOPN, cfg.GOPM), c) {
 			return nil, fmt.Errorf("media: %d is not an encode-closed cut for N=%d M=%d", c, cfg.GOPN, cfg.GOPM)
 		}
 	}
 	types := GOPTypes(totalFrames, cfg.GOPN, cfg.GOPM)
 	e := &StreamEncoder{
-		enc:   newEncoderRaw(cfg, totalFrames),
+		enc:   newEncoder(cfg, totalFrames, lo == 0),
 		types: types,
 		order: CodedOrder(types)[lo:hi],
 		lo:    lo,
@@ -177,10 +156,11 @@ func (e *StreamEncoder) Close() ([]byte, *EncodeStats, error) {
 }
 
 // CloseRaw finalizes like Close but returns the underlying bit writer
-// without byte-aligning it. For segment encoders this is the stitchable
-// artifact: the segment's frames as a headerless, unaligned bit run that
-// StitchSegments splices at exact bit positions. The writer must not be
-// written to further.
+// without byte-aligning it. For span encoders this is the stitchable
+// artifact: the span's frames as an unaligned bit run (behind the
+// sequence header for the span at display 0) that StitchSegments splices
+// at exact bit positions. The writer must not be written to further
+// except by StitchSegments.
 func (e *StreamEncoder) CloseRaw() (*BitWriter, *EncodeStats, error) {
 	if e.closed {
 		return nil, nil, fmt.Errorf("media: StreamEncoder closed twice")
@@ -195,28 +175,22 @@ func (e *StreamEncoder) CloseRaw() (*BitWriter, *EncodeStats, error) {
 	return e.enc.w, &e.enc.stats, nil
 }
 
-// StitchSegments assembles the final bitstream from headerless segment
-// writers (CloseRaw results) in segment order: the sequence header, then
-// each segment's bits appended at the bit level, byte-aligned exactly
-// once at the very end. Because per-frame entropy state resets at every
-// frame (the MV predictor restarts per macroblock row, and no DC or VLC
-// state crosses frames), a frame's encoded bits are independent of its
-// bit position, so the result is bit-identical to a single-writer encode
-// of the whole sequence under the same cfg and frame count.
-func StitchSegments(cfg CodecConfig, totalFrames int, parts []*BitWriter) ([]byte, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if totalFrames <= 0 || totalFrames > 0xFFFF {
-		return nil, fmt.Errorf("media: frame count %d out of range", totalFrames)
-	}
-	w := NewBitWriter()
-	seq := seqHeaderFor(cfg, totalFrames)
-	WriteSeqHeader(w, &seq)
-	for _, p := range parts {
+// StitchSegments assembles the final bitstream from span writers
+// (CloseRaw results) in span order: parts[0], the span starting at
+// display 0 and so the one carrying the sequence header, receives every
+// later span's headerless bits appended in place at the bit level, and
+// is byte-aligned exactly once at the very end. Because per-frame
+// entropy state resets at every frame (the MV predictor restarts per
+// macroblock row, and no DC or VLC state crosses frames), a frame's
+// encoded bits are independent of its bit position, so the result is
+// bit-identical to a single-writer encode of the whole sequence. With
+// one part it is that part's bytes.
+func StitchSegments(parts []*BitWriter) []byte {
+	w := parts[0]
+	for _, p := range parts[1:] {
 		w.AppendBits(p)
 	}
-	return w.Bytes(), nil
+	return w.Bytes()
 }
 
 // Abort abandons the stream mid-flight: every frame still buffered in

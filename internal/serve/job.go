@@ -271,204 +271,6 @@ func NewEncodeJob(ctx context.Context, tenant string, cfg media.CodecConfig, raw
 	return NewJob(tenant, KindEncode, ctx, body), nil
 }
 
-// fusedHandoffDepth bounds the display-order frames buffered between
-// the fused transcode's decode task (delivery hook) and encode task.
-// Deliberately small: the decoder's own reorder window already absorbs
-// GOP reordering, so the handoff only needs enough slack to ride out
-// scheduling jitter between the two stages.
-const fusedHandoffDepth = 2
-
-// frameRefs counts the joint owners of frames crossing the fused
-// decoder→encoder handoff. A delivered frame has two stakes: the
-// decoder's (it may keep reading the frame as a motion-compensation
-// reference long after delivery; released by the Retire hook) and the
-// encoder's (released once the frame is coded, or by the unwind paths).
-// Only when the last stake drops may the frame return to the shared
-// pool — Get zeroes pixels, so recycling earlier would corrupt
-// in-flight prediction.
-type frameRefs struct {
-	mu sync.Mutex
-	n  map[*media.Frame]int
-}
-
-func (r *frameRefs) add(f *media.Frame, n int) {
-	r.mu.Lock()
-	r.n[f] += n
-	r.mu.Unlock()
-}
-
-// release drops one stake and hands the frame to put when none remain.
-// Frames that never went through add (undelivered ones the decoder
-// recycles directly) bypass the table entirely.
-func (r *frameRefs) release(f *media.Frame, put func(*media.Frame)) {
-	if f == nil {
-		return
-	}
-	r.mu.Lock()
-	n, tracked := r.n[f]
-	if tracked {
-		n--
-		if n == 0 {
-			delete(r.n, f)
-		} else {
-			r.n[f] = n
-		}
-	}
-	r.mu.Unlock()
-	if !tracked || n == 0 {
-		put(f)
-	}
-}
-
-// inflightFrames instruments one job's traffic through the shared frame
-// pool with a current/peak gauge — the measurable form of the fused
-// pipeline's bounded-memory claim (peak stays O(GOP M + reconstruction
-// window) instead of O(frames)).
-type inflightFrames struct {
-	pool *media.SyncFramePool
-	cur  atomic.Int64
-	peak atomic.Int64
-}
-
-func (t *inflightFrames) get(w, h int) *media.Frame {
-	cur := t.cur.Add(1)
-	for {
-		p := t.peak.Load()
-		if cur <= p || t.peak.CompareAndSwap(p, cur) {
-			break
-		}
-	}
-	return t.pool.Get(w, h)
-}
-
-func (t *inflightFrames) put(f *media.Frame) {
-	if f == nil {
-		return
-	}
-	t.cur.Add(-1)
-	t.pool.Put(f)
-}
-
-// fusedTranscodeBody builds the single fused transcode body: it decodes
-// stream and re-encodes it at quantizer q (cfg: GOP structure,
-// dimensions and half-pel mode inherited from the source sequence
-// header) as one streaming pipeline — a decode task that delivers
-// display-order frames through a bounded channel straight into an encode
-// task's StreamEncoder. NewTranscodeJobSegmented runs it for segments
-// <= 1 and for clips too short or without usable closed-GOP cuts. Both
-// tasks checkpoint once per frame, so preemption and cancellation land
-// at frame boundaries in either stage; frames are jointly owned (see
-// frameRefs) and recycled into pool the moment both stages are done with
-// them, keeping in-flight memory bounded by the GOP reorder distance
-// rather than the clip length. The output is bit-identical to decoding
-// everything first and batch re-encoding. encWorkers bounds the
-// encoder's per-frame analysis fan-out (0 = the media.EncodeWorkers
-// default); met, when non-nil, receives the peak-in-flight gauge and
-// handoff stall counters.
-func fusedTranscodeBody(stream []byte, seq media.SeqHeader, cfg media.CodecConfig, q int, pool *media.SyncFramePool, workers, encWorkers int, met *Metrics) func(ctx context.Context, gate *Gate) (Result, error) {
-	return func(ctx context.Context, gate *Gate) (Result, error) {
-		track := &inflightFrames{pool: pool}
-		refs := &frameRefs{n: make(map[*media.Frame]int)}
-		release := func(f *media.Frame) { refs.release(f, track.put) }
-
-		handoff := make(chan *media.Frame, fusedHandoffDepth)
-		var out []byte
-		var stats *media.EncodeStats
-		err := runTasks(ctx, gate,
-			task{"dec", func(g *group) error {
-				defer close(handoff)
-				_, err := media.DecodeWithOptions(stream, media.DecodeOptions{
-					Workers:  workers,
-					NewFrame: track.get,
-					Recycle:  track.put, // undelivered frames: decoder is sole owner
-					OnFrame:  func(int) error { return g.checkpoint() },
-					OnDisplayFrame: func(di int, f *media.Frame) error {
-						refs.add(f, 2) // decoder stake (until Retire) + encoder stake
-						select {
-						case handoff <- f:
-							return nil
-						default:
-						}
-						if met != nil {
-							met.XcodePushStalls.Add(1)
-						}
-						select {
-						case handoff <- f:
-							return nil
-						case <-g.ctx.Done():
-							// The encode task failed or the request died, and
-							// runTasks already holds that error.
-							release(f) // the encoder's stake; Retire still covers the decoder's
-							return g.ctx.Err()
-						}
-					},
-					Retire: release,
-				})
-				return err
-			}},
-			task{"enc", func(g *group) error {
-				se, err := media.NewStreamEncoder(cfg, seq.Frames)
-				if err != nil {
-					return err
-				}
-				se.Workers = encWorkers
-				se.Recycle = release
-				got := 0
-				for {
-					var f *media.Frame
-					var ok bool
-					select {
-					case f, ok = <-handoff:
-					default:
-						if met != nil {
-							met.XcodePullStalls.Add(1)
-						}
-						f, ok = <-handoff
-					}
-					if !ok {
-						break
-					}
-					got++
-					if err := g.checkpoint(); err != nil {
-						release(f)
-						se.Abort()
-						return err
-					}
-					if err := se.Push(f); err != nil {
-						release(f) // Push failed before taking custody
-						se.Abort()
-						return err
-					}
-				}
-				if got < seq.Frames {
-					// The decoder aborted mid-stream; report success here so
-					// its failure (the root cause) becomes the job error.
-					se.Abort()
-					return nil
-				}
-				out, stats, err = se.Close()
-				return err
-			}})
-		// Both tasks have returned: frames still sitting in the handoff
-		// were delivered (decoder stake already retired on unwind) but
-		// never reached the encoder — drop their encoder stake here.
-		for f := range handoff {
-			release(f)
-		}
-		if met != nil {
-			storeMax(&met.XcodePeakFrames, track.peak.Load())
-		}
-		if err != nil {
-			return Result{}, err
-		}
-		meta := seqMeta(seq, seq.Frames)
-		meta["X-Seq-Q"] = strconv.Itoa(q)
-		meta["X-Seq-Bits"] = strconv.Itoa(stats.TotalBits())
-		meta["X-Transcode-Peak-Frames"] = strconv.FormatInt(track.peak.Load(), 10)
-		return Result{Body: out, Meta: meta}, nil
-	}
-}
-
 // TranscodeConfig derives the re-encode configuration for a source
 // sequence at a new quantizer: dimensions, GOP structure, and half-pel
 // mode follow the source; the motion search radius is the codec default.

@@ -23,14 +23,14 @@ type Metrics struct {
 	BytesIn     atomic.Uint64
 	BytesOut    atomic.Uint64
 
-	// Fused-transcode pipeline instrumentation. XcodePeakFrames is the
-	// high-water mark of frames simultaneously in flight inside any
-	// single transcode job — the observable form of the bounded-memory
-	// claim (O(GOP M + reconstruction window), not O(frames)). The stall
-	// counters record which side of the decoder→encoder handoff blocked:
-	// push stalls mean the encoder was the bottleneck, pull stalls the
-	// decoder.
+	// XcodePeakFrames is the high-water mark of frames simultaneously in
+	// flight inside any single transcode job — the observable form of the
+	// bounded-memory claim (spans × O(GOP M + reconstruction window), not
+	// O(frames)).
 	XcodePeakFrames atomic.Int64
+	// Nothing increments the two stall counters: a span task pushes each
+	// frame straight into its encoder, so neither side ever waits on the
+	// other. They remain only because the benchmark rig still reads them.
 	XcodePushStalls atomic.Uint64
 	XcodePullStalls atomic.Uint64
 
@@ -105,12 +105,8 @@ type Snapshot struct {
 	PooledFrame int              `json:"frame_pool_retained"`
 	Cache       *CacheSnapshot   `json:"cache,omitempty"`
 
-	// Fused-transcode pipeline gauges/counters (see Metrics).
-	XcodePeakFrames int64  `json:"transcode_inflight_frames_peak"`
-	XcodePushStalls uint64 `json:"transcode_push_stalls_total"`
-	XcodePullStalls uint64 `json:"transcode_pull_stalls_total"`
-
-	// Segment-parallel transcode counters (see Metrics).
+	// Transcode gauges and counters (see Metrics).
+	XcodePeakFrames  int64   `json:"transcode_inflight_frames_peak"`
 	XcodeSegJobs     uint64  `json:"transcode_segmented_jobs_total"`
 	XcodeSegments    uint64  `json:"transcode_segments_total"`
 	XcodeStitchBytes uint64  `json:"transcode_stitch_bytes_total"`
@@ -152,10 +148,7 @@ func (m *Metrics) WritePrometheus(w io.Writer, sched *Scheduler, poolRetained in
 	metrics.Counter(w, ns+"bytes_out_total", "Response payload bytes sent.", m.BytesOut.Load())
 	metrics.Gauge(w, ns+"frame_pool_retained", "Frames held by the shared cross-request pool.", poolRetained)
 
-	metrics.Gauge(w, ns+"transcode_inflight_frames", "Peak frames simultaneously in flight inside a single fused transcode job.", m.XcodePeakFrames.Load())
-	metrics.Header(w, ns+"transcode_stalls_total", "Fused-pipeline handoff stalls by side (push = decoder waited on encoder, pull = encoder waited on decoder).", "counter")
-	metrics.Sample(w, ns+"transcode_stalls_total", m.XcodePushStalls.Load(), "side", "push")
-	metrics.Sample(w, ns+"transcode_stalls_total", m.XcodePullStalls.Load(), "side", "pull")
+	metrics.Gauge(w, ns+"transcode_inflight_frames", "Peak frames simultaneously in flight inside a single transcode job, across all its spans.", m.XcodePeakFrames.Load())
 	metrics.Counter(w, ns+"transcode_segments_jobs_total", "Transcode jobs that ran segment-parallel (two or more closed-GOP segments).", m.XcodeSegJobs.Load())
 	metrics.Counter(w, ns+"transcode_segments_total", "Closed-GOP segments executed by segment-parallel transcode jobs.", m.XcodeSegments.Load())
 	metrics.Counter(w, ns+"transcode_segments_stitch_bytes_total", "Bytes produced by the bitstream stitcher.", m.XcodeStitchBytes.Load())

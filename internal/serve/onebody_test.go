@@ -1,9 +1,9 @@
 package serve
 
-// Pins for the one-task job bodies: malformed input answers 400 and
-// leaks nothing at every decode width, a cancelled encode leaks nothing,
-// the serving tier's import graph stays clear of the simulator, and a
-// cold decode stays inside its allocation budget.
+// Pins for the job bodies: malformed input answers 400 and leaks nothing
+// at every decode width, a cancelled encode leaks nothing, the serving
+// tier's import graph stays clear of the simulator, and a cold decode
+// and a cold transcode stay inside their allocation budgets.
 
 import (
 	"bytes"
@@ -14,6 +14,7 @@ import (
 	"os"
 	"os/exec"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -246,5 +247,53 @@ func TestColdDecodeAllocBudget(t *testing.T) {
 	t.Logf("cold QCIF decode: %d B/op (budget %d)", perOp, coldDecodeAllocBudget)
 	if perOp > coldDecodeAllocBudget {
 		t.Errorf("cold QCIF decode allocates %d B/op, budget %d", perOp, coldDecodeAllocBudget)
+	}
+}
+
+// TestColdTranscodeAllocBudget pins the bytes allocated per cold QCIF
+// 26-frame N=13 M=3 transcode through the handler (cache off, pools
+// warm) at one span and at two, so neither the one-span path nor the
+// stitcher can regrow a full copy of the output silently. Each budget is
+// the value counted on the code that set it plus 5 %: 1 430 KiB/op at
+// one span, 1 650 KiB/op at two (+1 % to +2 % under -race). At the
+// parent of the change that made the span body the only transcode body,
+// the two-span case counted 1 760 KiB/op — over its budget — because the
+// stitcher copied every span into a fresh writer; one span counted the
+// same 1 430 KiB/op.
+func TestColdTranscodeAllocBudget(t *testing.T) {
+	stream, _, _ := testStream(t, 176, 144, 26, func(c *media.CodecConfig) {
+		c.GOPN = 13
+		c.GOPM = 3
+	})
+	for _, tc := range []struct {
+		segs   int
+		budget uint64
+	}{{1, 1502 << 10}, {2, 1732 << 10}} {
+		t.Run(spansName(tc.segs), func(t *testing.T) {
+			srv := New(Config{Workers: 1, EncodeWorkers: 2, CacheBytes: -1, TranscodeSegments: tc.segs})
+			defer srv.Shutdown(context.Background())
+			w := &discardWriter{hdr: http.Header{}}
+			run := func(n int) {
+				for i := 0; i < n; i++ {
+					*w = discardWriter{hdr: w.hdr}
+					clear(w.hdr)
+					srv.Handler().ServeHTTP(w, httptest.NewRequest("POST", "/v1/transcode?q=9", bytes.NewReader(stream)))
+					if w.code != http.StatusOK || w.hdr.Get("X-Transcode-Segments") != strconv.Itoa(tc.segs) {
+						t.Fatalf("transcode: status %d, %q spans", w.code, w.hdr.Get("X-Transcode-Segments"))
+					}
+				}
+			}
+			run(2) // warm the frame pool
+			const ops = 8
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			run(ops)
+			runtime.ReadMemStats(&after)
+			perOp := (after.TotalAlloc - before.TotalAlloc) / ops
+			t.Logf("cold QCIF transcode, %d span(s): %d B/op (budget %d)", tc.segs, perOp, tc.budget)
+			if perOp > tc.budget {
+				t.Errorf("cold QCIF transcode at %d span(s) allocates %d B/op, budget %d", tc.segs, perOp, tc.budget)
+			}
+		})
 	}
 }

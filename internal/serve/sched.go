@@ -50,10 +50,10 @@ type Config struct {
 	// of residency (liveness, eviction), not of content. Default 60s.
 	CacheMaxAge time.Duration
 	// TranscodeSegments is the default segment fan-out for transcode
-	// jobs: clips long enough and with usable closed-GOP cuts run up to
-	// this many independent decode→encode pipelines in parallel and the
-	// bitstreams are stitched back together. 1 disables segmentation
-	// (the single fused pipeline); 0 selects min(NumCPU, 8).
+	// jobs: clips long enough and with usable closed-GOP cuts run as up
+	// to this many decode→encode span tasks in parallel and the
+	// bitstreams are stitched back together. 1 = one span (no index
+	// scan); 0 selects min(NumCPU, 8).
 	TranscodeSegments int
 	// Tenants pre-declares tenants with non-default weight or capacity.
 	Tenants []TenantConfig
@@ -255,7 +255,7 @@ func (s *Scheduler) DecodeWorkersFor(name string) int { return s.paramsFor(name)
 
 // TranscodeSegmentsFor reports the segment fan-out for a tenant's
 // transcode jobs: its declared value if pre-registered, else the config
-// default. 1 means the single fused pipeline.
+// default. 1 means one span.
 func (s *Scheduler) TranscodeSegmentsFor(name string) int {
 	return s.paramsFor(name).TranscodeSegments
 }

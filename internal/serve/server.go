@@ -471,10 +471,7 @@ func (s *Server) varz() Snapshot {
 		Tenants:     s.sched.SnapshotTenants(),
 		PooledFrame: s.pool.Retained(),
 
-		XcodePeakFrames: s.met.XcodePeakFrames.Load(),
-		XcodePushStalls: s.met.XcodePushStalls.Load(),
-		XcodePullStalls: s.met.XcodePullStalls.Load(),
-
+		XcodePeakFrames:  s.met.XcodePeakFrames.Load(),
 		XcodeSegJobs:     s.met.XcodeSegJobs.Load(),
 		XcodeSegments:    s.met.XcodeSegments.Load(),
 		XcodeStitchBytes: s.met.XcodeStitchBytes.Load(),

@@ -18,7 +18,7 @@ import (
 // reopening resumes them in place.
 //
 // One Gate spans all of a job's sequential phases (index scan, then
-// segment pipelines; decode, then encode), so pausing and resuming act
+// span tasks; decode, then encode), so pausing and resuming act
 // on the whole job regardless of which phase is active. Fail poisons the
 // gate permanently: parked and future waiters return the error, letting
 // a cancelled or failed job unwind even while it is descheduled.
@@ -80,14 +80,11 @@ type task struct {
 	fn   func(g *group) error
 }
 
-// group is what the tasks of one runTasks call share: the gate they park
-// at, a context that dies with the request or at the group's first
-// failure — a task blocked on a sibling selects on ctx.Done() — and that
-// first failure.
+// group is what the tasks of one runTasks call share: the request's
+// context, the gate they park at, and the group's first failure.
 type group struct {
-	ctx    context.Context
-	cancel context.CancelFunc
-	gate   *Gate
+	ctx  context.Context
+	gate *Gate
 
 	once sync.Once
 	err  error
@@ -116,13 +113,12 @@ func (g *group) checkpoint() error {
 	return g.ctx.Err()
 }
 
-// fail records the group's first failure, poisons the gate so parked
-// siblings unwind, and cancels ctx so blocked ones do.
+// fail records the group's first failure and poisons the gate, so every
+// sibling unwinds at its next checkpoint.
 func (g *group) fail(err error) {
 	g.once.Do(func() {
 		g.err = err
 		g.gate.Fail(err)
-		g.cancel()
 	})
 }
 
@@ -144,12 +140,9 @@ func (g *group) run(t task) {
 // the first failure — a task's error or panic — wrapped with that task's
 // name. A dying request is such a failure too: the job poisons its gate
 // when its context dies (Job.run), so the first task to reach a
-// checkpoint, or to wake from a select on g.ctx, reports the context's
-// own error.
+// checkpoint reports the context's own error.
 func runTasks(ctx context.Context, gate *Gate, tasks ...task) error {
-	g := &group{gate: gate}
-	g.ctx, g.cancel = context.WithCancel(ctx)
-	defer g.cancel()
+	g := &group{ctx: ctx, gate: gate}
 	var wg sync.WaitGroup
 	for _, t := range tasks[1:] {
 		wg.Add(1)

@@ -140,10 +140,9 @@ func threeSteppers() ([]*stepper, []task) {
 }
 
 // TestTaskGroup checks the job runtime against the properties the
-// scheduler and the transcode pipelines lean on, and that every way a
+// scheduler and the transcode's span tasks lean on, and that every way a
 // group can end leaves no goroutine behind.
 func TestTaskGroup(t *testing.T) {
-	boom := errors.New("boom")
 	cases := []struct {
 		name string
 		run  func(t *testing.T)
@@ -185,11 +184,6 @@ func TestTaskGroup(t *testing.T) {
 				}
 			}
 		}},
-		// A task blocked on a sibling is released by that sibling's failure,
-		// and the sibling's error is the group's — the fused handoff's send —
-		// whichever of the two runs on the job's own goroutine.
-		{"blocked-sibling-inline", func(t *testing.T) { blockedSibling(t, boom, true) }},
-		{"blocked-sibling-spawned", func(t *testing.T) { blockedSibling(t, boom, false) }},
 		{"panic-inline", func(t *testing.T) { panicTask(t, 0) }},
 		{"panic-spawned", func(t *testing.T) { panicTask(t, 1) }},
 		// The request dying while the whole group is parked unwinds it with
@@ -235,37 +229,6 @@ func deadWhileParked(t *testing.T, ctx context.Context, kill func(), want error)
 	}
 	if want != context.Canceled && errors.Is(err, context.Canceled) {
 		t.Fatalf("group = %v: the deadline was reported as a cancellation", err)
-	}
-}
-
-// blockedSibling runs a task blocked in a send nobody receives beside a
-// task that fails once the sender is up; blockedInline picks which of
-// the two is the group's first (inline) task.
-func blockedSibling(t *testing.T, boom error, blockedInline bool) {
-	ch := make(chan int)
-	up := make(chan struct{})
-	blocked := task{"dec", func(g *group) error {
-		close(up)
-		select {
-		case ch <- 1:
-			return errors.New("the send went through")
-		case <-g.ctx.Done():
-			return g.ctx.Err()
-		}
-	}}
-	failing := task{"enc", func(g *group) error {
-		<-up
-		return boom
-	}}
-	tasks := []task{blocked, failing}
-	if !blockedInline {
-		tasks = []task{failing, blocked}
-	}
-	j := startGroup(context.Background(), tasks...)
-	j.gate.Open()
-	err := finishGroup(t, j)
-	if !errors.Is(err, boom) || !strings.Contains(err.Error(), "task enc") {
-		t.Fatalf("group = %v, want the failing sibling's error under its task name", err)
 	}
 }
 
