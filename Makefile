@@ -13,9 +13,11 @@
 #   make fuzz-smoke  a few seconds of each media-layer fuzzer — the CI
 #                    guard that the corpus-reachable code stays panic-free
 #                    (includes the parallel/serial decode-parity fuzzer,
-#                    the motion-search/raster-reference parity fuzzer
-#                    and the one-span and span-count span-engine/two-phase
-#                    transcode-parity fuzzers)
+#                    the motion-search/raster-reference parity fuzzer,
+#                    the butterfly-transform/matrix-product and RLSQ
+#                    scatter/three-step parity fuzzer and the one-span and
+#                    span-count span-engine/two-phase transcode-parity
+#                    fuzzers)
 #   make bench-smoke single-iteration run of every Go benchmark, so CI
 #                    catches harness breakage cheaply
 #   make bench   every Go benchmark with allocation stats, for local
@@ -53,6 +55,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzHuffDecode -fuzztime=5s ./internal/media
 	$(GO) test -run=NONE -fuzz=FuzzDecodeParallelParity -fuzztime=5s ./internal/media
 	$(GO) test -run=NONE -fuzz=FuzzMotionSearchParity -fuzztime=5s ./internal/media
+	$(GO) test -run=NONE -fuzz=FuzzTransformParity -fuzztime=5s ./internal/media
 	$(GO) test -run=NONE -fuzz=FuzzCacheKeyCanonical -fuzztime=5s ./internal/serve
 	$(GO) test -run=NONE -fuzz=FuzzTranscodeFusedParity -fuzztime=5s ./internal/serve
 	$(GO) test -run=NONE -fuzz=FuzzTranscodeSegmentedParity -fuzztime=5s ./internal/serve

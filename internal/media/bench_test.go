@@ -111,17 +111,47 @@ func BenchmarkSAD(b *testing.B) {
 
 var benchSink int
 
+// BenchmarkIDCT times the inverse transform on one dense block, where
+// every coefficient row is nonzero, and per block over the coded blocks of
+// one decode of the Fig. 10 clip, about half of whose rows are all zero —
+// the input a zero-row skip would have to win on.
 func BenchmarkIDCT(b *testing.B) {
-	var in, out Block
+	var dense Block
 	state := uint32(7)
-	for i := range in {
+	for i := range dense {
 		state = state*1664525 + 1013904223
-		in[i] = int16(int32(state>>20) - 2048)
+		dense[i] = int16(int32(state>>20) - 2048)
 	}
+	b.Run("dense", func(b *testing.B) {
+		var out Block
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			IDCT(&dense, &out)
+		}
+	})
+	b.Run("coded", func(b *testing.B) {
+		blocks := loadCodedClip(b).coefBlocks(b)
+		var out Block
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			IDCT(&blocks[i%len(blocks)], &out)
+		}
+	})
+}
+
+// BenchmarkRLSQTokensToCoef times the decode-direction RLSQ kernel per
+// block over the coded blocks of one decode of the Fig. 10 clip.
+func BenchmarkRLSQTokensToCoef(b *testing.B) {
+	clip := loadCodedClip(b)
+	var out Block
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		IDCT(&in, &out)
+		if err := RLSQTokensToCoef(clip.events[i%len(clip.events)], clip.q, &out); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package media
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -251,4 +253,217 @@ func TestClamp16(t *testing.T) {
 	if clamp16(40000) != 32767 || clamp16(-40000) != -32768 || clamp16(5) != 5 {
 		t.Fatal("clamp16 broken")
 	}
+}
+
+// idctMatrix and fdctMatrix are the reference model: the transforms as
+// the plain 8×8 matrix product they were before the partial butterflies,
+// every pass an 8-tap int32 dot product over dctTab with the same
+// rounding and final clamp.
+func idctMatrix(src, dst *Block) {
+	var tmp [64]int32
+	for v := 0; v < 8; v++ {
+		for x := 0; x < 8; x++ {
+			var s int32
+			for u := 0; u < 8; u++ {
+				s += int32(src[v*8+u]) * dctTab[u][x]
+			}
+			tmp[v*8+x] = (s + fixRound) >> 12
+		}
+	}
+	for x := 0; x < 8; x++ {
+		for y := 0; y < 8; y++ {
+			var s int32
+			for v := 0; v < 8; v++ {
+				s += tmp[v*8+x] * dctTab[v][y]
+			}
+			dst[y*8+x] = clamp16((s + fixRound) >> 12)
+		}
+	}
+}
+
+func fdctMatrix(src, dst *Block) {
+	var tmp [64]int32
+	for y := 0; y < 8; y++ {
+		for u := 0; u < 8; u++ {
+			var s int32
+			for x := 0; x < 8; x++ {
+				s += int32(src[y*8+x]) * dctTab[u][x]
+			}
+			tmp[y*8+u] = (s + fixRound) >> 12
+		}
+	}
+	for u := 0; u < 8; u++ {
+		for v := 0; v < 8; v++ {
+			var s int32
+			for y := 0; y < 8; y++ {
+				s += tmp[y*8+u] * dctTab[v][y]
+			}
+			dst[v*8+u] = clamp16((s + fixRound) >> 12)
+		}
+	}
+}
+
+// transformMismatch runs both transforms and their matrix references on
+// b and describes the first disagreement, or returns "".
+func transformMismatch(b *Block) string {
+	var got, want Block
+	IDCT(b, &got)
+	idctMatrix(b, &want)
+	if got != want {
+		return fmt.Sprintf("IDCT(%v) = %v, matrix product %v", *b, got, want)
+	}
+	FDCT(b, &got)
+	fdctMatrix(b, &want)
+	if got != want {
+		return fmt.Sprintf("FDCT(%v) = %v, matrix product %v", *b, got, want)
+	}
+	return ""
+}
+
+// codedClip is one decode's worth of RLSQ input: the run/level events of
+// every coded block of the Fig. 10 clip (QCIF, 12 frames, N=12 M=3) in
+// stream order, and the sequence quantizer.
+type codedClip struct {
+	q      int
+	events [][]RunLevel
+}
+
+func loadCodedClip(tb testing.TB) codedClip {
+	tb.Helper()
+	vld := NewStreamVLD()
+	vld.Extend(goldenStream(tb))
+	var clip codedClip
+	for {
+		ev, err := vld.Next()
+		if err != nil {
+			tb.Fatalf("at %s: %v", vld.Progress(), err)
+		}
+		switch ev.Kind {
+		case EventSeq:
+			clip.q = ev.Seq.Q
+		case EventMB:
+			for b := 0; b < BlocksPerMB; b++ {
+				if ev.Tok.CBP&(1<<b) != 0 {
+					clip.events = append(clip.events, append([]RunLevel(nil), ev.Tok.Events[b]...))
+				}
+			}
+		case EventEnd:
+			return clip
+		}
+	}
+}
+
+// coefBlocks returns the dequantized coefficient blocks the decoder feeds
+// the IDCT, one per coded block.
+func (c codedClip) coefBlocks(tb testing.TB) []Block {
+	tb.Helper()
+	blocks := make([]Block, len(c.events))
+	for i, ev := range c.events {
+		if err := RLSQTokensToCoef(ev, c.q, &blocks[i]); err != nil {
+			tb.Fatalf("coded block %d: %v", i, err)
+		}
+	}
+	return blocks
+}
+
+// TestTransformsMatchMatrixProduct is the exactness property: the
+// butterfly IDCT and FDCT return the matrix product's block, bit for bit,
+// on edge-case blocks, random dense blocks over the whole int16 range (the
+// largest sums either transform can form), random sparse blocks and every
+// coded block of the Fig. 10 clip.
+func TestTransformsMatchMatrixProduct(t *testing.T) {
+	var blocks []Block
+	blocks = append(blocks, Block{})
+	for _, dc := range []int16{1, -1, 255, -256, 32767, -32768} {
+		blocks = append(blocks, Block{dc})
+	}
+	for i := 0; i < 64; i++ {
+		for _, c := range []int16{1, -1, 32767, -32768} {
+			var b Block
+			b[i] = c
+			blocks = append(blocks, b)
+		}
+	}
+	rng := rand.New(rand.NewSource(27))
+	for trial := 0; trial < 2000; trial++ {
+		var b Block
+		for i := range b {
+			b[i] = int16(rng.Uint32())
+		}
+		blocks = append(blocks, b)
+	}
+	for trial := 0; trial < 2000; trial++ {
+		var b Block
+		for n := rng.Intn(8); n >= 0; n-- {
+			b[rng.Intn(64)] = int16(rng.Intn(2048) - 1024)
+		}
+		blocks = append(blocks, b)
+	}
+	clip := loadCodedClip(t)
+	coded := clip.coefBlocks(t)
+	if len(coded) == 0 {
+		t.Fatal("clip has no coded blocks")
+	}
+	blocks = append(blocks, coded...)
+	for i := range blocks {
+		if msg := transformMismatch(&blocks[i]); msg != "" {
+			t.Fatalf("block %d: %s", i, msg)
+		}
+	}
+}
+
+// TestDCTBasisSymmetry pins the symmetries of the rounded basis that the
+// butterflies fold on: dctTab[u][7-x] = (-1)^u dctTab[u][x] for every row,
+// and dctTab[u][3-x] = (-1)^(u/2) dctTab[u][x] for the even rows.
+func TestDCTBasisSymmetry(t *testing.T) {
+	for u := 0; u < 8; u++ {
+		sign := int32(1 - 2*(u&1))
+		for x := 0; x < 8; x++ {
+			if dctTab[u][7-x] != sign*dctTab[u][x] {
+				t.Errorf("dctTab[%d][%d] = %d, want %d·dctTab[%d][%d] = %d", u, 7-x, dctTab[u][7-x], sign, u, x, sign*dctTab[u][x])
+			}
+		}
+		if u&1 != 0 {
+			continue
+		}
+		sign = int32(1 - 2*(u>>1&1))
+		for x := 0; x < 4; x++ {
+			if dctTab[u][3-x] != sign*dctTab[u][x] {
+				t.Errorf("dctTab[%d][%d] = %d, want %d·dctTab[%d][%d] = %d", u, 3-x, dctTab[u][3-x], sign, u, x, sign*dctTab[u][x])
+			}
+		}
+	}
+}
+
+// FuzzTransformParity reads 128 fuzz bytes as one little-endian block
+// (short input is zero-padded, so sparse blocks are easy to reach) and
+// checks both transforms against the matrix product. Its second arm reads
+// the same bytes as run/level events and checks RLSQTokensToCoef against
+// the three-step reference.
+func FuzzTransformParity(f *testing.F) {
+	f.Add(uint8(5), []byte{})
+	f.Add(uint8(0), []byte{0x00, 0x80})
+	f.Add(uint8(30), []byte{0xff, 0x7f, 0x01, 0x00, 0x00, 0x80, 0x03, 0x00, 0xfe, 0xff})
+	f.Add(uint8(12), []byte("eclipse dct coprocessor butterflies"))
+	f.Fuzz(func(t *testing.T, q uint8, data []byte) {
+		var buf [128]byte
+		copy(buf[:], data)
+		var b Block
+		for i := range b {
+			b[i] = int16(binary.LittleEndian.Uint16(buf[2*i:]))
+		}
+		if msg := transformMismatch(&b); msg != "" {
+			t.Fatal(msg)
+		}
+		// Event i: a signed run from byte 4i, a 24-bit signed level from
+		// bytes 4i+1..4i+3 (outside int16, to reach the truncation).
+		events := make([]RunLevel, 0, len(data)/4)
+		for i := 0; i+4 <= len(data); i += 4 {
+			lvl := int32(binary.LittleEndian.Uint32(data[i:])) >> 8
+			events = append(events, RunLevel{Run: int(int8(data[i])), Level: lvl})
+		}
+		if msg := rlsqMismatch(events, int(q%31)+1); msg != "" {
+			t.Fatal(msg)
+		}
+	})
 }

@@ -104,19 +104,27 @@ func TransformMB(resid *[BlocksPerMB]Block, intra bool, q int) (qzz [BlocksPerMB
 }
 
 // RLSQTokensToCoef is the decode-direction RLSQ kernel for one block:
-// run/level expansion, inverse zigzag scan, and inverse quantization.
+// run/level expansion, inverse quantization and inverse zigzag scan, in
+// one pass that scatters each dequantized level to its row-major place.
+// It rejects what RunLengthExpand rejects — events past coefficient 63,
+// a zero level, a negative run — and out is unspecified on error.
 func RLSQTokensToCoef(events []RunLevel, q int, out *Block) error {
-	var zz, dzz Block
-	if !RunLengthExpand(events, &zz) {
-		return fmt.Errorf("%w: run/level overflow", ErrBitstream)
+	*out = Block{}
+	d := int32(2 * q)
+	pos := 0
+	for _, e := range events {
+		pos += e.Run
+		if uint(pos) >= 64 || e.Level == 0 || e.Run < 0 {
+			return fmt.Errorf("%w: run/level overflow", ErrBitstream)
+		}
+		out[zigzag[pos]] = clamp16(int32(int16(e.Level)) * d)
+		pos++
 	}
-	Dequantize(&zz, &dzz, q)
-	InverseZigzag(&dzz, out)
 	return nil
 }
 
 // RLSQDecodeMB applies RLSQTokensToCoef to every coded block of a
-// macroblock; uncoded blocks come out zero.
+// macroblock; uncoded blocks come out zero. out is unspecified on error.
 func RLSQDecodeMB(tok *TokenMB, q int, out *[BlocksPerMB]Block) error {
 	for b := 0; b < BlocksPerMB; b++ {
 		if tok.CBP&(1<<b) == 0 {
