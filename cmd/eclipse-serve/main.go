@@ -25,8 +25,17 @@
 //
 // Identical requests are served from a content-addressed result cache
 // with singleflight collapse (-cache-bytes budget, per-tenant on/off
-// via the fifth -tenant field); responses carry an X-Cache outcome and
-// a content-address ETag honoring If-None-Match (see DESIGN.md §8).
+// via -tenant's cache key); responses carry an X-Cache outcome and a
+// content-address ETag honoring If-None-Match (see DESIGN.md §8).
+//
+// Tenants are declared with repeatable -tenant flags of comma-separated
+// key=value pairs, for example
+//
+//	-tenant name=gold,weight=4,cap=16,cache=off,segments=2
+//
+// name is required; weight (scheduling-slice multiplier), cap (admission
+// bound), cache (on/off override of the server-wide cache) and segments
+// (transcode span fan-out) default to the server-wide flags.
 //
 // SIGINT/SIGTERM starts a graceful drain: admission stops, in-flight
 // and queued jobs complete (bounded by -drain), a serving + cache
@@ -49,56 +58,86 @@ import (
 	"eclipse/internal/serve"
 )
 
-// tenantFlags collects repeated -tenant
-// name:weight[:queuecap[:decodeworkers[:cache[:segments]]]] flags.
+// tenantSyntax is the -tenant value: comma-separated key=value pairs,
+// name required, every other key optional and at most once.
+const tenantSyntax = "name=NAME[,weight=N][,cap=N][,cache=on|off][,segments=N]"
+
+// tenantFlags collects repeated -tenant flags.
 type tenantFlags []serve.TenantConfig
 
 func (t *tenantFlags) String() string { return fmt.Sprintf("%v", []serve.TenantConfig(*t)) }
 
 func (t *tenantFlags) Set(v string) error {
-	parts := strings.Split(v, ":")
-	if len(parts) < 2 || len(parts) > 6 {
-		return fmt.Errorf("want name:weight[:queuecap[:decodeworkers[:cache[:segments]]]], got %q", v)
+	tc, err := parseTenant(v)
+	if err == nil {
+		*t = append(*t, tc)
 	}
-	tc := serve.TenantConfig{Name: parts[0]}
-	w, err := strconv.Atoi(parts[1])
-	if err != nil || w < 1 {
-		return fmt.Errorf("bad weight in %q", v)
-	}
-	tc.Weight = w
-	if len(parts) >= 3 {
-		c, err := strconv.Atoi(parts[2])
-		if err != nil || c < 1 {
-			return fmt.Errorf("bad queue cap in %q", v)
+	return err
+}
+
+// parseTenant parses one -tenant value. Unknown keys, repeated keys and
+// the old positional name:weight:… form are errors that show the
+// syntax, so a flag written for the old layout cannot silently mean
+// something else.
+func parseTenant(v string) (tc serve.TenantConfig, err error) {
+	defer func() {
+		if err != nil {
+			err = fmt.Errorf("%v (want %s)", err, tenantSyntax)
 		}
-		tc.QueueCap = c
-	}
-	if len(parts) >= 4 {
-		dw, err := strconv.Atoi(parts[3])
-		if err != nil || dw < 1 {
-			return fmt.Errorf("bad decode workers in %q", v)
+	}()
+	seen := map[string]bool{}
+	for _, kv := range strings.Split(v, ",") {
+		key, val, ok := strings.Cut(kv, "=")
+		switch {
+		case !ok && strings.Contains(kv, ":"):
+			return tc, fmt.Errorf("the positional name:weight:… form is gone")
+		case !ok:
+			return tc, fmt.Errorf("%q is not key=value", kv)
+		case seen[key]:
+			return tc, fmt.Errorf("%s given twice", key)
 		}
-		tc.DecodeWorkers = dw
-	}
-	if len(parts) >= 5 {
-		switch parts[4] {
-		case "on", "1":
-			tc.Cache = serve.CacheOn
-		case "off", "0":
-			tc.Cache = serve.CacheOff
+		seen[key] = true
+		switch key {
+		case "name":
+			if val == "" {
+				err = fmt.Errorf("empty")
+			}
+			tc.Name = val
+		case "weight":
+			tc.Weight, err = positive(val)
+		case "cap":
+			tc.QueueCap, err = positive(val)
+		case "segments":
+			tc.TranscodeSegments, err = positive(val)
+		case "cache":
+			switch val {
+			case "on":
+				tc.Cache = serve.CacheOn
+			case "off":
+				tc.Cache = serve.CacheOff
+			default:
+				err = fmt.Errorf("not on or off")
+			}
 		default:
-			return fmt.Errorf("bad cache mode %q in %q (want on/off)", parts[4], v)
+			return tc, fmt.Errorf("unknown key %q", key)
+		}
+		if err != nil {
+			return tc, fmt.Errorf("bad %s=%q: %v", key, val, err)
 		}
 	}
-	if len(parts) == 6 {
-		xs, err := strconv.Atoi(parts[5])
-		if err != nil || xs < 1 {
-			return fmt.Errorf("bad transcode segments in %q", v)
-		}
-		tc.TranscodeSegments = xs
+	if tc.Name == "" {
+		return tc, fmt.Errorf("name is required")
 	}
-	*t = append(*t, tc)
-	return nil
+	return tc, nil
+}
+
+// positive parses a count that must be at least 1.
+func positive(s string) (int, error) {
+	n, err := strconv.Atoi(s)
+	if err != nil || n < 1 {
+		return 0, fmt.Errorf("not a positive integer")
+	}
+	return n, nil
 }
 
 func main() {
@@ -109,7 +148,6 @@ func main() {
 		queueCap = flag.Int("queue-cap", 8, "default per-tenant admission bound")
 		maxBody  = flag.Int64("max-body", 64<<20, "request body cap in bytes")
 		poolCap  = flag.Int("frame-pool", 256, "frames retained by the shared pool")
-		decodeW  = flag.Int("decode-workers", 1, "default per-tenant decode width (1 = serial decoder, >1 = that many reconstruction workers beside the entropy parse; same output)")
 		encodeW  = flag.Int("encode-workers", 0, "per-job encode analysis fan-out (0 = NumCPU)")
 		cacheB   = flag.Int64("cache-bytes", 256<<20, "result cache byte budget (0 disables)")
 		cacheAge = flag.Duration("cache-max-age", 60*time.Second, "freshness window advertised via Cache-Control max-age (bounds gateway L1 TTLs)")
@@ -117,7 +155,7 @@ func main() {
 		drain    = flag.Duration("drain", 30*time.Second, "graceful shutdown budget")
 		tenants  tenantFlags
 	)
-	flag.Var(&tenants, "tenant", "declare a tenant as name:weight[:queuecap[:decodeworkers[:cache[:segments]]]] (repeatable; cache = on/off)")
+	flag.Var(&tenants, "tenant", "declare a tenant as "+tenantSyntax+" (repeatable)")
 	flag.Parse()
 
 	cacheBytes := *cacheB
@@ -130,7 +168,6 @@ func main() {
 		QueueCap:          *queueCap,
 		MaxBodyBytes:      *maxBody,
 		FramePoolCap:      *poolCap,
-		DecodeWorkers:     *decodeW,
 		EncodeWorkers:     *encodeW,
 		CacheBytes:        cacheBytes,
 		CacheMaxAge:       *cacheAge,

@@ -83,45 +83,30 @@ func TestGoldenFig10Hashes(t *testing.T) {
 		t.Errorf("decoded frame hash drifted:\n  got  %s\n  want %s", got, goldenFramesSHA)
 	}
 
-	// The pipeline-parallel decoder must reproduce the pinned hash for
-	// every worker count: parallelism is perf-only.
-	for workers := 1; workers <= 8; workers++ {
-		res, err := DecodeWithOptions(stream, DecodeOptions{Workers: workers})
-		if err != nil {
-			t.Fatalf("decode workers=%d: %v", workers, err)
-		}
-		if got := hashFrames(t, res.DisplayFrames()); got != goldenFramesSHA {
-			t.Errorf("workers=%d: decoded frame hash drifted:\n  got  %s\n  want %s", workers, got, goldenFramesSHA)
-		}
-	}
-
 	// Streaming delivery must also be perf-only: hashing the frames as
 	// OnDisplayFrame hands them out — at delivery time, in display order
-	// — must reproduce the same pinned hash for every worker count.
-	for workers := 1; workers <= 8; workers++ {
-		h := sha256.New()
-		var dims [8]byte
-		nextDi := 0
-		_, err := DecodeWithOptions(stream, DecodeOptions{
-			Workers: workers,
-			OnDisplayFrame: func(di int, f *Frame) error {
-				if di != nextDi {
-					t.Errorf("workers=%d: delivered display index %d, want %d", workers, di, nextDi)
-				}
-				nextDi++
-				binary.BigEndian.PutUint32(dims[0:], uint32(f.W))
-				binary.BigEndian.PutUint32(dims[4:], uint32(f.H))
-				h.Write(dims[:])
-				h.Write(f.Pix)
-				return nil
-			},
-		})
-		if err != nil {
-			t.Fatalf("streaming decode workers=%d: %v", workers, err)
-		}
-		if got := hex.EncodeToString(h.Sum(nil)); got != goldenFramesSHA {
-			t.Errorf("workers=%d: streaming-delivery frame hash drifted:\n  got  %s\n  want %s", workers, got, goldenFramesSHA)
-		}
+	// — must reproduce the same pinned hash.
+	h := sha256.New()
+	var dims [8]byte
+	nextDi := 0
+	_, err = DecodeWithOptions(stream, DecodeOptions{
+		OnDisplayFrame: func(di int, f *Frame) error {
+			if di != nextDi {
+				t.Errorf("delivered display index %d, want %d", di, nextDi)
+			}
+			nextDi++
+			binary.BigEndian.PutUint32(dims[0:], uint32(f.W))
+			binary.BigEndian.PutUint32(dims[4:], uint32(f.H))
+			h.Write(dims[:])
+			h.Write(f.Pix)
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatalf("streaming decode: %v", err)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != goldenFramesSHA {
+		t.Errorf("streaming-delivery frame hash drifted:\n  got  %s\n  want %s", got, goldenFramesSHA)
 	}
 }
 

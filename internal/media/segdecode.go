@@ -31,12 +31,5 @@ func DecodeSegment(stream []byte, startBit, lo, hi int, opts DecodeOptions) (*De
 		return nil, fmt.Errorf("media: segment start bit %d out of range", startBit)
 	}
 	r.Skip(uint(startBit - r.BitPos()))
-	workers := opts.Workers
-	if workers == 0 {
-		workers = DecodeWorkers
-	}
-	if workers <= 1 {
-		return decodeSerialSpan(r, seq, lo, hi, &opts)
-	}
-	return decodeParallelSpan(r, seq, lo, hi, &opts, workers)
+	return decodeSpan(r, seq, lo, hi, &opts)
 }

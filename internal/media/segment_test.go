@@ -146,7 +146,7 @@ func TestPartitionSegments(t *testing.T) {
 // partition into k spans, decode each span concurrently into its own
 // span encoder (only the first writes the sequence header), stitch.
 // Returns the stitched bitstream.
-func transcodeSegmented(t testing.TB, stream []byte, out CodecConfig, k, decWorkers int) []byte {
+func transcodeSegmented(t testing.TB, stream []byte, out CodecConfig, k int) []byte {
 	t.Helper()
 	ix, err := IndexGOPs(stream, nil)
 	if err != nil {
@@ -167,7 +167,6 @@ func transcodeSegmented(t testing.TB, stream []byte, out CodecConfig, k, decWork
 				return
 			}
 			_, err = DecodeSegment(stream, ix.FrameBit(lo), lo, hi, DecodeOptions{
-				Workers: decWorkers,
 				OnDisplayFrame: func(di int, f *Frame) error {
 					return enc.Push(f)
 				},
@@ -189,10 +188,10 @@ func transcodeSegmented(t testing.TB, stream []byte, out CodecConfig, k, decWork
 	return StitchSegments(parts)
 }
 
-// TestSegmentTranscodeGoldenSweep is the tentpole's bit-identity guard:
-// for segment counts 1..8 (and serial vs pipelined segment decodes) the
-// stitched segment-parallel transcode must be byte-identical to the
-// serial path — a whole-clip decode re-encoded by the batch encoder.
+// TestSegmentTranscodeGoldenSweep is the segment engine's bit-identity
+// guard: for segment counts 1..8 the stitched segment-parallel transcode
+// must be byte-identical to the serial path — a whole-clip decode
+// re-encoded by the batch encoder.
 func TestSegmentTranscodeGoldenSweep(t *testing.T) {
 	stream, cfg := segTestStream(t, 64, 48, 39, func(c *CodecConfig) { c.GOPN = 13; c.GOPM = 3 })
 	out := cfg
@@ -208,12 +207,8 @@ func TestSegmentTranscodeGoldenSweep(t *testing.T) {
 	}
 
 	for k := 1; k <= 8; k++ {
-		for _, dw := range []int{1, 4} {
-			got := transcodeSegmented(t, stream, out, k, dw)
-			if !bytes.Equal(got, golden) {
-				t.Errorf("k=%d decWorkers=%d: stitched stream differs from serial path (%d vs %d bytes)",
-					k, dw, len(got), len(golden))
-			}
+		if got := transcodeSegmented(t, stream, out, k); !bytes.Equal(got, golden) {
+			t.Errorf("k=%d: stitched stream differs from serial path (%d vs %d bytes)", k, len(got), len(golden))
 		}
 	}
 
@@ -237,7 +232,7 @@ func TestSegmentTranscodeGoldenSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := transcodeSegmented(t, openStream, openOut, 4, 2); !bytes.Equal(got, openGolden) {
+	if got := transcodeSegmented(t, openStream, openOut, 4); !bytes.Equal(got, openGolden) {
 		t.Error("open-GOP fallback stream differs from serial path")
 	}
 }
@@ -260,28 +255,25 @@ func TestDecodeSegmentPixels(t *testing.T) {
 	if len(spans) != 2 {
 		t.Fatalf("spans = %v, want 2", spans)
 	}
-	for _, workers := range []int{1, 4} {
-		for _, sp := range spans {
-			next := sp[0]
-			_, err := DecodeSegment(stream, ix.FrameBit(sp[0]), sp[0], sp[1], DecodeOptions{
-				Workers: workers,
-				OnDisplayFrame: func(di int, f *Frame) error {
-					if di != next {
-						t.Errorf("segment %v: delivered di %d, want %d", sp, di, next)
-					}
-					next++
-					if !bytes.Equal(f.Pix, wholeFrames[di].Pix) {
-						t.Errorf("segment %v workers=%d: frame %d pixels differ", sp, workers, di)
-					}
-					return nil
-				},
-			})
-			if err != nil {
-				t.Fatalf("segment %v workers=%d: %v", sp, workers, err)
-			}
-			if next != sp[1] {
-				t.Errorf("segment %v: delivered up to %d, want %d", sp, next, sp[1])
-			}
+	for _, sp := range spans {
+		next := sp[0]
+		_, err := DecodeSegment(stream, ix.FrameBit(sp[0]), sp[0], sp[1], DecodeOptions{
+			OnDisplayFrame: func(di int, f *Frame) error {
+				if di != next {
+					t.Errorf("segment %v: delivered di %d, want %d", sp, di, next)
+				}
+				next++
+				if !bytes.Equal(f.Pix, wholeFrames[di].Pix) {
+					t.Errorf("segment %v: frame %d pixels differ", sp, di)
+				}
+				return nil
+			},
+		})
+		if err != nil {
+			t.Fatalf("segment %v: %v", sp, err)
+		}
+		if next != sp[1] {
+			t.Errorf("segment %v: delivered up to %d, want %d", sp, next, sp[1])
 		}
 	}
 

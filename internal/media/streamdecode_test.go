@@ -2,14 +2,14 @@ package media
 
 // Streaming-delivery decoder tests: the OnDisplayFrame hook must hand
 // out frames in display order with pixels identical to the batch
-// decoder, for every worker count, and the Retire/Recycle accounting
-// must return every frame exactly once on success and on abort.
+// decoder, and the Retire/Recycle accounting must return every frame
+// exactly once on success and on abort. Subtests named wN run a clip N
+// macroblocks wide.
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 )
 
@@ -30,8 +30,8 @@ func streamTestClip(t testing.TB, w, h, frames, gopn, gopm int, halfPel bool) ([
 }
 
 // TestStreamingDecodeParity checks display-order delivery with pixel
-// content identical to the batch decode, across worker counts and GOP
-// shapes, with exact Retire accounting.
+// content identical to the batch decode, across GOP shapes and clip
+// widths, with exact Retire accounting.
 func TestStreamingDecodeParity(t *testing.T) {
 	for _, tc := range []struct {
 		frames, gopn, gopm int
@@ -42,23 +42,18 @@ func TestStreamingDecodeParity(t *testing.T) {
 		{14, 6, 5, true},
 		{5, 255, 15, false},
 	} {
-		stream, _ := streamTestClip(t, 64, 48, tc.frames, tc.gopn, tc.gopm, tc.halfPel)
-		ref, err := Decode(stream)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := ref.DisplayFrames()
-		for workers := 1; workers <= 8; workers++ {
-			t.Run(fmt.Sprintf("m%d-w%d", tc.gopm, workers), func(t *testing.T) {
+		for mbw := 1; mbw <= 8; mbw++ {
+			t.Run(fmt.Sprintf("m%d-w%d", tc.gopm, mbw), func(t *testing.T) {
+				stream, _ := streamTestClip(t, 16*mbw, 48, tc.frames, tc.gopn, tc.gopm, tc.halfPel)
+				ref, err := Decode(stream)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := ref.DisplayFrames()
 				var got []*Frame
-				// Retire may fire on the parser, worker, or delivery
-				// goroutine (only same-frame concurrency is excluded),
-				// so the accounting needs its own lock.
-				var mu sync.Mutex
 				retired := map[*Frame]int{}
 				recycled := 0
 				res, err := DecodeWithOptions(stream, DecodeOptions{
-					Workers: workers,
 					OnDisplayFrame: func(di int, f *Frame) error {
 						if di != len(got) {
 							return fmt.Errorf("delivered display index %d, want %d", di, len(got))
@@ -72,16 +67,8 @@ func TestStreamingDecodeParity(t *testing.T) {
 						got = append(got, c)
 						return nil
 					},
-					Retire: func(f *Frame) {
-						mu.Lock()
-						retired[f]++
-						mu.Unlock()
-					},
-					Recycle: func(f *Frame) {
-						mu.Lock()
-						recycled++
-						mu.Unlock()
-					},
+					Retire:  func(f *Frame) { retired[f]++ },
+					Recycle: func(*Frame) { recycled++ },
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -120,27 +107,19 @@ func TestStreamingDecodeParity(t *testing.T) {
 // checks the error surfaces and every frame is handed back exactly once
 // (Retire for delivered, Recycle for the rest).
 func TestStreamingDecodeCallbackError(t *testing.T) {
-	stream, _ := streamTestClip(t, 64, 48, 10, 12, 3, true)
 	sentinel := errors.New("consumer full")
-	for workers := 1; workers <= 4; workers++ {
+	for mbw := 1; mbw <= 4; mbw++ {
+		stream, _ := streamTestClip(t, 16*mbw, 48, 10, 12, 3, true)
 		for _, stopAt := range []int{0, 1, 4} {
-			t.Run(fmt.Sprintf("w%d-stop%d", workers, stopAt), func(t *testing.T) {
-				var mu sync.Mutex
+			t.Run(fmt.Sprintf("w%d-stop%d", mbw, stopAt), func(t *testing.T) {
 				handedBack := map[*Frame]int{}
 				issued := map[*Frame]bool{}
-				back := func(f *Frame) {
-					mu.Lock()
-					handedBack[f]++
-					mu.Unlock()
-				}
+				back := func(f *Frame) { handedBack[f]++ }
 				delivered := 0
 				_, err := DecodeWithOptions(stream, DecodeOptions{
-					Workers: workers,
 					NewFrame: func(w, h int) *Frame {
 						f := NewFrame(w, h)
-						mu.Lock()
 						issued[f] = true
-						mu.Unlock()
 						return f
 					},
 					OnDisplayFrame: func(di int, f *Frame) error {
@@ -171,12 +150,11 @@ func TestStreamingDecodeCallbackError(t *testing.T) {
 	}
 }
 
-// TestStreamingDecodeWindowEdges exercises the parser-window boundary
+// TestStreamingDecodeWindowEdges exercises the reorder-window boundary
 // shapes: a single-GOP clip (the whole stream is one window span), a
 // GOPM=1 clip (no B frames, so the reorder window never holds more than
-// one frame), and a one-frame clip. Every engine (serial and 1..4
-// parallel workers) must deliver batch-identical pixels with symmetric
-// pool traffic.
+// one frame), and a one-frame clip. At every clip width the decode must
+// deliver batch-identical pixels with symmetric pool traffic.
 func TestStreamingDecodeWindowEdges(t *testing.T) {
 	for _, tc := range []struct {
 		name               string
@@ -187,18 +165,17 @@ func TestStreamingDecodeWindowEdges(t *testing.T) {
 		{"single-frame", 1, 12, 3},
 		{"gop-equals-clip", 8, 8, 2},
 	} {
-		stream, _ := streamTestClip(t, 64, 48, tc.frames, tc.gopn, tc.gopm, false)
-		ref, err := Decode(stream)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := ref.DisplayFrames()
-		for workers := 1; workers <= 4; workers++ {
-			t.Run(fmt.Sprintf("%s-w%d", tc.name, workers), func(t *testing.T) {
+		for mbw := 1; mbw <= 4; mbw++ {
+			t.Run(fmt.Sprintf("%s-w%d", tc.name, mbw), func(t *testing.T) {
+				stream, _ := streamTestClip(t, 16*mbw, 48, tc.frames, tc.gopn, tc.gopm, false)
+				ref, err := Decode(stream)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := ref.DisplayFrames()
 				pool := NewSyncFramePool(64)
 				delivered := 0
-				_, err := DecodeWithOptions(stream, DecodeOptions{
-					Workers:  workers,
+				_, err = DecodeWithOptions(stream, DecodeOptions{
 					NewFrame: pool.Get,
 					Recycle:  pool.Put,
 					OnDisplayFrame: func(di int, f *Frame) error {
@@ -231,18 +208,16 @@ func TestStreamingDecodeWindowEdges(t *testing.T) {
 }
 
 // TestStreamingDecodeTruncatedLastGOP cuts the bitstream inside its
-// final GOP at a spread of depths: every engine must fail with
-// ErrBitstream (not hang at the parser window waiting for frames that
-// never arrive) and hand every pooled frame back.
+// final GOP at a spread of depths: the decode must fail with
+// ErrBitstream and hand every pooled frame back, delivered or not.
 func TestStreamingDecodeTruncatedLastGOP(t *testing.T) {
-	stream, _ := streamTestClip(t, 64, 48, 13, 13, 3, false)
 	for _, cut := range []int{1, 3, 7, 20} {
-		bad := stream[:len(stream)-cut]
-		for workers := 1; workers <= 4; workers++ {
-			t.Run(fmt.Sprintf("cut%d-w%d", cut, workers), func(t *testing.T) {
+		for mbw := 1; mbw <= 4; mbw++ {
+			t.Run(fmt.Sprintf("cut%d-w%d", cut, mbw), func(t *testing.T) {
+				stream, _ := streamTestClip(t, 16*mbw, 48, 13, 13, 3, false)
+				bad := stream[:len(stream)-cut]
 				pool := NewSyncFramePool(64)
 				_, err := DecodeWithOptions(bad, DecodeOptions{
-					Workers:        workers,
 					NewFrame:       pool.Get,
 					Recycle:        pool.Put,
 					OnDisplayFrame: func(int, *Frame) error { return nil },
@@ -268,21 +243,21 @@ func TestStreamSinkBadTRef(t *testing.T) {
 	mk := func() *streamSink {
 		return newStreamSink(&DecodeOptions{
 			OnDisplayFrame: func(int, *Frame) error { return nil },
-		}, 0, 4, 6)
+		}, 0, 4)
 	}
 	s := mk()
-	if err := s.frameParsed(4, NewFrame(16, 16), true); !errors.Is(err, ErrBitstream) {
+	if err := s.frameDecoded(4, NewFrame(16, 16), true); !errors.Is(err, ErrBitstream) {
 		t.Errorf("out-of-range TRef: err = %v, want ErrBitstream", err)
 	}
 	s = mk()
-	if err := s.frameParsed(-1, NewFrame(16, 16), true); !errors.Is(err, ErrBitstream) {
+	if err := s.frameDecoded(-1, NewFrame(16, 16), true); !errors.Is(err, ErrBitstream) {
 		t.Errorf("negative TRef: err = %v, want ErrBitstream", err)
 	}
 	s = mk()
-	if err := s.frameParsed(2, NewFrame(16, 16), true); err != nil {
+	if err := s.frameDecoded(2, NewFrame(16, 16), true); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.frameParsed(2, NewFrame(16, 16), false); !errors.Is(err, ErrBitstream) {
+	if err := s.frameDecoded(2, NewFrame(16, 16), false); !errors.Is(err, ErrBitstream) {
 		t.Errorf("duplicate TRef: err = %v, want ErrBitstream", err)
 	}
 }

@@ -45,8 +45,8 @@ func TestCacheKeyDistinct(t *testing.T) {
 	if DecodeKey(stream) != DecodeKey(append([]byte(nil), stream...)) {
 		t.Fatal("identical inputs must produce identical keys")
 	}
-	// Worker counts must not affect the key: output is bit-identical
-	// across decode widths, so tenants at different widths share entries.
+	// The encode worker count must not affect the key: the encoder emits
+	// the same bits for any count.
 	old := media.EncodeWorkers
 	media.EncodeWorkers = 7
 	k7 := EncodeKey(cfg, stream)

@@ -14,11 +14,10 @@ import (
 // canonical preimage built from the operation kind, the codec
 // parameters, and the input payload. Two requests share a key exactly
 // when the codec is guaranteed to produce byte-identical output for
-// them. Decode/encode worker counts are deliberately NOT part of the
-// key: output is proven bit-identical across worker counts (the
-// parallel-parity guards in internal/media), so tenants at different
-// widths share cache entries. The type itself (and its ETag rendering)
-// lives with the cache mechanism both tiers store under it.
+// them. The encode worker count is deliberately NOT part of the key:
+// the two-phase encoder emits the same bits for any count (see
+// EncodeKey). The type itself (and its ETag rendering) lives with the
+// cache mechanism both tiers store under it.
 type CacheKey = slab.Key
 
 // ETagMatches reports whether an If-None-Match header value matches the

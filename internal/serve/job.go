@@ -132,22 +132,17 @@ var dispPool = sync.Pool{New: func() any { return new([]*media.Frame) }}
 
 // decodeFrames is the one decode body of the serving tier, shared by
 // decode jobs and the two-phase transcode reference: media's decoder as
-// a single checkpointed task. The entropy front-end checkpoints at every
-// frame header, so preemption and cancellation land at frame boundaries
-// — reconstruction workers and all. workers is a width, not an engine:
-// 1 is the serial decoder, above that the same decoder overlaps entropy
-// parse with per-row reconstruction on that many workers; output and
-// errors are identical for every width. It returns the display-order
-// frames, every entry non-nil and drawn from pool (the caller takes
-// ownership; on failure they are already back in the pool). putSlice
-// returns the slice's backing storage to a shared pool; call it once the
-// frames have been consumed.
-func decodeFrames(ctx context.Context, gate *Gate, stream []byte, pool *media.SyncFramePool, workers int) (frames []*media.Frame, putSlice func(), err error) {
+// a single checkpointed task. The decoder checkpoints at every frame
+// header, so preemption and cancellation land at frame boundaries. It
+// returns the display-order frames, every entry non-nil and drawn from
+// pool (the caller takes ownership; on failure they are already back in
+// the pool). putSlice returns the slice's backing storage to a shared
+// pool; call it once the frames have been consumed.
+func decodeFrames(ctx context.Context, gate *Gate, stream []byte, pool *media.SyncFramePool) (frames []*media.Frame, putSlice func(), err error) {
 	var res *media.DecodeResult
 	err = runTask(ctx, gate, "dec", func(checkpoint func() error) error {
 		var err error
 		res, err = media.DecodeWithOptions(stream, media.DecodeOptions{
-			Workers:  workers,
 			NewFrame: pool.Get,
 			Recycle:  pool.Put,
 			OnFrame:  func(int) error { return checkpoint() },
@@ -179,21 +174,17 @@ func decodeFrames(ctx context.Context, gate *Gate, stream []byte, pool *media.Sy
 }
 
 // NewDecodeJob builds a job that decodes an ECL1 bitstream and returns
-// the display-order frames concatenated as raw 8-bit luma planes. workers
-// is the decode width (see decodeFrames): 1 — and anything below it — is
-// the serial decoder, above that `workers` reconstruction workers run
-// beside the entropy parse. The sequence header is validated
-// synchronously so malformed requests fail before admission.
-func NewDecodeJob(ctx context.Context, tenant string, stream []byte, pool *media.SyncFramePool, workers int) (*Job, error) {
+// the display-order frames concatenated as raw 8-bit luma planes. The
+// sequence header is validated synchronously so malformed requests fail
+// before admission. The last parameter is ignored; it exists only for
+// the benchmark rig.
+func NewDecodeJob(ctx context.Context, tenant string, stream []byte, pool *media.SyncFramePool, _ int) (*Job, error) {
 	seq, err := media.ParseSeqHeader(media.NewBitReader(stream))
 	if err != nil {
 		return nil, err
 	}
-	if workers <= 0 {
-		workers = 1 // not media.DecodeWorkers: the default width is serial
-	}
 	body := func(ctx context.Context, gate *Gate) (Result, error) {
-		frames, putSlice, err := decodeFrames(ctx, gate, stream, pool, workers)
+		frames, putSlice, err := decodeFrames(ctx, gate, stream, pool)
 		if err != nil {
 			return Result{}, err
 		}

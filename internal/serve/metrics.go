@@ -65,7 +65,6 @@ type TenantSnapshot struct {
 	Name              string  `json:"name"`
 	Weight            int     `json:"weight"`
 	QueueCap          int     `json:"queue_cap"`
-	DecodeWorkers     int     `json:"decode_workers"`
 	CacheMode         string  `json:"cache_mode"`
 	TranscodeSegments int     `json:"transcode_segments"`
 	QueueDepth        int     `json:"queue_depth"`

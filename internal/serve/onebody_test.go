@@ -1,7 +1,7 @@
 package serve
 
-// Pins for the job bodies: malformed input answers 400 and leaks nothing
-// at every decode width, a cancelled encode leaks nothing, the serving
+// Pins for the job bodies: malformed input answers 400 and leaks nothing,
+// a cancelled encode leaks nothing, the serving
 // tier's import graph stays clear of the simulator, and a cold decode
 // and a cold transcode stay inside their allocation budgets.
 
@@ -56,15 +56,13 @@ func serveDecode(h http.Handler, w *discardWriter, stream []byte) {
 	h.ServeHTTP(w, httptest.NewRequest("POST", "/v1/decode", bytes.NewReader(stream)))
 }
 
-// TestHTTPDecodeMalformed feeds damaged bitstreams through the handler
-// at decode widths 1 and 2: every one must answer 400 with a
-// media.ErrBitstream message and leave no pooled frame outstanding.
-// At the parent of the PR that made the decoder the only body, width 1
-// (then the six-task KPN job) answers 500 for the three truncations —
-// "vld: bitstream ended…" does not wrap media.ErrBitstream — and leaves
-// 0, 2, 4, 6 frames of this clip outstanding after the first four
-// requests, where width 2 answers 400 with 0 outstanding every time;
-// both widths answer 500 for the duplicated display index.
+// TestHTTPDecodeMalformed feeds damaged bitstreams through the handler:
+// every one must answer 400 with a media.ErrBitstream message and leave
+// no pooled frame outstanding. Before the decoder became the only decode
+// body, the six-task KPN job answered 500 for the three truncations —
+// "vld: bitstream ended…" does not wrap media.ErrBitstream — and left 0,
+// 2, 4, 6 frames of this clip outstanding after the first four requests;
+// it answered 500 for the duplicated display index.
 func TestHTTPDecodeMalformed(t *testing.T) {
 	stream, _, _ := testStream(t, 96, 80, 9, func(c *media.CodecConfig) { c.GOPM = 3 })
 	flip := func(at int, mask byte) []byte {
@@ -93,7 +91,7 @@ func TestHTTPDecodeMalformed(t *testing.T) {
 		if _, err := media.ParseSeqHeader(media.NewBitReader(tc.body)); err != nil {
 			t.Fatalf("%s: rejected before admission: %v", tc.name, err)
 		}
-		res, err := media.DecodeWithOptions(tc.body, media.DecodeOptions{Workers: 1})
+		res, err := media.Decode(tc.body)
 		if !tc.hole && err == nil {
 			t.Fatalf("%s: offline decoder accepts it", tc.name)
 		}
@@ -101,24 +99,22 @@ func TestHTTPDecodeMalformed(t *testing.T) {
 			t.Fatalf("%s: want a clean decode with display slot 0 empty, got err %v", tc.name, err)
 		}
 	}
-	for _, width := range []int{1, 2} {
-		srv := New(Config{Workers: 1, DecodeWorkers: width, CacheBytes: -1})
-		defer srv.Shutdown(context.Background())
-		w := &discardWriter{hdr: http.Header{}}
-		for _, tc := range cases {
-			serveDecode(srv.Handler(), w, tc.body)
-			if w.code != http.StatusBadRequest || !strings.Contains(w.body(), media.ErrBitstream.Error()) {
-				t.Errorf("width %d %s: got %d %q, want 400 with %q", width, tc.name, w.code, w.body(), media.ErrBitstream)
-			}
-			if n := srv.pool.Outstanding(); n != 0 {
-				t.Errorf("width %d %s: %d pooled frames outstanding after the request", width, tc.name, n)
-			}
+	srv := New(Config{Workers: 1, CacheBytes: -1})
+	defer srv.Shutdown(context.Background())
+	w := &discardWriter{hdr: http.Header{}}
+	for _, tc := range cases {
+		serveDecode(srv.Handler(), w, tc.body)
+		if w.code != http.StatusBadRequest || !strings.Contains(w.body(), media.ErrBitstream.Error()) {
+			t.Errorf("%s: got %d %q, want 400 with %q", tc.name, w.code, w.body(), media.ErrBitstream)
 		}
-		// The pool must still serve a good request afterwards.
-		serveDecode(srv.Handler(), w, stream)
-		if w.code != http.StatusOK || srv.pool.Outstanding() != 0 {
-			t.Errorf("width %d: good stream after the bad ones: %d, %d frames outstanding", width, w.code, srv.pool.Outstanding())
+		if n := srv.pool.Outstanding(); n != 0 {
+			t.Errorf("%s: %d pooled frames outstanding after the request", tc.name, n)
 		}
+	}
+	// The pool must still serve a good request afterwards.
+	serveDecode(srv.Handler(), w, stream)
+	if w.code != http.StatusOK || srv.pool.Outstanding() != 0 {
+		t.Errorf("good stream after the bad ones: %d, %d frames outstanding", w.code, srv.pool.Outstanding())
 	}
 }
 

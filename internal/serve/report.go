@@ -26,11 +26,11 @@ func (s *Server) WriteReport(w io.Writer) {
 
 	tenants := s.sched.SnapshotTenants()
 	sort.Slice(tenants, func(i, j int) bool { return tenants[i].Name < tenants[j].Name })
-	fmt.Fprintf(w, "\n%-12s %6s %5s %7s %9s %7s %8s %8s %11s %7s\n",
-		"tenant", "weight", "dec", "cache", "completed", "errors", "rejects", "preempts", "service", "ewma")
+	fmt.Fprintf(w, "\n%-12s %6s %7s %9s %7s %8s %8s %11s %7s\n",
+		"tenant", "weight", "cache", "completed", "errors", "rejects", "preempts", "service", "ewma")
 	for _, t := range tenants {
-		fmt.Fprintf(w, "%-12s %6d %5d %7s %9d %7d %8d %8d %10.2fs %5.1fms\n",
-			t.Name, t.Weight, t.DecodeWorkers, t.CacheMode, t.Completed, t.Errors,
+		fmt.Fprintf(w, "%-12s %6d %7s %9d %7d %8d %8d %10.2fs %5.1fms\n",
+			t.Name, t.Weight, t.CacheMode, t.Completed, t.Errors,
 			t.Rejects, t.Preempts, t.ServiceSec, t.EwmaJobMs)
 	}
 

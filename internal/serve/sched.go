@@ -30,11 +30,6 @@ type Config struct {
 	// FramePoolCap bounds the shared frame pool (frames retained across
 	// requests). Default 256.
 	FramePoolCap int
-	// DecodeWorkers is the default decode width for tenants that do not
-	// declare one. There is one decoder; 1 runs it serially, above 1 it
-	// overlaps entropy parse with per-row reconstruction on that many
-	// workers. Output is identical at every width. Default 1.
-	DecodeWorkers int
 	// EncodeWorkers bounds each encode/transcode job's per-frame
 	// analysis fan-out (macroblock rows processed concurrently). 0 keeps
 	// the media.EncodeWorkers process default (NumCPU); lower it to trade
@@ -85,7 +80,6 @@ type TenantConfig struct {
 	Name              string
 	Weight            int       // scheduling-slice multiplier; 0 → Config.DefaultWeight
 	QueueCap          int       // admission bound; 0 → Config.QueueCap
-	DecodeWorkers     int       // decode width; 0 → Config.DecodeWorkers
 	Cache             CacheMode // per-tenant result-cache override
 	TranscodeSegments int       // segment fan-out; 0 → Config.TranscodeSegments
 }
@@ -109,9 +103,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FramePoolCap <= 0 {
 		c.FramePoolCap = 256
-	}
-	if c.DecodeWorkers <= 0 {
-		c.DecodeWorkers = 1
 	}
 	if c.CacheBytes == 0 {
 		c.CacheBytes = 256 << 20
@@ -138,9 +129,6 @@ func (c Config) resolve(tc TenantConfig) TenantConfig {
 	}
 	if tc.QueueCap <= 0 {
 		tc.QueueCap = c.QueueCap
-	}
-	if tc.DecodeWorkers <= 0 {
-		tc.DecodeWorkers = c.DecodeWorkers
 	}
 	if tc.TranscodeSegments <= 0 {
 		tc.TranscodeSegments = c.TranscodeSegments
@@ -247,11 +235,9 @@ func (s *Scheduler) paramsFor(name string) TenantConfig {
 	return s.cfg.resolve(TenantConfig{Name: name})
 }
 
-// DecodeWorkersFor reports the decode width for a tenant: its declared
-// value if pre-registered, else the config default. Handlers call this
-// before building decode/transcode jobs so each tenant's requests run
-// at its configured width (1 = serial; see Config.DecodeWorkers).
-func (s *Scheduler) DecodeWorkersFor(name string) int { return s.paramsFor(name).DecodeWorkers }
+// DecodeWorkersFor returns 1: the decoder is serial. It exists only for
+// the benchmark rig.
+func (s *Scheduler) DecodeWorkersFor(string) int { return 1 }
 
 // TranscodeSegmentsFor reports the segment fan-out for a tenant's
 // transcode jobs: its declared value if pre-registered, else the config
@@ -510,7 +496,6 @@ func (s *Scheduler) SnapshotTenants() []TenantSnapshot {
 			Name:              t.cfg.Name,
 			Weight:            t.cfg.Weight,
 			QueueCap:          t.cfg.QueueCap,
-			DecodeWorkers:     t.cfg.DecodeWorkers,
 			CacheMode:         t.cfg.Cache.String(),
 			TranscodeSegments: t.cfg.TranscodeSegments,
 			QueueDepth:        len(t.q),

@@ -40,12 +40,12 @@ const segMinFrames = 24
 // land at frame boundaries in every span at once, and a failing span
 // poisons the gate so its siblings unwind at their next checkpoint.
 // Frames are jointly owned (frameRefs) and pooled, so peak in-flight
-// memory is bounded by spans × O(GOP M), never O(frames). workers is the
-// decode width (see decodeFrames); encWorkers bounds each encoder's
-// per-frame analysis fan-out (0 = the media.EncodeWorkers default); met,
-// when non-nil, receives the peak-in-flight gauge and the segment
-// counters.
-func NewTranscodeJobSegmented(ctx context.Context, tenant string, stream []byte, q int, pool *media.SyncFramePool, workers, encWorkers, segments int, met *Metrics) (*Job, error) {
+// memory is bounded by spans × O(GOP M), never O(frames). encWorkers
+// bounds each encoder's per-frame analysis fan-out (0 = the
+// media.EncodeWorkers default); met, when non-nil, receives the
+// peak-in-flight gauge and the segment counters. The int after pool is
+// ignored; it exists only for the benchmark rig.
+func NewTranscodeJobSegmented(ctx context.Context, tenant string, stream []byte, q int, pool *media.SyncFramePool, _, encWorkers, segments int, met *Metrics) (*Job, error) {
 	r := media.NewBitReader(stream)
 	seq, err := media.ParseSeqHeader(r)
 	if err != nil {
@@ -95,7 +95,6 @@ func NewTranscodeJobSegmented(ctx context.Context, tenant string, stream []byte,
 				enc.Recycle = release
 				start := time.Now()
 				_, err = media.DecodeSegment(stream, frameBit(lo), lo, hi, media.DecodeOptions{
-					Workers:  workers,
 					NewFrame: track.get,
 					Recycle:  track.put, // undelivered frames: decoder is sole owner
 					OnFrame:  func(int) error { return g.checkpoint() },

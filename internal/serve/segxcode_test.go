@@ -1,11 +1,11 @@
 package serve
 
 // Transcode coverage: byte-identity against the batch re-encode and the
-// two-phase reference for every span count and across the decode ×
-// encode worker grid, the one-span conditions, the spans × O(GOP)
-// in-flight bound, lifecycle (cancel / preempt / bad input) leak checks
-// at one span and at several, the parity fuzzers, and the benchmark the
-// bounded-memory claim is measured with.
+// two-phase reference for every span count, clip width and encode worker
+// count, the one-span conditions, the spans × O(GOP) in-flight bound,
+// lifecycle (cancel / preempt / bad input) leak checks at one span and at
+// several, the parity fuzzers, and the benchmark the bounded-memory
+// claim is measured with.
 
 import (
 	"bytes"
@@ -24,7 +24,7 @@ import (
 // past the codec itself, so it is the independent oracle the parity
 // tests and the parity fuzzers check the span engine against, and the
 // O(frames) baseline BenchmarkTranscode measures it against.
-func newTranscodeJobTwoPhase(ctx context.Context, tenant string, stream []byte, q int, pool *media.SyncFramePool, workers, encWorkers int) (*Job, error) {
+func newTranscodeJobTwoPhase(ctx context.Context, tenant string, stream []byte, q int, pool *media.SyncFramePool, encWorkers int) (*Job, error) {
 	seq, err := media.ParseSeqHeader(media.NewBitReader(stream))
 	if err != nil {
 		return nil, err
@@ -35,7 +35,7 @@ func newTranscodeJobTwoPhase(ctx context.Context, tenant string, stream []byte, 
 	}
 	body := func(ctx context.Context, gate *Gate) (Result, error) {
 		// Phase 1: decode into pooled display-order frames.
-		frames, putSlice, err := decodeFrames(ctx, gate, stream, pool, workers)
+		frames, putSlice, err := decodeFrames(ctx, gate, stream, pool)
 		if err != nil {
 			return Result{}, err
 		}
@@ -95,12 +95,17 @@ func runSync(t testing.TB, s *Scheduler, j *Job) (Result, error) {
 	return j.Result()
 }
 
-// segClip returns a clip whose GOP structure has interior closed cuts:
-// N=13, M=3 satisfies (N-1)%M == 0, so every GOP boundary is decode-
-// and encode-closed (see media.EncodeClosedCuts).
+// segClip returns a 64×48 clip whose GOP structure has interior closed
+// cuts: N=13, M=3 satisfies (N-1)%M == 0, so every GOP boundary is
+// decode- and encode-closed (see media.EncodeClosedCuts).
 func segClip(t *testing.T, frames int) ([]byte, media.CodecConfig) {
+	return segClipW(t, 64, frames)
+}
+
+// segClipW is segClip at width w.
+func segClipW(t *testing.T, w, frames int) ([]byte, media.CodecConfig) {
 	t.Helper()
-	stream, cfg, _ := testStream(t, 64, 48, frames, func(c *media.CodecConfig) {
+	stream, cfg, _ := testStream(t, w, 48, frames, func(c *media.CodecConfig) {
 		c.GOPN = 13
 		c.GOPM = 3
 		c.HalfPel = true
@@ -128,23 +133,24 @@ var spanCounts = []int{1, 4}
 
 func spansName(segs int) string { return "spans-" + strconv.Itoa(segs) }
 
-// TestTranscodeFusedParity sweeps decode workers 1..8 × encode workers
-// 1..4 over the one-span job — decode fused with encode in a single
-// task — and requires its output to be byte-identical to both the
-// two-phase job and the offline batch re-encode.
+// TestTranscodeFusedParity sweeps clip widths of 1..8 macroblocks (the
+// decoded width, dwN) × encode workers 1..4 over the one-span job —
+// decode fused with encode in a single task — and requires its output
+// to be byte-identical to both the two-phase job and the offline batch
+// re-encode.
 func TestTranscodeFusedParity(t *testing.T) {
-	stream, _, _ := testStream(t, 64, 48, 9, func(c *media.CodecConfig) {
-		c.GOPM = 3
-		c.HalfPel = true
-	})
 	const q = 9
-	want := batchTranscode(t, stream, q)
 	s := xcodeSched(t)
 	for dw := 1; dw <= 8; dw++ {
+		stream, _, _ := testStream(t, 16*dw, 48, 9, func(c *media.CodecConfig) {
+			c.GOPM = 3
+			c.HalfPel = true
+		})
+		want := batchTranscode(t, stream, q)
 		for ew := 1; ew <= 4; ew++ {
 			t.Run("dw"+strconv.Itoa(dw)+"-ew"+strconv.Itoa(ew), func(t *testing.T) {
 				pool := media.NewSyncFramePool(64)
-				fj, err := NewTranscodeJobSegmented(context.Background(), "t", stream, q, pool, dw, ew, 1, NewMetrics())
+				fj, err := NewTranscodeJobSegmented(context.Background(), "t", stream, q, pool, 1, ew, 1, NewMetrics())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -152,7 +158,7 @@ func TestTranscodeFusedParity(t *testing.T) {
 				if err != nil {
 					t.Fatalf("one span: %v", err)
 				}
-				tj, err := newTranscodeJobTwoPhase(context.Background(), "t", stream, q, pool, dw, ew)
+				tj, err := newTranscodeJobTwoPhase(context.Background(), "t", stream, q, pool, ew)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -177,21 +183,26 @@ func TestTranscodeFusedParity(t *testing.T) {
 	}
 }
 
-// TestTranscodeSegmentedParity sweeps segments 1..8 × decode workers
-// {1,4} on a clip with interior closed-GOP cuts and requires every
-// configuration's output to be byte-identical to the batch reference,
-// with the pool drained and the segment-count header truthful.
+// TestTranscodeSegmentedParity sweeps segments 1..8 × clips 1 and 4
+// macroblocks wide (dwN) with interior closed-GOP cuts and requires
+// every configuration's output to be byte-identical to the batch
+// reference, with the pool drained and the segment-count header
+// truthful.
 func TestTranscodeSegmentedParity(t *testing.T) {
 	const frames, q = 39, 9
-	stream, _ := segClip(t, frames)
-	want := batchTranscode(t, stream, q)
 	s := xcodeSched(t)
+	clips, wants := map[int][]byte{}, map[int][]byte{}
+	for _, dw := range []int{1, 4} {
+		clips[dw], _ = segClipW(t, 16*dw, frames)
+		wants[dw] = batchTranscode(t, clips[dw], q)
+	}
 	for segs := 1; segs <= 8; segs++ {
 		for _, dw := range []int{1, 4} {
+			stream, want := clips[dw], wants[dw]
 			t.Run("k"+strconv.Itoa(segs)+"-dw"+strconv.Itoa(dw), func(t *testing.T) {
 				pool := media.NewSyncFramePool(128)
 				met := NewMetrics()
-				j, err := NewTranscodeJobSegmented(context.Background(), "t", stream, q, pool, dw, 2, segs, met)
+				j, err := NewTranscodeJobSegmented(context.Background(), "t", stream, q, pool, 1, 2, segs, met)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -251,7 +262,7 @@ func TestTranscodeSegmentedFallback(t *testing.T) {
 			want := batchTranscode(t, tc.stream, q)
 			pool := media.NewSyncFramePool(128)
 			met := NewMetrics()
-			j, err := NewTranscodeJobSegmented(context.Background(), "t", tc.stream, q, pool, 4, 2, tc.segs, met)
+			j, err := NewTranscodeJobSegmented(context.Background(), "t", tc.stream, q, pool, 1, 2, tc.segs, met)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -277,9 +288,10 @@ func TestTranscodeSegmentedFallback(t *testing.T) {
 
 // TestTranscodeSegmentedBoundedInflight runs a long clip as one span and
 // as several and asserts the peak in-flight frame count stays under
-// spans × (2·GOPM + 6): each span task holds at most its parser window
-// (GOPM+2), its encoder reorder ring (GOPM+1), and small constant slack
-// — the spans × O(GOP) memory claim, far below the clip length.
+// spans × (GOPM + 4): each span task holds at most its decoder's two
+// references and the frame it is decoding, and its encoder's reorder
+// ring (GOPM+1) — the spans × O(GOP) memory claim, far below the clip
+// length.
 func TestTranscodeSegmentedBoundedInflight(t *testing.T) {
 	const frames = 78
 	stream, cfg := segClip(t, frames)
@@ -288,7 +300,7 @@ func TestTranscodeSegmentedBoundedInflight(t *testing.T) {
 		t.Run(spansName(segs), func(t *testing.T) {
 			pool := media.NewSyncFramePool(256)
 			met := NewMetrics()
-			j, err := NewTranscodeJobSegmented(context.Background(), "t", stream, 9, pool, 2, 2, segs, met)
+			j, err := NewTranscodeJobSegmented(context.Background(), "t", stream, 9, pool, 1, 2, segs, met)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -304,9 +316,9 @@ func TestTranscodeSegmentedBoundedInflight(t *testing.T) {
 			if err != nil {
 				t.Fatalf("bad X-Transcode-Peak-Frames %q", res.Meta["X-Transcode-Peak-Frames"])
 			}
-			bound := nseg * (2*cfg.GOPM + 6)
+			bound := nseg * (cfg.GOPM + 4)
 			if peak <= 0 || peak > bound {
-				t.Errorf("peak in-flight frames = %d, want 0 < peak <= %d (%d spans × (2·%d+6))", peak, bound, nseg, cfg.GOPM)
+				t.Errorf("peak in-flight frames = %d, want 0 < peak <= %d (%d spans × (%d+4))", peak, bound, nseg, cfg.GOPM)
 			}
 			if got := met.XcodePeakFrames.Load(); got != int64(peak) {
 				t.Errorf("metrics peak %d != job peak %d", got, peak)
@@ -334,7 +346,7 @@ func checkCancelNoLeak(t *testing.T, segs int) {
 		8 * time.Millisecond, 20 * time.Millisecond} {
 		t.Run(delay.String(), func(t *testing.T) {
 			pool := media.NewSyncFramePool(256)
-			j, err := NewTranscodeJobSegmented(context.Background(), "t", stream, 9, pool, 2, 2, segs, NewMetrics())
+			j, err := NewTranscodeJobSegmented(context.Background(), "t", stream, 9, pool, 1, 2, segs, NewMetrics())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -372,7 +384,7 @@ func TestTranscodeSegmentedPreemptParity(t *testing.T) {
 	for _, segs := range spanCounts {
 		t.Run(spansName(segs), func(t *testing.T) {
 			pool := media.NewSyncFramePool(256)
-			j, err := NewTranscodeJobSegmented(context.Background(), "t", stream, q, pool, 2, 2, segs, NewMetrics())
+			j, err := NewTranscodeJobSegmented(context.Background(), "t", stream, q, pool, 1, 2, segs, NewMetrics())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -402,55 +414,53 @@ func TestTranscodeFusedBadStream(t *testing.T) { checkBadStream(t, 1) }
 // where the job must fail in the indexing pass before any pixel work.
 func TestTranscodeSegmentedBadStream(t *testing.T) { checkBadStream(t, 4) }
 
-// checkBadStream runs a bitstream truncated mid-frame at segs spans and
-// decode widths 1 and 4: the job must fail with ErrBitstream (for the
-// 400 mapping) and nothing may leak.
+// checkBadStream runs a bitstream truncated mid-frame at segs spans: the
+// job must fail with ErrBitstream (for the 400 mapping) and nothing may
+// leak.
 func checkBadStream(t *testing.T, segs int) {
 	stream, _ := segClip(t, 39)
 	bad := stream[:len(stream)*2/3]
 	s := xcodeSched(t)
-	for _, dw := range []int{1, 4} {
-		pool := media.NewSyncFramePool(64)
-		j, err := NewTranscodeJobSegmented(context.Background(), "t", bad, 9, pool, dw, 2, segs, NewMetrics())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := runSync(t, s, j); !errors.Is(err, media.ErrBitstream) {
-			t.Errorf("%s dw=%d: truncated stream gave %v, want ErrBitstream", spansName(segs), dw, err)
-		}
-		if n := pool.Outstanding(); n != 0 {
-			t.Errorf("%s dw=%d: pool leak on bad stream: %d frames outstanding", spansName(segs), dw, n)
-		}
+	pool := media.NewSyncFramePool(64)
+	j, err := NewTranscodeJobSegmented(context.Background(), "t", bad, 9, pool, 1, 2, segs, NewMetrics())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := runSync(t, s, j); !errors.Is(err, media.ErrBitstream) {
+		t.Errorf("%s: truncated stream gave %v, want ErrBitstream", spansName(segs), err)
+	}
+	if n := pool.Outstanding(); n != 0 {
+		t.Errorf("%s: pool leak on bad stream: %d frames outstanding", spansName(segs), n)
 	}
 }
 
 // FuzzTranscodeFusedParity spends the whole fuzzing budget on the
 // one-span transcode — the path no rig workload runs — over clip shape,
-// GOP structure, quantizer, decode width 1..8 and encode width 1..4; see
+// GOP structure, quantizer and encode width 1..4; see
 // checkTranscodeParity.
 func FuzzTranscodeFusedParity(f *testing.F) {
-	f.Add(uint8(1), uint8(1), uint8(6), uint8(9), uint8(12), uint8(3), false, int64(7), uint8(2), uint8(2))
-	f.Add(uint8(2), uint8(1), uint8(9), uint8(12), uint8(6), uint8(1), true, int64(1), uint8(4), uint8(1))
-	f.Add(uint8(1), uint8(2), uint8(4), uint8(20), uint8(8), uint8(4), true, int64(3), uint8(1), uint8(3))
-	f.Fuzz(func(t *testing.T, wmb, hmb, frames, q, gopn, gopm uint8, halfPel bool, seed int64, dw, ew uint8) {
-		checkTranscodeParity(t, wmb, hmb, frames, q, gopn, gopm, halfPel, seed, dw, ew, 0)
+	f.Add(uint8(1), uint8(1), uint8(6), uint8(9), uint8(12), uint8(3), false, int64(7), uint8(2))
+	f.Add(uint8(2), uint8(1), uint8(9), uint8(12), uint8(6), uint8(1), true, int64(1), uint8(1))
+	f.Add(uint8(1), uint8(2), uint8(4), uint8(20), uint8(8), uint8(4), true, int64(3), uint8(3))
+	f.Fuzz(func(t *testing.T, wmb, hmb, frames, q, gopn, gopm uint8, halfPel bool, seed int64, ew uint8) {
+		checkTranscodeParity(t, wmb, hmb, frames, q, gopn, gopm, halfPel, seed, ew, 0)
 	})
 }
 
 // FuzzTranscodeSegmentedParity fuzzes the same inputs plus span count
 // 1..8; see checkTranscodeParity.
 func FuzzTranscodeSegmentedParity(f *testing.F) {
-	f.Add(uint8(1), uint8(1), uint8(30), uint8(9), uint8(13), uint8(3), true, int64(7), uint8(2), uint8(1), uint8(4))
-	f.Add(uint8(2), uint8(1), uint8(26), uint8(6), uint8(13), uint8(1), false, int64(1), uint8(1), uint8(1), uint8(8))
-	f.Add(uint8(1), uint8(2), uint8(12), uint8(4), uint8(12), uint8(3), true, int64(3), uint8(0), uint8(1), uint8(2))
+	f.Add(uint8(1), uint8(1), uint8(30), uint8(9), uint8(13), uint8(3), true, int64(7), uint8(1), uint8(4))
+	f.Add(uint8(2), uint8(1), uint8(26), uint8(6), uint8(13), uint8(1), false, int64(1), uint8(1), uint8(8))
+	f.Add(uint8(1), uint8(2), uint8(12), uint8(4), uint8(12), uint8(3), true, int64(3), uint8(1), uint8(2))
 	f.Fuzz(checkTranscodeParity)
 }
 
-// checkTranscodeParity encodes the fuzzed clip, transcodes it at decode
-// width 1+dw%8, encode width 1+ew%4 and 1+segs%8 spans, and requires the
-// output to match the two-phase reference byte for byte (whether the
-// clip split into spans or ran as one), with a drained pool every time.
-func checkTranscodeParity(t *testing.T, wmb, hmb, frames, q, gopn, gopm uint8, halfPel bool, seed int64, dw, ew, segs uint8) {
+// checkTranscodeParity encodes the fuzzed clip, transcodes it at encode
+// width 1+ew%4 and 1+segs%8 spans, and requires the output to match the
+// two-phase reference byte for byte (whether the clip split into spans
+// or ran as one), with a drained pool every time.
+func checkTranscodeParity(t *testing.T, wmb, hmb, frames, q, gopn, gopm uint8, halfPel bool, seed int64, ew, segs uint8) {
 	w := 16 * (1 + int(wmb)%4)
 	h := 16 * (1 + int(hmb)%4)
 	nf := 1 + int(frames)%40
@@ -469,10 +479,10 @@ func checkTranscodeParity(t *testing.T, wmb, hmb, frames, q, gopn, gopm uint8, h
 		t.Fatal(err)
 	}
 	xq := 1 + int(q)%30
-	decW, encW := 1+int(dw)%8, 1+int(ew)%4
+	encW := 1 + int(ew)%4
 	pool := media.NewSyncFramePool(256)
 	s := xcodeSched(t)
-	sj, err := NewTranscodeJobSegmented(context.Background(), "t", stream, xq, pool, decW, encW, 1+int(segs)%8, NewMetrics())
+	sj, err := NewTranscodeJobSegmented(context.Background(), "t", stream, xq, pool, 1, encW, 1+int(segs)%8, NewMetrics())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -480,7 +490,7 @@ func checkTranscodeParity(t *testing.T, wmb, hmb, frames, q, gopn, gopm uint8, h
 	if err != nil {
 		t.Fatal(err)
 	}
-	tj, err := newTranscodeJobTwoPhase(context.Background(), "t", stream, xq, pool, decW, encW)
+	tj, err := newTranscodeJobTwoPhase(context.Background(), "t", stream, xq, pool, encW)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -539,7 +549,7 @@ func BenchmarkTranscode(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				j, err := NewTranscodeJobSegmented(context.Background(), "t", bc.stream, q, pool, 4, 0, bc.segs, met)
+				j, err := NewTranscodeJobSegmented(context.Background(), "t", bc.stream, q, pool, 1, 0, bc.segs, met)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -557,7 +567,7 @@ func BenchmarkTranscode(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			j, err := newTranscodeJobTwoPhase(context.Background(), "t", oneSpan, q, pool, 4, 0)
+			j, err := newTranscodeJobTwoPhase(context.Background(), "t", oneSpan, q, pool, 0)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -296,7 +296,7 @@ func (s *Server) handleDecode(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tenant := tenantOf(r)
-	j, err := NewDecodeJob(ctx, tenant, body, s.pool, s.sched.DecodeWorkersFor(tenant))
+	j, err := NewDecodeJob(ctx, tenant, body, s.pool, 1)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -419,9 +419,8 @@ func (s *Server) handleTranscode(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tenant := tenantOf(r)
-	j, err := NewTranscodeJobSegmented(ctx, tenant, body, q, s.pool,
-		s.sched.DecodeWorkersFor(tenant), s.sched.EncodeWorkers(),
-		s.sched.TranscodeSegmentsFor(tenant), s.met)
+	j, err := NewTranscodeJobSegmented(ctx, tenant, body, q, s.pool, 1,
+		s.sched.EncodeWorkers(), s.sched.TranscodeSegmentsFor(tenant), s.met)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
