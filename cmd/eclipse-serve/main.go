@@ -148,7 +148,6 @@ func main() {
 		queueCap = flag.Int("queue-cap", 8, "default per-tenant admission bound")
 		maxBody  = flag.Int64("max-body", 64<<20, "request body cap in bytes")
 		poolCap  = flag.Int("frame-pool", 256, "frames retained by the shared pool")
-		encodeW  = flag.Int("encode-workers", 0, "per-job encode analysis fan-out (0 = NumCPU)")
 		cacheB   = flag.Int64("cache-bytes", 256<<20, "result cache byte budget (0 disables)")
 		cacheAge = flag.Duration("cache-max-age", 60*time.Second, "freshness window advertised via Cache-Control max-age (bounds gateway L1 TTLs)")
 		xcodeSeg = flag.Int("transcode-segments", 0, "segment fan-out for transcode jobs over closed-GOP cuts (1 = one span, 0 = min(NumCPU, 8))")
@@ -168,7 +167,6 @@ func main() {
 		QueueCap:          *queueCap,
 		MaxBodyBytes:      *maxBody,
 		FramePoolCap:      *poolCap,
-		EncodeWorkers:     *encodeW,
 		CacheBytes:        cacheBytes,
 		CacheMaxAge:       *cacheAge,
 		TranscodeSegments: *xcodeSeg,

@@ -134,7 +134,7 @@ func (g *Gateway) handleMedia(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes))
 	if err != nil {
-		http.Error(w, "cluster: reading request body: "+err.Error(), http.StatusBadRequest)
+		http.Error(w, "cluster: reading request body: "+err.Error(), serve.BodyStatus(err))
 		return
 	}
 	// The routing key is the backend's own content-address cache key,

@@ -113,6 +113,32 @@ func TestPushback503DrainingPassthrough(t *testing.T) {
 	}
 }
 
+// TestBodyTooLarge: a client body one byte over MaxBodyBytes is 413 at
+// the gateway and never reaches a backend; exactly MaxBodyBytes is
+// proxied.
+func TestBodyTooLarge(t *testing.T) {
+	const max = 64
+	f := newFakeBackend(t)
+	g := newTestGateway(t, Config{MaxBodyBytes: max, MaxRetries: -1, HedgeDisabled: true}, f.addr())
+	forceUp(g)
+	ts := httptest.NewServer(g.Handler())
+	defer ts.Close()
+
+	resp := postMedia(t, ts.URL, strings.Repeat("x", max+1), nil)
+	readAll(t, resp)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("%d-byte body (cap %d): status %d, want 413", max+1, max, resp.StatusCode)
+	}
+	resp = postMedia(t, ts.URL, strings.Repeat("x", max), nil)
+	readAll(t, resp)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%d-byte body (cap %d): status %d, want 200", max, max, resp.StatusCode)
+	}
+	if got := f.hits.Load(); got != 1 {
+		t.Fatalf("backend saw %d requests, want 1 (the oversized body must not be proxied)", got)
+	}
+}
+
 // TestMidStreamKill: a backend that dies after sending its response
 // headers yields a clean 502 — the client must never see a 200 status
 // with a truncated body, and the partial payload must not leak.

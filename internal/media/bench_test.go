@@ -171,8 +171,8 @@ func BenchmarkFDCT(b *testing.B) {
 
 // BenchmarkEncodeMBRow measures the encoder's full per-frame pipeline
 // (mode decision, motion search, transforms, entropy coding) on a
-// small clip, normalized per macroblock row. EncodeWorkers applies, so
-// this reflects the parallel analysis pass.
+// small clip, normalized per macroblock row. The encoder is one serial
+// raster pass, so this is single-core time.
 func BenchmarkEncodeMBRow(b *testing.B) {
 	const w, h, frames = 176, 144, 4
 	src := DefaultSource(w, h)

@@ -23,13 +23,6 @@ type StreamEncoder struct {
 	// still-buffered frames through it.
 	Recycle func(*Frame)
 
-	// Workers bounds the per-frame analysis parallelism (the par.Run
-	// fan-out over macroblock rows). 0 falls back to the process-wide
-	// EncodeWorkers default. The bitstream is bit-identical for every
-	// value — only the entropy pass is serially dependent, and it always
-	// replays in raster order.
-	Workers int
-
 	enc    *Encoder
 	types  []FrameType // whole-sequence frame types, indexed by display index
 	order  []int       // coded order restricted to this encoder's range (global display indices)
@@ -125,7 +118,6 @@ func (e *StreamEncoder) Push(f *Frame) error {
 	e.ring[slot] = f
 	e.ringDi[slot] = di
 	e.pushed++
-	e.enc.workers = e.Workers
 	// Encode the coded-order prefix that is now available.
 	for e.coded < len(e.order) {
 		di := e.order[e.coded]

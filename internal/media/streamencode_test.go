@@ -2,6 +2,7 @@ package media
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 )
 
@@ -57,9 +58,11 @@ func TestStreamEncoderBitIdentical(t *testing.T) {
 	}
 }
 
-// TestStreamEncoderWorkers proves the per-encoder analysis fan-out
-// override is perf-only: any Workers value (including mid-stream
-// changes) emits the exact batch-encoder bytes.
+// TestStreamEncoderWorkers runs N = 1..5 StreamEncoders concurrently
+// over the same read-only source frames and requires each to emit the
+// batch encoder's bytes. Under the race detector (`make race` runs it at
+// GOMAXPROCS=4) it proves encoders share no mutable state, which is what
+// lets the serving tier run many encodes side by side.
 func TestStreamEncoderWorkers(t *testing.T) {
 	src := DefaultSource(96, 80)
 	src.Seed = 11
@@ -70,26 +73,36 @@ func TestStreamEncoderWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for workers := 0; workers <= 4; workers++ {
-		se, err := NewStreamEncoder(cfg, len(frames))
-		if err != nil {
-			t.Fatal(err)
+	for n := 1; n <= 5; n++ {
+		got := make([][]byte, n)
+		errs := make([]error, n)
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				se, err := NewStreamEncoder(cfg, len(frames))
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				for _, f := range frames {
+					if err := se.Push(f); err != nil {
+						errs[i] = err
+						return
+					}
+				}
+				got[i], _, errs[i] = se.Close()
+			}()
 		}
-		se.Workers = workers
-		for i, f := range frames {
-			if i == len(frames)/2 {
-				se.Workers = workers + 1 // mid-stream change must be safe too
+		wg.Wait()
+		for i := range got {
+			if errs[i] != nil {
+				t.Fatalf("n=%d, encoder %d: %v", n, i, errs[i])
 			}
-			if err := se.Push(f); err != nil {
-				t.Fatal(err)
+			if !bytes.Equal(got[i], want) {
+				t.Fatalf("n=%d, encoder %d: bitstream differs from batch encoder", n, i)
 			}
-		}
-		got, _, err := se.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("workers=%d: bitstream differs from batch encoder", workers)
 		}
 	}
 }

@@ -14,10 +14,8 @@ import (
 // canonical preimage built from the operation kind, the codec
 // parameters, and the input payload. Two requests share a key exactly
 // when the codec is guaranteed to produce byte-identical output for
-// them. The encode worker count is deliberately NOT part of the key:
-// the two-phase encoder emits the same bits for any count (see
-// EncodeKey). The type itself (and its ETag rendering) lives with the
-// cache mechanism both tiers store under it.
+// them. The type itself (and its ETag rendering) lives with the cache
+// mechanism both tiers store under it.
 type CacheKey = slab.Key
 
 // ETagMatches reports whether an If-None-Match header value matches the
@@ -100,8 +98,7 @@ func TranscodeKey(q int, stream []byte) CacheKey {
 }
 
 // EncodeKey addresses an encode response: the raw planes plus every
-// codec parameter that shapes the bitstream. EncodeWorkers is excluded
-// — the two-phase encoder emits the same bits for any count.
+// codec parameter that shapes the bitstream.
 func EncodeKey(cfg media.CodecConfig, raw []byte) CacheKey {
 	b := uint64(0)
 	if cfg.HalfPel {

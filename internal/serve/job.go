@@ -209,9 +209,8 @@ func NewDecodeJob(ctx context.Context, tenant string, stream []byte, pool *media
 // task that checkpoints once per frame, so the job is preemptible at
 // frame granularity; each plane is copied straight from the payload into
 // a pooled frame and pushed into the StreamEncoder, bit-identical to the
-// batch encoder. encWorkers bounds the per-frame analysis fan-out (0 =
-// the media.EncodeWorkers default).
-func NewEncodeJob(ctx context.Context, tenant string, cfg media.CodecConfig, raw []byte, pool *media.SyncFramePool, encWorkers int) (*Job, error) {
+// batch encoder.
+func NewEncodeJob(ctx context.Context, tenant string, cfg media.CodecConfig, raw []byte, pool *media.SyncFramePool) (*Job, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -230,7 +229,6 @@ func NewEncodeJob(ctx context.Context, tenant string, cfg media.CodecConfig, raw
 			if err != nil {
 				return err
 			}
-			se.Workers = encWorkers
 			se.Recycle = pool.Put
 			for i := 0; i < frames; i++ {
 				if err := checkpoint(); err != nil {

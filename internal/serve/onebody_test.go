@@ -140,7 +140,7 @@ func TestEncodeCancelNoLeak(t *testing.T) {
 	for _, delay := range []time.Duration{0, time.Millisecond, 3 * time.Millisecond, 8 * time.Millisecond, time.Second} {
 		pool := media.NewSyncFramePool(64)
 		ctx, cancel := context.WithCancel(context.Background())
-		j, err := NewEncodeJob(ctx, "t", cfg, raw, pool, 2)
+		j, err := NewEncodeJob(ctx, "t", cfg, raw, pool)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,14 +248,15 @@ func TestColdDecodeAllocBudget(t *testing.T) {
 
 // TestColdTranscodeAllocBudget pins the bytes allocated per cold QCIF
 // 26-frame N=13 M=3 transcode through the handler (cache off, pools
-// warm) at one span and at two, so neither the one-span path nor the
-// stitcher can regrow a full copy of the output silently. Each budget is
-// the value counted on the code that set it plus 5 %: 1 430 KiB/op at
-// one span, 1 650 KiB/op at two (+1 % to +2 % under -race). At the
-// parent of the change that made the span body the only transcode body,
-// the two-span case counted 1 760 KiB/op — over its budget — because the
-// stitcher copied every span into a fresh writer; one span counted the
-// same 1 430 KiB/op.
+// warm) at one span and at two, so the stitcher cannot silently regrow
+// a full copy of the output, nor the span encoders their per-row
+// buffers. Each budget is the value counted on the code that set it
+// plus 5 %: 1 323 KiB/op at one span, 1 451 KiB/op at two (+1 % to
+// +4 % under -race). With the per-macroblock-row encode pool, each span
+// encoder also allocated per-row result buffers: 1 427 KiB/op at one
+// span and 1 648 KiB/op at two, both over these budgets. When the
+// stitcher copied every span into a fresh writer, two spans counted
+// 1 760 KiB/op.
 func TestColdTranscodeAllocBudget(t *testing.T) {
 	stream, _, _ := testStream(t, 176, 144, 26, func(c *media.CodecConfig) {
 		c.GOPN = 13
@@ -264,9 +265,9 @@ func TestColdTranscodeAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		segs   int
 		budget uint64
-	}{{1, 1502 << 10}, {2, 1732 << 10}} {
+	}{{1, 1390 << 10}, {2, 1523 << 10}} {
 		t.Run(spansName(tc.segs), func(t *testing.T) {
-			srv := New(Config{Workers: 1, EncodeWorkers: 2, CacheBytes: -1, TranscodeSegments: tc.segs})
+			srv := New(Config{Workers: 1, CacheBytes: -1, TranscodeSegments: tc.segs})
 			defer srv.Shutdown(context.Background())
 			w := &discardWriter{hdr: http.Header{}}
 			run := func(n int) {

@@ -30,11 +30,6 @@ type Config struct {
 	// FramePoolCap bounds the shared frame pool (frames retained across
 	// requests). Default 256.
 	FramePoolCap int
-	// EncodeWorkers bounds each encode/transcode job's per-frame
-	// analysis fan-out (macroblock rows processed concurrently). 0 keeps
-	// the media.EncodeWorkers process default (NumCPU); lower it to trade
-	// single-job encode latency for cross-job isolation.
-	EncodeWorkers int
 	// CacheBytes is the result cache's total byte budget. 0 selects the
 	// default (256 MiB); negative disables the cache entirely.
 	CacheBytes int64
@@ -246,10 +241,9 @@ func (s *Scheduler) TranscodeSegmentsFor(name string) int {
 	return s.paramsFor(name).TranscodeSegments
 }
 
-// EncodeWorkers reports the server-wide per-job encode analysis
-// fan-out (0 = the media.EncodeWorkers process default). Handlers pass
-// it into encode and transcode jobs.
-func (s *Scheduler) EncodeWorkers() int { return s.cfg.EncodeWorkers }
+// EncodeWorkers returns 1: the encoder is serial. It exists only for
+// the benchmark rig.
+func (s *Scheduler) EncodeWorkers() int { return 1 }
 
 // CacheEnabledFor reports whether the result cache applies to a
 // tenant's requests: the server-wide setting (CacheBytes > 0) unless

@@ -40,12 +40,11 @@ const segMinFrames = 24
 // land at frame boundaries in every span at once, and a failing span
 // poisons the gate so its siblings unwind at their next checkpoint.
 // Frames are jointly owned (frameRefs) and pooled, so peak in-flight
-// memory is bounded by spans × O(GOP M), never O(frames). encWorkers
-// bounds each encoder's per-frame analysis fan-out (0 = the
-// media.EncodeWorkers default); met, when non-nil, receives the
-// peak-in-flight gauge and the segment counters. The int after pool is
-// ignored; it exists only for the benchmark rig.
-func NewTranscodeJobSegmented(ctx context.Context, tenant string, stream []byte, q int, pool *media.SyncFramePool, _, encWorkers, segments int, met *Metrics) (*Job, error) {
+// memory is bounded by spans × O(GOP M), never O(frames). met, when
+// non-nil, receives the peak-in-flight gauge and the segment counters.
+// The two ints after pool are ignored; they exist only for the benchmark
+// rig.
+func NewTranscodeJobSegmented(ctx context.Context, tenant string, stream []byte, q int, pool *media.SyncFramePool, _, _, segments int, met *Metrics) (*Job, error) {
 	r := media.NewBitReader(stream)
 	seq, err := media.ParseSeqHeader(r)
 	if err != nil {
@@ -91,7 +90,6 @@ func NewTranscodeJobSegmented(ctx context.Context, tenant string, stream []byte,
 				if err != nil {
 					return err
 				}
-				enc.Workers = encWorkers
 				enc.Recycle = release
 				start := time.Now()
 				_, err = media.DecodeSegment(stream, frameBit(lo), lo, hi, media.DecodeOptions{

@@ -1,8 +1,8 @@
 package serve
 
 // Transcode coverage: byte-identity against the batch re-encode and the
-// two-phase reference for every span count, clip width and encode worker
-// count, the one-span conditions, the spans × O(GOP) in-flight bound,
+// two-phase reference for every span count and clip width, concurrent
+// one-span transcodes sharing a frame pool, the one-span conditions, the spans × O(GOP) in-flight bound,
 // lifecycle (cancel / preempt / bad input) leak checks at one span and at
 // several, the parity fuzzers, and the benchmark the bounded-memory
 // claim is measured with.
@@ -24,7 +24,7 @@ import (
 // past the codec itself, so it is the independent oracle the parity
 // tests and the parity fuzzers check the span engine against, and the
 // O(frames) baseline BenchmarkTranscode measures it against.
-func newTranscodeJobTwoPhase(ctx context.Context, tenant string, stream []byte, q int, pool *media.SyncFramePool, encWorkers int) (*Job, error) {
+func newTranscodeJobTwoPhase(ctx context.Context, tenant string, stream []byte, q int, pool *media.SyncFramePool) (*Job, error) {
 	seq, err := media.ParseSeqHeader(media.NewBitReader(stream))
 	if err != nil {
 		return nil, err
@@ -49,7 +49,6 @@ func newTranscodeJobTwoPhase(ctx context.Context, tenant string, stream []byte, 
 			if err != nil {
 				return err
 			}
-			se.Workers = encWorkers
 			se.Recycle = pool.Put
 			for i, f := range frames {
 				if err := checkpoint(); err != nil {
@@ -134,49 +133,58 @@ var spanCounts = []int{1, 4}
 func spansName(segs int) string { return "spans-" + strconv.Itoa(segs) }
 
 // TestTranscodeFusedParity sweeps clip widths of 1..8 macroblocks (the
-// decoded width, dwN) × encode workers 1..4 over the one-span job —
-// decode fused with encode in a single task — and requires its output
-// to be byte-identical to both the two-phase job and the offline batch
-// re-encode.
+// decoded width, dwN) × M = 1..4 identical one-span transcodes — decode
+// fused with encode in a single task — run concurrently over one frame
+// pool on an M-worker scheduler (ewM). Every output must be
+// byte-identical to the two-phase job and the offline batch re-encode,
+// and the shared pool must drain.
 func TestTranscodeFusedParity(t *testing.T) {
 	const q = 9
-	s := xcodeSched(t)
+	ref := xcodeSched(t)
 	for dw := 1; dw <= 8; dw++ {
 		stream, _, _ := testStream(t, 16*dw, 48, 9, func(c *media.CodecConfig) {
 			c.GOPM = 3
 			c.HalfPel = true
 		})
 		want := batchTranscode(t, stream, q)
-		for ew := 1; ew <= 4; ew++ {
-			t.Run("dw"+strconv.Itoa(dw)+"-ew"+strconv.Itoa(ew), func(t *testing.T) {
+		tj, err := newTranscodeJobTwoPhase(context.Background(), "t", stream, q, media.NewSyncFramePool(64))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if two, err := runSync(t, ref, tj); err != nil || !bytes.Equal(two.Body, want) {
+			t.Fatalf("dw%d: two-phase output differs from batch reference (err %v)", dw, err)
+		}
+		for m := 1; m <= 4; m++ {
+			t.Run("dw"+strconv.Itoa(dw)+"-ew"+strconv.Itoa(m), func(t *testing.T) {
+				s := NewScheduler(Config{Workers: m, BaseSlice: time.Minute, QueueCap: 64}, NewMetrics())
+				defer s.Drain(context.Background())
 				pool := media.NewSyncFramePool(64)
-				fj, err := NewTranscodeJobSegmented(context.Background(), "t", stream, q, pool, 1, ew, 1, NewMetrics())
-				if err != nil {
-					t.Fatal(err)
+				jobs := make([]*Job, m)
+				for i := range jobs {
+					j, err := NewTranscodeJobSegmented(context.Background(), "t", stream, q, pool, 1, 1, 1, NewMetrics())
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := s.Submit(j); err != nil {
+						t.Fatal(err)
+					}
+					jobs[i] = j
 				}
-				one, err := runSync(t, s, fj)
-				if err != nil {
-					t.Fatalf("one span: %v", err)
-				}
-				tj, err := newTranscodeJobTwoPhase(context.Background(), "t", stream, q, pool, ew)
-				if err != nil {
-					t.Fatal(err)
-				}
-				two, err := runSync(t, s, tj)
-				if err != nil {
-					t.Fatalf("two-phase: %v", err)
-				}
-				if !bytes.Equal(one.Body, want) {
-					t.Errorf("one-span output differs from batch reference (%d vs %d bytes)", len(one.Body), len(want))
-				}
-				if !bytes.Equal(one.Body, two.Body) {
-					t.Errorf("one-span output differs from two-phase (%d vs %d bytes)", len(one.Body), len(two.Body))
+				for i, j := range jobs {
+					<-j.Done()
+					res, err := j.Result()
+					if err != nil {
+						t.Fatalf("job %d: %v", i, err)
+					}
+					if !bytes.Equal(res.Body, want) {
+						t.Errorf("job %d: one-span output differs from batch reference (%d vs %d bytes)", i, len(res.Body), len(want))
+					}
+					if res.Meta["X-Transcode-Peak-Frames"] == "" {
+						t.Errorf("job %d: result missing X-Transcode-Peak-Frames", i)
+					}
 				}
 				if n := pool.Outstanding(); n != 0 {
 					t.Errorf("pool leak: %d frames outstanding", n)
-				}
-				if one.Meta["X-Transcode-Peak-Frames"] == "" {
-					t.Error("result missing X-Transcode-Peak-Frames")
 				}
 			})
 		}
@@ -202,7 +210,7 @@ func TestTranscodeSegmentedParity(t *testing.T) {
 			t.Run("k"+strconv.Itoa(segs)+"-dw"+strconv.Itoa(dw), func(t *testing.T) {
 				pool := media.NewSyncFramePool(128)
 				met := NewMetrics()
-				j, err := NewTranscodeJobSegmented(context.Background(), "t", stream, q, pool, 1, 2, segs, met)
+				j, err := NewTranscodeJobSegmented(context.Background(), "t", stream, q, pool, 1, 1, segs, met)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -262,7 +270,7 @@ func TestTranscodeSegmentedFallback(t *testing.T) {
 			want := batchTranscode(t, tc.stream, q)
 			pool := media.NewSyncFramePool(128)
 			met := NewMetrics()
-			j, err := NewTranscodeJobSegmented(context.Background(), "t", tc.stream, q, pool, 1, 2, tc.segs, met)
+			j, err := NewTranscodeJobSegmented(context.Background(), "t", tc.stream, q, pool, 1, 1, tc.segs, met)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -300,7 +308,7 @@ func TestTranscodeSegmentedBoundedInflight(t *testing.T) {
 		t.Run(spansName(segs), func(t *testing.T) {
 			pool := media.NewSyncFramePool(256)
 			met := NewMetrics()
-			j, err := NewTranscodeJobSegmented(context.Background(), "t", stream, 9, pool, 1, 2, segs, met)
+			j, err := NewTranscodeJobSegmented(context.Background(), "t", stream, 9, pool, 1, 1, segs, met)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -346,7 +354,7 @@ func checkCancelNoLeak(t *testing.T, segs int) {
 		8 * time.Millisecond, 20 * time.Millisecond} {
 		t.Run(delay.String(), func(t *testing.T) {
 			pool := media.NewSyncFramePool(256)
-			j, err := NewTranscodeJobSegmented(context.Background(), "t", stream, 9, pool, 1, 2, segs, NewMetrics())
+			j, err := NewTranscodeJobSegmented(context.Background(), "t", stream, 9, pool, 1, 1, segs, NewMetrics())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -384,7 +392,7 @@ func TestTranscodeSegmentedPreemptParity(t *testing.T) {
 	for _, segs := range spanCounts {
 		t.Run(spansName(segs), func(t *testing.T) {
 			pool := media.NewSyncFramePool(256)
-			j, err := NewTranscodeJobSegmented(context.Background(), "t", stream, q, pool, 1, 2, segs, NewMetrics())
+			j, err := NewTranscodeJobSegmented(context.Background(), "t", stream, q, pool, 1, 1, segs, NewMetrics())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -422,7 +430,7 @@ func checkBadStream(t *testing.T, segs int) {
 	bad := stream[:len(stream)*2/3]
 	s := xcodeSched(t)
 	pool := media.NewSyncFramePool(64)
-	j, err := NewTranscodeJobSegmented(context.Background(), "t", bad, 9, pool, 1, 2, segs, NewMetrics())
+	j, err := NewTranscodeJobSegmented(context.Background(), "t", bad, 9, pool, 1, 1, segs, NewMetrics())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,31 +444,30 @@ func checkBadStream(t *testing.T, segs int) {
 
 // FuzzTranscodeFusedParity spends the whole fuzzing budget on the
 // one-span transcode — the path no rig workload runs — over clip shape,
-// GOP structure, quantizer and encode width 1..4; see
-// checkTranscodeParity.
+// GOP structure and quantizer; see checkTranscodeParity.
 func FuzzTranscodeFusedParity(f *testing.F) {
-	f.Add(uint8(1), uint8(1), uint8(6), uint8(9), uint8(12), uint8(3), false, int64(7), uint8(2))
-	f.Add(uint8(2), uint8(1), uint8(9), uint8(12), uint8(6), uint8(1), true, int64(1), uint8(1))
-	f.Add(uint8(1), uint8(2), uint8(4), uint8(20), uint8(8), uint8(4), true, int64(3), uint8(3))
-	f.Fuzz(func(t *testing.T, wmb, hmb, frames, q, gopn, gopm uint8, halfPel bool, seed int64, ew uint8) {
-		checkTranscodeParity(t, wmb, hmb, frames, q, gopn, gopm, halfPel, seed, ew, 0)
+	f.Add(uint8(1), uint8(1), uint8(6), uint8(9), uint8(12), uint8(3), false, int64(7))
+	f.Add(uint8(2), uint8(1), uint8(9), uint8(12), uint8(6), uint8(1), true, int64(1))
+	f.Add(uint8(1), uint8(2), uint8(4), uint8(20), uint8(8), uint8(4), true, int64(3))
+	f.Fuzz(func(t *testing.T, wmb, hmb, frames, q, gopn, gopm uint8, halfPel bool, seed int64) {
+		checkTranscodeParity(t, wmb, hmb, frames, q, gopn, gopm, halfPel, seed, 0)
 	})
 }
 
 // FuzzTranscodeSegmentedParity fuzzes the same inputs plus span count
 // 1..8; see checkTranscodeParity.
 func FuzzTranscodeSegmentedParity(f *testing.F) {
-	f.Add(uint8(1), uint8(1), uint8(30), uint8(9), uint8(13), uint8(3), true, int64(7), uint8(1), uint8(4))
-	f.Add(uint8(2), uint8(1), uint8(26), uint8(6), uint8(13), uint8(1), false, int64(1), uint8(1), uint8(8))
-	f.Add(uint8(1), uint8(2), uint8(12), uint8(4), uint8(12), uint8(3), true, int64(3), uint8(1), uint8(2))
+	f.Add(uint8(1), uint8(1), uint8(30), uint8(9), uint8(13), uint8(3), true, int64(7), uint8(4))
+	f.Add(uint8(2), uint8(1), uint8(26), uint8(6), uint8(13), uint8(1), false, int64(1), uint8(8))
+	f.Add(uint8(1), uint8(2), uint8(12), uint8(4), uint8(12), uint8(3), true, int64(3), uint8(2))
 	f.Fuzz(checkTranscodeParity)
 }
 
-// checkTranscodeParity encodes the fuzzed clip, transcodes it at encode
-// width 1+ew%4 and 1+segs%8 spans, and requires the output to match the
+// checkTranscodeParity encodes the fuzzed clip, transcodes it at
+// 1+segs%8 spans, and requires the output to match the
 // two-phase reference byte for byte (whether the clip split into spans
 // or ran as one), with a drained pool every time.
-func checkTranscodeParity(t *testing.T, wmb, hmb, frames, q, gopn, gopm uint8, halfPel bool, seed int64, ew, segs uint8) {
+func checkTranscodeParity(t *testing.T, wmb, hmb, frames, q, gopn, gopm uint8, halfPel bool, seed int64, segs uint8) {
 	w := 16 * (1 + int(wmb)%4)
 	h := 16 * (1 + int(hmb)%4)
 	nf := 1 + int(frames)%40
@@ -479,10 +486,9 @@ func checkTranscodeParity(t *testing.T, wmb, hmb, frames, q, gopn, gopm uint8, h
 		t.Fatal(err)
 	}
 	xq := 1 + int(q)%30
-	encW := 1 + int(ew)%4
 	pool := media.NewSyncFramePool(256)
 	s := xcodeSched(t)
-	sj, err := NewTranscodeJobSegmented(context.Background(), "t", stream, xq, pool, 1, encW, 1+int(segs)%8, NewMetrics())
+	sj, err := NewTranscodeJobSegmented(context.Background(), "t", stream, xq, pool, 1, 1, 1+int(segs)%8, NewMetrics())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -490,7 +496,7 @@ func checkTranscodeParity(t *testing.T, wmb, hmb, frames, q, gopn, gopm uint8, h
 	if err != nil {
 		t.Fatal(err)
 	}
-	tj, err := newTranscodeJobTwoPhase(context.Background(), "t", stream, xq, pool, encW)
+	tj, err := newTranscodeJobTwoPhase(context.Background(), "t", stream, xq, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -549,7 +555,7 @@ func BenchmarkTranscode(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				j, err := NewTranscodeJobSegmented(context.Background(), "t", bc.stream, q, pool, 1, 0, bc.segs, met)
+				j, err := NewTranscodeJobSegmented(context.Background(), "t", bc.stream, q, pool, 1, 1, bc.segs, met)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -567,7 +573,7 @@ func BenchmarkTranscode(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			j, err := newTranscodeJobTwoPhase(context.Background(), "t", oneSpan, q, pool, 0)
+			j, err := newTranscodeJobTwoPhase(context.Background(), "t", oneSpan, q, pool)
 			if err != nil {
 				b.Fatal(err)
 			}

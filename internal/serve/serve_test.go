@@ -440,6 +440,25 @@ func TestHTTPErrors(t *testing.T) {
 	}
 }
 
+// TestHTTPBodyTooLarge checks the body cap on every media endpoint: one
+// byte over MaxBodyBytes is 413, and exactly MaxBodyBytes is read and
+// judged on its content (an all-zero plane encodes; it decodes and
+// transcodes to 400).
+func TestHTTPBodyTooLarge(t *testing.T) {
+	const max = 16 * 16
+	srv := New(Config{Workers: 1, MaxBodyBytes: max, CacheBytes: -1})
+	defer srv.Shutdown(context.Background())
+	for _, url := range []string{"/v1/decode", "/v1/encode?w=16&h=16", "/v1/transcode?q=9"} {
+		for _, n := range []int{max, max + 1} {
+			w := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(w, httptest.NewRequest("POST", url, bytes.NewReader(make([]byte, n))))
+			if tooBig := w.Code == http.StatusRequestEntityTooLarge; tooBig != (n > max) {
+				t.Errorf("%s with a %d-byte body (cap %d): status %d", url, n, max, w.Code)
+			}
+		}
+	}
+}
+
 // TestHTTPObservability smoke-tests /healthz, /varz and /metrics, then
 // verifies shutdown flips readiness and refuses new work with 503.
 func TestHTTPObservability(t *testing.T) {

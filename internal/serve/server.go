@@ -132,7 +132,8 @@ func TimeoutFromHeader(h http.Header) (time.Duration, error) {
 	return time.Duration(ms) * time.Millisecond, nil
 }
 
-// readBody slurps the request payload under the configured cap.
+// readBody slurps the request payload under the configured cap; callers
+// answer a failure with BodyStatus.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err != nil {
@@ -140,6 +141,17 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error
 	}
 	s.met.BytesIn.Add(uint64(len(body)))
 	return body, nil
+}
+
+// BodyStatus maps a request-body read error to its HTTP status: 413
+// when the body exceeded the MaxBytesReader cap, 400 otherwise. Exported,
+// like TimeoutFromHeader, so both tiers answer an oversized body alike.
+func BodyStatus(err error) int {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
 
 // httpError writes a plain-text error with the right status code.
@@ -292,7 +304,7 @@ func (s *Server) handleDecode(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	body, err := s.readBody(w, r)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		httpError(w, BodyStatus(err), err)
 		return
 	}
 	tenant := tenantOf(r)
@@ -387,11 +399,11 @@ func (s *Server) handleEncode(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := s.readBody(w, r)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		httpError(w, BodyStatus(err), err)
 		return
 	}
 	tenant := tenantOf(r)
-	j, err := NewEncodeJob(ctx, tenant, cfg, body, s.pool, s.sched.EncodeWorkers())
+	j, err := NewEncodeJob(ctx, tenant, cfg, body, s.pool)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -415,12 +427,12 @@ func (s *Server) handleTranscode(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := s.readBody(w, r)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		httpError(w, BodyStatus(err), err)
 		return
 	}
 	tenant := tenantOf(r)
-	j, err := NewTranscodeJobSegmented(ctx, tenant, body, q, s.pool, 1,
-		s.sched.EncodeWorkers(), s.sched.TranscodeSegmentsFor(tenant), s.met)
+	j, err := NewTranscodeJobSegmented(ctx, tenant, body, q, s.pool, 1, 1,
+		s.sched.TranscodeSegmentsFor(tenant), s.met)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return

@@ -2,8 +2,8 @@ package eclipse
 
 import (
 	"runtime"
-
-	"eclipse/internal/par"
+	"sync"
+	"sync/atomic"
 )
 
 // Parallel design-space sweep engine.
@@ -35,10 +35,49 @@ var SweepWorkers = runtime.NumCPU()
 // in index order, so every index below a failing one has already been
 // dispatched and finishes; the minimum over recorded errors is therefore
 // stable across runs and worker counts.)
-// The pool itself lives in internal/par so the media encoder can share
-// it without importing this package.
 func ParallelMap[T, R any](items []T, workers int, fn func(i int, item T) (R, error)) ([]R, error) {
-	return par.Map(items, workers, fn)
+	n := len(items)
+	if n == 0 {
+		return nil, nil
+	}
+	if workers <= 0 {
+		workers = runtime.NumCPU()
+	}
+	workers = min(workers, n)
+	var (
+		next   atomic.Int64 // next index to dispatch
+		failed atomic.Bool  // set on first error: stop dispatching
+		wg     sync.WaitGroup
+		errs   = make([]error, n)
+	)
+	results := make([]R, n)
+	next.Store(-1)
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for !failed.Load() {
+				i := int(next.Add(1))
+				if i >= n {
+					return
+				}
+				r, err := fn(i, items[i])
+				if err != nil {
+					errs[i] = err
+					failed.Store(true)
+					return
+				}
+				results[i] = r
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return results, nil
 }
 
 // runSweep is the shared harness of the SweepPoint-producing runners:
