@@ -24,10 +24,13 @@
 #   make bench   every Go benchmark with allocation stats, for local
 #                profiling only — performance claims come from the rig
 #                in benchmark/ (see benchmark/README.md), not from here
+#   make experiments  rerun every eclipse-bench experiment and rewrite its
+#                     block in EXPERIMENTS.md (make test fails while a
+#                     block differs from what eclipse-bench prints)
 
 GO ?= go
 
-.PHONY: check lint vet build test race fuzz-smoke bench-smoke bench
+.PHONY: check lint vet build test race fuzz-smoke bench-smoke bench experiments
 
 check: vet build test race
 
@@ -66,3 +69,6 @@ bench-smoke:
 
 bench:
 	$(GO) test -run=NONE -bench=. -benchmem ./...
+
+experiments:
+	$(GO) test ./cmd/eclipse-bench -run TestExperimentsDoc -update

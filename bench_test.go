@@ -16,6 +16,7 @@ package eclipse
 import (
 	"os"
 	"os/exec"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -211,7 +212,7 @@ func BenchmarkCacheSize(b *testing.B) {
 	benchSetup(b)
 	for _, lines := range []int{1, 4, 16, 64} {
 		lines := lines
-		b.Run(benchName("lines", lines), func(b *testing.B) {
+		b.Run("lines-"+strconv.Itoa(lines), func(b *testing.B) {
 			var pts []SweepPoint
 			for i := 0; i < b.N; i++ {
 				var err error
@@ -232,7 +233,7 @@ func BenchmarkPrefetch(b *testing.B) {
 	benchSetup(b)
 	for _, depth := range []int{0, 2, 4} {
 		depth := depth
-		b.Run(benchName("depth", depth), func(b *testing.B) {
+		b.Run("depth-"+strconv.Itoa(depth), func(b *testing.B) {
 			var pts []SweepPoint
 			for i := 0; i < b.N; i++ {
 				var err error
@@ -251,7 +252,7 @@ func BenchmarkBusWidth(b *testing.B) {
 	benchSetup(b)
 	for _, width := range []int{4, 8, 16, 32} {
 		width := width
-		b.Run(benchName("bytes", width), func(b *testing.B) {
+		b.Run("bytes-"+strconv.Itoa(width), func(b *testing.B) {
 			var pts []SweepPoint
 			for i := 0; i < b.N; i++ {
 				var err error
@@ -271,7 +272,7 @@ func BenchmarkBusLatency(b *testing.B) {
 	benchSetup(b)
 	for _, lat := range []uint64{1, 4, 16} {
 		lat := lat
-		b.Run(benchName("cycles", int(lat)), func(b *testing.B) {
+		b.Run("cycles-"+strconv.Itoa(int(lat)), func(b *testing.B) {
 			var pts []SweepPoint
 			for i := 0; i < b.N; i++ {
 				var err error
@@ -323,7 +324,7 @@ func BenchmarkScheduler(b *testing.B) {
 func BenchmarkSyncGranularity(b *testing.B) {
 	for _, grain := range []int{16, 64, 256} {
 		grain := grain
-		b.Run(benchName("grain", grain), func(b *testing.B) {
+		b.Run("grain-"+strconv.Itoa(grain), func(b *testing.B) {
 			var pts []CouplingPoint
 			for i := 0; i < b.N; i++ {
 				var err error
@@ -344,7 +345,7 @@ func BenchmarkBufferSize(b *testing.B) {
 	benchSetup(b)
 	for _, scale := range []float64{0.5, 1, 2, 4} {
 		scale := scale
-		b.Run(benchName("scale-pct", int(scale*100)), func(b *testing.B) {
+		b.Run("scale-pct-"+strconv.Itoa(int(scale*100)), func(b *testing.B) {
 			var pts []SweepPoint
 			for i := 0; i < b.N; i++ {
 				var err error
@@ -453,24 +454,6 @@ func BenchmarkReferenceDecode(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-func benchName(prefix string, v int) string {
-	return prefix + "-" + itoa(v)
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
 }
 
 // BenchmarkMemoryOrganization regenerates experiment E11 (the Section 6

@@ -1,27 +1,21 @@
-// Command eclipse-bench regenerates every experiment of the paper's
-// evaluation (see EXPERIMENTS.md for the index) and prints the tables and
-// ASCII figures. Subcommands:
+// Command eclipse-bench regenerates the experiments of the paper's
+// evaluation and prints each one as Markdown, exactly the block that
+// EXPERIMENTS.md holds for it between its eclipse-bench markers:
 //
-//	fig10       Figure 10: stream-buffer filling & bottleneck rotation
-//	fig9        Figure 9: utilization / application performance views
-//	mapping     Figures 2/3: graph construction and mapping report
-//	instance    Section 6: dual decode & transcode on the Fig. 8 instance
-//	cachesweep  Section 7: shell cache size sweep
-//	prefetch    Section 7: prefetching on/off/depth
-//	bussweep    Section 7: stream-bus width and latency sweeps
-//	schedsweep  Section 5.3: scheduler policy and budget sweep
-//	coupling    Section 2.2: sync granularity vs buffer size
-//	buffers     Section 2.2: decode buffer sizing sweep
-//	throughput  Section 6: ops/cycle proxy and bus utilization
-//	pipelined   Section 7 follow-up: pipelined DCT ablation
-//	memorg      Section 6: centralized vs distributed stream memory
-//	all         everything above
+//	eclipse-bench [name|all]
+//
+// The experiments table below names every experiment, in EXPERIMENTS.md
+// order; an unknown name prints the list. TestExperimentsDoc fails when
+// EXPERIMENTS.md differs from this output, and
+// `go test ./cmd/eclipse-bench -run TestExperimentsDoc -update` (or
+// `make experiments`) rewrites the blocks.
 package main
 
 import (
 	"fmt"
+	"io"
 	"os"
-	"sort"
+	"slices"
 	"strings"
 
 	"eclipse"
@@ -29,416 +23,467 @@ import (
 	"eclipse/internal/viz"
 )
 
+// experiment is one printed result of the evaluation.
+type experiment struct {
+	name  string // command-line name and EXPERIMENTS.md block name
+	title string // what it reproduces, for the usage list
+	run   func(w io.Writer) error
+}
+
+var experiments = []experiment{
+	{"fig10", "E1 — Figure 10: stream-buffer filling and the rotating bottleneck", fig10},
+	{"pipelined", "E1 follow-up — Section 7: pipelining the DCT coprocessor", pipelined},
+	{"fig9", "E2 — Figure 9: architecture and application views", fig9},
+	{"mapping", "E3 — Figures 2/3: process networks and mapping", mapping},
+	{"instance", "E4 — Section 6: the Figure 8 instance under multi-application load", instance},
+	{"cachesweep", "E5 — Section 7: shell cache size", cacheSweep},
+	{"prefetch", "E6 — Section 7: prefetching or not", prefetchSweep},
+	{"bussweep", "E7 — Section 7: stream bus width and latency", busSweep},
+	{"schedsweep", "E8 — Section 5.3: weighted round-robin scheduler", schedSweep},
+	{"coupling", "E9a — Section 2.2: sync granularity vs buffer size", coupling},
+	{"buffers", "E9b — Section 2.2: decode stream-buffer sizing", buffers},
+	{"throughput", "E10 — Section 6: throughput proxy and bus load", throughput},
+	{"memorg", "E11 — Section 6: centralized vs distributed stream memory", memorg},
+}
+
 func main() {
-	cmd := "all"
+	name := "all"
 	if len(os.Args) > 1 {
-		cmd = os.Args[1]
+		name = os.Args[1]
 	}
-	cmds := map[string]func(){
-		"fig10":      fig10,
-		"fig9":       fig9,
-		"mapping":    mapping,
-		"instance":   instance,
-		"cachesweep": cacheSweep,
-		"prefetch":   prefetchSweep,
-		"bussweep":   busSweep,
-		"schedsweep": schedSweep,
-		"coupling":   coupling,
-		"buffers":    buffers,
-		"throughput": throughput,
-		"pipelined":  pipelined,
-		"memorg":     memorg,
-	}
-	if cmd == "all" {
-		order := []string{"fig10", "fig9", "mapping", "instance", "cachesweep",
-			"prefetch", "bussweep", "schedsweep", "coupling", "buffers",
-			"throughput", "pipelined", "memorg"}
-		for _, c := range order {
-			cmds[c]()
-		}
-		return
-	}
-	fn, ok := cmds[cmd]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "eclipse-bench: unknown command %q\n", cmd)
+	todo, err := lookup(name)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "eclipse-bench: %v\n\n%s", err, usage())
 		os.Exit(2)
 	}
-	fn()
+	for i, e := range todo {
+		block, err := render(e)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "eclipse-bench %s: %v\n", e.name, err)
+			os.Exit(1)
+		}
+		if i > 0 {
+			block = "\n" + block
+		}
+		if _, err := io.WriteString(os.Stdout, block); err != nil {
+			fmt.Fprintln(os.Stderr, "eclipse-bench:", err)
+			os.Exit(1)
+		}
+	}
 }
 
-func header(title string) {
-	fmt.Printf("\n==================================================================\n")
-	fmt.Printf("%s\n", title)
-	fmt.Printf("==================================================================\n\n")
+// lookup returns the experiments a command-line name selects: the one so
+// named, or the whole table for "all".
+func lookup(name string) ([]experiment, error) {
+	if name == "all" {
+		return experiments, nil
+	}
+	for _, e := range experiments {
+		if e.name == name {
+			return []experiment{e}, nil
+		}
+	}
+	return nil, fmt.Errorf("unknown experiment %q", name)
 }
 
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "eclipse-bench:", err)
-	os.Exit(1)
+func usage() string {
+	var b strings.Builder
+	b.WriteString("usage: eclipse-bench [name|all]\n\n")
+	for _, e := range experiments {
+		fmt.Fprintf(&b, "  %-11s %s\n", e.name, e.title)
+	}
+	return b.String()
+}
+
+// render runs one experiment into its EXPERIMENTS.md block, markers
+// included.
+func render(e experiment) (string, error) {
+	var b strings.Builder
+	fmt.Fprintf(&b, "<!-- eclipse-bench %s -->\n\n", e.name)
+	if err := e.run(&b); err != nil {
+		return "", err
+	}
+	fmt.Fprintf(&b, "\n<!-- end eclipse-bench %s -->\n", e.name)
+	return b.String(), nil
 }
 
 // workload returns a deterministic test stream.
-func workload(w, h, frames, q int, seed int64) []byte {
+func workload(w, h, frames, q int, seed int64) ([]byte, error) {
 	src := media.DefaultSource(w, h)
 	src.Seed = seed
-	fr := media.NewSource(src).Frames(frames)
 	cfg := media.DefaultCodec(w, h)
 	cfg.Q = q
-	stream, _, _, err := media.Encode(cfg, fr)
-	if err != nil {
-		fail(err)
-	}
-	return stream
+	stream, _, _, err := media.Encode(cfg, media.NewSource(src).Frames(frames))
+	return stream, err
 }
 
-func fig10() {
-	header("E1 — Figure 10: available data in RLSQ/DCT/MC input streams")
-	res, err := eclipse.RunFig10(eclipse.DefaultFig10())
-	if err != nil {
-		fail(err)
-	}
-	// GOP annotation along the time axis, like the paper's figure top row.
-	var annot strings.Builder
-	for _, w := range res.Windows {
-		frac := float64(w.End-w.Start) / float64(res.Cycles)
-		n := int(frac * 72)
-		if n < 1 {
-			n = 1
-		}
-		annot.WriteString(w.Type.String())
-		annot.WriteString(strings.Repeat(".", n-1))
-	}
-	chart := viz.DefaultChart()
-	panels := []string{"rlsq", "dct", "mc"}
-	for i, stage := range panels {
-		a := ""
-		if i == 0 {
-			a = annot.String()
-		}
-		fmt.Print(chart.Render(res.Collector.Series("dec/"+stage+".in"), a))
-		fmt.Println()
-	}
-	fmt.Printf("per-frame bottleneck analysis (window = coded frame interval):\n")
-	for _, w := range res.Windows {
-		fmt.Printf("  coded %2d  %v  rlsq %.2f  dct %.2f  mc %.2f  -> %s\n",
-			w.Coded, w.Type, w.MeanFill["rlsq"], w.MeanFill["dct"], w.MeanFill["mc"], w.Bottleneck)
-	}
-	fmt.Printf("\nmajority bottleneck:  I -> %s   P -> %s   B -> %s\n",
-		res.MajorityBottleneck(media.FrameI),
-		res.MajorityBottleneck(media.FrameP),
-		res.MajorityBottleneck(media.FrameB))
-	fmt.Printf("(paper: I -> rlsq, P -> dct, B -> mc)\n")
-}
-
-func fig9() {
-	header("E2 — Figure 9: performance visualization (architecture + application views)")
-	sys, apps, err := eclipse.LoadSetupString(eclipse.ExampleSetup)
-	if err != nil {
-		fail(err)
-	}
-	if _, err := sys.Run(0); err != nil {
-		fail(err)
-	}
-	for _, app := range apps {
-		if err := app.Verify(); err != nil {
-			fail(err)
-		}
-	}
-	sys.WriteReport(os.Stdout)
-	fmt.Println()
-	if err := sys.ChartSeries(os.Stdout, "dec0/rlsq.in", "stream buffer filling, RLSQ input"); err != nil {
-		fail(err)
-	}
-}
-
-func mapping() {
-	header("E3 — Figures 2/3: process networks and application-to-architecture mapping")
-	dg := eclipse.DecodeGraph("dec", eclipse.DefaultDecodeBuffers())
-	fmt.Print(dg.String())
-	fmt.Println()
-	eg := eclipse.EncodeGraph("enc", eclipse.DefaultEncodeBuffers())
-	fmt.Print(eg.String())
-	fmt.Println("decode mapping:", fmtMap(eclipse.DefaultDecodeMapping))
-	fmt.Println("encode mapping:", fmtMap(eclipse.DefaultEncodeMapping))
-}
-
-func fmtMap(m map[string]string) string {
+func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
-	parts := make([]string, 0, len(keys))
-	for _, k := range keys {
-		parts = append(parts, k+"->"+m[k])
-	}
-	return strings.Join(parts, "  ")
+	slices.Sort(keys)
+	return keys
 }
 
-func instance() {
-	header("E4 — Section 6: the Figure 8 instance under multi-application load")
-	a := workload(96, 80, 8, 6, 2)
-	b := workload(96, 80, 8, 10, 3)
+func pct(f float64) string { return fmt.Sprintf("%.1f%%", f*100) }
 
-	fmt.Println("dual simultaneous decode:")
-	sys := eclipse.NewSystem(eclipse.Fig8())
-	appA, err := sys.AddDecodeApp("a", a, eclipse.DecodeOptions{})
-	if err != nil {
-		fail(err)
-	}
-	appB, err := sys.AddDecodeApp("b", b, eclipse.DecodeOptions{})
-	if err != nil {
-		fail(err)
-	}
-	cycles, err := sys.Run(0)
-	if err != nil {
-		fail(err)
-	}
-	if err := appA.VerifyAgainstReference(a); err != nil {
-		fail(err)
-	}
-	if err := appB.VerifyAgainstReference(b); err != nil {
-		fail(err)
-	}
-	var switches, steps, denied uint64
-	for _, app := range []string{"a", "b"} {
-		for _, task := range []string{"vld", "rlsq", "idct", "mc"} {
-			st, _ := sys.TaskStats(app + "-" + task)
-			switches += st.Switches
-			steps += st.Steps
-			denied += st.DeniedSteps
-		}
-	}
-	sec := float64(cycles) / 150e6
-	fmt.Printf("  %d cycles (%0.2f ms at 150 MHz); %d coprocessor steps, %d switches\n",
-		cycles, sec*1e3, steps, switches)
-	fmt.Printf("  task switch rate %.0f kHz, processing step rate %.0f kHz (paper: 10-100 kHz switches)\n",
-		float64(switches)/sec/1e3, float64(steps)/sec/1e3)
-	for _, u := range sys.Utilizations() {
-		fmt.Printf("  %-5s %5.1f%% busy\n", u.Name, u.Busy*100)
-	}
-	fmt.Println("  shell caches (read hit rate, write-backs, evictions):")
-	names := sys.CoproNames()
-	sort.Strings(names)
-	for _, n := range names {
-		sh := sys.Shell(n)
-		r, w := sh.ReadCacheStats(), sh.WriteCacheStats()
-		fmt.Printf("  %-5s read %5.1f%% hit (%d/%d)  flushes %d  evictions %d\n",
-			n, r.HitRate()*100, r.Hits, r.Accesses(), w.Flushes, r.Evictions+w.Evictions)
-	}
+func ms(cycles uint64) string { return fmt.Sprintf("%.2f", float64(cycles)/150e6*1e3) }
 
-	fmt.Println("\nsimultaneous encode + decode (time-shift):")
-	src := media.DefaultSource(96, 80)
-	src.Seed = 4
-	encFrames := media.NewSource(src).Frames(8)
-	encCfg := media.DefaultCodec(96, 80)
-	sys2 := eclipse.NewSystem(eclipse.Fig8())
-	dec, err := sys2.AddDecodeApp("d", a, eclipse.DecodeOptions{})
+func fig10(w io.Writer) error {
+	cfg := eclipse.DefaultFig10()
+	res, err := eclipse.RunFig10(cfg)
 	if err != nil {
-		fail(err)
+		return err
 	}
-	enc, err := sys2.AddEncodeApp("e", encCfg, encFrames, eclipse.EncodeOptions{})
-	if err != nil {
-		fail(err)
+	fmt.Fprintf(w, "Decode of %d frames of %d×%d (GOP N=%d M=%d, q=%d) on the Figure 8 instance: %d cycles, %s ms at 150 MHz.\n\n",
+		cfg.Frames, cfg.W, cfg.H, cfg.GOPN, cfg.GOPM, cfg.Q, res.Cycles, ms(res.Cycles))
+	chart := viz.DefaultChart()
+	var annot strings.Builder
+	var rows [][]string
+	for _, win := range res.Windows {
+		// Each frame's type marks its interval on the time axis, like the
+		// paper's figure top row.
+		n := max(1, int(float64(win.End-win.Start)/float64(res.Cycles)*float64(chart.Width)))
+		annot.WriteString(win.Type.String() + strings.Repeat(".", n-1))
+		rows = append(rows, []string{fmt.Sprint(win.Coded), win.Type.String(),
+			fmt.Sprintf("%.2f", win.MeanFill["rlsq"]), fmt.Sprintf("%.2f", win.MeanFill["dct"]),
+			fmt.Sprintf("%.2f", win.MeanFill["mc"]), win.Bottleneck})
 	}
-	cycles2, err := sys2.Run(0)
-	if err != nil {
-		fail(err)
-	}
-	if err := dec.VerifyAgainstReference(a); err != nil {
-		fail(err)
-	}
-	if err := enc.VerifyAgainstReference(encCfg, encFrames); err != nil {
-		fail(err)
-	}
-	fmt.Printf("  %d cycles; both outputs bit-exact with their references\n", cycles2)
-	for _, u := range sys2.Utilizations() {
-		fmt.Printf("  %-5s %5.1f%% busy\n", u.Name, u.Busy*100)
-	}
+	io.WriteString(w, viz.CodeBlock(viz.Panel(chart, annot.String(), res.Collector.Series("dec/rlsq.in"),
+		res.Collector.Series("dec/dct.in"), res.Collector.Series("dec/mc.in"))))
+	fmt.Fprintf(w, "\nMean fill of each input buffer over each coded frame's interval:\n\n%s",
+		viz.Table([]string{"coded", "type", "rlsq.in", "dct.in", "mc.in", "bottleneck"}, rows))
+	fmt.Fprintf(w, "\nMajority bottleneck: I → %s, P → %s, B → %s (paper: I → rlsq, P → dct, B → mc).\n",
+		res.MajorityBottleneck(media.FrameI), res.MajorityBottleneck(media.FrameP), res.MajorityBottleneck(media.FrameB))
+	return nil
 }
 
-func sweepTable(title string, pts []eclipse.SweepPoint) {
-	fmt.Printf("%s\n", title)
+func pipelined(w io.Writer) error {
+	stream, err := workload(176, 144, 10, 6, 1)
+	if err != nil {
+		return err
+	}
+	var rows [][]string
 	var base uint64
-	for _, p := range pts {
-		if p.Extra["failed"] != 1 {
-			base = p.Cycles
-			break
-		}
-	}
-	if base == 0 {
-		base = 1
-	}
-	for _, p := range pts {
-		extra := ""
-		keys := make([]string, 0, len(p.Extra))
-		for k := range p.Extra {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			extra += fmt.Sprintf("  %s=%.3f", k, p.Extra[k])
-		}
-		if p.Extra["failed"] == 1 {
-			fmt.Printf("  %-16s %12s%s\n", p.Label, "FAILED", extra)
-			continue
-		}
-		fmt.Printf("  %-16s %12d cycles  (%.2fx)%s\n", p.Label, p.Cycles,
-			float64(p.Cycles)/float64(base), extra)
-	}
-	fmt.Println()
-}
-
-func cacheSweep() {
-	header("E5 — Section 7: shell data cache size sweep")
-	pts, err := eclipse.RunCacheSweep(workload(96, 80, 8, 6, 2), []int{1, 2, 4, 8, 16, 32, 64})
-	if err != nil {
-		fail(err)
-	}
-	sweepTable("decode time vs cache capacity (read+write lines per shell):", pts)
-}
-
-func prefetchSweep() {
-	header("E6 — Section 7: cache prefetching or not")
-	pts, err := eclipse.RunPrefetchSweep(workload(96, 80, 8, 6, 2), []int{0, 1, 2, 4, 8})
-	if err != nil {
-		fail(err)
-	}
-	sweepTable("decode time vs prefetch depth (lines ahead; 0 = off):", pts)
-}
-
-func busSweep() {
-	header("E7 — Section 7: stream bus width and latency")
-	stream := workload(96, 80, 8, 6, 2)
-	pts, err := eclipse.RunBusWidthSweep(stream, []int{4, 8, 16, 32})
-	if err != nil {
-		fail(err)
-	}
-	sweepTable("decode time vs data path width:", pts)
-	pts, err = eclipse.RunBusLatencySweep(stream, []uint64{1, 2, 4, 8, 16})
-	if err != nil {
-		fail(err)
-	}
-	sweepTable("decode time vs stream memory latency:", pts)
-}
-
-func schedSweep() {
-	header("E8 — Section 5.3: distributed weighted-round-robin scheduler")
-	a := workload(96, 80, 6, 6, 2)
-	b := workload(96, 80, 6, 10, 3)
-	fmt.Println("policy ablation (dual decode):")
-	for _, naive := range []bool{false, true} {
-		res, err := eclipse.RunSchedulerExperiment(a, b, naive, 2000)
-		if err != nil {
-			fail(err)
-		}
-		name := "best-guess"
-		if naive {
-			name = "naive RR"
-		}
-		fmt.Printf("  %-11s %10d cycles  %6.1f%% wasted steps  %6d switches\n",
-			name, res.Cycles, float64(res.DeniedSteps)/float64(res.Steps)*100, res.Switches)
-	}
-	fmt.Println("\nbudget sweep (best-guess policy):")
-	for _, budget := range []uint64{500, 1000, 2000, 5000, 10000} {
-		res, err := eclipse.RunSchedulerExperiment(a, b, false, budget)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("  budget %6d %10d cycles  %6d switches\n", budget, res.Cycles, res.Switches)
-	}
-	fmt.Println()
-}
-
-func coupling() {
-	header("E9a — Section 2.2: synchronization granularity vs buffer size")
-	pts, err := eclipse.RunCouplingExperiment(16384, []int{8, 16, 64, 256, 1024}, []int{64, 256, 1024})
-	if err != nil {
-		fail(err)
-	}
-	fmt.Printf("  %-8s", "grain\\buf")
-	for _, b := range []int{64, 256, 1024} {
-		fmt.Printf(" %14d", b)
-	}
-	fmt.Println()
-	byKey := map[[2]int]eclipse.CouplingPoint{}
-	for _, p := range pts {
-		byKey[[2]int{p.Grain, p.BufBytes}] = p
-	}
-	for _, g := range []int{8, 16, 64, 256, 1024} {
-		fmt.Printf("  %-8d", g)
-		for _, b := range []int{64, 256, 1024} {
-			p := byKey[[2]int{g, b}]
-			if p.Deadlock {
-				fmt.Printf(" %14s", "deadlock")
-			} else {
-				fmt.Printf(" %10d cyc", p.Cycles) // 15 wide, like the header and deadlock cells
-			}
-		}
-		fmt.Println()
-	}
-	fmt.Println("\n(finer sync grain lets smaller buffers work; coarser grain needs fewer putspace messages)")
-}
-
-func buffers() {
-	header("E9b — Section 2.2: decode stream-buffer sizing")
-	pts, err := eclipse.RunBufferScaleSweep(workload(96, 80, 8, 6, 2), []float64{0.05, 0.25, 0.5, 1, 2, 4})
-	if err != nil {
-		fail(err)
-	}
-	sweepTable("decode time vs buffer scale (1x = defaults):", pts)
-}
-
-func throughput() {
-	header("E10 — Section 6: throughput proxy (ops/cycle) and bus load")
-	a := workload(96, 80, 8, 6, 2)
-	b := workload(96, 80, 8, 10, 3)
-	r, err := eclipse.RunThroughput(a, b)
-	if err != nil {
-		fail(err)
-	}
-	fmt.Printf("  dual decode: %d cycles, %d estimated 16-bit ops\n", r.Cycles, r.Ops)
-	fmt.Printf("  %.1f ops/cycle  ->  %.2f Gops at the paper's 150 MHz clock\n", r.OpsPerCycle, r.GopsAt150MHz)
-	fmt.Printf("  stream bus utilization: read %.1f%%, write %.1f%%\n",
-		r.BusReadUtil*100, r.BusWriteUtil*100)
-	fmt.Printf("  (paper claims 36 Gops for dual HD decode; our workload is sub-SD,\n")
-	fmt.Printf("   so the comparison point is ops-per-cycle scaling, not the absolute figure)\n")
-}
-
-func pipelined() {
-	header("Ablation — Section 7 follow-up: pipelining the DCT coprocessor")
-	stream := workload(176, 144, 10, 6, 1)
 	for _, pipe := range []bool{false, true} {
 		arch := eclipse.Fig8()
 		arch.Costs.DCTPipelined = pipe
 		sys := eclipse.NewSystem(arch)
 		app, err := sys.AddDecodeApp("dec", stream, eclipse.DecodeOptions{})
 		if err != nil {
-			fail(err)
+			return err
 		}
 		cycles, err := sys.Run(0)
 		if err != nil {
-			fail(err)
+			return err
 		}
 		if err := app.VerifyAgainstReference(stream); err != nil {
-			fail(err)
+			return err
 		}
-		name := "baseline DCT "
+		name := "baseline"
 		if pipe {
-			name = "pipelined DCT"
+			name = "pipelined"
+		} else {
+			base = cycles
 		}
-		fmt.Printf("  %s %10d cycles\n", name, cycles)
+		rows = append(rows, []string{name, fmt.Sprint(cycles), fmt.Sprintf("%.3f×", float64(cycles)/float64(base))})
 	}
-	fmt.Println()
+	fmt.Fprintf(w, "Decode of 10 frames of 176×144 (q=6), output bit-exact both ways:\n\n%s",
+		viz.Table([]string{"DCT coprocessor", "cycles", "vs baseline"}, rows))
+	return nil
 }
 
-func memorg() {
-	header("E11 — Section 6 tradeoff: centralized vs distributed stream memory")
-	pts, err := eclipse.RunMemoryOrganization(workload(96, 80, 8, 6, 2))
+func fig9(w io.Writer) error {
+	sys, apps, err := eclipse.LoadSetupString(eclipse.ExampleSetup)
 	if err != nil {
-		fail(err)
+		return err
 	}
-	sweepTable("decode time by communication-memory organization:", pts)
-	fmt.Println("(distributed banks remove cross-stream bus contention and the 32 kB")
-	fmt.Println(" capacity wall, at the cost of run-time buffer allocation flexibility)")
+	if _, err := sys.Run(0); err != nil {
+		return err
+	}
+	for _, app := range apps {
+		if err := app.Verify(); err != nil {
+			return err
+		}
+	}
+	sys.WriteReport(w)
+	var chart strings.Builder
+	if err := sys.ChartSeries(&chart, "dec0/rlsq.in", ""); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "\nStream buffer filling, RLSQ input:\n\n%s", viz.CodeBlock(chart.String()))
+	return nil
+}
+
+func mapping(w io.Writer) error {
+	dg := eclipse.DecodeGraph("dec", eclipse.DefaultDecodeBuffers())
+	eg := eclipse.EncodeGraph("enc", eclipse.DefaultEncodeBuffers())
+	io.WriteString(w, viz.CodeBlock(dg.String()+"\n"+eg.String()))
+	var rows [][]string
+	for _, m := range []struct {
+		network string
+		fns     map[string]string
+	}{{"decode", eclipse.DefaultDecodeMapping}, {"encode", eclipse.DefaultEncodeMapping}} {
+		for _, fn := range sortedKeys(m.fns) {
+			rows = append(rows, []string{m.network, fn, m.fns[fn]})
+		}
+	}
+	io.WriteString(w, "\n"+viz.Table([]string{"network", "function", "coprocessor"}, rows))
+	return nil
+}
+
+func instance(w io.Writer) error {
+	a, err := workload(96, 80, 8, 6, 2)
+	if err != nil {
+		return err
+	}
+	b, err := workload(96, 80, 8, 10, 3)
+	if err != nil {
+		return err
+	}
+	dual := eclipse.NewSystem(eclipse.Fig8())
+	appA, err := dual.AddDecodeApp("a", a, eclipse.DecodeOptions{})
+	if err != nil {
+		return err
+	}
+	appB, err := dual.AddDecodeApp("b", b, eclipse.DecodeOptions{})
+	if err != nil {
+		return err
+	}
+	dualCycles, err := dual.Run(0)
+	if err != nil {
+		return err
+	}
+	if err := appA.VerifyAgainstReference(a); err != nil {
+		return err
+	}
+	if err := appB.VerifyAgainstReference(b); err != nil {
+		return err
+	}
+
+	src := media.DefaultSource(96, 80)
+	src.Seed = 4
+	encFrames := media.NewSource(src).Frames(8)
+	encCfg := media.DefaultCodec(96, 80)
+	mixed := eclipse.NewSystem(eclipse.Fig8())
+	dec, err := mixed.AddDecodeApp("d", a, eclipse.DecodeOptions{})
+	if err != nil {
+		return err
+	}
+	enc, err := mixed.AddEncodeApp("e", encCfg, encFrames, eclipse.EncodeOptions{})
+	if err != nil {
+		return err
+	}
+	mixedCycles, err := mixed.Run(0)
+	if err != nil {
+		return err
+	}
+	if err := dec.VerifyAgainstReference(a); err != nil {
+		return err
+	}
+	if err := enc.VerifyAgainstReference(encCfg, encFrames); err != nil {
+		return err
+	}
+
+	io.WriteString(w, viz.Table([]string{"run (96×80, 8 frames per stream)", "cycles", "ms at 150 MHz", "outputs"}, [][]string{
+		{"dual decode", fmt.Sprint(dualCycles), ms(dualCycles), "both bit-exact"},
+		{"encode + decode (time-shift)", fmt.Sprint(mixedCycles), ms(mixedCycles), "both bit-exact"},
+	}))
+	var switches, steps uint64
+	for _, app := range []string{"a", "b"} {
+		for _, task := range []string{"vld", "rlsq", "idct", "mc"} {
+			st, _ := dual.TaskStats(app + "-" + task)
+			switches += st.Switches
+			steps += st.Steps
+		}
+	}
+	sec := float64(dualCycles) / 150e6
+	fmt.Fprintf(w, "\nDual decode: %d coprocessor steps and %d task switches, a task-switch rate of %.0f kHz and a processing-step rate of %.0f kHz (paper: 10–100 kHz switches).\n\n",
+		steps, switches, float64(switches)/sec/1e3, float64(steps)/sec/1e3)
+
+	var busy [][]string
+	mixedBusy := mixed.Utilizations()
+	for i, u := range dual.Utilizations() {
+		busy = append(busy, []string{u.Name, pct(u.Busy), pct(mixedBusy[i].Busy)})
+	}
+	io.WriteString(w, viz.Table([]string{"coprocessor busy", "dual decode", "encode + decode"}, busy))
+
+	var caches [][]string
+	names := dual.CoproNames()
+	slices.Sort(names)
+	for _, n := range names {
+		r, wr := dual.Shell(n).ReadCacheStats(), dual.Shell(n).WriteCacheStats()
+		caches = append(caches, []string{n, pct(r.HitRate()), fmt.Sprint(r.Hits), fmt.Sprint(r.Accesses()),
+			fmt.Sprint(wr.Flushes), fmt.Sprint(r.Evictions + wr.Evictions)})
+	}
+	fmt.Fprintf(w, "\nShell caches under dual decode:\n\n%s", viz.Table([]string{"shell cache", "read hit rate",
+		"read hits", "reads", "write flushes", "evictions"}, caches))
+	return nil
+}
+
+// sweepTable renders a sweep: one row per point, its cycles relative to
+// the first point that ran, and every extra metric the points report.
+func sweepTable(label string, pts []eclipse.SweepPoint) string {
+	var base uint64
+	metrics := map[string]bool{}
+	for _, p := range pts {
+		if p.Extra["failed"] == 1 {
+			continue
+		}
+		if base == 0 {
+			base = p.Cycles
+		}
+		for k := range p.Extra {
+			metrics[k] = true
+		}
+	}
+	extra := sortedKeys(metrics)
+	var rows [][]string
+	for _, p := range pts {
+		row := []string{p.Label, "failed", "-"}
+		if p.Extra["failed"] != 1 {
+			row = []string{p.Label, fmt.Sprint(p.Cycles), fmt.Sprintf("%.2f×", float64(p.Cycles)/float64(base))}
+		}
+		for _, k := range extra {
+			cell := "-"
+			if v, ok := p.Extra[k]; ok {
+				cell = fmt.Sprintf("%.3f", v)
+			}
+			row = append(row, cell)
+		}
+		rows = append(rows, row)
+	}
+	return viz.Table(append([]string{label, "cycles", "relative"}, extra...), rows)
+}
+
+// sweep runs a design-space sweep on the 96×80, 8-frame decode workload
+// and writes it as a captioned table.
+func sweep(w io.Writer, caption, label string, run func(stream []byte) ([]eclipse.SweepPoint, error)) error {
+	stream, err := workload(96, 80, 8, 6, 2)
+	if err != nil {
+		return err
+	}
+	pts, err := run(stream)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "%s\n\n%s", caption, sweepTable(label, pts))
+	return nil
+}
+
+func cacheSweep(w io.Writer) error {
+	return sweep(w, "Decode time against shell cache capacity (read and write lines per shell):", "cache",
+		func(s []byte) ([]eclipse.SweepPoint, error) {
+			return eclipse.RunCacheSweep(s, []int{1, 2, 4, 8, 16, 32, 64})
+		})
+}
+
+func prefetchSweep(w io.Writer) error {
+	return sweep(w, "Decode time against prefetch depth (lines ahead; 0 = off):", "prefetch",
+		func(s []byte) ([]eclipse.SweepPoint, error) { return eclipse.RunPrefetchSweep(s, []int{0, 1, 2, 4, 8}) })
+}
+
+func busSweep(w io.Writer) error {
+	err := sweep(w, "Decode time against data path width:", "width",
+		func(s []byte) ([]eclipse.SweepPoint, error) { return eclipse.RunBusWidthSweep(s, []int{4, 8, 16, 32}) })
+	if err != nil {
+		return err
+	}
+	io.WriteString(w, "\n")
+	return sweep(w, "Decode time against stream memory latency:", "latency",
+		func(s []byte) ([]eclipse.SweepPoint, error) {
+			return eclipse.RunBusLatencySweep(s, []uint64{1, 2, 4, 8, 16})
+		})
+}
+
+func schedSweep(w io.Writer) error {
+	a, err := workload(96, 80, 6, 6, 2)
+	if err != nil {
+		return err
+	}
+	b, err := workload(96, 80, 6, 10, 3)
+	if err != nil {
+		return err
+	}
+	var rows [][]string
+	for _, c := range []struct {
+		policy string
+		naive  bool
+		budget uint64
+	}{
+		{"best-guess", false, 500}, {"best-guess", false, 1000}, {"best-guess", false, 2000},
+		{"best-guess", false, 5000}, {"best-guess", false, 10000}, {"naive RR", true, 2000},
+	} {
+		res, err := eclipse.RunSchedulerExperiment(a, b, c.naive, c.budget)
+		if err != nil {
+			return err
+		}
+		rows = append(rows, []string{c.policy, fmt.Sprint(c.budget), fmt.Sprint(res.Cycles),
+			pct(float64(res.DeniedSteps) / float64(res.Steps)), fmt.Sprint(res.Switches)})
+	}
+	fmt.Fprintf(w, "Dual decode (two 96×80 streams, 6 frames each) by scheduler policy and budget:\n\n%s",
+		viz.Table([]string{"policy", "budget", "cycles", "wasted steps", "switches"}, rows))
+	return nil
+}
+
+func coupling(w io.Writer) error {
+	grains, bufs := []int{8, 16, 64, 256, 1024}, []int{64, 256, 1024}
+	pts, err := eclipse.RunCouplingExperiment(16384, grains, bufs)
+	if err != nil {
+		return err
+	}
+	header := []string{"grain \\ buffer"}
+	for _, b := range bufs {
+		header = append(header, fmt.Sprintf("%d B", b))
+	}
+	var rows [][]string
+	for i, g := range grains { // points come grain-major, in argument order
+		row := []string{fmt.Sprintf("%d B", g)}
+		for _, p := range pts[i*len(bufs) : (i+1)*len(bufs)] {
+			cell := "deadlock"
+			if !p.Deadlock {
+				cell = fmt.Sprint(p.Cycles)
+			}
+			row = append(row, cell)
+		}
+		rows = append(rows, row)
+	}
+	fmt.Fprintf(w, "Cycles to move 16 KiB through one producer/consumer pair:\n\n%s", viz.Table(header, rows))
+	return nil
+}
+
+func buffers(w io.Writer) error {
+	return sweep(w, "Decode time against stream buffer scale (1x = the default sizes):", "buffers",
+		func(s []byte) ([]eclipse.SweepPoint, error) {
+			return eclipse.RunBufferScaleSweep(s, []float64{0.05, 0.25, 0.5, 1, 2, 4})
+		})
+}
+
+func throughput(w io.Writer) error {
+	a, err := workload(96, 80, 8, 6, 2)
+	if err != nil {
+		return err
+	}
+	b, err := workload(96, 80, 8, 10, 3)
+	if err != nil {
+		return err
+	}
+	r, err := eclipse.RunThroughput(a, b)
+	if err != nil {
+		return err
+	}
+	io.WriteString(w, viz.Table([]string{"dual decode (96×80, 8 frames per stream)", "value"}, [][]string{
+		{"cycles", fmt.Sprint(r.Cycles)},
+		{"estimated 16-bit ops", fmt.Sprint(r.Ops)},
+		{"ops per cycle", fmt.Sprintf("%.1f", r.OpsPerCycle)},
+		{"Gops at 150 MHz", fmt.Sprintf("%.2f", r.GopsAt150MHz)},
+		{"stream bus read utilization", pct(r.BusReadUtil)},
+		{"stream bus write utilization", pct(r.BusWriteUtil)},
+	}))
+	return nil
+}
+
+func memorg(w io.Writer) error {
+	return sweep(w, "Decode time by communication-memory organization:", "organization", eclipse.RunMemoryOrganization)
 }

@@ -8,6 +8,7 @@ package viz
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 
 	"eclipse/internal/trace"
 )
@@ -151,5 +152,63 @@ func RenderBars(items []BarItem) string {
 		fmt.Fprintf(&sb, "%-*s |%-50s| %5.1f%%\n", width, it.Label,
 			strings.Repeat("#", n), v*100)
 	}
+	return sb.String()
+}
+
+// Table renders a Markdown table with one cell per header column in every
+// row. Cells are padded to their column's width so the source lines up as
+// well, and a column that holds a number (a cell starting with a digit)
+// is right-aligned.
+func Table(header []string, rows [][]string) string {
+	width := make([]int, len(header))
+	right := make([]bool, len(header))
+	for _, r := range append([][]string{header}, rows...) {
+		for c, cell := range r {
+			width[c] = max(width[c], 3, utf8.RuneCountInString(cell))
+		}
+	}
+	for _, r := range rows {
+		for c, cell := range r {
+			right[c] = right[c] || cell != "" && cell[0] >= '0' && cell[0] <= '9'
+		}
+	}
+	var sb strings.Builder
+	line := func(cells []string) {
+		for c, cell := range cells {
+			pad := strings.Repeat(" ", width[c]-utf8.RuneCountInString(cell))
+			if right[c] {
+				cell = pad + cell
+			} else {
+				cell += pad
+			}
+			sb.WriteString("| " + cell + " ")
+		}
+		sb.WriteString("|\n")
+	}
+	line(header)
+	rule := make([]string, len(header))
+	for c := range rule {
+		rule[c] = strings.Repeat("-", width[c])
+		if right[c] {
+			rule[c] = rule[c][1:] + ":"
+		}
+	}
+	line(rule)
+	for _, r := range rows {
+		line(r)
+	}
+	return sb.String()
+}
+
+// CodeBlock fences ASCII art (a chart, a panel, a bar chart) as a Markdown
+// code block, dropping the trailing blanks and blank lines it is padded
+// with.
+func CodeBlock(text string) string {
+	var sb strings.Builder
+	sb.WriteString("```text\n")
+	for _, l := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
+		sb.WriteString(strings.TrimRight(l, " ") + "\n")
+	}
+	sb.WriteString("```\n")
 	return sb.String()
 }

@@ -101,6 +101,28 @@ func TestRenderBars(t *testing.T) {
 	}
 }
 
+func TestTable(t *testing.T) {
+	got := Table([]string{"config", "cycles", "×"}, [][]string{
+		{"small", "130240", "1.00×"},
+		{"large", "deadlock", "-"},
+	})
+	want := "" +
+		"| config |   cycles |     × |\n" +
+		"| ------ | -------: | ----: |\n" +
+		"| small  |   130240 | 1.00× |\n" +
+		"| large  | deadlock |     - |\n"
+	if got != want {
+		t.Fatalf("got:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+func TestCodeBlock(t *testing.T) {
+	got := CodeBlock("  a  \n b\n\n\n")
+	if want := "```text\n  a\n b\n```\n"; got != want {
+		t.Fatalf("got %q, want %q", got, want)
+	}
+}
+
 func TestClip(t *testing.T) {
 	if clip("hello", 3) != "hel" || clip("hi", 5) != "hi" {
 		t.Fatal("clip broken")

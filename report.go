@@ -3,18 +3,19 @@ package eclipse
 import (
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"eclipse/internal/trace"
 	"eclipse/internal/viz"
 )
 
 // WriteReport prints the Figure 9 style performance views of a finished
-// run: the architecture view (coprocessor utilization, bus occupancy,
-// cache behaviour) and the application view (per-task steps/switches/
-// stalls and per-stream traffic).
+// run as Markdown: the architecture view (coprocessor utilization, bus
+// occupancy, cache behaviour) and the application view (per-task steps,
+// switches, denied steps and run time).
 func (s *System) WriteReport(w io.Writer) {
-	fmt.Fprintf(w, "== architecture view (cycle %d) ==\n\n", s.K.Now())
+	now := s.K.Now()
+	fmt.Fprintf(w, "Architecture view at cycle %d:\n\n", now)
 	var bars []viz.BarItem
 	for _, u := range s.Utilizations() {
 		bars = append(bars, viz.BarItem{Label: u.Name + " busy", Value: u.Busy})
@@ -24,13 +25,11 @@ func (s *System) WriteReport(w io.Writer) {
 		viz.BarItem{Label: "sram write bus", Value: s.SRAM.WritePort().Utilization()},
 		viz.BarItem{Label: "system bus", Value: s.DRAM.ReadPort().Utilization()},
 	)
-	io.WriteString(w, viz.RenderBars(bars))
+	io.WriteString(w, viz.CodeBlock(viz.RenderBars(bars)))
 
-	fmt.Fprintf(w, "\ncaches:\n")
-	fmt.Fprintf(w, "  %-5s %22s %8s %8s %10s %10s %9s\n",
-		"", "read hits/misses", "hit-rate", "invalid", "wr-flushes", "evictions", "prefetch")
+	var caches [][]string
 	names := s.CoproNames()
-	sort.Strings(names)
+	slices.Sort(names)
 	for _, n := range names {
 		sh := s.Shell(n)
 		r, wr := sh.ReadCacheStats(), sh.WriteCacheStats()
@@ -39,28 +38,31 @@ func (s *System) WriteReport(w io.Writer) {
 		if ts.PrefetchesIssued > 0 {
 			pref = fmt.Sprintf("%d/%d", ts.PrefetchesIssued-ts.PrefetchesDropped, ts.PrefetchesIssued)
 		}
-		fmt.Fprintf(w, "  %-5s %12d/%-9d %7.1f%% %8d %10d %10d %9s\n",
-			n, r.Hits, r.Misses, r.HitRate()*100, r.Invalidations,
-			wr.Flushes, r.Evictions+wr.Evictions, pref)
+		caches = append(caches, []string{n, fmt.Sprint(r.Hits), fmt.Sprint(r.Misses),
+			fmt.Sprintf("%.1f%%", r.HitRate()*100), fmt.Sprint(r.Invalidations),
+			fmt.Sprint(wr.Flushes), fmt.Sprint(r.Evictions + wr.Evictions), pref})
 	}
+	io.WriteString(w, "\n"+viz.Table([]string{"shell cache", "read hits", "read misses", "hit rate",
+		"invalidations", "write flushes", "evictions", "prefetches used"}, caches))
 
-	fmt.Fprintf(w, "\n== application view ==\n\n")
-	fmt.Fprintf(w, "%-14s %10s %9s %9s %12s %8s %10s\n", "task", "steps", "switches", "denied", "run-cycles", "share", "step-p50")
 	taskNames := make([]string, 0, len(s.tasks))
 	for n := range s.tasks {
 		taskNames = append(taskNames, n)
 	}
-	sort.Strings(taskNames)
-	now := s.K.Now()
+	slices.Sort(taskNames)
+	var tasks [][]string
 	for _, n := range taskNames {
 		st, _ := s.TaskStats(n)
 		share := 0.0
 		if now > 0 {
 			share = float64(st.RunCycles) / float64(now)
 		}
-		fmt.Fprintf(w, "%-14s %10d %9d %9d %12d %7.1f%% %10d\n",
-			n, st.Steps, st.Switches, st.DeniedSteps, st.RunCycles, share*100, st.StepPercentile(0.5))
+		tasks = append(tasks, []string{n, fmt.Sprint(st.Steps), fmt.Sprint(st.Switches),
+			fmt.Sprint(st.DeniedSteps), fmt.Sprint(st.RunCycles), fmt.Sprintf("%.1f%%", share*100),
+			fmt.Sprint(st.StepPercentile(0.5))})
 	}
+	io.WriteString(w, "\nApplication view:\n\n"+viz.Table([]string{"task", "steps", "switches",
+		"denied", "run cycles", "share", "step p50"}, tasks))
 }
 
 // WriteCharts renders every collected trace series as an ASCII chart
