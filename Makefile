@@ -2,6 +2,10 @@
 #
 #   make check   vet + build + full test suite + race-detector pass
 #   make lint    vet + gofmt formatting check (no test run)
+#   make vet     go vet for the host and again for GOARCH=arm64, so the
+#                portable SAD kernel behind !amd64 is compiled and vetted
+#                on every check (the amd64 pass runs asmdecl over the
+#                PSADBW kernel's frame and argument sizes)
 #   make test    full test suite only (tier-1; includes the benchmark
 #                rig's own tests via TestBenchmarkRig)
 #   make race    the full test suite under the race detector, plus the
@@ -15,6 +19,7 @@
 #                    guard that the corpus-reachable code stays panic-free
 #                    (includes the batch/streaming decode-parity fuzzer,
 #                    the motion-search/raster-reference parity fuzzer,
+#                    the PSADBW/SWAR SAD-kernel parity fuzzer,
 #                    the butterfly-transform/matrix-product and RLSQ
 #                    scatter/three-step parity fuzzer and the one-span and
 #                    span-count span-engine/two-phase transcode-parity
@@ -42,6 +47,7 @@ lint: vet
 
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 
 build:
 	$(GO) build ./...
@@ -59,6 +65,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzHuffDecode -fuzztime=5s ./internal/media
 	$(GO) test -run=NONE -fuzz=FuzzDecodeParallelParity -fuzztime=5s ./internal/media
 	$(GO) test -run=NONE -fuzz=FuzzMotionSearchParity -fuzztime=5s ./internal/media
+	$(GO) test -run=NONE -fuzz=FuzzSADKernelParity -fuzztime=5s ./internal/media
 	$(GO) test -run=NONE -fuzz=FuzzTransformParity -fuzztime=5s ./internal/media
 	$(GO) test -run=NONE -fuzz=FuzzCacheKeyCanonical -fuzztime=5s ./internal/serve
 	$(GO) test -run=NONE -fuzz=FuzzTranscodeFusedParity -fuzztime=5s ./internal/serve

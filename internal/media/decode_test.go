@@ -136,18 +136,21 @@ func decodeBoth(t *testing.T, stream []byte) {
 	}
 }
 
-// TestDecodeParallelParity runs the batch/streaming oracle over the
-// valid stream family.
+// TestDecodeParallelParity checks that batch and streaming decodes agree
+// on the valid stream family; the name is from the pipeline-parallel
+// decoder, since deleted, that this oracle used to check.
 func TestDecodeParallelParity(t *testing.T) {
 	for name, stream := range parityStreams(t) {
 		t.Run(name, func(t *testing.T) { decodeBoth(t, stream) })
 	}
 }
 
-// TestDecodeParallelParityCorrupt runs the oracle over malformed inputs:
-// dense truncation over a small stream, sparse truncation over the
-// Fig. 10 stream, and byte corruption (which trips run/level overflows,
-// bad markers, reference-order violations and broken display indices
+// TestDecodeParallelParityCorrupt checks that batch and streaming decodes
+// agree, errors included, on malformed inputs; the name is from the
+// pipeline-parallel decoder, since deleted. The inputs are dense
+// truncation over a small stream, sparse truncation over the Fig. 10
+// stream, and byte corruption (which trips run/level overflows, bad
+// markers, reference-order violations and broken display indices
 // mid-stream).
 func TestDecodeParallelParityCorrupt(t *testing.T) {
 	streams := parityStreams(t)
@@ -167,8 +170,9 @@ func TestDecodeParallelParityCorrupt(t *testing.T) {
 	}
 }
 
-// FuzzDecodeParallelParity is the adversarial form of the oracle:
-// arbitrary byte streams through batch and streaming decodes at once.
+// FuzzDecodeParallelParity checks that batch and streaming decodes agree
+// on arbitrary byte streams; the name is from the pipeline-parallel
+// decoder, since deleted.
 func FuzzDecodeParallelParity(f *testing.F) {
 	streams := parityStreams(f)
 	f.Add([]byte{})

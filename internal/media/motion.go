@@ -61,16 +61,20 @@ func absDiff4(a, b uint64) uint64 {
 	return (x ^ (laneBit - neg)) + neg
 }
 
-// sadRows is the one absolute-difference kernel: the SAD of cur against
-// the 16×16 block whose rows start at ref[0], ref[stride], … — another
-// macroblock (stride MBSize) or a position in a search window. Each row is
-// two 8-pixel words, split into even and odd bytes and accumulated in four
-// 16-bit lanes: a lane gains at most 4·255 per row, 16 320 < 2¹⁶ over the
-// block, and the lanes total at most 65 280 < 2¹⁶, so one multiply folds
-// them into the top lane exactly. After each row the running sum is
-// compared with earlyOut; the (possibly partial) sums returned are those
-// of the scalar row loop.
-func sadRows(cur *MBPixels, ref []byte, stride, earlyOut int) int {
+// sadRowsSWAR is the portable body of sadRows, the one absolute-difference
+// kernel: the SAD of cur against the 16×16 block whose rows start at
+// ref[0], ref[stride], … — another macroblock (stride MBSize) or a position
+// in a search window. After each row the running sum is compared with
+// earlyOut and returned once it exceeds it; the (possibly partial) sums
+// returned are those of the scalar row loop. sadRows runs this loop off
+// amd64 and PSADBW on it (sad_amd64.s); the parity tests hold the two to
+// the same values.
+//
+// Each row is two 8-pixel words, split into even and odd bytes and
+// accumulated in four 16-bit lanes: a lane gains at most 4·255 per row,
+// 16 320 < 2¹⁶ over the block, and the lanes total at most 65 280 < 2¹⁶,
+// so one multiply folds them into the top lane exactly.
+func sadRowsSWAR(cur *MBPixels, ref []byte, stride, earlyOut int) int {
 	var acc uint64
 	for j := 0; j < MBSize; j++ {
 		c := cur[j*MBSize : j*MBSize+MBSize : j*MBSize+MBSize]

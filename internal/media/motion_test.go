@@ -401,8 +401,10 @@ func FuzzMotionSearchParity(f *testing.F) {
 	})
 }
 
-// TestMotionKernelsDoNotAllocate pins the search's scratch to the stack:
-// the column sums and, for border macroblocks, the clamped window copy.
+// TestMotionKernelsDoNotAllocate pins every scratch array handed to the
+// SAD kernel to the stack: the search's column sums and, for border
+// macroblocks, its clamped window copy; RefineHalfPel's and the
+// bi-directional SAD's predictions; and the exported SAD's clamped block.
 func TestMotionKernelsDoNotAllocate(t *testing.T) {
 	cur, ref, bwd := randomFrame(176, 144, 13), randomFrame(176, 144, 14), randomFrame(176, 144, 15)
 	var mb MBPixels
@@ -429,6 +431,11 @@ func TestMotionKernelsDoNotAllocate(t *testing.T) {
 		benchSink += ops
 	}); n != 0 {
 		t.Errorf("DecideMB B macroblock with half-pel: %v allocs/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		benchSink += SAD(&mb, ref, 0, 8*MBSize, MV{-5, 3}, 1<<30)
+	}); n != 0 {
+		t.Errorf("SAD at an out-of-frame vector: %v allocs/op, want 0", n)
 	}
 }
 

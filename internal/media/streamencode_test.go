@@ -58,9 +58,10 @@ func TestStreamEncoderBitIdentical(t *testing.T) {
 	}
 }
 
-// TestStreamEncoderWorkers runs N = 1..5 StreamEncoders concurrently
-// over the same read-only source frames and requires each to emit the
-// batch encoder's bytes. Under the race detector (`make race` runs it at
+// TestStreamEncoderWorkers checks that N = 1..5 StreamEncoders run
+// concurrently over the same read-only source frames each emit the batch
+// encoder's bytes; the name is from the per-macroblock-row encode worker
+// pool, since deleted. Under the race detector (`make race` runs it at
 // GOMAXPROCS=4) it proves encoders share no mutable state, which is what
 // lets the serving tier run many encodes side by side.
 func TestStreamEncoderWorkers(t *testing.T) {

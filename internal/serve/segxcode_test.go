@@ -132,10 +132,12 @@ var spanCounts = []int{1, 4}
 
 func spansName(segs int) string { return "spans-" + strconv.Itoa(segs) }
 
-// TestTranscodeFusedParity sweeps clip widths of 1..8 macroblocks (the
-// decoded width, dwN) × M = 1..4 identical one-span transcodes — decode
-// fused with encode in a single task — run concurrently over one frame
-// pool on an M-worker scheduler (ewM). Every output must be
+// TestTranscodeFusedParity checks one-span transcodes against the
+// two-phase job and the offline re-encode; the name is from the fused
+// two-task transcode pipeline, since deleted. It sweeps clip widths of
+// 1..8 macroblocks (the decoded width, dwN) × M = 1..4 identical one-span
+// transcodes — decode and encode in a single task — run concurrently over
+// one frame pool on an M-worker scheduler (ewM). Every output must be
 // byte-identical to the two-phase job and the offline batch re-encode,
 // and the shared pool must drain.
 func TestTranscodeFusedParity(t *testing.T) {
@@ -335,9 +337,10 @@ func TestTranscodeSegmentedBoundedInflight(t *testing.T) {
 	}
 }
 
-// TestTranscodeFusedCancelNoLeak cancels one-span transcodes — decode
-// fused with encode in a single task — at a spread of points mid-span
-// and after completion; see checkCancelNoLeak.
+// TestTranscodeFusedCancelNoLeak checks that one-span transcodes
+// cancelled mid-span or after completion leak nothing; the name is from
+// the fused two-task transcode pipeline, since deleted. See
+// checkCancelNoLeak.
 func TestTranscodeFusedCancelNoLeak(t *testing.T) { checkCancelNoLeak(t, 1) }
 
 // TestTranscodeSegmentedCancelNoLeak is the same check at several spans,
@@ -413,8 +416,9 @@ func TestTranscodeSegmentedPreemptParity(t *testing.T) {
 	}
 }
 
-// TestTranscodeFusedBadStream truncates the bitstream mid-frame under a
-// one-span transcode: the job must fail in the span decode; see
+// TestTranscodeFusedBadStream checks that a one-span transcode of a
+// bitstream truncated mid-frame fails in the span decode; the name is
+// from the fused two-task transcode pipeline, since deleted. See
 // checkBadStream.
 func TestTranscodeFusedBadStream(t *testing.T) { checkBadStream(t, 1) }
 
