@@ -10,11 +10,13 @@
 #                rig's own tests via TestBenchmarkRig)
 #   make race    the full test suite under the race detector, plus the
 #                segment-parallel, two-tenant, task-group/gate, transcode,
-#                concurrent stream-encoder and both cache tiers' LRU tests
-#                again at GOMAXPROCS=4 (real parallelism for parked
-#                siblings, for a transcode's span tasks, for two tenants'
-#                jobs on two workers, for encoders running side by side
-#                and for the single-lock cache)
+#                concurrent stream-encoder, both cache tiers' LRU tests
+#                and the gateway's attempt-loop tests (retry, pushback,
+#                mid-stream, timeout, stalled primary, storm) again at
+#                GOMAXPROCS=4 (real parallelism for parked siblings, for
+#                a transcode's span tasks, for two tenants' jobs on two
+#                workers, for encoders running side by side, for the
+#                single-lock cache and for the proxy's attempt loop)
 #   make fuzz-smoke  a few seconds of each media-layer fuzzer — the CI
 #                    guard that the corpus-reachable code stays panic-free
 #                    (includes the batch/streaming decode-parity fuzzer,
@@ -57,7 +59,7 @@ test:
 
 race:
 	$(GO) test -race ./...
-	GOMAXPROCS=4 $(GO) test -race -run 'Segment|TwoTenant|TaskGroup|Transcode|StreamEncoder|LRU|L1|Cache' \
+	GOMAXPROCS=4 $(GO) test -race -run 'Segment|TwoTenant|TaskGroup|Transcode|StreamEncoder|LRU|L1|Cache|Retry|Pushback|MidStream|Timeout|Stalled|Storm' \
 		./internal/media ./internal/serve ./internal/slab ./internal/cluster
 
 fuzz-smoke:

@@ -3,10 +3,10 @@
 // content-address cache key, active /readyz health checking with
 // rise/fall thresholds, passive ejection on consecutive transport
 // failures, bounded jittered retries on safe failures (connect errors
-// and 429/503 pushback, whose Retry-After is relayed verbatim), tail
-// hedging at the per-kind p95, and an L1 edge cache keyed on the same
-// content address the ring routes on: warm hits are answered from
-// gateway memory (X-Cache: l1-hit), stale entries revalidate with
+// and 429/503 pushback, whose Retry-After is relayed verbatim) with one
+// upstream attempt in flight per request, and an L1 edge cache keyed on
+// the same content address the ring routes on: warm hits are answered
+// from gateway memory (X-Cache: l1-hit), stale entries revalidate with
 // If-None-Match against the backend's L2 (a 304 refreshes residency
 // without a body transfer), and a same-key storm collapses to one
 // backend round-trip.
@@ -65,8 +65,6 @@ func main() {
 		retries   = flag.Int("retries", 2, "max retry attempts after safe failures (-1 disables)")
 		retryBase = flag.Duration("retry-base", 10*time.Millisecond, "first retry backoff (doubles, jittered)")
 		retryMax  = flag.Duration("retry-max", 250*time.Millisecond, "retry backoff cap")
-		noHedge   = flag.Bool("no-hedge", false, "disable tail hedging")
-		hedgeAft  = flag.Duration("hedge-after", 0, "fixed hedge trigger delay (0 = adaptive per-kind p95)")
 		maxBody   = flag.Int64("max-body", 64<<20, "request body cap in bytes")
 		l1Bytes   = flag.Int64("l1-bytes", 256<<20, "gateway L1 edge cache byte budget (0 disables)")
 		l1MaxObj  = flag.Int64("l1-max-object", 8<<20, "largest response buffered (and cached) at the gateway; bigger responses stream through")
@@ -90,8 +88,6 @@ func main() {
 		MaxRetries:    *retries,
 		RetryBase:     *retryBase,
 		RetryMax:      *retryMax,
-		HedgeDisabled: *noHedge,
-		HedgeAfter:    *hedgeAft,
 		MaxBodyBytes:  *maxBody,
 		L1Bytes:       *l1Bytes,
 		L1MaxObject:   *l1MaxObj,

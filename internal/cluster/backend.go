@@ -61,7 +61,6 @@ type Backend struct {
 	// Counters for /varz and /metrics.
 	requests  atomic.Uint64 // proxied attempts sent to this backend
 	errors    atomic.Uint64 // attempts that failed (transport or 5xx)
-	hedges    atomic.Uint64 // hedge attempts sent to this backend
 	ejections atomic.Uint64 // passive Up->Down transitions
 	drains    atomic.Uint64 // transitions into StateDraining
 	probeOK   atomic.Uint64
@@ -103,7 +102,6 @@ type BackendSnapshot struct {
 	State     string `json:"state"`
 	Requests  uint64 `json:"requests_total"`
 	Errors    uint64 `json:"errors_total"`
-	Hedges    uint64 `json:"hedges_total"`
 	Ejections uint64 `json:"ejections_total"`
 	Drains    uint64 `json:"drains_total"`
 	ProbeOK   uint64 `json:"probe_ok_total"`
@@ -118,7 +116,6 @@ func (b *Backend) Snapshot() BackendSnapshot {
 		State:     b.State().String(),
 		Requests:  b.requests.Load(),
 		Errors:    b.errors.Load(),
-		Hedges:    b.hedges.Load(),
 		Ejections: b.ejections.Load(),
 		Drains:    b.drains.Load(),
 		ProbeOK:   b.probeOK.Load(),

@@ -223,14 +223,13 @@ func TestClusterE2E(t *testing.T) {
 // TestClusterStormCollapse: a storm of identical cold-key decodes
 // arriving through the gateway lands on exactly one backend (rendezvous
 // affinity) and admits exactly one decode there (singleflight) — the
-// PR 6 single-node guarantee, now cluster-wide. Hedging is disabled:
-// a hedge would deliberately duplicate onto a second node.
+// single-node guarantee, now cluster-wide, under the shipping Config.
 func TestClusterStormCollapse(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster E2E in -short mode")
 	}
 	items := buildClusterCatalog(t, 1)
-	c := newTestCluster(t, func(cfg *Config) { cfg.HedgeDisabled = true })
+	c := newTestCluster(t, nil)
 
 	const stormN = 16
 	type res struct {
@@ -298,7 +297,7 @@ func TestClusterAffinityAcrossRequests(t *testing.T) {
 		t.Skip("cluster E2E in -short mode")
 	}
 	items := buildClusterCatalog(t, 2)
-	c := newTestCluster(t, func(cfg *Config) { cfg.HedgeDisabled = true })
+	c := newTestCluster(t, nil)
 
 	first := make(map[int]string)
 	for i, it := range items {

@@ -39,13 +39,6 @@ type Config struct {
 	RetryBase time.Duration
 	RetryMax  time.Duration
 
-	// HedgeDisabled turns tail hedging off.
-	HedgeDisabled bool
-	// HedgeAfter, when positive, is a fixed hedge trigger delay. Zero
-	// selects the adaptive trigger: the per-kind p95 of successful
-	// attempt latencies (see hedgeDelay).
-	HedgeAfter time.Duration
-
 	// MaxBodyBytes caps client request bodies. Default 64 MiB.
 	MaxBodyBytes int64
 

@@ -19,14 +19,10 @@ type Metrics struct {
 
 	Requests [nKinds]atomic.Uint64 // client requests by kind
 	Errors   [nKinds]atomic.Uint64 // requests that ended non-2xx/3xx
-	// Latency is end-to-end gateway latency (including retries and
-	// hedge waits); AttemptLat is per-attempt upstream latency of
-	// successful attempts only — the distribution that feeds the hedge
-	// trigger, uncontaminated by the hedges it causes.
-	Latency    [nKinds]metrics.Hist
-	AttemptLat [nKinds]metrics.Hist
-	Hedges     [nKinds]atomic.Uint64 // hedge attempts launched
-	HedgeWins  [nKinds]atomic.Uint64 // requests won by the hedge attempt
+	// Latency is end-to-end gateway latency of proxied exchanges,
+	// retry backoffs included.
+	Latency [nKinds]metrics.Hist
+	Hedges  [nKinds]atomic.Uint64 // always zero (no hedging); kept because benchmark/wl_gateway.go reads it
 
 	Retries     atomic.Uint64 // retry attempts launched (backoff path)
 	RingChurn   atomic.Uint64 // backend state transitions (routable-set edits)
@@ -37,8 +33,7 @@ type Metrics struct {
 	Passthrough atomic.Uint64 // 429/503 pushback responses relayed verbatim
 
 	// L1 edge cache (cache.go). L1HitLat is a separate histogram so
-	// sub-millisecond hits never enter Latency/AttemptLat — the hedge
-	// trigger's p95 stays a proxied-work distribution by construction.
+	// sub-millisecond hits never enter Latency.
 	L1Hits          atomic.Uint64 // served from a fresh resident entry
 	L1Misses        atomic.Uint64 // no resident entry at lookup
 	L1Stale         atomic.Uint64 // resident but past freshness: revalidation candidate
@@ -48,7 +43,7 @@ type Metrics struct {
 	L1Fills         atomic.Uint64 // bodies copied into the L1
 	L1Evictions     atomic.Uint64 // entries dropped for byte pressure
 	L1TooLarge      atomic.Uint64 // fills skipped: entry exceeds the cache budget
-	L1HitLat        metrics.Hist  // L1 hit latency (kept out of Latency/AttemptLat)
+	L1HitLat        metrics.Hist  // L1 hit latency (kept out of Latency)
 
 	StreamThrough   atomic.Uint64 // over-cap responses streamed without buffering
 	StreamTruncated atomic.Uint64 // stream relays that died mid-copy (connection severed)
@@ -59,15 +54,12 @@ func NewMetrics() *Metrics { return &Metrics{Start: time.Now()} }
 
 // KindSnapshot is one kind's row in /varz.
 type KindSnapshot struct {
-	Kind      string  `json:"kind"`
-	Requests  uint64  `json:"requests"`
-	Errors    uint64  `json:"errors"`
-	Hedges    uint64  `json:"hedges"`
-	HedgeWins uint64  `json:"hedge_wins"`
-	P50Ms     float64 `json:"p50_ms"`
-	P99Ms     float64 `json:"p99_ms"`
-	MeanMs    float64 `json:"mean_ms"`
-	HedgeMs   float64 `json:"hedge_after_ms"` // current hedge trigger delay
+	Kind     string  `json:"kind"`
+	Requests uint64  `json:"requests"`
+	Errors   uint64  `json:"errors"`
+	P50Ms    float64 `json:"p50_ms"`
+	P99Ms    float64 `json:"p99_ms"`
+	MeanMs   float64 `json:"mean_ms"`
 }
 
 // L1Snapshot is the /varz view of the gateway's edge cache.
@@ -120,8 +112,6 @@ func (g *Gateway) WritePrometheus(w io.Writer) {
 	metrics.Gauge(w, ns+"uptime_seconds", "Time since gateway start.", time.Since(m.Start).Seconds())
 	metrics.CounterVec(w, ns+"requests_total", "Client requests by kind.", "kind", kinds, byKind(&m.Requests))
 	metrics.CounterVec(w, ns+"errors_total", "Requests that ended non-2xx/3xx, by kind.", "kind", kinds, byKind(&m.Errors))
-	metrics.CounterVec(w, ns+"hedges_total", "Hedge attempts launched, by kind.", "kind", kinds, byKind(&m.Hedges))
-	metrics.CounterVec(w, ns+"hedge_wins_total", "Requests answered first by the hedge attempt, by kind.", "kind", kinds, byKind(&m.HedgeWins))
 
 	for _, fam := range []struct {
 		name, help string
@@ -171,7 +161,6 @@ func (g *Gateway) WritePrometheus(w io.Writer) {
 	}{
 		{"backend_requests_total", "Proxied attempts per backend.", func(b *Backend) uint64 { return b.requests.Load() }},
 		{"backend_errors_total", "Failed attempts per backend (transport errors and 5xx).", func(b *Backend) uint64 { return b.errors.Load() }},
-		{"backend_hedges_total", "Hedge attempts per backend.", func(b *Backend) uint64 { return b.hedges.Load() }},
 		{"backend_ejections_total", "Passive ejections (consecutive transport failures).", func(b *Backend) uint64 { return b.ejections.Load() }},
 		{"backend_drains_total", "Transitions into the draining state.", func(b *Backend) uint64 { return b.drains.Load() }},
 		{"backend_probe_failures_total", "Active health probes that failed.", func(b *Backend) uint64 { return b.probeFail.Load() }},
@@ -180,9 +169,9 @@ func (g *Gateway) WritePrometheus(w io.Writer) {
 			func(b *Backend) (string, uint64) { return b.name, fam.val(b) })
 	}
 
-	metrics.HistogramVec(w, ns+"latency_seconds", "End-to-end request latency through the gateway (includes retries and hedge waits).", "kind", kinds,
+	metrics.HistogramVec(w, ns+"latency_seconds", "End-to-end request latency through the gateway (includes retry backoffs).", "kind", kinds,
 		func(k serve.Kind) (string, *metrics.Hist) { return k.String(), &m.Latency[k] })
-	metrics.Histogram(w, ns+"l1_hit_latency_seconds", "L1 hit latency (excluded from the proxied latency and hedge-trigger histograms).", &m.L1HitLat)
+	metrics.Histogram(w, ns+"l1_hit_latency_seconds", "L1 hit latency (excluded from the proxied latency histogram).", &m.L1HitLat)
 }
 
 // varz assembles the JSON status document.
@@ -191,15 +180,12 @@ func (g *Gateway) varz() Snapshot {
 	ks := make([]KindSnapshot, 0, nKinds)
 	for _, k := range serve.Kinds {
 		ks = append(ks, KindSnapshot{
-			Kind:      k.String(),
-			Requests:  m.Requests[k].Load(),
-			Errors:    m.Errors[k].Load(),
-			Hedges:    m.Hedges[k].Load(),
-			HedgeWins: m.HedgeWins[k].Load(),
-			P50Ms:     metrics.Ms(m.Latency[k].Quantile(0.50)),
-			P99Ms:     metrics.Ms(m.Latency[k].Quantile(0.99)),
-			MeanMs:    metrics.Ms(m.Latency[k].Mean()),
-			HedgeMs:   metrics.Ms(g.hedgeDelay(k)),
+			Kind:     k.String(),
+			Requests: m.Requests[k].Load(),
+			Errors:   m.Errors[k].Load(),
+			P50Ms:    metrics.Ms(m.Latency[k].Quantile(0.50)),
+			P99Ms:    metrics.Ms(m.Latency[k].Quantile(0.99)),
+			MeanMs:   metrics.Ms(m.Latency[k].Mean()),
 		})
 	}
 	bs := make([]BackendSnapshot, 0, len(g.backends))

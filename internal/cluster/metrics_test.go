@@ -125,7 +125,7 @@ var (
 		"cache_hit_latency_seconds histogram", "cache_miss_latency_seconds histogram")
 	gatewayFamilies = prefixed("eclipse_gateway_",
 		"uptime_seconds gauge", "requests_total counter", "errors_total counter",
-		"hedges_total counter", "hedge_wins_total counter", "retries_total counter",
+		"retries_total counter",
 		"ring_churn_total counter", "no_backend_total counter", "mid_stream_errors_total counter",
 		"pushback_passthrough_total counter", "stream_through_total counter",
 		"stream_truncated_total counter", "bytes_in_total counter", "bytes_out_total counter",
@@ -134,7 +134,7 @@ var (
 		"l1_collapsed_total counter", "l1_fills_total counter", "l1_evictions_total counter",
 		"l1_too_large_total counter", "l1_resident_bytes gauge", "backend_state gauge",
 		"backend_requests_total counter", "backend_errors_total counter",
-		"backend_hedges_total counter", "backend_ejections_total counter",
+		"backend_ejections_total counter",
 		"backend_drains_total counter", "backend_probe_failures_total counter",
 		"latency_seconds histogram", "l1_hit_latency_seconds histogram")
 )

@@ -24,7 +24,7 @@ func TestRequestParamsAgree(t *testing.T) {
 	}
 	srv := serve.New(serve.Config{Workers: 1})
 	backend := httptest.NewServer(srv.Handler())
-	g := newTestGateway(t, Config{HedgeDisabled: true, L1Bytes: 1 << 20}, backend.Listener.Addr().String())
+	g := newTestGateway(t, Config{L1Bytes: 1 << 20}, backend.Listener.Addr().String())
 	forceUp(g)
 	gateway := httptest.NewServer(g.Handler())
 	t.Cleanup(func() {

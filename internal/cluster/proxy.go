@@ -14,18 +14,17 @@ import (
 	"eclipse/internal/serve"
 )
 
-// The proxy path. One client request becomes 0..N upstream attempts.
-// With the L1 enabled, a fresh resident entry answers with zero
-// attempts; a stale one costs a single If-None-Match revalidation; and
-// a storm of identical misses collapses onto one leader's attempt
-// (fill.go). When the request does go upstream: the primary goes to
-// the rendezvous-preferred backend; bounded retries with jittered
-// exponential backoff follow safe failures (connect errors and 429/503
-// pushback — cases where the backend either never saw the request or
-// explicitly refused it); one hedge may be launched at the
-// next-preferred backend when the primary outlives the per-kind p95.
-// Whatever attempt finishes first with a decisive response is relayed;
-// the losers are cancelled.
+// The proxy path. One client request becomes 0..N upstream attempts,
+// and never more than one at a time. With the L1 enabled, a fresh
+// resident entry answers with zero attempts; a stale one costs a single
+// If-None-Match revalidation; and a storm of identical misses collapses
+// onto one leader's attempt (fill.go). When the request does go
+// upstream, the first attempt goes to the rendezvous-preferred backend;
+// bounded retries with jittered exponential backoff follow safe
+// failures (connect errors and 429/503 pushback — cases where the
+// backend either never saw the request or explicitly refused it). Each
+// attempt runs on the request's own context and finishes before the
+// next one starts: a request never has two attempts in flight.
 //
 // Upstream bodies are buffered only up to the per-object cap
 // (Config.L1MaxObject). At or under the cap the old invariant holds
@@ -39,8 +38,6 @@ import (
 const (
 	// BackendHeader names the backend that served a proxied response.
 	BackendHeader = "X-Backend"
-	// HedgeWinHeader marks responses won by the hedge attempt.
-	HedgeWinHeader = "X-Hedge-Win"
 	// CacheHeader carries the cache outcome. Backends set it to their
 	// own outcome (miss/hit/collapsed/...); the gateway overrides it on
 	// L1-origin responses with the l1-* values below.
@@ -76,11 +73,10 @@ var hopHeaders = map[string]bool{
 // not the content: they are stripped from L1 entries and regenerated
 // per hit (Age, X-Cache, X-Backend) or dropped (Date).
 var uncacheableHeaders = map[string]bool{
-	CacheHeader:    true,
-	BackendHeader:  true,
-	HedgeWinHeader: true,
-	"Date":         true,
-	"Age":          true,
+	CacheHeader:   true,
+	BackendHeader: true,
+	"Date":        true,
+	"Age":         true,
 }
 
 // attemptClass says what one upstream attempt produced.
@@ -103,16 +99,15 @@ const (
 	// buffered cap. The work may have partially executed and the client
 	// must never see the partial payload: 502, no retry.
 	classMidStream
-	// classCancelled: this attempt lost a race we already decided (or
-	// the overall budget expired); its outcome is void.
+	// classCancelled: the request's budget expired or its client went
+	// away mid-attempt; the outcome is void.
 	classCancelled
 )
 
 // attemptResp is one upstream attempt's outcome. When stream is
 // non-nil the response exceeded the buffering cap: body holds exactly
 // the cap's worth of prefix and stream is the still-open remainder,
-// which the winner relays live and a loser's context cancel tears
-// down.
+// which writeResponse relays live and then closes.
 type attemptResp struct {
 	b             *Backend
 	class         attemptClass
@@ -122,7 +117,6 @@ type attemptResp struct {
 	stream        io.ReadCloser
 	contentLength int64 // upstream Content-Length; -1 when unknown
 	err           error
-	hedge         bool
 }
 
 // handleMedia serves POST /v1/{decode,encode,transcode}.
@@ -174,13 +168,8 @@ func (g *Gateway) handleMedia(w http.ResponseWriter, r *http.Request) {
 
 // serveL1 is the request path with the L1 enabled: local 304s, fresh
 // hits, collapsed followers, and — only when the near tier cannot
-// answer — a proxied exchange that fills it.
-//
-// Latency bookkeeping: Latency[kind] is observed only around real
-// proxied exchanges and the hedge trigger reads AttemptLat, which only
-// successful upstream attempts feed — so sub-millisecond L1 hits can
-// never drag the adaptive p95 down and make hedging fire on every
-// proxied miss. Hits go to the separate L1HitLat histogram.
+// answer — a proxied exchange that fills it. Latency[kind] is observed
+// only around real proxied exchanges; hits go to L1HitLat.
 func (g *Gateway) serveL1(ctx context.Context, w http.ResponseWriter, r *http.Request,
 	kind serve.Kind, key serve.CacheKey, body []byte, deadline time.Time) {
 
@@ -353,10 +342,10 @@ func (g *Gateway) writeShared(w http.ResponseWriter, kind serve.Kind, res *attem
 	g.met.BytesOut.Add(uint64(len(res.body)))
 }
 
-// do orchestrates the attempts for one request, writes the response,
-// and reports how the exchange ended for the flight table. fill allows
-// a 200 body to be copied into the L1; reval, when non-nil, is a stale
-// resident entry whose content address is sent upstream as
+// do runs the attempts for one request, one at a time, writes the
+// response, and reports how the exchange ended for the flight table.
+// fill allows a 200 body to be copied into the L1; reval, when non-nil,
+// is a stale resident entry whose content address is sent upstream as
 // If-None-Match — a 304 then refreshes it without a body transfer.
 func (g *Gateway) do(ctx context.Context, w http.ResponseWriter, r *http.Request,
 	kind serve.Kind, key serve.CacheKey, body []byte, deadline time.Time,
@@ -376,20 +365,13 @@ func (g *Gateway) do(ctx context.Context, w http.ResponseWriter, r *http.Request
 		inm = key.ETag()
 	}
 
-	maxAttempts := 1 + g.cfg.MaxRetries + 1 // primary + retries + hedge
-	// Buffered to capacity: a cancelled loser can always deliver its
-	// result and exit, even after do has returned. No goroutine leaks.
-	results := make(chan *attemptResp, maxAttempts)
-	var cancels []context.CancelFunc
-	defer func() {
-		for _, c := range cancels {
-			c()
+	var lastPush *attemptResp
+	var lastErr error
+	next := 0 // cursor into the preference order (wraps)
+	for retries := 0; ; retries++ {
+		if retries > 0 && !g.backoff(ctx, retries) {
+			return g.budgetDone(ctx, w, kind)
 		}
-	}()
-
-	next := 0     // cursor into the preference order (wraps)
-	inflight := 0 // attempts whose outcome is still pending
-	launch := func(hedge bool) {
 		b := order[next%len(order)]
 		for i := 0; i < len(order); i++ {
 			if cand := order[(next+i)%len(order)]; cand.Routable() {
@@ -399,159 +381,100 @@ func (g *Gateway) do(ctx context.Context, w http.ResponseWriter, r *http.Request
 			}
 		}
 		next++
-		actx, cancel := context.WithCancel(ctx)
-		cancels = append(cancels, cancel)
-		inflight++
-		b.requests.Add(1)
-		if hedge {
-			b.hedges.Add(1)
-		}
-		go g.attempt(actx, results, b, kind, r, body, deadline, hedge, inm)
-	}
-	launch(false)
 
-	var hedgeC <-chan time.Time
-	if !g.cfg.HedgeDisabled && len(order) > 1 {
-		ht := time.NewTimer(g.hedgeDelay(kind))
-		defer ht.Stop()
-		hedgeC = ht.C
-	}
-	var retryTimer *time.Timer
-	defer func() {
-		if retryTimer != nil {
-			retryTimer.Stop()
-		}
-	}()
-	var retryC <-chan time.Time
+		res := g.attempt(ctx, b, r, body, deadline, inm)
+		switch res.class {
+		case classCancelled:
+			return g.budgetDone(ctx, w, kind)
 
-	retries := 0
-	var lastPush *attemptResp
-	var lastErr error
-
-	scheduleRetry := func() bool {
-		if retries >= g.cfg.MaxRetries {
-			return false
-		}
-		retries++
-		g.met.Retries.Add(1)
-		d := g.cfg.RetryBase << (retries - 1)
-		if d > g.cfg.RetryMax {
-			d = g.cfg.RetryMax
-		}
-		// ±50% jitter decorrelates retry bursts across clients.
-		d = d/2 + time.Duration(rand.Int63n(int64(d)))
-		retryTimer = time.NewTimer(d)
-		retryC = retryTimer.C
-		return true
-	}
-
-	// finish relays the terminal outcome once every avenue is spent.
-	finish := func() doResult {
-		if lastPush != nil {
-			// The satellite guarantee: the last pushback response —
-			// including the scheduler's EWMA Retry-After — crosses the
-			// gateway verbatim.
-			g.met.Passthrough.Add(1)
-			g.writeResponse(w, kind, key, lastPush, false)
-			return doResult{outcome: flightShared, res: lastPush}
-		}
-		msg := "cluster: all upstream attempts failed"
-		if lastErr != nil {
-			msg += ": " + lastErr.Error()
-		}
-		g.writeError(w, kind, http.StatusBadGateway, msg)
-		return doResult{outcome: flightShared, gwStatus: http.StatusBadGateway, gwMsg: msg}
-	}
-	budgetDone := func() doResult {
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			g.writeError(w, kind, http.StatusGatewayTimeout, "cluster: timeout budget exhausted")
-		} else {
-			// Client went away; 499 in the nginx tradition. Nobody is
-			// reading, but the metrics row should say what happened.
-			g.writeError(w, kind, 499, "client closed request")
-		}
-		return doResult{leaderSpec: true}
-	}
-
-	for {
-		select {
-		case <-ctx.Done():
-			return budgetDone()
-
-		case <-hedgeC:
-			hedgeC = nil
-			// Hedge only while the primary is still pending and there is
-			// a second node to hedge to.
-			if inflight > 0 && g.ring.routable() >= 2 {
-				g.met.Hedges[kind].Add(1)
-				launch(true)
+		case classFinal:
+			if reval != nil && res.status == http.StatusNotModified {
+				// The backend confirmed the entry's content address:
+				// refresh residency, serve the resident bytes, and no
+				// body ever crossed the wire.
+				reval.Meta.touch(freshnessTTL(res.header, g.cfg.L1TTL))
+				g.met.L1Revalidations.Add(1)
+				g.serveL1Entry(w, kind, reval, XCacheL1Revalidated)
+				return doResult{outcome: flightFilled}
 			}
-
-		case <-retryC:
-			retryC = nil
-			retryTimer = nil
-			launch(false)
-
-		case res := <-results:
-			inflight--
-			switch res.class {
-			case classCancelled:
-				if inflight == 0 && retryC == nil {
-					if ctx.Err() != nil {
-						return budgetDone()
-					}
-					return finish()
-				}
-
-			case classFinal:
-				if res.hedge {
-					g.met.HedgeWins[kind].Add(1)
-				}
-				if reval != nil && res.status == http.StatusNotModified {
-					// The backend confirmed the entry's content address:
-					// refresh residency, serve the resident bytes, and no
-					// body ever crossed the wire.
-					reval.Meta.touch(freshnessTTL(res.header, g.cfg.L1TTL))
-					g.met.L1Revalidations.Add(1)
-					g.serveL1Entry(w, kind, reval, XCacheL1Revalidated)
-					return doResult{outcome: flightFilled}
-				}
-				filled := g.writeResponse(w, kind, key, res, fill)
-				switch {
-				case res.stream != nil:
-					return doResult{outcome: flightSolo}
-				case filled:
-					return doResult{outcome: flightFilled}
-				default:
-					return doResult{outcome: flightShared, res: res}
-				}
-
-			case classMidStream:
-				g.met.MidStream.Add(1)
-				g.writeError(w, kind, http.StatusBadGateway,
-					"cluster: upstream failed mid-response: "+res.err.Error())
+			filled := g.writeResponse(w, kind, key, res, fill)
+			switch {
+			case res.stream != nil:
 				return doResult{outcome: flightSolo}
-
-			case classPushback, classTransport:
-				if res.class == classPushback {
-					lastPush = res
-				} else {
-					lastErr = res.err
-				}
-				if retryC == nil && !scheduleRetry() && inflight == 0 {
-					return finish()
-				}
+			case filled:
+				return doResult{outcome: flightFilled}
+			default:
+				return doResult{outcome: flightShared, res: res}
 			}
+
+		case classMidStream:
+			g.met.MidStream.Add(1)
+			g.writeError(w, kind, http.StatusBadGateway,
+				"cluster: upstream failed mid-response: "+res.err.Error())
+			return doResult{outcome: flightSolo}
+
+		case classPushback, classTransport:
+			if res.class == classPushback {
+				lastPush = res
+			} else {
+				lastErr = res.err
+			}
+			if retries < g.cfg.MaxRetries {
+				continue
+			}
+			if lastPush != nil {
+				// The last pushback response — including the scheduler's
+				// EWMA Retry-After — crosses the gateway verbatim.
+				g.met.Passthrough.Add(1)
+				g.writeResponse(w, kind, key, lastPush, false)
+				return doResult{outcome: flightShared, res: lastPush}
+			}
+			msg := "cluster: all upstream attempts failed: " + lastErr.Error()
+			g.writeError(w, kind, http.StatusBadGateway, msg)
+			return doResult{outcome: flightShared, gwStatus: http.StatusBadGateway, gwMsg: msg}
 		}
 	}
 }
 
-// attempt runs one upstream try and accounts its passive health signal.
-func (g *Gateway) attempt(ctx context.Context, results chan<- *attemptResp, b *Backend,
-	kind serve.Kind, r *http.Request, body []byte, deadline time.Time, hedge bool, inm string) {
+// backoff counts the nth retry and waits out its jittered exponential
+// delay. It reports false, having waited less, if ctx ends first.
+func (g *Gateway) backoff(ctx context.Context, n int) bool {
+	g.met.Retries.Add(1)
+	d := g.cfg.RetryBase << (n - 1)
+	if d > g.cfg.RetryMax {
+		d = g.cfg.RetryMax
+	}
+	// ±50% jitter decorrelates retry bursts across clients.
+	d = d/2 + time.Duration(rand.Int63n(int64(d)))
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+		return false
+	case <-t.C:
+		return true
+	}
+}
 
-	res := g.roundTrip(ctx, b, kind, r, body, deadline, inm)
-	res.hedge = hedge
+// budgetDone answers a request whose context ended before an upstream
+// answer was relayed.
+func (g *Gateway) budgetDone(ctx context.Context, w http.ResponseWriter, kind serve.Kind) doResult {
+	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
+		g.writeError(w, kind, http.StatusGatewayTimeout, "cluster: timeout budget exhausted")
+	} else {
+		// Client went away; 499 in the nginx tradition. Nobody is
+		// reading, but the metrics row should say what happened.
+		g.writeError(w, kind, 499, "client closed request")
+	}
+	return doResult{leaderSpec: true}
+}
+
+// attempt runs one upstream try and accounts its passive health signal.
+func (g *Gateway) attempt(ctx context.Context, b *Backend,
+	r *http.Request, body []byte, deadline time.Time, inm string) *attemptResp {
+
+	b.requests.Add(1)
+	res := g.roundTrip(ctx, b, r, body, deadline, inm)
 	switch res.class {
 	case classFinal:
 		if res.status < http.StatusInternalServerError {
@@ -570,13 +493,13 @@ func (g *Gateway) attempt(ctx context.Context, results chan<- *attemptResp, b *B
 		b.errors.Add(1)
 		g.passiveFailure(b)
 	}
-	results <- res
+	return res
 }
 
 // roundTrip performs the HTTP exchange for one attempt, buffering the
 // upstream body up to the per-object cap, and classifies the outcome.
 // inm, when set, is injected as If-None-Match (L1 revalidation).
-func (g *Gateway) roundTrip(ctx context.Context, b *Backend, kind serve.Kind,
+func (g *Gateway) roundTrip(ctx context.Context, b *Backend,
 	r *http.Request, body []byte, deadline time.Time, inm string) *attemptResp {
 
 	res := &attemptResp{b: b, contentLength: -1}
@@ -605,7 +528,6 @@ func (g *Gateway) roundTrip(ctx context.Context, b *Backend, kind serve.Kind,
 		req.Header.Set("X-Timeout-Ms", strconv.FormatInt(remaining, 10))
 	}
 
-	start := time.Now()
 	resp, err := g.client.Do(req)
 	if err != nil {
 		if ctx.Err() != nil {
@@ -633,9 +555,8 @@ func (g *Gateway) roundTrip(ctx context.Context, b *Backend, kind serve.Kind,
 	res.body = buf
 	res.contentLength = resp.ContentLength
 	if overflow {
-		// Over the cap: hold the body open and let the winner relay the
-		// remainder live (a loser's context cancel tears it down). Even
-		// an oversized pushback is final here — its body cannot be
+		// Over the cap: hold the body open and relay the remainder live.
+		// Even an oversized pushback is final here — its body cannot be
 		// replayed for a retry.
 		res.stream = resp.Body
 		res.class = classFinal
@@ -647,12 +568,6 @@ func (g *Gateway) roundTrip(ctx context.Context, b *Backend, kind serve.Kind,
 		return res
 	}
 	res.class = classFinal
-	if resp.StatusCode < http.StatusMultipleChoices {
-		// Successful proxied attempts only: this is the distribution the
-		// hedge trigger reads, kept clean of the tails hedging truncates
-		// — and of L1 hits and 304 revalidations, which never get here.
-		g.met.AttemptLat[kind].Observe(time.Since(start))
-	}
 	return res
 }
 
@@ -674,9 +589,6 @@ func (g *Gateway) writeResponse(w http.ResponseWriter, kind serve.Kind, key serv
 		}
 	}
 	h.Set(BackendHeader, res.b.name)
-	if res.hedge {
-		h.Set(HedgeWinHeader, "1")
-	}
 	if res.stream == nil {
 		h.Set("Content-Length", strconv.Itoa(len(res.body)))
 	} else if res.contentLength >= 0 {

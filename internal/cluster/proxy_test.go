@@ -47,9 +47,8 @@ func TestPushback429Passthrough(t *testing.T) {
 	f := newFakeBackend(t)
 	f.mode.Store("pushback")
 	g := newTestGateway(t, Config{
-		MaxRetries:    2,
-		RetryBase:     time.Millisecond,
-		HedgeDisabled: true,
+		MaxRetries: 2,
+		RetryBase:  time.Millisecond,
 	}, f.addr())
 	forceUp(g)
 	ts := httptest.NewServer(g.Handler())
@@ -88,9 +87,8 @@ func TestPushback503DrainingPassthrough(t *testing.T) {
 	f := newFakeBackend(t)
 	f.mode.Store("drain")
 	g := newTestGateway(t, Config{
-		MaxRetries:    1,
-		RetryBase:     time.Millisecond,
-		HedgeDisabled: true,
+		MaxRetries: 1,
+		RetryBase:  time.Millisecond,
 	}, f.addr())
 	forceUp(g)
 	ts := httptest.NewServer(g.Handler())
@@ -119,7 +117,7 @@ func TestPushback503DrainingPassthrough(t *testing.T) {
 func TestBodyTooLarge(t *testing.T) {
 	const max = 64
 	f := newFakeBackend(t)
-	g := newTestGateway(t, Config{MaxBodyBytes: max, MaxRetries: -1, HedgeDisabled: true}, f.addr())
+	g := newTestGateway(t, Config{MaxBodyBytes: max, MaxRetries: -1}, f.addr())
 	forceUp(g)
 	ts := httptest.NewServer(g.Handler())
 	defer ts.Close()
@@ -145,7 +143,7 @@ func TestBodyTooLarge(t *testing.T) {
 func TestMidStreamKill(t *testing.T) {
 	f := newFakeBackend(t)
 	f.mode.Store("midstream")
-	g := newTestGateway(t, Config{MaxRetries: -1, HedgeDisabled: true}, f.addr())
+	g := newTestGateway(t, Config{MaxRetries: -1}, f.addr())
 	forceUp(g)
 	ts := httptest.NewServer(g.Handler())
 	defer ts.Close()
@@ -163,16 +161,13 @@ func TestMidStreamKill(t *testing.T) {
 	}
 }
 
-// TestHedgeWinnerLoser: with the preferred backend stalled past the
-// hedge delay, the duplicate attempt to the runner-up wins, exactly one
-// response body reaches the client, the loser's request is cancelled,
-// and no attempt goroutine outlives the request.
-func TestHedgeWinnerLoser(t *testing.T) {
+// TestStalledPrimaryNotDuplicated: under the default Config, a
+// preferred backend that is slow but alive keeps the request — no second
+// copy goes to the runner-up, whose L2 is cold for the key. The stall
+// (150 ms) outlasts any delay a duplicate-on-slowness policy would wait.
+func TestStalledPrimaryNotDuplicated(t *testing.T) {
 	f0, f1 := newFakeBackend(t), newFakeBackend(t)
-	g := newTestGateway(t, Config{
-		MaxRetries: -1,
-		HedgeAfter: 15 * time.Millisecond,
-	}, f0.addr(), f1.addr())
+	g := newTestGateway(t, Config{}, f0.addr(), f1.addr())
 	forceUp(g)
 	ts := httptest.NewServer(g.Handler())
 	defer ts.Close()
@@ -180,75 +175,25 @@ func TestHedgeWinnerLoser(t *testing.T) {
 	body := "stream-bytes"
 	order := g.ring.order(serve.DecodeKey([]byte(body)))
 	byAddr := map[string]*fakeBackend{f0.addr(): f0, f1.addr(): f1}
-	slow, fast := byAddr[order[0].Name()], byAddr[order[1].Name()]
-	slow.delay.Store(int64(2 * time.Second))
+	preferred, runnerUp := byAddr[order[0].Name()], byAddr[order[1].Name()]
+	preferred.delay.Store(int64(150 * time.Millisecond))
 
-	before := runtime.NumGoroutine()
 	resp := postMedia(t, ts.URL, body, nil)
 	got := readAll(t, resp)
-
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d, want 200", resp.StatusCode)
 	}
-	if want := "hello from " + fast.addr(); got != want {
-		t.Fatalf("body %q, want exactly one response body %q", got, want)
+	if want := "hello from " + preferred.addr(); got != want {
+		t.Fatalf("body %q, want %q", got, want)
 	}
-	if h := resp.Header.Get(BackendHeader); h != fast.addr() {
-		t.Fatalf("X-Backend %q, want hedge target %q", h, fast.addr())
+	if h := resp.Header.Get(BackendHeader); h != preferred.addr() {
+		t.Fatalf("X-Backend %q, want the preferred backend %q", h, preferred.addr())
 	}
-	if resp.Header.Get(HedgeWinHeader) != "1" {
-		t.Fatal("hedge win not marked")
+	if n := runnerUp.hits.Load(); n != 0 {
+		t.Fatalf("runner-up saw %d requests, want 0: a slow primary was duplicated", n)
 	}
-	k := serve.KindDecode
-	if g.met.Hedges[k].Load() != 1 || g.met.HedgeWins[k].Load() != 1 {
-		t.Fatalf("hedges=%d wins=%d, want 1/1", g.met.Hedges[k].Load(), g.met.HedgeWins[k].Load())
-	}
-
-	// The loser must observe cancellation well before its 2s stall ends.
-	deadline := time.Now().Add(3 * time.Second)
-	for slow.cancelled.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("losing attempt was never cancelled")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	// And the attempt goroutines must drain (buffered results channel —
-	// nothing blocks forever on a send nobody receives). Idle keepalive
-	// connections park two transport goroutines each; close them so the
-	// count reflects attempt goroutines only.
-	for {
-		g.client.CloseIdleConnections()
-		http.DefaultClient.CloseIdleConnections()
-		if runtime.NumGoroutine() <= before+2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked: %d now vs %d before", runtime.NumGoroutine(), before)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// TestHedgeNeedsSecondBackend: with a single routable backend the hedge
-// timer must not duplicate the request onto the same node.
-func TestHedgeNeedsSecondBackend(t *testing.T) {
-	f := newFakeBackend(t)
-	f.delay.Store(int64(40 * time.Millisecond))
-	g := newTestGateway(t, Config{MaxRetries: -1, HedgeAfter: 5 * time.Millisecond}, f.addr())
-	forceUp(g)
-	ts := httptest.NewServer(g.Handler())
-	defer ts.Close()
-
-	resp := postMedia(t, ts.URL, "stream-bytes", nil)
-	readAll(t, resp)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d, want 200", resp.StatusCode)
-	}
-	if got := f.hits.Load(); got != 1 {
-		t.Fatalf("backend saw %d requests, want 1 (no self-hedge)", got)
-	}
-	if got := g.met.Hedges[serve.KindDecode].Load(); got != 0 {
-		t.Fatalf("hedges = %d, want 0", got)
+	if n := preferred.hits.Load(); n != 1 {
+		t.Fatalf("preferred backend saw %d requests, want 1", n)
 	}
 }
 
@@ -258,10 +203,9 @@ func TestHedgeNeedsSecondBackend(t *testing.T) {
 func TestTransportRetryFailover(t *testing.T) {
 	f0, f1 := newFakeBackend(t), newFakeBackend(t)
 	g := newTestGateway(t, Config{
-		MaxRetries:    2,
-		RetryBase:     time.Millisecond,
-		HedgeDisabled: true,
-		PassiveFall:   1,
+		MaxRetries:  2,
+		RetryBase:   time.Millisecond,
+		PassiveFall: 1,
 	}, f0.addr(), f1.addr())
 	forceUp(g)
 	ts := httptest.NewServer(g.Handler())
@@ -301,16 +245,18 @@ func byName(t *testing.T, fs []*fakeBackend, name string) *fakeBackend {
 }
 
 // TestTimeoutBudget: X-Timeout-Ms bounds the whole request through the
-// gateway; exhaustion is a 504, and a malformed header is a 400 before
-// any upstream traffic.
+// gateway; exhaustion is a 504 that cancels the upstream attempt and
+// leaves no goroutine behind, and a malformed header is a 400 before any
+// upstream traffic.
 func TestTimeoutBudget(t *testing.T) {
 	f := newFakeBackend(t)
 	f.delay.Store(int64(5 * time.Second))
-	g := newTestGateway(t, Config{MaxRetries: -1, HedgeDisabled: true}, f.addr())
+	g := newTestGateway(t, Config{MaxRetries: -1}, f.addr())
 	forceUp(g)
 	ts := httptest.NewServer(g.Handler())
 	defer ts.Close()
 
+	before := runtime.NumGoroutine()
 	start := time.Now()
 	resp := postMedia(t, ts.URL, "stream-bytes", map[string]string{"X-Timeout-Ms": "50"})
 	readAll(t, resp)
@@ -319,6 +265,28 @@ func TestTimeoutBudget(t *testing.T) {
 	}
 	if el := time.Since(start); el > 2*time.Second {
 		t.Fatalf("budget of 50ms took %v to enforce", el)
+	}
+	// The stalled backend must observe the cancellation well before its
+	// 5s delay ends.
+	deadline := time.Now().Add(3 * time.Second)
+	for f.cancelled.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the timed-out attempt was never cancelled upstream")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	// Idle keepalive connections park transport goroutines; close them
+	// so the count reflects request goroutines only.
+	for {
+		g.client.CloseIdleConnections()
+		http.DefaultClient.CloseIdleConnections()
+		if runtime.NumGoroutine() <= before {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked: %d now vs %d before", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 
 	resp = postMedia(t, ts.URL, "stream-bytes", map[string]string{"X-Timeout-Ms": "bogus"})
@@ -335,7 +303,7 @@ func TestTimeoutBudget(t *testing.T) {
 // with 503 + Retry-After rather than queueing or connecting blindly.
 func TestNoRoutableBackend(t *testing.T) {
 	f := newFakeBackend(t)
-	g := newTestGateway(t, Config{HedgeDisabled: true}, f.addr())
+	g := newTestGateway(t, Config{}, f.addr())
 	ts := httptest.NewServer(g.Handler())
 	defer ts.Close()
 

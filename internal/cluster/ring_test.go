@@ -72,8 +72,8 @@ func TestRingSpread(t *testing.T) {
 // TestRingMinimalReshuffle is the property that makes HRW the right
 // hash for cache affinity: removing one backend remaps only the keys it
 // owned; every other key keeps its preferred backend (and the orphaned
-// keys land on their previous runner-up, where hedges may have already
-// warmed the cache).
+// keys land on their previous runner-up, the backend a retry already
+// tries second).
 func TestRingMinimalReshuffle(t *testing.T) {
 	r := testRing(t, 3)
 	keys := testKeys(300)
