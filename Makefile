@@ -21,7 +21,8 @@
 #                    guard that the corpus-reachable code stays panic-free
 #                    (includes the batch/streaming decode-parity fuzzer,
 #                    the motion-search/raster-reference parity fuzzer,
-#                    the PSADBW/SWAR SAD-kernel parity fuzzer,
+#                    the PSADBW/SWAR SAD-kernel parity fuzzer and its
+#                    eight-candidate (search grid) counterpart,
 #                    the butterfly-transform/matrix-product and RLSQ
 #                    scatter/three-step parity fuzzer and the one-span and
 #                    span-count span-engine/two-phase transcode-parity
@@ -68,6 +69,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzDecodeParallelParity -fuzztime=5s ./internal/media
 	$(GO) test -run=NONE -fuzz=FuzzMotionSearchParity -fuzztime=5s ./internal/media
 	$(GO) test -run=NONE -fuzz=FuzzSADKernelParity -fuzztime=5s ./internal/media
+	$(GO) test -run=NONE -fuzz=FuzzSAD8Parity -fuzztime=5s ./internal/media
 	$(GO) test -run=NONE -fuzz=FuzzTransformParity -fuzztime=5s ./internal/media
 	$(GO) test -run=NONE -fuzz=FuzzCacheKeyCanonical -fuzztime=5s ./internal/serve
 	$(GO) test -run=NONE -fuzz=FuzzTranscodeFusedParity -fuzztime=5s ./internal/serve

@@ -1,6 +1,9 @@
 package media
 
-import "testing"
+import (
+	"strconv"
+	"testing"
+)
 
 // Microbenchmarks for the hot kernels rewritten in the fast-kernels
 // pass. The decode-side kernels (bit reads, VLC decode, SAD, IDCT) must
@@ -194,4 +197,33 @@ func BenchmarkEncodeMBRow(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(rows), "mbrows/op")
+}
+
+// BenchmarkMotionSearch times MotionSearch per macroblock over every
+// macroblock of one CIF frame pair of the synthetic source, at the codec
+// default radius and three larger ones, so that the cost of the
+// exhaustive grid at large radii is on record. It claims nothing about
+// the rig.
+func BenchmarkMotionSearch(b *testing.B) {
+	frames := NewSource(DefaultSource(352, 288)).Frames(2)
+	ref, cur := frames[0], frames[1]
+	mbs := cur.MBCols() * cur.MBRows()
+	for _, r := range []int{7, 15, 31, 63} {
+		b.Run("r="+strconv.Itoa(r), func(b *testing.B) {
+			var mb MBPixels
+			b.ReportAllocs()
+			b.ResetTimer()
+			sink := 0
+			for i := 0; i < b.N; i++ {
+				for mby := 0; mby < cur.MBRows(); mby++ {
+					for mbx := 0; mbx < cur.MBCols(); mbx++ {
+						cur.GetMB(mbx, mby, &mb)
+						sink += MotionSearch(&mb, ref, mbx*MBSize, mby*MBSize, r).SAD
+					}
+				}
+			}
+			benchSink = sink
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*mbs), "µs/MB")
+		})
+	}
 }

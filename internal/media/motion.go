@@ -90,6 +90,44 @@ func sadRowsSWAR(cur *MBPixels, ref []byte, stride, earlyOut int) int {
 	return int(acc * laneOne >> 48)
 }
 
+// sad8Go is the portable body of sad8, the search grid's kernel: it scores
+// the eight horizontally adjacent 16×16 blocks at ref[k:], k = 0…7 (rows
+// at stride), against cur, row by row with eight SWAR accumulators as in
+// sadRowsSWAR, loading each cur row once. After rows 4, 8 and 12 it stops
+// if every partial sum exceeds earlyOut. It stores the eight sums in out —
+// full SADs, or the partial sums of the row it stopped at — and returns
+// their minimum. sad8 runs this loop off amd64 and PSADBW on it
+// (sad8_amd64.s); the parity tests hold the two to the same values.
+func sad8Go(cur *MBPixels, ref []byte, stride, earlyOut int, out *[8]int32) int32 {
+	var acc [8]uint64
+	m := int32(0)
+	for j := 0; j < MBSize; j++ {
+		c := cur[j*MBSize : j*MBSize+MBSize : j*MBSize+MBSize]
+		r := ref[j*stride : j*stride+MBSize+7 : j*stride+MBSize+7]
+		c0, c1 := binary.LittleEndian.Uint64(c[:8]), binary.LittleEndian.Uint64(c[8:])
+		ce0, co0, ce1, co1 := c0&laneLo, c0>>8&laneLo, c1&laneLo, c1>>8&laneLo
+		for k := range acc {
+			r0, r1 := binary.LittleEndian.Uint64(r[k:]), binary.LittleEndian.Uint64(r[k+8:])
+			acc[k] += absDiff4(ce0, r0&laneLo) + absDiff4(co0, r0>>8&laneLo) +
+				absDiff4(ce1, r1&laneLo) + absDiff4(co1, r1>>8&laneLo)
+		}
+		if j%4 != 3 {
+			continue
+		}
+		for k, a := range acc {
+			out[k] = int32(a * laneOne >> 48)
+		}
+		m = out[0]
+		for _, s := range out[1:] {
+			m = min(m, s)
+		}
+		if int(m) > earlyOut {
+			break
+		}
+	}
+	return m
+}
+
 // SAD returns the sum of absolute differences between cur and the 16×16
 // region of ref at pixel position (x, y) displaced by mv, with edge
 // clamping. earlyOut stops accumulating after the first row at which the
@@ -126,7 +164,7 @@ const (
 // do; the other candidates are visited in raster order and replace the
 // best only when strictly better. Ops is the (2r+1)² candidates of the
 // full search — what the ME coprocessor evaluates in hardware — not the
-// number this software kernel had to read (see searchWindow).
+// number of SADs this software kernel ran to the end (see searchWindow).
 func MotionSearch(cur *MBPixels, ref *Frame, x, y, r int) SearchResult {
 	if r < 0 || r > maxSearchRange {
 		panic("media: motion search range outside what CodecConfig accepts")
@@ -168,53 +206,45 @@ func searchClamped(cur *MBPixels, ref *Frame, wx, wy, r int) SearchResult {
 
 // searchWindow is the full search over a (16+2r)² window with the given
 // row stride; the candidate with vector (dx−r, dy−r) is the block at
-// window position (dx, dy). A candidate is rejected without reading a
-// pixel when the successive-elimination bound |Σcur − Σblock| — a lower
-// bound of its SAD by the triangle inequality — is already ≥ the best
-// SAD: it cannot be strictly better, and strictly better is the only way
-// the raster scan replaces its best, so the result is that of evaluating
-// every candidate. The block sums slide: col holds the sums of the 16-row
-// column strips at the current dy (one row in and one row out per step),
-// and a 16-column sum over col moves one column per dx. col is the whole
-// scratch, 568 bytes.
+// window position (dx, dy). Each row of n = 2r+1 candidates is scored in
+// groups of eight by sad8, starting at dx = 0, 8, 16, … and the last one
+// moved left to end at the row's end (dx = n−8), so it may score up to
+// seven candidates a second time. Every candidate is compared with best
+// in raster order with a strict <, and best starts at the zero vector's
+// SAD, so the result is the raster loop's for three reasons. A group
+// whose minimum is ≥ best holds no strictly better candidate; that covers
+// an exit after row 4, 8 or 12, where all eight partial sums — lower
+// bounds of the SADs — are > best. A group that is not skipped ran to the
+// end, so its sums are full SADs. And the zero vector, or a candidate a
+// group scores twice, is already ≥ best when it comes round again, so the
+// strict test cannot pick it. For n < 8 a group would reach outside the
+// window, and the candidates are scored one at a time with sadRows under
+// the same rule. The eight sums are the whole scratch, 32 bytes.
 func searchWindow(cur *MBPixels, win []byte, stride, r int) SearchResult {
-	var col [maxWindow]int32
-	n := MBSize + 2*r
-	for j := 0; j < MBSize; j++ {
-		for i, p := range win[j*stride:][:n] {
-			col[i] += int32(p)
+	n := 2*r + 1
+	best := SearchResult{SAD: sadRows(cur, win[r*stride+r:], stride, 1<<30), Ops: n * n}
+	if n < 8 {
+		for dy := 0; dy < n; dy++ {
+			for dx := 0; dx < n; dx++ {
+				if s := sadRows(cur, win[dy*stride+dx:], stride, best.SAD); s < best.SAD {
+					best.SAD, best.MV = s, MV{int16(dx - r), int16(dy - r)}
+				}
+			}
 		}
+		return best
 	}
-	curSum := int32(0)
-	for _, p := range cur {
-		curSum += int32(p)
-	}
-	best := SearchResult{SAD: sadRows(cur, win[r*stride+r:], stride, 1<<30), Ops: (2*r + 1) * (2*r + 1)}
-	for dy := 0; dy <= 2*r; dy++ {
-		if dy > 0 {
-			out, in := win[(dy-1)*stride:][:n], win[(dy+MBSize-1)*stride:][:n]
-			for i := range out {
-				col[i] += int32(in[i]) - int32(out[i])
-			}
-		}
-		sum := int32(0)
-		for _, c := range col[:MBSize] {
-			sum += c
-		}
-		for dx := 0; dx <= 2*r; dx++ {
-			if dx > 0 {
-				sum += col[dx+MBSize-1] - col[dx-1]
-			}
-			bound := int(sum - curSum)
-			if bound < 0 {
-				bound = -bound
-			}
-			if bound >= best.SAD || (dx == r && dy == r) {
+	var sums [8]int32
+	for dy := 0; dy < n; dy++ {
+		row := win[dy*stride:]
+		for g := 0; g < n; g += 8 {
+			dx0 := min(g, n-8)
+			if int(sad8(cur, row[dx0:], stride, best.SAD, &sums)) >= best.SAD {
 				continue
 			}
-			if s := sadRows(cur, win[dy*stride+dx:], stride, best.SAD); s < best.SAD {
-				best.SAD = s
-				best.MV = MV{int16(dx - r), int16(dy - r)}
+			for k, s := range sums {
+				if int(s) < best.SAD {
+					best.SAD, best.MV = int(s), MV{int16(dx0 + k - r), int16(dy - r)}
+				}
 			}
 		}
 	}
@@ -416,19 +446,13 @@ func Reconstruct(dst, pred *MBPixels, blocks *[BlocksPerMB]Block) {
 // IntraActivity is a cheap texture measure (sum of absolute deviations
 // from the macroblock mean) used for the intra/inter mode decision: when
 // the best inter SAD exceeds the activity, intra coding is cheaper.
+// Both sums are sadRows against one row repeated (stride 0): the SAD
+// against zeros is Σp, and against the integer mean Σ|p−mean|.
 func IntraActivity(cur *MBPixels) int {
-	sum := 0
-	for _, p := range cur {
-		sum += int(p)
+	var row [MBSize]byte
+	mean := byte(sadRows(cur, row[:], 0, 1<<30) / len(cur))
+	for i := range row {
+		row[i] = mean
 	}
-	mean := sum / len(cur)
-	act := 0
-	for _, p := range cur {
-		d := int(p) - mean
-		if d < 0 {
-			d = -d
-		}
-		act += d
-	}
-	return act
+	return sadRows(cur, row[:], 0, 1<<30)
 }

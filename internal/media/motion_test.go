@@ -3,6 +3,7 @@ package media
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -214,6 +215,53 @@ func eliminationSearch(slack int, reverse bool) searchFunc {
 	}
 }
 
+// gridSearch is a test-local copy of the grid search — an edge-clamped
+// window gathered with Frame.At, the portable eight-candidate kernel —
+// with the two grid faults the parity harness must be able to see. With
+// both off it is exact; reverse scans each group's sums from lane 7 down
+// to lane 0, which changes the winner among tied candidates; skipLane7
+// takes the group minimum over lanes 0–6 only, so a group whose one
+// better candidate is in lane 7 is skipped. Windows narrower than a group
+// (r < 4) have no grid and take the raster loop.
+func gridSearch(reverse, skipLane7 bool) searchFunc {
+	return func(cur *MBPixels, ref *Frame, x, y, r int) SearchResult {
+		n, w := 2*r+1, MBSize+2*r
+		if n < 8 {
+			return motionSearchRaster(cur, ref, x, y, r)
+		}
+		win := make([]byte, w*w)
+		for j := 0; j < w; j++ {
+			for i := 0; i < w; i++ {
+				win[j*w+i] = ref.At(x-r+i, y-r+j)
+			}
+		}
+		best := SearchResult{SAD: sadRaster(cur, ref, x, y, MV{}, 1<<30), Ops: n * n}
+		var sums [8]int32
+		for dy := 0; dy < n; dy++ {
+			for g := 0; g < n; g += 8 {
+				dx0 := min(g, n-8)
+				m := sad8Go(cur, win[dy*w+dx0:], w, best.SAD, &sums)
+				if skipLane7 {
+					m = slices.Min(sums[:7])
+				}
+				if int(m) >= best.SAD {
+					continue
+				}
+				for i := range sums {
+					k := i
+					if reverse {
+						k = len(sums) - 1 - i
+					}
+					if int(sums[k]) < best.SAD {
+						best.SAD, best.MV = int(sums[k]), MV{int16(dx0 + k - r), int16(dy - r)}
+					}
+				}
+			}
+		}
+		return best
+	}
+}
+
 // searchParityRanges are the radii every parity case is searched at: none,
 // the smallest, the codec default, and windows that reach outside every
 // test frame up to the largest CodecConfig accepts.
@@ -313,14 +361,30 @@ func TestMotionSearchMatchesRasterSearch(t *testing.T) {
 }
 
 // TestSearchParityHarnessCatchesFaults is the negative control: the same
-// harness must pass the fault-free elimination search and fail both of
-// its faulty variants, so a pass above cannot be vacuous. (Radii up to the
-// codec default: the pixel-by-pixel block sums are slow and the faults
-// show at any radius.)
+// harness must pass the fault-free elimination and grid searches and fail
+// each of their faulty variants, so a pass above cannot be vacuous. (Radii
+// up to the codec default: the pixel-by-pixel block sums are slow, and
+// the faults show at any radius that has them — r = 7 for the grid's.)
 func TestSearchParityHarnessCatchesFaults(t *testing.T) {
 	controlRanges := []int{0, 1, 7}
 	if msg := searchParityMismatch(eliminationSearch(0, false), controlRanges); msg != "" {
 		t.Fatalf("fault-free elimination search rejected: %s", msg)
+	}
+	if msg := searchParityMismatch(gridSearch(false, false), controlRanges); msg != "" {
+		t.Fatalf("fault-free grid search rejected: %s", msg)
+	}
+	for _, c := range []struct {
+		name   string
+		search searchFunc
+	}{
+		{"group scanned in reverse", gridSearch(true, false)},
+		{"group minimum without lane 7", gridSearch(false, true)},
+	} {
+		if msg := searchParityMismatch(c.search, controlRanges); msg == "" {
+			t.Errorf("harness passed a grid search with its %s", c.name)
+		} else {
+			t.Logf("%s caught: %s", c.name, msg)
+		}
 	}
 	if msg := searchParityMismatch(eliminationSearch(1, false), controlRanges); msg == "" {
 		t.Error("harness passed a search whose bound rejects one too early")
@@ -402,9 +466,10 @@ func FuzzMotionSearchParity(f *testing.F) {
 }
 
 // TestMotionKernelsDoNotAllocate pins every scratch array handed to the
-// SAD kernel to the stack: the search's column sums and, for border
-// macroblocks, its clamped window copy; RefineHalfPel's and the
-// bi-directional SAD's predictions; and the exported SAD's clamped block.
+// SAD kernels to the stack: the search grid's eight sums ([8]int32) and,
+// for border macroblocks, its clamped window copy; RefineHalfPel's and the
+// bi-directional SAD's predictions; IntraActivity's row (DecideMB); and
+// the exported SAD's clamped block. The search keeps no column sums.
 func TestMotionKernelsDoNotAllocate(t *testing.T) {
 	cur, ref, bwd := randomFrame(176, 144, 13), randomFrame(176, 144, 14), randomFrame(176, 144, 15)
 	var mb MBPixels
@@ -529,6 +594,46 @@ func TestIntraActivity(t *testing.T) {
 	}
 	if IntraActivity(&busy) == 0 {
 		t.Fatal("busy block must have nonzero activity")
+	}
+}
+
+// intraActivityScalar is IntraActivity as two 256-step loops: the sum,
+// then the absolute deviations from its integer mean.
+func intraActivityScalar(cur *MBPixels) int {
+	sum := 0
+	for _, p := range cur {
+		sum += int(p)
+	}
+	mean := sum / len(cur)
+	act := 0
+	for _, p := range cur {
+		act += max(int(p)-mean, mean-int(p))
+	}
+	return act
+}
+
+// TestIntraActivityMatchesScalar pins IntraActivity, computed with two
+// stride-0 SAD kernel calls, to the scalar loops on random blocks and the
+// extremes: all 0, all 255 and a 0/255 checkerboard.
+func TestIntraActivityMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	blocks := map[string]func(i int) byte{
+		"zero":    func(int) byte { return 0 },
+		"white":   func(int) byte { return 255 },
+		"checker": func(i int) byte { return byte(-((i + i/MBSize) & 1)) },
+		"random":  func(int) byte { return byte(rng.Intn(256)) },
+		"narrow":  func(int) byte { return 60 + byte(rng.Intn(4)) },
+	}
+	for name, pix := range blocks {
+		for rep := 0; rep < 50; rep++ {
+			var mb MBPixels
+			for i := range mb {
+				mb[i] = pix(i)
+			}
+			if got, want := IntraActivity(&mb), intraActivityScalar(&mb); got != want {
+				t.Fatalf("%s block %d: IntraActivity %d, scalar %d", name, rep, got, want)
+			}
+		}
 	}
 }
 
