@@ -2,10 +2,13 @@
 #
 #   make check   vet + build + full test suite + race-detector pass
 #   make lint    vet + gofmt formatting check (no test run)
-#   make vet     go vet for the host and again for GOARCH=arm64, so the
-#                portable SAD kernel behind !amd64 is compiled and vetted
-#                on every check (the amd64 pass runs asmdecl over the
-#                PSADBW kernel's frame and argument sizes)
+#   make vet     go vet for the host and again for GOARCH=arm64 and
+#                GOARCH=386, so the portable SAD and transform bodies
+#                behind !amd64 are compiled and vetted on every check (the
+#                amd64 pass runs asmdecl over the PSADBW and PMADDWD
+#                kernels' frame and argument sizes); then the media tests
+#                under GOARCH=386, whose binaries run on an amd64 host, so
+#                the portable bodies also run, golden hashes included
 #   make test    full test suite only (tier-1; includes the benchmark
 #                rig's own tests via TestBenchmarkRig)
 #   make race    the full test suite under the race detector, plus the
@@ -23,10 +26,10 @@
 #                    the motion-search/raster-reference parity fuzzer,
 #                    the PSADBW/SWAR SAD-kernel parity fuzzer and its
 #                    eight-candidate (search grid) counterpart,
-#                    the butterfly-transform/matrix-product and RLSQ
-#                    scatter/three-step parity fuzzer and the one-span and
-#                    span-count span-engine/two-phase transcode-parity
-#                    fuzzers)
+#                    the transform/matrix-product, SSE2-kernel/butterfly
+#                    and RLSQ scatter/three-step parity fuzzer and the
+#                    one-span and span-count span-engine/two-phase
+#                    transcode-parity fuzzers)
 #   make bench-smoke single-iteration run of every Go benchmark, so CI
 #                    catches harness breakage cheaply
 #   make bench   every Go benchmark with allocation stats, for local
@@ -51,6 +54,8 @@ lint: vet
 vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./...
+	GOARCH=386 $(GO) vet ./...
+	GOARCH=386 $(GO) test ./internal/media
 
 build:
 	$(GO) build ./...

@@ -121,17 +121,31 @@ func BenchmarkSAD(b *testing.B) {
 
 var benchSink int
 
-// BenchmarkIDCT times the inverse transform on one dense block, where
-// every coefficient row is nonzero, and per block over the coded blocks of
-// one decode of the Fig. 10 clip, about half of whose rows are all zero —
-// the input a zero-row skip would have to win on.
-func BenchmarkIDCT(b *testing.B) {
-	var dense Block
+// idctBenchBlocks returns BenchmarkIDCT's dense block, every coefficient
+// drawn from [−2048, 2047], and the same block with row 0 raised to
+// 32767 throughout, whose row pass leaves int16 (column 0 sums to about
+// 86 600), so that the SSE2 kernel declines it.
+func idctBenchBlocks() (dense, declined Block) {
 	state := uint32(7)
 	for i := range dense {
 		state = state*1664525 + 1013904223
 		dense[i] = int16(int32(state>>20) - 2048)
 	}
+	declined = dense
+	for u := 0; u < 8; u++ {
+		declined[u] = 32767
+	}
+	return dense, declined
+}
+
+// BenchmarkIDCT times the inverse transform on one dense block, where
+// every coefficient row is nonzero; per block over the coded blocks of
+// one decode of the Fig. 10 clip, about half of whose rows are all zero —
+// the input a zero-row skip would have to win on; and on one block the
+// SSE2 kernel declines, which pays its row pass and then the Go
+// butterflies. The last claims nothing: no coded block is declined.
+func BenchmarkIDCT(b *testing.B) {
+	dense, declined := idctBenchBlocks()
 	b.Run("dense", func(b *testing.B) {
 		var out Block
 		b.ReportAllocs()
@@ -147,6 +161,14 @@ func BenchmarkIDCT(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			IDCT(&blocks[i%len(blocks)], &out)
+		}
+	})
+	b.Run("declined", func(b *testing.B) {
+		var out Block
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			IDCT(&declined, &out)
 		}
 	})
 }

@@ -9,17 +9,21 @@ import "math"
 // bit-exact with the decoder's output — the property that keeps P- and
 // B-frame prediction drift-free across the whole pipeline.
 //
-// Both are even/odd partial butterflies, bit-identical to the 8×8 matrix
-// product over dctTab: int32 arithmetic is a ring mod 2³², so c·t + c′·t =
-// (c + c′)·t even when a sum wraps, and each fold is a symmetry of dctTab.
+// On amd64 both run in one SSE2 kernel, dct2dSSE2 (dct_amd64.go), which
+// hands a block back to the Go bodies below when its row pass leaves
+// int16. The Go bodies, idctGo and fdctGo, are even/odd partial
+// butterflies, bit-identical to the 8×8 matrix product over dctTab: int32
+// arithmetic is a ring mod 2³², so c·t + c′·t = (c + c′)·t even when a sum
+// wraps, and each fold is a symmetry of dctTab. They are the portable
+// path, the kernel's parity oracle and its fallback.
 
 // dctTab[u][x] = round( alpha(u)/2 * cos((2x+1)uπ/16) * 4096 ),
 // alpha(0) = 1/sqrt2, alpha(u>0) = 1. Every row u obeys
 // dctTab[u][7-x] = (-1)^u dctTab[u][x], and the even rows also obey
 // dctTab[u][3-x] = (-1)^(u/2) dctTab[u][x].
-var dctTab [8][8]int32
-
-func init() {
+// It is a variable initializer, not an init function, so that the
+// kernel's tables built from it are initialized after it.
+var dctTab = func() (tab [8][8]int32) {
 	for u := 0; u < 8; u++ {
 		alpha := 1.0
 		if u == 0 {
@@ -27,10 +31,11 @@ func init() {
 		}
 		for x := 0; x < 8; x++ {
 			v := alpha / 2 * math.Cos(float64(2*x+1)*float64(u)*math.Pi/16)
-			dctTab[u][x] = int32(math.Round(v * 4096))
+			tab[u][x] = int32(math.Round(v * 4096))
 		}
 	}
-}
+	return tab
+}()
 
 // Block is an 8×8 array of 16-bit samples or coefficients in row-major
 // order, the unit of work of the DCT and RLSQ coprocessors.
@@ -38,12 +43,10 @@ type Block = [64]int16
 
 const fixRound = 1 << 11 // rounding constant for the 12-bit fixed point
 
-// FDCT computes the forward 8×8 DCT of src into dst (row-major). Inputs
-// are expected in roughly [-256, 255] (pixel residuals or level-shifted
-// intra pixels); outputs fit comfortably in int16. Each pass is the
-// matrix product t[u] = sum_x s[x]·dctTab[u][x], computed by fwd8 in 24
-// multiplies instead of 64.
-func FDCT(src, dst *Block) {
+// fdctGo is FDCT as Go butterflies. Each pass is the matrix product
+// t[u] = sum_x s[x]·dctTab[u][x], computed by fwd8 in 24 multiplies
+// instead of 64.
+func fdctGo(src, dst *Block) {
 	var tmp [64]int32
 	// rows: tmp[y][u] = sum_x src[y][x] * tab[u][x]
 	for y := 0; y < 8; y++ {
@@ -84,15 +87,13 @@ func fwd8(s0, s1, s2, s3, s4, s5, s6, s7 int32) (t0, t1, t2, t3, t4, t5, t6, t7 
 	return
 }
 
-// IDCT computes the inverse 8×8 DCT of src into dst (row-major). It is
-// the deterministic inverse used by both the encoder's reconstruction
-// loop and the decoder, so the two stay bit-exact. Each pass is the
-// matrix product s[x] = sum_u c[u]·dctTab[u][x], computed by inv8 in 24
-// multiplies instead of 64.
+// idctGo is IDCT as Go butterflies. Each pass is the matrix product
+// s[x] = sum_u c[u]·dctTab[u][x], computed by inv8 in 24 multiplies
+// instead of 64.
 // There is no zero-row skip: coded blocks switch between zero and nonzero
 // rows about three times each, and those mispredicted branches cost more
 // than the rows they save (DESIGN.md, "Transform kernels").
-func IDCT(src, dst *Block) {
+func idctGo(src, dst *Block) {
 	var tmp [64]int32
 	// rows: tmp[v][x] = sum_u src[v][u] * tab[u][x]
 	for v := 0; v < 8; v++ {

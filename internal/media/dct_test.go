@@ -366,13 +366,13 @@ func (c codedClip) coefBlocks(tb testing.TB) []Block {
 	return blocks
 }
 
-// TestTransformsMatchMatrixProduct is the exactness property: the
-// butterfly IDCT and FDCT return the matrix product's block, bit for bit,
-// on edge-case blocks, random dense blocks over the whole int16 range (the
-// largest sums either transform can form), random sparse blocks and every
-// coded block of the Fig. 10 clip.
-func TestTransformsMatchMatrixProduct(t *testing.T) {
-	var blocks []Block
+// transformBlocks returns the block set of the transform parity tests:
+// edge-case blocks (zero, DC-only, every single-coefficient block at ±1,
+// 32767 and −32768), random dense blocks over the whole int16 range (the
+// largest sums either transform can form) and random sparse blocks; and,
+// apart, every coded block of the Fig. 10 clip.
+func transformBlocks(tb testing.TB) (blocks, coded []Block) {
+	tb.Helper()
 	blocks = append(blocks, Block{})
 	for _, dc := range []int16{1, -1, 255, -256, 32767, -32768} {
 		blocks = append(blocks, Block{dc})
@@ -399,15 +399,67 @@ func TestTransformsMatchMatrixProduct(t *testing.T) {
 		}
 		blocks = append(blocks, b)
 	}
-	clip := loadCodedClip(t)
-	coded := clip.coefBlocks(t)
+	clip := loadCodedClip(tb)
+	coded = clip.coefBlocks(tb)
 	if len(coded) == 0 {
-		t.Fatal("clip has no coded blocks")
+		tb.Fatal("clip has no coded blocks")
 	}
+	return blocks, coded
+}
+
+// TestTransformsMatchMatrixProduct is the exactness property: IDCT and
+// FDCT return the matrix product's block, bit for bit, on every block of
+// transformBlocks, coded blocks included.
+func TestTransformsMatchMatrixProduct(t *testing.T) {
+	blocks, coded := transformBlocks(t)
 	blocks = append(blocks, coded...)
 	for i := range blocks {
 		if msg := transformMismatch(&blocks[i]); msg != "" {
 			t.Fatalf("block %d: %s", i, msg)
+		}
+	}
+}
+
+// TestTransformsDoNotAllocate pins the transforms and the per-macroblock
+// stages built on them at zero allocations. On amd64 this rests on
+// dct2dSSE2's //go:noescape: without it every block handed to the kernel
+// escapes to the heap.
+func TestTransformsDoNotAllocate(t *testing.T) {
+	var mb [BlocksPerMB]Block
+	for b := range mb {
+		mb[b][0], mb[b][9], mb[b][63] = int16(40*b-100), -37, 5
+	}
+	var sink int16
+	for _, c := range []struct {
+		name string
+		f    func()
+	}{
+		{"IDCT", func() {
+			in := mb[0]
+			var out Block
+			IDCT(&in, &out)
+			sink += out[0]
+		}},
+		{"FDCT", func() {
+			in := mb[1]
+			var out Block
+			FDCT(&in, &out)
+			sink += out[0]
+		}},
+		{"IDCTMB", func() {
+			in := mb
+			var out [BlocksPerMB]Block
+			IDCTMB(&in, 0x2D, &out)
+			sink += out[0][0]
+		}},
+		{"TransformMB", func() {
+			in := mb
+			qzz, _, _ := TransformMB(&in, false, 4)
+			sink += qzz[0][0]
+		}},
+	} {
+		if n := testing.AllocsPerRun(100, c.f); n != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", c.name, n)
 		}
 	}
 }
@@ -437,7 +489,9 @@ func TestDCTBasisSymmetry(t *testing.T) {
 
 // FuzzTransformParity reads 128 fuzz bytes as one little-endian block
 // (short input is zero-padded, so sparse blocks are easy to reach) and
-// checks both transforms against the matrix product. Its second arm reads
+// checks both transforms against the matrix product, and on amd64 the
+// SSE2 kernel's verdict and output against the Go bodies (kernelMismatch).
+// Its second arm reads
 // the same bytes as run/level events and checks RLSQTokensToCoef against
 // the three-step reference.
 func FuzzTransformParity(f *testing.F) {
@@ -453,6 +507,9 @@ func FuzzTransformParity(f *testing.F) {
 			b[i] = int16(binary.LittleEndian.Uint16(buf[2*i:]))
 		}
 		if msg := transformMismatch(&b); msg != "" {
+			t.Fatal(msg)
+		}
+		if msg := kernelMismatch(&b); msg != "" {
 			t.Fatal(msg)
 		}
 		// Event i: a signed run from byte 4i, a 24-bit signed level from

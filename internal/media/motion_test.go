@@ -125,8 +125,7 @@ func sadRaster(cur *MBPixels, ref *Frame, x, y int, mv MV, earlyOut int) int {
 			crow := cur[j*MBSize : j*MBSize+MBSize : j*MBSize+MBSize]
 			for i := 0; i < MBSize; i++ {
 				d := int(crow[i]) - int(row[i])
-				m := d >> 63 // 0 or -1
-				sum += (d ^ m) - m
+				sum += max(d, -d)
 			}
 			if sum > earlyOut {
 				return sum
