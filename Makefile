@@ -8,7 +8,8 @@
 #                amd64 pass runs asmdecl over the PSADBW and PMADDWD
 #                kernels' frame and argument sizes); then the media tests
 #                under GOARCH=386, whose binaries run on an amd64 host, so
-#                the portable bodies also run, golden hashes included
+#                the portable bodies also run, golden hashes included, and
+#                the one-window VLD, which is portable Go, runs there too
 #   make test    full test suite only (tier-1; includes the benchmark
 #                rig's own tests via TestBenchmarkRig)
 #   make race    the full test suite under the race detector, plus the
@@ -22,7 +23,8 @@
 #                single-lock cache and for the proxy's attempt loop)
 #   make fuzz-smoke  a few seconds of each media-layer fuzzer — the CI
 #                    guard that the corpus-reachable code stays panic-free
-#                    (includes the batch/streaming decode-parity fuzzer,
+#                    (includes the run/level window/oracle parity fuzzer,
+#                    the batch/streaming decode-parity fuzzer,
 #                    the motion-search/raster-reference parity fuzzer,
 #                    the PSADBW/SWAR SAD-kernel parity fuzzer and its
 #                    eight-candidate (search grid) counterpart,
@@ -71,6 +73,7 @@ race:
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzBitReaderRoundTrip -fuzztime=5s ./internal/media
 	$(GO) test -run=NONE -fuzz=FuzzHuffDecode -fuzztime=5s ./internal/media
+	$(GO) test -run=NONE -fuzz=FuzzRunLevelParity -fuzztime=5s ./internal/media
 	$(GO) test -run=NONE -fuzz=FuzzDecodeParallelParity -fuzztime=5s ./internal/media
 	$(GO) test -run=NONE -fuzz=FuzzMotionSearchParity -fuzztime=5s ./internal/media
 	$(GO) test -run=NONE -fuzz=FuzzSADKernelParity -fuzztime=5s ./internal/media

@@ -1,9 +1,5 @@
 package eclipse
 
-import (
-	"eclipse/internal/shell"
-)
-
 // Additional instances of the Eclipse template, demonstrating the
 // scalability story of paper Section 2.3: the same coprocessor and shell
 // designs recur across instances that differ in memory sizing, cache
@@ -49,7 +45,3 @@ var LiteDecodeMapping = map[string]string{
 	"mc":     "mc",
 	"sink":   "cpu",
 }
-
-// ShellConfigFor exposes the derived shell configuration of a named
-// coprocessor under this architecture (for tests and tooling).
-func (a *Arch) ShellConfigFor(name string) shell.Config { return a.shellConfig(name) }

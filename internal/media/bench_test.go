@@ -71,6 +71,38 @@ func BenchmarkHuffDecode(b *testing.B) {
 	b.ReportMetric(float64(count), "symbols/op")
 }
 
+// BenchmarkDecodeRunLevel decodes the coefficient events of the Fig. 10
+// clip (seed 1), each coded block's events and then its EOB, re-encoded
+// back to back, through DecodeRunLevel, and reports events/op. Unlike
+// BenchmarkHuffDecode's round robin over the symbols, it sees the clip's
+// own mix of codes, ESC included. It is for profiling the VLD; rig claims
+// come from benchmark/, not from this benchmark.
+func BenchmarkDecodeRunLevel(b *testing.B) {
+	w := NewBitWriter()
+	count := 0
+	for _, evs := range loadCodedClip(b).events {
+		for _, rl := range evs {
+			EncodeRunLevel(w, rl)
+		}
+		EncodeEOB(w)
+		count += len(evs) + 1
+	}
+	enc := w.Bytes()
+	r := NewBitReader(enc)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		*r = BitReader{buf: enc}
+		for e := 0; e < count; e++ {
+			DecodeRunLevel(r)
+		}
+		if r.Err() != nil {
+			b.Fatal(r.Err())
+		}
+	}
+	b.ReportMetric(float64(count), "events/op")
+}
+
 // benchFrame builds a deterministic textured frame for the pixel-kernel
 // benchmarks.
 func benchFrame(w, h int) *Frame {

@@ -302,10 +302,3 @@ func (r *BitReader) ReadSE() int32 {
 	}
 	return -int32(u / 2)
 }
-
-// AlignRead advances to the next byte boundary.
-func (r *BitReader) AlignRead() {
-	if rem := r.pos & 7; rem != 0 {
-		r.Skip(uint(8 - rem))
-	}
-}

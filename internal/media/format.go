@@ -163,17 +163,6 @@ func ParseTokenMBInto(src []byte, tok *TokenMB) (int, error) {
 	return TokenLenSize + body, nil
 }
 
-// ParseTokenMB is the allocating convenience form of ParseTokenMBInto:
-// each call returns a token with its own backing storage.
-func ParseTokenMB(src []byte) (TokenMB, int, error) {
-	var tok TokenMB
-	n, err := ParseTokenMBInto(src, &tok)
-	if err != nil {
-		return TokenMB{}, 0, err
-	}
-	return tok, n, nil
-}
-
 // parseTokenBodyInto decodes the cbp+events portion of a token record
 // into the token's arena.
 func parseTokenBodyInto(src []byte, tok *TokenMB) (int, error) {

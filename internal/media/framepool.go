@@ -110,15 +110,6 @@ func (p *SyncFramePool) Put(f *Frame) {
 	p.mu.Unlock()
 }
 
-// DoublePuts reports how many Put calls were rejected because the frame
-// was already on the free list. Nonzero means a caller released a frame
-// it no longer owned; tests assert it stays zero.
-func (p *SyncFramePool) DoublePuts() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.doublePuts
-}
-
 // PutAll recycles a batch of frames, ignoring nils.
 func (p *SyncFramePool) PutAll(frames []*Frame) {
 	for _, f := range frames {

@@ -42,10 +42,6 @@ type GOPIndex struct {
 	cuts     []int // decode-closed cuts, ascending, exclusive of 0 and Frames
 }
 
-// Cuts returns the decode-side closed cut positions (display == coded
-// positions, by closure), ascending, excluding the trivial 0 and Frames.
-func (ix *GOPIndex) Cuts() []int { return ix.cuts }
-
 // FrameBit returns the bit offset of coded frame c's header. At a closed
 // cut c this is where the suffix segment's decode starts.
 func (ix *GOPIndex) FrameBit(c int) int { return ix.frameBit[c] }

@@ -45,9 +45,13 @@ type HuffCode struct {
 	Len  uint8  // code length in bits; 0 means the symbol is unused
 }
 
-// huffLUTBits bounds the first-level decode table: codes no longer than
-// min(maxLen, huffLUTBits) bits resolve with one peek + one table load.
+// huffLUTBits bounds the width of each decode LUT level: a code of up to
+// min(maxLen, huffLUTBits) bits resolves with one table load, and each
+// further level adds one load for up to huffLUTBits more bits.
 const huffLUTBits = 12
+
+// huffLUTSub flags a LUT entry that points to a further level.
+const huffLUTSub = 0x40
 
 // HuffTable holds canonical Huffman codes for symbols 0..n-1 and supports
 // encoding and decoding. Build tables with NewHuffTable.
@@ -62,11 +66,13 @@ type HuffTable struct {
 	count     []int // number of codes of each length
 	symByCode []int // symbols sorted by (length, code)
 
-	// First-level decode LUT, indexed by the next lutBits bits of the
-	// stream. Each entry packs sym<<8 | len; entry 0 is the overflow
-	// sentinel (code longer than lutBits, or invalid prefix) that routes
-	// decode to the bit-serial canonical walk. Valid because real code
-	// lengths are ≥ 1, so a packed entry is never all-zero.
+	// Decode LUT. Its first level, lut[:1<<lutBits], is indexed by the
+	// next lutBits bits of the stream. A leaf packs sym<<8 | len (len ≤ 32,
+	// so the flag bit is clear). The entry for a prefix of longer codes
+	// packs base<<8 | huffLUTSub | width: a further block at lut[base:],
+	// indexed by the next width = min(maxLen−depth, huffLUTBits) bits (for
+	// the run/level table, 8 entries per long prefix). Entry 0 is an
+	// invalid prefix: no leaf or pointer packs to 0.
 	lut     []uint32
 	lutBits uint
 }
@@ -181,32 +187,49 @@ func NewHuffTable(lengths []uint8) (*HuffTable, error) {
 	return t, nil
 }
 
-// buildLUT fills the first-level decode table. Every index whose top
-// c.Len bits equal a code's bits maps to that code's packed {sym, len};
-// codes are prefix-free, so each index has at most one such code and the
-// fill never conflicts. Indexes with no code prefix ≤ lutBits stay 0
-// (the overflow sentinel).
+// buildLUT fills the decode LUT. Codes go in by (length, code), and a
+// shorter code is never a prefix of a longer one, so a code's walk down
+// the levels meets only pointers and zeros; at a zero it appends a block.
+// At its last level the code fills every index whose top bits are its
+// own. A code that does not pack keeps zero entries and decodes serially.
 func (t *HuffTable) buildLUT() {
-	lb := uint(t.maxLen)
-	if lb > huffLUTBits {
-		lb = huffLUTBits
-	}
-	if lb == 0 {
-		return
-	}
-	t.lutBits = lb
-	t.lut = make([]uint32, 1<<lb)
-	for sym, c := range t.codes {
-		if c.Len == 0 || uint(c.Len) > lb || sym >= 1<<24 {
-			continue // longer than the LUT covers (or unpackable): serial walk
+	t.lutBits = min(uint(t.maxLen), huffLUTBits)
+	t.lut = make([]uint32, 1<<t.lutBits)
+	for _, sym := range t.symByCode {
+		if sym >= 1<<24 || len(t.lut) > 1<<24-2<<huffLUTBits {
+			continue // no room for sym or for two more blocks' bases
 		}
-		span := uint32(1) << (lb - uint(c.Len))
-		base := c.Bits << (lb - uint(c.Len))
-		e := uint32(sym)<<8 | uint32(c.Len)
-		for i := uint32(0); i < span; i++ {
-			t.lut[base+i] = e
+		c := t.codes[sym]
+		l, base, end, width := uint(c.Len), 0, t.lutBits, t.lutBits
+		for l > end {
+			i := base + int(c.Bits>>(l-end)&(1<<width-1))
+			if t.lut[i] == 0 {
+				w := min(uint(t.maxLen)-end, huffLUTBits)
+				t.lut[i] = uint32(len(t.lut))<<8 | huffLUTSub | uint32(w)
+				t.lut = append(t.lut, make([]uint32, 1<<w)...)
+			}
+			base, width = int(t.lut[i]>>8), uint(t.lut[i]&(huffLUTSub-1))
+			end += width
+		}
+		first := base + int(c.Bits<<(end-l)&(1<<width-1))
+		for i := first; i < first+1<<(end-l); i++ {
+			t.lut[i] = uint32(sym)<<8 | uint32(l)
 		}
 	}
+}
+
+// lookup resolves the code at the top of w (MSB first) through the LUT
+// levels. It returns the symbol and the code length, or length 0 when the
+// top bits are no code the table holds.
+func (t *HuffTable) lookup(w uint64) (sym int, n uint) {
+	used := t.lutBits
+	e := t.lut[w>>(64-used)]
+	for e&huffLUTSub != 0 {
+		width := uint(e & (huffLUTSub - 1))
+		e = t.lut[uint(e>>8)+uint(w<<used>>(64-width))]
+		used += width
+	}
+	return int(e >> 8), uint(e & 0xff)
 }
 
 // Code returns the code for a symbol. A zero-length code means the symbol
@@ -229,9 +252,9 @@ func (t *HuffTable) Encode(w *BitWriter, sym int) {
 // It returns the symbol and the number of bits consumed. On malformed
 // input it returns -1 and sets the reader's error.
 //
-// Fast path: peek lutBits, one table load, advance by the matched
-// length. The serial walk remains authoritative for long codes (len >
-// lutBits), invalid prefixes, entry errors, and the stream tail — the
+// Table path: peek maxLen bits, resolve them through the LUT levels,
+// advance by the matched length. The serial walk remains authoritative
+// for invalid prefixes, entry errors, and the stream tail — the
 // `int(l) <= avail` guard rejects LUT matches that would rely on the
 // zero padding PeekBits fabricates past the end, so truncated input
 // reports exactly the same bits-consumed and PastEnd error as the
@@ -241,12 +264,12 @@ func (t *HuffTable) Decode(r *BitReader) (sym int, bits uint) {
 		r.failCorrupt("decode with empty huffman table")
 		return -1, 0
 	}
-	if r.err == nil && t.lut != nil {
+	if r.err == nil {
 		if avail := len(r.buf)*8 - r.pos; avail > 0 {
-			e := t.lut[r.PeekBits(t.lutBits)]
-			if l := uint(e & 0xff); l != 0 && int(l) <= avail {
+			sym, l := t.lookup(uint64(r.PeekBits(uint(t.maxLen))) << (64 - t.maxLen))
+			if l != 0 && int(l) <= avail {
 				r.pos += int(l)
-				return int(e >> 8), l
+				return sym, l
 			}
 		}
 	}
@@ -257,10 +280,6 @@ func (t *HuffTable) Decode(r *BitReader) (sym int, bits uint) {
 // code bit, checking the length-indexed firstCode/count tables at every
 // depth. It is the reference semantics the LUT path must match.
 func (t *HuffTable) decodeSerial(r *BitReader) (sym int, bits uint) {
-	if t.maxLen == 0 {
-		r.failCorrupt("decode with empty huffman table")
-		return -1, 0
-	}
 	code := uint32(0)
 	for l := uint8(1); l <= t.maxLen; l++ {
 		code = code<<1 | r.ReadBits(1)

@@ -155,19 +155,6 @@ func RLSQEncodeBlockInto(coef *Block, intra bool, q int, tok *TokenMB, b int) (q
 	return qzz
 }
 
-// RLSQEncodeBlock is the allocating convenience form of
-// RLSQEncodeBlockInto, returning a freshly allocated event slice.
-func RLSQEncodeBlock(coef *Block, intra bool, q int) (qzz Block, events []RunLevel) {
-	var zz Block
-	ZigzagScan(coef, &zz)
-	if intra {
-		Quantize(&zz, &qzz, q)
-	} else {
-		QuantizeInter(&zz, &qzz, q)
-	}
-	return qzz, RunLength(&qzz)
-}
-
 // IDCTMB applies the inverse DCT to each block of a macroblock. Passing
 // cbp lets the DCT coprocessor skip (and not charge cycles for) uncoded
 // blocks, which stay zero.
@@ -295,14 +282,6 @@ func ParseMBSyntaxInto(r *BitReader, ftype FrameType, mvp *MVPredictor, tok *Tok
 		}
 	}
 	return dec, r.Err()
-}
-
-// ParseMBSyntax is the allocating convenience form of ParseMBSyntaxInto:
-// each call returns a token with its own backing storage.
-func ParseMBSyntax(r *BitReader, ftype FrameType, mvp *MVPredictor) (MBDecision, TokenMB, error) {
-	var tok TokenMB
-	dec, err := ParseMBSyntaxInto(r, ftype, mvp, &tok)
-	return dec, tok, err
 }
 
 // RefChain tracks the decoder's (or encoder's) last two reference frames

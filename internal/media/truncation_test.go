@@ -1,6 +1,10 @@
 package media
 
-import "testing"
+import (
+	"fmt"
+	"slices"
+	"testing"
+)
 
 // Regression tests for the stream-tail behavior of the two entropy fast
 // paths: the BitReader's 8-byte refill window degrades to the byte-wise
@@ -104,9 +108,10 @@ func TestHuffDecodeTruncatedParity(t *testing.T) {
 	}
 }
 
-// TestHuffDecodeLongCodes verifies the overflow route explicitly: when
-// the table has codes longer than the LUT span, the sentinel must send
-// them to the serial walk and still decode correctly.
+// TestHuffDecodeLongCodes verifies the further LUT levels explicitly:
+// when the table has codes longer than the first-level span, their
+// prefix entries must point on to the levels that resolve them, and each
+// must decode to its symbol and length.
 func TestHuffDecodeLongCodes(t *testing.T) {
 	// Exponential frequencies force a maximally skewed (deep) tree.
 	freq := make([]uint64, 20)
@@ -130,6 +135,116 @@ func TestHuffDecodeLongCodes(t *testing.T) {
 		got, bits := tab.Decode(r)
 		if got != sym || bits != uint(lengths[sym]) || r.Err() != nil {
 			t.Fatalf("symbol %d: got (%d, %d bits, err %v), want length %d", sym, got, bits, r.Err(), lengths[sym])
+		}
+	}
+}
+
+// runLevelEvents returns every coded event once: each table (run, ±level)
+// pair, ESC at its extreme runs (0, 16, 63) and levels (±9, 2047, −2048),
+// and EOB as the zero value last.
+func runLevelEvents() []RunLevel {
+	var evs []RunLevel
+	for run := 0; run <= vlcMaxRun; run++ {
+		for lvl := int32(1); lvl <= vlcMaxLevel; lvl++ {
+			evs = append(evs, RunLevel{run, lvl}, RunLevel{run, -lvl})
+		}
+	}
+	evs = append(evs, RunLevel{0, 9}, RunLevel{0, -9}, RunLevel{16, 1}, RunLevel{16, -1},
+		RunLevel{63, MaxLevel}, RunLevel{63, -MaxLevel - 1}, RunLevel{0, -MaxLevel - 1}, RunLevel{63, 9})
+	return append(evs, RunLevel{})
+}
+
+// encodeRunLevels writes pad zero bits, then evs, the zero value as EOB.
+func encodeRunLevels(pad uint, evs []RunLevel) []byte {
+	w := NewBitWriter()
+	w.WriteBits(0, pad)
+	for _, rl := range evs {
+		if rl == (RunLevel{}) {
+			EncodeEOB(w)
+		} else {
+			EncodeRunLevel(w, rl)
+		}
+	}
+	return w.Bytes()
+}
+
+// runLevelStepMismatch decodes data from bit skip to its first error with
+// decode and with decodeRunLevelSlow over the production table in lockstep,
+// and describes the first step where they differ in event, bits, BitPos or
+// error (nil-ness, PastEnd, text), or returns "".
+func runLevelStepMismatch(decode func(*BitReader) (RunLevel, bool, uint), data []byte, skip uint) string {
+	r1, r2 := NewBitReader(data), NewBitReader(data)
+	r1.Skip(skip)
+	r2.Skip(skip)
+	for step := 0; r2.Err() == nil; step++ {
+		rl1, eob1, b1 := decode(r1)
+		rl2, eob2, b2 := decodeRunLevelSlow(coefTable, r2)
+		if rl1 != rl2 || eob1 != eob2 || b1 != b2 || r1.BitPos() != r2.BitPos() {
+			return fmt.Sprintf("step %d: got (%+v, eob %v, %d bits, pos %d), oracle (%+v, eob %v, %d bits, pos %d)",
+				step, rl1, eob1, b1, r1.BitPos(), rl2, eob2, b2, r2.BitPos())
+		}
+		e1, e2 := r1.Err(), r2.Err()
+		if (e1 == nil) != (e2 == nil) || r1.PastEnd() != r2.PastEnd() || e1 != nil && e1.Error() != e2.Error() {
+			return fmt.Sprintf("step %d: got err %v (pastEnd %v), oracle err %v (pastEnd %v)", step, e1, r1.PastEnd(), e2, r2.PastEnd())
+		}
+	}
+	return ""
+}
+
+// runLevelMismatch holds decode to the oracle on every coded event cut at
+// every bit: the events follow a pad of 0..7 bits, and each padded stream
+// is cut after every byte, so across the pads a cut falls at every bit
+// position of every event and at every distance from the window's 8-byte
+// bound.
+func runLevelMismatch(decode func(*BitReader) (RunLevel, bool, uint)) string {
+	evs := runLevelEvents()
+	for pad := uint(0); pad < 8; pad++ {
+		enc := encodeRunLevels(pad, evs)
+		for cut := 0; cut <= len(enc); cut++ {
+			if msg := runLevelStepMismatch(decode, enc[:cut], pad); msg != "" {
+				return fmt.Sprintf("pad %d cut %d/%d: %s", pad, cut, len(enc), msg)
+			}
+		}
+	}
+	return ""
+}
+
+// TestRunLevelWindowParity decodes every coded event through
+// DecodeRunLevel, then holds it to the oracle body at every cut.
+func TestRunLevelWindowParity(t *testing.T) {
+	evs := runLevelEvents()
+	r := NewBitReader(encodeRunLevels(0, evs))
+	for i, want := range evs {
+		if got, eob, _ := DecodeRunLevel(r); got != want || eob != (want == RunLevel{}) || r.Err() != nil {
+			t.Fatalf("event %d: got %+v eob %v err %v, want %+v", i, got, eob, r.Err(), want)
+		}
+	}
+	if msg := runLevelMismatch(DecodeRunLevel); msg != "" {
+		t.Fatal(msg)
+	}
+}
+
+// TestRunLevelParityCatchesFaults is the negative control: the harness
+// must pass the oracle itself and reject a window path whose table has one
+// code's length off by one, for a first-level code (EOB) and for a code
+// the second level resolves (ESC).
+func TestRunLevelParityCatchesFaults(t *testing.T) {
+	if msg := runLevelMismatch(func(r *BitReader) (RunLevel, bool, uint) { return decodeRunLevelSlow(coefTable, r) }); msg != "" {
+		t.Fatalf("oracle rejected: %s", msg)
+	}
+	for _, sym := range []int{symEOB, symESC} {
+		faulty := *coefTable
+		faulty.lut = slices.Clone(coefTable.lut)
+		for i, e := range faulty.lut {
+			if e != 0 && e&huffLUTSub == 0 && int(e>>8) == sym {
+				faulty.lut[i]++
+			}
+		}
+		msg := runLevelMismatch(func(r *BitReader) (RunLevel, bool, uint) { return decodeRunLevel(&faulty, r) })
+		if msg == "" {
+			t.Errorf("harness passed a table whose symbol %d is one bit too long", sym)
+		} else {
+			t.Logf("symbol %d length fault caught: %s", sym, msg)
 		}
 	}
 }

@@ -1,5 +1,7 @@
 package media
 
+import "encoding/binary"
+
 // Run/level variable-length coding of quantized DCT coefficients.
 //
 // Quantized 8×8 blocks are zigzag-scanned into (run, level) events: `run`
@@ -90,7 +92,40 @@ func EncodeEOB(w *BitWriter) { coefTable.Encode(w, symEOB) }
 // bitstream bits consumed, which the VLD coprocessor model uses for its
 // cycle cost. On bitstream errors the reader's sticky error is set.
 func DecodeRunLevel(r *BitReader) (rl RunLevel, eob bool, bits uint) {
-	sym, n := coefTable.Decode(r)
+	return decodeRunLevel(coefTable, r)
+}
+
+// decodeRunLevel decodes one event with t. With no sticky error and 8
+// bytes left, one 64-bit load shifted by pos&7 holds ≥ 57 bits, more than
+// the longest event (ESC's 15 + 18 bits), so the code and its sign or ESC
+// fields all come from one word. Otherwise (tail, sticky error, invalid
+// prefix) decodeRunLevelSlow runs, the oracle the window path is held to.
+func decodeRunLevel(t *HuffTable, r *BitReader) (rl RunLevel, eob bool, bits uint) {
+	if i := r.pos >> 3; r.err == nil && i+8 <= len(r.buf) {
+		w := binary.BigEndian.Uint64(r.buf[i:]) << uint(r.pos&7)
+		if sym, n := t.lookup(w); n != 0 {
+			switch sym {
+			case symEOB:
+				eob = true
+			case symESC:
+				rl.Run = int(w << n >> (64 - escRunBits))
+				rl.Level = int32(int64(w<<(n+escRunBits)) >> (64 - escLevelBits)) // sign-extend
+				n += escRunBits + escLevelBits
+			default:
+				neg := int32(w << n >> 63) // the sign bit; (x ^ -neg) + neg is x or −x
+				rl.Run, rl.Level = (sym-2)/vlcMaxLevel, (int32((sym-2)%vlcMaxLevel)+1^-neg)+neg
+				n++
+			}
+			r.pos += int(n)
+			return rl, eob, n
+		}
+	}
+	return decodeRunLevelSlow(t, r)
+}
+
+// decodeRunLevelSlow decodes the code, then its fields, each read checked.
+func decodeRunLevelSlow(t *HuffTable, r *BitReader) (rl RunLevel, eob bool, bits uint) {
+	sym, n := t.Decode(r)
 	bits = n
 	switch {
 	case sym < 0:

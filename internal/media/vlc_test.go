@@ -167,3 +167,40 @@ func TestVLCBitsAreDataDependent(t *testing.T) {
 		t.Fatalf("dense=%d sparse=%d: insufficient data dependence", dense, sparse)
 	}
 }
+
+// TestVLDDoesNotAllocate pins the entropy decode at zero allocations:
+// DecodeRunLevel on the window path (8 bytes left) and on the tail path,
+// and HuffTable.Decode on ESC, a code the LUT's second level resolves.
+func TestVLDDoesNotAllocate(t *testing.T) {
+	esc := RunLevel{Run: 40, Level: -300}
+	long := encodeRunLevels(0, []RunLevel{esc, esc, esc})
+	tail := encodeRunLevels(0, []RunLevel{esc})
+	r := NewBitReader(nil)
+	for _, c := range []struct {
+		name string
+		f    func()
+	}{
+		{"DecodeRunLevel window", func() {
+			*r = BitReader{buf: long}
+			if rl, _, _ := DecodeRunLevel(r); rl != esc {
+				t.Fatalf("window decoded %+v", rl)
+			}
+		}},
+		{"DecodeRunLevel tail", func() {
+			*r = BitReader{buf: tail}
+			if rl, _, _ := DecodeRunLevel(r); rl != esc {
+				t.Fatalf("tail decoded %+v", rl)
+			}
+		}},
+		{"HuffTable.Decode second level", func() {
+			*r = BitReader{buf: long}
+			if sym, _ := coefTable.Decode(r); sym != symESC {
+				t.Fatalf("decoded symbol %d", sym)
+			}
+		}},
+	} {
+		if n := testing.AllocsPerRun(100, c.f); n != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", c.name, n)
+		}
+	}
+}

@@ -112,15 +112,6 @@ func TaskStepsReg(sh *Shell, task int) MonitorReg {
 	}
 }
 
-// StreamSpaceReg returns a register reading an access point's current
-// space value (buffer filling for input ports).
-func StreamSpaceReg(sh *Shell, task, port int) MonitorReg {
-	return MonitorReg{
-		Name:  fmt.Sprintf("%s.task%d.port%d.space", sh.Name(), task, port),
-		Fetch: func() uint64 { return uint64(sh.Space(task, port)) },
-	}
-}
-
 // IdleCyclesReg returns a register reading a shell's idle-cycle counter.
 func IdleCyclesReg(sh *Shell) MonitorReg {
 	return MonitorReg{

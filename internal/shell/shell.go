@@ -506,9 +506,6 @@ func (sh *Shell) row(task, port int) *streamRow {
 	return sh.rows[t.rows[port]]
 }
 
-// TaskName returns the configured name of a task.
-func (sh *Shell) TaskName(task int) string { return sh.tsks[task].name }
-
 // TaskStats returns a snapshot of a task's measurement counters.
 func (sh *Shell) TaskStats(task int) TaskStats { return sh.tsks[task].stats }
 
@@ -520,9 +517,6 @@ func (sh *Shell) StreamStats(task, port int) StreamStats { return sh.row(task, p
 // It is the quantity the paper's Figure 10 plots for input streams.
 func (sh *Shell) Space(task, port int) uint32 { return sh.row(task, port).effSpace() }
 
-// BufSize returns the stream buffer size behind an access point.
-func (sh *Shell) BufSize(task, port int) uint32 { return sh.row(task, port).size }
-
 // ReadCacheStats returns the read cache counters.
 func (sh *Shell) ReadCacheStats() CacheStats { return sh.rcache.stats() }
 
@@ -532,9 +526,6 @@ func (sh *Shell) WriteCacheStats() CacheStats { return sh.wcache.stats() }
 // PoolStats returns the scratch-buffer pool counters of the transport
 // layer (how often line moves recycled a buffer vs. allocated one).
 func (sh *Shell) PoolStats() PoolStats { return sh.pool.stats() }
-
-// InflightFetches returns the number of line fetches currently pending.
-func (sh *Shell) InflightFetches() int { return sh.inflight.Len() }
 
 // TransportStats are the asynchronous data-transport counters of a shell:
 // how the prefetch engine, the demand-miss path, and the scratch-buffer

@@ -203,9 +203,6 @@ func (k *Kernel) Now() uint64 { return k.now }
 // throughput (the denominator of the Mevents/sec benchmark metric).
 func (k *Kernel) Events() uint64 { return k.executed }
 
-// Pending returns the number of scheduled events not yet executed.
-func (k *Kernel) Pending() int { return k.wheelLen + len(k.events) }
-
 // push enqueues a typed event at now+delay, choosing the wheel bucket for
 // near events and the heap otherwise. This is the single scheduling
 // chokepoint; it allocates only when a bucket or the heap must grow.
