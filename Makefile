@@ -13,14 +13,15 @@
 #   make test    full test suite only (tier-1; includes the benchmark
 #                rig's own tests via TestBenchmarkRig)
 #   make race    the full test suite under the race detector, plus the
-#                segment-parallel, two-tenant, task-group/gate, transcode,
-#                concurrent stream-encoder, both cache tiers' LRU tests
-#                and the gateway's attempt-loop tests (retry, pushback,
-#                mid-stream, timeout, stalled primary, storm) again at
-#                GOMAXPROCS=4 (real parallelism for parked siblings, for
-#                a transcode's span tasks, for two tenants' jobs on two
-#                workers, for encoders running side by side, for the
-#                single-lock cache and for the proxy's attempt loop)
+#                segment-parallel, two-tenant, unit/gate (task group and
+#                span units), transcode, concurrent stream-encoder, both
+#                cache tiers' LRU tests and the gateway's attempt-loop
+#                tests (retry, pushback, mid-stream, timeout, stalled
+#                primary, storm) again at GOMAXPROCS=4 (real parallelism
+#                for parked sibling units, for a transcode's span units
+#                on two workers, for two tenants' jobs on two workers, for
+#                encoders running side by side, for the single-lock cache
+#                and for the proxy's attempt loop)
 #   make fuzz-smoke  a few seconds of each media-layer fuzzer — the CI
 #                    guard that the corpus-reachable code stays panic-free
 #                    (includes the run/level window/oracle parity fuzzer,
@@ -67,7 +68,7 @@ test:
 
 race:
 	$(GO) test -race ./...
-	GOMAXPROCS=4 $(GO) test -race -run 'Segment|TwoTenant|TaskGroup|Transcode|StreamEncoder|LRU|L1|Cache|Retry|Pushback|MidStream|Timeout|Stalled|Storm' \
+	GOMAXPROCS=4 $(GO) test -race -run 'Segment|TwoTenant|TaskGroup|SpanUnits|Transcode|StreamEncoder|LRU|L1|Cache|Retry|Pushback|MidStream|Timeout|Stalled|Storm' \
 		./internal/media ./internal/serve ./internal/slab ./internal/cluster
 
 fuzz-smoke:

@@ -1,12 +1,14 @@
 // Command eclipse-serve runs the media-serving subsystem: an HTTP
 // server that admits decode / encode / transcode jobs into bounded
-// per-tenant queues and executes them as gated task groups (goroutines
-// that park at a frame checkpoint while the scheduler holds their job's
-// gate closed) under the Eclipse-style weighted-round-robin scheduler
-// (see internal/serve and DESIGN.md §"Serving"). It links the codec and
-// the serving packages, not the simulator or the Kahn executor: the
-// paper's six-task decode network runs in eclipse-sim / eclipse-bench,
-// where each stage is its own engine.
+// per-tenant queues and runs their units (goroutines that park at a frame
+// checkpoint while no worker holds them) under the Eclipse-style
+// weighted-round-robin scheduler (see internal/serve and DESIGN.md
+// §"Serving"). -workers is the one width: at most that many units run at
+// once and a transcode splits into at most that many spans, so size it
+// to the host's cores. It links the codec and the serving packages, not
+// the simulator or the Kahn executor: the paper's six-task decode
+// network runs in eclipse-sim / eclipse-bench, where each stage is its
+// own engine.
 //
 // Endpoints:
 //
@@ -31,11 +33,11 @@
 // Tenants are declared with repeatable -tenant flags of comma-separated
 // key=value pairs, for example
 //
-//	-tenant name=gold,weight=4,cap=16,cache=off,segments=2
+//	-tenant name=gold,weight=4,cap=16,cache=off
 //
 // name is required; weight (scheduling-slice multiplier), cap (admission
-// bound), cache (on/off override of the server-wide cache) and segments
-// (transcode span fan-out) default to the server-wide flags.
+// bound) and cache (on/off override of the server-wide cache) default to
+// the server-wide flags.
 //
 // SIGINT/SIGTERM starts a graceful drain: admission stops, in-flight
 // and queued jobs complete (bounded by -drain), a serving + cache
@@ -60,7 +62,7 @@ import (
 
 // tenantSyntax is the -tenant value: comma-separated key=value pairs,
 // name required, every other key optional and at most once.
-const tenantSyntax = "name=NAME[,weight=N][,cap=N][,cache=on|off][,segments=N]"
+const tenantSyntax = "name=NAME[,weight=N][,cap=N][,cache=on|off]"
 
 // tenantFlags collects repeated -tenant flags.
 type tenantFlags []serve.TenantConfig
@@ -107,8 +109,6 @@ func parseTenant(v string) (tc serve.TenantConfig, err error) {
 			tc.Weight, err = positive(val)
 		case "cap":
 			tc.QueueCap, err = positive(val)
-		case "segments":
-			tc.TranscodeSegments, err = positive(val)
 		case "cache":
 			switch val {
 			case "on":
@@ -150,7 +150,6 @@ func main() {
 		poolCap  = flag.Int("frame-pool", 256, "frames retained by the shared pool")
 		cacheB   = flag.Int64("cache-bytes", 256<<20, "result cache byte budget (0 disables)")
 		cacheAge = flag.Duration("cache-max-age", 60*time.Second, "freshness window advertised via Cache-Control max-age (bounds gateway L1 TTLs)")
-		xcodeSeg = flag.Int("transcode-segments", 0, "segment fan-out for transcode jobs over closed-GOP cuts (1 = one span, 0 = min(NumCPU, 8))")
 		drain    = flag.Duration("drain", 30*time.Second, "graceful shutdown budget")
 		tenants  tenantFlags
 	)
@@ -162,15 +161,14 @@ func main() {
 		cacheBytes = -1 // Config treats 0 as "use the default"; the flag's 0 means off
 	}
 	srv := serve.New(serve.Config{
-		Workers:           *workers,
-		BaseSlice:         *slice,
-		QueueCap:          *queueCap,
-		MaxBodyBytes:      *maxBody,
-		FramePoolCap:      *poolCap,
-		CacheBytes:        cacheBytes,
-		CacheMaxAge:       *cacheAge,
-		TranscodeSegments: *xcodeSeg,
-		Tenants:           tenants,
+		Workers:      *workers,
+		BaseSlice:    *slice,
+		QueueCap:     *queueCap,
+		MaxBodyBytes: *maxBody,
+		FramePoolCap: *poolCap,
+		CacheBytes:   cacheBytes,
+		CacheMaxAge:  *cacheAge,
+		Tenants:      tenants,
 	})
 	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
 

@@ -18,9 +18,9 @@ func TestParseTenant(t *testing.T) {
 		want serve.TenantConfig
 	}{
 		{"name=gold", serve.TenantConfig{Name: "gold"}},
-		{"name=gold,weight=4,cap=16,cache=off,segments=2",
-			serve.TenantConfig{Name: "gold", Weight: 4, QueueCap: 16, Cache: serve.CacheOff, TranscodeSegments: 2}},
-		{"segments=1,cache=on,name=b", serve.TenantConfig{Name: "b", Cache: serve.CacheOn, TranscodeSegments: 1}},
+		{"name=gold,weight=4,cap=16,cache=off",
+			serve.TenantConfig{Name: "gold", Weight: 4, QueueCap: 16, Cache: serve.CacheOff}},
+		{"cache=on,name=b", serve.TenantConfig{Name: "b", Cache: serve.CacheOn}},
 		{"weight=1,name=x:y", serve.TenantConfig{Name: "x:y", Weight: 1}},
 	}
 	for _, tc := range valid {
@@ -43,12 +43,11 @@ func TestParseTenant(t *testing.T) {
 		{"name=a,weight=four", "bad weight"},
 		{"name=a,cap=0", "bad cap"},
 		{"name=a,cap=", "bad cap"},
-		{"name=a,segments=0", "bad segments"},
-		{"name=a,segments=1.5", "bad segments"},
 		{"name=a,cache=1", "bad cache"},
 		{"name=a,cache=default", "bad cache"},
 		{"name=a,workers=2", "unknown key"},
 		{"name=a,decodeworkers=2", "unknown key"},
+		{"name=a,segments=2", "unknown key"},
 		{"name=a,", "is not key=value"},
 		{"name=a,name=b", "name given twice"},
 		{"name=a,weight=1,weight=2", "weight given twice"},

@@ -12,16 +12,21 @@ import (
 	"time"
 )
 
-// histBuckets is the number of power-of-two latency buckets. Bucket 0
-// holds sub-microsecond observations; bucket i holds durations in
-// (2^(i-1), 2^i] microseconds; the last bucket is a catch-all (≈9 min
-// and beyond at 39 buckets).
-const histBuckets = 40
+// The buckets are log-linear over microseconds. Bucket 0 holds
+// sub-microsecond observations; octave k = 0 … octaves-1 holds
+// durations in [2^k, 2^(k+1)) µs, split into subBuckets equal
+// sub-buckets, so a bucket midpoint is within 1/(2·subBuckets) = 6.25 %
+// of any sample in it; the last bucket is a catch-all (≈76 h and beyond).
+const (
+	subBuckets  = 8
+	octaves     = 38
+	histBuckets = 1 + octaves*subBuckets + 1
+)
 
-// Hist is a lock-free latency histogram: fixed power-of-two buckets over
-// microseconds, updated with a single atomic add per observation. It is
-// safe for concurrent Observe and Snapshot; quantiles are approximate
-// (bucket-midpoint), which is all a /metrics endpoint needs.
+// Hist is a lock-free latency histogram over fixed log-linear buckets,
+// updated with a single atomic add per observation (plus count and
+// sum). It is safe for concurrent Observe and Snapshot; quantiles are
+// bucket midpoints.
 type Hist struct {
 	count atomic.Uint64
 	sumNs atomic.Int64
@@ -34,19 +39,22 @@ func bucketFor(d time.Duration) int {
 	if us <= 0 {
 		return 0
 	}
-	i := bits.Len64(uint64(us))
-	if i >= histBuckets {
+	k := bits.Len64(uint64(us)) - 1
+	if k >= octaves {
 		return histBuckets - 1
 	}
-	return i
+	base := time.Duration(1<<k) * time.Microsecond
+	return 1 + k*subBuckets + int((d-base)*subBuckets/base)
 }
 
-// BucketUpperUS returns bucket i's inclusive upper bound in microseconds.
-func BucketUpperUS(i int) uint64 {
-	if i <= 0 {
-		return 1
+// bucketRange returns the span [lo, hi) of bucket i, the catch-all
+// excepted.
+func bucketRange(i int) (lo, hi time.Duration) {
+	if i == 0 {
+		return 0, time.Microsecond
 	}
-	return 1 << uint(i)
+	base, m := time.Duration(1<<((i-1)/subBuckets))*time.Microsecond, time.Duration((i-1)%subBuckets)
+	return base + base*m/subBuckets, base + base*(m+1)/subBuckets
 }
 
 // Observe records one latency sample.
@@ -75,24 +83,13 @@ func (h *Hist) Quantile(q float64) time.Duration {
 	if total == 0 {
 		return 0
 	}
-	rank := uint64(q * float64(total))
-	if rank == 0 {
-		rank = 1
-	}
-	if rank > total {
-		rank = total
-	}
+	rank := min(max(uint64(q*float64(total)), 1), total)
 	var cum uint64
-	for i := 0; i < histBuckets; i++ {
-		cum += h.b[i].Load()
-		if cum >= rank {
-			hi := BucketUpperUS(i)
-			lo := hi / 2
-			if i == 0 {
-				lo = 0
-			}
-			return time.Duration((lo + hi) / 2 * uint64(time.Microsecond))
+	for i := range histBuckets - 1 {
+		if cum += h.b[i].Load(); cum >= rank {
+			lo, hi := bucketRange(i)
+			return (lo + hi) / 2
 		}
 	}
-	return time.Duration(BucketUpperUS(histBuckets-1)) * time.Microsecond
+	return time.Duration(1<<octaves) * time.Microsecond // the catch-all's lower bound
 }

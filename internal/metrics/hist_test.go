@@ -53,4 +53,30 @@ func TestHistogram(t *testing.T) {
 	if bucketFor(365*24*time.Hour) != histBuckets-1 {
 		t.Fatal("huge durations must land in the catch-all bucket")
 	}
+	// Log-linear resolution: every quantile lands within 6.25 % of the
+	// sample, and Observe does not allocate.
+	for d := time.Microsecond; d < time.Hour; d = d*9/8 + 7 {
+		var one Hist
+		one.Observe(d)
+		if got := one.Quantile(0.5); got < d*15/16 || got > d*17/16 {
+			t.Fatalf("one sample of %v reads %v, more than 6.25 %% off", d, got)
+		}
+	}
+	// Two populations inside one octave no longer share a bucket;
+	// power-of-two buckets read 3.072ms for both.
+	var two Hist
+	for i := 0; i < 60; i++ {
+		two.Observe(2200 * time.Microsecond)
+	}
+	for i := 0; i < 40; i++ {
+		two.Observe(3900 * time.Microsecond)
+	}
+	q50, q99 := two.Quantile(0.50), two.Quantile(0.99)
+	if q50 == q99 || q50 < 2063*time.Microsecond || q50 > 2338*time.Microsecond ||
+		q99 < 3656*time.Microsecond || q99 > 4144*time.Microsecond {
+		t.Fatalf("2.2ms/3.9ms populations read p50 %v, p99 %v", q50, q99)
+	}
+	if n := testing.AllocsPerRun(100, func() { two.Observe(3 * time.Millisecond) }); n != 0 {
+		t.Fatalf("Observe allocates %v times", n)
+	}
 }

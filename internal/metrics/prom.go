@@ -86,8 +86,9 @@ func HistogramVec[T any](w io.Writer, name, help, label string, rows []T, at fun
 	}
 }
 
-// histSeries writes one series: cumulative buckets with le in seconds,
-// the +Inf bucket, _sum and _count. Count, sum and buckets are read
+// histSeries writes one series: cumulative buckets with le in seconds
+// at the octave boundaries only, where the counts are exact, then the
+// +Inf bucket, _sum and _count. Count, sum and buckets are read
 // individually, so a series rendered under load may be off by the
 // samples that landed mid-read — fine for monitoring.
 func histSeries(w io.Writer, name string, h *Hist, labels ...string) {
@@ -96,8 +97,10 @@ func histSeries(w io.Writer, name string, h *Hist, labels ...string) {
 	var cum uint64
 	for i := range h.b {
 		cum += h.b[i].Load()
-		le[len(le)-1] = fmt.Sprintf("%g", float64(BucketUpperUS(i))/1e6)
-		Sample(w, name+"_bucket", cum, le...)
+		if i%subBuckets == 0 || i == histBuckets-1 { // an octave's end: le = 2^⌈i/subBuckets⌉ µs
+			le[len(le)-1] = fmt.Sprintf("%g", float64(uint64(1)<<((i+subBuckets-1)/subBuckets))/1e6)
+			Sample(w, name+"_bucket", cum, le...)
+		}
 	}
 	le[len(le)-1] = "+Inf"
 	Sample(w, name+"_bucket", count, le...)

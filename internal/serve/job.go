@@ -50,72 +50,61 @@ type Result struct {
 	Meta map[string]string // response headers (X-Seq-*)
 }
 
-// Job is one admitted unit of work. Its body executes as checkpointed
-// tasks — goroutines under the job's gate (runTasks) — so the scheduler
-// can pause and resume it at the tasks' frame checkpoints; the context
-// carries the request deadline end-to-end through the task bodies.
+// Job is one request's work. Its body executes as units (tasks.go):
+// checkpointed goroutines the scheduler runs one slice at a time, each
+// at its own gate; the context carries the request deadline end-to-end
+// through the unit bodies. Admission, latency and the result belong to
+// the job.
 type Job struct {
 	Tenant string
 	Kind   Kind
 
 	ctx    context.Context
 	cancel context.CancelFunc
-	gate   *Gate
-	body   func(ctx context.Context, gate *Gate) (Result, error)
+	stop   func() bool // unregisters the failure hook Submit set
 	done   chan struct{}
 	res    Result
 	err    error
 
-	// Scheduler-owned state: guarded by the scheduler's mutex or by the
-	// single worker holding the job. preempts is atomic because a worker
-	// may record a preemption in the same instant the body finishes and
-	// the submitter reads the count.
-	started   bool
+	mu     sync.Mutex
+	units  []*unit      // every unit forked so far, for fail to poison
+	live   int          // forked units not yet retired
+	then   func() error // what the current phase's last unit runs
+	failed error        // the first failure
+
+	// Scheduler-owned state: set by Submit, or guarded by the
+	// scheduler's mutex. preempts is atomic because a worker may record
+	// a preemption in the same instant the job ends and the submitter
+	// reads the count.
+	sched     *Scheduler
+	row       *tenant
 	preempts  atomic.Int32
 	serviceNs int64
 	enq       time.Time
-	firstRun  time.Time
 }
 
-// NewJob wraps a body as a schedulable job. The gate starts closed; the
-// first scheduling slice opens it.
+// newJob returns a job with no units.
+func newJob(tenant string, kind Kind, ctx context.Context) *Job {
+	jctx, cancel := context.WithCancel(ctx)
+	return &Job{Tenant: tenant, Kind: kind, ctx: jctx, cancel: cancel, done: make(chan struct{})}
+}
+
+// NewJob wraps a body as a one-unit job. The unit's gate starts closed;
+// the first scheduling slice opens it.
 func NewJob(tenant string, kind Kind, ctx context.Context,
 	body func(ctx context.Context, gate *Gate) (Result, error)) *Job {
-	jctx, cancel := context.WithCancel(ctx)
-	return &Job{
-		Tenant: tenant,
-		Kind:   kind,
-		ctx:    jctx,
-		cancel: cancel,
-		gate:   newGate(),
-		body:   body,
-		done:   make(chan struct{}),
-	}
-}
-
-// run executes the body; spawned once, by the first worker slice. The
-// job ties its two stop signals together for as long as the body runs: a
-// dead context poisons the gate, so a job parked at a closed gate still
-// unwinds on a client disconnect, a deadline, Cancel or a hard stop, with
-// the context's own error. When the body returns the derived context is
-// released, so a finished job does not stay registered with its parent.
-func (j *Job) run() {
-	stop := context.AfterFunc(j.ctx, func() { j.gate.Fail(j.ctx.Err()) })
-	defer func() {
-		if r := recover(); r != nil {
-			j.err = fmt.Errorf("serve: job panicked: %v", r)
-		}
-		stop()
-		j.cancel()
-		close(j.done)
-	}()
-	j.res, j.err = j.body(j.ctx, j.gate)
+	j := newJob(tenant, kind, ctx)
+	j.fork(nil, &unit{name: kind.String(), fn: func(ctx context.Context, gate *Gate) (err error) {
+		j.res, err = body(ctx, gate)
+		return err
+	}})
+	return j
 }
 
 // Done is closed when the job has finished (successfully or not).
 func (j *Job) Done() <-chan struct{} { return j.done }
 
-// Cancel aborts the job: its gate is poisoned, so it unwinds even if
+// Cancel aborts the job: its gates are poisoned, so it unwinds even if
 // currently descheduled.
 func (j *Job) Cancel() { j.cancel() }
 
@@ -131,23 +120,18 @@ func (j *Job) Preempts() int { return int(j.preempts.Load()) }
 var dispPool = sync.Pool{New: func() any { return new([]*media.Frame) }}
 
 // decodeFrames is the one decode body of the serving tier, shared by
-// decode jobs and the two-phase transcode reference: media's decoder as
-// a single checkpointed task. The decoder checkpoints at every frame
+// decode jobs and the two-phase transcode reference: media's decoder,
+// checkpointed on the calling unit. The decoder checkpoints at every frame
 // header, so preemption and cancellation land at frame boundaries. It
 // returns the display-order frames, every entry non-nil and drawn from
 // pool (the caller takes ownership; on failure they are already back in
 // the pool). putSlice returns the slice's backing storage to a shared
 // pool; call it once the frames have been consumed.
 func decodeFrames(ctx context.Context, gate *Gate, stream []byte, pool *media.SyncFramePool) (frames []*media.Frame, putSlice func(), err error) {
-	var res *media.DecodeResult
-	err = runTask(ctx, gate, "dec", func(checkpoint func() error) error {
-		var err error
-		res, err = media.DecodeWithOptions(stream, media.DecodeOptions{
-			NewFrame: pool.Get,
-			Recycle:  pool.Put,
-			OnFrame:  func(int) error { return checkpoint() },
-		})
-		return err
+	res, err := media.DecodeWithOptions(stream, media.DecodeOptions{
+		NewFrame: pool.Get,
+		Recycle:  pool.Put,
+		OnFrame:  func(int) error { return checkpoint(ctx, gate) },
 	})
 	if err != nil {
 		return nil, nil, err
@@ -220,32 +204,25 @@ func NewEncodeJob(ctx context.Context, tenant string, cfg media.CodecConfig, raw
 	}
 	frames := len(raw) / plane
 	body := func(ctx context.Context, gate *Gate) (Result, error) {
-		var (
-			stream []byte
-			stats  *media.EncodeStats
-		)
-		err := runTask(ctx, gate, "enc", func(checkpoint func() error) error {
-			se, err := media.NewStreamEncoder(cfg, frames)
-			if err != nil {
-				return err
+		se, err := media.NewStreamEncoder(cfg, frames)
+		if err != nil {
+			return Result{}, err
+		}
+		se.Recycle = pool.Put
+		for i := 0; i < frames; i++ {
+			if err := checkpoint(ctx, gate); err != nil {
+				se.Abort() // recycle frames buffered in the reorder window
+				return Result{}, err
 			}
-			se.Recycle = pool.Put
-			for i := 0; i < frames; i++ {
-				if err := checkpoint(); err != nil {
-					se.Abort() // recycle frames buffered in the reorder window
-					return err
-				}
-				f := pool.Get(cfg.W, cfg.H)
-				copy(f.Pix, raw[i*plane:(i+1)*plane])
-				if err := se.Push(f); err != nil {
-					pool.Put(f) // Push failed before taking custody
-					se.Abort()
-					return err
-				}
+			f := pool.Get(cfg.W, cfg.H)
+			copy(f.Pix, raw[i*plane:(i+1)*plane])
+			if err := se.Push(f); err != nil {
+				pool.Put(f) // Push failed before taking custody
+				se.Abort()
+				return Result{}, err
 			}
-			stream, stats, err = se.Close()
-			return err
-		})
+		}
+		stream, stats, err := se.Close()
 		if err != nil {
 			return Result{}, err
 		}

@@ -28,7 +28,7 @@ type Metrics struct {
 	// bounded-memory claim (spans × O(GOP M + reconstruction window), not
 	// O(frames)).
 	XcodePeakFrames atomic.Int64
-	// Nothing increments the two stall counters: a span task pushes each
+	// Nothing increments the two stall counters: a span unit pushes each
 	// frame straight into its encoder, so neither side ever waits on the
 	// other. They remain only because the benchmark rig still reads them.
 	XcodePushStalls atomic.Uint64
@@ -62,19 +62,18 @@ func NewMetrics() *Metrics { return &Metrics{Start: time.Now()} }
 
 // TenantSnapshot is one tenant's row in /varz and /metrics.
 type TenantSnapshot struct {
-	Name              string  `json:"name"`
-	Weight            int     `json:"weight"`
-	QueueCap          int     `json:"queue_cap"`
-	CacheMode         string  `json:"cache_mode"`
-	TranscodeSegments int     `json:"transcode_segments"`
-	QueueDepth        int     `json:"queue_depth"`
-	Admitted          int     `json:"admitted"`
-	Completed         uint64  `json:"completed"`
-	Errors            uint64  `json:"errors"`
-	Rejects           uint64  `json:"rejects"`
-	Preempts          uint64  `json:"preempts"`
-	ServiceSec        float64 `json:"service_sec"`
-	EwmaJobMs         float64 `json:"ewma_job_ms"`
+	Name       string  `json:"name"`
+	Weight     int     `json:"weight"`
+	QueueCap   int     `json:"queue_cap"`
+	CacheMode  string  `json:"cache_mode"`
+	QueueDepth int     `json:"queue_depth"`
+	Admitted   int     `json:"admitted"`
+	Completed  uint64  `json:"completed"`
+	Errors     uint64  `json:"errors"`
+	Rejects    uint64  `json:"rejects"`
+	Preempts   uint64  `json:"preempts"`
+	ServiceSec float64 `json:"service_sec"`
+	EwmaJobMs  float64 `json:"ewma_job_ms"`
 }
 
 // KindSnapshot is one job kind's latency/traffic row.
@@ -156,7 +155,7 @@ func (m *Metrics) WritePrometheus(w io.Writer, sched *Scheduler, poolRetained in
 	tenants := sched.SnapshotTenants()
 	sort.Slice(tenants, func(i, j int) bool { return tenants[i].Name < tenants[j].Name })
 	type ts = TenantSnapshot
-	metrics.GaugeVec(w, ns+"queue_depth", "Jobs waiting in the tenant queue.", "tenant", tenants, func(t ts) (string, int) { return t.Name, t.QueueDepth })
+	metrics.GaugeVec(w, ns+"queue_depth", "Units (jobs, or a transcode's scan and spans) waiting in the tenant queue.", "tenant", tenants, func(t ts) (string, int) { return t.Name, t.QueueDepth })
 	metrics.GaugeVec(w, ns+"tenant_admitted", "Jobs admitted and unfinished (waiting + running).", "tenant", tenants, func(t ts) (string, int) { return t.Name, t.Admitted })
 	metrics.CounterVec(w, ns+"tenant_completed_total", "Jobs finished successfully.", "tenant", tenants, func(t ts) (string, uint64) { return t.Name, t.Completed })
 	metrics.CounterVec(w, ns+"tenant_rejects_total", "Admission rejects per tenant.", "tenant", tenants, func(t ts) (string, uint64) { return t.Name, t.Rejects })

@@ -267,7 +267,7 @@ func TestColdTranscodeAllocBudget(t *testing.T) {
 		budget uint64
 	}{{1, 1390 << 10}, {2, 1523 << 10}} {
 		t.Run(spansName(tc.segs), func(t *testing.T) {
-			srv := New(Config{Workers: 1, CacheBytes: -1, TranscodeSegments: tc.segs})
+			srv := New(Config{Workers: tc.segs, CacheBytes: -1})
 			defer srv.Shutdown(context.Background())
 			w := &discardWriter{hdr: http.Header{}}
 			run := func(n int) {

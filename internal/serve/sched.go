@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 )
@@ -12,7 +11,9 @@ import (
 // Config parameterizes the serving subsystem.
 type Config struct {
 	// Workers is the size of the fixed executor pool — the software
-	// analogue of the instance's coprocessor set. Default 2.
+	// analogue of the instance's coprocessor set — and the one width:
+	// at most Workers units run at once, and a transcode splits into at
+	// most Workers spans. Default 2.
 	Workers int
 	// BaseSlice is the wall-clock budget of one scheduling slice for a
 	// weight-1 tenant (the Section 5.3 cycle budget, in time). A tenant
@@ -39,12 +40,6 @@ type Config struct {
 	// Content-addressed bytes never change, so the window bounds staleness
 	// of residency (liveness, eviction), not of content. Default 60s.
 	CacheMaxAge time.Duration
-	// TranscodeSegments is the default segment fan-out for transcode
-	// jobs: clips long enough and with usable closed-GOP cuts run as up
-	// to this many decode→encode span tasks in parallel and the
-	// bitstreams are stitched back together. 1 = one span (no index
-	// scan); 0 selects min(NumCPU, 8).
-	TranscodeSegments int
 	// Tenants pre-declares tenants with non-default weight or capacity.
 	Tenants []TenantConfig
 }
@@ -72,11 +67,10 @@ func (m CacheMode) String() string {
 // TenantConfig declares one tenant's scheduling parameters. Zero fields
 // follow the server-wide Config (see Config.resolve).
 type TenantConfig struct {
-	Name              string
-	Weight            int       // scheduling-slice multiplier; 0 → Config.DefaultWeight
-	QueueCap          int       // admission bound; 0 → Config.QueueCap
-	Cache             CacheMode // per-tenant result-cache override
-	TranscodeSegments int       // segment fan-out; 0 → Config.TranscodeSegments
+	Name     string
+	Weight   int       // scheduling-slice multiplier; 0 → Config.DefaultWeight
+	QueueCap int       // admission bound; 0 → Config.QueueCap
+	Cache    CacheMode // per-tenant result-cache override
 }
 
 // withDefaults fills zero fields.
@@ -105,12 +99,6 @@ func (c Config) withDefaults() Config {
 	if c.CacheMaxAge <= 0 {
 		c.CacheMaxAge = 60 * time.Second
 	}
-	if c.TranscodeSegments <= 0 {
-		c.TranscodeSegments = runtime.NumCPU()
-		if c.TranscodeSegments > 8 {
-			c.TranscodeSegments = 8
-		}
-	}
 	return c
 }
 
@@ -124,9 +112,6 @@ func (c Config) resolve(tc TenantConfig) TenantConfig {
 	}
 	if tc.QueueCap <= 0 {
 		tc.QueueCap = c.QueueCap
-	}
-	if tc.TranscodeSegments <= 0 {
-		tc.TranscodeSegments = c.TranscodeSegments
 	}
 	return tc
 }
@@ -159,8 +144,8 @@ const (
 type tenant struct {
 	cfg TenantConfig // resolved: no zero field left but Cache
 
-	q        []*Job // admitted, waiting (including preempted jobs)
-	admitted int    // waiting + running, not yet finished
+	q        []*unit // runnable units, waiting (including preempted ones)
+	admitted int     // jobs waiting + running, not yet finished
 
 	// Counters, guarded by the scheduler mutex.
 	rejects   uint64
@@ -171,12 +156,12 @@ type tenant struct {
 	ewmaJobNs float64 // smoothed per-job service time, for Retry-After
 }
 
-// Scheduler admits jobs into bounded per-tenant queues and executes them
-// on a fixed worker pool. Each worker independently runs a weighted
-// round-robin loop over the tenant table with per-job time-slice budgets
-// — the paper's distributed task scheduling (Section 5.3) with workers
-// in place of coprocessor shells and wall-clock budgets in place of
-// cycle budgets.
+// Scheduler admits jobs into bounded per-tenant queues and executes
+// their units on a fixed worker pool. Each worker independently runs a
+// weighted round-robin loop over the tenant table with per-unit
+// time-slice budgets — the paper's distributed task scheduling (Section
+// 5.3) with workers in place of coprocessor shells, units in place of
+// tasks and wall-clock budgets in place of cycle budgets.
 type Scheduler struct {
 	cfg Config
 	met *Metrics
@@ -219,27 +204,13 @@ func (s *Scheduler) tenantLocked(tc TenantConfig) *tenant {
 	return t
 }
 
-// paramsFor reports a tenant's effective parameters: its resolved
-// declaration if registered, else what an undeclared tenant would get.
-func (s *Scheduler) paramsFor(name string) TenantConfig {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if t, ok := s.byName[name]; ok {
-		return t.cfg
-	}
-	return s.cfg.resolve(TenantConfig{Name: name})
-}
-
 // DecodeWorkersFor returns 1: the decoder is serial. It exists only for
 // the benchmark rig.
 func (s *Scheduler) DecodeWorkersFor(string) int { return 1 }
 
-// TranscodeSegmentsFor reports the segment fan-out for a tenant's
-// transcode jobs: its declared value if pre-registered, else the config
-// default. 1 means one span.
-func (s *Scheduler) TranscodeSegmentsFor(name string) int {
-	return s.paramsFor(name).TranscodeSegments
-}
+// TranscodeSegmentsFor returns Workers, the span cap of every
+// transcode. It exists only for the benchmark rig.
+func (s *Scheduler) TranscodeSegmentsFor(string) int { return s.cfg.Workers }
 
 // EncodeWorkers returns 1: the encoder is serial. It exists only for
 // the benchmark rig.
@@ -249,7 +220,13 @@ func (s *Scheduler) EncodeWorkers() int { return 1 }
 // tenant's requests: the server-wide setting (CacheBytes > 0) unless
 // the tenant declared an explicit on/off override.
 func (s *Scheduler) CacheEnabledFor(name string) bool {
-	switch s.paramsFor(name).Cache {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var mode CacheMode // an undeclared tenant follows the server
+	if t, ok := s.byName[name]; ok {
+		mode = t.cfg.Cache
+	}
+	switch mode {
 	case CacheOn:
 		return true
 	case CacheOff:
@@ -258,10 +235,14 @@ func (s *Scheduler) CacheEnabledFor(name string) bool {
 	return s.cfg.CacheBytes > 0
 }
 
-// Submit admits a job or rejects it: ErrDraining during shutdown, or a
-// *QueueFullError when the tenant's bounded queue has no space. A
-// rejection is terminal for the job, so, like Job.run's end, it releases
-// the job's derived context.
+// Submit admits a job and queues its first units, or rejects it:
+// ErrDraining during shutdown, or a *QueueFullError when the tenant's
+// bounded queue has no space. A rejection is terminal for the job, so,
+// like the job's end, it releases the job's derived context. From
+// admission to its end, a dead context fails the job, poisoning every
+// gate, so a unit parked at a closed gate still unwinds on a client
+// disconnect, a deadline, Cancel or a hard stop, with the context's own
+// error.
 func (s *Scheduler) Submit(j *Job) error {
 	s.mu.Lock()
 	if s.state != stateRunning {
@@ -281,7 +262,9 @@ func (s *Scheduler) Submit(j *Job) error {
 	t.admitted++
 	s.admitted++
 	j.enq = time.Now()
-	t.q = append(t.q, j)
+	j.sched, j.row = s, t
+	j.stop = context.AfterFunc(j.ctx, func() { j.fail(j.ctx.Err()) })
+	t.q = append(t.q, j.units...)
 	s.mu.Unlock()
 	s.met.Requests[j.Kind].Add(1)
 	s.cond.Broadcast()
@@ -299,25 +282,42 @@ func (s *Scheduler) retryAfterLocked(t *tenant) time.Duration {
 	return est.Round(time.Second)
 }
 
+// publish queues a running job's next phase behind its tenant's other
+// work. After a hard stop no worker will run the units, so they are
+// abandoned instead.
+func (s *Scheduler) publish(us []*unit) {
+	s.mu.Lock()
+	if s.state == stateStopped {
+		s.mu.Unlock()
+		for _, u := range us {
+			s.abandon(u)
+		}
+		return
+	}
+	t := us[0].job.row
+	t.q = append(t.q, us...)
+	s.mu.Unlock()
+	s.cond.Broadcast()
+}
+
 // worker is one executor: repeatedly pick the next tenant in weighted
-// round-robin order, run its head job for one budget slice, then either
-// retire or preempt it.
+// round-robin order and run its head unit for one budget slice.
 func (s *Scheduler) worker(id int) {
 	defer s.workers.Done()
 	cursor := id // stagger the rotation start per worker
 	for {
-		j, t := s.next(&cursor)
-		if j == nil {
+		u := s.next(&cursor)
+		if u == nil {
 			return
 		}
-		s.runSlice(j, t)
+		s.runSlice(u)
 	}
 }
 
-// next blocks until a job is available (returning it and its tenant) or
-// the scheduler is done (nil). The cursor implements this worker's
-// round-robin position over the shared tenant table.
-func (s *Scheduler) next(cursor *int) (*Job, *tenant) {
+// next blocks until a unit is available (returning it) or the scheduler
+// is done (nil). The cursor implements this worker's round-robin
+// position over the shared tenant table.
+func (s *Scheduler) next(cursor *int) *unit {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
@@ -328,104 +328,105 @@ func (s *Scheduler) next(cursor *int) (*Job, *tenant) {
 					continue
 				}
 				*cursor = (*cursor + i + 1) % n
-				j := t.q[0]
+				u := t.q[0]
 				t.q[0] = nil
 				t.q = t.q[1:]
-				return j, t
+				return u
 			}
 		}
 		if s.state == stateStopped || (s.state == stateDraining && s.admitted == 0) {
-			return nil, nil
+			return nil
 		}
 		s.cond.Wait()
 	}
 }
 
-// runSlice executes one scheduling turn: open the job's gate for up to
-// weight×BaseSlice, then retire it (finished) or preempt it (gate
-// closed; the job parks at its next frame checkpoint and is requeued
-// behind its tenant's other work).
-func (s *Scheduler) runSlice(j *Job, t *tenant) {
-	budget := time.Duration(t.cfg.Weight) * s.cfg.BaseSlice
-	if !j.started {
-		j.started = true
-		j.firstRun = time.Now()
-		go j.run()
+// runSlice executes one scheduling turn: open the unit's gate for up to
+// weight×BaseSlice, then close it. The slice ends only once the unit has
+// parked at its next frame checkpoint or returned, so no more units run
+// at once than there are workers.
+func (s *Scheduler) runSlice(u *unit) {
+	budget := time.Duration(u.job.row.cfg.Weight) * s.cfg.BaseSlice
+	if !u.started {
+		u.started = true
+		go u.run()
 	}
 	sliceStart := time.Now()
-	j.gate.Open()
+	u.gate.Open()
 	timer := time.NewTimer(budget)
+	parked := false
 	select {
-	case <-j.done:
+	case <-u.done:
 		timer.Stop()
-		s.finish(j, t, time.Since(sliceStart))
 	case <-timer.C:
-		j.gate.Close()
+		u.gate.Close()
 		select {
-		case <-j.done: // finished right at the budget boundary
-			s.finish(j, t, time.Since(sliceStart))
-		default:
-			s.preempt(j, t, time.Since(sliceStart))
+		case <-u.done: // returned before its next checkpoint
+		case <-u.gate.parked:
+			parked = true
 		}
 	}
+	s.endSlice(u, time.Since(sliceStart), parked)
 }
 
-// finish retires a completed job: release its admission space, record
-// service and latency, and wake waiters (blocked submitters see space;
-// draining workers see the count drop).
-func (s *Scheduler) finish(j *Job, t *tenant, slice time.Duration) {
-	j.serviceNs += int64(slice)
-	latency := time.Since(j.enq)
-	_, jerr := j.Result()
-	s.met.Latency[j.Kind].Observe(latency)
-	if jerr != nil {
-		s.met.Errors[j.Kind].Add(1)
-	}
-
+// endSlice charges a slice to the unit's job and tenant. A parked unit
+// is preempted: requeued behind its tenant's other work, or abandoned if
+// the scheduler was hard-stopped meanwhile. A returned unit that ended
+// its job retires the job: release its admission space, record latency,
+// and wake waiters (blocked submitters see space; draining workers see
+// the count drop).
+func (s *Scheduler) endSlice(u *unit, slice time.Duration, parked bool) {
+	j, t := u.job, u.job.row
 	s.mu.Lock()
-	t.admitted--
-	s.admitted--
-	t.serviceNs += j.serviceNs
-	if jerr != nil {
-		t.errored++
-	} else {
-		t.completed++
-	}
-	const alpha = 0.3
-	if t.ewmaJobNs == 0 {
-		t.ewmaJobNs = float64(j.serviceNs)
-	} else {
-		t.ewmaJobNs = alpha*float64(j.serviceNs) + (1-alpha)*t.ewmaJobNs
-	}
-	s.mu.Unlock()
-	s.cond.Broadcast()
-}
-
-// preempt puts a budget-exhausted job back at the tail of its tenant's
-// queue. If the scheduler was hard-stopped meanwhile, the job is
-// cancelled and drained instead of requeued.
-func (s *Scheduler) preempt(j *Job, t *tenant, slice time.Duration) {
 	j.serviceNs += int64(slice)
-	j.preempts.Add(1)
-	s.mu.Lock()
-	if s.state == stateStopped {
+	t.serviceNs += int64(slice)
+	switch {
+	case parked && s.state == stateStopped:
 		s.mu.Unlock()
-		j.Cancel()
-		<-j.done
-		s.finish(j, t, 0)
+		s.abandon(u)
 		return
+	case parked:
+		j.preempts.Add(1)
+		t.preempts++
+		t.q = append(t.q, u)
+		s.met.Preemptions.Add(1)
+	case u.last:
+		t.admitted--
+		s.admitted--
+		if _, err := j.Result(); err != nil {
+			t.errored++
+			s.met.Errors[j.Kind].Add(1)
+		} else {
+			t.completed++
+		}
+		if t.ewmaJobNs == 0 {
+			t.ewmaJobNs = float64(j.serviceNs)
+		}
+		t.ewmaJobNs += 0.3 * (float64(j.serviceNs) - t.ewmaJobNs) // alpha 0.3
+		s.met.Latency[j.Kind].Observe(time.Since(j.enq))
 	}
-	t.preempts++
-	t.q = append(t.q, j)
 	s.mu.Unlock()
-	s.met.Preemptions.Add(1)
 	s.cond.Broadcast()
+}
+
+// abandon ends a unit no worker will run again: its job fails with
+// ErrDraining, a parked unit unwinds, and one that never started returns
+// at its gate without running its body.
+func (s *Scheduler) abandon(u *unit) {
+	u.job.fail(ErrDraining)
+	if !u.started {
+		u.started = true
+		u.run()
+	}
+	<-u.done
+	s.endSlice(u, 0, false)
 }
 
 // Drain stops admission and waits for in-flight and queued jobs to
-// complete. If ctx expires first, remaining queued jobs are failed,
-// running jobs are cancelled, and Drain returns ctx.Err(). Always stops
-// the worker pool before returning.
+// complete. If ctx expires first, every job with a queued unit fails
+// with ErrDraining, running units are abandoned at the end of their
+// slice, and Drain returns ctx.Err(). Always stops the worker pool
+// before returning.
 func (s *Scheduler) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	if s.state == stateRunning {
@@ -448,34 +449,21 @@ func (s *Scheduler) Drain(ctx context.Context) error {
 	case <-ctx.Done():
 	}
 
-	// Hard stop: fail everything still queued, cancel everything running.
+	// Hard stop: abandon everything still queued; running units are
+	// abandoned when their slice ends.
 	s.mu.Lock()
 	s.state = stateStopped
-	var orphans []*Job
+	var orphans []*unit
 	for _, t := range s.tenants {
-		for _, j := range t.q {
-			orphans = append(orphans, j)
-			t.admitted--
-			t.errored++
-			s.admitted--
-		}
+		orphans = append(orphans, t.q...)
 		t.q = nil
 	}
 	s.mu.Unlock()
 	s.cond.Broadcast()
-	for _, j := range orphans {
-		if j.started {
-			// Preempted mid-run: poison its gate; run() closes done.
-			j.Cancel()
-		} else {
-			// Never started: fail directly so its submitter unblocks.
-			j.err = ErrDraining
-			j.cancel()
-			close(j.done)
-		}
-		s.met.Errors[j.Kind].Add(1)
+	for _, u := range orphans {
+		s.abandon(u)
 	}
-	<-done // workers notice stateStopped (running jobs cancelled in preempt)
+	<-done
 	return ctx.Err()
 }
 
@@ -487,19 +475,18 @@ func (s *Scheduler) SnapshotTenants() []TenantSnapshot {
 	out := make([]TenantSnapshot, 0, len(s.tenants))
 	for _, t := range s.tenants {
 		out = append(out, TenantSnapshot{
-			Name:              t.cfg.Name,
-			Weight:            t.cfg.Weight,
-			QueueCap:          t.cfg.QueueCap,
-			CacheMode:         t.cfg.Cache.String(),
-			TranscodeSegments: t.cfg.TranscodeSegments,
-			QueueDepth:        len(t.q),
-			Admitted:          t.admitted,
-			Completed:         t.completed,
-			Errors:            t.errored,
-			Rejects:           t.rejects,
-			Preempts:          t.preempts,
-			ServiceSec:        float64(t.serviceNs) / 1e9,
-			EwmaJobMs:         t.ewmaJobNs / 1e6,
+			Name:       t.cfg.Name,
+			Weight:     t.cfg.Weight,
+			QueueCap:   t.cfg.QueueCap,
+			CacheMode:  t.cfg.Cache.String(),
+			QueueDepth: len(t.q),
+			Admitted:   t.admitted,
+			Completed:  t.completed,
+			Errors:     t.errored,
+			Rejects:    t.rejects,
+			Preempts:   t.preempts,
+			ServiceSec: float64(t.serviceNs) / 1e9,
+			EwmaJobMs:  t.ewmaJobNs / 1e6,
 		})
 	}
 	return out

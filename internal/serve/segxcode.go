@@ -19,31 +19,31 @@ const segMinFrames = 24
 // NewTranscodeJobSegmented builds the transcode job: it decodes a
 // bitstream and re-encodes it at quantizer q (TranscodeConfig: GOP
 // structure, dimensions and half-pel mode inherited from the source
-// sequence header) as one task per closed-GOP span of the clip. Each
-// task decodes its span (media.DecodeSegment) and pushes every display
+// sequence header) as one unit per closed-GOP span of the clip. Each
+// span decodes its frames (media.DecodeSegment) and pushes every display
 // frame synchronously into its own span encoder
 // (media.NewStreamEncoderSegment); the span at display 0 writes the
-// sequence header and media.StitchSegments appends the others' bits
-// onto it, so the output is byte-identical to decoding everything and
-// batch re-encoding.
+// sequence header, and the span that finishes last appends the others'
+// bits onto it (media.StitchSegments), so the output is byte-identical
+// to decoding everything and batch re-encoding.
 //
-// With segments > 1 on a clip of at least segMinFrames frames, one
-// checkpointed scan (media.IndexGOPs) finds the cuts closed on both the
-// decode and the re-encode side, and media.PartitionSegments splits the
-// clip into up to `segments` spans. Otherwise the clip is the one span
-// [0, Frames), decoded from right after the sequence header; so is a
-// clip whose GOP structure yields no interior cut (open GOPs: any N, M
-// with (N-1)%M != 0 and M > 1). The X-Transcode-Segments response header
-// reports the span count used.
+// segments caps the span count; the server passes Config.Workers. With
+// segments > 1 on a clip of at least segMinFrames frames, the job's
+// first unit is one checkpointed scan (media.IndexGOPs) that finds the
+// cuts closed on both the decode and the re-encode side, and
+// media.PartitionSegments splits the clip into up to `segments` spans.
+// Otherwise the clip is the one span [0, Frames), decoded from right
+// after the sequence header; so is a clip whose GOP structure yields no
+// interior cut (open GOPs: any N, M with (N-1)%M != 0 and M > 1). The
+// X-Transcode-Segments response header reports the span count used.
 //
-// Every task checkpoints once per frame, so preemption and cancellation
-// land at frame boundaries in every span at once, and a failing span
-// poisons the gate so its siblings unwind at their next checkpoint.
-// Frames are jointly owned (frameRefs) and pooled, so peak in-flight
-// memory is bounded by spans × O(GOP M), never O(frames). met, when
-// non-nil, receives the peak-in-flight gauge and the segment counters.
-// The two ints after pool are ignored; they exist only for the benchmark
-// rig.
+// Every span is a unit the scheduler runs on its own, checkpointing once
+// per frame, and a failing span fails the job so its siblings unwind at
+// their next checkpoint. Frames are jointly owned (frameRefs) and
+// pooled, so peak in-flight memory is bounded by spans × O(GOP M), never
+// O(frames). met, when non-nil, receives the peak-in-flight gauge and
+// the segment counters. The two ints after pool are ignored; they exist
+// only for the benchmark rig.
 func NewTranscodeJobSegmented(ctx context.Context, tenant string, stream []byte, q int, pool *media.SyncFramePool, _, _, segments int, met *Metrics) (*Job, error) {
 	r := media.NewBitReader(stream)
 	seq, err := media.ParseSeqHeader(r)
@@ -55,26 +55,15 @@ func NewTranscodeJobSegmented(ctx context.Context, tenant string, stream []byte,
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	body := func(ctx context.Context, gate *Gate) (Result, error) {
+	j := newJob(tenant, KindTranscode, ctx)
+	var ix *media.GOPIndex
+	forkSpans := func() error {
 		spans := [][2]int{{0, seq.Frames}}
 		frameBit := func(int) int { return firstFrameBit }
-		if segments > 1 && seq.Frames >= segMinFrames {
-			// One checkpointed scan of the bitstream builds the GOP index
-			// (frame bit offsets + closed-cut set) and validates the
-			// stream's structure before any pixel work starts.
-			var ix *media.GOPIndex
-			err := runTask(ctx, gate, "ix", func(checkpoint func() error) error {
-				var err error
-				ix, err = media.IndexGOPs(stream, func(int) error { return checkpoint() })
-				return err
-			})
-			if err != nil {
-				return Result{}, err
-			}
+		if ix != nil {
 			spans = media.PartitionSegments(seq.Frames, segments, ix.TranscodeCuts(cfg.GOPN, cfg.GOPM))
 			frameBit = ix.FrameBit
 		}
-
 		nseg := len(spans)
 		track := &inflightFrames{pool: pool}
 		refs := &frameRefs{n: make(map[*media.Frame]int)}
@@ -82,10 +71,10 @@ func NewTranscodeJobSegmented(ctx context.Context, tenant string, stream []byte,
 		writers := make([]*media.BitWriter, nseg)
 		bits := make([]int, nseg)
 		wall := make([]time.Duration, nseg)
-		tasks := make([]task, nseg)
+		units := make([]*unit, nseg)
 		for i, sp := range spans {
 			lo, hi := sp[0], sp[1]
-			tasks[i] = task{"seg" + strconv.Itoa(i), func(g *group) error {
+			units[i] = &unit{name: "seg" + strconv.Itoa(i), fn: func(ctx context.Context, gate *Gate) error {
 				enc, err := media.NewStreamEncoderSegment(cfg, seq.Frames, lo, hi)
 				if err != nil {
 					return err
@@ -95,7 +84,7 @@ func NewTranscodeJobSegmented(ctx context.Context, tenant string, stream []byte,
 				_, err = media.DecodeSegment(stream, frameBit(lo), lo, hi, media.DecodeOptions{
 					NewFrame: track.get,
 					Recycle:  track.put, // undelivered frames: decoder is sole owner
-					OnFrame:  func(int) error { return g.checkpoint() },
+					OnFrame:  func(int) error { return checkpoint(ctx, gate) },
 					OnDisplayFrame: func(_ int, f *media.Frame) error {
 						// Two stakes: the decoder keeps reading the frame as
 						// a prediction reference until Retire; the encoder's
@@ -121,36 +110,47 @@ func NewTranscodeJobSegmented(ctx context.Context, tenant string, stream []byte,
 				return nil
 			}}
 		}
-		err := runTasks(ctx, gate, tasks...)
-		if met != nil {
-			storeMax(&met.XcodePeakFrames, track.peak.Load())
+		stitch := func() error {
+			out := media.StitchSegments(writers)
+			totalBits := 0
+			for _, b := range bits {
+				totalBits += b
+			}
+			if met != nil {
+				storeMax(&met.XcodePeakFrames, track.peak.Load())
+				if nseg > 1 {
+					met.XcodeSegJobs.Add(1)
+					met.XcodeSegments.Add(uint64(nseg))
+					met.XcodeStitchBytes.Add(uint64(len(out)))
+					storeMax(&met.XcodeSegSkewNs, int64(slices.Max(wall)-slices.Min(wall)))
+				}
+			}
+			meta := seqMeta(seq, seq.Frames)
+			meta["X-Seq-Q"] = strconv.Itoa(q)
+			meta["X-Seq-Bits"] = strconv.Itoa(totalBits)
+			meta["X-Transcode-Peak-Frames"] = strconv.FormatInt(track.peak.Load(), 10)
+			meta["X-Transcode-Segments"] = strconv.Itoa(nseg)
+			j.res = Result{Body: out, Meta: meta}
+			return nil
 		}
-		if err != nil {
-			return Result{}, err
-		}
-
-		out := media.StitchSegments(writers)
-		totalBits := 0
-		for _, b := range bits {
-			totalBits += b
-		}
-		if met != nil && nseg > 1 {
-			met.XcodeSegJobs.Add(1)
-			met.XcodeSegments.Add(uint64(nseg))
-			met.XcodeStitchBytes.Add(uint64(len(out)))
-			storeMax(&met.XcodeSegSkewNs, int64(slices.Max(wall)-slices.Min(wall)))
-		}
-		meta := seqMeta(seq, seq.Frames)
-		meta["X-Seq-Q"] = strconv.Itoa(q)
-		meta["X-Seq-Bits"] = strconv.Itoa(totalBits)
-		meta["X-Transcode-Peak-Frames"] = strconv.FormatInt(track.peak.Load(), 10)
-		meta["X-Transcode-Segments"] = strconv.Itoa(nseg)
-		return Result{Body: out, Meta: meta}, nil
+		j.fork(stitch, units...)
+		return nil
 	}
-	return NewJob(tenant, KindTranscode, ctx, body), nil
+	if segments > 1 && seq.Frames >= segMinFrames {
+		// One checkpointed scan of the bitstream builds the GOP index
+		// (frame bit offsets + closed-cut set) and validates the
+		// stream's structure before any pixel work starts.
+		j.fork(forkSpans, &unit{name: "ix", fn: func(ctx context.Context, gate *Gate) (err error) {
+			ix, err = media.IndexGOPs(stream, func(int) error { return checkpoint(ctx, gate) })
+			return err
+		}})
+	} else {
+		forkSpans()
+	}
+	return j, nil
 }
 
-// frameRefs counts the joint owners of frames a span task hands from its
+// frameRefs counts the joint owners of frames a span unit hands from its
 // decoder to its encoder. A delivered frame has two stakes: the
 // decoder's (it may keep reading the frame as a motion-compensation
 // reference long after delivery; released by the Retire hook) and the

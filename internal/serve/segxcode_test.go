@@ -20,7 +20,7 @@ import (
 
 // newTranscodeJobTwoPhase is the test-only reference implementation:
 // fully decode into pooled display-order frames, then re-encode as a
-// single checkpointed task. It shares no code path with the span tasks
+// single checkpointed task. It shares no code path with the span units
 // past the codec itself, so it is the independent oracle the parity
 // tests and the parity fuzzers check the span engine against, and the
 // O(frames) baseline BenchmarkTranscode measures it against.
@@ -298,7 +298,7 @@ func TestTranscodeSegmentedFallback(t *testing.T) {
 
 // TestTranscodeSegmentedBoundedInflight runs a long clip as one span and
 // as several and asserts the peak in-flight frame count stays under
-// spans × (GOPM + 4): each span task holds at most its decoder's two
+// spans × (GOPM + 4): each span unit holds at most its decoder's two
 // references and the frame it is decoding, and its encoder's reorder
 // ring (GOPM+1) — the spans × O(GOP) memory claim, far below the clip
 // length.
@@ -383,7 +383,7 @@ func checkCancelNoLeak(t *testing.T, segs int) {
 }
 
 // TestTranscodeSegmentedPreemptParity runs the job under a 1ms slice so
-// the scheduler preempts every span task at frame boundaries repeatedly,
+// the scheduler preempts every span unit at frame boundaries repeatedly,
 // at one span and at several; output must stay byte-identical and the
 // pool must drain.
 func TestTranscodeSegmentedPreemptParity(t *testing.T) {

@@ -35,7 +35,7 @@ func testStream(t *testing.T, w, h, frames int, mut func(*media.CodecConfig)) ([
 
 // ctxGateBody adapts a plain loop body to the scheduler's contract: it
 // parks at the gate before every step. The job poisons its gate when its
-// context dies (Job.run), so a job parked at a closed gate still unwinds
+// context dies (Submit), so a job parked at a closed gate still unwinds
 // on Cancel / hard-stop.
 func ctxGateBody(step func() (bool, error)) func(ctx context.Context, gate *Gate) (Result, error) {
 	return func(ctx context.Context, gate *Gate) (Result, error) {

@@ -1,11 +1,12 @@
 // Package serve is the production media-serving subsystem: an HTTP
 // front end that admits decode / encode / transcode jobs into bounded
-// per-tenant queues and executes them as gated task groups under an
-// Eclipse-style scheduler (see DESIGN.md §"Serving" for the full
-// mapping). A job is coarse-grained software on general-purpose cores:
-// one decoder, one encoder, pause points once per frame — goroutines
-// that park at a frame checkpoint while the scheduler holds their job's
-// gate closed (tasks.go). The paper's application model, a Kahn graph of
+// per-tenant queues and executes their units under an Eclipse-style
+// scheduler (see DESIGN.md §"Serving" for the full mapping). A job is
+// coarse-grained software on general-purpose cores: one decoder, one
+// encoder, pause points once per frame. Its units — one for a decode or
+// an encode, the GOP-index scan and then one per span for a transcode —
+// are goroutines that park at a frame checkpoint while no worker holds
+// their gate open (tasks.go). The paper's application model, a Kahn graph of
 // tasks and FIFO streams, and its fine-grained six-task decode network
 // pay only where each stage is its own engine, so they live on the
 // simulator side (internal/kpn, root RunFunctionalDecode), and this
@@ -15,11 +16,12 @@
 //   - worker ⇔ coprocessor: a fixed pool of workers each runs a
 //     weighted round-robin loop over the tenant queues (Section 5.3's
 //     distributed task scheduling);
-//   - tenant queue ⇔ task-table row: the unit the round-robin rotates
-//     over, with a per-tenant weight;
-//   - time slice ⇔ cycle budget: a job runs for weight×BaseSlice of
+//   - unit ⇔ task, tenant queue ⇔ task-table row: the round-robin
+//     rotates over tenants, with a per-tenant weight, and hands out
+//     their queued units;
+//   - time slice ⇔ cycle budget: a unit runs for weight×BaseSlice of
 //     wall clock, then is preempted at its next frame checkpoint (gate)
-//     and requeued behind its tenant's other jobs;
+//     and requeued behind its tenant's other units;
 //   - 429 ⇔ GetSpace failure: admission is a bounded space claim; a
 //     full tenant queue rejects instead of buffering unboundedly, and
 //     the client retries later (Retry-After), exactly like a producer
@@ -431,8 +433,7 @@ func (s *Server) handleTranscode(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tenant := tenantOf(r)
-	j, err := NewTranscodeJobSegmented(ctx, tenant, body, q, s.pool, 1, 1,
-		s.sched.TranscodeSegmentsFor(tenant), s.met)
+	j, err := NewTranscodeJobSegmented(ctx, tenant, body, q, s.pool, 1, 1, s.cfg.Workers, s.met)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return

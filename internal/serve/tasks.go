@@ -7,44 +7,44 @@ import (
 	"time"
 )
 
-// Gate is a job's pause/resume throttle — the scheduler's slice-boundary
-// primitive. runSlice opens it for one budget slice and closes it at the
-// end; the job's tasks check it at their checkpoints (once per frame),
-// the software analogue of the coprocessor processing-step boundary
-// (paper Section 4.2): an Eclipse coprocessor can be switched to another
-// task only between processing steps, and a served job can be
-// descheduled only between frames. Closing the gate parks every task of
-// the job at its next checkpoint without unwinding the goroutines;
-// reopening resumes them in place.
-//
-// One Gate spans all of a job's sequential phases (index scan, then
-// span tasks; decode, then encode), so pausing and resuming act
-// on the whole job regardless of which phase is active. Fail poisons the
-// gate permanently: parked and future waiters return the error, letting
-// a cancelled or failed job unwind even while it is descheduled.
+// Gate is one unit's pause/resume throttle — the scheduler's
+// slice-boundary primitive. runSlice opens it for one budget slice and
+// closes it at the end; the unit checks it at its checkpoints (once per
+// frame), the software analogue of the coprocessor processing-step
+// boundary (paper Section 4.2): an Eclipse coprocessor can be switched
+// to another task only between processing steps, and a served unit can
+// be descheduled only between frames. Closing the gate parks the unit at
+// its next checkpoint without unwinding its goroutine, and the park ends
+// the slice; reopening resumes the unit in place. Fail poisons the gate
+// permanently, so a failed job unwinds even while it is descheduled.
 type Gate struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	open bool
-	err  error
+	mu     sync.Mutex
+	cond   *sync.Cond
+	open   bool
+	err    error
+	parked chan struct{} // holds a token while the unit waits at the closed gate
 }
 
-// newGate returns a closed gate; NewJob makes one per job.
+// newGate returns a closed gate; fork makes one per unit.
 func newGate() *Gate {
-	g := &Gate{}
+	g := &Gate{parked: make(chan struct{}, 1)}
 	g.cond = sync.NewCond(&g.mu)
 	return g
 }
 
-// Open resumes the job: parked tasks continue from their checkpoint.
+// Open resumes the unit: if parked, it continues from its checkpoint.
 func (g *Gate) Open() {
 	g.mu.Lock()
 	g.open = true
+	select {
+	case <-g.parked: // a park before this slice does not end it
+	default:
+	}
 	g.cond.Broadcast()
 	g.mu.Unlock()
 }
 
-// Close pauses the job at the next checkpoint of each task.
+// Close pauses the unit at its next checkpoint.
 func (g *Gate) Close() {
 	g.mu.Lock()
 	g.open = false
@@ -67,6 +67,10 @@ func (g *Gate) Fail(err error) {
 func (g *Gate) Wait() error {
 	g.mu.Lock()
 	for !g.open && g.err == nil {
+		select {
+		case g.parked <- struct{}{}:
+		default:
+		}
 		g.cond.Wait()
 	}
 	err := g.err
@@ -74,25 +78,9 @@ func (g *Gate) Wait() error {
 	return err
 }
 
-// task is one named body of a job phase.
-type task struct {
-	name string
-	fn   func(g *group) error
-}
-
-// group is what the tasks of one runTasks call share: the request's
-// context, the gate they park at, and the group's first failure.
-type group struct {
-	ctx  context.Context
-	gate *Gate
-
-	once sync.Once
-	err  error
-}
-
 // checkpoint marks a task-switch boundary: it parks while the scheduler
 // holds the gate closed and returns a non-nil error once the request is
-// dead or a sibling task has failed.
+// dead or a sibling unit has failed.
 //
 // checkpoint reads the request deadline off the clock as well as off the
 // context: a loop that never blocks never enters the Go scheduler, and
@@ -100,65 +88,113 @@ type group struct {
 // (at GOMAXPROCS=1, always) the context's own timer lags until sysmon's
 // 10 ms forced preemption — longer than most decodes take. The slice
 // budget rides the same timers and can be late by the same bound, which
-// lengthens a turn but breaks no contract. (runtime.Gosched here would
-// cover both, but queues the job behind every other job's runnable
-// goroutines at each frame.)
-func (g *group) checkpoint() error {
-	if deadline, timed := g.ctx.Deadline(); timed && !time.Now().Before(deadline) {
+// lengthens a turn but breaks no contract.
+func checkpoint(ctx context.Context, gate *Gate) error {
+	if deadline, timed := ctx.Deadline(); timed && !time.Now().Before(deadline) {
 		return context.DeadlineExceeded
 	}
-	if err := g.gate.Wait(); err != nil {
+	if err := gate.Wait(); err != nil {
 		return err
 	}
-	return g.ctx.Err()
+	return ctx.Err()
 }
 
-// fail records the group's first failure and poisons the gate, so every
-// sibling unwinds at its next checkpoint.
-func (g *group) fail(err error) {
-	g.once.Do(func() {
-		g.err = err
-		g.gate.Fail(err)
-	})
+// unit is what a worker runs: one body of a job on its own goroutine,
+// parked at its own gate whenever no worker holds it. A decode or an
+// encode is one unit; a transcode is its GOP-index scan, then one unit
+// per span. The body calls checkpoint once per frame.
+type unit struct {
+	job  *Job
+	name string
+	fn   func(ctx context.Context, gate *Gate) error
+	gate *Gate
+	done chan struct{} // closed once the unit has returned and retired
+
+	started bool // owned by the worker holding the unit
+	last    bool // the unit ended its job; written before done closes
 }
 
-// run executes one task; an error or a panic fails the group.
-func (g *group) run(t task) {
+// run is the unit's goroutine: wait for the first slice, run the body (a
+// failure or a panic fails the whole job), retire. A unit whose gate was
+// poisoned before its first slice never runs its body.
+func (u *unit) run() {
+	defer close(u.done)
+	err := u.gate.Wait()
+	if err == nil {
+		err = guard(u.name, func() error { return u.fn(u.job.ctx, u.gate) })
+	}
+	u.job.fail(err)
+	u.last = u.job.retire()
+}
+
+// guard runs fn and names its failure, a returned error or a panic.
+func guard(name string, fn func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			g.fail(fmt.Errorf("serve: task %s panicked: %v", t.name, r))
+			err = fmt.Errorf("serve: task %s panicked: %v", name, r)
 		}
 	}()
-	if err := t.fn(g); err != nil {
-		g.fail(fmt.Errorf("serve: task %s: %w", t.name, err))
+	if err = fn(); err != nil {
+		err = fmt.Errorf("serve: task %s: %w", name, err)
+	}
+	return err
+}
+
+// fork publishes units as the job's next phase: each is scheduled on its
+// own, and the one that retires last runs then (unless the job failed),
+// which may fork the following phase or set the job's result. Submit
+// queues the first phase; later ones go straight into the tenant queue.
+func (j *Job) fork(then func() error, us ...*unit) {
+	j.mu.Lock()
+	j.then = then
+	j.live += len(us)
+	for _, u := range us {
+		u.job, u.gate, u.done = j, newGate(), make(chan struct{})
+		u.gate.Fail(j.failed)
+		j.units = append(j.units, u)
+	}
+	j.mu.Unlock()
+	if j.sched != nil {
+		j.sched.publish(us)
 	}
 }
 
-// runTasks runs one phase of a job: the first task on the calling
-// goroutine (the job's own), the others beside it, all parking at gate
-// whenever the scheduler closes it. It returns once every task has, with
-// the first failure — a task's error or panic — wrapped with that task's
-// name. A dying request is such a failure too: the job poisons its gate
-// when its context dies (Job.run), so the first task to reach a
-// checkpoint reports the context's own error.
-func runTasks(ctx context.Context, gate *Gate, tasks ...task) error {
-	g := &group{ctx: ctx, gate: gate}
-	var wg sync.WaitGroup
-	for _, t := range tasks[1:] {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			g.run(t)
-		}()
+// fail records the job's first failure and poisons every unit's gate,
+// so all of them unwind at their next checkpoint. fail(nil) does nothing.
+func (j *Job) fail(err error) {
+	j.mu.Lock()
+	if j.failed == nil && err != nil {
+		j.failed = err
+		for _, u := range j.units {
+			u.gate.Fail(err)
+		}
 	}
-	g.run(tasks[0])
-	wg.Wait()
-	return g.err
+	j.mu.Unlock()
 }
 
-// runTask is runTasks for a job body that is a single loop over frames
-// (decode, encode, the GOP-index scan): fn calls checkpoint once per
-// frame.
-func runTask(ctx context.Context, gate *Gate, name string, fn func(checkpoint func() error) error) error {
-	return runTasks(ctx, gate, task{name, func(g *group) error { return fn(g.checkpoint) }})
+// retire counts a returned unit out of its phase. The last one runs the
+// phase's continuation, which holds the job open while it forks, and if
+// nothing further was forked, ends the job and releases its derived
+// context; retire reports whether it did.
+func (j *Job) retire() bool {
+	for {
+		j.mu.Lock()
+		if j.live--; j.live > 0 {
+			j.mu.Unlock()
+			return false
+		}
+		then := j.then
+		j.then = nil
+		if then == nil || j.failed != nil {
+			j.err = j.failed
+			j.mu.Unlock()
+			j.stop()
+			j.cancel()
+			close(j.done)
+			return true
+		}
+		j.live++
+		j.mu.Unlock()
+		j.fail(guard("job", then))
+	}
 }
