@@ -3,9 +3,9 @@
 #   make check   vet + build + full test suite + race-detector pass
 #   make lint    vet + gofmt formatting check (no test run)
 #   make vet     go vet for the host and again for GOARCH=arm64 and
-#                GOARCH=386, so the portable SAD and transform bodies
+#                GOARCH=386, so the portable SAD, transform and MC bodies
 #                behind !amd64 are compiled and vetted on every check (the
-#                amd64 pass runs asmdecl over the PSADBW and PMADDWD
+#                amd64 pass runs asmdecl over the PSADBW, PMADDWD and MC
 #                kernels' frame and argument sizes); then the media tests
 #                under GOARCH=386, whose binaries run on an amd64 host, so
 #                the portable bodies also run, golden hashes included, and
@@ -30,7 +30,9 @@
 #                    the PSADBW/SWAR SAD-kernel parity fuzzer and its
 #                    eight-candidate (search grid) counterpart,
 #                    the transform/matrix-product, SSE2-kernel/butterfly
-#                    and RLSQ scatter/three-step parity fuzzer and the
+#                    and RLSQ scatter/three-step parity fuzzer, the MC
+#                    kernel/Go-body and clamped-fetch/Frame.At parity
+#                    fuzzer and the
 #                    one-span and span-count span-engine/two-phase
 #                    transcode-parity fuzzers)
 #   make bench-smoke single-iteration run of every Go benchmark, so CI
@@ -80,6 +82,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzSADKernelParity -fuzztime=5s ./internal/media
 	$(GO) test -run=NONE -fuzz=FuzzSAD8Parity -fuzztime=5s ./internal/media
 	$(GO) test -run=NONE -fuzz=FuzzTransformParity -fuzztime=5s ./internal/media
+	$(GO) test -run=NONE -fuzz=FuzzMCKernelParity -fuzztime=5s ./internal/media
 	$(GO) test -run=NONE -fuzz=FuzzCacheKeyCanonical -fuzztime=5s ./internal/serve
 	$(GO) test -run=NONE -fuzz=FuzzTranscodeFusedParity -fuzztime=5s ./internal/serve
 	$(GO) test -run=NONE -fuzz=FuzzTranscodeSegmentedParity -fuzztime=5s ./internal/serve

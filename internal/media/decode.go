@@ -202,7 +202,7 @@ func decodeFrameBody(r *BitReader, seq *SeqHeader, hdr FrameHdr, refs *RefChain,
 		mvp         MVPredictor
 		tok         TokenMB // reused across macroblocks (arena)
 		coef, resid [BlocksPerMB]Block
-		pred, out   MBPixels
+		pred        MBPixels
 	)
 	for mby := 0; mby < seq.MBRows; mby++ {
 		mvp.RowStart()
@@ -217,8 +217,7 @@ func decodeFrameBody(r *BitReader, seq *SeqHeader, hdr FrameHdr, refs *RefChain,
 			IDCTMB(&coef, tok.CBP, &resid)
 			x, y := mbx*MBSize, mby*MBSize
 			PredictHP(&pred, dec.Mode, fwdRef, bwdRef, x, y, dec.FMV, dec.BMV, seq.HalfPel)
-			Reconstruct(&out, &pred, &resid)
-			frame.SetMB(mbx, mby, &out)
+			reconstruct(frame.Pix[y*frame.W+x:], frame.W, &pred, &resid)
 		}
 	}
 	return frame, r.Err()

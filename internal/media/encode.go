@@ -142,9 +142,7 @@ func (e *Encoder) encodeFrame(cur *Frame, ftype FrameType, tref int) *Frame {
 				panic(err) // encoder-produced tokens are always valid
 			}
 			IDCTMB(&coef, tok.CBP, &deq)
-			var out MBPixels
-			Reconstruct(&out, &predPix, &deq)
-			recon.SetMB(mbx, mby, &out)
+			reconstruct(recon.Pix[y*recon.W+x:], recon.W, &predPix, &deq)
 
 			EncodeMBSyntax(e.w, ftype, dec, &mvp, cbp, &qzz)
 		}

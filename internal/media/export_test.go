@@ -41,3 +41,6 @@ func (p *SyncFramePool) DoublePuts() uint64 {
 	defer p.mu.Unlock()
 	return p.doublePuts
 }
+
+// FetchMB is fetch, the edge-clamped 16×16 reference fetch.
+func FetchMB(dst *MBPixels, ref *Frame, x, y int) { fetch(dst, ref, x, y) }

@@ -187,20 +187,7 @@ func MotionSearch(cur *MBPixels, ref *Frame, x, y, r int) SearchResult {
 func searchClamped(cur *MBPixels, ref *Frame, wx, wy, r int) SearchResult {
 	var win [maxWindow * maxWindow]byte
 	n := MBSize + 2*r
-	// Columns [i0, i1) of the window are inside the frame; the macroblock
-	// itself is, so the span is never empty.
-	i0, i1 := max(-wx, 0), min(ref.W-wx, n)
-	for j := 0; j < n; j++ {
-		src := ref.Pix[min(max(wy+j, 0), ref.H-1)*ref.W:][:ref.W]
-		dst := win[j*n:][:n]
-		for i := 0; i < i0; i++ {
-			dst[i] = src[0]
-		}
-		copy(dst[i0:i1], src[wx+i0:])
-		for i := i1; i < n; i++ {
-			dst[i] = src[ref.W-1]
-		}
-	}
+	copyClamped(win[:n*n], n, ref, wx, wy)
 	return searchWindow(cur, win[:n*n], n, r)
 }
 
@@ -274,9 +261,7 @@ func PredictHP(pred *MBPixels, mode PredMode, fwd, bwd *Frame, x, y int, fmv, bm
 	}
 	switch mode {
 	case PredIntra:
-		for i := range pred {
-			pred[i] = 128
-		}
+		*pred = midGray
 	case PredFwd:
 		grab(pred, fwd, fmv)
 	case PredSkip:
@@ -284,12 +269,26 @@ func PredictHP(pred *MBPixels, mode PredMode, fwd, bwd *Frame, x, y int, fmv, bm
 	case PredBwd:
 		grab(pred, bwd, bmv)
 	case PredBi:
-		var a, b MBPixels
-		grab(&a, fwd, fmv)
+		var b MBPixels
+		grab(pred, fwd, fmv)
 		grab(&b, bwd, bmv)
-		for i := range pred {
-			pred[i] = byte((int(a[i]) + int(b[i]) + 1) / 2)
-		}
+		average(pred, pred, &b)
+	}
+}
+
+// midGray is the intra prediction, every sample 128.
+var midGray = func() (m MBPixels) {
+	for i := range m {
+		m[i] = 128
+	}
+	return m
+}()
+
+// averageGo is the portable body of average, the bi-predictive kernel:
+// dst = (a+b+1)>>1 per sample. dst may be a or b.
+func averageGo(dst, a, b *MBPixels) {
+	for i := range dst {
+		dst[i] = byte((int(a[i]) + int(b[i]) + 1) >> 1)
 	}
 }
 
@@ -396,19 +395,45 @@ func fetch(dst *MBPixels, ref *Frame, x, y int) {
 		}
 		return
 	}
-	for j := 0; j < MBSize; j++ {
-		for i := 0; i < MBSize; i++ {
-			dst[j*MBSize+i] = ref.At(x+i, y+j)
+	copyClamped(dst[:], MBSize, ref, x, y)
+}
+
+// copyClamped fills dst with the n×n region of ref at (x, y), edge
+// clamped as Frame.At clamps, a row at a time: each row's source row is
+// clamped once, columns left of the frame repeat its first pixel, the
+// in-frame columns [i0, i1) — none when the region lies wholly left or
+// right of the frame — are copied, and the rest repeat its last pixel.
+func copyClamped(dst []byte, n int, ref *Frame, x, y int) {
+	i0, i1 := min(max(-x, 0), n), max(min(ref.W-x, n), 0)
+	for j := 0; j < n; j++ {
+		src := ref.Pix[min(max(y+j, 0), ref.H-1)*ref.W:][:ref.W]
+		d := dst[j*n:][:n]
+		for i := 0; i < i0; i++ {
+			d[i] = src[0]
+		}
+		if i0 < i1 {
+			copy(d[i0:i1], src[x+i0:])
+		}
+		for i := i1; i < n; i++ {
+			d[i] = src[ref.W-1]
 		}
 	}
 }
 
-// FetchMB exposes clamped reference fetching for the MC coprocessor model.
-func FetchMB(dst *MBPixels, ref *Frame, x, y int) { fetch(dst, ref, x, y) }
-
 // Residual computes cur − pred into four 8×8 blocks in macroblock block
 // order (top-left, top-right, bottom-left, bottom-right).
-func Residual(cur, pred *MBPixels, blocks *[BlocksPerMB]Block) {
+func Residual(cur, pred *MBPixels, blocks *[BlocksPerMB]Block) { residual(cur, pred, blocks) }
+
+// Reconstruct computes clamp(pred + residual) into dst for the four 8×8
+// blocks of a macroblock, the final step of the MC stage. The decoder and
+// the encoder's reference reconstruction loop run its kernel,
+// reconstruct, straight into the frame.
+func Reconstruct(dst, pred *MBPixels, blocks *[BlocksPerMB]Block) {
+	reconstruct(dst[:], MBSize, pred, blocks)
+}
+
+// residualGo is the portable body of residual (see Residual).
+func residualGo(cur, pred *MBPixels, blocks *[BlocksPerMB]Block) {
 	for b := 0; b < BlocksPerMB; b++ {
 		bx, by := (b%2)*8, (b/2)*8
 		blk := &blocks[b]
@@ -424,17 +449,18 @@ func Residual(cur, pred *MBPixels, blocks *[BlocksPerMB]Block) {
 	}
 }
 
-// Reconstruct computes clamp(pred + residual) into dst for the four 8×8
-// blocks of a macroblock. It is the final step of both the decoder's MC
-// stage and the encoder's reference reconstruction loop.
-func Reconstruct(dst, pred *MBPixels, blocks *[BlocksPerMB]Block) {
+// reconstructGo is the portable body of reconstruct: Reconstruct into a
+// 16×16 block of dst whose row j starts at dst[j·stride], a macroblock
+// (stride MBSize) or a frame position.
+func reconstructGo(dst []byte, stride int, pred *MBPixels, blocks *[BlocksPerMB]Block) {
 	for b := 0; b < BlocksPerMB; b++ {
 		bx, by := (b%2)*8, (b/2)*8
 		blk := &blocks[b]
 		for j := 0; j < 8; j++ {
 			p := (by+j)*MBSize + bx
+			d := (by+j)*stride + bx
 			pr := pred[p : p+8 : p+8]
-			dr := dst[p : p+8 : p+8]
+			dr := dst[d : d+8 : d+8]
 			br := blk[j*8 : j*8+8 : j*8+8]
 			for i := 0; i < 8; i++ {
 				dr[i] = clampByte(int(pr[i]) + int(br[i]))

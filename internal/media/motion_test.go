@@ -465,10 +465,14 @@ func FuzzMotionSearchParity(f *testing.F) {
 }
 
 // TestMotionKernelsDoNotAllocate pins every scratch array handed to the
-// SAD kernels to the stack: the search grid's eight sums ([8]int32) and,
-// for border macroblocks, its clamped window copy; RefineHalfPel's and the
-// bi-directional SAD's predictions; IntraActivity's row (DecideMB); and
-// the exported SAD's clamped block. The search keeps no column sums.
+// SAD and MC kernels to the stack: the search grid's eight sums ([8]int32)
+// and, for border macroblocks, its clamped window copy; RefineHalfPel's
+// and the bi-directional SAD's predictions; IntraActivity's row
+// (DecideMB); the exported SAD's clamped block; and the MC kernels'
+// operands — Reconstruct, Residual, a full-pel bi-predictive PredictHP at
+// a border macroblock (its second reference block) and a forward one whose
+// vector points outside the frame (the clamped fetch). The search keeps
+// no column sums.
 func TestMotionKernelsDoNotAllocate(t *testing.T) {
 	cur, ref, bwd := randomFrame(176, 144, 13), randomFrame(176, 144, 14), randomFrame(176, 144, 15)
 	var mb MBPixels
@@ -500,6 +504,39 @@ func TestMotionKernelsDoNotAllocate(t *testing.T) {
 		benchSink += SAD(&mb, ref, 0, 8*MBSize, MV{-5, 3}, 1<<30)
 	}); n != 0 {
 		t.Errorf("SAD at an out-of-frame vector: %v allocs/op, want 0", n)
+	}
+	// Each operand is declared inside its closure, so an operand that
+	// escaped would be allocated on every call.
+	for _, c := range []struct {
+		name string
+		fn   func()
+	}{
+		{"Residual", func() {
+			var pred MBPixels
+			var blocks [BlocksPerMB]Block
+			Residual(&mb, &pred, &blocks)
+			benchSink += int(blocks[3][63])
+		}},
+		{"Reconstruct", func() {
+			var pred, out MBPixels
+			var blocks [BlocksPerMB]Block
+			Reconstruct(&out, &pred, &blocks)
+			benchSink += int(out[255])
+		}},
+		{"PredictHP bi at a border macroblock", func() {
+			var pred MBPixels
+			PredictHP(&pred, PredBi, ref, bwd, 0, 8*MBSize, MV{-3, 2}, MV{4, 5}, false)
+			benchSink += int(pred[0])
+		}},
+		{"PredictHP fwd at an out-of-frame vector", func() {
+			var pred MBPixels
+			PredictHP(&pred, PredFwd, ref, bwd, 0, 8*MBSize, MV{-20, 9}, MV{}, false)
+			benchSink += int(pred[0])
+		}},
+	} {
+		if n := testing.AllocsPerRun(10, c.fn); n != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", c.name, n)
+		}
 	}
 }
 
