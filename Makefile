@@ -1,6 +1,7 @@
 # Eclipse reproduction — build / verify / bench entry points.
 #
-#   make check   vet + build + full test suite + race-detector pass
+#   make check   vet + build + full test suite + race-detector pass +
+#                the assembly mutation check
 #   make lint    vet + gofmt formatting check (no test run)
 #   make vet     go vet for the host and again for GOARCH=arm64 and
 #                GOARCH=386, so the portable SAD, transform and MC bodies
@@ -35,6 +36,13 @@
 #                    fuzzer and the
 #                    one-span and span-count span-engine/two-phase
 #                    transcode-parity fuzzers)
+#   make mutate  applies each mutation listed in
+#                internal/media/testdata/asm_mutations.txt (the SSE2
+#                kernels and their //go:noescape directives) to a temporary
+#                copy of the module, one at a time, and runs the test named
+#                beside it, which must fail; a comment-only control must
+#                pass, and an entry whose old text does not occur exactly
+#                once fails the run (about a minute; not part of tier-1)
 #   make bench-smoke single-iteration run of every Go benchmark, so CI
 #                    catches harness breakage cheaply
 #   make bench   every Go benchmark with allocation stats, for local
@@ -46,9 +54,9 @@
 
 GO ?= go
 
-.PHONY: check lint vet build test race fuzz-smoke bench-smoke bench experiments
+.PHONY: check lint vet build test race fuzz-smoke mutate bench-smoke bench experiments
 
-check: vet build test race
+check: vet build test race mutate
 
 lint: vet
 	@unformatted=$$(gofmt -l .); \
@@ -86,6 +94,9 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzCacheKeyCanonical -fuzztime=5s ./internal/serve
 	$(GO) test -run=NONE -fuzz=FuzzTranscodeFusedParity -fuzztime=5s ./internal/serve
 	$(GO) test -run=NONE -fuzz=FuzzTranscodeSegmentedParity -fuzztime=5s ./internal/serve
+
+mutate:
+	sh internal/media/testdata/mutate.sh
 
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...

@@ -187,7 +187,7 @@ func BenchmarkIDCT(b *testing.B) {
 		}
 	})
 	b.Run("coded", func(b *testing.B) {
-		blocks := loadCodedClip(b).coefBlocks(b)
+		blocks := loadCodedClip(b).coef
 		var out Block
 		b.ReportAllocs()
 		b.ResetTimer()

@@ -148,9 +148,6 @@ func (r *BitReader) Err() error { return r.err }
 // BitPos returns the current position in bits from the stream start.
 func (r *BitReader) BitPos() int { return r.pos }
 
-// Remaining returns the number of unread bits.
-func (r *BitReader) Remaining() int { return len(r.buf)*8 - r.pos }
-
 func (r *BitReader) fail() uint32 {
 	if r.err == nil {
 		r.err = fmt.Errorf("%w: read past end at bit %d", ErrBitstream, r.pos)

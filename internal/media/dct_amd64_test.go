@@ -27,53 +27,53 @@ func rowPassFits(src *Block, forward bool) bool {
 	return true
 }
 
-// garbageBlock prefills the kernel's dst, so that a declined block that
-// wrote anything shows.
-var garbageBlock = func() (g Block) {
-	for i := range g {
-		g[i] = int16(i*7919 - 12345)
+// dct2dShipped is dct2dSSE2 under the table of each direction.
+func dct2dShipped(src, dst *Block, forward bool) bool {
+	if forward {
+		return dct2dSSE2(src, dst, &fdctPass)
 	}
-	return g
-}()
+	return dct2dSSE2(src, dst, &idctPass)
+}
 
-// kernelMismatch runs dct2dSSE2 on b with both tables, into a prefilled
-// dst and in place, and describes the first breach of its contract, or
-// returns "": the verdict is rowPassFits, an accepted block's output is
-// the Go body's, and a declined block leaves dst as it was.
-func kernelMismatch(b *Block) string {
-	for _, k := range []struct {
-		name    string
-		m       *dctPassTab
-		body    func(src, dst *Block)
-		forward bool
-	}{
-		{"IDCT", &idctPass, idctGo, false},
-		{"FDCT", &fdctPass, fdctGo, true},
-	} {
-		fits := rowPassFits(b, k.forward)
-		got := garbageBlock
-		ok := dct2dSSE2(b, &got, k.m)
-		inPlace := *b
-		okInPlace := dct2dSSE2(&inPlace, &inPlace, k.m)
-		var want Block
-		k.body(b, &want)
-		wantInPlace := want
-		if !fits {
-			want, wantInPlace = garbageBlock, *b
-		}
-		switch {
-		case ok != fits:
-			return fmt.Sprintf("%s kernel on %v: accepted = %v, row pass fits int16 = %v", k.name, *b, ok, fits)
-		case okInPlace != ok:
-			return fmt.Sprintf("%s kernel on %v: accepted = %v, in place %v", k.name, *b, ok, okInPlace)
-		case got != want:
-			return fmt.Sprintf("%s kernel on %v (accepted %v) left dst %v, want %v", k.name, *b, ok, got, want)
-		case inPlace != wantInPlace:
-			return fmt.Sprintf("%s kernel in place on %v (accepted %v) left %v, want %v", k.name, *b, ok, inPlace, wantInPlace)
+// dctButterflies runs the Go body of one direction on a copy of src, so
+// that dst may be src.
+func dctButterflies(src, dst *Block, forward bool) {
+	s := *src
+	if forward {
+		fdctGo(&s, dst)
+	} else {
+		idctGo(&s, dst)
+	}
+}
+
+// dct2dModel is the kernel's Go model and oracle: decline, leaving dst
+// alone, when a row-pass output leaves int16; else the Go body.
+func dct2dModel(src, dst *Block, forward bool) bool {
+	if !rowPassFits(src, forward) {
+		return false
+	}
+	dctButterflies(src, dst, forward)
+	return true
+}
+
+// dct2dMismatch runs k and the model on b under both tables, into a
+// prefilled dst and in place.
+func dct2dMismatch(k dctKernel, b *Block) string {
+	for _, forward := range []bool{false, true} {
+		got, want := garbageBlock, garbageBlock
+		ok, fits := k(b, &got, forward), dct2dModel(b, &want, forward)
+		gotIn, wantIn := *b, *b
+		okIn := k(&gotIn, &gotIn, forward)
+		dct2dModel(&wantIn, &wantIn, forward)
+		if ok != fits || okIn != fits || got != want || gotIn != wantIn {
+			return fmt.Sprintf("forward %v on %v: accepted %v (in place %v), dst %v (in place %v); model accepted %v, dst %v (in place %v)",
+				forward, *b, ok, okIn, got, gotIn, fits, want, wantIn)
 		}
 	}
 	return ""
 }
+
+func init() { dct2dFuzz = func(b *Block) string { return dct2dMismatch(dct2dShipped, b) } }
 
 // boundaryBlock returns a block whose only nonzero row, row r, gives
 // row-pass output j the value target under the inverse (M = dctTab) or
@@ -82,12 +82,11 @@ func kernelMismatch(b *Block) string {
 // and its largest weight is stepped until the rounded sum is exact; a
 // step moves the sum by at most 2048, half the rounding window.
 func boundaryBlock(forward bool, r, j int, target int32) Block {
-	w := func(k int) int32 {
-		if forward {
-			return dctTab[j][k]
-		}
-		return dctTab[k][j]
+	m := &dctTab
+	if forward {
+		m = &dctTabT
 	}
+	w := func(k int) int32 { return m[k][j] }
 	var b Block
 	row := b[r*8 : r*8+8]
 	kmax := 0
@@ -117,17 +116,24 @@ func boundaryBlock(forward bool, r, j int, target int32) Block {
 	}
 }
 
-// TestDCT2DMatchesButterflies holds the SSE2 kernel to its contract
-// (kernelMismatch) under both tables over transformBlocks, BenchmarkIDCT's
-// blocks, dense blocks at three amplitudes and blocks whose one extreme
-// row-pass output is exactly 32767, 32768, −32768 or −32769. Every coded block of the Fig. 10 clip and
-// every residual-range block must be accepted, so a kernel that declines
-// everything fails here too.
-func TestDCT2DMatchesButterflies(t *testing.T) {
-	blocks, coded := transformBlocks(t)
+// dct2dContract's inputs are transformBlocks, BenchmarkIDCT's blocks,
+// dense blocks at three amplitudes, residual-range blocks and blocks whose
+// one extreme row-pass output is 32767, 32768, −32768 or −32769. Coded and
+// residual-range blocks must be accepted, so a kernel that declines
+// everything fails too.
+func dct2dContract(t *testing.T) *contract[dctKernel] {
 	dense, declined := idctBenchBlocks()
-	blocks = append(blocks, dense, declined)
-	blocks = append(blocks, coded...)
+	blocks := append(transformBlocks(t), dense, declined)
+	var out Block
+	if dct2dSSE2(&declined, &out, &idctPass) {
+		t.Error("BenchmarkIDCT/declined's block is accepted")
+	}
+	coded := loadCodedClip(t).coef
+	for i := range coded {
+		if !dct2dSSE2(&coded[i], &out, &idctPass) {
+			t.Fatalf("coded block %d of %d declined: %v", i, len(coded), coded[i])
+		}
+	}
 	// transformBlocks' dense blocks span all of int16 and are nearly all
 	// declined; these are dense blocks on both sides of the verdict.
 	rng := rand.New(rand.NewSource(35))
@@ -140,6 +146,16 @@ func TestDCT2DMatchesButterflies(t *testing.T) {
 			blocks = append(blocks, b)
 		}
 	}
+	for trial := 0; trial < 1000; trial++ {
+		var b Block
+		for i := range b {
+			b[i] = int16(rng.Intn(512) - 256)
+		}
+		if !dct2dSSE2(&b, &out, &fdctPass) {
+			t.Fatalf("residual block %v declined by the forward table", b)
+		}
+		blocks = append(blocks, b)
+	}
 	for _, forward := range []bool{false, true} {
 		for _, j := range []int{0, 3, 7} {
 			for _, target := range []int32{32767, 32768, -32768, -32769} {
@@ -151,28 +167,25 @@ func TestDCT2DMatchesButterflies(t *testing.T) {
 			}
 		}
 	}
-	for i := range blocks {
-		if msg := kernelMismatch(&blocks[i]); msg != "" {
-			t.Fatalf("block %d: %s", i, msg)
-		}
+	neverDeclines := func(src, dst *Block, forward bool) bool {
+		dctButterflies(src, dst, forward)
+		return true
 	}
-
-	var out Block
-	if dct2dSSE2(&declined, &out, &idctPass) {
-		t.Error("BenchmarkIDCT/declined's block is accepted")
+	writesOnDecline := func(src, dst *Block, forward bool) bool {
+		fits := rowPassFits(src, forward)
+		dctButterflies(src, dst, forward)
+		return fits
 	}
-	for i := range coded {
-		if !dct2dSSE2(&coded[i], &out, &idctPass) {
-			t.Fatalf("coded block %d of %d declined: %v", i, len(coded), coded[i])
-		}
-	}
-	for trial := 0; trial < 1000; trial++ {
-		var b Block
-		for i := range b {
-			b[i] = int16(rng.Intn(512) - 256)
-		}
-		if !dct2dSSE2(&b, &out, &fdctPass) {
-			t.Fatalf("residual block %v declined by the forward table", b)
-		}
+	return &contract[dctKernel]{
+		n:        len(blocks),
+		mismatch: func(k dctKernel, i int) string { return dct2dMismatch(k, &blocks[i]) },
+		kernel:   dct2dShipped,
+		oracle:   dct2dModel,
+		faults: []fault[dctKernel]{
+			{"a kernel that never declines", neverDeclines},
+			{"a kernel that writes dst when it declines", writesOnDecline},
+		},
 	}
 }
+
+func TestDCT2DMatchesButterflies(t *testing.T) { dct2dContract(t).verify(t) }

@@ -1,8 +1,6 @@
 package media
 
 import (
-	"encoding/binary"
-	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -255,171 +253,6 @@ func TestClamp16(t *testing.T) {
 	}
 }
 
-// idctMatrix and fdctMatrix are the reference model: the transforms as
-// the plain 8×8 matrix product they were before the partial butterflies,
-// every pass an 8-tap int32 dot product over dctTab with the same
-// rounding and final clamp.
-func idctMatrix(src, dst *Block) {
-	var tmp [64]int32
-	for v := 0; v < 8; v++ {
-		for x := 0; x < 8; x++ {
-			var s int32
-			for u := 0; u < 8; u++ {
-				s += int32(src[v*8+u]) * dctTab[u][x]
-			}
-			tmp[v*8+x] = (s + fixRound) >> 12
-		}
-	}
-	for x := 0; x < 8; x++ {
-		for y := 0; y < 8; y++ {
-			var s int32
-			for v := 0; v < 8; v++ {
-				s += tmp[v*8+x] * dctTab[v][y]
-			}
-			dst[y*8+x] = clamp16((s + fixRound) >> 12)
-		}
-	}
-}
-
-func fdctMatrix(src, dst *Block) {
-	var tmp [64]int32
-	for y := 0; y < 8; y++ {
-		for u := 0; u < 8; u++ {
-			var s int32
-			for x := 0; x < 8; x++ {
-				s += int32(src[y*8+x]) * dctTab[u][x]
-			}
-			tmp[y*8+u] = (s + fixRound) >> 12
-		}
-	}
-	for u := 0; u < 8; u++ {
-		for v := 0; v < 8; v++ {
-			var s int32
-			for y := 0; y < 8; y++ {
-				s += tmp[y*8+u] * dctTab[v][y]
-			}
-			dst[v*8+u] = clamp16((s + fixRound) >> 12)
-		}
-	}
-}
-
-// transformMismatch runs both transforms and their matrix references on
-// b and describes the first disagreement, or returns "".
-func transformMismatch(b *Block) string {
-	var got, want Block
-	IDCT(b, &got)
-	idctMatrix(b, &want)
-	if got != want {
-		return fmt.Sprintf("IDCT(%v) = %v, matrix product %v", *b, got, want)
-	}
-	FDCT(b, &got)
-	fdctMatrix(b, &want)
-	if got != want {
-		return fmt.Sprintf("FDCT(%v) = %v, matrix product %v", *b, got, want)
-	}
-	return ""
-}
-
-// codedClip is one decode's worth of RLSQ input: the run/level events of
-// every coded block of the Fig. 10 clip (QCIF, 12 frames, N=12 M=3) in
-// stream order, and the sequence quantizer.
-type codedClip struct {
-	q      int
-	events [][]RunLevel
-}
-
-func loadCodedClip(tb testing.TB) codedClip {
-	tb.Helper()
-	vld := NewStreamVLD()
-	vld.Extend(goldenStream(tb))
-	var clip codedClip
-	for {
-		ev, err := vld.Next()
-		if err != nil {
-			tb.Fatalf("at %s: %v", vld.Progress(), err)
-		}
-		switch ev.Kind {
-		case EventSeq:
-			clip.q = ev.Seq.Q
-		case EventMB:
-			for b := 0; b < BlocksPerMB; b++ {
-				if ev.Tok.CBP&(1<<b) != 0 {
-					clip.events = append(clip.events, append([]RunLevel(nil), ev.Tok.Events[b]...))
-				}
-			}
-		case EventEnd:
-			return clip
-		}
-	}
-}
-
-// coefBlocks returns the dequantized coefficient blocks the decoder feeds
-// the IDCT, one per coded block.
-func (c codedClip) coefBlocks(tb testing.TB) []Block {
-	tb.Helper()
-	blocks := make([]Block, len(c.events))
-	for i, ev := range c.events {
-		if err := RLSQTokensToCoef(ev, c.q, &blocks[i]); err != nil {
-			tb.Fatalf("coded block %d: %v", i, err)
-		}
-	}
-	return blocks
-}
-
-// transformBlocks returns the block set of the transform parity tests:
-// edge-case blocks (zero, DC-only, every single-coefficient block at ±1,
-// 32767 and −32768), random dense blocks over the whole int16 range (the
-// largest sums either transform can form) and random sparse blocks; and,
-// apart, every coded block of the Fig. 10 clip.
-func transformBlocks(tb testing.TB) (blocks, coded []Block) {
-	tb.Helper()
-	blocks = append(blocks, Block{})
-	for _, dc := range []int16{1, -1, 255, -256, 32767, -32768} {
-		blocks = append(blocks, Block{dc})
-	}
-	for i := 0; i < 64; i++ {
-		for _, c := range []int16{1, -1, 32767, -32768} {
-			var b Block
-			b[i] = c
-			blocks = append(blocks, b)
-		}
-	}
-	rng := rand.New(rand.NewSource(27))
-	for trial := 0; trial < 2000; trial++ {
-		var b Block
-		for i := range b {
-			b[i] = int16(rng.Uint32())
-		}
-		blocks = append(blocks, b)
-	}
-	for trial := 0; trial < 2000; trial++ {
-		var b Block
-		for n := rng.Intn(8); n >= 0; n-- {
-			b[rng.Intn(64)] = int16(rng.Intn(2048) - 1024)
-		}
-		blocks = append(blocks, b)
-	}
-	clip := loadCodedClip(tb)
-	coded = clip.coefBlocks(tb)
-	if len(coded) == 0 {
-		tb.Fatal("clip has no coded blocks")
-	}
-	return blocks, coded
-}
-
-// TestTransformsMatchMatrixProduct is the exactness property: IDCT and
-// FDCT return the matrix product's block, bit for bit, on every block of
-// transformBlocks, coded blocks included.
-func TestTransformsMatchMatrixProduct(t *testing.T) {
-	blocks, coded := transformBlocks(t)
-	blocks = append(blocks, coded...)
-	for i := range blocks {
-		if msg := transformMismatch(&blocks[i]); msg != "" {
-			t.Fatalf("block %d: %s", i, msg)
-		}
-	}
-}
-
 // TestTransformsDoNotAllocate pins the transforms and the per-macroblock
 // stages built on them at zero allocations. On amd64 this rests on
 // dct2dSSE2's //go:noescape: without it every block handed to the kernel
@@ -430,10 +263,7 @@ func TestTransformsDoNotAllocate(t *testing.T) {
 		mb[b][0], mb[b][9], mb[b][63] = int16(40*b-100), -37, 5
 	}
 	var sink int16
-	for _, c := range []struct {
-		name string
-		f    func()
-	}{
+	checkZeroAllocs(t, []allocCase{
 		{"IDCT", func() {
 			in := mb[0]
 			var out Block
@@ -457,11 +287,7 @@ func TestTransformsDoNotAllocate(t *testing.T) {
 			qzz, _, _ := TransformMB(&in, false, 4)
 			sink += qzz[0][0]
 		}},
-	} {
-		if n := testing.AllocsPerRun(100, c.f); n != 0 {
-			t.Errorf("%s: %v allocs/op, want 0", c.name, n)
-		}
-	}
+	})
 }
 
 // TestDCTBasisSymmetry pins the symmetries of the rounded basis that the
@@ -485,42 +311,4 @@ func TestDCTBasisSymmetry(t *testing.T) {
 			}
 		}
 	}
-}
-
-// FuzzTransformParity reads 128 fuzz bytes as one little-endian block
-// (short input is zero-padded, so sparse blocks are easy to reach) and
-// checks both transforms against the matrix product, and on amd64 the
-// SSE2 kernel's verdict and output against the Go bodies (kernelMismatch).
-// Its second arm reads
-// the same bytes as run/level events and checks RLSQTokensToCoef against
-// the three-step reference.
-func FuzzTransformParity(f *testing.F) {
-	f.Add(uint8(5), []byte{})
-	f.Add(uint8(0), []byte{0x00, 0x80})
-	f.Add(uint8(30), []byte{0xff, 0x7f, 0x01, 0x00, 0x00, 0x80, 0x03, 0x00, 0xfe, 0xff})
-	f.Add(uint8(12), []byte("eclipse dct coprocessor butterflies"))
-	f.Fuzz(func(t *testing.T, q uint8, data []byte) {
-		var buf [128]byte
-		copy(buf[:], data)
-		var b Block
-		for i := range b {
-			b[i] = int16(binary.LittleEndian.Uint16(buf[2*i:]))
-		}
-		if msg := transformMismatch(&b); msg != "" {
-			t.Fatal(msg)
-		}
-		if msg := kernelMismatch(&b); msg != "" {
-			t.Fatal(msg)
-		}
-		// Event i: a signed run from byte 4i, a 24-bit signed level from
-		// bytes 4i+1..4i+3 (outside int16, to reach the truncation).
-		events := make([]RunLevel, 0, len(data)/4)
-		for i := 0; i+4 <= len(data); i += 4 {
-			lvl := int32(binary.LittleEndian.Uint32(data[i:])) >> 8
-			events = append(events, RunLevel{Run: int(int8(data[i])), Level: lvl})
-		}
-		if msg := rlsqMismatch(events, int(q%31)+1); msg != "" {
-			t.Fatal(msg)
-		}
-	})
 }

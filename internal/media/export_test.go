@@ -1,5 +1,7 @@
 package media
 
+import "slices"
+
 // Accessors and allocating convenience forms that only this package's
 // tests call.
 
@@ -42,5 +44,8 @@ func (p *SyncFramePool) DoublePuts() uint64 {
 	return p.doublePuts
 }
 
-// FetchMB is fetch, the edge-clamped 16×16 reference fetch.
-func FetchMB(dst *MBPixels, ref *Frame, x, y int) { fetch(dst, ref, x, y) }
+// Remaining returns the number of unread bits.
+func (r *BitReader) Remaining() int { return len(r.buf)*8 - r.pos }
+
+// Clone returns a deep copy of the frame.
+func (f *Frame) Clone() *Frame { return &Frame{W: f.W, H: f.H, Pix: slices.Clone(f.Pix)} }

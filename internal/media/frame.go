@@ -50,13 +50,6 @@ func NewFrame(w, h int) *Frame {
 	return &Frame{W: w, H: h, Pix: make([]byte, w*h)}
 }
 
-// Clone returns a deep copy of the frame.
-func (f *Frame) Clone() *Frame {
-	g := &Frame{W: f.W, H: f.H, Pix: make([]byte, len(f.Pix))}
-	copy(g.Pix, f.Pix)
-	return g
-}
-
 // MBCols returns the number of macroblock columns.
 func (f *Frame) MBCols() int { return f.W / MBSize }
 

@@ -10,7 +10,7 @@ func TestFetchHalfIntegerPositionsMatchFetch(t *testing.T) {
 	var a, b MBPixels
 	for _, pos := range [][2]int{{0, 0}, {16, 8}, {-4, 60}} {
 		fetchHalf(&a, ref, 2*pos[0], 2*pos[1])
-		FetchMB(&b, ref, pos[0], pos[1])
+		fetch(&b, ref, pos[0], pos[1])
 		if a != b {
 			t.Fatalf("integer half-pel position %v differs from full-pel fetch", pos)
 		}

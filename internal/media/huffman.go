@@ -232,13 +232,6 @@ func (t *HuffTable) lookup(w uint64) (sym int, n uint) {
 	return int(e >> 8), uint(e & 0xff)
 }
 
-// Code returns the code for a symbol. A zero-length code means the symbol
-// cannot be encoded with this table.
-func (t *HuffTable) Code(sym int) HuffCode { return t.codes[sym] }
-
-// MaxLen returns the longest code length in bits.
-func (t *HuffTable) MaxLen() uint8 { return t.maxLen }
-
 // Encode appends the symbol's code to the bit writer.
 func (t *HuffTable) Encode(w *BitWriter, sym int) {
 	c := t.codes[sym]

@@ -59,11 +59,11 @@ func TestHuffCanonicalOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c0, c1, c2 := tab.Code(0), tab.Code(1), tab.Code(2)
+	c0, c1, c2 := tab.codes[0], tab.codes[1], tab.codes[2]
 	if c0.Bits != 0 || c1.Bits != 1 || c2.Bits != 2 {
 		t.Fatalf("codes: %+v %+v %+v", c0, c1, c2)
 	}
-	c3, c4 := tab.Code(3), tab.Code(4)
+	c3, c4 := tab.codes[3], tab.codes[4]
 	if c3.Bits != 6 || c4.Bits != 7 { // (2+1)<<1 = 6
 		t.Fatalf("len-3 codes: %+v %+v", c3, c4)
 	}
@@ -145,7 +145,7 @@ func TestQuickHuffPrefixFree(t *testing.T) {
 		}
 		var codes []HuffCode
 		for s := range freq {
-			if c := tab.Code(s); c.Len > 0 {
+			if c := tab.codes[s]; c.Len > 0 {
 				codes = append(codes, c)
 			}
 		}

@@ -1,0 +1,1354 @@
+package media
+
+// Kernel contracts. Every kernel in this package keeps two bodies, the one
+// that runs and a reference model, as a migrated task keeps its software
+// form. Each pair is one contract, stated once by the driver: the shipped
+// kernel agrees with the reference on every input (holds), the oracle
+// model agrees too, and every faulty model disagrees somewhere
+// (checkFaults), so a pass is not vacuous. The Test and Fuzz functions
+// are thin wrappers over the rows; DESIGN.md §6 "Kernel contracts" lists
+// them.
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
+	"sync"
+	"testing"
+)
+
+// kernelFunc is the type set of the contracts' kernels.
+type kernelFunc interface {
+	sadKernel | sad8Kernel | sadFrameKernel | activityKernel | searchFunc |
+		fetchKernel | mcKernels | transforms | dctKernel | rlsqKernel | vldKernel
+}
+
+// contract is one kernel/reference pair over n inputs: mismatch runs model
+// k on input i against the reference and describes a disagreement, or
+// returns "".
+type contract[K kernelFunc] struct {
+	n        int
+	mismatch func(k K, i int) string
+	kernel   K
+	oracle   K
+	faults   []fault[K]
+}
+
+// fault is a faulty model of a kernel, which the contract must catch.
+type fault[K kernelFunc] struct {
+	name  string
+	model K
+}
+
+func (c *contract[K]) firstMismatch(k K) string {
+	for i := 0; i < c.n; i++ {
+		if msg := c.mismatch(k, i); msg != "" {
+			return fmt.Sprintf("input %d of %d: %s", i, c.n, msg)
+		}
+	}
+	return ""
+}
+
+// holds fails t unless the shipped kernel agrees with the reference on
+// every input.
+func (c *contract[K]) holds(t *testing.T) {
+	t.Helper()
+	if msg := c.firstMismatch(c.kernel); msg != "" {
+		t.Fatal(msg)
+	}
+}
+
+// checkFaults is the negative control: the oracle passes the same check
+// and every faulty model fails it.
+func (c *contract[K]) checkFaults(t *testing.T) {
+	t.Helper()
+	if msg := c.firstMismatch(c.oracle); msg != "" {
+		t.Fatalf("oracle rejected: %s", msg)
+	}
+	for _, f := range c.faults {
+		if msg := c.firstMismatch(f.model); msg == "" {
+			t.Errorf("contract passed %s", f.name)
+		} else {
+			t.Logf("%s caught: %.200s", f.name, msg)
+		}
+	}
+}
+
+// verify runs both halves of the contract.
+func (c *contract[K]) verify(t *testing.T) {
+	t.Helper()
+	c.holds(t)
+	c.checkFaults(t)
+}
+
+// allocCase is one call that must not allocate.
+type allocCase struct {
+	name string
+	f    func()
+}
+
+// checkZeroAllocs fails t for each case that allocates. An operand
+// declared inside a case's function that escaped would be allocated on
+// every call.
+func checkZeroAllocs(t *testing.T, cases []allocCase) {
+	t.Helper()
+	for _, c := range cases {
+		if n := testing.AllocsPerRun(10, c.f); n != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", c.name, n)
+		}
+	}
+}
+
+// garbageMB and garbageBlock prefill a kernel's destination, so that a
+// value it fails to write, or writes when it must not, shows.
+var garbageMB = func() (g MBPixels) {
+	for i := range g {
+		g[i] = byte(i*151 + 7)
+	}
+	return g
+}()
+
+var garbageBlock = func() (g Block) {
+	for i := range g {
+		g[i] = int16(i*7919 - 12345)
+	}
+	return g
+}()
+
+// fuzzFill fills dst with pixels j = from, from+1, … derived from the
+// fuzz bytes: data[j mod len(data)] plus 31 for every wrap, so that short
+// inputs still make varied blocks. data must not be empty.
+func fuzzFill(dst, data []byte, from int) {
+	for i := range dst {
+		j := from + i
+		dst[i] = data[j%len(data)] + byte(j/len(data))*31
+	}
+}
+
+// codedClip is the Fig. 10 clip (QCIF, 12 frames, N=12 M=3): the
+// run/level events of every coded block in stream order, the quantizer,
+// the dequantized blocks the decoder feeds the IDCT, and the decoded
+// frames in display order.
+type codedClip struct {
+	q      int
+	events [][]RunLevel
+	coef   []Block
+	frames []*Frame
+}
+
+// fig10 holds the clip once loadCodedClip has parsed it, once per test
+// binary.
+var fig10 struct {
+	sync.Mutex
+	clip *codedClip
+}
+
+func loadCodedClip(tb testing.TB) *codedClip {
+	tb.Helper()
+	fig10.Lock()
+	defer fig10.Unlock()
+	if fig10.clip != nil {
+		return fig10.clip
+	}
+	stream := goldenStream(tb)
+	clip := &codedClip{}
+	vld := NewStreamVLD()
+	vld.Extend(stream)
+	for end := false; !end; {
+		ev, err := vld.Next()
+		if err != nil {
+			tb.Fatalf("at %s: %v", vld.Progress(), err)
+		}
+		switch ev.Kind {
+		case EventSeq:
+			clip.q = ev.Seq.Q
+		case EventMB:
+			for b := 0; b < BlocksPerMB; b++ {
+				if ev.Tok.CBP&(1<<b) == 0 {
+					continue
+				}
+				evs := slices.Clone(ev.Tok.Events[b])
+				var coef Block
+				if err := RLSQTokensToCoef(evs, clip.q, &coef); err != nil {
+					tb.Fatalf("coded block %d: %v", len(clip.events), err)
+				}
+				clip.events, clip.coef = append(clip.events, evs), append(clip.coef, coef)
+			}
+		case EventEnd:
+			end = true
+		}
+	}
+	if len(clip.coef) == 0 {
+		tb.Fatal("clip has no coded blocks")
+	}
+	res, err := Decode(stream)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	clip.frames = res.DisplayFrames()
+	fig10.clip = clip
+	return clip
+}
+
+// pixelPair is one block pair of the SAD contracts: cur against a
+// reference buffer whose rows are stride apart.
+type pixelPair struct {
+	name   string
+	stride int
+	cur    MBPixels
+	buf    []byte
+}
+
+// pixelPairs returns four patterns at each stride, drawn from one rng:
+// white against black both ways, random, and near-flat ("close"). Each
+// buffer holds a block at ref offset 3 plus extra columns.
+func pixelPairs(seed int64, strides []int, extra int) []pixelPair {
+	rng := rand.New(rand.NewSource(seed))
+	patterns := []struct {
+		name     string
+		cur, ref func() byte
+	}{
+		{"white-black", func() byte { return 255 }, func() byte { return 0 }},
+		{"black-white", func() byte { return 0 }, func() byte { return 255 }},
+		{"random", func() byte { return byte(rng.Intn(256)) }, func() byte { return byte(rng.Intn(256)) }},
+		{"close", func() byte { return 100 + byte(rng.Intn(3)) }, func() byte { return 100 + byte(rng.Intn(3)) }},
+	}
+	var pairs []pixelPair
+	for _, stride := range strides {
+		for _, pat := range patterns {
+			p := pixelPair{name: pat.name, stride: stride, buf: make([]byte, 3+15*stride+MBSize+extra)}
+			for i := range p.cur {
+				p.cur[i] = pat.cur()
+			}
+			for i := range p.buf {
+				p.buf[i] = pat.ref()
+			}
+			pairs = append(pairs, p)
+		}
+	}
+	return pairs
+}
+
+// sadInput is one call of a SAD kernel.
+type sadInput struct {
+	name             string
+	cur              *MBPixels
+	ref              []byte
+	stride, earlyOut int
+}
+
+// sadInputs returns every pair at ref offsets 0–3, each at earlyOut −1,
+// 0, 2³⁰ and every sum that exits returns for it ±1.
+func sadInputs(pairs []pixelPair, exits func(cur *MBPixels, ref []byte, stride int) []int) []sadInput {
+	var ins []sadInput
+	for i := range pairs {
+		p := &pairs[i]
+		for off := 0; off <= 3; off++ {
+			ref := p.buf[off:]
+			earlyOuts := []int{-1, 0, 1 << 30}
+			for _, s := range exits(&p.cur, ref, p.stride) {
+				earlyOuts = append(earlyOuts, s-1, s, s+1)
+			}
+			name := fmt.Sprintf("%s stride %d offset %d", p.name, p.stride, off)
+			for _, e := range earlyOuts {
+				ins = append(ins, sadInput{name, &p.cur, ref, p.stride, e})
+			}
+		}
+	}
+	return ins
+}
+
+// sadPartials returns the running SAD of cur against ref after each row.
+func sadPartials(cur *MBPixels, ref []byte, stride int) [MBSize]int {
+	var sums [MBSize]int
+	sum := 0
+	for j := range sums {
+		for i := 0; i < MBSize; i++ {
+			d := int(cur[j*MBSize+i]) - int(ref[j*stride+i])
+			sum += max(d, -d)
+		}
+		sums[j] = sum
+	}
+	return sums
+}
+
+type sadKernel func(cur *MBPixels, ref []byte, stride, earlyOut int) int
+
+// sadRowsScalar is the scalar row loop both bodies of sadRows reproduce;
+// with eager set it is the faulty kernel that exits at a sum equal to
+// earlyOut.
+func sadRowsScalar(eager bool) sadKernel {
+	return func(cur *MBPixels, ref []byte, stride, earlyOut int) int {
+		sums := sadPartials(cur, ref, stride)
+		for _, sum := range sums {
+			if sum > earlyOut || eager && sum == earlyOut {
+				return sum
+			}
+		}
+		return sums[MBSize-1]
+	}
+}
+
+func sadMismatch(k sadKernel, in *sadInput) string {
+	if got, want := k(in.cur, in.ref, in.stride, in.earlyOut), sadRowsSWAR(in.cur, in.ref, in.stride, in.earlyOut); got != want {
+		return fmt.Sprintf("%s earlyOut %d: got %d, SWAR %d", in.name, in.earlyOut, got, want)
+	}
+	return ""
+}
+
+// sadRowsContract holds sadRows to sadRowsSWAR value for value, partial
+// sums included, at strides 0, 16, 30 (the r = 7 window), 142 and 176 and
+// at every row's partial sum ±1.
+func sadRowsContract() *contract[sadKernel] {
+	ins := sadInputs(pixelPairs(21, []int{0, 16, 30, 142, 176}, 0), func(cur *MBPixels, ref []byte, stride int) []int {
+		sums := sadPartials(cur, ref, stride)
+		return sums[:]
+	})
+	return &contract[sadKernel]{
+		n:        len(ins),
+		mismatch: func(k sadKernel, i int) string { return sadMismatch(k, &ins[i]) },
+		kernel:   sadRows,
+		oracle:   sadRowsScalar(false),
+		faults:   []fault[sadKernel]{{"an exit at a sum equal to earlyOut", sadRowsScalar(true)}},
+	}
+}
+
+func TestSADKernelMatchesSWAR(t *testing.T)         { sadRowsContract().holds(t) }
+func TestSADKernelParityCatchesFaults(t *testing.T) { sadRowsContract().checkFaults(t) }
+
+func FuzzSADKernelParity(f *testing.F) {
+	fuzzSAD(f, "eclipse sad kernel", 0, func(in *sadInput) string { return sadMismatch(sadRows, in) })
+}
+
+// fuzzSAD runs a SAD row's check on cur, ref, a stride of 0..176 and
+// earlyOut derived from the fuzz bytes.
+func fuzzSAD(f *testing.F, seed string, extra int, check func(in *sadInput) string) {
+	f.Add(uint8(30), 1<<30, []byte(seed))
+	f.Add(uint8(16), 0, []byte{0, 255})
+	f.Add(uint8(0), -1, []byte{7})
+	f.Add(uint8(176), 2040, []byte{0x10, 0x80, 0xff, 0x7f, 0x33})
+	f.Fuzz(func(t *testing.T, s uint8, earlyOut int, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		stride := int(s) % 177
+		in := sadInput{"fuzz", new(MBPixels), make([]byte, 15*stride+MBSize+extra), stride, earlyOut}
+		fuzzFill(in.cur[:], data, 0)
+		fuzzFill(in.ref, data, MBSize*MBSize)
+		if msg := check(&in); msg != "" {
+			t.Fatal(msg)
+		}
+	})
+}
+
+type sad8Kernel func(cur *MBPixels, ref []byte, stride, earlyOut int, out *[8]int32) int32
+
+// sad8Scalar is the eight-candidate contract written with sadPartials:
+// after rows 4, 8 and 12 it stops when every partial sum exceeds earlyOut.
+// With anyExit set it is the faulty kernel that stops when any one does.
+func sad8Scalar(anyExit bool) sad8Kernel {
+	return func(cur *MBPixels, ref []byte, stride, earlyOut int, out *[8]int32) int32 {
+		var sums [8][MBSize]int
+		for k := range sums {
+			sums[k] = sadPartials(cur, ref[k:], stride)
+		}
+		m := int32(0)
+		for j := 3; j < MBSize; j += 4 {
+			above := 0
+			for k := range sums {
+				out[k] = int32(sums[k][j])
+				if sums[k][j] > earlyOut {
+					above++
+				}
+			}
+			m = slices.Min(out[:])
+			if above == len(sums) || anyExit && above > 0 {
+				break
+			}
+		}
+		return m
+	}
+}
+
+// sad8Mismatch compares the stored sums and the returned minimum. Both
+// models start from the same garbage in out, so a missing store shows.
+func sad8Mismatch(k sad8Kernel, in *sadInput) string {
+	got := [8]int32{-7, -7, -7, -7, -7, -7, -7, -7}
+	want := got
+	gm, wm := k(in.cur, in.ref, in.stride, in.earlyOut, &got), sad8Go(in.cur, in.ref, in.stride, in.earlyOut, &want)
+	if got != want || gm != wm {
+		return fmt.Sprintf("%s earlyOut %d: got %v min %d, portable %v min %d", in.name, in.earlyOut, got, gm, want, wm)
+	}
+	return ""
+}
+
+// sad8Contract holds sad8 to sad8Go on every exit path, at strides 16, 30
+// (the r = 7 window), 46 and 176 and at the smallest of the eight partial
+// sums at each exit row ±1.
+func sad8Contract() *contract[sad8Kernel] {
+	ins := sadInputs(pixelPairs(22, []int{16, 30, 46, 176}, 7), func(cur *MBPixels, ref []byte, stride int) []int {
+		var partials [8][MBSize]int
+		for k := range partials {
+			partials[k] = sadPartials(cur, ref[k:], stride)
+		}
+		var exits []int
+		for j := 3; j < MBSize-1; j += 4 {
+			m := partials[0][j]
+			for k := range partials {
+				m = min(m, partials[k][j])
+			}
+			exits = append(exits, m)
+		}
+		return exits
+	})
+	return &contract[sad8Kernel]{
+		n:        len(ins),
+		mismatch: func(k sad8Kernel, i int) string { return sad8Mismatch(k, &ins[i]) },
+		kernel:   sad8,
+		oracle:   sad8Scalar(false),
+		faults:   []fault[sad8Kernel]{{"a stop when any partial sum exceeds earlyOut", sad8Scalar(true)}},
+	}
+}
+
+func TestSAD8MatchesPortable(t *testing.T)     { sad8Contract().holds(t) }
+func TestSAD8ParityCatchesFaults(t *testing.T) { sad8Contract().checkFaults(t) }
+
+func FuzzSAD8Parity(f *testing.F) {
+	fuzzSAD(f, "eclipse sad8 kernel", 7, func(in *sadInput) string { return sad8Mismatch(sad8, in) })
+}
+
+type sadFrameKernel func(cur *MBPixels, ref *Frame, x, y int, mv MV, earlyOut int) int
+
+// sadAt is a scalar model of SAD: the block fetched with Frame.At, then
+// sadRowsScalar.
+func sadAt(eager bool) sadFrameKernel {
+	return func(cur *MBPixels, ref *Frame, x, y int, mv MV, earlyOut int) int {
+		var blk MBPixels
+		fetchAt(&blk, ref, x+int(mv.X), y+int(mv.Y))
+		return sadRowsScalar(eager)(cur, blk[:], MBSize, earlyOut)
+	}
+}
+
+// sadRaster and motionSearchRaster are the reference model of SAD and
+// MotionSearch: every candidate read pixel by pixel, in raster order after
+// the zero vector, and a candidate replaces the best only when strictly
+// better.
+func sadRaster(cur *MBPixels, ref *Frame, x, y int, mv MV, earlyOut int) int {
+	sum := 0
+	for j := 0; j < MBSize; j++ {
+		for i := 0; i < MBSize; i++ {
+			d := int(cur[j*MBSize+i]) - int(ref.At(x+int(mv.X)+i, y+int(mv.Y)+j))
+			sum += max(d, -d)
+		}
+		if sum > earlyOut {
+			return sum
+		}
+	}
+	return sum
+}
+
+type sadFrameInput struct {
+	mv       MV
+	earlyOut int
+}
+
+// sadFrameContract holds SAD, partial sums included, to sadRaster for
+// macroblock (1,1) of one random 48×32 frame against another, at vectors
+// inside and across every edge, at earlyOut 0, 500, 5000 and 2³⁰, and at
+// every row's partial sum for every tenth column of vectors.
+func sadFrameContract() *contract[sadFrameKernel] {
+	cur, ref := randomFrame(48, 32, 11), randomFrame(48, 32, 12)
+	var mb MBPixels
+	cur.GetMB(1, 1, &mb)
+	var ins []sadFrameInput
+	for _, e := range []int{0, 500, 5000, 1 << 30} {
+		for dy := -40; dy <= 40; dy += 3 {
+			for dx := -60; dx <= 60; dx++ {
+				ins = append(ins, sadFrameInput{MV{int16(dx), int16(dy)}, e})
+			}
+		}
+	}
+	for dy := -40; dy <= 40; dy += 3 {
+		for dx := -60; dx <= 60; dx += 10 {
+			var blk MBPixels
+			fetchAt(&blk, ref, 16+dx, 16+dy)
+			for _, e := range sadPartials(&mb, blk[:], MBSize) {
+				ins = append(ins, sadFrameInput{MV{int16(dx), int16(dy)}, e})
+			}
+		}
+	}
+	return &contract[sadFrameKernel]{
+		n: len(ins),
+		mismatch: func(k sadFrameKernel, i int) string {
+			in := &ins[i]
+			if got, want := k(&mb, ref, 16, 16, in.mv, in.earlyOut), sadRaster(&mb, ref, 16, 16, in.mv, in.earlyOut); got != want {
+				return fmt.Sprintf("SAD mv=%+v earlyOut=%d = %d, raster %d", in.mv, in.earlyOut, got, want)
+			}
+			return ""
+		},
+		kernel: SAD,
+		oracle: sadAt(false),
+		faults: []fault[sadFrameKernel]{{"an exit at a sum equal to earlyOut", sadAt(true)}},
+	}
+}
+
+// TestSADMatchesRasterSAD also pins the lane bound: the largest possible
+// sum, 256·255, must not wrap.
+func TestSADMatchesRasterSAD(t *testing.T) {
+	sadFrameContract().verify(t)
+	white := MBPixels(bytes.Repeat([]byte{255}, MBSize*MBSize))
+	if got := SAD(&white, NewFrame(16, 16), 0, 0, MV{}, 1<<30); got != 256*255 {
+		t.Fatalf("SAD(white, black) = %d, want %d", got, 256*255)
+	}
+}
+
+type activityKernel func(cur *MBPixels) int
+
+// intraActivityScalar is IntraActivity as two 256-step loops: the sum,
+// then the absolute deviations from its integer mean. With round set it
+// is the faulty model that rounds the mean instead of truncating it.
+func intraActivityScalar(round bool) activityKernel {
+	return func(cur *MBPixels) int {
+		sum := 0
+		for _, p := range cur {
+			sum += int(p)
+		}
+		mean := sum / len(cur)
+		if round {
+			mean = (sum + len(cur)/2) / len(cur)
+		}
+		act := 0
+		for _, p := range cur {
+			act += max(int(p)-mean, mean-int(p))
+		}
+		return act
+	}
+}
+
+// intraActivityContract: 50 blocks of each kind, all 0, all 255, a 0/255
+// checkerboard, random and narrow, drawn in this order from one seed.
+func intraActivityContract() *contract[activityKernel] {
+	rng := rand.New(rand.NewSource(23))
+	kinds := []struct {
+		name string
+		pix  func(i int) byte
+	}{
+		{"zero", func(int) byte { return 0 }},
+		{"white", func(int) byte { return 255 }},
+		{"checker", func(i int) byte { return byte(-((i + i/MBSize) & 1)) }},
+		{"random", func(int) byte { return byte(rng.Intn(256)) }},
+		{"narrow", func(int) byte { return 60 + byte(rng.Intn(4)) }},
+	}
+	const reps = 50
+	blocks := make([]MBPixels, len(kinds)*reps)
+	for i := range blocks {
+		for j := range blocks[i] {
+			blocks[i][j] = kinds[i/reps].pix(j)
+		}
+	}
+	return &contract[activityKernel]{
+		n: len(blocks),
+		mismatch: func(k activityKernel, i int) string {
+			if got, want := k(&blocks[i]), intraActivityScalar(false)(&blocks[i]); got != want {
+				return fmt.Sprintf("%s block %d: got %d, scalar %d", kinds[i/reps].name, i%reps, got, want)
+			}
+			return ""
+		},
+		kernel: IntraActivity,
+		oracle: intraActivityScalar(false),
+		faults: []fault[activityKernel]{{"a mean rounded instead of truncated", intraActivityScalar(true)}},
+	}
+}
+
+func TestIntraActivityMatchesScalar(t *testing.T) { intraActivityContract().verify(t) }
+
+type searchFunc func(cur *MBPixels, ref *Frame, x, y, r int) SearchResult
+
+func motionSearchRaster(cur *MBPixels, ref *Frame, x, y, r int) SearchResult {
+	best := SearchResult{MV: MV{}, SAD: sadRaster(cur, ref, x, y, MV{}, 1<<30), Ops: 1}
+	for dy := -r; dy <= r; dy++ {
+		for dx := -r; dx <= r; dx++ {
+			if dx == 0 && dy == 0 {
+				continue
+			}
+			mv := MV{int16(dx), int16(dy)}
+			s := sadRaster(cur, ref, x, y, mv, best.SAD)
+			best.Ops++
+			if s < best.SAD {
+				best.SAD = s
+				best.MV = mv
+			}
+		}
+	}
+	return best
+}
+
+// gridSearch is a test-local grid search (a window gathered with
+// Frame.At, sad8Go) with three faults. reverse scans a group's lanes from
+// 7 down, which changes the winner among ties; skipLane7 leaves lane 7 out
+// of the group minimum; slack 1 skips a group whose minimum is best−1.
+// Windows narrower than a group (r < 4) take the raster loop.
+func gridSearch(reverse, skipLane7 bool, slack int) searchFunc {
+	return func(cur *MBPixels, ref *Frame, x, y, r int) SearchResult {
+		n, w := 2*r+1, MBSize+2*r
+		if n < 8 {
+			return motionSearchRaster(cur, ref, x, y, r)
+		}
+		win := make([]byte, w*w)
+		for j := 0; j < w; j++ {
+			for i := 0; i < w; i++ {
+				win[j*w+i] = ref.At(x-r+i, y-r+j)
+			}
+		}
+		best := SearchResult{SAD: sadRaster(cur, ref, x, y, MV{}, 1<<30), Ops: n * n}
+		var sums [8]int32
+		for dy := 0; dy < n; dy++ {
+			for g := 0; g < n; g += 8 {
+				dx0 := min(g, n-8)
+				m := sad8Go(cur, win[dy*w+dx0:], w, best.SAD, &sums)
+				if skipLane7 {
+					m = slices.Min(sums[:7])
+				}
+				if int(m) >= best.SAD-slack {
+					continue
+				}
+				for i := range sums {
+					k := i
+					if reverse {
+						k = len(sums) - 1 - i
+					}
+					if int(sums[k]) < best.SAD {
+						best.SAD, best.MV = int(sums[k]), MV{int16(dx0 + k - r), int16(dy - r)}
+					}
+				}
+			}
+		}
+		return best
+	}
+}
+
+type searchParityPair struct {
+	kind     string
+	cur, ref *Frame
+}
+
+// searchParityFrames builds the (current, reference) pairs of one frame
+// size: each kind stresses a different part of the search.
+func searchParityFrames(w, h int, seed int64) []searchParityPair {
+	rng := rand.New(rand.NewSource(seed))
+	fill := func(gen func() byte) *Frame {
+		f := NewFrame(w, h)
+		for i := range f.Pix {
+			f.Pix[i] = gen()
+		}
+		return f
+	}
+	pairs := []searchParityPair{
+		// No structure: early-outs do the work.
+		{"random", fill(func() byte { return byte(rng.Intn(256)) }), fill(func() byte { return byte(rng.Intn(256)) })},
+		// Mass ties among good candidates: a reordered scan picks another
+		// vector.
+		{"two-valued", fill(func() byte { return 40 + 9*byte(rng.Intn(2)) }), fill(func() byte { return 40 + 9*byte(rng.Intn(2)) })},
+		// Every vector ties: zero must win, at any SAD.
+		{"constant", fill(func() byte { return 128 }), fill(func() byte { return 128 })},
+		{"constant-diff", fill(func() byte { return 90 }), fill(func() byte { return 97 })},
+		// A flat block against sparse +1 speckle: neighbours differ by 0
+		// or 1, so candidates that win by exactly 1 are everywhere.
+		{"speckle", fill(func() byte { return 100 }), fill(func() byte {
+			if rng.Intn(40) == 0 {
+				return 101
+			}
+			return 100
+		})},
+	}
+	// A shifted copy with noise: a true motion match, found at a vector
+	// that points outside the frame for border macroblocks.
+	ref := fill(func() byte { return byte(rng.Intn(256)) })
+	cur := NewFrame(w, h)
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			cur.Pix[y*w+x] = clampByte(int(ref.At(x+3, y-2)) + rng.Intn(5) - 2)
+		}
+	}
+	return append(pairs, searchParityPair{"shifted", cur, ref})
+}
+
+// searchInput is one search with the raster search's result.
+type searchInput struct {
+	name    string
+	mb      MBPixels
+	ref     *Frame
+	x, y, r int
+	want    SearchResult
+}
+
+func newSearchInput(name string, cur, ref *Frame, mbx, mby, r int) searchInput {
+	in := searchInput{name: fmt.Sprintf("%s %dx%d mb (%d,%d)", name, cur.W, cur.H, mbx, mby),
+		ref: ref, x: mbx * MBSize, y: mby * MBSize, r: r}
+	cur.GetMB(mbx, mby, &in.mb)
+	in.want = motionSearchRaster(&in.mb, ref, in.x, in.y, r)
+	return in
+}
+
+func searchMismatch(k searchFunc, in *searchInput) string {
+	if got := k(&in.mb, in.ref, in.x, in.y, in.r); got != in.want {
+		return fmt.Sprintf("%s r=%d: got %+v, raster search %+v", in.name, in.r, got, in.want)
+	}
+	return ""
+}
+
+// searchContract holds MotionSearch's vector, SAD and Ops to the raster
+// search over frame kind × size × radius × macroblock: frames smaller
+// than the window and non-square, every border and corner, and radii up
+// to the largest CodecConfig accepts; above 15 only the corners and the
+// centre, where the reference takes milliseconds. It is built once.
+var searchContract = sync.OnceValue(func() *contract[searchFunc] {
+	var ins []searchInput
+	for si, sz := range [][2]int{{16, 16}, {32, 16}, {48, 80}, {80, 48}} {
+		for _, pair := range searchParityFrames(sz[0], sz[1], int64(100+si)) {
+			cur := pair.cur
+			for _, r := range []int{0, 1, 7, 15, 31, maxSearchRange} {
+				for mby := 0; mby < cur.MBRows(); mby++ {
+					for mbx := 0; mbx < cur.MBCols(); mbx++ {
+						corner := (mbx == 0 || mbx == cur.MBCols()-1) && (mby == 0 || mby == cur.MBRows()-1)
+						if r > 15 && !corner && (mbx != cur.MBCols()/2 || mby != cur.MBRows()/2) {
+							continue
+						}
+						ins = append(ins, newSearchInput(pair.kind, cur, pair.ref, mbx, mby, r))
+					}
+				}
+			}
+		}
+	}
+	return &contract[searchFunc]{
+		n:        len(ins),
+		mismatch: func(k searchFunc, i int) string { return searchMismatch(k, &ins[i]) },
+		kernel:   MotionSearch,
+		oracle:   gridSearch(false, false, 0),
+		faults: []fault[searchFunc]{
+			{"a group scanned in reverse", gridSearch(true, false, 0)},
+			{"a group minimum without lane 7", gridSearch(false, true, 0)},
+			{"a group bound one too early", gridSearch(false, false, 1)},
+		},
+	}
+})
+
+func TestMotionSearchMatchesRasterSearch(t *testing.T)  { searchContract().holds(t) }
+func TestSearchParityHarnessCatchesFaults(t *testing.T) { searchContract().checkFaults(t) }
+
+// FuzzMotionSearchParity derives frames, a macroblock and a radius from
+// the fuzz bytes; the mode byte coarsens the pixels to reach ties.
+func FuzzMotionSearchParity(f *testing.F) {
+	f.Add(uint8(7), uint8(0), uint8(5), uint8(0), []byte("eclipse motion search"))
+	f.Add(uint8(63), uint8(1), uint8(0), uint8(1), []byte{0, 1, 1, 0, 1, 0, 0, 0, 1})
+	f.Add(uint8(15), uint8(3), uint8(11), uint8(2), []byte{0x10, 0x80, 0xff, 0x7f, 0x33, 0xc1, 0x05})
+	f.Add(uint8(1), uint8(2), uint8(2), uint8(3), []byte{100})
+	f.Fuzz(func(t *testing.T, r, size, pos, mode uint8, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		w, h := MBSize*(1+int(size&3)), MBSize*(1+int(size>>2&3))
+		cur, ref := NewFrame(w, h), NewFrame(w, h)
+		fuzzFill(ref.Pix, data, 0)
+		fuzzFill(cur.Pix, data, w*h+int(pos))
+		for _, fr := range []*Frame{cur, ref} {
+			for i, p := range fr.Pix {
+				switch mode & 3 {
+				case 1: // two-valued
+					fr.Pix[i] = p & 1
+				case 2: // four-valued
+					fr.Pix[i] = p & 0xC0
+				case 3: // flat with +1 speckle
+					fr.Pix[i] = 100 + p&1&(p>>3)&(p>>5)
+				}
+			}
+		}
+		mbx, mby := int(pos)%cur.MBCols(), int(pos)/cur.MBCols()%cur.MBRows()
+		in := newSearchInput("fuzz", cur, ref, mbx, mby, int(r)%(maxSearchRange+1))
+		if msg := searchMismatch(MotionSearch, &in); msg != "" {
+			t.Fatal(msg)
+		}
+	})
+}
+
+type fetchKernel func(dst *MBPixels, ref *Frame, x, y int)
+
+// fetchAt is the per-pixel oracle of fetch: Frame.At at every sample.
+func fetchAt(dst *MBPixels, ref *Frame, x, y int) {
+	for j := 0; j < MBSize; j++ {
+		for i := 0; i < MBSize; i++ {
+			dst[j*MBSize+i] = ref.At(x+i, y+j)
+		}
+	}
+}
+
+type fetchInput struct {
+	ref  *Frame
+	x, y int
+}
+
+func fetchMismatch(k fetchKernel, in *fetchInput) string {
+	got, want := garbageMB, garbageMB
+	k(&got, in.ref, in.x, in.y)
+	fetchAt(&want, in.ref, in.x, in.y)
+	if got != want {
+		return fmt.Sprintf("%dx%d frame at (%d,%d): fetched %v, At %v", in.ref.W, in.ref.H, in.x, in.y, got, want)
+	}
+	return ""
+}
+
+// fetchContract runs every (x, y) in [−20, W+4] × [−20, H+4] of a random
+// 48×32 and a random QCIF frame: inside, across every edge and corner,
+// and wholly outside.
+func fetchContract() *contract[fetchKernel] {
+	var ins []fetchInput
+	for _, ref := range []*Frame{randomFrame(48, 32, 38), randomFrame(176, 144, 39)} {
+		for y := -20; y <= ref.H+4; y++ {
+			for x := -20; x <= ref.W+4; x++ {
+				ins = append(ins, fetchInput{ref, x, y})
+			}
+		}
+	}
+	yOnly := func(dst *MBPixels, ref *Frame, x, y int) {
+		for j := 0; j < MBSize; j++ {
+			row := min(max(y+j, 0), ref.H-1) * ref.W
+			for i := 0; i < MBSize; i++ {
+				dst[j*MBSize+i] = ref.Pix[min(max(row+x+i, 0), len(ref.Pix)-1)]
+			}
+		}
+	}
+	return &contract[fetchKernel]{
+		n:        len(ins),
+		mismatch: func(k fetchKernel, i int) string { return fetchMismatch(k, &ins[i]) },
+		kernel:   fetch,
+		oracle:   fetchAt,
+		faults:   []fault[fetchKernel]{{"a fetch that clamps only y", yOnly}},
+	}
+}
+
+func TestClampedFetchMatchesAt(t *testing.T) { fetchContract().holds(t) }
+
+// mcKernels is one model of the MC kernels.
+type mcKernels struct {
+	reconstruct func(dst []byte, stride int, pred *MBPixels, blocks *[BlocksPerMB]Block)
+	residual    func(cur, pred *MBPixels, blocks *[BlocksPerMB]Block)
+	average     func(dst, a, b *MBPixels)
+}
+
+var goMC = mcKernels{reconstructGo, residualGo, averageGo}
+
+// mcCase is one input of the MC kernels: a prediction p, q (Residual's
+// current block, the average's other reference) and a residual.
+type mcCase struct {
+	name   string
+	p, q   MBPixels
+	blocks [BlocksPerMB]Block
+}
+
+// resAt returns the residual sample that Reconstruct adds to pixel i.
+func resAt(blocks *[BlocksPerMB]Block, i int) *int16 {
+	x, y := i%MBSize, i/MBSize
+	return &blocks[y/8*2+x/8][y%8*8+x%8]
+}
+
+// mcCaseMismatch runs reconstruct of p at two strides, residual of q
+// against p, and the average of p and q, also in place.
+func mcCaseMismatch(k mcKernels, c *mcCase) string {
+	for _, stride := range []int{MBSize, 37} {
+		var got, want [3 + 15*37 + MBSize + 3]byte
+		for i := range got {
+			got[i] = garbageMB[i%len(garbageMB)]
+		}
+		want = got
+		k.reconstruct(got[3:], stride, &c.p, &c.blocks)
+		reconstructGo(want[3:], stride, &c.p, &c.blocks)
+		if got != want {
+			return fmt.Sprintf("%s: reconstruct at stride %d %v, Go body %v", c.name, stride, got, want)
+		}
+	}
+	gotRes := [BlocksPerMB]Block{garbageBlock, garbageBlock, garbageBlock, garbageBlock}
+	var wantRes [BlocksPerMB]Block
+	k.residual(&c.q, &c.p, &gotRes)
+	residualGo(&c.q, &c.p, &wantRes)
+	if gotRes != wantRes {
+		return fmt.Sprintf("%s: residual %v, Go body %v", c.name, gotRes, wantRes)
+	}
+	got, want, gotIn := garbageMB, garbageMB, c.p
+	k.average(&got, &c.p, &c.q)
+	averageGo(&want, &c.p, &c.q)
+	k.average(&gotIn, &gotIn, &c.q)
+	if got != want || gotIn != want {
+		return fmt.Sprintf("%s: average %v (in place %v), Go body %v", c.name, got, gotIn, want)
+	}
+	return ""
+}
+
+// mcContract's inputs: the pixels 0, 1, 254 and 255 paired with each
+// other and with the residuals −32768, −256, −255, −1, 0, 1, 255, 256 and
+// 32767 in 36 rotations, so each pair meets many lanes (255 + 32767 is
+// where a wrapping add packs to 0); random blocks over int16 and over the
+// residual range; and the Fig. 10 clip's macroblocks against the frame
+// before, with the clip's coded residuals in turn.
+func mcContract(tb testing.TB) *contract[mcKernels] {
+	tb.Helper()
+	pixVals := []byte{0, 1, 254, 255}
+	resVals := []int16{-32768, -256, -255, -1, 0, 1, 255, 256, 32767}
+	var cases []mcCase
+	for k := 0; k < 36; k++ {
+		c := mcCase{name: fmt.Sprintf("extremes/%d", k)}
+		for i := range c.p {
+			c.p[i] = pixVals[(i+k)%4]
+			c.q[i] = pixVals[(i/4+k)%4]
+			*resAt(&c.blocks, i) = resVals[(i+k)%9]
+		}
+		cases = append(cases, c)
+	}
+	rng := rand.New(rand.NewSource(38))
+	for trial := 0; trial < 400; trial++ {
+		c := mcCase{name: fmt.Sprintf("random/%d", trial)}
+		for i := range c.p {
+			c.p[i], c.q[i] = byte(rng.Intn(256)), byte(rng.Intn(256))
+			r := int16(rng.Uint32())
+			if trial%2 == 1 {
+				r = int16(rng.Intn(511) - 255)
+			}
+			*resAt(&c.blocks, i) = r
+		}
+		cases = append(cases, c)
+	}
+	clip := loadCodedClip(tb)
+	frames, n := clip.frames, 0
+	for f := 1; f < len(frames); f++ {
+		for mby := 0; mby < frames[f].MBRows(); mby++ {
+			for mbx := 0; mbx < frames[f].MBCols(); mbx++ {
+				c := mcCase{name: fmt.Sprintf("fig10/frame %d mb (%d,%d)", f, mbx, mby)}
+				frames[f].GetMB(mbx, mby, &c.p)
+				frames[f-1].GetMB(mbx, mby, &c.q)
+				for b := range c.blocks {
+					IDCT(&clip.coef[n%len(clip.coef)], &c.blocks[b])
+					n++
+				}
+				cases = append(cases, c)
+			}
+		}
+	}
+	wrapping := goMC
+	wrapping.reconstruct = func(dst []byte, stride int, pred *MBPixels, blocks *[BlocksPerMB]Block) {
+		for i := range pred {
+			dst[i/MBSize*stride+i%MBSize] = clampByte(int(int16(int(pred[i]) + int(*resAt(blocks, i)))))
+		}
+	}
+	truncating := goMC
+	truncating.average = func(dst, a, b *MBPixels) {
+		for i := range dst {
+			dst[i] = byte((int(a[i]) + int(b[i])) >> 1)
+		}
+	}
+	return &contract[mcKernels]{
+		n:        len(cases),
+		mismatch: func(k mcKernels, i int) string { return mcCaseMismatch(k, &cases[i]) },
+		kernel:   mcKernels{reconstruct, residual, average},
+		oracle:   goMC,
+		faults:   []fault[mcKernels]{{"a wrapping reconstruct", wrapping}, {"a truncating average", truncating}},
+	}
+}
+
+func TestMCKernelsMatchGo(t *testing.T) { mcContract(t).holds(t) }
+
+// TestMCParityCatchesFaults covers both MC rows: the MC kernels and the
+// clamped fetch.
+func TestMCParityCatchesFaults(t *testing.T) {
+	mcContract(t).checkFaults(t)
+	fetchContract().checkFaults(t)
+}
+
+// FuzzMCKernelParity derives an MC case and a 48×32 frame for the fetch
+// from the fuzz bytes.
+func FuzzMCKernelParity(f *testing.F) {
+	f.Add(int8(-3), int8(5), []byte("eclipse mc kernel"))
+	f.Add(int8(0), int8(0), []byte{255, 0x7f, 0xff})
+	f.Add(int8(-20), int8(40), []byte{0, 0x80, 0x00, 1})
+	f.Add(int8(50), int8(-17), []byte{0x10, 0x80, 0xff, 0x7f, 0x33})
+	f.Fuzz(func(t *testing.T, x, y int8, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		c := mcCase{name: "fuzz"}
+		var res [2 * MBSize * MBSize]byte
+		fuzzFill(c.p[:], data, 0)
+		fuzzFill(c.q[:], data, len(c.p))
+		fuzzFill(res[:], data, 2*len(c.p))
+		for i := range c.p {
+			*resAt(&c.blocks, i) = int16(binary.LittleEndian.Uint16(res[2*i:]))
+		}
+		ref := NewFrame(48, 32)
+		fuzzFill(ref.Pix, data, 0)
+		msg := mcCaseMismatch(mcKernels{reconstruct, residual, average}, &c)
+		if msg == "" {
+			msg = fetchMismatch(fetch, &fetchInput{ref, int(x), int(y)})
+		}
+		if msg != "" {
+			t.Fatal(msg)
+		}
+	})
+}
+
+// transforms is one model of the transform pair.
+type transforms struct{ idct, fdct func(src, dst *Block) }
+
+// matrixDCT is the reference model of both transforms, the plain 8×8
+// matrix product: each pass maps row r to out[j][r] = (Σ_k in[r][k]·M[k][j]
+// + 2048) >> 12 in int32, so the second pass reads the first's output as
+// rows, and clamp narrows the result. M = dctTab is the IDCT, dctTabᵀ the
+// FDCT.
+func matrixDCT(m *[8][8]int32, clamp func(int32) int16) func(src, dst *Block) {
+	return func(src, dst *Block) {
+		var in, out [64]int32
+		for i, v := range src {
+			in[i] = int32(v)
+		}
+		for pass := 0; pass < 2; pass++ {
+			for r := 0; r < 8; r++ {
+				for j := 0; j < 8; j++ {
+					var s int32
+					for k := 0; k < 8; k++ {
+						s += in[r*8+k] * m[k][j]
+					}
+					out[j*8+r] = (s + fixRound) >> 12
+				}
+			}
+			in = out
+		}
+		for i, v := range in {
+			dst[i] = clamp(v)
+		}
+	}
+}
+
+var dctTabT = func() (t [8][8]int32) {
+	for u := range t {
+		for x := range t[u] {
+			t[u][x] = dctTab[x][u]
+		}
+	}
+	return t
+}()
+
+var matrixTransforms = transforms{matrixDCT(&dctTab, clamp16), matrixDCT(&dctTabT, clamp16)}
+
+// wrap16 is the faulty narrowing: the low 16 bits instead of clamp16.
+func wrap16(x int32) int16 { return int16(x) }
+
+func transformMismatch(k transforms, b *Block) string {
+	var got, want Block
+	k.idct(b, &got)
+	matrixTransforms.idct(b, &want)
+	if got != want {
+		return fmt.Sprintf("IDCT(%v) = %v, matrix product %v", *b, got, want)
+	}
+	k.fdct(b, &got)
+	matrixTransforms.fdct(b, &want)
+	if got != want {
+		return fmt.Sprintf("FDCT(%v) = %v, matrix product %v", *b, got, want)
+	}
+	return ""
+}
+
+// transformBlocks returns the block set of the transform contracts:
+// edge-case blocks (zero, DC-only, every single-coefficient block at ±1,
+// 32767 and −32768), random dense blocks over the whole int16 range (the
+// largest sums either transform can form), random sparse blocks and every
+// coded block of the Fig. 10 clip.
+func transformBlocks(tb testing.TB) (blocks []Block) {
+	tb.Helper()
+	blocks = append(blocks, Block{})
+	for _, dc := range []int16{1, -1, 255, -256, 32767, -32768} {
+		blocks = append(blocks, Block{dc})
+	}
+	for i := 0; i < 64; i++ {
+		for _, c := range []int16{1, -1, 32767, -32768} {
+			var b Block
+			b[i] = c
+			blocks = append(blocks, b)
+		}
+	}
+	rng := rand.New(rand.NewSource(27))
+	for trial := 0; trial < 2000; trial++ {
+		var b Block
+		for i := range b {
+			b[i] = int16(rng.Uint32())
+		}
+		blocks = append(blocks, b)
+	}
+	for trial := 0; trial < 2000; trial++ {
+		var b Block
+		for n := rng.Intn(8); n >= 0; n-- {
+			b[rng.Intn(64)] = int16(rng.Intn(2048) - 1024)
+		}
+		blocks = append(blocks, b)
+	}
+	return append(blocks, loadCodedClip(tb).coef...)
+}
+
+// transformContract's oracle is the butterfly pair, the portable bodies.
+func transformContract(tb testing.TB) *contract[transforms] {
+	blocks := transformBlocks(tb)
+	return &contract[transforms]{
+		n:        len(blocks),
+		mismatch: func(k transforms, i int) string { return transformMismatch(k, &blocks[i]) },
+		kernel:   transforms{IDCT, FDCT},
+		oracle:   transforms{idctGo, fdctGo},
+		faults: []fault[transforms]{
+			{"an IDCT that wraps instead of clamping", transforms{matrixDCT(&dctTab, wrap16), FDCT}},
+			{"an FDCT that wraps instead of clamping", transforms{IDCT, matrixDCT(&dctTabT, wrap16)}},
+		},
+	}
+}
+
+func TestTransformsMatchMatrixProduct(t *testing.T) { transformContract(t).verify(t) }
+
+// dctKernel is a model of dct2dSSE2 with its table named by direction.
+// dct2dSSE2 exists only on amd64, so its row is in dct_amd64_test.go,
+// which also sets dct2dFuzz, the row's check of one block.
+type dctKernel func(src, dst *Block, forward bool) bool
+
+var dct2dFuzz func(b *Block) string
+
+// FuzzTransformParity reads 128 fuzz bytes as one little-endian block
+// (zero-padded, so sparse blocks are easy to reach) for the transform and
+// dct2dSSE2 rows, and the same bytes as run/level events for RLSQ.
+func FuzzTransformParity(f *testing.F) {
+	f.Add(uint8(5), []byte{})
+	f.Add(uint8(0), []byte{0x00, 0x80})
+	f.Add(uint8(30), []byte{0xff, 0x7f, 0x01, 0x00, 0x00, 0x80, 0x03, 0x00, 0xfe, 0xff})
+	f.Add(uint8(12), []byte("eclipse dct coprocessor butterflies"))
+	f.Fuzz(func(t *testing.T, q uint8, data []byte) {
+		var buf [128]byte
+		copy(buf[:], data)
+		var b Block
+		for i := range b {
+			b[i] = int16(binary.LittleEndian.Uint16(buf[2*i:]))
+		}
+		msg := transformMismatch(transforms{IDCT, FDCT}, &b)
+		if msg == "" && dct2dFuzz != nil {
+			msg = dct2dFuzz(&b)
+		}
+		// Event i: a signed run from byte 4i, a 24-bit signed level from
+		// bytes 4i+1..4i+3 (outside int16, to reach the truncation).
+		in := rlsqInput{name: "fuzz", q: int(q%31) + 1}
+		for i := 0; i+4 <= len(data); i += 4 {
+			lvl := int32(binary.LittleEndian.Uint32(data[i:])) >> 8
+			in.events = append(in.events, RunLevel{Run: int(int8(data[i])), Level: lvl})
+		}
+		if msg == "" {
+			msg = rlsqMismatch(RLSQTokensToCoef, &in)
+		}
+		if msg != "" {
+			t.Fatal(msg)
+		}
+	})
+}
+
+type rlsqKernel func(events []RunLevel, q int, out *Block) error
+
+// rlsqThreeStep is the reference model of RLSQTokensToCoef: the three
+// passes it fuses, each over the whole block.
+func rlsqThreeStep(events []RunLevel, q int, out *Block) error {
+	var zz, dzz Block
+	if !RunLengthExpand(events, &zz) {
+		return ErrBitstream
+	}
+	Dequantize(&zz, &dzz, q)
+	InverseZigzag(&dzz, out)
+	return nil
+}
+
+type rlsqInput struct {
+	name   string
+	events []RunLevel
+	q      int
+}
+
+// rlsqMismatch compares the verdict, the error class and, on success, the
+// block.
+func rlsqMismatch(k rlsqKernel, in *rlsqInput) string {
+	var got, want Block
+	wantErr := rlsqThreeStep(in.events, in.q, &want)
+	err := k(in.events, in.q, &got)
+	switch {
+	case (err == nil) != (wantErr == nil):
+		return fmt.Sprintf("%s q=%d %v: accepted %v, three-step accepted %v", in.name, in.q, in.events, err == nil, wantErr == nil)
+	case err != nil && !errors.Is(err, ErrBitstream):
+		return fmt.Sprintf("%s q=%d %v: error %v is not ErrBitstream", in.name, in.q, in.events, err)
+	case err == nil && got != want:
+		return fmt.Sprintf("%s q=%d %v: block %v, three-step %v", in.name, in.q, in.events, got, want)
+	}
+	return ""
+}
+
+// rlsqCases are valid, clamping and malformed event lists, each with the
+// verdict RLSQTokensToCoef must give at every q.
+var rlsqCases = []struct {
+	name   string
+	events []RunLevel
+	ok     bool
+}{
+	{"empty", nil, true},
+	{"dc", []RunLevel{{0, 5}}, true},
+	{"last coefficient", []RunLevel{{63, -1}}, true},
+	{"dense", func() []RunLevel {
+		ev := make([]RunLevel, 64)
+		for i := range ev {
+			ev[i] = RunLevel{0, int32(i-32) | 1}
+		}
+		return ev
+	}(), true},
+	{"escape range", []RunLevel{{0, MaxLevel}, {3, -MaxLevel}}, true},
+	{"dequant clamps", []RunLevel{{0, 32767}, {0, -32768}}, true},
+	{"level wraps int16", []RunLevel{{1, 65537}, {2, -65535}}, true},
+	{"overflow", []RunLevel{{63, 1}, {0, 1}}, false},
+	{"run past end", []RunLevel{{64, 1}}, false},
+	{"zero level", []RunLevel{{2, 3}, {0, 0}}, false},
+	{"zero level past end", []RunLevel{{70, 0}}, false},
+	{"negative run", []RunLevel{{5, 1}, {-1, 1}}, false},
+	{"negative first run", []RunLevel{{-1, 1}}, false},
+}
+
+// rlsqContract runs rlsqCases, each of which must get its verdict, and
+// every coded block of the Fig. 10 clip at every q in 1..31.
+func rlsqContract(tb testing.TB) *contract[rlsqKernel] {
+	var ins []rlsqInput
+	for q := 1; q <= 31; q++ {
+		for _, c := range rlsqCases {
+			var out Block
+			if err := RLSQTokensToCoef(c.events, q, &out); (err == nil) != c.ok {
+				tb.Fatalf("%s q=%d: err %v, want ok=%v", c.name, q, err, c.ok)
+			}
+			ins = append(ins, rlsqInput{c.name, c.events, q})
+		}
+	}
+	for q := 1; q <= 31; q++ {
+		for i, ev := range loadCodedClip(tb).events {
+			ins = append(ins, rlsqInput{fmt.Sprintf("coded block %d", i), ev, q})
+		}
+	}
+	dropLast := func(events []RunLevel, q int, out *Block) error {
+		return RLSQTokensToCoef(events[:max(len(events)-1, 0)], q, out)
+	}
+	acceptAll := func(events []RunLevel, q int, out *Block) error {
+		_ = RLSQTokensToCoef(events, q, out)
+		return nil
+	}
+	return &contract[rlsqKernel]{
+		n:        len(ins),
+		mismatch: func(k rlsqKernel, i int) string { return rlsqMismatch(k, &ins[i]) },
+		kernel:   RLSQTokensToCoef,
+		oracle:   rlsqThreeStep,
+		faults: []fault[rlsqKernel]{
+			{"a scatter that drops the last event", dropLast},
+			{"a scatter that accepts malformed lists", acceptAll},
+		},
+	}
+}
+
+func TestRLSQTokensToCoefMatchesThreeStep(t *testing.T) { rlsqContract(t).verify(t) }
+
+type vldKernel func(r *BitReader) (rl RunLevel, eob bool, bits uint)
+
+// runLevelStepMismatch decodes data from bit skip to its first error with
+// decode and with decodeRunLevelSlow over the production table in
+// lockstep, and describes the first step where they differ in event,
+// bits, BitPos or error (nil-ness, PastEnd, text), or returns "".
+func runLevelStepMismatch(decode vldKernel, data []byte, skip uint) string {
+	r1, r2 := NewBitReader(data), NewBitReader(data)
+	r1.Skip(skip)
+	r2.Skip(skip)
+	for step := 0; r2.Err() == nil; step++ {
+		rl1, eob1, b1 := decode(r1)
+		rl2, eob2, b2 := decodeRunLevelSlow(coefTable, r2)
+		if rl1 != rl2 || eob1 != eob2 || b1 != b2 || r1.BitPos() != r2.BitPos() {
+			return fmt.Sprintf("step %d: got (%+v, eob %v, %d bits, pos %d), oracle (%+v, eob %v, %d bits, pos %d)",
+				step, rl1, eob1, b1, r1.BitPos(), rl2, eob2, b2, r2.BitPos())
+		}
+		e1, e2 := r1.Err(), r2.Err()
+		if (e1 == nil) != (e2 == nil) || r1.PastEnd() != r2.PastEnd() || e1 != nil && e1.Error() != e2.Error() {
+			return fmt.Sprintf("step %d: got err %v (pastEnd %v), oracle err %v (pastEnd %v)", step, e1, r1.PastEnd(), e2, r2.PastEnd())
+		}
+	}
+	return ""
+}
+
+// vldContract cuts every coded event at every bit: the events follow a
+// pad of 0..7 bits and each stream is cut after every byte, so a cut falls
+// at every bit of every event and every distance from the window's 8-byte
+// bound. The faulty tables have one code one bit too long, a first-level
+// code (EOB) and one the second level resolves (ESC).
+func vldContract() *contract[vldKernel] {
+	type cut struct {
+		data []byte
+		pad  uint
+	}
+	var ins []cut
+	for pad := uint(0); pad < 8; pad++ {
+		enc := encodeRunLevels(pad, runLevelEvents())
+		for n := 0; n <= len(enc); n++ {
+			ins = append(ins, cut{enc[:n], pad})
+		}
+	}
+	var faults []fault[vldKernel]
+	for _, sym := range []int{symEOB, symESC} {
+		faulty := *coefTable
+		faulty.lut = slices.Clone(coefTable.lut)
+		for i, e := range faulty.lut {
+			if e != 0 && e&huffLUTSub == 0 && int(e>>8) == sym {
+				faulty.lut[i]++
+			}
+		}
+		faults = append(faults, fault[vldKernel]{fmt.Sprintf("a table whose symbol %d is one bit too long", sym),
+			func(r *BitReader) (RunLevel, bool, uint) { return decodeRunLevel(&faulty, r) }})
+	}
+	return &contract[vldKernel]{
+		n: len(ins),
+		mismatch: func(k vldKernel, i int) string {
+			if msg := runLevelStepMismatch(k, ins[i].data, ins[i].pad); msg != "" {
+				return fmt.Sprintf("pad %d cut %d: %s", ins[i].pad, len(ins[i].data), msg)
+			}
+			return ""
+		},
+		kernel: DecodeRunLevel,
+		oracle: func(r *BitReader) (RunLevel, bool, uint) { return decodeRunLevelSlow(coefTable, r) },
+		faults: faults,
+	}
+}
+
+// TestRunLevelWindowParity first decodes every coded event through
+// DecodeRunLevel.
+func TestRunLevelWindowParity(t *testing.T) {
+	evs := runLevelEvents()
+	r := NewBitReader(encodeRunLevels(0, evs))
+	for i, want := range evs {
+		if got, eob, _ := DecodeRunLevel(r); got != want || eob != (want == RunLevel{}) || r.Err() != nil {
+			t.Fatalf("event %d: got %+v eob %v err %v, want %+v", i, got, eob, r.Err(), want)
+		}
+	}
+	vldContract().holds(t)
+}
+
+func TestRunLevelParityCatchesFaults(t *testing.T) { vldContract().checkFaults(t) }
+
+// FuzzRunLevelParity runs the VLD row on arbitrary bytes read from a bit
+// offset of 0..7, through invalid codes, sticky errors and the tail.
+func FuzzRunLevelParity(f *testing.F) {
+	f.Add(uint8(0), encodeRunLevels(0, runLevelEvents()))
+	f.Add(uint8(5), encodeRunLevels(3, runLevelEvents()[250:]))
+	f.Add(uint8(1), bytes.Repeat([]byte{0xff}, 12))
+	f.Add(uint8(7), []byte{0xde, 0xad, 0xbe, 0xef, 0x01, 0x23, 0x45, 0x67, 0x89})
+	f.Fuzz(func(t *testing.T, skip uint8, data []byte) {
+		if msg := runLevelStepMismatch(DecodeRunLevel, data, uint(skip%8)); msg != "" {
+			t.Fatal(msg)
+		}
+	})
+}

@@ -2,7 +2,6 @@ package media
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -384,85 +383,5 @@ func TestIsSkipMB(t *testing.T) {
 	}
 	if IsSkipMB(FrameI, MBDecision{Mode: PredIntra}, 0) {
 		t.Fatal("I frames have no skip")
-	}
-}
-
-// rlsqThreeStep is the reference model of RLSQTokensToCoef: the three
-// passes it fuses, each over the whole block.
-func rlsqThreeStep(events []RunLevel, q int, out *Block) bool {
-	var zz, dzz Block
-	if !RunLengthExpand(events, &zz) {
-		return false
-	}
-	Dequantize(&zz, &dzz, q)
-	InverseZigzag(&dzz, out)
-	return true
-}
-
-// rlsqMismatch checks RLSQTokensToCoef against rlsqThreeStep: the same
-// verdict, and on success the same block. It describes the first
-// difference, or returns "".
-func rlsqMismatch(events []RunLevel, q int) string {
-	var got, want Block
-	ok := rlsqThreeStep(events, q, &want)
-	err := RLSQTokensToCoef(events, q, &got)
-	switch {
-	case ok != (err == nil):
-		return fmt.Sprintf("q=%d %v: accepted %v, three-step accepted %v", q, events, err == nil, ok)
-	case err != nil && !errors.Is(err, ErrBitstream):
-		return fmt.Sprintf("q=%d %v: error %v is not ErrBitstream", q, events, err)
-	case ok && got != want:
-		return fmt.Sprintf("q=%d %v: block %v, three-step %v", q, events, got, want)
-	}
-	return ""
-}
-
-// TestRLSQTokensToCoefMatchesThreeStep runs the one-pass RLSQ scatter and
-// its three-step reference on valid, clamping and malformed event lists
-// and on every coded block of the Fig. 10 clip, at every q in 1..31.
-func TestRLSQTokensToCoefMatchesThreeStep(t *testing.T) {
-	cases := []struct {
-		name   string
-		events []RunLevel
-		ok     bool
-	}{
-		{"empty", nil, true},
-		{"dc", []RunLevel{{0, 5}}, true},
-		{"last coefficient", []RunLevel{{63, -1}}, true},
-		{"dense", func() []RunLevel {
-			ev := make([]RunLevel, 64)
-			for i := range ev {
-				ev[i] = RunLevel{0, int32(i-32) | 1}
-			}
-			return ev
-		}(), true},
-		{"escape range", []RunLevel{{0, MaxLevel}, {3, -MaxLevel}}, true},
-		{"dequant clamps", []RunLevel{{0, 32767}, {0, -32768}}, true},
-		{"level wraps int16", []RunLevel{{1, 65537}, {2, -65535}}, true},
-		{"overflow", []RunLevel{{63, 1}, {0, 1}}, false},
-		{"run past end", []RunLevel{{64, 1}}, false},
-		{"zero level", []RunLevel{{2, 3}, {0, 0}}, false},
-		{"zero level past end", []RunLevel{{70, 0}}, false},
-		{"negative run", []RunLevel{{5, 1}, {-1, 1}}, false},
-		{"negative first run", []RunLevel{{-1, 1}}, false},
-	}
-	for q := 1; q <= 31; q++ {
-		for _, c := range cases {
-			if msg := rlsqMismatch(c.events, q); msg != "" {
-				t.Fatalf("%s: %s", c.name, msg)
-			}
-			var out Block
-			if err := RLSQTokensToCoef(c.events, q, &out); (err == nil) != c.ok {
-				t.Fatalf("%s q=%d: err %v, want ok=%v", c.name, q, err, c.ok)
-			}
-		}
-	}
-	clip := loadCodedClip(t)
-	for q := 1; q <= 31; q++ {
-		for i, ev := range clip.events {
-			if msg := rlsqMismatch(ev, q); msg != "" {
-				t.Fatalf("coded block %d: %s", i, msg)
-			}
-		}
 	}
 }

@@ -1,8 +1,6 @@
 package media
 
 import (
-	"fmt"
-	"slices"
 	"testing"
 )
 
@@ -123,8 +121,8 @@ func TestHuffDecodeLongCodes(t *testing.T) {
 	if errT != nil {
 		t.Fatal(errT)
 	}
-	if uint(tab.MaxLen()) <= tab.lutBits {
-		t.Fatalf("want codes longer than the %d-bit LUT, max is %d", tab.lutBits, tab.MaxLen())
+	if uint(tab.maxLen) <= tab.lutBits {
+		t.Fatalf("want codes longer than the %d-bit LUT, max is %d", tab.lutBits, tab.maxLen)
 	}
 	w := NewBitWriter()
 	for sym := range freq {
@@ -166,85 +164,4 @@ func encodeRunLevels(pad uint, evs []RunLevel) []byte {
 		}
 	}
 	return w.Bytes()
-}
-
-// runLevelStepMismatch decodes data from bit skip to its first error with
-// decode and with decodeRunLevelSlow over the production table in lockstep,
-// and describes the first step where they differ in event, bits, BitPos or
-// error (nil-ness, PastEnd, text), or returns "".
-func runLevelStepMismatch(decode func(*BitReader) (RunLevel, bool, uint), data []byte, skip uint) string {
-	r1, r2 := NewBitReader(data), NewBitReader(data)
-	r1.Skip(skip)
-	r2.Skip(skip)
-	for step := 0; r2.Err() == nil; step++ {
-		rl1, eob1, b1 := decode(r1)
-		rl2, eob2, b2 := decodeRunLevelSlow(coefTable, r2)
-		if rl1 != rl2 || eob1 != eob2 || b1 != b2 || r1.BitPos() != r2.BitPos() {
-			return fmt.Sprintf("step %d: got (%+v, eob %v, %d bits, pos %d), oracle (%+v, eob %v, %d bits, pos %d)",
-				step, rl1, eob1, b1, r1.BitPos(), rl2, eob2, b2, r2.BitPos())
-		}
-		e1, e2 := r1.Err(), r2.Err()
-		if (e1 == nil) != (e2 == nil) || r1.PastEnd() != r2.PastEnd() || e1 != nil && e1.Error() != e2.Error() {
-			return fmt.Sprintf("step %d: got err %v (pastEnd %v), oracle err %v (pastEnd %v)", step, e1, r1.PastEnd(), e2, r2.PastEnd())
-		}
-	}
-	return ""
-}
-
-// runLevelMismatch holds decode to the oracle on every coded event cut at
-// every bit: the events follow a pad of 0..7 bits, and each padded stream
-// is cut after every byte, so across the pads a cut falls at every bit
-// position of every event and at every distance from the window's 8-byte
-// bound.
-func runLevelMismatch(decode func(*BitReader) (RunLevel, bool, uint)) string {
-	evs := runLevelEvents()
-	for pad := uint(0); pad < 8; pad++ {
-		enc := encodeRunLevels(pad, evs)
-		for cut := 0; cut <= len(enc); cut++ {
-			if msg := runLevelStepMismatch(decode, enc[:cut], pad); msg != "" {
-				return fmt.Sprintf("pad %d cut %d/%d: %s", pad, cut, len(enc), msg)
-			}
-		}
-	}
-	return ""
-}
-
-// TestRunLevelWindowParity decodes every coded event through
-// DecodeRunLevel, then holds it to the oracle body at every cut.
-func TestRunLevelWindowParity(t *testing.T) {
-	evs := runLevelEvents()
-	r := NewBitReader(encodeRunLevels(0, evs))
-	for i, want := range evs {
-		if got, eob, _ := DecodeRunLevel(r); got != want || eob != (want == RunLevel{}) || r.Err() != nil {
-			t.Fatalf("event %d: got %+v eob %v err %v, want %+v", i, got, eob, r.Err(), want)
-		}
-	}
-	if msg := runLevelMismatch(DecodeRunLevel); msg != "" {
-		t.Fatal(msg)
-	}
-}
-
-// TestRunLevelParityCatchesFaults is the negative control: the harness
-// must pass the oracle itself and reject a window path whose table has one
-// code's length off by one, for a first-level code (EOB) and for a code
-// the second level resolves (ESC).
-func TestRunLevelParityCatchesFaults(t *testing.T) {
-	if msg := runLevelMismatch(func(r *BitReader) (RunLevel, bool, uint) { return decodeRunLevelSlow(coefTable, r) }); msg != "" {
-		t.Fatalf("oracle rejected: %s", msg)
-	}
-	for _, sym := range []int{symEOB, symESC} {
-		faulty := *coefTable
-		faulty.lut = slices.Clone(coefTable.lut)
-		for i, e := range faulty.lut {
-			if e != 0 && e&huffLUTSub == 0 && int(e>>8) == sym {
-				faulty.lut[i]++
-			}
-		}
-		msg := runLevelMismatch(func(r *BitReader) (RunLevel, bool, uint) { return decodeRunLevel(&faulty, r) })
-		if msg == "" {
-			t.Errorf("harness passed a table whose symbol %d is one bit too long", sym)
-		} else {
-			t.Logf("symbol %d length fault caught: %s", sym, msg)
-		}
-	}
 }

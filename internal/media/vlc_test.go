@@ -176,10 +176,7 @@ func TestVLDDoesNotAllocate(t *testing.T) {
 	long := encodeRunLevels(0, []RunLevel{esc, esc, esc})
 	tail := encodeRunLevels(0, []RunLevel{esc})
 	r := NewBitReader(nil)
-	for _, c := range []struct {
-		name string
-		f    func()
-	}{
+	checkZeroAllocs(t, []allocCase{
 		{"DecodeRunLevel window", func() {
 			*r = BitReader{buf: long}
 			if rl, _, _ := DecodeRunLevel(r); rl != esc {
@@ -198,9 +195,5 @@ func TestVLDDoesNotAllocate(t *testing.T) {
 				t.Fatalf("decoded symbol %d", sym)
 			}
 		}},
-	} {
-		if n := testing.AllocsPerRun(100, c.f); n != 0 {
-			t.Errorf("%s: %v allocs/op, want 0", c.name, n)
-		}
-	}
+	})
 }

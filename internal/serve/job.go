@@ -104,10 +104,6 @@ func NewJob(tenant string, kind Kind, ctx context.Context,
 // Done is closed when the job has finished (successfully or not).
 func (j *Job) Done() <-chan struct{} { return j.done }
 
-// Cancel aborts the job: its gates are poisoned, so it unwinds even if
-// currently descheduled.
-func (j *Job) Cancel() { j.cancel() }
-
 // Result returns the outcome; valid only after Done is closed.
 func (j *Job) Result() (Result, error) { return j.res, j.err }
 

@@ -368,7 +368,7 @@ func checkCancelNoLeak(t *testing.T, segs int) {
 			case <-j.Done():
 			case <-time.After(delay):
 			}
-			j.Cancel()
+			j.cancel()
 			<-j.Done()
 			// Whether the cancel landed mid-flight or after completion,
 			// every frame must be back in the pool.
