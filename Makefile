@@ -9,8 +9,10 @@
 #                amd64 pass runs asmdecl over the PSADBW, PMADDWD and MC
 #                kernels' frame and argument sizes); then the media tests
 #                under GOARCH=386, whose binaries run on an amd64 host, so
-#                the portable bodies also run, golden hashes included, and
-#                the one-window VLD, which is portable Go, runs there too
+#                the portable bodies also run, golden hashes included; the
+#                one-window VLD and the reciprocal quantiser, which are
+#                portable Go, run there too, so the quantiser's 64-bit
+#                products are checked exhaustively on a 32-bit target
 #   make test    full test suite only (tier-1; includes the benchmark
 #                rig's own tests via TestBenchmarkRig)
 #   make race    the full test suite under the race detector, plus the

@@ -380,12 +380,11 @@ func (d *IQ) Step(c *Ctx) bool {
 		return false
 	}
 	c.Read(iqPortIn, 0, d.inBuf[:])
-	var zz, dzz, out media.Block
+	var zz, out media.Block
 	if err := media.ParseBlock(d.inBuf[:], &zz); err != nil {
 		panic("iq: " + err.Error())
 	}
-	media.Dequantize(&zz, &dzz, d.QParam)
-	media.InverseZigzag(&dzz, &out)
+	media.DequantScan(&zz, &out, d.QParam)
 	c.Compute(d.Costs.RLSQPerBlock * 2)
 	d.outBuf = media.AppendBlock(d.outBuf[:0], &out)
 	c.Write(iqPortOut, 0, d.outBuf)

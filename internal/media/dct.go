@@ -153,90 +153,70 @@ var zigzag = [64]int{
 	53, 60, 61, 54, 47, 55, 62, 63,
 }
 
-// unzigzag is the inverse permutation: unzigzag[rowMajor] = zigzag index.
-var unzigzag [64]int
-
-func init() {
-	for i, p := range zigzag {
-		unzigzag[p] = i
+// quantScan is the encoder's forward RLSQ kernel for one block, the
+// zigzag scan, the quantizer and the nonzero count in one pass. Level i of
+// zz is coefficient zigzag[i] of coef as |c| + half divided by 2q, with
+// the sign of c restored and the level clamped to ±MaxLevel. half is q
+// for intra blocks (rounding to nearest, ties away from zero) and 0 for
+// inter blocks (truncation toward zero: a deadzone quantizer, as MPEG-2
+// uses for non-intra blocks, which keeps small prediction residuals from
+// producing coefficients, so skip macroblocks and cheap B frames happen).
+// It returns the number of nonzero levels. q must be in 1..63.
+//
+// Most levels are zero, and the nonzero ones sit between a first and a
+// last: two compare-only scans find those two, and only the levels
+// between them are quantized.
+func quantScan(coef, zz *Block, q int, intra bool) (nz int) {
+	m, half := quantRecip[q&63], 0
+	if intra {
+		half = q
 	}
+	// A level is zero iff |c| + half < 2q, that is iff c + t − 1 lies in
+	// [0, 2t − 1) with t = 2q − half: one unsigned compare.
+	t := int32(2*q - half)
+	zero := func(i int) bool { return uint32(int32(coef[zigzag[i]&63])+t-1) < uint32(2*t-1) }
+	*zz = Block{}
+	first, last := 0, 63
+	for first < 64 && zero(first) {
+		first++
+	}
+	if first == 64 {
+		return 0
+	}
+	for zero(last) {
+		last--
+	}
+	for i := first; i <= last; i++ {
+		c := int32(coef[zigzag[i&63]&63])
+		s := c >> 31 // 0 or −1; (x ^ s) − s is x or −x
+		lvl := int32(min((uint64((c^s)-s)+uint64(half))*m>>32, MaxLevel))
+		zz[i&63] = int16((lvl ^ s) - s)
+		if lvl != 0 {
+			nz++
+		}
+	}
+	return nz
 }
 
-// ZigzagScan permutes a row-major coefficient block into zigzag order.
-func ZigzagScan(src, dst *Block) {
-	for i, p := range zigzag {
-		dst[i] = src[p]
+// quantRecip[q] is m = ⌈2³²/2q⌉, so that n·m >> 32 is n/2q. That is exact
+// for every input of quantScan (Granlund and Montgomery, PLDI 1994):
+// m·2q = 2³² + e with e < 2q, so n·m/2³² exceeds n/2q by n·e/(2q·2³²) <
+// n/2³² < 2⁻¹⁶ for n = |c| + half < 2¹⁶, while the fraction of n/2q is at
+// most 1 − 1/2q with 1/2q ≥ 1/126 > 2⁻¹⁶, so the floor does not move.
+var quantRecip = func() (m [64]uint64) {
+	for q := 1; q < len(m); q++ {
+		d := uint64(2 * q)
+		m[q] = (1<<32 + d - 1) / d
 	}
-}
+	return m
+}()
 
-// InverseZigzag permutes a zigzag-ordered block back to row-major order
-// (the inverse-scan step of the RLSQ coprocessor).
-func InverseZigzag(src, dst *Block) {
-	for i, p := range zigzag {
-		dst[p] = src[i]
-	}
-}
-
-// QuantizeInter divides coefficients by 2q with truncation toward zero
-// (a deadzone quantizer, as MPEG-2 uses for non-intra blocks). The
-// deadzone keeps small prediction residuals — quantization-error
-// oscillation and sensor noise — from producing coefficients, which is
-// what makes skip macroblocks and cheap B frames possible.
-func QuantizeInter(src, dst *Block, q int) {
+// DequantScan is the inverse RLSQ step for one block: it multiplies each
+// zigzag-ordered level of zz by 2q and scatters the result, clamped to
+// int16, to its row-major place in coef.
+func DequantScan(zz, coef *Block, q int) {
 	d := int32(2 * q)
-	for i, c := range src {
-		lvl := int32(c) / d
-		if lvl > MaxLevel {
-			lvl = MaxLevel
-		}
-		if lvl < -MaxLevel {
-			lvl = -MaxLevel
-		}
-		dst[i] = int16(lvl)
+	for i := range zigzag {
+		coef[zigzag[i]&63] = clamp16(int32(zz[i]) * d)
 	}
-}
-
-// Quantize divides coefficients by 2q with symmetric rounding (used for
-// intra blocks) and clamps levels to the escape-codable range. q must be
-// ≥ 1.
-func Quantize(src, dst *Block, q int) {
-	d := int32(2 * q)
-	half := d / 2
-	for i, c := range src {
-		v := int32(c)
-		var lvl int32
-		if v >= 0 {
-			lvl = (v + half) / d
-		} else {
-			lvl = -((-v + half) / d)
-		}
-		if lvl > MaxLevel {
-			lvl = MaxLevel
-		}
-		if lvl < -MaxLevel {
-			lvl = -MaxLevel
-		}
-		dst[i] = int16(lvl)
-	}
-}
-
-// Dequantize multiplies levels by 2q (the inverse-quantization step of
-// the RLSQ coprocessor).
-func Dequantize(src, dst *Block, q int) {
-	d := int32(2 * q)
-	for i, l := range src {
-		dst[i] = clamp16(int32(l) * d)
-	}
-}
-
-// NonzeroCount returns the number of nonzero coefficients in the block, a
-// proxy for entropy-coding work used in cost models and tests.
-func NonzeroCount(b *Block) int {
-	n := 0
-	for _, c := range b {
-		if c != 0 {
-			n++
-		}
-	}
-	return n
 }

@@ -287,6 +287,18 @@ func TestTransformsDoNotAllocate(t *testing.T) {
 			qzz, _, _ := TransformMB(&in, false, 4)
 			sink += qzz[0][0]
 		}},
+		{"quantScan", func() {
+			in := mb[2]
+			var zz Block
+			quantScan(&in, &zz, 5, true)
+			sink += zz[0]
+		}},
+		{"DequantScan", func() {
+			in := mb[3]
+			var out Block
+			DequantScan(&in, &out, 5)
+			sink += out[0]
+		}},
 	})
 }
 

@@ -39,7 +39,6 @@ type Encoder struct {
 	w     *BitWriter
 	refs  RefChain
 	stats EncodeStats
-	tok   TokenMB // event arena for the local reconstruction
 }
 
 // Encode compresses frames (display order) and returns the bitstream, the
@@ -116,32 +115,24 @@ func (e *Encoder) encodeFrame(cur *Frame, ftype FrameType, tref int) *Frame {
 			fs.Nonzero += nz
 
 			if IsSkipMB(ftype, dec, cbp) {
+				// predPix is already the skip reconstruction, the forward
+				// reference at zero motion, and cbp is 0.
 				dec = MBDecision{Mode: PredSkip}
 				fs.SkipMBs++
-				// Skip reconstruction is the forward reference at zero motion.
-				Predict(&predPix, PredSkip, fwdRef, nil, x, y, MV{}, MV{})
 			}
 			if dec.Mode == PredIntra {
 				fs.IntraMBs++
 			}
 
-			// Local reconstruction via the decoder's inverse path.
+			// Local reconstruction straight from the quantized levels,
+			// bit-identical to the decoder's inverse path.
 			var coef, deq [BlocksPerMB]Block
-			tok := &e.tok
-			tok.Reset()
-			tok.CBP = cbp
-			if dec.Mode == PredSkip {
-				tok.CBP = 0
-			}
 			for b := 0; b < BlocksPerMB; b++ {
-				if tok.CBP&(1<<b) != 0 {
-					tok.SetBlockRunLength(b, &qzz[b])
+				if cbp&(1<<b) != 0 {
+					DequantScan(&qzz[b], &coef[b], e.cfg.Q)
 				}
 			}
-			if err := RLSQDecodeMB(tok, e.cfg.Q, &coef); err != nil {
-				panic(err) // encoder-produced tokens are always valid
-			}
-			IDCTMB(&coef, tok.CBP, &deq)
+			IDCTMB(&coef, cbp, &deq)
 			reconstruct(recon.Pix[y*recon.W+x:], recon.W, &predPix, &deq)
 
 			EncodeMBSyntax(e.w, ftype, dec, &mvp, cbp, &qzz)

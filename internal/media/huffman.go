@@ -232,15 +232,6 @@ func (t *HuffTable) lookup(w uint64) (sym int, n uint) {
 	return int(e >> 8), uint(e & 0xff)
 }
 
-// Encode appends the symbol's code to the bit writer.
-func (t *HuffTable) Encode(w *BitWriter, sym int) {
-	c := t.codes[sym]
-	if c.Len == 0 {
-		panic(fmt.Sprintf("media: encoding symbol %d with no code", sym))
-	}
-	w.WriteBits(c.Bits, uint(c.Len))
-}
-
 // Decode reads one symbol from the bit reader using canonical decoding.
 // It returns the symbol and the number of bits consumed. On malformed
 // input it returns -1 and sets the reader's error.

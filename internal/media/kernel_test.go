@@ -23,7 +23,8 @@ import (
 // kernelFunc is the type set of the contracts' kernels.
 type kernelFunc interface {
 	sadKernel | sad8Kernel | sadFrameKernel | activityKernel | searchFunc |
-		fetchKernel | mcKernels | transforms | dctKernel | rlsqKernel | vldKernel
+		fetchKernel | mcKernels | transforms | dctKernel | rlsqKernel | quantKernel |
+		dequantKernel | vleKernel | vldKernel
 }
 
 // contract is one kernel/reference pair over n inputs: mismatch runs model
@@ -1255,6 +1256,233 @@ func rlsqContract(tb testing.TB) *contract[rlsqKernel] {
 }
 
 func TestRLSQTokensToCoefMatchesThreeStep(t *testing.T) { rlsqContract(t).verify(t) }
+
+// int16Block returns block j of 1 024 that together hold every int16
+// once: coefficient i of block j is int16(64j + i).
+func int16Block(j int) (b Block) {
+	for i := range b {
+		b[i] = int16(64*j + i)
+	}
+	return b
+}
+
+type quantKernel func(coef, zz *Block, q int, intra bool) (nz int)
+
+// quantModel is quantScan with its choices exposed; the zero value is
+// the oracle, and each field is one of the row's faults: floor rounds the
+// reciprocal down, halfCut lowers the intra offset below q, noClamp drops
+// the ±MaxLevel bound and wide widens the zero test by one.
+type quantModel struct {
+	floor   bool
+	halfCut int
+	noClamp bool
+	wide    int32
+}
+
+func (f quantModel) scan(coef, zz *Block, q int, intra bool) (nz int) {
+	d := uint64(2 * q)
+	m := (1<<32 + d - 1) / d
+	if f.floor {
+		m = (1 << 32) / d
+	}
+	half := 0
+	if intra {
+		half = q - f.halfCut
+	}
+	t := int32(2*q-half) + f.wide
+	zero := func(i int) bool { c := int32(coef[zigzag[i]]); return -t < c && c < t }
+	*zz = Block{}
+	first, last := 0, 63
+	for first < 64 && zero(first) {
+		first++
+	}
+	for last >= first && zero(last) {
+		last--
+	}
+	for i := first; i <= last; i++ {
+		c := int32(coef[zigzag[i]])
+		lvl := (uint64(max(c, -c)) + uint64(half)) * m >> 32
+		if !f.noClamp {
+			lvl = min(lvl, MaxLevel)
+		}
+		zz[i] = int16(lvl)
+		if c < 0 {
+			zz[i] = -zz[i]
+		}
+		if lvl != 0 {
+			nz++
+		}
+	}
+	return nz
+}
+
+// quantBlock returns input b of the quantScan row at q, intra: b < 1024
+// is int16Block(b), so every int16 occurs; above that, a zigzag position
+// k and a value v at the zero test's edge, ±(t − 1) or ±t with
+// t = 2q − half, either alone at k or with −v at 63 − k.
+func quantBlock(b, q int, intra bool) (coef Block) {
+	if b < 1024 {
+		return int16Block(b)
+	}
+	b -= 1024
+	t := int16(2 * q)
+	if intra {
+		t -= int16(q)
+	}
+	k, v := b/8, [4]int16{-t, 1 - t, t - 1, t}[b%4]
+	coef[zigzag[k]] = v
+	if b%8 >= 4 {
+		coef[zigzag[63-k]] = -v
+	}
+	return coef
+}
+
+// quantScanContract holds quantScan to ZigzagScan, then Quantize (intra)
+// or QuantizeInter, then NonzeroCount, at every q in 1..63, intra and
+// inter, over every int16 and over sparse blocks at the edge of the zero
+// test: 126 × (1 024 + 512) blocks.
+func quantScanContract() *contract[quantKernel] {
+	const perQ = 1024 + 64*8
+	return &contract[quantKernel]{
+		n: perQ * 63 * 2,
+		mismatch: func(k quantKernel, i int) string {
+			q, intra := i/perQ%63+1, i >= perQ*63
+			coef := quantBlock(i%perQ, q, intra)
+			var zz, want Block
+			ZigzagScan(&coef, &zz)
+			if intra {
+				Quantize(&zz, &want, q)
+			} else {
+				QuantizeInter(&zz, &want, q)
+			}
+			got := garbageBlock
+			if nz := k(&coef, &got, q, intra); got != want || nz != NonzeroCount(&want) {
+				return fmt.Sprintf("block %d q=%d intra=%v: levels %v (%d nonzero), want %v (%d)", i%perQ, q, intra, got, nz, want, NonzeroCount(&want))
+			}
+			return ""
+		},
+		kernel: quantScan,
+		oracle: quantModel{}.scan,
+		faults: []fault[quantKernel]{
+			{"a floor reciprocal", quantModel{floor: true}.scan},
+			{"an intra offset of q−1", quantModel{halfCut: 1}.scan},
+			{"no clamp", quantModel{noClamp: true}.scan},
+			{"a zero test one too wide", quantModel{wide: 1}.scan},
+		},
+	}
+}
+
+func TestQuantScanMatchesThreePasses(t *testing.T) { quantScanContract().verify(t) }
+
+type dequantKernel func(zz, coef *Block, q int)
+
+// dequantScanContract holds DequantScan to RLSQTokensToCoef of the
+// block's run/level events over every int16 at every q in 1..63: 64 512
+// blocks. The oracle is Dequantize, then InverseZigzag.
+func dequantScanContract() *contract[dequantKernel] {
+	const qs = 63
+	var events []RunLevel
+	return &contract[dequantKernel]{
+		n: 1024 * qs,
+		mismatch: func(k dequantKernel, i int) string {
+			zz, q := int16Block(i%1024), i/1024+1
+			var want Block
+			events = AppendRunLength(events[:0], &zz)
+			if err := RLSQTokensToCoef(events, q, &want); err != nil {
+				return err.Error()
+			}
+			got := garbageBlock
+			if k(&zz, &got, q); got != want {
+				return fmt.Sprintf("block %d q=%d: %v, want %v", i%1024, q, got, want)
+			}
+			return ""
+		},
+		kernel: DequantScan,
+		oracle: func(zz, coef *Block, q int) {
+			var d Block
+			Dequantize(zz, &d, q)
+			InverseZigzag(&d, coef)
+		},
+		faults: []fault[dequantKernel]{{"a scatter in zigzag order", Dequantize}},
+	}
+}
+
+func TestDequantScanMatchesRLSQ(t *testing.T) { dequantScanContract().verify(t) }
+
+type vleKernel func(w *BitWriter, rl RunLevel)
+
+// encodeRunLevelRef is the reference model of EncodeRunLevel, one write
+// per field: a pair's code, then its sign bit; or ESC's code, the run and
+// the level.
+func encodeRunLevelRef(w *BitWriter, rl RunLevel) {
+	abs := max(rl.Level, -rl.Level)
+	if rl.Run <= vlcMaxRun && abs <= vlcMaxLevel {
+		coefTable.Encode(w, pairSym(rl.Run, abs))
+		if rl.Level < 0 {
+			w.WriteBit(1)
+		} else {
+			w.WriteBit(0)
+		}
+		return
+	}
+	coefTable.Encode(w, symESC)
+	w.WriteBits(uint32(rl.Run), escRunBits)
+	w.WriteBits(uint32(rl.Level)&(1<<escLevelBits-1), escLevelBits)
+}
+
+// vleModel is EncodeRunLevel's two merged writes built from coefTable's
+// codes, with the sign bit inverted when flip is set and an ESC run field
+// of runBits bits.
+func vleModel(flip bool, runBits uint) vleKernel {
+	return func(w *BitWriter, rl RunLevel) {
+		abs := max(rl.Level, -rl.Level)
+		if rl.Run <= vlcMaxRun && abs <= vlcMaxLevel {
+			c, sign := coefTable.codes[pairSym(rl.Run, abs)], uint32(0)
+			if (rl.Level < 0) != flip {
+				sign = 1
+			}
+			w.WriteBits(c.Bits<<1|sign, uint(c.Len)+1)
+			return
+		}
+		c := coefTable.codes[symESC]
+		w.WriteBits(c.Bits<<runBits|uint32(rl.Run)&(1<<runBits-1), uint(c.Len)+runBits)
+		w.WriteBits(uint32(rl.Level)&(1<<escLevelBits-1), escLevelBits)
+	}
+}
+
+// vleContract holds EncodeRunLevel to the field-by-field writes for every
+// codable event: run 0..63 × level ±1..MaxLevel and −MaxLevel−1, each
+// written on its own, 262 080 events; input i is run i.
+func vleContract() *contract[vleKernel] {
+	var got, want BitWriter
+	return &contract[vleKernel]{
+		n: MaxRun + 1,
+		mismatch: func(k vleKernel, run int) string {
+			for lvl := int32(-MaxLevel - 1); lvl <= MaxLevel; lvl++ {
+				if lvl == 0 {
+					continue
+				}
+				rl := RunLevel{run, lvl}
+				got, want = BitWriter{buf: got.buf[:0]}, BitWriter{buf: want.buf[:0]}
+				k(&got, rl)
+				encodeRunLevelRef(&want, rl)
+				gotLen, wantLen := got.BitLen(), want.BitLen()
+				if gotLen != wantLen || !bytes.Equal(got.Bytes(), want.Bytes()) {
+					return fmt.Sprintf("%+v: %x (%d bits), want %x (%d bits)", rl, got.Bytes(), gotLen, want.Bytes(), wantLen)
+				}
+			}
+			return ""
+		},
+		kernel: EncodeRunLevel,
+		oracle: vleModel(false, escRunBits),
+		faults: []fault[vleKernel]{
+			{"an inverted sign bit", vleModel(true, escRunBits)},
+			{"a 5-bit ESC run field", vleModel(false, 5)},
+		},
+	}
+}
+
+func TestRunLevelTableEncodeMatchesFieldWrites(t *testing.T) { vleContract().verify(t) }
 
 type vldKernel func(r *BitReader) (rl RunLevel, eob bool, bits uint)
 

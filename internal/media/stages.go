@@ -81,21 +81,15 @@ func DecideMB(mb *MBPixels, ftype FrameType, x, y int, fwdRef, bwdRef *Frame, se
 }
 
 // TransformMB is the forward transform-and-quantize path for one
-// macroblock's residual blocks (FDCT → zigzag → quantize): the work the
-// DCT and RLSQ coprocessors perform in the encode direction. It returns
-// the quantized zigzag-ordered blocks, the coded block pattern, and the
+// macroblock's residual blocks (FDCT, then quantScan): the work the DCT
+// and RLSQ coprocessors perform in the encode direction. It returns the
+// quantized zigzag-ordered blocks, the coded block pattern, and the
 // nonzero coefficient count.
 func TransformMB(resid *[BlocksPerMB]Block, intra bool, q int) (qzz [BlocksPerMB]Block, cbp byte, nz int) {
 	for b := 0; b < BlocksPerMB; b++ {
-		var coef, zz Block
+		var coef Block
 		FDCT(&resid[b], &coef)
-		ZigzagScan(&coef, &zz)
-		if intra {
-			Quantize(&zz, &qzz[b], q)
-		} else {
-			QuantizeInter(&zz, &qzz[b], q)
-		}
-		if n := NonzeroCount(&qzz[b]); n > 0 {
+		if n := quantScan(&coef, &qzz[b], q, intra); n > 0 {
 			cbp |= 1 << b
 			nz += n
 		}
@@ -139,18 +133,12 @@ func RLSQDecodeMB(tok *TokenMB, q int, out *[BlocksPerMB]Block) error {
 }
 
 // RLSQEncodeBlockInto is the encode-direction RLSQ kernel for one block:
-// zigzag scan and quantization producing run/level events published as
-// block b of the caller-owned token (zero-alloc on token reuse). It also
-// returns the quantized zigzag block, which feeds the encoder's local
-// reconstruction path.
+// zigzag scan and quantization (quantScan) producing run/level events
+// published as block b of the caller-owned token (zero-alloc on token
+// reuse). It also returns the quantized zigzag block, which feeds the
+// encoder's local reconstruction path.
 func RLSQEncodeBlockInto(coef *Block, intra bool, q int, tok *TokenMB, b int) (qzz Block) {
-	var zz Block
-	ZigzagScan(coef, &zz)
-	if intra {
-		Quantize(&zz, &qzz, q)
-	} else {
-		QuantizeInter(&zz, &qzz, q)
-	}
+	quantScan(coef, &qzz, q, intra)
 	tok.SetBlockRunLength(b, &qzz)
 	return qzz
 }
@@ -222,7 +210,7 @@ func EncodeMBSyntax(w *BitWriter, ftype FrameType, dec MBDecision, mvp *MVPredic
 		// of materializing an intermediate []RunLevel: bit-identical to
 		// encoding RunLength(&qzz[b]), without the allocation.
 		run := 0
-		for _, c := range qzz[b] {
+		for _, c := range &qzz[b] {
 			if c == 0 {
 				run++
 				continue

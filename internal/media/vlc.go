@@ -1,6 +1,9 @@
 package media
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // Run/level variable-length coding of quantized DCT coefficients.
 //
@@ -37,6 +40,15 @@ func pairSym(run int, absLevel int32) int {
 
 var coefTable *HuffTable
 
+// pairCodes[2·(sym−2) + sign] is pair symbol sym's code followed by its
+// sign bit (1 for a negative level), packed as bits<<8 | length, so a
+// pair event is one WriteBits. ESC's code is written with the run in one
+// WriteBits.
+var (
+	pairCodes        [2 * (vlcMaxRun + 1) * vlcMaxLevel]uint32
+	escCode, eobCode HuffCode
+)
+
 func init() {
 	// Synthetic frequency model: short runs and small levels dominate, as
 	// in real DCT statistics. EOB occurs once per block; escapes are rare.
@@ -54,6 +66,14 @@ func init() {
 		panic(err)
 	}
 	coefTable = t
+	escCode, eobCode = t.codes[symESC], t.codes[symEOB]
+	for i := range pairCodes {
+		c := t.codes[2+i/2]
+		if c.Len == 0 || c.Len > 23 {
+			panic("media: run/level pair code does not pack")
+		}
+		pairCodes[i] = (c.Bits<<1|uint32(i&1))<<8 | uint32(c.Len+1)
+	}
 }
 
 // RunLevel is one entropy-coding event: Run zero coefficients followed by
@@ -63,29 +83,29 @@ type RunLevel struct {
 	Level int32
 }
 
-// EncodeRunLevel appends the VLC for one run/level event.
+// EncodeRunLevel appends the VLC for one run/level event: a table pair
+// (run ≤ 15, |level| ≤ 8) as its code and sign bit in one write, any
+// other event as ESC and the run, then the level in two's complement. It
+// panics on an event the escape fields cannot carry: a run outside
+// 0..MaxRun, a zero level, or a level outside the 12-bit field's
+// −MaxLevel−1..MaxLevel.
 func EncodeRunLevel(w *BitWriter, rl RunLevel) {
-	abs := rl.Level
-	if abs < 0 {
-		abs = -abs
-	}
-	if rl.Run <= vlcMaxRun && abs >= 1 && abs <= vlcMaxLevel {
-		coefTable.Encode(w, pairSym(rl.Run, abs))
-		if rl.Level < 0 {
-			w.WriteBit(1)
-		} else {
-			w.WriteBit(0)
-		}
+	neg := rl.Level >> 31 // 0 or −1; (x ^ neg) − neg is |x|
+	abs := (rl.Level ^ neg) - neg
+	if uint(rl.Run) <= vlcMaxRun && uint32(abs-1) < vlcMaxLevel {
+		e := pairCodes[(rl.Run*vlcMaxLevel+int(abs)-1)<<1|int(neg&1)]
+		w.WriteBits(e>>8, uint(e&0xff))
 		return
 	}
-	// Escape: ESC, run, signed level in two's complement.
-	coefTable.Encode(w, symESC)
-	w.WriteBits(uint32(rl.Run), escRunBits)
+	if uint(rl.Run) > MaxRun || rl.Level == 0 || rl.Level < -MaxLevel-1 || rl.Level > MaxLevel {
+		panic(fmt.Sprintf("media: run/level event %+v has no code", rl))
+	}
+	w.WriteBits(escCode.Bits<<escRunBits|uint32(rl.Run), uint(escCode.Len)+escRunBits)
 	w.WriteBits(uint32(rl.Level)&(1<<escLevelBits-1), escLevelBits)
 }
 
 // EncodeEOB appends the end-of-block code.
-func EncodeEOB(w *BitWriter) { coefTable.Encode(w, symEOB) }
+func EncodeEOB(w *BitWriter) { w.WriteBits(eobCode.Bits, uint(eobCode.Len)) }
 
 // DecodeRunLevel reads one event. eob is true when the event was
 // end-of-block (rl is then the zero value). bits is the number of

@@ -1,7 +1,10 @@
 package media
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -168,15 +171,25 @@ func TestVLCBitsAreDataDependent(t *testing.T) {
 	}
 }
 
-// TestVLDDoesNotAllocate pins the entropy decode at zero allocations:
+// TestVLDDoesNotAllocate pins the entropy coder at zero allocations:
 // DecodeRunLevel on the window path (8 bytes left) and on the tail path,
-// and HuffTable.Decode on ESC, a code the LUT's second level resolves.
+// HuffTable.Decode on ESC, a code the LUT's second level resolves, and
+// EncodeRunLevel on a pair and on ESC into a writer with room.
 func TestVLDDoesNotAllocate(t *testing.T) {
 	esc := RunLevel{Run: 40, Level: -300}
 	long := encodeRunLevels(0, []RunLevel{esc, esc, esc})
 	tail := encodeRunLevels(0, []RunLevel{esc})
 	r := NewBitReader(nil)
+	w := &BitWriter{buf: make([]byte, 0, 16)}
 	checkZeroAllocs(t, []allocCase{
+		{"EncodeRunLevel pair", func() {
+			*w = BitWriter{buf: w.buf[:0]}
+			EncodeRunLevel(w, RunLevel{Run: 3, Level: -2})
+		}},
+		{"EncodeRunLevel ESC", func() {
+			*w = BitWriter{buf: w.buf[:0]}
+			EncodeRunLevel(w, esc)
+		}},
 		{"DecodeRunLevel window", func() {
 			*r = BitReader{buf: long}
 			if rl, _, _ := DecodeRunLevel(r); rl != esc {
@@ -196,4 +209,29 @@ func TestVLDDoesNotAllocate(t *testing.T) {
 			}
 		}},
 	})
+}
+
+// TestEncodeRunLevelRejectsUncodableEvents: an event the escape fields
+// cannot carry panics rather than writing another event's code.
+func TestEncodeRunLevelRejectsUncodableEvents(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		rl   RunLevel
+	}{
+		{"run above MaxRun", RunLevel{MaxRun + 1, 1}},       // a 6-bit field reads run 0
+		{"negative run", RunLevel{-1, 1}},                   // no table index
+		{"level above MaxLevel", RunLevel{0, MaxLevel + 1}}, // a 12-bit field reads −2048
+		{"level below the field", RunLevel{5, -MaxLevel - 2}},
+		{"most negative level", RunLevel{5, math.MinInt32}}, // |level| overflows int32
+		{"zero level", RunLevel{20, 0}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "has no code") {
+					t.Fatalf("EncodeRunLevel(%+v) recovered %v, want a \"has no code\" panic", c.rl, r)
+				}
+			}()
+			EncodeRunLevel(NewBitWriter(), c.rl)
+		})
+	}
 }
