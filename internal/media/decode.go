@@ -135,6 +135,7 @@ func decodeSpan(r *BitReader, seq SeqHeader, lo, hi int, opts *DecodeOptions) (*
 	}
 	var refs RefChain
 	var refDi [2]int // display indices shadowing refs.A, refs.B
+	var tok TokenMB  // one arena for every macroblock of the span
 	for fi := lo; fi < hi; fi++ {
 		if opts.OnFrame != nil {
 			if err := opts.OnFrame(fi); err != nil {
@@ -145,7 +146,7 @@ func decodeSpan(r *BitReader, seq SeqHeader, lo, hi int, opts *DecodeOptions) (*
 		if err != nil {
 			return fail(fmt.Errorf("frame %d: %w", fi, err))
 		}
-		frame, err := decodeFrameBody(r, &seq, hdr, &refs, newFrame, opts.Recycle)
+		frame, err := decodeFrameBody(r, &seq, hdr, &refs, &tok, newFrame, opts.Recycle)
 		if err != nil {
 			return fail(fmt.Errorf("frame %d: %w", fi, err))
 		}
@@ -181,9 +182,10 @@ func decodeSpan(r *BitReader, seq SeqHeader, lo, hi int, opts *DecodeOptions) (*
 }
 
 // decodeFrameBody decodes the macroblock layer of one frame (the serial
-// path). newFrame supplies the reconstruction frame; recycle, when
-// non-nil, reclaims it on the error path.
-func decodeFrameBody(r *BitReader, seq *SeqHeader, hdr FrameHdr, refs *RefChain, newFrame func(w, h int) *Frame, recycle func(*Frame)) (*Frame, error) {
+// path). tok is the caller's token, whose arena every macroblock reuses.
+// newFrame supplies the reconstruction frame; recycle, when non-nil,
+// reclaims it on the error path.
+func decodeFrameBody(r *BitReader, seq *SeqHeader, hdr FrameHdr, refs *RefChain, tok *TokenMB, newFrame func(w, h int) *Frame, recycle func(*Frame)) (*Frame, error) {
 	if hdr.Type != FrameI && refs.B == nil {
 		return nil, fmt.Errorf("%w: %v frame before first reference", ErrBitstream, hdr.Type)
 	}
@@ -200,18 +202,17 @@ func decodeFrameBody(r *BitReader, seq *SeqHeader, hdr FrameHdr, refs *RefChain,
 	fwdRef, bwdRef := refs.Refs(hdr.Type)
 	var (
 		mvp         MVPredictor
-		tok         TokenMB // reused across macroblocks (arena)
 		coef, resid [BlocksPerMB]Block
 		pred        MBPixels
 	)
 	for mby := 0; mby < seq.MBRows; mby++ {
 		mvp.RowStart()
 		for mbx := 0; mbx < seq.MBCols; mbx++ {
-			dec, err := ParseMBSyntaxInto(r, hdr.Type, &mvp, &tok)
+			dec, err := ParseMBSyntaxInto(r, hdr.Type, &mvp, tok)
 			if err != nil {
 				return fail(fmt.Errorf("mb (%d,%d): %w", mbx, mby, err))
 			}
-			if err := RLSQDecodeMB(&tok, seq.Q, &coef); err != nil {
+			if err := RLSQDecodeMB(tok, seq.Q, &coef); err != nil {
 				return fail(fmt.Errorf("mb (%d,%d): %w", mbx, mby, err))
 			}
 			IDCTMB(&coef, tok.CBP, &resid)

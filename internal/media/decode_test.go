@@ -316,13 +316,10 @@ func TestDisplayFramesInto(t *testing.T) {
 }
 
 // referenceDecodeAllocBudget bounds the bytes one Decode of the Fig. 10
-// stream allocates: counted at 378 KiB/op (42 allocs) on the code that
-// set it, the same at GOMAXPROCS 1, 2 and 4 and under -race, plus 5 %.
-// At the parent of the change that made the decoder serial-only, Decode
-// ran the pipeline-parallel decoder whenever GOMAXPROCS ≥ 2 and counted
-// 648 KiB/op (141 allocs) at 2 and 864 KiB/op at 4, so this test fails
-// there on any host with GOMAXPROCS ≥ 2.
-const referenceDecodeAllocBudget = 397 << 10
+// stream allocates: counted at 326 KiB/op (31 allocs: the frames, the
+// result, one token arena for the whole decode), the same at GOMAXPROCS
+// 1 and 4 and under -race, plus 5 %.
+const referenceDecodeAllocBudget = 343 << 10
 
 // TestReferenceDecodeAllocBudget pins the allocation cost of the plain
 // reference decode, which the simulator's verification and every offline

@@ -56,45 +56,46 @@ func Encode(cfg CodecConfig, frames []*Frame) ([]byte, []*Frame, *EncodeStats, e
 			return nil, nil, nil, fmt.Errorf("media: frame %d is %dx%d, want %dx%d", i, f.W, f.H, cfg.W, cfg.H)
 		}
 	}
-	e := newEncoder(cfg, len(frames), true)
+	e := newEncoder(cfg, len(frames), 0, len(frames), 0)
 
 	types := GOPTypes(len(frames), cfg.GOPN, cfg.GOPM)
-	order := CodedOrder(types)
 	recon := make([]*Frame, len(frames))
-	for _, di := range order {
-		recon[di] = e.encodeFrame(frames[di], types[di], di)
+	for _, di := range CodedOrder(types) {
+		recon[di] = NewFrame(cfg.W, cfg.H)
+		e.encodeFrame(frames[di], types[di], di, recon[di])
 	}
 	return e.w.Bytes(), recon, &e.stats, nil
 }
 
-// newEncoder builds an Encoder for a declared frame count and, when
-// header is set, writes the sequence header. Shared by the batch Encode
-// and the push-based StreamEncoder so both produce bit-identical
-// streams: the batch encoder and the span at display 0 carry the header,
-// later spans stay headerless so StitchSegments can splice them behind
-// it.
-func newEncoder(cfg CodecConfig, frames int, header bool) *Encoder {
-	e := &Encoder{cfg: cfg, w: NewBitWriter(), seq: SeqHeader{
+// newEncoder builds an Encoder for display frames [lo, hi) of a
+// frames-frame sequence, its writer starting with room for outBytes.
+// Shared by the batch Encode (the span [0, frames)) and the push-based
+// StreamEncoder so both produce bit-identical streams: the span at
+// display 0 writes the sequence header, later spans stay headerless so
+// StitchSegments can splice them behind it.
+func newEncoder(cfg CodecConfig, frames, lo, hi, outBytes int) *Encoder {
+	e := &Encoder{cfg: cfg, w: &BitWriter{buf: make([]byte, 0, outBytes)}, seq: SeqHeader{
 		MBCols: cfg.W / MBSize, MBRows: cfg.H / MBSize,
 		Q: cfg.Q, GOPN: cfg.GOPN, GOPM: cfg.GOPM, Frames: frames,
 		HalfPel: cfg.HalfPel,
 	}}
-	if header {
+	e.stats.Frames = make([]FrameStats, 0, hi-lo)
+	if lo == 0 {
 		WriteSeqHeader(e.w, &e.seq)
 	}
 	return e
 }
 
-// encodeFrame codes one frame and returns its reconstruction, updating
-// the reference chain when the frame is a reference. It is one raster
-// pass: each macroblock is analysed (mode decision, motion search,
-// transform, quantization, local reconstruction) and its syntax written
-// straight after, with the motion-vector predictor restarting per row.
-func (e *Encoder) encodeFrame(cur *Frame, ftype FrameType, tref int) *Frame {
+// encodeFrame codes one frame, reconstructs it into recon unless recon
+// is nil (which only a B frame may pass), and advances the reference
+// chain. It is one raster pass: each macroblock is analysed (mode
+// decision, motion search, transform, quantization, local
+// reconstruction) and its syntax written straight after, with the
+// motion-vector predictor restarting per row.
+func (e *Encoder) encodeFrame(cur *Frame, ftype FrameType, tref int, recon *Frame) {
 	startBits := e.w.BitLen()
 	fs := FrameStats{Type: ftype, TRef: tref}
 	WriteFrameHdr(e.w, FrameHdr{Type: ftype, TRef: uint16(tref)})
-	recon := NewFrame(cur.W, cur.H)
 	fwdRef, bwdRef := e.refs.Refs(ftype)
 	var mvp MVPredictor
 	for mby := 0; mby < e.seq.MBRows; mby++ {
@@ -124,16 +125,18 @@ func (e *Encoder) encodeFrame(cur *Frame, ftype FrameType, tref int) *Frame {
 				fs.IntraMBs++
 			}
 
-			// Local reconstruction straight from the quantized levels,
-			// bit-identical to the decoder's inverse path.
-			var coef, deq [BlocksPerMB]Block
-			for b := 0; b < BlocksPerMB; b++ {
-				if cbp&(1<<b) != 0 {
-					DequantScan(&qzz[b], &coef[b], e.cfg.Q)
+			if recon != nil {
+				// Local reconstruction straight from the quantized
+				// levels, bit-identical to the decoder's inverse path.
+				var coef, deq [BlocksPerMB]Block
+				for b := 0; b < BlocksPerMB; b++ {
+					if cbp&(1<<b) != 0 {
+						DequantScan(&qzz[b], &coef[b], e.cfg.Q)
+					}
 				}
+				IDCTMB(&coef, cbp, &deq)
+				reconstruct(recon.Pix[y*recon.W+x:], recon.W, &predPix, &deq)
 			}
-			IDCTMB(&coef, cbp, &deq)
-			reconstruct(recon.Pix[y*recon.W+x:], recon.W, &predPix, &deq)
 
 			EncodeMBSyntax(e.w, ftype, dec, &mvp, cbp, &qzz)
 		}
@@ -141,5 +144,4 @@ func (e *Encoder) encodeFrame(cur *Frame, ftype FrameType, tref int) *Frame {
 	fs.Bits = e.w.BitLen() - startBits
 	e.stats.Frames = append(e.stats.Frames, fs)
 	e.refs.Advance(recon, ftype)
-	return recon
 }

@@ -161,7 +161,7 @@ func transcodeSegmented(t testing.TB, stream []byte, out CodecConfig, k int) []b
 		wg.Add(1)
 		go func(si, lo, hi int) {
 			defer wg.Done()
-			enc, err := NewStreamEncoderSegment(out, n, lo, hi)
+			enc, err := NewStreamEncoderSegment(out, n, lo, hi, 0)
 			if err != nil {
 				errs[si] = err
 				return

@@ -43,7 +43,7 @@ type StreamEncoder struct {
 // NewStreamEncoder validates the configuration and prepares an encoder
 // for exactly `frames` pushes: the one span covering the whole sequence.
 func NewStreamEncoder(cfg CodecConfig, frames int) (*StreamEncoder, error) {
-	return NewStreamEncoderSegment(cfg, frames, 0, frames)
+	return NewStreamEncoderSegment(cfg, frames, 0, frames, 0)
 }
 
 // NewStreamEncoderSegment prepares an encoder for display frames
@@ -57,8 +57,10 @@ func NewStreamEncoder(cfg CodecConfig, frames int) (*StreamEncoder, error) {
 // self-contained, so the spliced bits match a single whole-sequence
 // encode exactly. Frame types and TRefs are taken from the *global*
 // structure (including the last-frame B→P promotion), never recomputed
-// per span.
-func NewStreamEncoderSegment(cfg CodecConfig, totalFrames, lo, hi int) (*StreamEncoder, error) {
+// per span. The output writer starts with room for outBytes (a
+// transcode passes its input span's length); output past it grows the
+// writer.
+func NewStreamEncoderSegment(cfg CodecConfig, totalFrames, lo, hi, outBytes int) (*StreamEncoder, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -75,7 +77,7 @@ func NewStreamEncoderSegment(cfg CodecConfig, totalFrames, lo, hi int) (*StreamE
 	}
 	types := GOPTypes(totalFrames, cfg.GOPN, cfg.GOPM)
 	e := &StreamEncoder{
-		enc:   newEncoder(cfg, totalFrames, lo == 0),
+		enc:   newEncoder(cfg, totalFrames, lo, hi, outBytes),
 		types: types,
 		order: CodedOrder(types)[lo:hi],
 		lo:    lo,
@@ -128,7 +130,16 @@ func (e *StreamEncoder) Push(f *Frame) error {
 		src := e.ring[s]
 		e.ring[s] = nil
 		e.ringDi[s] = -1
-		e.enc.encodeFrame(src, e.types[di], di)
+		// Nothing reads a B frame's reconstruction. An I or P frame
+		// reads at most the newer reference, so it reconstructs into the
+		// older one, which its Advance drops: a span allocates two.
+		recon := e.enc.refs.A
+		if e.types[di] == FrameB {
+			recon = nil
+		} else if recon == nil {
+			recon = NewFrame(e.enc.cfg.W, e.enc.cfg.H)
+		}
+		e.enc.encodeFrame(src, e.types[di], di, recon)
 		e.coded++
 		if e.Recycle != nil {
 			e.Recycle(src)
@@ -176,9 +187,15 @@ func (e *StreamEncoder) CloseRaw() (*BitWriter, *EncodeStats, error) {
 // macroblock row, and no DC or VLC state crosses frames), a frame's
 // encoded bits are independent of its bit position, so the result is
 // bit-identical to a single-writer encode of the whole sequence. With
-// one part it is that part's bytes.
+// one part it is that part's bytes. parts[0] grows once, to the exact
+// length of the result.
 func StitchSegments(parts []*BitWriter) []byte {
 	w := parts[0]
+	bits := 0
+	for _, p := range parts {
+		bits += p.BitLen()
+	}
+	w.buf = slices.Grow(w.buf, (bits+7)/8-len(w.buf))
 	for _, p := range parts[1:] {
 		w.AppendBits(p)
 	}

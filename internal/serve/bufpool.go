@@ -2,27 +2,37 @@ package serve
 
 import "eclipse/internal/slab"
 
-// Response-body buffer pool. Decode responses are large (frames × W×H
-// bytes of raw luma) and short-lived, so NewDecodeJob draws them from a
-// size-classed pool — the same power-of-two slab scheme as the result
-// cache's entry bodies — instead of allocating a fresh slice per
-// request.
+// Request- and response-body buffer pools: the same power-of-two slab
+// scheme as the result cache's entry bodies, so a served request reads
+// its payload and builds its decode response in recycled slabs instead
+// of fresh slices.
 //
-// Ownership rules (who may call respBufs.Put):
+// Ownership (who may call Put, and when):
 //
-//   - The job body owns the buffer until it returns it as Result.Body.
-//   - On the UNCACHED tail (submitAndWait) exactly one handler writes
-//     the body and nothing else retains it, so the handler recycles it
-//     after the write.
-//   - On the CACHED tail the buffer must NOT be recycled: cache.put
-//     copies the body into the cache's own slab (the cache never aliases
-//     it), but singleflight hands the leader's Result — same Body slice —
-//     to every collapsed follower, and followers may still be writing it
-//     out after the leader finishes. Those bodies are left to the GC.
+//   - reqBufs: readBody draws the request body, and the media handler
+//     that read it is its sole owner and returns it once dispatch has
+//     returned. Nothing reads the body after that: dispatch either never
+//     runs the job (a 304, a cache hit, a collapsed follower, a rejected
+//     admission) or waits on j.Done(), which closes only after every
+//     unit of the job has returned and retired (Job.retire); Cache.Fetch
+//     runs the leader's job on the handler's own goroutine; and no
+//     Result aliases the body, because an encode copies it into pool
+//     frames and decode and transcode build new output. A failed read
+//     returns the buffer itself.
+//   - respBufs: a decode job's body draws its response and owns it until
+//     it returns it as Result.Body. On the uncached tail
+//     (submitAndWait) exactly one handler writes the body and nothing
+//     else retains it, so that handler returns it after the write. On
+//     the cached tail it is never returned: cache.put copies the body
+//     into the cache's own slab, but singleflight hands the leader's
+//     Result, the same Body slice, to every collapsed follower, and
+//     followers may still be writing it after the leader finishes.
+//     Those bodies are left to the GC.
 //
-// Violating the rule hands the pool a buffer another handler is reading;
-// a later Get would then scribble over an in-flight response. Get does
-// NOT zero the buffer (callers must overwrite all n bytes); Put drops
-// buffers with non-power-of-two or oversized capacity silently, so it is
-// safe to feed it any Result.Body whose provenance satisfies the rule.
-var respBufs slab.Pool
+// Putting a buffer anyone else still reads lets a later Get scribble over
+// it: an in-flight job would decode another request's bytes, or a
+// response would carry them. Get does NOT zero the buffer (callers
+// overwrite all n bytes); Put silently drops buffers of non-power-of-two
+// or oversized capacity, so any buffer whose provenance satisfies the
+// rules above is safe to hand it.
+var reqBufs, respBufs slab.Pool

@@ -210,13 +210,12 @@ func TestServingImportGraph(t *testing.T) {
 
 // coldDecodeAllocBudget bounds the bytes allocated per cold QCIF
 // 12-frame decode through the handler (cache off, pools warm): counted
-// at 216 KiB/op on the code that set it (222 KiB under -race), plus
-// under 10 % headroom. The 297 KiB body comes from the response-buffer
-// pool and the frames from the frame pool, so what remains is mostly
-// readBody's io.ReadAll growth over the request and the decoder's token
-// arenas. The six-task KPN job this replaced counted 352 KiB/op on the
-// same loop.
-const coldDecodeAllocBudget = 234 << 10
+// at 12.8 KiB/op, 14.0 KiB/op under -race, and the budget is the larger
+// count plus 5 %. The request body, the 297 KiB response and the frames
+// all come from pools, and the decode keeps one token arena, so what
+// remains is per-request bookkeeping: the request, the job and its
+// units, the response headers.
+const coldDecodeAllocBudget = 15 << 10
 
 // TestColdDecodeAllocBudget is ROADMAP item 2a's pin: the allocation
 // saving of the single decode body cannot rot silently.
@@ -248,15 +247,14 @@ func TestColdDecodeAllocBudget(t *testing.T) {
 
 // TestColdTranscodeAllocBudget pins the bytes allocated per cold QCIF
 // 26-frame N=13 M=3 transcode through the handler (cache off, pools
-// warm) at one span and at two, so the stitcher cannot silently regrow
-// a full copy of the output, nor the span encoders their per-row
-// buffers. Each budget is the value counted on the code that set it
-// plus 5 %: 1 323 KiB/op at one span, 1 451 KiB/op at two (+1 % to
-// +4 % under -race). With the per-macroblock-row encode pool, each span
-// encoder also allocated per-row result buffers: 1 427 KiB/op at one
-// span and 1 648 KiB/op at two, both over these budgets. When the
-// stitcher copied every span into a fresh writer, two spans counted
-// 1 760 KiB/op.
+// warm) at one span and at two, so neither the span encoders'
+// reconstruction frames and writers nor the stitcher can silently
+// regrow. Counted at 144 KiB/op at one span and 280 KiB/op at two
+// (147 and 297 KiB/op under -race); each budget is the larger count
+// plus 5 %. What remains per span is its two reconstruction frames and
+// its output writer, sized from its input span, whose bytes become the
+// response body; at two spans, also the GOP index and the one growth of
+// the stitched output.
 func TestColdTranscodeAllocBudget(t *testing.T) {
 	stream, _, _ := testStream(t, 176, 144, 26, func(c *media.CodecConfig) {
 		c.GOPN = 13
@@ -265,7 +263,7 @@ func TestColdTranscodeAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		segs   int
 		budget uint64
-	}{{1, 1390 << 10}, {2, 1523 << 10}} {
+	}{{1, 154 << 10}, {2, 313 << 10}} {
 		t.Run(spansName(tc.segs), func(t *testing.T) {
 			srv := New(Config{Workers: tc.segs, CacheBytes: -1})
 			defer srv.Shutdown(context.Background())

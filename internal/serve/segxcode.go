@@ -64,6 +64,13 @@ func NewTranscodeJobSegmented(ctx context.Context, tenant string, stream []byte,
 			spans = media.PartitionSegments(seq.Frames, segments, ix.TranscodeCuts(cfg.GOPN, cfg.GOPM))
 			frameBit = ix.FrameBit
 		}
+		// A span's output writer starts at its input span's length.
+		endBit := func(hi int) int {
+			if hi == seq.Frames {
+				return 8 * len(stream)
+			}
+			return frameBit(hi)
+		}
 		nseg := len(spans)
 		track := &inflightFrames{pool: pool}
 		refs := &frameRefs{n: make(map[*media.Frame]int)}
@@ -75,7 +82,7 @@ func NewTranscodeJobSegmented(ctx context.Context, tenant string, stream []byte,
 		for i, sp := range spans {
 			lo, hi := sp[0], sp[1]
 			units[i] = &unit{name: "seg" + strconv.Itoa(i), fn: func(ctx context.Context, gate *Gate) error {
-				enc, err := media.NewStreamEncoderSegment(cfg, seq.Frames, lo, hi)
+				enc, err := media.NewStreamEncoderSegment(cfg, seq.Frames, lo, hi, (endBit(hi)-frameBit(lo)+7)/8)
 				if err != nil {
 					return err
 				}

@@ -134,15 +134,42 @@ func TimeoutFromHeader(h http.Header) (time.Duration, error) {
 	return time.Duration(ms) * time.Millisecond, nil
 }
 
-// readBody slurps the request payload under the configured cap; callers
-// answer a failure with BodyStatus.
+// bodyChunk is where a body of unknown length starts; it doubles as it fills.
+const bodyChunk = 4 << 10
+
+// readBody reads the request payload under the configured cap into a
+// reqBufs slab, sized once from Content-Length (at most the cap plus the
+// byte that proves an overflow, and room for the final read's EOF) or
+// grown through the pool when the length is unknown. The caller returns
+// the body to reqBufs once dispatch has returned (bufpool.go); a failed
+// read already has. Callers answer a failure with BodyStatus.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		return nil, err
+	limit := s.cfg.MaxBodyBytes
+	rd := http.MaxBytesReader(w, r.Body, limit)
+	size := int64(bodyChunk)
+	if r.ContentLength >= 0 {
+		size = min(r.ContentLength, limit) + 1
 	}
-	s.met.BytesIn.Add(uint64(len(body)))
-	return body, nil
+	buf := reqBufs.Get(int(size))[:0]
+	for {
+		if len(buf) == cap(buf) {
+			grown := reqBufs.Get(int(min(2*int64(cap(buf)), limit+1)))
+			copy(grown, buf)
+			reqBufs.Put(buf)
+			buf = grown[:len(buf)]
+		}
+		n, err := rd.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			reqBufs.Put(buf)
+			return nil, err
+		}
+	}
+	s.met.BytesIn.Add(uint64(len(buf)))
+	return buf, nil
 }
 
 // BodyStatus maps a request-body read error to its HTTP status: 413
@@ -309,6 +336,7 @@ func (s *Server) handleDecode(w http.ResponseWriter, r *http.Request) {
 		httpError(w, BodyStatus(err), err)
 		return
 	}
+	defer reqBufs.Put(body)
 	tenant := tenantOf(r)
 	j, err := NewDecodeJob(ctx, tenant, body, s.pool, 1)
 	if err != nil {
@@ -404,6 +432,7 @@ func (s *Server) handleEncode(w http.ResponseWriter, r *http.Request) {
 		httpError(w, BodyStatus(err), err)
 		return
 	}
+	defer reqBufs.Put(body)
 	tenant := tenantOf(r)
 	j, err := NewEncodeJob(ctx, tenant, cfg, body, s.pool)
 	if err != nil {
@@ -432,6 +461,7 @@ func (s *Server) handleTranscode(w http.ResponseWriter, r *http.Request) {
 		httpError(w, BodyStatus(err), err)
 		return
 	}
+	defer reqBufs.Put(body)
 	tenant := tenantOf(r)
 	j, err := NewTranscodeJobSegmented(ctx, tenant, body, q, s.pool, 1, 1, s.cfg.Workers, s.met)
 	if err != nil {

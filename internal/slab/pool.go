@@ -29,23 +29,26 @@ func slabClass(n int) int {
 	return bits.Len(uint(n - 1))
 }
 
-// Get returns a slab of length n (capacity rounded up to the class).
-// Contents are NOT zeroed; callers must overwrite all n bytes.
+// Get returns a slab of length n, its capacity rounded up to the class
+// when n is poolable and exactly n above maxPooledSlab, which Put would
+// drop anyway. Contents are NOT zeroed; callers must overwrite all n
+// bytes.
 func (p *Pool) Get(n int) []byte {
 	if n == 0 {
 		return nil
 	}
-	cl := slabClass(n)
-	if n <= maxPooledSlab {
-		p.mu.Lock()
-		if l := p.classes[cl]; len(l) > 0 {
-			s := l[len(l)-1]
-			p.classes[cl] = l[:len(l)-1]
-			p.mu.Unlock()
-			return s[:n]
-		}
-		p.mu.Unlock()
+	if n > maxPooledSlab {
+		return make([]byte, n)
 	}
+	cl := slabClass(n)
+	p.mu.Lock()
+	if l := p.classes[cl]; len(l) > 0 {
+		s := l[len(l)-1]
+		p.classes[cl] = l[:len(l)-1]
+		p.mu.Unlock()
+		return s[:n]
+	}
+	p.mu.Unlock()
 	return make([]byte, n, 1<<cl)
 }
 

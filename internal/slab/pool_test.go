@@ -23,3 +23,20 @@ func TestSlabPool(t *testing.T) {
 		t.Fatalf("mis-sized slab entered the pool (cap %d)", cap(b3))
 	}
 }
+
+// TestSlabPoolCapacity checks what Get reserves: a poolable size rounds
+// up to its class, one byte above maxPooledSlab is allocated exactly
+// (Put drops it, so rounding it up would only waste the difference).
+func TestSlabPoolCapacity(t *testing.T) {
+	var p Pool
+	for _, c := range []struct{ n, cap int }{
+		{1, 1},
+		{maxPooledSlab/2 + 1, maxPooledSlab},
+		{maxPooledSlab, maxPooledSlab},
+		{maxPooledSlab + 1, maxPooledSlab + 1},
+	} {
+		if b := p.Get(c.n); len(b) != c.n || cap(b) != c.cap {
+			t.Errorf("Get(%d): len/cap = %d/%d, want %d/%d", c.n, len(b), cap(b), c.n, c.cap)
+		}
+	}
+}
