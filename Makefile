@@ -17,7 +17,8 @@
 #                rig's own tests via TestBenchmarkRig)
 #   make race    the full test suite under the race detector, plus the
 #                segment-parallel, two-tenant, unit/gate (task group and
-#                span units), transcode, concurrent stream-encoder, both
+#                span units), job accounting before Done, transcode,
+#                concurrent stream-encoder, both
 #                cache tiers' LRU tests and the gateway's attempt-loop
 #                tests (retry, pushback, mid-stream, timeout, stalled
 #                primary, storm) again at GOMAXPROCS=4 (real parallelism
@@ -83,7 +84,7 @@ test:
 
 race:
 	$(GO) test -race ./...
-	GOMAXPROCS=4 $(GO) test -race -run 'Segment|TwoTenant|TaskGroup|SpanUnits|Transcode|StreamEncoder|LRU|L1|Cache|Retry|Pushback|MidStream|Timeout|Stalled|Storm' \
+	GOMAXPROCS=4 $(GO) test -race -run 'Segment|TwoTenant|TaskGroup|SpanUnits|DoneAfterAccounting|Transcode|StreamEncoder|LRU|L1|Cache|Retry|Pushback|MidStream|Timeout|Stalled|Storm' \
 		./internal/media ./internal/serve ./internal/slab ./internal/cluster
 	GOMAXPROCS=4 $(GO) test -race -count=10 -run 'RequestBodyReuse' ./internal/serve
 

@@ -40,8 +40,9 @@
 // the server-wide flags.
 //
 // SIGINT/SIGTERM starts a graceful drain: admission stops, in-flight
-// and queued jobs complete (bounded by -drain), a serving + cache
-// report is printed to stderr, then the process exits.
+// and queued jobs complete (bounded by -drain), the final /varz document
+// (per-kind traffic and latency, the tenant table, the result cache) is
+// printed to stderr, then the process exits.
 package main
 
 import (
@@ -193,6 +194,6 @@ func main() {
 	if err := hs.Shutdown(ctx); err != nil {
 		log.Printf("eclipse-serve: http shutdown: %v", err)
 	}
-	srv.WriteReport(os.Stderr)
+	srv.WriteVarz(os.Stderr)
 	log.Printf("eclipse-serve: bye")
 }

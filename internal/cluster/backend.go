@@ -86,9 +86,6 @@ func newBackend(addr string) (*Backend, error) {
 // Name returns the backend's stable identity (the rendezvous-hash key).
 func (b *Backend) Name() string { return b.name }
 
-// URL returns the backend's base URL.
-func (b *Backend) URL() *url.URL { return b.url }
-
 // State returns the current routability state.
 func (b *Backend) State() BackendState { return BackendState(b.state.Load()) }
 

@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"sync"
 	"time"
+
+	"eclipse/internal/serve"
 )
 
 // Config parameterizes the gateway.
@@ -152,9 +154,9 @@ func New(cfg Config) (*Gateway, error) {
 	g.client = &http.Client{Transport: rt}
 	g.probeCtx, g.probeCancel = context.WithCancel(context.Background())
 
-	g.mux.HandleFunc("POST /v1/decode", g.handleMedia)
-	g.mux.HandleFunc("POST /v1/encode", g.handleMedia)
-	g.mux.HandleFunc("POST /v1/transcode", g.handleMedia)
+	for _, k := range serve.Kinds {
+		g.mux.HandleFunc("POST "+k.Path(), g.handleMedia(k))
+	}
 	g.mux.HandleFunc("GET /healthz", g.handleHealthz)
 	g.mux.HandleFunc("GET /readyz", g.handleReadyz)
 	g.mux.HandleFunc("GET /varz", g.handleVarz)

@@ -33,7 +33,11 @@ func TestRequestParamsAgree(t *testing.T) {
 		backend.Close()
 	})
 
-	decodeTag, xcodeTag := serve.DecodeKey(stream).ETag(), serve.TranscodeKey(9, stream).ETag()
+	xcode, err := serve.ParseParams(serve.KindTranscode, "q=9")
+	if err != nil {
+		t.Fatal(err)
+	}
+	decodeTag, xcodeTag := serve.DecodeKey(stream).ETag(), xcode.Key(stream).ETag()
 	var valid uint64
 	for _, tc := range []struct {
 		name, path, timeout, inm string

@@ -119,51 +119,52 @@ type attemptResp struct {
 	err           error
 }
 
-// handleMedia serves POST /v1/{decode,encode,transcode}.
-func (g *Gateway) handleMedia(w http.ResponseWriter, r *http.Request) {
-	kind, ok := kindOfPath(r.URL.Path)
-	if !ok {
-		http.NotFound(w, r)
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes))
-	if err != nil {
-		http.Error(w, "cluster: reading request body: "+err.Error(), serve.BodyStatus(err))
-		return
-	}
-	// The routing key is the backend's own content-address cache key,
-	// computed from the same bytes the backend will hash: affinity is
-	// exact, not approximate — and it doubles as the L1 key and the
-	// entity tag, so the whole hierarchy speaks one address space.
-	key, err := requestKey(kind, r, body)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
+// handleMedia serves POST kind.Path(). The request is parsed and
+// addressed by the backend's own definition (serve.ParseParams), so the
+// two tiers accept the same requests. The routing key is the backend's
+// content-address cache key, computed from the same bytes the backend
+// will hash: affinity is exact, not approximate, and the key doubles as
+// the L1 key and the entity tag, so the whole hierarchy speaks one
+// address space.
+func (g *Gateway) handleMedia(kind serve.Kind) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		// The backend's checks in the backend's order: the deadline, the
+		// parameters, then the body.
+		timeout, err := serve.TimeoutFromHeader(r.Header)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		p, err := serve.ParseParams(kind, r.URL.RawQuery)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes))
+		if err != nil {
+			http.Error(w, "cluster: reading request body: "+err.Error(), serve.BodyStatus(err))
+			return
+		}
+		key := p.Key(body)
+		ctx := r.Context()
+		var deadline time.Time
+		if timeout > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, timeout)
+			defer cancel()
+			deadline, _ = ctx.Deadline()
+		}
 
-	timeout, err := serve.TimeoutFromHeader(r.Header)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+		g.met.Requests[kind].Add(1)
+		g.met.BytesIn.Add(uint64(len(body)))
+		if g.l1 != nil {
+			g.serveL1(ctx, w, r, kind, key, body, deadline)
+			return
+		}
+		start := time.Now()
+		g.do(ctx, w, r, kind, key, body, deadline, false, nil)
+		g.met.Latency[kind].Observe(time.Since(start))
 	}
-	ctx := r.Context()
-	var deadline time.Time
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-		deadline, _ = ctx.Deadline()
-	}
-
-	g.met.Requests[kind].Add(1)
-	g.met.BytesIn.Add(uint64(len(body)))
-	if g.l1 != nil {
-		g.serveL1(ctx, w, r, kind, key, body, deadline)
-		return
-	}
-	start := time.Now()
-	g.do(ctx, w, r, kind, key, body, deadline, false, nil)
-	g.met.Latency[kind].Observe(time.Since(start))
 }
 
 // serveL1 is the request path with the L1 enabled: local 304s, fresh
@@ -229,7 +230,7 @@ attempt:
 				case flightShared:
 					g.met.L1Collapsed.Add(1)
 					if got.res != nil {
-						g.writeShared(w, kind, got.res)
+						g.writeResponse(w, kind, key, got.res, false, XCacheL1Collapsed)
 					} else {
 						g.writeError(w, kind, got.gwStatus, got.gwMsg)
 					}
@@ -319,29 +320,6 @@ func (g *Gateway) serveL1Entry(w http.ResponseWriter, kind serve.Kind, e *l1Entr
 	g.met.BytesOut.Add(uint64(len(e.Body)))
 }
 
-// writeShared relays a flight leader's buffered response to a
-// follower: same status, same bytes, marked as collapsed.
-func (g *Gateway) writeShared(w http.ResponseWriter, kind serve.Kind, res *attemptResp) {
-	h := w.Header()
-	for k, vv := range res.header {
-		if hopHeaders[http.CanonicalHeaderKey(k)] {
-			continue
-		}
-		for _, v := range vv {
-			h.Add(k, v)
-		}
-	}
-	h.Set(BackendHeader, res.b.name)
-	h.Set(CacheHeader, XCacheL1Collapsed)
-	h.Set("Content-Length", strconv.Itoa(len(res.body)))
-	if res.status >= http.StatusBadRequest {
-		g.met.Errors[kind].Add(1)
-	}
-	w.WriteHeader(res.status)
-	w.Write(res.body)
-	g.met.BytesOut.Add(uint64(len(res.body)))
-}
-
 // do runs the attempts for one request, one at a time, writes the
 // response, and reports how the exchange ended for the flight table.
 // fill allows a 200 body to be copied into the L1; reval, when non-nil,
@@ -397,7 +375,7 @@ func (g *Gateway) do(ctx context.Context, w http.ResponseWriter, r *http.Request
 				g.serveL1Entry(w, kind, reval, XCacheL1Revalidated)
 				return doResult{outcome: flightFilled}
 			}
-			filled := g.writeResponse(w, kind, key, res, fill)
+			filled := g.writeResponse(w, kind, key, res, fill, "")
 			switch {
 			case res.stream != nil:
 				return doResult{outcome: flightSolo}
@@ -426,7 +404,7 @@ func (g *Gateway) do(ctx context.Context, w http.ResponseWriter, r *http.Request
 				// The last pushback response — including the scheduler's
 				// EWMA Retry-After — crosses the gateway verbatim.
 				g.met.Passthrough.Add(1)
-				g.writeResponse(w, kind, key, lastPush, false)
+				g.writeResponse(w, kind, key, lastPush, false, "")
 				return doResult{outcome: flightShared, res: lastPush}
 			}
 			msg := "cluster: all upstream attempts failed: " + lastErr.Error()
@@ -575,9 +553,11 @@ func (g *Gateway) roundTrip(ctx context.Context, b *Backend,
 // minus hop-by-hop headers, plus the gateway's provenance headers.
 // Buffered 200s are tee-filled into the L1 when fill is set; the
 // return value reports whether the key is now resident. An over-cap
-// response streams its remainder after the buffered prefix.
+// response streams its remainder after the buffered prefix. xcache,
+// when set, replaces the backend's X-Cache: a flight leader's buffered
+// response relayed to a follower is marked l1-collapsed.
 func (g *Gateway) writeResponse(w http.ResponseWriter, kind serve.Kind, key serve.CacheKey,
-	res *attemptResp, fill bool) bool {
+	res *attemptResp, fill bool, xcache string) bool {
 
 	h := w.Header()
 	for k, vv := range res.header {
@@ -589,6 +569,9 @@ func (g *Gateway) writeResponse(w http.ResponseWriter, kind serve.Kind, key serv
 		}
 	}
 	h.Set(BackendHeader, res.b.name)
+	if xcache != "" {
+		h.Set(CacheHeader, xcache)
+	}
 	if res.stream == nil {
 		h.Set("Content-Length", strconv.Itoa(len(res.body)))
 	} else if res.contentLength >= 0 {
@@ -644,38 +627,4 @@ func cacheableHeader(h http.Header) http.Header {
 func (g *Gateway) writeError(w http.ResponseWriter, kind serve.Kind, code int, msg string) {
 	g.met.Errors[kind].Add(1)
 	http.Error(w, msg, code)
-}
-
-// kindOfPath maps the request path to a job kind.
-func kindOfPath(path string) (serve.Kind, bool) {
-	switch path {
-	case "/v1/decode":
-		return serve.KindDecode, true
-	case "/v1/encode":
-		return serve.KindEncode, true
-	case "/v1/transcode":
-		return serve.KindTranscode, true
-	}
-	return 0, false
-}
-
-// requestKey computes the backend's content-address cache key for the
-// request — the routing key that makes cache affinity cluster-wide.
-func requestKey(kind serve.Kind, r *http.Request, body []byte) (serve.CacheKey, error) {
-	switch kind {
-	case serve.KindEncode:
-		cfg, err := serve.EncodeConfigFromQuery(r.URL.Query())
-		if err != nil {
-			return serve.CacheKey{}, err
-		}
-		return serve.EncodeKey(cfg, body), nil
-	case serve.KindTranscode:
-		q, err := serve.TranscodeQFromQuery(r.URL.Query())
-		if err != nil {
-			return serve.CacheKey{}, err
-		}
-		return serve.TranscodeKey(q, body), nil
-	default:
-		return serve.DecodeKey(body), nil
-	}
 }

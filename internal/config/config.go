@@ -113,9 +113,6 @@ func NewDecoder(s *Section) *Decoder {
 	return &Decoder{s: s, used: map[string]bool{}}
 }
 
-// Err returns the first decoding error.
-func (d *Decoder) Err() error { return d.err }
-
 func (d *Decoder) raw(key string) (string, bool) {
 	v, ok := d.s.Keys[key]
 	if ok {

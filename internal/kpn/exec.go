@@ -21,13 +21,6 @@ type TaskCtx struct {
 	outs map[string]*fifoWriter
 }
 
-// Name returns the task's name.
-func (c *TaskCtx) Name() string { return c.task.Name }
-
-// Info returns the task's configuration parameter (the value GetTask
-// delivers in the Eclipse mapping).
-func (c *TaskCtx) Info() uint32 { return c.task.Info }
-
 // Read fills buf from the named input port, blocking as needed. It
 // returns io.EOF when the stream ended cleanly before any byte, or
 // io.ErrUnexpectedEOF when it ended mid-request.

@@ -15,30 +15,14 @@ type DecodeResult struct {
 }
 
 // DisplayFrames returns the decoded frames sorted into display order.
+// A frame whose display index is out of range is left out, so a
+// malformed stream can leave nil entries.
 func (r *DecodeResult) DisplayFrames() []*Frame {
-	return r.DisplayFramesInto(make([]*Frame, 0, len(r.Coded)))
-}
-
-// DisplayFramesInto fills dst with the decoded frames in display order,
-// reusing dst's backing storage when its capacity suffices (the serving
-// path calls this once per response with a recycled slice, so steady
-// state allocates nothing). It returns the filled slice, which aliases
-// dst when no growth was needed.
-func (r *DecodeResult) DisplayFramesInto(dst []*Frame) []*Frame {
-	n := len(r.Coded)
-	if cap(dst) < n {
-		dst = make([]*Frame, n)
-	} else {
-		dst = dst[:n]
-		for i := range dst {
-			dst[i] = nil
-		}
-	}
+	dst := make([]*Frame, len(r.Coded))
 	for _, df := range r.Coded {
-		if int(df.Hdr.TRef) >= n {
-			continue // malformed tref; keep what fits
+		if int(df.Hdr.TRef) < len(dst) {
+			dst[df.Hdr.TRef] = df.Frame
 		}
-		dst[df.Hdr.TRef] = df.Frame
 	}
 	return dst
 }

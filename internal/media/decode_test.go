@@ -4,7 +4,7 @@ package media
 // truncated, corrupted), batch and streaming DecodeWithOptions agree —
 // the same error text, or identical display frames — and neither leaks
 // or double-frees a pooled frame, even while other decodes share the
-// pool. Plus the hook lifecycle, DisplayFramesInto, and the allocation
+// pool. Plus the hook lifecycle and the allocation
 // pin of a whole reference decode.
 
 import (
@@ -267,51 +267,6 @@ func checkLifecycle(t *testing.T, stream []byte, ref *DecodeResult, pool *SyncFr
 	}
 	if *created != 3 || *recycled != 3 {
 		t.Errorf("cancel path: created %d, recycled %d, want 3/3", *created, *recycled)
-	}
-}
-
-// TestDisplayFramesInto covers the caller-provided-slice variant: slice
-// reuse without reallocation, clearing of stale entries, growth, and
-// equivalence with DisplayFrames.
-func TestDisplayFramesInto(t *testing.T) {
-	res, err := Decode(parityStreams(t)["ippp"])
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := res.DisplayFrames()
-
-	scratch := make([]*Frame, 0, len(want)+4)
-	got := res.DisplayFramesInto(scratch)
-	if &got[0] != &scratch[:1][0] {
-		t.Fatal("DisplayFramesInto reallocated despite sufficient capacity")
-	}
-	if len(got) != len(want) {
-		t.Fatalf("len %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("frame %d differs from DisplayFrames", i)
-		}
-	}
-	// Stale entries beyond this decode's frames must be cleared.
-	stale := NewFrame(MBSize, MBSize)
-	for i := range got {
-		got[i] = stale
-	}
-	got = res.DisplayFramesInto(got)
-	for i := range got {
-		if got[i] == stale {
-			t.Fatalf("entry %d not cleared before reuse", i)
-		}
-	}
-	// Growth path: undersized slice is replaced, not written out of range.
-	tiny := make([]*Frame, 1)
-	grown := res.DisplayFramesInto(tiny)
-	if len(grown) != len(want) {
-		t.Fatalf("grown len %d, want %d", len(grown), len(want))
-	}
-	if n := testing.AllocsPerRun(100, func() { scratch = res.DisplayFramesInto(scratch) }); n != 0 {
-		t.Fatalf("DisplayFramesInto allocates %.1f per call on a warm slice", n)
 	}
 }
 

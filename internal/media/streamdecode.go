@@ -7,7 +7,7 @@ package media
 // frame as soon as (a) it is decoded and (b) every earlier display index
 // has already been delivered — so the consumer observes the exact
 // display sequence incrementally instead of collecting everything
-// through DisplayFramesInto at the end. Delivery does NOT transfer
+// through DisplayFrames at the end. Delivery does NOT transfer
 // exclusive ownership: a delivered I or P frame can still be read by the
 // decoder as a motion-compensation reference until the reference chain
 // advances past it. The Retire hook marks the moment the decoder's

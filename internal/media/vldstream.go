@@ -69,9 +69,6 @@ func (v *StreamVLD) Extend(data []byte) { v.r.Extend(data) }
 // which the coprocessor model uses to commit (PutSpace) its input.
 func (v *StreamVLD) Compact() int { return v.r.Compact() }
 
-// Seq returns the sequence header; valid after the EventSeq event.
-func (v *StreamVLD) Seq() SeqHeader { return v.seq }
-
 // vldState snapshots everything Next mutates, for rollback.
 type vldState struct {
 	mark     readerMark
@@ -165,9 +162,6 @@ func (v *StreamVLD) parseOne() (VLDEvent, error) {
 	}
 	return ev, nil
 }
-
-// Done reports whether the whole sequence has been parsed.
-func (v *StreamVLD) Done() bool { return v.done }
 
 // Progress describes the parser position for diagnostics.
 func (v *StreamVLD) Progress() string {

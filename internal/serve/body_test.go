@@ -30,7 +30,7 @@ var raceDetector bool
 // http.MaxBytesReader it replaced on the same wire requests, parsed by
 // net/http's own request reader so Content-Length, a short body and
 // chunked framing behave as on a live connection. Status and bytes must
-// agree, and a Content-Length far above the cap must not size an
+// agree, and a Content-Length above the cap must not size an
 // allocation.
 func TestReadBodyParity(t *testing.T) {
 	const max = 64 << 10
@@ -101,9 +101,15 @@ func TestReadBodyParity(t *testing.T) {
 				t.Fatalf("read %d bytes, io.ReadAll path %d, contents differ", len(got), len(old))
 			}
 			// The slab for a body the cap admits rounds up to 2·(cap+1);
-			// anything near the declared 1 TiB would be far above it.
-			if n := after.TotalAlloc - before.TotalAlloc; n > 4*max {
-				t.Fatalf("reading allocated %d bytes for a %d-byte cap", n, max)
+			// anything near the declared 1 TiB would be far above it. A
+			// declared length above the cap reserves nothing for it, so
+			// the lying one's slab grows only with the 100 bytes sent.
+			bound := uint64(4 * max)
+			if c.name == "lying-length" {
+				bound = 4 * bodyChunk
+			}
+			if n := after.TotalAlloc - before.TotalAlloc; n > bound {
+				t.Fatalf("reading allocated %d bytes, bound %d", n, bound)
 			}
 		})
 	}
@@ -305,7 +311,7 @@ func checkCollapse(t *testing.T, srv *Server, client *http.Client, base string, 
 			t.Fatal(err)
 		}
 		url := base + "/v1/transcode?q=" + strconv.Itoa(q)
-		key := TranscodeKey(q, c.stream)
+		key := transcodeKey(q, c.stream)
 		type answer struct {
 			code  int
 			cache string
@@ -356,7 +362,7 @@ func earlyRelease(s *Server) http.Handler {
 				j, err = NewDecodeJob(r.Context(), tenant, body, s.pool, 1)
 			} else {
 				j, err = NewTranscodeJobSegmented(r.Context(), tenant, body, 9, s.pool, 1, 1, s.cfg.Workers, s.met)
-				key = TranscodeKey(9, body)
+				key = transcodeKey(9, body)
 			}
 			if err != nil {
 				httpError(w, http.StatusBadRequest, err)

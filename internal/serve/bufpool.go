@@ -36,3 +36,12 @@ import "eclipse/internal/slab"
 // or oversized capacity, so any buffer whose provenance satisfies the
 // rules above is safe to hand it.
 var reqBufs, respBufs slab.Pool
+
+// growSlab moves buf's bytes into a slab of p with room for n and
+// returns buf's own slab to p.
+func growSlab(p *slab.Pool, buf []byte, n int) []byte {
+	grown := p.Get(n)
+	copy(grown, buf)
+	p.Put(buf)
+	return grown[:len(buf)]
+}

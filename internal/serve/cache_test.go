@@ -28,18 +28,18 @@ func TestCacheKeyDistinct(t *testing.T) {
 	}
 	add("decode", DecodeKey(stream))
 	add("decode-other-stream", DecodeKey([]byte("fake-bitstream-bytes2")))
-	add("transcode-q4", TranscodeKey(4, stream))
-	add("transcode-q5", TranscodeKey(5, stream))
-	add("encode", EncodeKey(cfg, stream))
+	add("transcode-q4", transcodeKey(4, stream))
+	add("transcode-q5", transcodeKey(5, stream))
+	add("encode", encodeKey(cfg, stream))
 	cq := cfg
 	cq.Q++
-	add("encode-q", EncodeKey(cq, stream))
+	add("encode-q", encodeKey(cq, stream))
 	ch := cfg
 	ch.HalfPel = !ch.HalfPel
-	add("encode-halfpel", EncodeKey(ch, stream))
+	add("encode-halfpel", encodeKey(ch, stream))
 	cg := cfg
 	cg.GOPM++
-	add("encode-gopm", EncodeKey(cg, stream))
+	add("encode-gopm", encodeKey(cg, stream))
 
 	if DecodeKey(stream) != DecodeKey(append([]byte(nil), stream...)) {
 		t.Fatal("identical inputs must produce identical keys")

@@ -3,7 +3,10 @@ package serve
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"io"
+	"net/url"
+	"strconv"
 	"strings"
 
 	"eclipse/internal/media"
@@ -83,23 +86,21 @@ func computeCacheKey(kind Kind, params []keyParam, payload []byte) CacheKey {
 }
 
 // DecodeKey addresses a decode response: output depends only on the
-// bitstream. Exported because the gateway tier routes by the same
-// content address the cache stores under — identical requests land on
-// the backend whose LRU already holds the result (internal/cluster).
+// bitstream. Params.Key calls it for a decode.
 func DecodeKey(stream []byte) CacheKey {
 	return computeCacheKey(KindDecode, nil, stream)
 }
 
-// TranscodeKey addresses a transcode response: the bitstream plus the
+// transcodeKey addresses a transcode response: the bitstream plus the
 // target quantizer (GOP structure and dimensions are inherited from
 // the stream itself, so they are already covered by the payload).
-func TranscodeKey(q int, stream []byte) CacheKey {
+func transcodeKey(q int, stream []byte) CacheKey {
 	return computeCacheKey(KindTranscode, []keyParam{{"q", uint64(int64(q))}}, stream)
 }
 
-// EncodeKey addresses an encode response: the raw planes plus every
+// encodeKey addresses an encode response: the raw planes plus every
 // codec parameter that shapes the bitstream.
-func EncodeKey(cfg media.CodecConfig, raw []byte) CacheKey {
+func encodeKey(cfg media.CodecConfig, raw []byte) CacheKey {
 	b := uint64(0)
 	if cfg.HalfPel {
 		b = 1
@@ -113,4 +114,110 @@ func EncodeKey(cfg media.CodecConfig, raw []byte) CacheKey {
 		{"search", uint64(int64(cfg.SearchRange))},
 		{"halfpel", b},
 	}, raw)
+}
+
+// Params is one media request's parameters: its kind and what its query
+// string sets. Kind.Path, ParseParams and Key are the one definition of
+// a media kind's endpoint, parameters and content address. The backend
+// serves and the gateway routes through them, so the two tiers accept,
+// reject and address every request alike.
+type Params struct {
+	Kind Kind
+	enc  media.CodecConfig // KindEncode: the codec configuration
+	q    int               // KindTranscode: the target quantizer
+}
+
+// ParseParams parses the raw query string of a request for kind. A
+// decode takes no parameter, so its query string is never parsed.
+func ParseParams(kind Kind, rawQuery string) (Params, error) {
+	p := Params{Kind: kind}
+	var err error
+	switch kind {
+	case KindEncode:
+		p.enc, err = encodeConfigFromQuery(parseQuery(rawQuery))
+	case KindTranscode:
+		p.q, err = transcodeQFromQuery(parseQuery(rawQuery))
+	}
+	return p, err
+}
+
+// parseQuery keeps what parses, as url.URL.Query does.
+func parseQuery(raw string) url.Values {
+	v, _ := url.ParseQuery(raw)
+	return v
+}
+
+// Key is the content address of the request's response for body: the
+// routing key, both cache tiers' key and the entity tag.
+func (p Params) Key(body []byte) CacheKey {
+	switch p.Kind {
+	case KindEncode:
+		return encodeKey(p.enc, body)
+	case KindTranscode:
+		return transcodeKey(p.q, body)
+	}
+	return DecodeKey(body)
+}
+
+// encodeConfigFromQuery parses the encode query parameters into a codec
+// config. Unset parameters fall back to the codec defaults for the
+// given size.
+func encodeConfigFromQuery(q url.Values) (media.CodecConfig, error) {
+	geti := func(key string, def int) (int, error) {
+		v := q.Get(key)
+		if v == "" {
+			return def, nil
+		}
+		n, err := strconv.Atoi(v)
+		if err != nil {
+			return 0, fmt.Errorf("serve: bad %s=%q", key, v)
+		}
+		return n, nil
+	}
+	w, err := geti("w", 0)
+	if err != nil {
+		return media.CodecConfig{}, err
+	}
+	h, err := geti("h", 0)
+	if err != nil {
+		return media.CodecConfig{}, err
+	}
+	if w <= 0 || h <= 0 {
+		return media.CodecConfig{}, fmt.Errorf("serve: encode requires w and h query parameters")
+	}
+	cfg := media.DefaultCodec(w, h)
+	if cfg.Q, err = geti("q", cfg.Q); err != nil {
+		return media.CodecConfig{}, err
+	}
+	if cfg.GOPN, err = geti("gopn", cfg.GOPN); err != nil {
+		return media.CodecConfig{}, err
+	}
+	if cfg.GOPM, err = geti("gopm", cfg.GOPM); err != nil {
+		return media.CodecConfig{}, err
+	}
+	if cfg.SearchRange, err = geti("search", cfg.SearchRange); err != nil {
+		return media.CodecConfig{}, err
+	}
+	switch q.Get("halfpel") {
+	case "", "0", "false":
+	case "1", "true":
+		cfg.HalfPel = true
+	default:
+		return media.CodecConfig{}, fmt.Errorf("serve: bad halfpel=%q", q.Get("halfpel"))
+	}
+	return cfg, nil
+}
+
+// transcodeQFromQuery parses transcode's required q parameter, the
+// target quantizer.
+func transcodeQFromQuery(q url.Values) (int, error) {
+	v := q.Get("q")
+	if v == "" {
+		return 0, fmt.Errorf("serve: transcode requires the q query parameter")
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil {
+		return 0, fmt.Errorf("serve: bad q=%q", v)
+	}
+	return n, nil
 }

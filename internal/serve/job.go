@@ -31,6 +31,9 @@ var Kinds = func() (ks [nKinds]Kind) {
 	return ks
 }()
 
+// Path is the kind's endpoint, the same on both tiers.
+func (k Kind) Path() string { return "/v1/" + k.String() }
+
 // String names the kind for metrics labels.
 func (k Kind) String() string {
 	switch k {
@@ -101,7 +104,9 @@ func NewJob(tenant string, kind Kind, ctx context.Context,
 	return j
 }
 
-// Done is closed when the job has finished (successfully or not).
+// Done is closed when the job has finished (successfully or not) and,
+// if a scheduler ran it, has been counted in its tenant's row and its
+// kind's latency and has released its admission space.
 func (j *Job) Done() <-chan struct{} { return j.done }
 
 // Result returns the outcome; valid only after Done is closed.
@@ -110,76 +115,53 @@ func (j *Job) Result() (Result, error) { return j.res, j.err }
 // Preempts reports how many times the scheduler preempted the job.
 func (j *Job) Preempts() int { return int(j.preempts.Load()) }
 
-// dispPool recycles the display-order scratch slices the response path
-// fills via DecodeResult.DisplayFramesInto, so serializing a response
-// does not allocate a fresh []*Frame per request.
-var dispPool = sync.Pool{New: func() any { return new([]*media.Frame) }}
-
-// decodeFrames is the one decode body of the serving tier, shared by
-// decode jobs and the two-phase transcode reference: media's decoder,
-// checkpointed on the calling unit. The decoder checkpoints at every frame
-// header, so preemption and cancellation land at frame boundaries. It
-// returns the display-order frames, every entry non-nil and drawn from
-// pool (the caller takes ownership; on failure they are already back in
-// the pool). putSlice returns the slice's backing storage to a shared
-// pool; call it once the frames have been consumed.
-func decodeFrames(ctx context.Context, gate *Gate, stream []byte, pool *media.SyncFramePool) (frames []*media.Frame, putSlice func(), err error) {
-	res, err := media.DecodeWithOptions(stream, media.DecodeOptions{
-		NewFrame: pool.Get,
-		Recycle:  pool.Put,
-		OnFrame:  func(int) error { return checkpoint(ctx, gate) },
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	sp := dispPool.Get().(*[]*media.Frame)
-	disp := res.DisplayFramesInto(*sp)
-	release := func() {
-		for i := range disp {
-			disp[i] = nil // don't retain frames through the slice pool
-		}
-		*sp = disp[:0]
-		dispPool.Put(sp)
-	}
-	for i, f := range disp {
-		if f == nil { // malformed tref (out of range or duplicate)
-			for _, df := range res.Coded {
-				pool.Put(df.Frame)
-			}
-			release()
-			return nil, nil, fmt.Errorf("%w: no frame for display index %d", media.ErrBitstream, i)
-		}
-	}
-	return disp, release, nil
-}
+// decodeEager bounds the response body a decode reserves before its
+// frames exist. A sequence header may declare more frames than its
+// stream holds, so past this size the body grows with the frames the
+// decoder delivers.
+const decodeEager = 4 << 20
 
 // NewDecodeJob builds a job that decodes an ECL1 bitstream and returns
 // the display-order frames concatenated as raw 8-bit luma planes. The
 // sequence header is validated synchronously so malformed requests fail
-// before admission. The last parameter is ignored; it exists only for
-// the benchmark rig.
+// before admission. The decoder streams, the way a transcode span
+// consumes it: each frame is copied into the response at its display
+// slot as soon as it is delivered and goes back to the pool once the
+// decoder retires it, so a decode holds its reorder window of pooled
+// frames, not the clip. It checkpoints at every frame header, so
+// preemption and cancellation land at frame boundaries. The last
+// parameter is ignored; it exists only for the benchmark rig.
 func NewDecodeJob(ctx context.Context, tenant string, stream []byte, pool *media.SyncFramePool, _ int) (*Job, error) {
 	seq, err := media.ParseSeqHeader(media.NewBitReader(stream))
 	if err != nil {
 		return nil, err
 	}
 	body := func(ctx context.Context, gate *Gate) (Result, error) {
-		frames, putSlice, err := decodeFrames(ctx, gate, stream, pool)
-		if err != nil {
-			return Result{}, err
-		}
 		plane := seq.W() * seq.H()
+		total := int64(seq.Frames) * int64(plane)
 		// Pooled response body: recycled by the uncached HTTP tail once
 		// written (see bufpool.go for the ownership rules).
-		out := respBufs.Get(len(frames) * plane)
-		off := 0
-		for _, f := range frames {
-			off += copy(out[off:], f.Pix)
+		out := respBufs.Get(int(min(total, decodeEager)))[:0]
+		_, err := media.DecodeWithOptions(stream, media.DecodeOptions{
+			NewFrame: pool.Get,
+			Recycle:  pool.Put,
+			OnFrame:  func(int) error { return checkpoint(ctx, gate) },
+			OnDisplayFrame: func(di int, f *media.Frame) error {
+				end := (di + 1) * plane
+				if end > cap(out) {
+					out = growSlab(&respBufs, out, int(min(max(2*int64(cap(out)), int64(end)), total)))
+				}
+				out = out[:end]
+				copy(out[di*plane:], f.Pix)
+				return nil
+			},
+			Retire: pool.Put,
+		})
+		if err != nil {
+			respBufs.Put(out)
+			return Result{}, err
 		}
-		n := len(frames)
-		pool.PutAll(frames)
-		putSlice()
-		return Result{Body: out, Meta: seqMeta(seq, n)}, nil
+		return Result{Body: out, Meta: seqMeta(seq, seq.Frames)}, nil
 	}
 	return NewJob(tenant, KindDecode, ctx, body), nil
 }

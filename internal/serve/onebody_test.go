@@ -1,7 +1,8 @@
 package serve
 
 // Pins for the job bodies: malformed input answers 400 and leaks nothing,
-// a cancelled encode leaks nothing, the serving
+// a served decode holds its reorder window of frames, not the clip, a
+// cancelled encode leaks nothing, the serving
 // tier's import graph stays clear of the simulator, and a cold decode
 // and a cold transcode stay inside their allocation budgets.
 
@@ -115,6 +116,43 @@ func TestHTTPDecodeMalformed(t *testing.T) {
 	serveDecode(srv.Handler(), w, stream)
 	if w.code != http.StatusOK || srv.pool.Outstanding() != 0 {
 		t.Errorf("good stream after the bad ones: %d, %d frames outstanding", w.code, srv.pool.Outstanding())
+	}
+}
+
+// TestDecodePeakFrames pins the served decode's working set: the decoder
+// streams into the response, so a 26-frame clip holds at most three
+// pooled frames at once (the frame being decoded and its two
+// references) for every GOP M, where collecting the clip before copying
+// held all 26. A pool that starts empty allocates a frame only when
+// none is free, so the frames it retains afterwards are the most the
+// decode held at once.
+func TestDecodePeakFrames(t *testing.T) {
+	s := xcodeSched(t)
+	for m := 1; m <= 4; m++ {
+		stream, _, _ := testStream(t, 64, 48, 26, func(c *media.CodecConfig) { c.GOPM = m })
+		ref, err := media.Decode(stream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []byte
+		for _, f := range ref.DisplayFrames() {
+			want = append(want, f.Pix...)
+		}
+		pool := media.NewSyncFramePool(0)
+		j, err := NewDecodeJob(context.Background(), "t", stream, pool, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := runSync(t, s, j)
+		if err != nil || !bytes.Equal(res.Body, want) {
+			t.Fatalf("M=%d: err %v, bytes match %v", m, err, bytes.Equal(res.Body, want))
+		}
+		if n := pool.Outstanding(); n != 0 {
+			t.Errorf("M=%d: %d frames outstanding", m, n)
+		}
+		if n := pool.Retained(); n > 3 {
+			t.Errorf("M=%d: the decode held %d pooled frames at once, want at most 3", m, n)
+		}
 	}
 }
 

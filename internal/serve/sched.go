@@ -23,9 +23,6 @@ type Config struct {
 	// (waiting + running). A full queue rejects new work — the
 	// GetSpace-failure path. Default 8.
 	QueueCap int
-	// DefaultWeight is the weight of tenants not listed in Tenants.
-	// Default 1.
-	DefaultWeight int
 	// MaxBodyBytes caps HTTP request bodies. Default 64 MiB.
 	MaxBodyBytes int64
 	// FramePoolCap bounds the shared frame pool (frames retained across
@@ -48,7 +45,7 @@ type Config struct {
 type CacheMode int
 
 const (
-	CacheDefault CacheMode = iota // follow the server-wide setting
+	cacheDefault CacheMode = iota // follow the server-wide setting
 	CacheOn
 	CacheOff
 )
@@ -68,7 +65,7 @@ func (m CacheMode) String() string {
 // follow the server-wide Config (see Config.resolve).
 type TenantConfig struct {
 	Name     string
-	Weight   int       // scheduling-slice multiplier; 0 → Config.DefaultWeight
+	Weight   int       // scheduling-slice multiplier; 0 → 1
 	QueueCap int       // admission bound; 0 → Config.QueueCap
 	Cache    CacheMode // per-tenant result-cache override
 }
@@ -83,9 +80,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueCap <= 0 {
 		c.QueueCap = 8
-	}
-	if c.DefaultWeight <= 0 {
-		c.DefaultWeight = 1
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 64 << 20
@@ -105,10 +99,10 @@ func (c Config) withDefaults() Config {
 // resolve fills a tenant declaration's zero fields from the (defaulted)
 // server-wide settings: the one place a tenant's effective parameters
 // are decided, for declared and undeclared tenants alike. Cache stays as
-// declared; CacheDefault is resolved per request (CacheEnabledFor).
+// declared; cacheDefault is resolved per request (CacheEnabledFor).
 func (c Config) resolve(tc TenantConfig) TenantConfig {
 	if tc.Weight <= 0 {
-		tc.Weight = c.DefaultWeight
+		tc.Weight = 1
 	}
 	if tc.QueueCap <= 0 {
 		tc.QueueCap = c.QueueCap
@@ -372,9 +366,10 @@ func (s *Scheduler) runSlice(u *unit) {
 // endSlice charges a slice to the unit's job and tenant. A parked unit
 // is preempted: requeued behind its tenant's other work, or abandoned if
 // the scheduler was hard-stopped meanwhile. A returned unit that ended
-// its job retires the job: release its admission space, record latency,
-// and wake waiters (blocked submitters see space; draining workers see
-// the count drop).
+// its job retires the job: release its admission space, count it,
+// record latency, and only then close Done, so a caller that wakes on
+// Done finds its job in every counter; then wake waiters (blocked
+// submitters see space; draining workers see the count drop).
 func (s *Scheduler) endSlice(u *unit, slice time.Duration, parked bool) {
 	j, t := u.job, u.job.row
 	s.mu.Lock()
@@ -404,6 +399,7 @@ func (s *Scheduler) endSlice(u *unit, slice time.Duration, parked bool) {
 		}
 		t.ewmaJobNs += 0.3 * (float64(j.serviceNs) - t.ewmaJobNs) // alpha 0.3
 		s.met.Latency[j.Kind].Observe(time.Since(j.enq))
+		defer close(j.done)
 	}
 	s.mu.Unlock()
 	s.cond.Broadcast()

@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"strconv"
 	"testing"
 	"time"
@@ -34,12 +35,26 @@ func newTranscodeJobTwoPhase(ctx context.Context, tenant string, stream []byte, 
 		return nil, err
 	}
 	body := func(ctx context.Context, gate *Gate) (Result, error) {
-		// Phase 1: decode into pooled display-order frames.
-		frames, putSlice, err := decodeFrames(ctx, gate, stream, pool)
+		// Phase 1: decode into pooled display-order frames. A batch
+		// decode leaves a display hole where the span engine's streaming
+		// decode rejects the frame that breaks the order.
+		res, err := media.DecodeWithOptions(stream, media.DecodeOptions{
+			NewFrame: pool.Get,
+			Recycle:  pool.Put,
+			OnFrame:  func(int) error { return checkpoint(ctx, gate) },
+		})
 		if err != nil {
 			return Result{}, err
 		}
-		defer putSlice()
+		frames := res.DisplayFrames()
+		for i, f := range frames {
+			if f == nil {
+				for _, df := range res.Coded {
+					pool.Put(df.Frame)
+				}
+				return Result{}, fmt.Errorf("%w: no frame for display index %d", media.ErrBitstream, i)
+			}
+		}
 		// Phase 2: re-encode as a single checkpointed task under the same
 		// gate, recycling each source frame once coded.
 		var out []byte

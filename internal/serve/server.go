@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"strconv"
 	"time"
 
@@ -69,9 +68,9 @@ func New(cfg Config) *Server {
 	if cfg.CacheBytes > 0 {
 		s.cache = NewCache(cfg.CacheBytes)
 	}
-	s.mux.HandleFunc("POST /v1/decode", s.handleDecode)
-	s.mux.HandleFunc("POST /v1/encode", s.handleEncode)
-	s.mux.HandleFunc("POST /v1/transcode", s.handleTranscode)
+	for _, k := range Kinds {
+		s.mux.HandleFunc("POST "+k.Path(), s.handleMedia(k))
+	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	s.mux.HandleFunc("GET /varz", s.handleVarz)
@@ -120,8 +119,8 @@ func requestCtx(r *http.Request) (context.Context, context.CancelFunc, error) {
 
 // TimeoutFromHeader parses the optional X-Timeout-Ms request header: 0
 // when absent, an error unless it is a positive integer. Exported, like
-// EncodeConfigFromQuery, so the gateway budgets exactly the deadline the
-// backend will enforce.
+// ParseParams, so the gateway budgets exactly the deadline the backend
+// will enforce.
 func TimeoutFromHeader(h http.Header) (time.Duration, error) {
 	v := h.Get("X-Timeout-Ms")
 	if v == "" {
@@ -138,25 +137,24 @@ func TimeoutFromHeader(h http.Header) (time.Duration, error) {
 const bodyChunk = 4 << 10
 
 // readBody reads the request payload under the configured cap into a
-// reqBufs slab, sized once from Content-Length (at most the cap plus the
-// byte that proves an overflow, and room for the final read's EOF) or
-// grown through the pool when the length is unknown. The caller returns
-// the body to reqBufs once dispatch has returned (bufpool.go); a failed
-// read already has. Callers answer a failure with BodyStatus.
+// reqBufs slab, sized once from a Content-Length the cap admits (plus
+// room for the final read's EOF) or grown through the pool otherwise. A
+// declared length above the cap reserves nothing for it: that request
+// fails with 413 once the cap is passed, or with 400 if the body ends
+// first, so its slab grows with the bytes that arrive. The caller
+// returns the body to reqBufs once dispatch has returned (bufpool.go); a
+// failed read already has. Callers answer a failure with BodyStatus.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	limit := s.cfg.MaxBodyBytes
 	rd := http.MaxBytesReader(w, r.Body, limit)
 	size := int64(bodyChunk)
-	if r.ContentLength >= 0 {
-		size = min(r.ContentLength, limit) + 1
+	if r.ContentLength >= 0 && r.ContentLength <= limit {
+		size = r.ContentLength + 1
 	}
 	buf := reqBufs.Get(int(size))[:0]
 	for {
 		if len(buf) == cap(buf) {
-			grown := reqBufs.Get(int(min(2*int64(cap(buf)), limit+1)))
-			copy(grown, buf)
-			reqBufs.Put(buf)
-			buf = grown[:len(buf)]
+			buf = growSlab(&reqBufs, buf, int(min(2*int64(cap(buf)), limit+1)))
 		}
 		n, err := rd.Read(buf[len(buf):cap(buf)])
 		buf = buf[:len(buf)+n]
@@ -322,153 +320,49 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, ctx context.Co
 	s.submitAndWait(w, r, j)
 }
 
-// handleDecode serves POST /v1/decode: body is an ECL1 bitstream, the
-// response is the concatenated raw display-order luma planes.
-func (s *Server) handleDecode(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel, err := requestCtx(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	defer cancel()
-	body, err := s.readBody(w, r)
-	if err != nil {
-		httpError(w, BodyStatus(err), err)
-		return
-	}
-	defer reqBufs.Put(body)
-	tenant := tenantOf(r)
-	j, err := NewDecodeJob(ctx, tenant, body, s.pool, 1)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	s.dispatch(w, r, ctx, tenant, DecodeKey(body), j)
-}
-
-// EncodeConfigFromQuery parses the encode query parameters into a codec
-// config. Unset parameters fall back to the codec defaults for the
-// given size. Exported because the gateway tier must derive the exact
-// same canonical config (and therefore the same content-address routing
-// key) that the backend will cache under.
-func EncodeConfigFromQuery(q url.Values) (media.CodecConfig, error) {
-	geti := func(key string, def int) (int, error) {
-		v := q.Get(key)
-		if v == "" {
-			return def, nil
-		}
-		n, err := strconv.Atoi(v)
+// handleMedia serves POST kind.Path(). The body is the kind's payload
+// (an ECL1 bitstream for decode and transcode, frames×w×h bytes of raw
+// luma for encode) and the response its output (raw display-order luma
+// planes for decode, an ECL1 bitstream otherwise). The query string
+// carries the kind's parameters (ParseParams).
+func (s *Server) handleMedia(kind Kind) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		ctx, cancel, err := requestCtx(r)
 		if err != nil {
-			return 0, fmt.Errorf("serve: bad %s=%q", key, v)
+			httpError(w, http.StatusBadRequest, err)
+			return
 		}
-		return n, nil
+		defer cancel()
+		p, err := ParseParams(kind, r.URL.RawQuery)
+		if err != nil {
+			httpError(w, http.StatusBadRequest, err)
+			return
+		}
+		body, err := s.readBody(w, r)
+		if err != nil {
+			httpError(w, BodyStatus(err), err)
+			return
+		}
+		defer reqBufs.Put(body)
+		tenant := tenantOf(r)
+		j, err := s.newJob(ctx, tenant, p, body)
+		if err != nil {
+			httpError(w, http.StatusBadRequest, err)
+			return
+		}
+		s.dispatch(w, r, ctx, tenant, p.Key(body), j)
 	}
-	w, err := geti("w", 0)
-	if err != nil {
-		return media.CodecConfig{}, err
-	}
-	h, err := geti("h", 0)
-	if err != nil {
-		return media.CodecConfig{}, err
-	}
-	if w <= 0 || h <= 0 {
-		return media.CodecConfig{}, fmt.Errorf("serve: encode requires w and h query parameters")
-	}
-	cfg := media.DefaultCodec(w, h)
-	if cfg.Q, err = geti("q", cfg.Q); err != nil {
-		return media.CodecConfig{}, err
-	}
-	if cfg.GOPN, err = geti("gopn", cfg.GOPN); err != nil {
-		return media.CodecConfig{}, err
-	}
-	if cfg.GOPM, err = geti("gopm", cfg.GOPM); err != nil {
-		return media.CodecConfig{}, err
-	}
-	if cfg.SearchRange, err = geti("search", cfg.SearchRange); err != nil {
-		return media.CodecConfig{}, err
-	}
-	switch q.Get("halfpel") {
-	case "", "0", "false":
-	case "1", "true":
-		cfg.HalfPel = true
-	default:
-		return media.CodecConfig{}, fmt.Errorf("serve: bad halfpel=%q", q.Get("halfpel"))
-	}
-	return cfg, nil
 }
 
-// TranscodeQFromQuery parses transcode's required q parameter, the
-// target quantizer. Exported for the same reason as
-// EncodeConfigFromQuery: the gateway's routing key must be the one the
-// backend caches under.
-func TranscodeQFromQuery(q url.Values) (int, error) {
-	v := q.Get("q")
-	if v == "" {
-		return 0, fmt.Errorf("serve: transcode requires the q query parameter")
+// newJob builds the job that serves a media request.
+func (s *Server) newJob(ctx context.Context, tenant string, p Params, body []byte) (*Job, error) {
+	switch p.Kind {
+	case KindEncode:
+		return NewEncodeJob(ctx, tenant, p.enc, body, s.pool)
+	case KindTranscode:
+		return NewTranscodeJobSegmented(ctx, tenant, body, p.q, s.pool, 1, 1, s.cfg.Workers, s.met)
 	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return 0, fmt.Errorf("serve: bad q=%q", v)
-	}
-	return n, nil
-}
-
-// handleEncode serves POST /v1/encode?w=&h=[&q=&gopn=&gopm=&search=&halfpel=]:
-// body is frames×w×h bytes of raw luma, the response is an ECL1 bitstream.
-func (s *Server) handleEncode(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel, err := requestCtx(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	defer cancel()
-	cfg, err := EncodeConfigFromQuery(r.URL.Query())
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	body, err := s.readBody(w, r)
-	if err != nil {
-		httpError(w, BodyStatus(err), err)
-		return
-	}
-	defer reqBufs.Put(body)
-	tenant := tenantOf(r)
-	j, err := NewEncodeJob(ctx, tenant, cfg, body, s.pool)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	s.dispatch(w, r, ctx, tenant, EncodeKey(cfg, body), j)
-}
-
-// handleTranscode serves POST /v1/transcode?q=: body is an ECL1
-// bitstream, the response is the same sequence re-encoded at quantizer q.
-func (s *Server) handleTranscode(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel, err := requestCtx(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	defer cancel()
-	q, err := TranscodeQFromQuery(r.URL.Query())
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	body, err := s.readBody(w, r)
-	if err != nil {
-		httpError(w, BodyStatus(err), err)
-		return
-	}
-	defer reqBufs.Put(body)
-	tenant := tenantOf(r)
-	j, err := NewTranscodeJobSegmented(ctx, tenant, body, q, s.pool, 1, 1, s.cfg.Workers, s.met)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	s.dispatch(w, r, ctx, tenant, TranscodeKey(q, body), j)
+	return NewDecodeJob(ctx, tenant, body, s.pool, 1)
 }
 
 // handleHealthz reports liveness: 200 as long as the process can answer
@@ -524,9 +418,15 @@ func (s *Server) varz() Snapshot {
 // handleVarz serves the JSON status document.
 func (s *Server) handleVarz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
+	s.WriteVarz(w)
+}
+
+// WriteVarz writes the JSON status document /varz serves: per-kind
+// traffic and latency, the tenant table and the result cache.
+func (s *Server) WriteVarz(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	enc.Encode(s.varz())
+	return enc.Encode(s.varz())
 }
 
 // handleMetrics serves the Prometheus text exposition.

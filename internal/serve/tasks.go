@@ -175,7 +175,9 @@ func (j *Job) fail(err error) {
 // retire counts a returned unit out of its phase. The last one runs the
 // phase's continuation, which holds the job open while it forks, and if
 // nothing further was forked, ends the job and releases its derived
-// context; retire reports whether it did.
+// context; retire reports whether it did. A scheduled job's Done closes
+// only once the worker has accounted it (Scheduler.endSlice); a job no
+// scheduler admitted closes it here.
 func (j *Job) retire() bool {
 	for {
 		j.mu.Lock()
@@ -190,7 +192,9 @@ func (j *Job) retire() bool {
 			j.mu.Unlock()
 			j.stop()
 			j.cancel()
-			close(j.done)
+			if j.sched == nil {
+				close(j.done)
+			}
 			return true
 		}
 		j.live++

@@ -69,8 +69,6 @@ type Monitor struct {
 	Interval uint64
 	Regs     []MonitorReg
 	Samples  []RegSnapshot
-
-	stop bool
 }
 
 // MonitorReg names one memory-mapped measurement register.
@@ -86,7 +84,7 @@ func (m *Monitor) Start(k *sim.Kernel) {
 		m.Interval = 4096
 	}
 	k.NewProc("pi-monitor", 0, func(p *sim.Proc) {
-		for !m.stop {
+		for {
 			snap := RegSnapshot{Cycle: p.Now(), Values: map[string]uint64{}}
 			for _, r := range m.Regs {
 				snap.Values[r.Name] = m.Bus.ReadReg(p, r.Fetch)
@@ -96,11 +94,6 @@ func (m *Monitor) Start(k *sim.Kernel) {
 		}
 	})
 }
-
-// Stop ends sampling after the current interval. (The monitor process
-// would otherwise keep the kernel from quiescing; the fabric's Stop on
-// application completion also ends it.)
-func (m *Monitor) Stop() { m.stop = true }
 
 // Reg helpers for the measurement counters shells expose.
 

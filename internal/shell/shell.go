@@ -523,10 +523,6 @@ func (sh *Shell) ReadCacheStats() CacheStats { return sh.rcache.stats() }
 // WriteCacheStats returns the write cache counters.
 func (sh *Shell) WriteCacheStats() CacheStats { return sh.wcache.stats() }
 
-// PoolStats returns the scratch-buffer pool counters of the transport
-// layer (how often line moves recycled a buffer vs. allocated one).
-func (sh *Shell) PoolStats() PoolStats { return sh.pool.stats() }
-
 // TransportStats are the asynchronous data-transport counters of a shell:
 // how the prefetch engine, the demand-miss path, and the scratch-buffer
 // pool interacted over the run.

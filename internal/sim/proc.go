@@ -116,9 +116,6 @@ func (p *Proc) park() {
 	p.waitSig = nil
 }
 
-// Name returns the process name.
-func (p *Proc) Name() string { return p.name }
-
 // Kernel returns the kernel this process belongs to.
 func (p *Proc) Kernel() *Kernel { return p.k }
 

@@ -5,7 +5,7 @@
 // is its own — eclipse-serve's L2 adds tenant attribution,
 // eclipse-gateway's L1 adds freshness — as the metadata type M.
 //
-// Ownership discipline (the FramePool/dispPool rules, applied to cached
+// Ownership discipline (the FramePool rules, applied to cached
 // bytes): an entry's body is an immutable snapshot copied into a pooled
 // slab at fill time, never aliased into live frame arenas, a job's
 // Result or a proxy buffer. Residency holds one reference; every Get
