@@ -26,9 +26,11 @@
 #                on two workers, for two tenants' jobs on two workers, for
 #                encoders running side by side, for the single-lock cache
 #                and for the proxy's attempt loop), and the pooled
-#                request-body reuse test ten times at GOMAXPROCS=4 (two
+#                request-body reuse tests ten times at GOMAXPROCS=4 (two
 #                tenants' bodies returned to the pool while other jobs,
-#                a cancelled transcode and a collapsed flight still run)
+#                a cancelled transcode and a collapsed flight still run;
+#                a gateway body the upstream still reads after the
+#                handler has returned)
 #   make fuzz-smoke  a few seconds of each media-layer fuzzer — the CI
 #                    guard that the corpus-reachable code stays panic-free
 #                    (includes the run/level window/oracle parity fuzzer,
@@ -86,7 +88,7 @@ race:
 	$(GO) test -race ./...
 	GOMAXPROCS=4 $(GO) test -race -run 'Segment|TwoTenant|TaskGroup|SpanUnits|DoneAfterAccounting|Transcode|StreamEncoder|LRU|L1|Cache|Retry|Pushback|MidStream|Timeout|Stalled|Storm' \
 		./internal/media ./internal/serve ./internal/slab ./internal/cluster
-	GOMAXPROCS=4 $(GO) test -race -count=10 -run 'RequestBodyReuse' ./internal/serve
+	GOMAXPROCS=4 $(GO) test -race -count=10 -run 'RequestBodyReuse|GatewayBodyLifetime' ./internal/serve ./internal/cluster
 
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzBitReaderRoundTrip -fuzztime=5s ./internal/media

@@ -25,27 +25,37 @@ func (w *discardWriter) Write(p []byte) (int, error) { w.n += len(p); return len
 var raceDetector bool
 
 // TestGatewayAllocBudget pins the bytes allocated per request through
-// g.Handler().ServeHTTP with pools warm, for a warm L1 hit and for an
-// L1-off proxied decode against a fake backend (whose server side runs
-// in this process and is counted too). Each budget is the count on the
-// code that set it plus 5 %: 5 984 B/op (21 allocs) for the hit and
-// about 17 320 B/op (110 allocs) for the proxied request. While each
-// upstream attempt ran on its own goroutine with a results channel and
-// a cancel context — the machinery hedging needed — the proxied request
-// counted 18 280–18 622 B/op (119 allocs) on the same loop.
+// g.Handler().ServeHTTP with pools warm, for a warm L1 hit, for an L1-off
+// proxied decode against a fake backend (whose server side runs in this
+// process and is counted too), and for the same with a 3 KiB body, every
+// other one sent without a length so the reader takes its 4 KiB start.
+// Each budget is the largest count on the code that set it plus 5 %,
+// taken over 25 runs beside a media test run that loads both CPUs (the
+// proxied counts rise by up to 800 B/op under load, before this change
+// as after it): 5 535 B/op (21 allocs) for the hit, 13 469 B/op
+// (108–109 allocs) for the proxied request and 20 720 B/op (115 allocs)
+// with the 3 KiB body; unloaded they count 5 520, 12 672 and 20 114.
+// While the gateway read both bodies into fresh slices (io.ReadAll, and
+// a 4 KiB buffer grown by append for the response) they counted 5 984,
+// 17 264–18 035 and 36 280–36 340 B/op on the same loop; while each
+// upstream attempt ran on its own goroutine with a results channel and a
+// cancel context — the machinery hedging needed — the proxied request
+// counted 18 280–18 622 B/op (119 allocs).
 func TestGatewayAllocBudget(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector drops sync.Pool items at random, so the counts are not comparable")
 	}
-	body := []byte("stream-bytes")
 	for _, tc := range []struct {
-		name   string
-		l1     int64
-		want   string // X-Cache on every measured response
-		budget uint64
+		name    string
+		l1      int64
+		body    []byte
+		chunked bool   // every other request declares no length
+		want    string // X-Cache on every measured response
+		budget  uint64
 	}{
-		{"l1-hit", 1 << 20, XCacheL1Hit, 6283},
-		{"proxied", 0, "", 18186},
+		{"l1-hit", 1 << 20, []byte("stream-bytes"), false, XCacheL1Hit, 5812},
+		{"proxied", 0, []byte("stream-bytes"), false, "", 14143},
+		{"proxied-3k", 0, bytes.Repeat([]byte("stream-bytes"), 256), true, "", 21756},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := newFakeBackend(t)
@@ -57,8 +67,12 @@ func TestGatewayAllocBudget(t *testing.T) {
 				for i := 0; i < n; i++ {
 					*w = discardWriter{hdr: w.hdr}
 					clear(w.hdr)
-					g.Handler().ServeHTTP(w, httptest.NewRequest("POST", "/v1/decode", bytes.NewReader(body)))
-					if w.code != http.StatusOK || w.n != len(body) {
+					r := httptest.NewRequest("POST", "/v1/decode", bytes.NewReader(tc.body))
+					if tc.chunked && i%2 == 1 {
+						r.ContentLength = -1
+					}
+					g.Handler().ServeHTTP(w, r)
+					if w.code != http.StatusOK || w.n != len(tc.body) {
 						t.Fatalf("status %d, %d bytes", w.code, w.n)
 					}
 				}

@@ -1,7 +1,5 @@
 package cluster
 
-import "io"
-
 // Gateway-side singleflight. With the L1 enabled, concurrent requests
 // for the same content address collapse onto one leader: a 32-way storm
 // on a cold key costs the cluster exactly one backend round-trip, and
@@ -42,30 +40,4 @@ type doResult struct {
 	gwStatus   int          // flightShared with a gateway-origin error
 	gwMsg      string
 	leaderSpec bool // budget expired / client gone: abdicate, don't publish
-}
-
-// readCapped reads r into memory up to max bytes (plus one sentinel
-// byte that detects overflow). If r ends within the cap it returns
-// (body, false, nil) — the fully buffered case. If more than max bytes
-// are available it returns (prefix, true, nil) with every byte read so
-// far (max+1 of them) and the rest still unread in r — the caller must
-// relay the prefix before streaming the remainder. A read error before
-// the cap is the caller's mid-stream signal.
-func readCapped(r io.Reader, max int64) ([]byte, bool, error) {
-	buf := make([]byte, 0, 4096)
-	limited := io.LimitReader(r, max+1)
-	for {
-		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)]
-		}
-		n, err := limited.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return buf, false, err
-		}
-	}
-	return buf, int64(len(buf)) > max, nil
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"eclipse/internal/serve"
+	"eclipse/internal/slab"
 )
 
 // Config parameterizes the gateway.
@@ -116,6 +117,7 @@ type Gateway struct {
 	l1       *l1Cache // nil when Config.L1Bytes <= 0
 	client   *http.Client
 	mux      *http.ServeMux
+	bufs     slab.Pool // request and response bodies (proxy.go)
 
 	probeCtx    context.Context
 	probeCancel context.CancelFunc
@@ -149,7 +151,7 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	rt := cfg.Transport
 	if rt == nil {
-		rt = &http.Transport{MaxIdleConnsPerHost: 64, IdleConnTimeout: 90 * time.Second}
+		rt = &http.Transport{MaxIdleConnsPerHost: 64, IdleConnTimeout: 90 * time.Second, DialContext: g.dialUpstream}
 	}
 	g.client = &http.Client{Transport: rt}
 	g.probeCtx, g.probeCancel = context.WithCancel(context.Background())

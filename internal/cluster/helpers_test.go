@@ -36,6 +36,7 @@ func fakeBigBody() []byte {
 //	          bytes — the L1 aliasing stress backend)
 //	big       media serves fakeBigBody deterministic bytes (over any
 //	          small per-object cap: the stream-through backend)
+//	refuse    media answers 413 before it reads the request body
 type fakeBackend struct {
 	ts        *httptest.Server
 	mode      atomic.Value // string
@@ -71,6 +72,10 @@ func newFakeBackend(t *testing.T) *fakeBackend {
 	})
 	media := func(w http.ResponseWriter, r *http.Request) {
 		f.hits.Add(1)
+		if f.mode.Load().(string) == "refuse" {
+			http.Error(w, "too large", http.StatusRequestEntityTooLarge)
+			return
+		}
 		// Consume the body like a real backend: the server's client-abort
 		// detection (background read) only arms once the body is drained.
 		reqBody, _ := io.ReadAll(r.Body)

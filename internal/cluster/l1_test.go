@@ -364,33 +364,6 @@ func TestFreshnessTTL(t *testing.T) {
 	}
 }
 
-// TestReadCapped pins the bounded reader's three outcomes: under, at,
-// and over the cap.
-func TestReadCapped(t *testing.T) {
-	data := fakeBigBody()[:10000]
-	for _, c := range []struct {
-		max      int64
-		wantLen  int
-		overflow bool
-	}{
-		{20000, 10000, false},
-		{10000, 10000, false},
-		{4096, 4097, true}, // overflow keeps the sentinel byte in the prefix
-	} {
-		buf, overflow, err := readCapped(bytes.NewReader(data), c.max)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if overflow != c.overflow || len(buf) != c.wantLen {
-			t.Errorf("readCapped(max=%d): len=%d overflow=%v, want len=%d overflow=%v",
-				c.max, len(buf), overflow, c.wantLen, c.overflow)
-		}
-		if !bytes.Equal(buf, data[:c.wantLen]) {
-			t.Errorf("readCapped(max=%d): prefix bytes differ", c.max)
-		}
-	}
-}
-
 // TestL1StormAfterWarm: identical requests arriving while the key is
 // warm are all L1 hits; the Latency histogram (proxied work only)
 // stays put while L1HitLat accumulates.

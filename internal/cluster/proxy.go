@@ -7,11 +7,14 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"eclipse/internal/serve"
+	"eclipse/internal/slab"
 )
 
 // The proxy path. One client request becomes 0..N upstream attempts,
@@ -113,10 +116,71 @@ type attemptResp struct {
 	class         attemptClass
 	status        int
 	header        http.Header
-	body          []byte
+	body          []byte // a g.bufs slab (see do)
 	stream        io.ReadCloser
 	contentLength int64 // upstream Content-Length; -1 when unknown
 	err           error
+}
+
+// reqBody is a client request body in a g.bufs slab. Its stakes are the
+// handler's and one per upstream body, dropped by that body's first Close:
+// a transport may close a body after RoundTrip returns (net/http goes on
+// writing one the backend answered before reading it), so the slab goes
+// back with the last stake.
+type reqBody struct {
+	buf  []byte
+	pool *slab.Pool
+	refs atomic.Int32
+}
+
+func (b *reqBody) release() {
+	if b.refs.Add(-1) == 0 {
+		b.pool.Put(b.buf)
+	}
+}
+
+// stake returns a new upstream body over b, as http.Request.GetBody.
+func (b *reqBody) stake() (io.ReadCloser, error) {
+	b.refs.Add(1)
+	return &bodyStake{Reader: *bytes.NewReader(b.buf), body: b}, nil
+}
+
+// bodyStake is one upstream body; its reader gives the transport WriteTo.
+type bodyStake struct {
+	bytes.Reader
+	body   *reqBody
+	closed atomic.Bool
+}
+
+func (s *bodyStake) Close() error {
+	if s.closed.CompareAndSwap(false, true) {
+		s.body.release()
+	}
+	return nil
+}
+
+// upstreamConn copies through a pooled slab in ReadFrom, through which
+// net/http writes a body it cannot tell is in memory (a bodyStake):
+// *net.TCPConn's allocates a copy buffer the body's size.
+type upstreamConn struct {
+	net.Conn
+	w    io.Writer // the connection without its ReadFrom
+	bufs *slab.Pool
+}
+
+func (c *upstreamConn) ReadFrom(r io.Reader) (int64, error) {
+	buf := c.bufs.Get(32 << 10)
+	defer c.bufs.Put(buf)
+	return io.CopyBuffer(c.w, r, buf)
+}
+
+// dialUpstream is the DialContext of the gateway's own transport.
+func (g *Gateway) dialUpstream(ctx context.Context, network, addr string) (net.Conn, error) {
+	c, err := (&net.Dialer{}).DialContext(ctx, network, addr)
+	if err != nil {
+		return nil, err
+	}
+	return &upstreamConn{Conn: c, w: struct{ io.Writer }{c}, bufs: &g.bufs}, nil
 }
 
 // handleMedia serves POST kind.Path(). The request is parsed and
@@ -140,12 +204,15 @@ func (g *Gateway) handleMedia(kind serve.Kind) http.HandlerFunc {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes))
+		buf, _, err := g.bufs.ReadCapped(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes), r.ContentLength, g.cfg.MaxBodyBytes)
 		if err != nil {
 			http.Error(w, "cluster: reading request body: "+err.Error(), serve.BodyStatus(err))
 			return
 		}
-		key := p.Key(body)
+		body := &reqBody{buf: buf, pool: &g.bufs}
+		body.refs.Store(1)
+		defer body.release()
+		key := p.Key(buf)
 		ctx := r.Context()
 		var deadline time.Time
 		if timeout > 0 {
@@ -156,14 +223,22 @@ func (g *Gateway) handleMedia(kind serve.Kind) http.HandlerFunc {
 		}
 
 		g.met.Requests[kind].Add(1)
-		g.met.BytesIn.Add(uint64(len(body)))
+		g.met.BytesIn.Add(uint64(len(buf)))
 		if g.l1 != nil {
 			g.serveL1(ctx, w, r, kind, key, body, deadline)
 			return
 		}
 		start := time.Now()
-		g.do(ctx, w, r, kind, key, body, deadline, false, nil)
+		g.doUnshared(ctx, w, r, kind, key, body, deadline)
 		g.met.Latency[kind].Observe(time.Since(start))
+	}
+}
+
+// doUnshared runs do for a request that publishes no flight.
+func (g *Gateway) doUnshared(ctx context.Context, w http.ResponseWriter, r *http.Request,
+	kind serve.Kind, key serve.CacheKey, body *reqBody, deadline time.Time) {
+	if dr := g.do(ctx, w, r, kind, key, body, deadline, g.l1 != nil, nil); dr.res != nil {
+		g.bufs.Put(dr.res.body)
 	}
 }
 
@@ -172,7 +247,7 @@ func (g *Gateway) handleMedia(kind serve.Kind) http.HandlerFunc {
 // answer — a proxied exchange that fills it. Latency[kind] is observed
 // only around real proxied exchanges; hits go to L1HitLat.
 func (g *Gateway) serveL1(ctx context.Context, w http.ResponseWriter, r *http.Request,
-	kind serve.Kind, key serve.CacheKey, body []byte, deadline time.Time) {
+	kind serve.Kind, key serve.CacheKey, body *reqBody, deadline time.Time) {
 
 	// A client that already holds the bytes proves it with the content
 	// address; the match is decidable locally, no lookup or backend
@@ -240,7 +315,7 @@ attempt:
 					// connection (over-cap stream, mid-stream 502). Proxy
 					// independently.
 					pstart := time.Now()
-					g.do(ctx, w, r, kind, key, body, deadline, true, nil)
+					g.doUnshared(ctx, w, r, kind, key, body, deadline)
 					g.met.Latency[kind].Observe(time.Since(pstart))
 					return
 				}
@@ -249,11 +324,7 @@ attempt:
 				leader = true
 			case <-ctx.Done():
 				g.l1.flights.Leave(key, f)
-				if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-					g.writeError(w, kind, http.StatusGatewayTimeout, "cluster: timeout budget exhausted")
-				} else {
-					g.writeError(w, kind, 499, "client closed request")
-				}
+				g.budgetDone(ctx, w, kind)
 				return
 			}
 		}
@@ -324,9 +395,12 @@ func (g *Gateway) serveL1Entry(w http.ResponseWriter, kind serve.Kind, e *l1Entr
 // response, and reports how the exchange ended for the flight table.
 // fill allows a 200 body to be copied into the L1; reval, when non-nil,
 // is a stale resident entry whose content address is sent upstream as
-// If-None-Match — a 304 then refreshes it without a body transfer.
+// If-None-Match — a 304 then refreshes it without a body transfer. do
+// returns an upstream body to g.bufs after the write, but a flightShared
+// one to its caller: a leader's followers relay it (it is left to the GC,
+// as one dropped on a retry or while unwinding is); doUnshared puts it.
 func (g *Gateway) do(ctx context.Context, w http.ResponseWriter, r *http.Request,
-	kind serve.Kind, key serve.CacheKey, body []byte, deadline time.Time,
+	kind serve.Kind, key serve.CacheKey, body *reqBody, deadline time.Time,
 	fill bool, reval *l1Entry) doResult {
 
 	order := g.ring.order(key)
@@ -373,13 +447,16 @@ func (g *Gateway) do(ctx context.Context, w http.ResponseWriter, r *http.Request
 				reval.Meta.touch(freshnessTTL(res.header, g.cfg.L1TTL))
 				g.met.L1Revalidations.Add(1)
 				g.serveL1Entry(w, kind, reval, XCacheL1Revalidated)
+				g.bufs.Put(res.body)
 				return doResult{outcome: flightFilled}
 			}
 			filled := g.writeResponse(w, kind, key, res, fill, "")
 			switch {
 			case res.stream != nil:
+				g.bufs.Put(res.body)
 				return doResult{outcome: flightSolo}
 			case filled:
+				g.bufs.Put(res.body) // the L1 holds its own copy
 				return doResult{outcome: flightFilled}
 			default:
 				return doResult{outcome: flightShared, res: res}
@@ -449,7 +526,7 @@ func (g *Gateway) budgetDone(ctx context.Context, w http.ResponseWriter, kind se
 
 // attempt runs one upstream try and accounts its passive health signal.
 func (g *Gateway) attempt(ctx context.Context, b *Backend,
-	r *http.Request, body []byte, deadline time.Time, inm string) *attemptResp {
+	r *http.Request, body *reqBody, deadline time.Time, inm string) *attemptResp {
 
 	b.requests.Add(1)
 	res := g.roundTrip(ctx, b, r, body, deadline, inm)
@@ -478,16 +555,23 @@ func (g *Gateway) attempt(ctx context.Context, b *Backend,
 // upstream body up to the per-object cap, and classifies the outcome.
 // inm, when set, is injected as If-None-Match (L1 revalidation).
 func (g *Gateway) roundTrip(ctx context.Context, b *Backend,
-	r *http.Request, body []byte, deadline time.Time, inm string) *attemptResp {
+	r *http.Request, body *reqBody, deadline time.Time, inm string) *attemptResp {
 
 	res := &attemptResp{b: b, contentLength: -1}
 	u := *b.url
 	u.Path = b.url.Path + r.URL.Path
 	u.RawQuery = r.URL.RawQuery
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u.String(), bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u.String(), nil)
 	if err != nil {
 		res.class, res.err = classTransport, err
 		return res
+	}
+	if len(body.buf) > 0 {
+		// What http.NewRequest sets for a *bytes.Reader, so the transport
+		// can replay the request on a dead keep-alive connection.
+		req.ContentLength = int64(len(body.buf))
+		req.Body, _ = body.stake()
+		req.GetBody = body.stake
 	}
 	for k, vv := range r.Header {
 		if hopHeaders[http.CanonicalHeaderKey(k)] {
@@ -517,7 +601,7 @@ func (g *Gateway) roundTrip(ctx context.Context, b *Backend,
 	}
 	// The response-side memory ceiling: never buffer more than the
 	// per-object cap, no matter what the backend sends.
-	buf, overflow, err := readCapped(resp.Body, g.cfg.L1MaxObject)
+	buf, overflow, err := g.bufs.ReadCapped(resp.Body, resp.ContentLength, g.cfg.L1MaxObject)
 	if err != nil {
 		resp.Body.Close()
 		if ctx.Err() != nil {

@@ -22,6 +22,10 @@ type StreamEncoder struct {
 	// return request frames to a shared pool. Abort also routes the
 	// still-buffered frames through it.
 	Recycle func(*Frame)
+	// NewFrame, when non-nil, allocates the two reconstruction frames in
+	// place of the package's NewFrame; CloseRaw and Abort then hand them
+	// to Recycle.
+	NewFrame func(w, h int) *Frame
 
 	enc    *Encoder
 	types  []FrameType // whole-sequence frame types, indexed by display index
@@ -136,6 +140,8 @@ func (e *StreamEncoder) Push(f *Frame) error {
 		recon := e.enc.refs.A
 		if e.types[di] == FrameB {
 			recon = nil
+		} else if recon == nil && e.NewFrame != nil {
+			recon = e.NewFrame(e.enc.cfg.W, e.enc.cfg.H)
 		} else if recon == nil {
 			recon = NewFrame(e.enc.cfg.W, e.enc.cfg.H)
 		}
@@ -169,6 +175,7 @@ func (e *StreamEncoder) CloseRaw() (*BitWriter, *EncodeStats, error) {
 		return nil, nil, fmt.Errorf("media: StreamEncoder closed twice")
 	}
 	e.closed = true
+	e.dropRefs()
 	if e.pushed != e.count {
 		return nil, nil, fmt.Errorf("media: closed after %d of %d declared frames", e.pushed, e.count)
 	}
@@ -203,15 +210,16 @@ func StitchSegments(parts []*BitWriter) []byte {
 }
 
 // Abort abandons the stream mid-flight: every frame still buffered in
-// the reorder window is handed to Recycle and further Push/Close calls
-// fail. The hook error-unwinding paths use so pooled frames pushed but
-// not yet coded are not leaked. No-op on an already closed or aborted
-// encoder.
+// the reorder window (and each reconstruction frame from NewFrame) is
+// handed to Recycle and further Push/Close calls fail. The hook
+// error-unwinding paths use so pooled frames pushed but not yet coded are
+// not leaked. No-op on an already closed or aborted encoder.
 func (e *StreamEncoder) Abort() {
 	if e.closed {
 		return
 	}
 	e.closed = true
+	e.dropRefs()
 	for i, f := range e.ring {
 		if f == nil {
 			continue
@@ -222,4 +230,14 @@ func (e *StreamEncoder) Abort() {
 			e.Recycle(f)
 		}
 	}
+}
+
+// dropRefs hands the reconstruction frames NewFrame allocated to Recycle.
+func (e *StreamEncoder) dropRefs() {
+	for _, f := range [2]*Frame{e.enc.refs.A, e.enc.refs.B} {
+		if f != nil && e.NewFrame != nil && e.Recycle != nil {
+			e.Recycle(f)
+		}
+	}
+	e.enc.refs = RefChain{}
 }

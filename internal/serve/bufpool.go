@@ -9,7 +9,8 @@ import "eclipse/internal/slab"
 //
 // Ownership (who may call Put, and when):
 //
-//   - reqBufs: readBody draws the request body, and the media handler
+//   - reqBufs: readBody draws the request body through the one capped
+//     reader both tiers use (slab.Pool.ReadCapped), and the media handler
 //     that read it is its sole owner and returns it once dispatch has
 //     returned. Nothing reads the body after that: dispatch either never
 //     runs the job (a 304, a cache hit, a collapsed follower, a rejected
@@ -36,12 +37,3 @@ import "eclipse/internal/slab"
 // or oversized capacity, so any buffer whose provenance satisfies the
 // rules above is safe to hand it.
 var reqBufs, respBufs slab.Pool
-
-// growSlab moves buf's bytes into a slab of p with room for n and
-// returns buf's own slab to p.
-func growSlab(p *slab.Pool, buf []byte, n int) []byte {
-	grown := p.Get(n)
-	copy(grown, buf)
-	p.Put(buf)
-	return grown[:len(buf)]
-}

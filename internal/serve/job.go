@@ -149,7 +149,7 @@ func NewDecodeJob(ctx context.Context, tenant string, stream []byte, pool *media
 			OnDisplayFrame: func(di int, f *media.Frame) error {
 				end := (di + 1) * plane
 				if end > cap(out) {
-					out = growSlab(&respBufs, out, int(min(max(2*int64(cap(out)), int64(end)), total)))
+					out = respBufs.Grow(out, int(min(max(2*int64(cap(out)), int64(end)), total)))
 				}
 				out = out[:end]
 				copy(out[di*plane:], f.Pix)
@@ -186,7 +186,7 @@ func NewEncodeJob(ctx context.Context, tenant string, cfg media.CodecConfig, raw
 		if err != nil {
 			return Result{}, err
 		}
-		se.Recycle = pool.Put
+		se.NewFrame, se.Recycle = pool.Get, pool.Put
 		for i := 0; i < frames; i++ {
 			if err := checkpoint(ctx, gate); err != nil {
 				se.Abort() // recycle frames buffered in the reorder window

@@ -23,6 +23,10 @@ import (
 	"eclipse/internal/media"
 )
 
+// bodyChunk is the first slab slab.Pool.ReadCapped draws for a request
+// body of unknown length, or of a declared length the cap refuses.
+const bodyChunk = 4 << 10
+
 // discardWriter is a ResponseWriter that keeps the status and the first
 // bytes of the body and allocates nothing per write, so a handler-level
 // measurement counts the server's allocations and not a recorder's.
@@ -270,7 +274,7 @@ func TestColdDecodeAllocBudget(t *testing.T) {
 			}
 		}
 	}
-	run(4) // warm the frame, response-buffer and display-slice pools
+	run(4) // warm the frame pool and the request- and response-buffer pools
 	const ops = 32
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -287,12 +291,13 @@ func TestColdDecodeAllocBudget(t *testing.T) {
 // 26-frame N=13 M=3 transcode through the handler (cache off, pools
 // warm) at one span and at two, so neither the span encoders'
 // reconstruction frames and writers nor the stitcher can silently
-// regrow. Counted at 144 KiB/op at one span and 280 KiB/op at two
-// (147 and 297 KiB/op under -race); each budget is the larger count
-// plus 5 %. What remains per span is its two reconstruction frames and
-// its output writer, sized from its input span, whose bytes become the
-// response body; at two spans, also the GOP index and the one growth of
-// the stitched output.
+// regrow. Counted at 91 KiB/op at one span and 173 KiB/op at two
+// (93 and 190 KiB/op under -race); each budget is the larger count
+// plus 5 %. The span encoders' reconstruction frames come from the
+// frame pool (they cost 144 and 280 KiB/op while each span allocated
+// its two), so what remains per span is its output writer, sized from
+// its input span, whose bytes become the response body; at two spans,
+// also the GOP index and the one growth of the stitched output.
 func TestColdTranscodeAllocBudget(t *testing.T) {
 	stream, _, _ := testStream(t, 176, 144, 26, func(c *media.CodecConfig) {
 		c.GOPN = 13
@@ -301,7 +306,7 @@ func TestColdTranscodeAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		segs   int
 		budget uint64
-	}{{1, 154 << 10}, {2, 313 << 10}} {
+	}{{1, 98 << 10}, {2, 200 << 10}} {
 		t.Run(spansName(tc.segs), func(t *testing.T) {
 			srv := New(Config{Workers: tc.segs, CacheBytes: -1})
 			defer srv.Shutdown(context.Background())

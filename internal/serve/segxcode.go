@@ -73,8 +73,7 @@ func NewTranscodeJobSegmented(ctx context.Context, tenant string, stream []byte,
 		}
 		nseg := len(spans)
 		track := &inflightFrames{pool: pool}
-		refs := &frameRefs{n: make(map[*media.Frame]int)}
-		release := func(f *media.Frame) { refs.release(f, track.put) }
+		refs := &frameRefs{n: make(map[*media.Frame]int), track: track}
 		writers := make([]*media.BitWriter, nseg)
 		bits := make([]int, nseg)
 		wall := make([]time.Duration, nseg)
@@ -86,7 +85,7 @@ func NewTranscodeJobSegmented(ctx context.Context, tenant string, stream []byte,
 				if err != nil {
 					return err
 				}
-				enc.Recycle = release
+				enc.NewFrame, enc.Recycle = pool.Get, refs.release
 				start := time.Now()
 				_, err = media.DecodeSegment(stream, frameBit(lo), lo, hi, media.DecodeOptions{
 					NewFrame: track.get,
@@ -98,12 +97,12 @@ func NewTranscodeJobSegmented(ctx context.Context, tenant string, stream []byte,
 						// stake drops via enc.Recycle once coded.
 						refs.add(f, 2)
 						if err := enc.Push(f); err != nil {
-							release(f) // encoder stake; Retire covers the decoder's
+							refs.release(f) // encoder stake; Retire covers the decoder's
 							return err
 						}
 						return nil
 					},
-					Retire: release,
+					Retire: refs.release,
 				})
 				if err != nil {
 					enc.Abort()
@@ -166,8 +165,9 @@ func NewTranscodeJobSegmented(ctx context.Context, tenant string, stream []byte,
 // pool — Get zeroes pixels, so recycling earlier would corrupt in-flight
 // prediction.
 type frameRefs struct {
-	mu sync.Mutex
-	n  map[*media.Frame]int
+	mu    sync.Mutex
+	n     map[*media.Frame]int
+	track *inflightFrames
 }
 
 func (r *frameRefs) add(f *media.Frame, n int) {
@@ -176,10 +176,10 @@ func (r *frameRefs) add(f *media.Frame, n int) {
 	r.mu.Unlock()
 }
 
-// release drops one stake and hands the frame to put when none remain.
-// Frames that never went through add (undelivered ones the decoder
-// recycles directly) bypass the table entirely.
-func (r *frameRefs) release(f *media.Frame, put func(*media.Frame)) {
+// release drops one stake and returns the frame through the in-flight
+// gauge when none remain. A frame never added is a span encoder's
+// reconstruction frame, drawn outside the gauge: it goes straight back.
+func (r *frameRefs) release(f *media.Frame) {
 	if f == nil {
 		return
 	}
@@ -194,8 +194,10 @@ func (r *frameRefs) release(f *media.Frame, put func(*media.Frame)) {
 		}
 	}
 	r.mu.Unlock()
-	if !tracked || n == 0 {
-		put(f)
+	if !tracked {
+		r.track.pool.Put(f)
+	} else if n == 0 {
+		r.track.put(f)
 	}
 }
 

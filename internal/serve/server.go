@@ -133,38 +133,16 @@ func TimeoutFromHeader(h http.Header) (time.Duration, error) {
 	return time.Duration(ms) * time.Millisecond, nil
 }
 
-// bodyChunk is where a body of unknown length starts; it doubles as it fills.
-const bodyChunk = 4 << 10
-
 // readBody reads the request payload under the configured cap into a
-// reqBufs slab, sized once from a Content-Length the cap admits (plus
-// room for the final read's EOF) or grown through the pool otherwise. A
-// declared length above the cap reserves nothing for it: that request
-// fails with 413 once the cap is passed, or with 400 if the body ends
-// first, so its slab grows with the bytes that arrive. The caller
-// returns the body to reqBufs once dispatch has returned (bufpool.go); a
-// failed read already has. Callers answer a failure with BodyStatus.
+// reqBufs slab (slab.Pool.ReadCapped: sized once from a Content-Length
+// the cap admits, grown through the pool otherwise). The caller returns
+// the body to reqBufs once dispatch has returned (bufpool.go); a failed
+// read already has. Callers answer a failure with BodyStatus.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	limit := s.cfg.MaxBodyBytes
-	rd := http.MaxBytesReader(w, r.Body, limit)
-	size := int64(bodyChunk)
-	if r.ContentLength >= 0 && r.ContentLength <= limit {
-		size = r.ContentLength + 1
-	}
-	buf := reqBufs.Get(int(size))[:0]
-	for {
-		if len(buf) == cap(buf) {
-			buf = growSlab(&reqBufs, buf, int(min(2*int64(cap(buf)), limit+1)))
-		}
-		n, err := rd.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			reqBufs.Put(buf)
-			return nil, err
-		}
+	limit := s.cfg.MaxBodyBytes // the MaxBytesReader fails a body past it
+	buf, _, err := reqBufs.ReadCapped(http.MaxBytesReader(w, r.Body, limit), r.ContentLength, limit)
+	if err != nil {
+		return nil, err
 	}
 	s.met.BytesIn.Add(uint64(len(buf)))
 	return buf, nil

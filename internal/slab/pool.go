@@ -1,8 +1,10 @@
 package slab
 
 import (
+	"io"
 	"math/bits"
 	"sync"
+	"sync/atomic"
 )
 
 // Pool recycles byte buffers in power-of-two size classes with a
@@ -13,6 +15,7 @@ import (
 type Pool struct {
 	mu      sync.Mutex
 	classes [slabClasses][][]byte
+	out     atomic.Int64 // Get calls not yet matched by a Put
 }
 
 const (
@@ -37,6 +40,7 @@ func (p *Pool) Get(n int) []byte {
 	if n == 0 {
 		return nil
 	}
+	p.out.Add(1)
 	if n > maxPooledSlab {
 		return make([]byte, n)
 	}
@@ -56,6 +60,9 @@ func (p *Pool) Get(n int) []byte {
 // dropped for the GC. The caller must be the buffer's sole owner.
 func (p *Pool) Put(b []byte) {
 	cp := cap(b)
+	if cp > 0 {
+		p.out.Add(-1)
+	}
 	if cp == 0 || cp > maxPooledSlab || cp&(cp-1) != 0 {
 		return
 	}
@@ -65,4 +72,44 @@ func (p *Pool) Put(b []byte) {
 		p.classes[cl] = append(p.classes[cl], b[:0])
 	}
 	p.mu.Unlock()
+}
+
+// Outstanding reports how many slabs from Get have not come back to Put.
+func (p *Pool) Outstanding() int64 { return p.out.Load() }
+
+// Grow moves buf's bytes into a slab of p with room for n and returns
+// buf's own slab to p.
+func (p *Pool) Grow(buf []byte, n int) []byte {
+	grown := p.Get(n)
+	copy(grown, buf)
+	p.Put(buf)
+	return grown[:len(buf)]
+}
+
+// ReadCapped reads r to EOF into a slab of p that the caller then owns.
+// A length in [0, max] (a Content-Length the cap admits) sizes it once;
+// an unknown or larger one starts at 4 KiB and doubles up to max+1. Past
+// max it returns the first max+1 bytes and true, the rest of r unread; on
+// a read error, nil, with the slab back in p.
+func (p *Pool) ReadCapped(r io.Reader, length, max int64) ([]byte, bool, error) {
+	size := min(4<<10, max+1)
+	if length >= 0 && length <= max {
+		size = length + 1
+	}
+	buf := p.Get(int(size))[:0]
+	for int64(len(buf)) <= max {
+		if len(buf) == cap(buf) {
+			buf = p.Grow(buf, int(min(2*int64(cap(buf)), max+1)))
+		}
+		n, err := r.Read(buf[len(buf):min(cap(buf), int(max+1))])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, false, nil
+		}
+		if err != nil {
+			p.Put(buf)
+			return nil, false, err
+		}
+	}
+	return buf, true, nil
 }

@@ -1,6 +1,12 @@
 package slab
 
-import "testing"
+import (
+	"bytes"
+	"errors"
+	"io"
+	"testing"
+	"testing/iotest"
+)
 
 // TestSlabPool checks class rounding and buffer identity on reuse.
 func TestSlabPool(t *testing.T) {
@@ -38,5 +44,53 @@ func TestSlabPoolCapacity(t *testing.T) {
 		if b := p.Get(c.n); len(b) != c.n || cap(b) != c.cap {
 			t.Errorf("Get(%d): len/cap = %d/%d, want %d/%d", c.n, len(b), cap(b), c.n, c.cap)
 		}
+	}
+}
+
+// TestReadCapped pins the capped reader's three outcomes, under, at and
+// over the cap, with the length declared and unknown, and that a read
+// error hands the slab back.
+func TestReadCapped(t *testing.T) {
+	data := make([]byte, 10000)
+	for i := range data {
+		data[i] = byte(i*7 + 13)
+	}
+	for _, c := range []struct {
+		max      int64
+		wantLen  int
+		overflow bool
+	}{
+		{20000, 10000, false},
+		{10000, 10000, false},
+		{4096, 4097, true}, // overflow keeps the sentinel byte in the prefix
+	} {
+		for _, length := range []int64{int64(len(data)), -1} {
+			var p Pool
+			buf, overflow, err := p.ReadCapped(bytes.NewReader(data), length, c.max)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if overflow != c.overflow || len(buf) != c.wantLen {
+				t.Errorf("ReadCapped(length=%d, max=%d): len=%d overflow=%v, want len=%d overflow=%v",
+					length, c.max, len(buf), overflow, c.wantLen, c.overflow)
+			}
+			if !bytes.Equal(buf, data[:c.wantLen]) {
+				t.Errorf("ReadCapped(length=%d, max=%d): prefix bytes differ", length, c.max)
+			}
+			p.Put(buf)
+			if n := p.Outstanding(); n != 0 {
+				t.Errorf("ReadCapped(length=%d, max=%d): %d slabs outstanding after Put", length, c.max, n)
+			}
+		}
+	}
+
+	var p Pool
+	boom := errors.New("boom")
+	buf, _, err := p.ReadCapped(io.MultiReader(bytes.NewReader(data), iotest.ErrReader(boom)), -1, 1<<20)
+	if buf != nil || err != boom {
+		t.Fatalf("failed read: %d bytes, err %v; want nil, %v", len(buf), err, boom)
+	}
+	if n := p.Outstanding(); n != 0 {
+		t.Fatalf("failed read left %d slabs outstanding", n)
 	}
 }

@@ -40,6 +40,7 @@ var unreferencedNames = map[string]string{
 	"shell.(*PIBus).Stats":               "the PI-bus tests read transaction counts",
 	"shell.(*PIBus).Utilization":         "the PI-bus tests read bus occupancy",
 	"shell.(*Shell).Config":              "the setup tests check a setup file's shell parameters",
+	"slab.(*Pool).Outstanding":           "the gateway's body tests check every slab came back",
 	// References for checks: each is what a test compares the serving
 	// code against.
 	"media.(*Frame).PSNR": "codec tests measure reconstruction quality; a transcode that reuses decisions will gate on it",
