@@ -34,6 +34,7 @@
 #   make fuzz-smoke  a few seconds of each media-layer fuzzer — the CI
 #                    guard that the corpus-reachable code stays panic-free
 #                    (includes the run/level window/oracle parity fuzzer,
+#                    the fused-parse/two-pass (VLD then RLSQ) parity fuzzer,
 #                    the batch/streaming decode-parity fuzzer,
 #                    the motion-search/raster-reference parity fuzzer,
 #                    the PSADBW/SWAR SAD-kernel parity fuzzer and its
@@ -94,6 +95,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzBitReaderRoundTrip -fuzztime=5s ./internal/media
 	$(GO) test -run=NONE -fuzz=FuzzHuffDecode -fuzztime=5s ./internal/media
 	$(GO) test -run=NONE -fuzz=FuzzRunLevelParity -fuzztime=5s ./internal/media
+	$(GO) test -run=NONE -fuzz=FuzzFusedParseParity -fuzztime=5s ./internal/media
 	$(GO) test -run=NONE -fuzz=FuzzDecodeParallelParity -fuzztime=5s ./internal/media
 	$(GO) test -run=NONE -fuzz=FuzzMotionSearchParity -fuzztime=5s ./internal/media
 	$(GO) test -run=NONE -fuzz=FuzzSADKernelParity -fuzztime=5s ./internal/media

@@ -31,11 +31,12 @@ var raceDetector bool
 // other one sent without a length so the reader takes its 4 KiB start.
 // Each budget is the largest count on the code that set it plus 5 %,
 // taken over 25 runs beside a media test run that loads both CPUs (the
-// proxied counts rise by up to 800 B/op under load, before this change
-// as after it): 5 535 B/op (21 allocs) for the hit, 13 469 B/op
-// (108–109 allocs) for the proxied request and 20 720 B/op (115 allocs)
-// with the 3 KiB body; unloaded they count 5 520, 12 672 and 20 114.
-// While the gateway read both bodies into fresh slices (io.ReadAll, and
+// proxied counts rise by up to 850 B/op under load): 5 456 B/op (20
+// allocs) for the hit, 13 466 B/op (107–108 allocs) for the proxied
+// request and 20 609 B/op (114 allocs) with the 3 KiB body; unloaded they
+// count 5 456, 12 608 and 20 047. While the request body was read through
+// a heap http.MaxBytesReader they counted 5 520, 13 465 and 20 683 on the
+// same loop. While the gateway read both bodies into fresh slices (io.ReadAll, and
 // a 4 KiB buffer grown by append for the response) they counted 5 984,
 // 17 264–18 035 and 36 280–36 340 B/op on the same loop; while each
 // upstream attempt ran on its own goroutine with a results channel and a
@@ -53,9 +54,9 @@ func TestGatewayAllocBudget(t *testing.T) {
 		want    string // X-Cache on every measured response
 		budget  uint64
 	}{
-		{"l1-hit", 1 << 20, []byte("stream-bytes"), false, XCacheL1Hit, 5812},
-		{"proxied", 0, []byte("stream-bytes"), false, "", 14143},
-		{"proxied-3k", 0, bytes.Repeat([]byte("stream-bytes"), 256), true, "", 21756},
+		{"l1-hit", 1 << 20, []byte("stream-bytes"), false, XCacheL1Hit, 5729},
+		{"proxied", 0, []byte("stream-bytes"), false, "", 14140},
+		{"proxied-3k", 0, bytes.Repeat([]byte("stream-bytes"), 256), true, "", 21640},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := newFakeBackend(t)

@@ -8,10 +8,12 @@ package cluster
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
 	"runtime"
 	"strconv"
 	"strings"
@@ -300,4 +302,48 @@ func TestGatewayBodyPoolBalance(t *testing.T) {
 	f.mode.Store("refuse")
 	post(make([]byte, 60<<10), http.StatusRequestEntityTooLarge, "")
 	waitBalanced(t, g, 1)
+}
+
+// TestGatewayBodyTooLargeClosesConnection is serve's
+// TestBodyTooLargeClosesConnection at the gateway, on a real socket: the
+// 413 for a body past the cap says "Connection: close" on a kept-alive
+// connection, and the client's next request opens a new one.
+func TestGatewayBodyTooLargeClosesConnection(t *testing.T) {
+	const max = 1 << 10
+	f := newFakeBackend(t)
+	g := newTestGateway(t, Config{MaxBodyBytes: max, MaxRetries: -1}, f.addr())
+	forceUp(g)
+	ts := httptest.NewServer(g.Handler())
+	defer ts.Close()
+	for i, c := range []struct {
+		size   int
+		status int
+		reused bool
+	}{
+		{16, http.StatusOK, false},
+		{max + 1, http.StatusRequestEntityTooLarge, true},
+		{16, http.StatusOK, false},
+	} {
+		var reused bool
+		trace := &httptrace.ClientTrace{GotConn: func(ci httptrace.GotConnInfo) { reused = ci.Reused }}
+		req, err := http.NewRequestWithContext(httptrace.WithClientTrace(context.Background(), trace),
+			"POST", ts.URL+"/v1/decode", bytes.NewReader(make([]byte, c.size)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		tooBig := c.status == http.StatusRequestEntityTooLarge
+		if resp.StatusCode != c.status || resp.Close != tooBig || reused != c.reused {
+			t.Fatalf("request %d (%d bytes): status %d, Connection %q, reused %v; want %d, close %v, reused %v",
+				i, c.size, resp.StatusCode, resp.Header.Get("Connection"), reused, c.status, tooBig, c.reused)
+		}
+	}
+	if got := f.hits.Load(); got != 2 {
+		t.Fatalf("backend saw %d requests, want 2", got)
+	}
 }

@@ -204,7 +204,7 @@ func (g *Gateway) handleMedia(kind serve.Kind) http.HandlerFunc {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		buf, _, err := g.bufs.ReadCapped(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes), r.ContentLength, g.cfg.MaxBodyBytes)
+		buf, err := serve.ReadBody(w, r, &g.bufs, g.cfg.MaxBodyBytes)
 		if err != nil {
 			http.Error(w, "cluster: reading request body: "+err.Error(), serve.BodyStatus(err))
 			return

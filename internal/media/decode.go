@@ -27,13 +27,13 @@ func (r *DecodeResult) DisplayFrames() []*Frame {
 	return dst
 }
 
-// Decode is the reference decoder, composed from the same stage kernels
-// (ParseMBSyntax, RLSQDecodeMB, IDCTMB, Predict, Reconstruct) that the
-// Eclipse coprocessor models run, so its output is the ground truth for
-// the six-task Kahn decode and its cycle-accurate mapping. It is one
-// serial loop on the calling goroutine: parallelism comes from decoding
-// many streams at once, as the paper's coprocessors multi-task many
-// streams, not from splitting one.
+// Decode is the reference decoder, built from the stage kernels the
+// Eclipse coprocessor models run (IDCTMB, PredictHP, reconstruct; their
+// VLD and RLSQ in one pass, parseMBCoef, held to theirs by a contract
+// test), so its output is the ground truth for the six-task Kahn decode
+// and its cycle-accurate mapping. It is one serial loop on the calling
+// goroutine: parallelism comes from decoding many streams at once, as
+// the paper's coprocessors multi-task many streams, not from splitting one.
 func Decode(stream []byte) (*DecodeResult, error) {
 	return DecodeWithOptions(stream, DecodeOptions{})
 }
@@ -101,11 +101,12 @@ func decodeSpan(r *BitReader, seq SeqHeader, lo, hi int, opts *DecodeOptions) (*
 	if newFrame == nil {
 		newFrame = NewFrame
 	}
-	res := &DecodeResult{Seq: seq}
+	// A frame header is 34 bits: a forged frame count sizes nothing.
+	res := &DecodeResult{Seq: seq, Coded: make([]DecodedFrame, 0, min(hi-lo, len(r.buf)/4))}
 	streaming := opts.OnDisplayFrame != nil
-	var sink *streamSink
+	var sink streamSink
 	if streaming {
-		sink = newStreamSink(opts, lo, hi)
+		sink = *newStreamSink(opts, lo, hi) // inlined: the sink lives on the stack
 	}
 	fail := func(err error) (*DecodeResult, error) {
 		if streaming {
@@ -119,7 +120,6 @@ func decodeSpan(r *BitReader, seq SeqHeader, lo, hi int, opts *DecodeOptions) (*
 	}
 	var refs RefChain
 	var refDi [2]int // display indices shadowing refs.A, refs.B
-	var tok TokenMB  // one arena for every macroblock of the span
 	for fi := lo; fi < hi; fi++ {
 		if opts.OnFrame != nil {
 			if err := opts.OnFrame(fi); err != nil {
@@ -130,7 +130,7 @@ func decodeSpan(r *BitReader, seq SeqHeader, lo, hi int, opts *DecodeOptions) (*
 		if err != nil {
 			return fail(fmt.Errorf("frame %d: %w", fi, err))
 		}
-		frame, err := decodeFrameBody(r, &seq, hdr, &refs, &tok, newFrame, opts.Recycle)
+		frame, err := decodeFrameBody(r, &seq, hdr, &refs, newFrame, opts.Recycle)
 		if err != nil {
 			return fail(fmt.Errorf("frame %d: %w", fi, err))
 		}
@@ -165,11 +165,10 @@ func decodeSpan(r *BitReader, seq SeqHeader, lo, hi int, opts *DecodeOptions) (*
 	return res, nil
 }
 
-// decodeFrameBody decodes the macroblock layer of one frame (the serial
-// path). tok is the caller's token, whose arena every macroblock reuses.
-// newFrame supplies the reconstruction frame; recycle, when non-nil,
-// reclaims it on the error path.
-func decodeFrameBody(r *BitReader, seq *SeqHeader, hdr FrameHdr, refs *RefChain, tok *TokenMB, newFrame func(w, h int) *Frame, recycle func(*Frame)) (*Frame, error) {
+// decodeFrameBody decodes the macroblock layer of one frame. newFrame
+// supplies the reconstruction frame; recycle, when non-nil, reclaims it
+// on the error path.
+func decodeFrameBody(r *BitReader, seq *SeqHeader, hdr FrameHdr, refs *RefChain, newFrame func(w, h int) *Frame, recycle func(*Frame)) (*Frame, error) {
 	if hdr.Type != FrameI && refs.B == nil {
 		return nil, fmt.Errorf("%w: %v frame before first reference", ErrBitstream, hdr.Type)
 	}
@@ -192,14 +191,11 @@ func decodeFrameBody(r *BitReader, seq *SeqHeader, hdr FrameHdr, refs *RefChain,
 	for mby := 0; mby < seq.MBRows; mby++ {
 		mvp.RowStart()
 		for mbx := 0; mbx < seq.MBCols; mbx++ {
-			dec, err := ParseMBSyntaxInto(r, hdr.Type, &mvp, tok)
+			dec, cbp, err := parseMBCoef(r, hdr.Type, &mvp, seq.Q, &coef)
 			if err != nil {
 				return fail(fmt.Errorf("mb (%d,%d): %w", mbx, mby, err))
 			}
-			if err := RLSQDecodeMB(tok, seq.Q, &coef); err != nil {
-				return fail(fmt.Errorf("mb (%d,%d): %w", mbx, mby, err))
-			}
-			IDCTMB(&coef, tok.CBP, &resid)
+			IDCTMB(&coef, cbp, &resid)
 			x, y := mbx*MBSize, mby*MBSize
 			PredictHP(&pred, dec.Mode, fwdRef, bwdRef, x, y, dec.FMV, dec.BMV, seq.HalfPel)
 			reconstruct(frame.Pix[y*frame.W+x:], frame.W, &pred, &resid)
@@ -208,23 +204,39 @@ func decodeFrameBody(r *BitReader, seq *SeqHeader, hdr FrameHdr, refs *RefChain,
 	return frame, r.Err()
 }
 
-// parseBlockEventsInto reads one block's run/level events up to EOB into
-// the token's arena, publishing them as block b's events.
-func parseBlockEventsInto(r *BitReader, tok *TokenMB, b int) error {
-	tok.ensureArena()
-	start := len(tok.arena)
-	for {
-		rl, eob, _ := DecodeRunLevel(r)
-		if err := r.Err(); err != nil {
-			return err
-		}
-		if eob {
-			tok.sealBlock(b, start)
-			return nil
-		}
-		tok.arena = append(tok.arena, rl)
-		if len(tok.arena)-start > maxBlockEvents {
-			return fmt.Errorf("%w: more than 64 events in a block", ErrBitstream)
+// parseMBCoef is ParseMBSyntaxInto then RLSQDecodeMB in one pass, with no
+// token. Its errors come in their order: a parse error anywhere in the
+// macroblock (a truncation, a 65th event) wins over a run/level overflow,
+// so the first overflow is held, and later events are read but not
+// written, until the last block has parsed.
+func parseMBCoef(r *BitReader, ftype FrameType, mvp *MVPredictor, q int, coef *[BlocksPerMB]Block) (MBDecision, byte, error) {
+	dec, cbp := parseMBHeader(r, ftype, mvp)
+	d := int32(2 * q)
+	overflow := false
+	for b := range coef {
+		coef[b] = Block{}
+		for n, pos := 0, 0; cbp&(1<<b) != 0; n, pos = n+1, pos+1 {
+			rl, eob, _ := DecodeRunLevel(r)
+			if err := r.Err(); err != nil {
+				return dec, cbp, err
+			}
+			if eob {
+				break
+			}
+			if n == maxBlockEvents {
+				return dec, cbp, errBlockEvents
+			}
+			pos += rl.Run
+			switch {
+			case uint(pos) >= 64 || rl.Level == 0 || rl.Run < 0:
+				overflow = true
+			case !overflow:
+				coef[b][zigzag[pos]] = clamp16(int32(int16(rl.Level)) * d)
+			}
 		}
 	}
+	if overflow {
+		return dec, cbp, errRunLevelOverflow
+	}
+	return dec, cbp, r.Err()
 }

@@ -271,10 +271,12 @@ func checkLifecycle(t *testing.T, stream []byte, ref *DecodeResult, pool *SyncFr
 }
 
 // referenceDecodeAllocBudget bounds the bytes one Decode of the Fig. 10
-// stream allocates: counted at 326 KiB/op (31 allocs: the frames, the
-// result, one token arena for the whole decode), the same at GOMAXPROCS
-// 1 and 4 and under -race, plus 5 %.
-const referenceDecodeAllocBudget = 343 << 10
+// stream allocates: counted at 320.4 KiB/op (26 allocs: the frames and
+// the result), the same at GOMAXPROCS 1 and 4 and under -race, plus 5 %.
+// While the decode kept a token arena it counted 325.4 KiB/op (31
+// allocs). A 4 KiB buffer per decode is within the 5 %; the cold-decode
+// budget in internal/serve is the pin that catches one.
+const referenceDecodeAllocBudget = 337 << 10
 
 // TestReferenceDecodeAllocBudget pins the allocation cost of the plain
 // reference decode, which the simulator's verification and every offline

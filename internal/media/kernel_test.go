@@ -24,7 +24,7 @@ import (
 type kernelFunc interface {
 	sadKernel | sad8Kernel | sadFrameKernel | activityKernel | searchFunc |
 		fetchKernel | mcKernels | transforms | dctKernel | rlsqKernel | quantKernel |
-		dequantKernel | vleKernel | vldKernel
+		dequantKernel | vleKernel | vldKernel | mbParseKernel
 }
 
 // contract is one kernel/reference pair over n inputs: mismatch runs model
@@ -1576,6 +1576,263 @@ func FuzzRunLevelParity(f *testing.F) {
 	f.Add(uint8(7), []byte{0xde, 0xad, 0xbe, 0xef, 0x01, 0x23, 0x45, 0x67, 0x89})
 	f.Fuzz(func(t *testing.T, skip uint8, data []byte) {
 		if msg := runLevelStepMismatch(DecodeRunLevel, data, uint(skip%8)); msg != "" {
+			t.Fatal(msg)
+		}
+	})
+}
+
+type mbParseKernel func(r *BitReader, ftype FrameType, mvp *MVPredictor, q int, coef *[BlocksPerMB]Block) (MBDecision, byte, error)
+
+// parseMBTwoPass is the reference model of parseMBCoef: the VLD's token,
+// then RLSQ over it, the two Fig. 8 tasks the decoder fuses.
+func parseMBTwoPass(r *BitReader, ftype FrameType, mvp *MVPredictor, q int, coef *[BlocksPerMB]Block) (MBDecision, byte, error) {
+	var tok TokenMB
+	dec, err := ParseMBSyntaxInto(r, ftype, mvp, &tok)
+	if err == nil {
+		err = RLSQDecodeMB(&tok, q, coef)
+	}
+	return dec, tok.CBP, err
+}
+
+// fusedModel is parseMBCoef with one fault switched on: eager reports an
+// overflow at once instead of after the macroblock, noCap drops the
+// 65-event check, and step is the dequantizer's multiple of q.
+type fusedModel struct {
+	eager, noCap bool
+	step         int
+}
+
+func (m fusedModel) parse(r *BitReader, ftype FrameType, mvp *MVPredictor, q int, coef *[BlocksPerMB]Block) (MBDecision, byte, error) {
+	dec, cbp := parseMBHeader(r, ftype, mvp)
+	overflow := false
+	for b := range coef {
+		coef[b] = Block{}
+		for n, pos := 0, 0; cbp&(1<<b) != 0; n, pos = n+1, pos+1 {
+			rl, eob, _ := DecodeRunLevel(r)
+			if err := r.Err(); err != nil {
+				return dec, cbp, err
+			}
+			if eob {
+				break
+			}
+			if n == maxBlockEvents && !m.noCap {
+				return dec, cbp, errBlockEvents
+			}
+			pos += rl.Run
+			switch {
+			case uint(pos) >= 64 || rl.Level == 0 || rl.Run < 0:
+				if m.eager {
+					return dec, cbp, errRunLevelOverflow
+				}
+				overflow = true
+			case !overflow:
+				coef[b][zigzag[pos]] = clamp16(int32(int16(rl.Level)) * int32(m.step*q))
+			}
+		}
+	}
+	if overflow {
+		return dec, cbp, errRunLevelOverflow
+	}
+	return dec, cbp, r.Err()
+}
+
+// mbParseInput is one macroblock: its syntax starts at bit of data, in a
+// frame of type ftype, with the predictor mvp on entry.
+type mbParseInput struct {
+	name  string
+	data  []byte
+	bit   int
+	ftype FrameType
+	mvp   MVPredictor
+	q     int
+}
+
+// mbParseMismatch compares the decision, the pattern, the predictor after
+// the macroblock, the bits consumed, the error (verdict, ErrBitstream
+// class and text) and, on success, every block's coefficients.
+func mbParseMismatch(k mbParseKernel, in *mbParseInput) string {
+	type outcome struct {
+		dec  MBDecision
+		cbp  byte
+		mvp  MVPredictor
+		pos  int
+		err  error
+		coef [BlocksPerMB]Block
+	}
+	run := func(k mbParseKernel) (o outcome) {
+		r := NewBitReader(in.data)
+		r.Skip(uint(in.bit))
+		o.mvp = in.mvp
+		o.coef = [BlocksPerMB]Block{garbageBlock, garbageBlock, garbageBlock, garbageBlock}
+		o.dec, o.cbp, o.err = k(r, in.ftype, &o.mvp, in.q, &o.coef)
+		o.pos = r.BitPos()
+		return o
+	}
+	got, want := run(k), run(parseMBTwoPass)
+	errText := func(err error) string {
+		if err == nil {
+			return "<nil>"
+		}
+		return err.Error()
+	}
+	switch {
+	case got.dec != want.dec || got.cbp != want.cbp || got.mvp != want.mvp || got.pos != want.pos:
+		return fmt.Sprintf("%s q=%d: %+v cbp %04b mvp %+v at bit %d, two passes %+v cbp %04b mvp %+v at bit %d",
+			in.name, in.q, got.dec, got.cbp, got.mvp, got.pos, want.dec, want.cbp, want.mvp, want.pos)
+	case errText(got.err) != errText(want.err) || errors.Is(got.err, ErrBitstream) != errors.Is(want.err, ErrBitstream):
+		return fmt.Sprintf("%s q=%d: error %v, two passes %v", in.name, in.q, got.err, want.err)
+	case got.err == nil && got.coef != want.coef:
+		for b := range got.coef {
+			if got.coef[b] != want.coef[b] {
+				return fmt.Sprintf("%s q=%d: block %d %v, two passes %v", in.name, in.q, b, got.coef[b], want.coef[b])
+			}
+		}
+	}
+	return ""
+}
+
+// streamMBs lists every macroblock of a stream, walked with the token
+// path, once for each q (the stream's own when none is given).
+func streamMBs(tb testing.TB, name string, stream []byte, qs ...int) []mbParseInput {
+	tb.Helper()
+	r := NewBitReader(stream)
+	seq, err := ParseSeqHeader(r)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if len(qs) == 0 {
+		qs = []int{seq.Q}
+	}
+	var ins []mbParseInput
+	var tok TokenMB
+	for fi := 0; fi < seq.Frames; fi++ {
+		hdr, err := ParseFrameHdr(r)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		var mvp MVPredictor
+		for mby := 0; mby < seq.MBRows; mby++ {
+			mvp.RowStart()
+			for mbx := 0; mbx < seq.MBCols; mbx++ {
+				in := mbParseInput{name: fmt.Sprintf("%s frame %d mb (%d,%d)", name, fi, mbx, mby),
+					data: stream, bit: r.BitPos(), ftype: hdr.Type, mvp: mvp}
+				if _, err := ParseMBSyntaxInto(r, hdr.Type, &mvp, &tok); err != nil {
+					tb.Fatalf("%s: %v", in.name, err)
+				}
+				for _, q := range qs {
+					in.q = q
+					ins = append(ins, in)
+				}
+			}
+		}
+	}
+	return ins
+}
+
+// handMB writes an I-frame macroblock coding the given blocks (nil is
+// uncoded), each event list closed by EOB. A zero level is written as an
+// ESC with a zero level field, which no encoder emits.
+func handMB(blocks ...[]RunLevel) []byte {
+	w := NewBitWriter()
+	var cbp uint32
+	for b, evs := range blocks {
+		if evs != nil {
+			cbp |= 1 << b
+		}
+	}
+	w.WriteBits(cbp, 4)
+	for _, evs := range blocks {
+		if evs == nil {
+			continue
+		}
+		for _, rl := range evs {
+			if rl.Level == 0 {
+				w.WriteBits(escCode.Bits<<escRunBits|uint32(rl.Run), uint(escCode.Len)+escRunBits)
+				w.WriteBits(0, escLevelBits)
+			} else {
+				EncodeRunLevel(w, rl)
+			}
+		}
+		EncodeEOB(w)
+	}
+	return w.Bytes()
+}
+
+// onesAfter returns first followed by events of run 0 and level 1, n
+// events in all.
+func onesAfter(n int, first ...RunLevel) []RunLevel {
+	for len(first) < n {
+		first = append(first, RunLevel{0, 1})
+	}
+	return first
+}
+
+// handCase is a hand-built macroblock.
+type handCase struct {
+	name string
+	mb   []byte
+}
+
+// handMBs are the macroblocks the error order turns on. A function, not
+// a variable: the VLC tables are built in init, after package variables.
+func handMBs() []handCase {
+	return []handCase{
+		{"overflow in block 0, truncation in block 2", handMB(onesAfter(2, RunLevel{63, 1}), nil, onesAfter(9, RunLevel{3, -7}))},
+		{"zero-level ESC", handMB(nil, []RunLevel{{1, 4}, {3, 0}, {0, 2}})},
+		{"64 events", handMB(onesAfter(64), nil, nil, []RunLevel{{0, MaxLevel}})},
+		{"65 events", handMB(onesAfter(65), onesAfter(3))},
+		{"overflow, then 65 events", handMB(onesAfter(1, RunLevel{63, 1}), onesAfter(65))},
+		{"run to position 64", handMB(nil, nil, []RunLevel{{60, 1}, {3, -1}}, onesAfter(2))},
+		{"run to position 63", handMB([]RunLevel{{60, 1}, {2, -1}}, nil, nil, onesAfter(2))},
+	}
+}
+
+// fusedParseContract runs every macroblock of the Fig. 10 clip at every
+// q in 1..31, every macroblock of the parity streams at their own q, and
+// every byte prefix of each hand-built macroblock at q 1 and 31. The
+// faulty models break the error order, the event cap and the step.
+func fusedParseContract(tb testing.TB) *contract[mbParseKernel] {
+	qs := make([]int, 31)
+	for i := range qs {
+		qs[i] = i + 1
+	}
+	ins := streamMBs(tb, "fig10", goldenStream(tb), qs...)
+	for name, stream := range parityStreams(tb) {
+		ins = append(ins, streamMBs(tb, name, stream)...)
+	}
+	for _, h := range handMBs() {
+		for n := len(h.mb); n >= 0; n-- {
+			for _, q := range []int{1, 31} {
+				ins = append(ins, mbParseInput{name: fmt.Sprintf("%s cut %d", h.name, n), data: h.mb[:n], ftype: FrameI, q: q})
+			}
+		}
+	}
+	return &contract[mbParseKernel]{
+		n:        len(ins),
+		mismatch: func(k mbParseKernel, i int) string { return mbParseMismatch(k, &ins[i]) },
+		kernel:   parseMBCoef,
+		oracle:   parseMBTwoPass,
+		faults: []fault[mbParseKernel]{
+			{"an overflow reported before a later parse error", fusedModel{eager: true, step: 2}.parse},
+			{"no 65-event check", fusedModel{noCap: true, step: 2}.parse},
+			{"dequantization by q", fusedModel{step: 1}.parse},
+		},
+	}
+}
+
+func TestFusedParseMatchesTwoPass(t *testing.T) { fusedParseContract(t).verify(t) }
+
+// FuzzFusedParseParity runs the fused-parse row on arbitrary bytes as
+// one macroblock of any frame type, from a bit offset of 0..7.
+func FuzzFusedParseParity(f *testing.F) {
+	for i, h := range handMBs() {
+		f.Add(uint8(FrameI), uint8(i), uint8(0), h.mb)
+	}
+	f.Add(uint8(FrameP), uint8(5), uint8(3), []byte{0x12, 0x34, 0x56, 0x78, 0x9a, 0xbc, 0xde, 0xf0, 0x0f})
+	f.Add(uint8(FrameB), uint8(30), uint8(6), bytes.Repeat([]byte{0xa5}, 20))
+	f.Fuzz(func(t *testing.T, ftype, q, skip uint8, data []byte) {
+		in := mbParseInput{name: "fuzz", data: data, bit: int(skip % 8), ftype: FrameType(ftype % 3), q: int(q%31) + 1}
+		if msg := mbParseMismatch(parseMBCoef, &in); msg != "" {
 			t.Fatal(msg)
 		}
 	})

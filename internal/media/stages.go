@@ -4,9 +4,9 @@ import "fmt"
 
 // This file decomposes the codec into the pipeline-stage kernels that the
 // Eclipse coprocessor models execute (VLD, RLSQ, DCT, MC/ME). The
-// monolithic Encoder/Decoder are built from the same functions, so the
-// reference codec, the Kahn-network codec, and the cycle-accurate
-// Eclipse-mapped codec are bit-exact by construction.
+// monolithic Encoder/Decoder are built from the same functions (the
+// decoder's fused VLD and RLSQ held to them by a contract test), so the
+// reference, Kahn-network and cycle-accurate codecs are bit-exact.
 
 // TokenMB is the entropy-decoded representation of one macroblock's
 // coefficient data: the coded block pattern and, for each coded block,
@@ -97,6 +97,12 @@ func TransformMB(resid *[BlocksPerMB]Block, intra bool, q int) (qzz [BlocksPerMB
 	return qzz, cbp, nz
 }
 
+// The coefficient errors of both the token path and the fused parse.
+var (
+	errRunLevelOverflow = fmt.Errorf("%w: run/level overflow", ErrBitstream)
+	errBlockEvents      = fmt.Errorf("%w: more than 64 events in a block", ErrBitstream)
+)
+
 // RLSQTokensToCoef is the decode-direction RLSQ kernel for one block:
 // run/level expansion, inverse quantization and inverse zigzag scan, in
 // one pass that scatters each dequantized level to its row-major place.
@@ -109,7 +115,7 @@ func RLSQTokensToCoef(events []RunLevel, q int, out *Block) error {
 	for _, e := range events {
 		pos += e.Run
 		if uint(pos) >= 64 || e.Level == 0 || e.Run < 0 {
-			return fmt.Errorf("%w: run/level overflow", ErrBitstream)
+			return errRunLevelOverflow
 		}
 		out[zigzag[pos]] = clamp16(int32(int16(e.Level)) * d)
 		pos++
@@ -231,6 +237,23 @@ func EncodeMBSyntax(w *BitWriter, ftype FrameType, dec MBDecision, mvp *MVPredic
 // tokens.go).
 func ParseMBSyntaxInto(r *BitReader, ftype FrameType, mvp *MVPredictor, tok *TokenMB) (MBDecision, error) {
 	tok.Reset()
+	dec, cbp := parseMBHeader(r, ftype, mvp)
+	tok.CBP = cbp
+	for b := 0; b < BlocksPerMB; b++ {
+		if cbp&(1<<b) == 0 {
+			continue
+		}
+		if err := parseBlockEventsInto(r, tok, b); err != nil {
+			return dec, err
+		}
+	}
+	return dec, r.Err()
+}
+
+// parseMBHeader reads a macroblock's syntax up to its coefficients: the
+// skip bit, the mode, the motion vectors (deltas against mvp, which it
+// updates) and the coded block pattern, which a skip (PredSkip) lacks.
+func parseMBHeader(r *BitReader, ftype FrameType, mvp *MVPredictor) (MBDecision, byte) {
 	dec := MBDecision{Mode: PredIntra}
 	switch ftype {
 	case FrameI:
@@ -238,7 +261,7 @@ func ParseMBSyntaxInto(r *BitReader, ftype FrameType, mvp *MVPredictor, tok *Tok
 	case FrameP:
 		if r.ReadBit() == 1 {
 			mvp.Update(PredSkip, MV{}, MV{})
-			return MBDecision{Mode: PredSkip}, r.Err()
+			return MBDecision{Mode: PredSkip}, 0
 		}
 		if r.ReadBit() == 1 {
 			dec.Mode = PredIntra
@@ -259,17 +282,7 @@ func ParseMBSyntaxInto(r *BitReader, ftype FrameType, mvp *MVPredictor, tok *Tok
 		}
 	}
 	mvp.Update(dec.Mode, dec.FMV, dec.BMV)
-
-	tok.CBP = byte(r.ReadBits(4))
-	for b := 0; b < BlocksPerMB; b++ {
-		if tok.CBP&(1<<b) == 0 {
-			continue
-		}
-		if err := parseBlockEventsInto(r, tok, b); err != nil {
-			return dec, err
-		}
-	}
-	return dec, r.Err()
+	return dec, byte(r.ReadBits(4))
 }
 
 // RefChain tracks the decoder's (or encoder's) last two reference frames

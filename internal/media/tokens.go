@@ -2,12 +2,12 @@ package media
 
 // Flat per-macroblock event arena.
 //
-// The decode paths used to allocate a fresh []RunLevel per coded block
-// (4 per macroblock, every macroblock of every frame). A TokenMB now
-// owns one flat arena; the parsers append events there and publish each
-// block's events as a sub-slice view. Reusing one TokenMB across
-// macroblocks (Reset between them) makes steady-state entropy decode
-// allocation-free.
+// A TokenMB is what the VLD hands RLSQ where they are separate tasks: in
+// the copro, kpn and vldstream models (Fig. 8), in IndexGOPs, and as the
+// oracle of the decoder's fused parseMBCoef. It owns one flat arena; the
+// parsers append events there and publish each block's events as a
+// sub-slice view, so a TokenMB reused across macroblocks (Reset between
+// them) parses without allocating.
 //
 // Sizing invariant: the parse paths tolerate at most 64 events per
 // block and append the 65th before declaring overflow, so the arena
@@ -62,4 +62,25 @@ func (t *TokenMB) SetBlockRunLength(b int, zz *Block) {
 	start := len(t.arena)
 	t.arena = AppendRunLength(t.arena, zz)
 	t.sealBlock(b, start)
+}
+
+// parseBlockEventsInto reads one block's run/level events up to EOB into
+// the token's arena, publishing them as block b's events.
+func parseBlockEventsInto(r *BitReader, tok *TokenMB, b int) error {
+	tok.ensureArena()
+	start := len(tok.arena)
+	for {
+		rl, eob, _ := DecodeRunLevel(r)
+		if err := r.Err(); err != nil {
+			return err
+		}
+		if eob {
+			tok.sealBlock(b, start)
+			return nil
+		}
+		tok.arena = append(tok.arena, rl)
+		if len(tok.arena)-start > maxBlockEvents {
+			return errBlockEvents
+		}
+	}
 }

@@ -173,15 +173,32 @@ func TestVLCBitsAreDataDependent(t *testing.T) {
 
 // TestVLDDoesNotAllocate pins the entropy coder at zero allocations:
 // DecodeRunLevel on the window path (8 bytes left) and on the tail path,
-// HuffTable.Decode on ESC, a code the LUT's second level resolves, and
-// EncodeRunLevel on a pair and on ESC into a writer with room.
+// HuffTable.Decode on ESC, a code the LUT's second level resolves,
+// EncodeRunLevel on a pair and on ESC into a writer with room, and the
+// decoder's fused parse on a dense macroblock and on an overflow.
 func TestVLDDoesNotAllocate(t *testing.T) {
 	esc := RunLevel{Run: 40, Level: -300}
 	long := encodeRunLevels(0, []RunLevel{esc, esc, esc})
 	tail := encodeRunLevels(0, []RunLevel{esc})
+	dense := handMB(onesAfter(64), nil, nil, []RunLevel{{0, MaxLevel}})
+	overflow := handMB(onesAfter(2, RunLevel{63, 1}))
 	r := NewBitReader(nil)
 	w := &BitWriter{buf: make([]byte, 0, 16)}
+	var mvp MVPredictor
+	var coef [BlocksPerMB]Block
 	checkZeroAllocs(t, []allocCase{
+		{"parseMBCoef", func() {
+			*r = BitReader{buf: dense}
+			if _, _, err := parseMBCoef(r, FrameI, &mvp, 6, &coef); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"parseMBCoef overflow", func() {
+			*r = BitReader{buf: overflow}
+			if _, _, err := parseMBCoef(r, FrameI, &mvp, 6, &coef); err == nil {
+				t.Fatal("overflow accepted")
+			}
+		}},
 		{"EncodeRunLevel pair", func() {
 			*w = BitWriter{buf: w.buf[:0]}
 			EncodeRunLevel(w, RunLevel{Run: 3, Level: -2})

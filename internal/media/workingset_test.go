@@ -6,7 +6,7 @@ import (
 )
 
 // Steady-state allocation pins for the codec's per-frame working set:
-// the decoder's token arena lives for the span, a span encoder never
+// the decoder keeps no per-macroblock state on the heap, a span encoder never
 // reconstructs a B frame and reconstructs an I or P frame into the
 // reference that frame drops.
 
@@ -25,10 +25,9 @@ func allocsOf(f func()) uint64 {
 }
 
 // TestDecodeFrameAllocs decodes the Fig. 10 stream frame by frame with
-// pooled reconstruction frames: the first coded frame allocates the
-// span's token arena and its frame, the next two their frames while the
-// pool is still empty (a frame is two allocations, header and pixels),
-// and every later frame nothing.
+// pooled reconstruction frames: the first three coded frames allocate
+// their frames while the pool is still empty (a frame is two
+// allocations, header and pixels), and every later frame nothing.
 func TestDecodeFrameAllocs(t *testing.T) {
 	stream := goldenStream(t)
 	r := NewBitReader(stream)
@@ -38,15 +37,14 @@ func TestDecodeFrameAllocs(t *testing.T) {
 	}
 	pool := NewFramePool()
 	var refs RefChain
-	var tok TokenMB
-	want := []uint64{3, 2, 2} // then 0
+	want := []uint64{2, 2, 2} // then 0
 	for fi := 0; fi < seq.Frames; fi++ {
 		hdr, err := ParseFrameHdr(r)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var f *Frame
-		n := allocsOf(func() { f, err = decodeFrameBody(r, &seq, hdr, &refs, &tok, pool.Get, pool.Put) })
+		n := allocsOf(func() { f, err = decodeFrameBody(r, &seq, hdr, &refs, pool.Get, pool.Put) })
 		if err != nil {
 			t.Fatalf("frame %d: %v", fi, err)
 		}

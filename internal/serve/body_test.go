@@ -13,6 +13,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
 	"runtime"
 	"strconv"
 	"strings"
@@ -372,4 +373,45 @@ func earlyRelease(s *Server) http.Handler {
 		})
 	}
 	return mux
+}
+
+// TestBodyTooLargeClosesConnection runs on a real socket: a body past
+// the cap is answered 413 with "Connection: close" on a connection the
+// request before it kept alive, so the unread rest of the body is never
+// parsed as a request, and the client's next request opens a new
+// connection.
+func TestBodyTooLargeClosesConnection(t *testing.T) {
+	const max = 1 << 10
+	srv := New(Config{Workers: 1, MaxBodyBytes: max, CacheBytes: -1})
+	defer srv.Shutdown(context.Background())
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for i, c := range []struct {
+		size   int
+		status int // 16 zero bytes are not a bitstream
+		reused bool
+	}{
+		{16, http.StatusBadRequest, false},
+		{max + 1, http.StatusRequestEntityTooLarge, true},
+		{16, http.StatusBadRequest, false},
+	} {
+		var reused bool
+		trace := &httptrace.ClientTrace{GotConn: func(ci httptrace.GotConnInfo) { reused = ci.Reused }}
+		req, err := http.NewRequestWithContext(httptrace.WithClientTrace(context.Background(), trace),
+			"POST", ts.URL+"/v1/decode", bytes.NewReader(make([]byte, c.size)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		tooBig := c.status == http.StatusRequestEntityTooLarge
+		if resp.StatusCode != c.status || resp.Close != tooBig || reused != c.reused {
+			t.Fatalf("request %d (%d bytes): status %d, Connection %q, reused %v; want %d, close %v, reused %v",
+				i, c.size, resp.StatusCode, resp.Header.Get("Connection"), reused, c.status, tooBig, c.reused)
+		}
+	}
 }

@@ -252,12 +252,13 @@ func TestServingImportGraph(t *testing.T) {
 
 // coldDecodeAllocBudget bounds the bytes allocated per cold QCIF
 // 12-frame decode through the handler (cache off, pools warm): counted
-// at 12.8 KiB/op, 14.0 KiB/op under -race, and the budget is the larger
+// at 8.0 KiB/op, 8.7–9.0 KiB/op under -race, and the budget is the larger
 // count plus 5 %. The request body, the 297 KiB response and the frames
-// all come from pools, and the decode keeps one token arena, so what
-// remains is per-request bookkeeping: the request, the job and its
-// units, the response headers.
-const coldDecodeAllocBudget = 15 << 10
+// all come from pools, and the decode parses each macroblock straight
+// into its coefficients, so what remains is per-request bookkeeping: the
+// request, the job and its units, the response headers. While the decode
+// kept a 4 KiB token arena it counted 13.3 and 14.1 KiB/op.
+const coldDecodeAllocBudget = 9728 // 9.5 KiB
 
 // TestColdDecodeAllocBudget is ROADMAP item 2a's pin: the allocation
 // saving of the single decode body cannot rot silently.
@@ -291,9 +292,10 @@ func TestColdDecodeAllocBudget(t *testing.T) {
 // 26-frame N=13 M=3 transcode through the handler (cache off, pools
 // warm) at one span and at two, so neither the span encoders'
 // reconstruction frames and writers nor the stitcher can silently
-// regrow. Counted at 91 KiB/op at one span and 173 KiB/op at two
-// (93 and 190 KiB/op under -race); each budget is the larger count
-// plus 5 %. The span encoders' reconstruction frames come from the
+// regrow. Counted at 85 KiB/op at one span and 163 KiB/op at two
+// (87 and 180 KiB/op under -race); each budget is the larger count
+// plus 5 %. While each span's decoder kept a 4 KiB token arena they
+// counted 90 and 173 KiB/op (92 and 190 under -race). The span encoders' reconstruction frames come from the
 // frame pool (they cost 144 and 280 KiB/op while each span allocated
 // its two), so what remains per span is its output writer, sized from
 // its input span, whose bytes become the response body; at two spans,
@@ -306,7 +308,7 @@ func TestColdTranscodeAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		segs   int
 		budget uint64
-	}{{1, 98 << 10}, {2, 200 << 10}} {
+	}{{1, 92 << 10}, {2, 189 << 10}} {
 		t.Run(spansName(tc.segs), func(t *testing.T) {
 			srv := New(Config{Workers: tc.segs, CacheBytes: -1})
 			defer srv.Shutdown(context.Background())

@@ -283,6 +283,38 @@ func post(t *testing.T, url, tenant string, body []byte, hdr map[string]string) 
 	return resp
 }
 
+// postLate is post with the body sent wait after the headers: the
+// request's length is declared, so the client flushes its headers
+// without probing the body first.
+func postLate(t *testing.T, url string, body []byte, hdr map[string]string, wait time.Duration) *http.Response {
+	t.Helper()
+	req, err := http.NewRequest("POST", url, &lateReader{r: bytes.NewReader(body), wait: wait})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.ContentLength = int64(len(body))
+	for k, v := range hdr {
+		req.Header.Set(k, v)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
+// lateReader sleeps for wait before its first read.
+type lateReader struct {
+	r    io.Reader
+	wait time.Duration
+}
+
+func (l *lateReader) Read(p []byte) (int, error) {
+	time.Sleep(l.wait)
+	l.wait = 0
+	return l.r.Read(p)
+}
+
 func readAll(t *testing.T, resp *http.Response) []byte {
 	t.Helper()
 	defer resp.Body.Close()
@@ -406,7 +438,9 @@ func TestHTTPAdmission(t *testing.T) {
 }
 
 // TestHTTPErrors covers the client-error mapping: malformed bitstreams,
-// bad parameters, and deadline overruns.
+// bad parameters, and deadline overruns. The deadline case sends its body
+// 20 ms after its headers, so its 1 ms budget has run out however fast
+// the decode is (the whole 24-frame decode takes well under 1 ms).
 func TestHTTPErrors(t *testing.T) {
 	srv := New(Config{Workers: 1, BaseSlice: time.Millisecond})
 	ts := httptest.NewServer(srv.Handler())
@@ -420,18 +454,24 @@ func TestHTTPErrors(t *testing.T) {
 		body []byte
 		hdr  map[string]string
 		want int
+		wait time.Duration // before the body is sent
 	}{
-		{"bad-magic", "/v1/decode", []byte("not a bitstream"), nil, 400},
-		{"encode-no-dims", "/v1/encode", make([]byte, 96*80), nil, 400},
-		{"encode-bad-plane", "/v1/encode?w=96&h=80", make([]byte, 100), nil, 400},
-		{"transcode-no-q", "/v1/transcode", stream, nil, 400},
-		{"transcode-bad-q", "/v1/transcode?q=99", stream, nil, 400},
-		{"bad-timeout-header", "/v1/decode", stream, map[string]string{"X-Timeout-Ms": "soon"}, 400},
-		{"deadline", "/v1/decode", stream, map[string]string{"X-Timeout-Ms": "1"}, 504},
+		{"bad-magic", "/v1/decode", []byte("not a bitstream"), nil, 400, 0},
+		{"encode-no-dims", "/v1/encode", make([]byte, 96*80), nil, 400, 0},
+		{"encode-bad-plane", "/v1/encode?w=96&h=80", make([]byte, 100), nil, 400, 0},
+		{"transcode-no-q", "/v1/transcode", stream, nil, 400, 0},
+		{"transcode-bad-q", "/v1/transcode?q=99", stream, nil, 400, 0},
+		{"bad-timeout-header", "/v1/decode", stream, map[string]string{"X-Timeout-Ms": "soon"}, 400, 0},
+		{"deadline", "/v1/decode", stream, map[string]string{"X-Timeout-Ms": "1"}, 504, 20 * time.Millisecond},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			resp := post(t, ts.URL+tc.url, "", tc.body, tc.hdr)
+			var resp *http.Response
+			if tc.wait == 0 {
+				resp = post(t, ts.URL+tc.url, "", tc.body, tc.hdr)
+			} else {
+				resp = postLate(t, ts.URL+tc.url, tc.body, tc.hdr, tc.wait)
+			}
 			body := readAll(t, resp)
 			if resp.StatusCode != tc.want {
 				t.Fatalf("got %d %s, want %d", resp.StatusCode, body, tc.want)

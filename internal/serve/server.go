@@ -40,6 +40,7 @@ import (
 
 	"eclipse/internal/media"
 	"eclipse/internal/metrics"
+	"eclipse/internal/slab"
 )
 
 // Server is the HTTP front end: it owns the scheduler, the metrics
@@ -139,8 +140,7 @@ func TimeoutFromHeader(h http.Header) (time.Duration, error) {
 // the body to reqBufs once dispatch has returned (bufpool.go); a failed
 // read already has. Callers answer a failure with BodyStatus.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	limit := s.cfg.MaxBodyBytes // the MaxBytesReader fails a body past it
-	buf, _, err := reqBufs.ReadCapped(http.MaxBytesReader(w, r.Body, limit), r.ContentLength, limit)
+	buf, err := ReadBody(w, r, &reqBufs, s.cfg.MaxBodyBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -148,8 +148,22 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error
 	return buf, nil
 }
 
+// ReadBody reads r's body into a slab of pool that the caller then owns.
+// Past limit it answers as http.MaxBytesReader would: an
+// *http.MaxBytesError, and "Connection: close" on w, so the unread rest
+// is never parsed as a request. Both tiers read a request body with it.
+func ReadBody(w http.ResponseWriter, r *http.Request, pool *slab.Pool, limit int64) ([]byte, error) {
+	buf, over, err := pool.ReadCapped(r.Body, r.ContentLength, limit)
+	if over {
+		pool.Put(buf)
+		w.Header().Set("Connection", "close")
+		return nil, &http.MaxBytesError{Limit: limit}
+	}
+	return buf, err
+}
+
 // BodyStatus maps a request-body read error to its HTTP status: 413
-// when the body exceeded the MaxBytesReader cap, 400 otherwise. Exported,
+// when the body exceeded the cap (ReadBody), 400 otherwise. Exported,
 // like TimeoutFromHeader, so both tiers answer an oversized body alike.
 func BodyStatus(err error) int {
 	var tooBig *http.MaxBytesError

@@ -104,7 +104,7 @@ func (p *Pool) ReadCapped(r io.Reader, length, max int64) ([]byte, bool, error) 
 		n, err := r.Read(buf[len(buf):min(cap(buf), int(max+1))])
 		buf = buf[:len(buf)+n]
 		if err == io.EOF {
-			return buf, false, nil
+			return buf, int64(len(buf)) > max, nil
 		}
 		if err != nil {
 			p.Put(buf)

@@ -48,8 +48,10 @@ func TestSlabPoolCapacity(t *testing.T) {
 }
 
 // TestReadCapped pins the capped reader's three outcomes, under, at and
-// over the cap, with the length declared and unknown, and that a read
-// error hands the slab back.
+// over the cap, with the length declared and unknown, from a reader that
+// returns EOF after its data and from one that returns it with the last
+// bytes (as net/http's body readers do), and that a read error hands the
+// slab back.
 func TestReadCapped(t *testing.T) {
 	data := make([]byte, 10000)
 	for i := range data {
@@ -63,10 +65,16 @@ func TestReadCapped(t *testing.T) {
 		{20000, 10000, false},
 		{10000, 10000, false},
 		{4096, 4097, true}, // overflow keeps the sentinel byte in the prefix
+		{9999, 10000, true},
 	} {
-		for _, length := range []int64{int64(len(data)), -1} {
+		for i := 0; i < 4; i++ {
+			length := []int64{int64(len(data)), -1}[i%2]
+			var r io.Reader = bytes.NewReader(data)
+			if i >= 2 {
+				r = iotest.DataErrReader(r)
+			}
 			var p Pool
-			buf, overflow, err := p.ReadCapped(bytes.NewReader(data), length, c.max)
+			buf, overflow, err := p.ReadCapped(r, length, c.max)
 			if err != nil {
 				t.Fatal(err)
 			}
