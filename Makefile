@@ -26,11 +26,13 @@
 #                on two workers, for two tenants' jobs on two workers, for
 #                encoders running side by side, for the single-lock cache
 #                and for the proxy's attempt loop), and the pooled
-#                request-body reuse tests ten times at GOMAXPROCS=4 (two
-#                tenants' bodies returned to the pool while other jobs,
-#                a cancelled transcode and a collapsed flight still run;
-#                a gateway body the upstream still reads after the
-#                handler has returned)
+#                request-body reuse tests and the span-unit tests ten
+#                times at GOMAXPROCS=4 (two tenants' bodies returned to
+#                the pool while other jobs, a cancelled transcode and a
+#                collapsed flight still run; a gateway body the upstream
+#                still reads after the handler has returned; a hard stop
+#                with a transcode's spans still queued, whose pick order
+#                once depended on timing)
 #   make fuzz-smoke  a few seconds of each media-layer fuzzer — the CI
 #                    guard that the corpus-reachable code stays panic-free
 #                    (includes the run/level window/oracle parity fuzzer,
@@ -89,7 +91,7 @@ race:
 	$(GO) test -race ./...
 	GOMAXPROCS=4 $(GO) test -race -run 'Segment|TwoTenant|TaskGroup|SpanUnits|DoneAfterAccounting|Transcode|StreamEncoder|LRU|L1|Cache|Retry|Pushback|MidStream|Timeout|Stalled|Storm' \
 		./internal/media ./internal/serve ./internal/slab ./internal/cluster
-	GOMAXPROCS=4 $(GO) test -race -count=10 -run 'RequestBodyReuse|GatewayBodyLifetime' ./internal/serve ./internal/cluster
+	GOMAXPROCS=4 $(GO) test -race -count=10 -run 'RequestBodyReuse|GatewayBodyLifetime|SpanUnits' ./internal/serve ./internal/cluster
 
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzBitReaderRoundTrip -fuzztime=5s ./internal/media

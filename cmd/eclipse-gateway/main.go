@@ -6,10 +6,9 @@
 // and 429/503 pushback, whose Retry-After is relayed verbatim) with one
 // upstream attempt in flight per request, and an L1 edge cache keyed on
 // the same content address the ring routes on: warm hits are answered
-// from gateway memory (X-Cache: l1-hit), stale entries revalidate with
-// If-None-Match against the backend's L2 (a 304 refreshes residency
-// without a body transfer), and a same-key storm collapses to one
-// backend round-trip.
+// from gateway memory (X-Cache: l1-hit) for as long as they stay
+// resident, because content-addressed results never change, and a
+// same-key storm collapses to one backend round-trip.
 //
 // Endpoints mirror a single backend:
 //
@@ -68,7 +67,6 @@ func main() {
 		maxBody   = flag.Int64("max-body", 64<<20, "request body cap in bytes")
 		l1Bytes   = flag.Int64("l1-bytes", 256<<20, "gateway L1 edge cache byte budget (0 disables)")
 		l1MaxObj  = flag.Int64("l1-max-object", 8<<20, "largest response buffered (and cached) at the gateway; bigger responses stream through")
-		l1TTL     = flag.Duration("l1-ttl", 10*time.Second, "L1 freshness ceiling; entries older than this revalidate against the backend ETag")
 		waitReady = flag.Duration("wait-ready", 0, "block until >= 1 backend is routable before serving (0 = don't wait)")
 		backends  backendFlags
 	)
@@ -91,7 +89,6 @@ func main() {
 		MaxBodyBytes:  *maxBody,
 		L1Bytes:       *l1Bytes,
 		L1MaxObject:   *l1MaxObj,
-		L1TTL:         *l1TTL,
 	})
 	if err != nil {
 		log.Fatalf("eclipse-gateway: %v", err)

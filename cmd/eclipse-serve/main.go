@@ -28,7 +28,8 @@
 // Identical requests are served from a content-addressed result cache
 // with singleflight collapse (-cache-bytes budget, per-tenant on/off
 // via -tenant's cache key); responses carry an X-Cache outcome and a
-// content-address ETag honoring If-None-Match (see DESIGN.md §8).
+// content-address ETag honoring If-None-Match and
+// Cache-Control: immutable (see DESIGN.md §8).
 //
 // Tenants are declared with repeatable -tenant flags of comma-separated
 // key=value pairs, for example
@@ -150,7 +151,6 @@ func main() {
 		maxBody  = flag.Int64("max-body", 64<<20, "request body cap in bytes")
 		poolCap  = flag.Int("frame-pool", 256, "frames retained by the shared pool")
 		cacheB   = flag.Int64("cache-bytes", 256<<20, "result cache byte budget (0 disables)")
-		cacheAge = flag.Duration("cache-max-age", 60*time.Second, "freshness window advertised via Cache-Control max-age (bounds gateway L1 TTLs)")
 		drain    = flag.Duration("drain", 30*time.Second, "graceful shutdown budget")
 		tenants  tenantFlags
 	)
@@ -168,7 +168,6 @@ func main() {
 		MaxBodyBytes: *maxBody,
 		FramePoolCap: *poolCap,
 		CacheBytes:   cacheBytes,
-		CacheMaxAge:  *cacheAge,
 		Tenants:      tenants,
 	})
 	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}

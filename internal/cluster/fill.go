@@ -16,9 +16,9 @@ package cluster
 type flightOutcome int
 
 const (
-	// flightFilled: the key is now resident in the L1 (a fill or a 304
-	// refresh). Followers re-run the lookup, each acquiring its own
-	// refcounted entry, and serve it as a collapsed hit.
+	// flightFilled: the key is now resident in the L1. Followers re-run
+	// the lookup, each acquiring its own refcounted entry, and serve it
+	// as a collapsed hit.
 	flightFilled flightOutcome = iota
 	// flightShared: the leader holds a fully buffered terminal response
 	// that was not cacheable (a non-200 final answer, an exhausted

@@ -56,11 +56,6 @@ type Config struct {
 	// This bound applies whether or not the L1 is enabled — it is the
 	// gateway's response-side memory ceiling. Default 8 MiB.
 	L1MaxObject int64
-	// L1TTL is the default freshness window of an L1 entry; the
-	// backend's Cache-Control max-age can only shorten it. A stale
-	// entry is revalidated with If-None-Match rather than dropped.
-	// Default 10s.
-	L1TTL time.Duration
 
 	// Transport overrides the upstream round tripper (tests).
 	Transport http.RoundTripper
@@ -99,9 +94,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.L1MaxObject <= 0 {
 		c.L1MaxObject = 8 << 20
-	}
-	if c.L1TTL <= 0 {
-		c.L1TTL = 10 * time.Second
 	}
 	return c
 }

@@ -42,6 +42,7 @@ type fakeBackend struct {
 	mode      atomic.Value // string
 	delay     atomic.Int64 // ns of sleep before answering media requests
 	hits      atomic.Int64 // media requests received
+	inm       atomic.Int64 // media requests that carried If-None-Match
 	probes    atomic.Int64 // readyz probes received
 	cancelled atomic.Int64 // media requests whose context died mid-delay
 }
@@ -72,6 +73,9 @@ func newFakeBackend(t *testing.T) *fakeBackend {
 	})
 	media := func(w http.ResponseWriter, r *http.Request) {
 		f.hits.Add(1)
+		if r.Header.Get("If-None-Match") != "" {
+			f.inm.Add(1)
+		}
 		if f.mode.Load().(string) == "refuse" {
 			http.Error(w, "too large", http.StatusRequestEntityTooLarge)
 			return
@@ -106,7 +110,6 @@ func newFakeBackend(t *testing.T) *fakeBackend {
 			}
 			panic(http.ErrAbortHandler)
 		case "echo":
-			w.Header().Set("Cache-Control", "max-age=60")
 			w.Header().Set("Content-Length", strconv.Itoa(len(reqBody)))
 			w.Write(reqBody)
 		case "big":

@@ -40,22 +40,18 @@ func readAllBody(resp *http.Response) ([]byte, error) {
 	return buf.Bytes(), err
 }
 
-// TestL1Lifecycle drives the full L1 state machine against real
-// eclipse-serve backends: miss→fill, fresh hit, stale→revalidate(304),
-// hit again, then backend death — a fresh entry still answers, and once
-// it goes stale with the fleet dead the request fails cleanly. Every
-// 200 is byte-identical to the offline codec, and the hit phase sends
-// no request to any backend.
+// TestL1Lifecycle drives the L1 against real eclipse-serve backends:
+// miss→fill, hits that send nothing upstream and carry the backend's
+// immutable Cache-Control but no Age, then the whole fleet killed — the
+// resident entry still answers, because content-addressed bytes never
+// need a coherency check. Every 200 is byte-identical to the offline
+// codec.
 func TestL1Lifecycle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster E2E in -short mode")
 	}
 	items := buildClusterCatalog(t, 1)
-	const ttl = 300 * time.Millisecond
-	c := newTestCluster(t, func(cfg *Config) {
-		cfg.L1Bytes = 64 << 20
-		cfg.L1TTL = ttl
-	})
+	c := newTestCluster(t, func(cfg *Config) { cfg.L1Bytes = 64 << 20 })
 	met := c.gw.Metrics()
 
 	// Miss → fill: the backend's own X-Cache crosses the gateway.
@@ -73,7 +69,7 @@ func TestL1Lifecycle(t *testing.T) {
 		t.Fatalf("after fill: misses=%d fills=%d, want 1/1", met.L1Misses.Load(), met.L1Fills.Load())
 	}
 
-	// Fresh hits: served locally, byte-identical, no upstream attempts.
+	// Hits: served locally, byte-identical, no upstream attempts.
 	backendReqs := func() (n uint64) {
 		for _, b := range c.gw.Backends() {
 			n += b.Snapshot().Requests
@@ -86,8 +82,11 @@ func TestL1Lifecycle(t *testing.T) {
 		if got := resp.Header.Get(CacheHeader); got != XCacheL1Hit {
 			t.Fatalf("hit %d: X-Cache %q, want %q", i, got, XCacheL1Hit)
 		}
-		if resp.Header.Get("Age") == "" {
-			t.Fatalf("hit %d: no Age header", i)
+		if got := resp.Header.Get("Age"); got != "" {
+			t.Fatalf("hit %d: Age %q on an immutable entry", i, got)
+		}
+		if got := resp.Header.Get("Cache-Control"); !strings.Contains(got, "immutable") {
+			t.Fatalf("hit %d: Cache-Control %q, want immutable", i, got)
 		}
 		if !bytes.Equal(body, items[0].wantRaw) {
 			t.Fatalf("hit %d: body differs from offline codec (L1 must be byte-identical to L2)", i)
@@ -100,43 +99,49 @@ func TestL1Lifecycle(t *testing.T) {
 		t.Fatalf("l1 hits %d, want 3", met.L1Hits.Load())
 	}
 
-	// Past the freshness window: the entry is revalidated with
-	// If-None-Match, the backend answers 304, and the body never crosses
-	// the wire again.
-	time.Sleep(ttl + 50*time.Millisecond)
-	resp, body = c.post(t, "/v1/decode", items[0].stream)
-	if got := resp.Header.Get(CacheHeader); got != XCacheL1Revalidated {
-		t.Fatalf("stale request: X-Cache %q, want %q", got, XCacheL1Revalidated)
-	}
-	if !bytes.Equal(body, items[0].wantRaw) {
-		t.Fatal("revalidated response differs from offline codec")
-	}
-	if met.L1Revalidations.Load() != 1 || met.L1Stale.Load() != 1 {
-		t.Fatalf("revalidations=%d stale=%d, want 1/1", met.L1Revalidations.Load(), met.L1Stale.Load())
-	}
-
-	// The 304 refreshed residency: kill the entire fleet and the fresh
-	// entry still answers — the near tier outlives the far tier for one
-	// freshness window.
+	// Kill the entire fleet: the resident entry still answers.
 	for i := range c.ts {
 		c.ts[i].CloseClientConnections()
 		c.ts[i].Close()
 	}
 	resp, body = c.post(t, "/v1/decode", items[0].stream)
 	if resp.StatusCode != http.StatusOK || resp.Header.Get(CacheHeader) != XCacheL1Hit {
-		t.Fatalf("post-kill fresh hit: status %d X-Cache %q", resp.StatusCode, resp.Header.Get(CacheHeader))
+		t.Fatalf("post-kill hit: status %d X-Cache %q", resp.StatusCode, resp.Header.Get(CacheHeader))
 	}
 	if !bytes.Equal(body, items[0].wantRaw) {
 		t.Fatal("post-kill hit differs from offline codec")
 	}
+}
 
-	// Once stale with the fleet dead, revalidation has nowhere to go:
-	// the request fails cleanly (502 transport / 503 no backend), never
-	// with stale bytes under a 200.
-	time.Sleep(ttl + 50*time.Millisecond)
-	resp, _ = c.post(t, "/v1/decode", items[0].stream)
-	if resp.StatusCode != http.StatusBadGateway && resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("stale + dead fleet: status %d, want 502 or 503", resp.StatusCode)
+// TestL1HitsSendNoRevalidation: hits on a resident key send nothing
+// upstream, and no request the gateway sends carries If-None-Match of
+// its own making. A client's If-None-Match with the content address is
+// answered 304 with the immutable Cache-Control a 200 carries.
+func TestL1HitsSendNoRevalidation(t *testing.T) {
+	f := newFakeBackend(t)
+	f.mode.Store("echo")
+	g := newTestGateway(t, Config{L1Bytes: 1 << 20}, f.addr())
+	forceUp(g)
+	ts := httptest.NewServer(g.Handler())
+	defer ts.Close()
+
+	payload := []byte("resident")
+	for i := 0; i < 4; i++ {
+		resp, body := l1Post(t, ts.URL, "/v1/decode", payload, nil)
+		if resp.StatusCode != http.StatusOK || !bytes.Equal(body, payload) {
+			t.Fatalf("request %d: status %d body %q", i, resp.StatusCode, body)
+		}
+		if i > 0 && resp.Header.Get(CacheHeader) != XCacheL1Hit {
+			t.Fatalf("request %d: X-Cache %q, want %q", i, resp.Header.Get(CacheHeader), XCacheL1Hit)
+		}
+	}
+	resp, _ := l1Post(t, ts.URL, "/v1/decode", payload, map[string]string{"If-None-Match": serve.DecodeKey(payload).ETag()})
+	if resp.StatusCode != http.StatusNotModified || resp.Header.Get("Cache-Control") != serve.ImmutableCacheControl {
+		t.Fatalf("client If-None-Match: status %d Cache-Control %q, want 304 and %q",
+			resp.StatusCode, resp.Header.Get("Cache-Control"), serve.ImmutableCacheControl)
+	}
+	if f.hits.Load() != 1 || f.inm.Load() != 0 {
+		t.Fatalf("backend saw %d requests, %d with If-None-Match; want 1 and 0", f.hits.Load(), f.inm.Load())
 	}
 }
 
@@ -203,7 +208,7 @@ func TestL1EvictionAliasingStress(t *testing.T) {
 	f.mode.Store("echo")
 	// 64 KiB budget: about half of the 48 ~2.3 KiB entries fit, the
 	// rest is eviction traffic.
-	g := newTestGateway(t, Config{L1Bytes: 64 << 10, L1TTL: time.Minute}, f.addr())
+	g := newTestGateway(t, Config{L1Bytes: 64 << 10}, f.addr())
 	forceUp(g)
 	ts := httptest.NewServer(g.Handler())
 	defer ts.Close()
@@ -335,32 +340,6 @@ func TestL1MidStreamKill502(t *testing.T) {
 	}
 	if g.Metrics().L1Fills.Load() != 0 {
 		t.Fatal("a partial body was filled into the L1")
-	}
-}
-
-// TestFreshnessTTL pins the Cache-Control tightening rule: the backend
-// can shorten the gateway's window, never extend it.
-func TestFreshnessTTL(t *testing.T) {
-	def := 10 * time.Second
-	cases := []struct {
-		cc   string
-		want time.Duration
-	}{
-		{"", def},
-		{"max-age=60", def},            // longer than default: clamped
-		{"max-age=2", 2 * time.Second}, // shorter: honored
-		{"public, max-age=3", 3 * time.Second},
-		{"max-age=bogus", def},
-		{"no-store", def}, // unknown directives ignored (L1 policy is the gateway's)
-	}
-	for _, c := range cases {
-		h := http.Header{}
-		if c.cc != "" {
-			h.Set("Cache-Control", c.cc)
-		}
-		if got := freshnessTTL(h, def); got != c.want {
-			t.Errorf("freshnessTTL(%q) = %v, want %v", c.cc, got, c.want)
-		}
 	}
 }
 

@@ -34,10 +34,9 @@ type Metrics struct {
 
 	// L1 edge cache (cache.go). L1HitLat is a separate histogram so
 	// sub-millisecond hits never enter Latency.
-	L1Hits          atomic.Uint64 // served from a fresh resident entry
+	L1Hits          atomic.Uint64 // served from a resident entry
 	L1Misses        atomic.Uint64 // no resident entry at lookup
-	L1Stale         atomic.Uint64 // resident but past freshness: revalidation candidate
-	L1Revalidations atomic.Uint64 // 304s that refreshed residency without a body
+	L1Revalidations atomic.Uint64 // always zero (entries are immutable); kept because benchmark/wl_gateway.go reads it
 	L1ClientNotMod  atomic.Uint64 // client If-None-Match answered 304 locally
 	L1Collapsed     atomic.Uint64 // followers served off another request's flight
 	L1Fills         atomic.Uint64 // bodies copied into the L1
@@ -70,8 +69,6 @@ type L1Snapshot struct {
 	BudgetBytes   int64   `json:"budget_bytes"`
 	Hits          uint64  `json:"hits_total"`
 	Misses        uint64  `json:"misses_total"`
-	Stale         uint64  `json:"stale_total"`
-	Revalidations uint64  `json:"revalidations_total"`
 	ClientNotMod  uint64  `json:"client_not_modified_total"`
 	Collapsed     uint64  `json:"collapsed_total"`
 	Fills         uint64  `json:"fills_total"`
@@ -126,10 +123,8 @@ func (g *Gateway) WritePrometheus(w io.Writer) {
 		{"stream_truncated_total", "Streamed relays that died mid-copy (client connection severed).", &m.StreamTruncated},
 		{"bytes_in_total", "Request payload bytes accepted.", &m.BytesIn},
 		{"bytes_out_total", "Response payload bytes sent.", &m.BytesOut},
-		{"l1_hits_total", "Requests served from a fresh resident L1 entry.", &m.L1Hits},
+		{"l1_hits_total", "Requests served from a resident L1 entry.", &m.L1Hits},
 		{"l1_misses_total", "Requests with no resident L1 entry at lookup.", &m.L1Misses},
-		{"l1_stale_total", "L1 lookups that found an entry past its freshness window.", &m.L1Stale},
-		{"l1_revalidations_total", "Stale entries refreshed by an upstream 304 without a body transfer.", &m.L1Revalidations},
 		{"l1_client_not_modified_total", "Client If-None-Match requests answered 304 at the gateway.", &m.L1ClientNotMod},
 		{"l1_collapsed_total", "Requests served off another request's in-flight fill.", &m.L1Collapsed},
 		{"l1_fills_total", "Response bodies copied into the L1.", &m.L1Fills},
@@ -193,17 +188,15 @@ func (g *Gateway) varz() Snapshot {
 		bs = append(bs, b.Snapshot())
 	}
 	l1 := L1Snapshot{
-		Hits:          m.L1Hits.Load(),
-		Misses:        m.L1Misses.Load(),
-		Stale:         m.L1Stale.Load(),
-		Revalidations: m.L1Revalidations.Load(),
-		ClientNotMod:  m.L1ClientNotMod.Load(),
-		Collapsed:     m.L1Collapsed.Load(),
-		Fills:         m.L1Fills.Load(),
-		Evictions:     m.L1Evictions.Load(),
-		TooLarge:      m.L1TooLarge.Load(),
-		HitP50Ms:      metrics.Ms(m.L1HitLat.Quantile(0.50)),
-		HitP99Ms:      metrics.Ms(m.L1HitLat.Quantile(0.99)),
+		Hits:         m.L1Hits.Load(),
+		Misses:       m.L1Misses.Load(),
+		ClientNotMod: m.L1ClientNotMod.Load(),
+		Collapsed:    m.L1Collapsed.Load(),
+		Fills:        m.L1Fills.Load(),
+		Evictions:    m.L1Evictions.Load(),
+		TooLarge:     m.L1TooLarge.Load(),
+		HitP50Ms:     metrics.Ms(m.L1HitLat.Quantile(0.50)),
+		HitP99Ms:     metrics.Ms(m.L1HitLat.Quantile(0.99)),
 	}
 	if g.l1 != nil {
 		l1.Enabled = true

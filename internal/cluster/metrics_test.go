@@ -129,8 +129,8 @@ var (
 		"ring_churn_total counter", "no_backend_total counter", "mid_stream_errors_total counter",
 		"pushback_passthrough_total counter", "stream_through_total counter",
 		"stream_truncated_total counter", "bytes_in_total counter", "bytes_out_total counter",
-		"l1_hits_total counter", "l1_misses_total counter", "l1_stale_total counter",
-		"l1_revalidations_total counter", "l1_client_not_modified_total counter",
+		"l1_hits_total counter", "l1_misses_total counter",
+		"l1_client_not_modified_total counter",
 		"l1_collapsed_total counter", "l1_fills_total counter", "l1_evictions_total counter",
 		"l1_too_large_total counter", "l1_resident_bytes gauge", "backend_state gauge",
 		"backend_requests_total counter", "backend_errors_total counter",

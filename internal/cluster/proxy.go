@@ -18,10 +18,9 @@ import (
 )
 
 // The proxy path. One client request becomes 0..N upstream attempts,
-// and never more than one at a time. With the L1 enabled, a fresh
-// resident entry answers with zero attempts; a stale one costs a single
-// If-None-Match revalidation; and a storm of identical misses collapses
-// onto one leader's attempt (fill.go). When the request does go
+// and never more than one at a time. With the L1 enabled, a resident
+// entry answers with zero attempts, and a storm of identical misses
+// collapses onto one leader's attempt (fill.go). When the request does go
 // upstream, the first attempt goes to the rendezvous-preferred backend;
 // bounded retries with jittered exponential backoff follow safe
 // failures (connect errors and 429/503 pushback — cases where the
@@ -46,10 +45,8 @@ const (
 	// L1-origin responses with the l1-* values below.
 	CacheHeader = "X-Cache"
 
-	// XCacheL1Hit marks a response served from a fresh L1 entry.
+	// XCacheL1Hit marks a response served from a resident L1 entry.
 	XCacheL1Hit = "l1-hit"
-	// XCacheL1Revalidated marks a stale L1 entry refreshed by a 304.
-	XCacheL1Revalidated = "l1-revalidated"
 	// XCacheL1Collapsed marks a follower served off another request's
 	// in-flight fill.
 	XCacheL1Collapsed = "l1-collapsed"
@@ -74,7 +71,7 @@ var hopHeaders = map[string]bool{
 
 // uncacheableHeaders are response headers that describe one exchange,
 // not the content: they are stripped from L1 entries and regenerated
-// per hit (Age, X-Cache, X-Backend) or dropped (Date).
+// per hit (X-Cache, X-Backend) or dropped (Date, Age).
 var uncacheableHeaders = map[string]bool{
 	CacheHeader:   true,
 	BackendHeader: true,
@@ -237,13 +234,13 @@ func (g *Gateway) handleMedia(kind serve.Kind) http.HandlerFunc {
 // doUnshared runs do for a request that publishes no flight.
 func (g *Gateway) doUnshared(ctx context.Context, w http.ResponseWriter, r *http.Request,
 	kind serve.Kind, key serve.CacheKey, body *reqBody, deadline time.Time) {
-	if dr := g.do(ctx, w, r, kind, key, body, deadline, g.l1 != nil, nil); dr.res != nil {
+	if dr := g.do(ctx, w, r, kind, key, body, deadline, g.l1 != nil); dr.res != nil {
 		g.bufs.Put(dr.res.body)
 	}
 }
 
-// serveL1 is the request path with the L1 enabled: local 304s, fresh
-// hits, collapsed followers, and — only when the near tier cannot
+// serveL1 is the request path with the L1 enabled: local 304s, hits,
+// collapsed followers, and — only when the near tier cannot
 // answer — a proxied exchange that fills it. Latency[kind] is observed
 // only around real proxied exchanges; hits go to L1HitLat.
 func (g *Gateway) serveL1(ctx context.Context, w http.ResponseWriter, r *http.Request,
@@ -256,6 +253,7 @@ func (g *Gateway) serveL1(ctx context.Context, w http.ResponseWriter, r *http.Re
 		g.met.L1ClientNotMod.Add(1)
 		h := w.Header()
 		h.Set("ETag", key.ETag())
+		h.Set("Cache-Control", serve.ImmutableCacheControl)
 		h.Set(CacheHeader, XCacheL1Hit)
 		w.WriteHeader(http.StatusNotModified)
 		return
@@ -265,34 +263,24 @@ func (g *Gateway) serveL1(ctx context.Context, w http.ResponseWriter, r *http.Re
 	collapsed := false // parked on another request's flight at least once
 attempt:
 	for {
-		var reval *l1Entry // stale resident entry to revalidate, ref held
 		if e, ok := g.l1.Get(key); ok {
-			if e.Meta.fresh(time.Now()) {
-				xc := XCacheL1Hit
-				if collapsed {
-					g.met.L1Collapsed.Add(1)
-					xc = XCacheL1Collapsed
-				} else {
-					g.met.L1Hits.Add(1)
-				}
-				g.serveL1Entry(w, kind, e, xc)
-				g.l1.Release(e)
-				g.met.L1HitLat.Observe(time.Since(start))
-				return
+			xc := XCacheL1Hit
+			if collapsed {
+				g.met.L1Collapsed.Add(1)
+				xc = XCacheL1Collapsed
+			} else {
+				g.met.L1Hits.Add(1)
 			}
-			g.met.L1Stale.Add(1)
-			reval = e
-		} else if !collapsed {
+			g.serveL1Entry(w, kind, e, xc)
+			g.l1.Release(e)
+			g.met.L1HitLat.Observe(time.Since(start))
+			return
+		}
+		if !collapsed {
 			g.met.L1Misses.Add(1)
 		}
 
 		f, leader := g.l1.flights.Join(key)
-		if !leader && reval != nil {
-			// A follower parks without the entry; the flight's leader is
-			// already revalidating (or refilling) this key.
-			g.l1.Release(reval)
-			reval = nil
-		}
 		for !leader {
 			select {
 			case <-f.Done():
@@ -330,22 +318,16 @@ attempt:
 		}
 
 		// Leader. Re-check the cache first: a previous flight may have
-		// filled or refreshed the key between our lookup and join, and a
-		// promoted leader inherits that window too. This recheck is what
-		// makes "32 identical requests, one backend round-trip" airtight.
-		if reval == nil {
-			if e, ok := g.l1.Get(key); ok {
-				if e.Meta.fresh(time.Now()) {
-					g.l1.flights.Complete(key, f, doResult{outcome: flightFilled})
-					g.met.L1Hits.Add(1)
-					g.serveL1Entry(w, kind, e, XCacheL1Hit)
-					g.l1.Release(e)
-					g.met.L1HitLat.Observe(time.Since(start))
-					return
-				}
-				g.met.L1Stale.Add(1)
-				reval = e
-			}
+		// filled the key between our lookup and join, and a promoted
+		// leader inherits that window too. This recheck is what makes
+		// "32 identical requests, one backend round-trip" airtight.
+		if e, ok := g.l1.Get(key); ok {
+			g.l1.flights.Complete(key, f, doResult{outcome: flightFilled})
+			g.met.L1Hits.Add(1)
+			g.serveL1Entry(w, kind, e, XCacheL1Hit)
+			g.l1.Release(e)
+			g.met.L1HitLat.Observe(time.Since(start))
+			return
 		}
 
 		finished := false
@@ -357,11 +339,8 @@ attempt:
 			}
 		}()
 		pstart := time.Now()
-		dr := g.do(ctx, w, r, kind, key, body, deadline, true, reval)
+		dr := g.do(ctx, w, r, kind, key, body, deadline, true)
 		g.met.Latency[kind].Observe(time.Since(pstart))
-		if reval != nil {
-			g.l1.Release(reval)
-		}
 		finished = true
 		if dr.leaderSpec {
 			// Our budget died or our client hung up — the key is fine.
@@ -384,7 +363,6 @@ func (g *Gateway) serveL1Entry(w http.ResponseWriter, kind serve.Kind, e *l1Entr
 	}
 	h.Set(BackendHeader, e.Meta.backend)
 	h.Set(CacheHeader, xcache)
-	h.Set("Age", strconv.Itoa(e.Meta.ageSeconds(time.Now())))
 	h.Set("Content-Length", strconv.Itoa(len(e.Body)))
 	w.WriteHeader(http.StatusOK)
 	w.Write(e.Body)
@@ -393,15 +371,12 @@ func (g *Gateway) serveL1Entry(w http.ResponseWriter, kind serve.Kind, e *l1Entr
 
 // do runs the attempts for one request, one at a time, writes the
 // response, and reports how the exchange ended for the flight table.
-// fill allows a 200 body to be copied into the L1; reval, when non-nil,
-// is a stale resident entry whose content address is sent upstream as
-// If-None-Match — a 304 then refreshes it without a body transfer. do
-// returns an upstream body to g.bufs after the write, but a flightShared
+// fill allows a 200 body to be copied into the L1. do returns an upstream body to g.bufs after the write, but a flightShared
 // one to its caller: a leader's followers relay it (it is left to the GC,
 // as one dropped on a retry or while unwinding is); doUnshared puts it.
 func (g *Gateway) do(ctx context.Context, w http.ResponseWriter, r *http.Request,
 	kind serve.Kind, key serve.CacheKey, body *reqBody, deadline time.Time,
-	fill bool, reval *l1Entry) doResult {
+	fill bool) doResult {
 
 	order := g.ring.order(key)
 	if len(order) == 0 {
@@ -410,11 +385,6 @@ func (g *Gateway) do(ctx context.Context, w http.ResponseWriter, r *http.Request
 		w.Header().Set("Retry-After", "1")
 		g.writeError(w, kind, http.StatusServiceUnavailable, msg)
 		return doResult{outcome: flightShared, gwStatus: http.StatusServiceUnavailable, gwMsg: msg}
-	}
-
-	inm := ""
-	if reval != nil {
-		inm = key.ETag()
 	}
 
 	var lastPush *attemptResp
@@ -434,22 +404,12 @@ func (g *Gateway) do(ctx context.Context, w http.ResponseWriter, r *http.Request
 		}
 		next++
 
-		res := g.attempt(ctx, b, r, body, deadline, inm)
+		res := g.attempt(ctx, b, r, body, deadline)
 		switch res.class {
 		case classCancelled:
 			return g.budgetDone(ctx, w, kind)
 
 		case classFinal:
-			if reval != nil && res.status == http.StatusNotModified {
-				// The backend confirmed the entry's content address:
-				// refresh residency, serve the resident bytes, and no
-				// body ever crossed the wire.
-				reval.Meta.touch(freshnessTTL(res.header, g.cfg.L1TTL))
-				g.met.L1Revalidations.Add(1)
-				g.serveL1Entry(w, kind, reval, XCacheL1Revalidated)
-				g.bufs.Put(res.body)
-				return doResult{outcome: flightFilled}
-			}
 			filled := g.writeResponse(w, kind, key, res, fill, "")
 			switch {
 			case res.stream != nil:
@@ -526,10 +486,10 @@ func (g *Gateway) budgetDone(ctx context.Context, w http.ResponseWriter, kind se
 
 // attempt runs one upstream try and accounts its passive health signal.
 func (g *Gateway) attempt(ctx context.Context, b *Backend,
-	r *http.Request, body *reqBody, deadline time.Time, inm string) *attemptResp {
+	r *http.Request, body *reqBody, deadline time.Time) *attemptResp {
 
 	b.requests.Add(1)
-	res := g.roundTrip(ctx, b, r, body, deadline, inm)
+	res := g.roundTrip(ctx, b, r, body, deadline)
 	switch res.class {
 	case classFinal:
 		if res.status < http.StatusInternalServerError {
@@ -553,9 +513,8 @@ func (g *Gateway) attempt(ctx context.Context, b *Backend,
 
 // roundTrip performs the HTTP exchange for one attempt, buffering the
 // upstream body up to the per-object cap, and classifies the outcome.
-// inm, when set, is injected as If-None-Match (L1 revalidation).
 func (g *Gateway) roundTrip(ctx context.Context, b *Backend,
-	r *http.Request, body *reqBody, deadline time.Time, inm string) *attemptResp {
+	r *http.Request, body *reqBody, deadline time.Time) *attemptResp {
 
 	res := &attemptResp{b: b, contentLength: -1}
 	u := *b.url
@@ -578,9 +537,6 @@ func (g *Gateway) roundTrip(ctx context.Context, b *Backend,
 			continue
 		}
 		req.Header[k] = vv
-	}
-	if inm != "" {
-		req.Header.Set("If-None-Match", inm)
 	}
 	if !deadline.IsZero() {
 		remaining := time.Until(deadline).Milliseconds()
@@ -669,8 +625,7 @@ func (g *Gateway) writeResponse(w http.ResponseWriter, kind serve.Kind, key serv
 		// The tee: the same buffered bytes go to the client and (copied
 		// into a slab) into the L1. Fill before the write so a follower
 		// woken by flightFilled always finds the entry.
-		filled = g.l1.put(key, res.b.name, cacheableHeader(res.header), res.body,
-			freshnessTTL(res.header, g.cfg.L1TTL))
+		filled = g.l1.put(key, res.b.name, cacheableHeader(res.header), res.body)
 	}
 	w.WriteHeader(res.status)
 	w.Write(res.body)

@@ -31,7 +31,8 @@ func offlineDecode(t *testing.T, stream []byte) []byte {
 
 // TestHTTPCacheHitAndETag drives the full hit lifecycle over HTTP:
 // cold miss, warm hit (byte-identical, same strong ETag), and an
-// If-None-Match revalidation answered 304 with no body.
+// If-None-Match revalidation answered 304 with no body. All three carry
+// the fixed immutable Cache-Control.
 func TestHTTPCacheHitAndETag(t *testing.T) {
 	srv := New(Config{Workers: 2, BaseSlice: time.Millisecond})
 	ts := httptest.NewServer(srv.Handler())
@@ -53,6 +54,10 @@ func TestHTTPCacheHitAndETag(t *testing.T) {
 	if !bytes.Equal(b1, want) {
 		t.Fatal("miss body differs from the offline decoder")
 	}
+	wantCC := "max-age=31536000, immutable"
+	if got := r1.Header.Get("Cache-Control"); got != wantCC {
+		t.Fatalf("miss Cache-Control %q, want %q", got, wantCC)
+	}
 
 	r2 := post(t, ts.URL+"/v1/decode", "bob", stream, nil)
 	b2 := readAll(t, r2)
@@ -65,6 +70,9 @@ func TestHTTPCacheHitAndETag(t *testing.T) {
 	if !bytes.Equal(b2, want) {
 		t.Fatal("hit body differs from the offline decoder")
 	}
+	if got := r2.Header.Get("Cache-Control"); got != wantCC {
+		t.Fatalf("hit Cache-Control %q, want %q", got, wantCC)
+	}
 
 	r3 := post(t, ts.URL+"/v1/decode", "alice", stream, map[string]string{"If-None-Match": etag})
 	b3 := readAll(t, r3)
@@ -73,6 +81,9 @@ func TestHTTPCacheHitAndETag(t *testing.T) {
 	}
 	if r3.Header.Get("X-Cache") != "revalidated" {
 		t.Fatalf("revalidation X-Cache=%q", r3.Header.Get("X-Cache"))
+	}
+	if got := r3.Header.Get("Cache-Control"); got != wantCC {
+		t.Fatalf("304 Cache-Control %q, want %q", got, wantCC)
 	}
 
 	snap := srv.Cache().Snapshot()

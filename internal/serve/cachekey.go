@@ -47,9 +47,19 @@ type keyParam struct {
 	val  uint64
 }
 
-// canonMagic versions the preimage layout; bump it if the schema ever
-// changes so stale ETags can never alias new content.
+// canonMagic versions the content address. Both tiers treat a keyed
+// result as immutable (ImmutableCacheControl) and never revalidate it,
+// so the key is the only thing that tells old bytes from new: bump
+// canonMagic whenever the preimage layout changes or the codec's output
+// for an unchanged input does. TestCanonMagicPinsOutputs fails when the
+// offline codec's output moves under an unchanged canonMagic.
 const canonMagic = "eclipse-serve-key/1\x00"
+
+// ImmutableCacheControl is the Cache-Control of every keyed response, a
+// 200 or a 304, on both tiers (RFC 8246): bytes under a content address
+// never change, so no tier needs a freshness window or a revalidation
+// for them.
+const ImmutableCacheControl = "max-age=31536000, immutable"
 
 // writeCanonicalKey writes the canonical preimage of a cache key. The
 // layout is injective by construction: a fixed magic, the kind byte, a

@@ -29,14 +29,10 @@ type Config struct {
 	// requests). Default 256.
 	FramePoolCap int
 	// CacheBytes is the result cache's total byte budget. 0 selects the
-	// default (256 MiB); negative disables the cache entirely.
+	// default (256 MiB); negative disables the cache entirely. Cached
+	// responses are immutable (ImmutableCacheControl): there is no
+	// freshness window to configure.
 	CacheBytes int64
-	// CacheMaxAge is the freshness window advertised on cached responses
-	// via Cache-Control max-age: how long a downstream tier (the gateway
-	// L1) may serve the bytes without an If-None-Match coherency check.
-	// Content-addressed bytes never change, so the window bounds staleness
-	// of residency (liveness, eviction), not of content. Default 60s.
-	CacheMaxAge time.Duration
 	// Tenants pre-declares tenants with non-default weight or capacity.
 	Tenants []TenantConfig
 }
@@ -89,9 +85,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheBytes == 0 {
 		c.CacheBytes = 256 << 20
-	}
-	if c.CacheMaxAge <= 0 {
-		c.CacheMaxAge = 60 * time.Second
 	}
 	return c
 }

@@ -265,7 +265,7 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, ctx context
 		// already holds the exact bytes — no cache entry or decode needed.
 		s.cache.recordNotModified(tenant)
 		w.Header().Set("ETag", key.ETag())
-		w.Header().Set("Cache-Control", s.cacheControl())
+		w.Header().Set("Cache-Control", ImmutableCacheControl)
 		w.Header().Set("X-Cache", CacheRevalidated.String())
 		w.WriteHeader(http.StatusNotModified)
 		return
@@ -287,19 +287,12 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, ctx context
 		s.cache.missLat.Observe(time.Since(start))
 	}
 	w.Header().Set("ETag", key.ETag())
-	w.Header().Set("Cache-Control", s.cacheControl())
+	w.Header().Set("Cache-Control", ImmutableCacheControl)
 	w.Header().Set("X-Cache", outcome.String())
 	if outcome == CacheMiss {
 		w.Header().Set("X-Job-Preempts", strconv.Itoa(j.Preempts()))
 	}
 	s.writeResult(w, res)
-}
-
-// cacheControl renders the freshness window the cached tail advertises
-// to downstream tiers (the gateway L1 keys its revalidation cadence off
-// this; it may shorten the window but never extends it).
-func (s *Server) cacheControl() string {
-	return "max-age=" + strconv.Itoa(int(s.cfg.CacheMaxAge/time.Second))
 }
 
 // dispatch routes a built job through the cached or uncached tail

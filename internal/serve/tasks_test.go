@@ -350,6 +350,11 @@ func TestSpanUnits(t *testing.T) {
 		// One worker: the transcode's index scan runs first, then a
 		// second tenant's job holds the worker without a checkpoint, so
 		// every span is still queued when the drain budget expires.
+		// The order is made explicit: a first job of tenant a holds the
+		// worker until both tenants are in the table, so the worker's
+		// round-robin cursor goes a (the scan), then b (the holder).
+		// Submitted straight away, the scan could finish before b was
+		// in the table, and the cursor would pick one of a's spans next.
 		base := runtime.NumGoroutine()
 		stream, _ := segClip(t, 78)
 		s := NewScheduler(Config{Workers: 1, BaseSlice: time.Minute}, NewMetrics())
@@ -358,17 +363,28 @@ func TestSpanUnits(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		firstRunning, letGo := make(chan struct{}), make(chan struct{})
+		first := NewJob("a", KindDecode, context.Background(), func(context.Context, *Gate) (Result, error) {
+			close(firstRunning)
+			<-letGo
+			return Result{}, nil
+		})
 		holding, release := make(chan struct{}), make(chan struct{})
 		holder := NewJob("b", KindDecode, context.Background(), func(context.Context, *Gate) (Result, error) {
 			close(holding)
 			<-release
 			return Result{}, nil
 		})
+		if err := s.Submit(first); err != nil {
+			t.Fatal(err)
+		}
+		<-firstRunning
 		for _, j := range []*Job{x, holder} {
 			if err := s.Submit(j); err != nil {
 				t.Fatal(err)
 			}
 		}
+		close(letGo)
 		<-holding
 		if q := s.SnapshotTenants()[0]; q.Name != "a" || q.QueueDepth != 4 {
 			t.Fatalf("tenant %s has %d queued units at the stop, want a with 4 spans", q.Name, q.QueueDepth)

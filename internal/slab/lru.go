@@ -3,7 +3,8 @@
 // entries, keyed by content address. Like the paper's coprocessor
 // shell, the generic part is built once and each tier keeps only what
 // is its own — eclipse-serve's L2 adds tenant attribution,
-// eclipse-gateway's L1 adds freshness — as the metadata type M.
+// eclipse-gateway's L1 the filling backend and its headers — as the
+// metadata type M.
 //
 // Ownership discipline (the FramePool rules, applied to cached
 // bytes): an entry's body is an immutable snapshot copied into a pooled
@@ -34,8 +35,7 @@ type Key [sha256.Size]byte
 func (k Key) ETag() string { return `"` + hex.EncodeToString(k[:]) + `"` }
 
 // Entry is one immutable cached response: its fields are set at fill
-// time and never change. Meta is the tier's own per-entry data (a
-// pointer type if it carries state the tier mutates after the fill).
+// time and never change, Meta (the tier's own per-entry data) included.
 type Entry[M any] struct {
 	Key    Key
 	Body   []byte // slab-backed; len is the exact body size
