@@ -6,8 +6,9 @@
 #   make vet     go vet for the host and again for GOARCH=arm64 and
 #                GOARCH=386, so the portable SAD, transform and MC bodies
 #                behind !amd64 are compiled and vetted on every check (the
-#                amd64 pass runs asmdecl over the PSADBW, PMADDWD and MC
-#                kernels' frame and argument sizes); then the media tests
+#                amd64 pass runs asmdecl over the SSE2 and AVX2 PSADBW
+#                kernels, the CPUID probe, and the PMADDWD and MC kernels'
+#                frame and argument sizes); then the media tests
 #                under GOARCH=386, whose binaries run on an amd64 host, so
 #                the portable bodies also run, golden hashes included; the
 #                one-window VLD and the reciprocal quantiser, which are
@@ -38,9 +39,11 @@
 #                    (includes the run/level window/oracle parity fuzzer,
 #                    the fused-parse/two-pass (VLD then RLSQ) parity fuzzer,
 #                    the batch/streaming decode-parity fuzzer,
+#                    the GOP-index/decoder agreement fuzzer,
 #                    the motion-search/raster-reference parity fuzzer,
 #                    the PSADBW/SWAR SAD-kernel parity fuzzer and its
-#                    eight-candidate (search grid) counterpart,
+#                    eight-candidate (search grid) counterpart over each
+#                    body the host runs (SSE2, and AVX2 where present),
 #                    the transform/matrix-product, SSE2-kernel/butterfly
 #                    and RLSQ scatter/three-step parity fuzzer, the MC
 #                    kernel/Go-body and clamped-fetch/Frame.At parity
@@ -49,11 +52,14 @@
 #                    transcode-parity fuzzers)
 #   make mutate  applies each mutation listed in
 #                internal/media/testdata/asm_mutations.txt (the SSE2
-#                kernels and their //go:noescape directives) to a temporary
-#                copy of the module, one at a time, and runs the test named
-#                beside it, which must fail; a comment-only control must
-#                pass, and an entry whose old text does not occur exactly
-#                once fails the run (about a minute; not part of tier-1)
+#                kernels, the AVX2 search-grid kernel and their
+#                //go:noescape directives) to a temporary copy of the
+#                module, one at a time, and runs the test named beside it,
+#                which must fail; a comment-only control must pass, an
+#                entry whose old text does not occur exactly once fails the
+#                run, and an entry whose subtest the host skips (AVX2 on a
+#                host without it) is reported as skipped (about a minute;
+#                not part of tier-1)
 #   make bench-smoke single-iteration run of every Go benchmark, so CI
 #                    catches harness breakage cheaply
 #   make bench   every Go benchmark with allocation stats, for local
@@ -99,6 +105,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzRunLevelParity -fuzztime=5s ./internal/media
 	$(GO) test -run=NONE -fuzz=FuzzFusedParseParity -fuzztime=5s ./internal/media
 	$(GO) test -run=NONE -fuzz=FuzzDecodeParallelParity -fuzztime=5s ./internal/media
+	$(GO) test -run=NONE -fuzz=FuzzIndexDecodeAgree -fuzztime=5s ./internal/media
 	$(GO) test -run=NONE -fuzz=FuzzMotionSearchParity -fuzztime=5s ./internal/media
 	$(GO) test -run=NONE -fuzz=FuzzSADKernelParity -fuzztime=5s ./internal/media
 	$(GO) test -run=NONE -fuzz=FuzzSAD8Parity -fuzztime=5s ./internal/media

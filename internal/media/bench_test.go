@@ -119,7 +119,9 @@ func benchFrame(w, h int) *Frame {
 // inside, where the block is read in place from the frame, and edge, a
 // corner macroblock whose vectors all point outside, where it is gathered
 // with clamping first. swar is inside on the portable kernel, so inside
-// against swar is the shipped kernel's ratio on this host.
+// against swar is the shipped kernel's ratio on this host. The sad8 rows
+// time the search grid's kernel through sad8 on each of its bodies
+// (sad8Bodies), for a full call and for one that exits after row 4.
 func BenchmarkSAD(b *testing.B) {
 	ref := benchFrame(176, 144)
 	inside := []MV{{0, 0}, {1, -1}, {-3, 2}, {7, 5}, {-8, -8}, {4, 0}}
@@ -148,6 +150,31 @@ func BenchmarkSAD(b *testing.B) {
 			}
 			benchSink = sink
 		})
+	}
+	var cur MBPixels
+	ref.GetMB(3, 3, &cur)
+	row := ref.Pix[3*MBSize*ref.W+3*MBSize-4:]
+	for _, body := range sad8Bodies {
+		for _, c := range []struct {
+			name     string
+			earlyOut int
+		}{{"full", 1 << 30}, {"exit", -1}} {
+			b.Run("sad8/"+body.name+"/"+c.name, func(b *testing.B) {
+				if body.skip != "" {
+					b.Skip(body.skip)
+				}
+				if body.use != nil {
+					defer body.use()()
+				}
+				var sums [8]int32
+				b.ReportAllocs()
+				sink := 0
+				for i := 0; i < b.N; i++ {
+					sink += int(sad8(&cur, row, ref.W, c.earlyOut, &sums))
+				}
+				benchSink = sink
+			})
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package media
 import (
 	"fmt"
 	"slices"
+	"testing"
 )
 
 // Accessors and allocating convenience forms that only this package's
@@ -25,6 +26,35 @@ func ParseTokenMB(src []byte) (TokenMB, int, error) {
 		return TokenMB{}, 0, err
 	}
 	return tok, n, nil
+}
+
+// sad8Body is one body of the search grid's kernel. Tests call kernel
+// directly; use, where sad8 has more than one body, switches sad8's
+// dispatch to this one until the returned func restores the probe's pick;
+// skip, when set, says why this host cannot run it. Off amd64 the one body
+// is the portable loop; sad8_amd64_test.go lists the assembly bodies.
+type sad8Body struct {
+	name, skip string
+	kernel     sad8Kernel
+	use        func() (restore func())
+}
+
+var sad8Bodies = []sad8Body{{name: "go", kernel: sad8Go}}
+
+// eachSAD8Body runs f as one subtest per body of sad8, with sad8
+// dispatching to that body.
+func eachSAD8Body(t *testing.T, f func(t *testing.T, body sad8Body)) {
+	for _, b := range sad8Bodies {
+		t.Run(b.name, func(t *testing.T) {
+			if b.skip != "" {
+				t.Skip(b.skip)
+			}
+			if b.use != nil {
+				defer b.use()()
+			}
+			f(t, b)
+		})
+	}
 }
 
 // Cuts returns the decode-side closed cut positions (display == coded

@@ -150,36 +150,40 @@ var goldenEncodes = []struct {
 		srcSHA: "2bb31d6acd2c6f571c36f3d815e69b320e2037463e5d72b2e1f7479701e609aa"},
 }
 
+// TestGoldenEncodeHashes encodes each clip once per body of the search
+// grid's kernel (sad8Bodies).
 func TestGoldenEncodeHashes(t *testing.T) {
 	for _, g := range goldenEncodes {
 		t.Run(g.name, func(t *testing.T) {
-			src := DefaultSource(g.w, g.h)
-			src.Seed = g.seed
-			cfg := DefaultCodec(g.w, g.h)
-			cfg.GOPN, cfg.GOPM, cfg.SearchRange, cfg.HalfPel = g.gopN, g.gopM, g.searchRange, g.halfPel
-			stream, _, _, err := Encode(cfg, NewSource(src).Frames(g.frames))
-			if err != nil {
-				t.Fatalf("encode: %v", err)
-			}
-			if got := hex.EncodeToString(sumSHA(stream)); got != g.srcSHA {
-				t.Errorf("source bitstream hash drifted:\n  got  %s\n  want %s", got, g.srcSHA)
-			}
-			if g.xcodeQ == 0 {
-				return
-			}
-			res, err := Decode(stream)
-			if err != nil {
-				t.Fatalf("decode: %v", err)
-			}
-			xcfg := DefaultCodec(res.Seq.W(), res.Seq.H())
-			xcfg.Q, xcfg.GOPN, xcfg.GOPM, xcfg.HalfPel = g.xcodeQ, res.Seq.GOPN, res.Seq.GOPM, res.Seq.HalfPel
-			out, _, _, err := Encode(xcfg, res.DisplayFrames())
-			if err != nil {
-				t.Fatalf("re-encode: %v", err)
-			}
-			if got := hex.EncodeToString(sumSHA(out)); got != g.xcodeSHA {
-				t.Errorf("transcoded bitstream hash drifted:\n  got  %s\n  want %s", got, g.xcodeSHA)
-			}
+			eachSAD8Body(t, func(t *testing.T, _ sad8Body) {
+				src := DefaultSource(g.w, g.h)
+				src.Seed = g.seed
+				cfg := DefaultCodec(g.w, g.h)
+				cfg.GOPN, cfg.GOPM, cfg.SearchRange, cfg.HalfPel = g.gopN, g.gopM, g.searchRange, g.halfPel
+				stream, _, _, err := Encode(cfg, NewSource(src).Frames(g.frames))
+				if err != nil {
+					t.Fatalf("encode: %v", err)
+				}
+				if got := hex.EncodeToString(sumSHA(stream)); got != g.srcSHA {
+					t.Errorf("source bitstream hash drifted:\n  got  %s\n  want %s", got, g.srcSHA)
+				}
+				if g.xcodeQ == 0 {
+					return
+				}
+				res, err := Decode(stream)
+				if err != nil {
+					t.Fatalf("decode: %v", err)
+				}
+				xcfg := DefaultCodec(res.Seq.W(), res.Seq.H())
+				xcfg.Q, xcfg.GOPN, xcfg.GOPM, xcfg.HalfPel = g.xcodeQ, res.Seq.GOPN, res.Seq.GOPM, res.Seq.HalfPel
+				out, _, _, err := Encode(xcfg, res.DisplayFrames())
+				if err != nil {
+					t.Fatalf("re-encode: %v", err)
+				}
+				if got := hex.EncodeToString(sumSHA(out)); got != g.xcodeSHA {
+					t.Errorf("transcoded bitstream hash drifted:\n  got  %s\n  want %s", got, g.xcodeSHA)
+				}
+			})
 		})
 	}
 }

@@ -71,9 +71,13 @@ func (ix *GOPIndex) TranscodeCuts(gopN, gopM int) []int {
 
 // IndexGOPs scans a bitstream once — entropy layer only, no
 // reconstruction — and returns its GOP index. The scan validates the
-// frame structure exactly as the decoder does (reference preconditions,
-// TRef bijection with [0, Frames)), so a stream that indexes cleanly
-// also decodes cleanly through the frame layer. onFrame, when non-nil,
+// frame structure as the streaming decoder does (reference
+// preconditions, TRef bijection with [0, Frames)), so a stream that
+// decodes indexes with the same frame count, and a stream the scan
+// rejects the decoder rejects too. Not the converse: the token path has
+// no RLSQ step, so a block whose runs pass position 63 indexes cleanly
+// and fails only in the decoder, with "run/level overflow"
+// (TestIndexDecodeAgree's rlsq-overflow row). onFrame, when non-nil,
 // is called before each coded frame's header is parsed — the serving
 // layer's preemption checkpoint, mirroring DecodeOptions.OnFrame; a
 // non-nil return aborts the scan with that error.
@@ -109,6 +113,19 @@ func IndexGOPs(stream []byte, onFrame func(coded int) error) (*GOPIndex, error) 
 		if hdr.Type == FrameB && refA < 0 {
 			return nil, fmt.Errorf("frame %d: %w: B frame with a single reference", fi, ErrBitstream)
 		}
+		// Entropy-only frame body walk: the macroblock layer is
+		// variable-length, so finding the next frame header requires the
+		// full syntax parse — but none of the reconstruction. The display
+		// index is checked after the body, where the streaming decoder
+		// checks it, so that a frame with both faults fails as it does.
+		for mby := 0; mby < seq.MBRows; mby++ {
+			mvp.RowStart()
+			for mbx := 0; mbx < seq.MBCols; mbx++ {
+				if _, err := ParseMBSyntaxInto(r, hdr.Type, &mvp, &tok); err != nil {
+					return nil, fmt.Errorf("frame %d: mb (%d,%d): %w", fi, mbx, mby, err)
+				}
+			}
+		}
 		di := int(hdr.TRef)
 		if di >= seq.Frames {
 			return nil, fmt.Errorf("frame %d: %w: display index %d out of range [0,%d)", fi, ErrBitstream, di, seq.Frames)
@@ -127,17 +144,6 @@ func IndexGOPs(stream []byte, onFrame func(coded int) error) (*GOPIndex, error) 
 		ix.deps[fi] = d
 		if hdr.Type != FrameB {
 			refA, refB = refB, di
-		}
-		// Entropy-only frame body walk: the macroblock layer is
-		// variable-length, so finding the next frame header requires the
-		// full syntax parse — but none of the reconstruction.
-		for mby := 0; mby < seq.MBRows; mby++ {
-			mvp.RowStart()
-			for mbx := 0; mbx < seq.MBCols; mbx++ {
-				if _, err := ParseMBSyntaxInto(r, hdr.Type, &mvp, &tok); err != nil {
-					return nil, fmt.Errorf("frame %d: mb (%d,%d): %w", fi, mbx, mby, err)
-				}
-			}
 		}
 	}
 	ix.cuts = closedCuts(ix.deps)

@@ -388,7 +388,8 @@ func sad8Mismatch(k sad8Kernel, in *sadInput) string {
 
 // sad8Contract holds sad8 to sad8Go on every exit path, at strides 16, 30
 // (the r = 7 window), 46 and 176 and at the smallest of the eight partial
-// sums at each exit row ±1.
+// sums at each exit row ±1. TestSAD8MatchesPortable holds each body of
+// sad8 (sad8Bodies) to it directly, not through the dispatch.
 func sad8Contract() *contract[sad8Kernel] {
 	ins := sadInputs(pixelPairs(22, []int{16, 30, 46, 176}, 7), func(cur *MBPixels, ref []byte, stride int) []int {
 		var partials [8][MBSize]int
@@ -414,11 +415,29 @@ func sad8Contract() *contract[sad8Kernel] {
 	}
 }
 
-func TestSAD8MatchesPortable(t *testing.T)     { sad8Contract().holds(t) }
+func TestSAD8MatchesPortable(t *testing.T) {
+	c := sad8Contract()
+	eachSAD8Body(t, func(t *testing.T, b sad8Body) {
+		c.kernel = b.kernel
+		c.holds(t)
+	})
+}
+
 func TestSAD8ParityCatchesFaults(t *testing.T) { sad8Contract().checkFaults(t) }
 
+// FuzzSAD8Parity checks every body of sad8 this host runs.
 func FuzzSAD8Parity(f *testing.F) {
-	fuzzSAD(f, "eclipse sad8 kernel", 7, func(in *sadInput) string { return sad8Mismatch(sad8, in) })
+	fuzzSAD(f, "eclipse sad8 kernel", 7, func(in *sadInput) string {
+		for _, b := range sad8Bodies {
+			if b.skip != "" {
+				continue
+			}
+			if msg := sad8Mismatch(b.kernel, in); msg != "" {
+				return b.name + ": " + msg
+			}
+		}
+		return ""
+	})
 }
 
 type sadFrameKernel func(cur *MBPixels, ref *Frame, x, y int, mv MV, earlyOut int) int
@@ -737,7 +756,10 @@ var searchContract = sync.OnceValue(func() *contract[searchFunc] {
 	}
 })
 
-func TestMotionSearchMatchesRasterSearch(t *testing.T)  { searchContract().holds(t) }
+func TestMotionSearchMatchesRasterSearch(t *testing.T) {
+	eachSAD8Body(t, func(t *testing.T, _ sad8Body) { searchContract().holds(t) })
+}
+
 func TestSearchParityHarnessCatchesFaults(t *testing.T) { searchContract().checkFaults(t) }
 
 // FuzzMotionSearchParity derives frames, a macroblock and a radius from

@@ -96,8 +96,9 @@ func sadRowsSWAR(cur *MBPixels, ref []byte, stride, earlyOut int) int {
 // sadRowsSWAR, loading each cur row once. After rows 4, 8 and 12 it stops
 // if every partial sum exceeds earlyOut. It stores the eight sums in out —
 // full SADs, or the partial sums of the row it stopped at — and returns
-// their minimum. sad8 runs this loop off amd64 and PSADBW on it
-// (sad8_amd64.s); the parity tests hold the two to the same values.
+// their minimum. sad8 runs this loop off amd64 and an SSE2 or AVX2
+// PSADBW kernel on it (sad8_amd64.s); the parity tests hold each body to
+// the same values.
 func sad8Go(cur *MBPixels, ref []byte, stride, earlyOut int, out *[8]int32) int32 {
 	var acc [8]uint64
 	m := int32(0)

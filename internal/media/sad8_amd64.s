@@ -86,3 +86,126 @@ row:
 
 done:
 	RET
+
+// func sad8AVX2(cur *MBPixels, ref *byte, stride, earlyOut int, out *[8]int32)
+//
+// sad8SSE2 two rows at a time: Y0 holds cur rows j and j+1 (one 32-byte
+// load), and candidate k's ref rows j and j+1 fill the low and high lanes
+// of one register (VMOVDQU at ref+k, VINSERTI128 at ref+k+stride), so one
+// VPSADBW scores both rows. Each lane of the accumulators Y3…Y6 is packed
+// as sad8SSE2's X3…X6. After every fourth row both lanes are folded as in
+// sad8SSE2, and the lanes — the partial sums over even and over odd rows —
+// are added into Y8, sums 0…7, which is stored to out; after rows 4, 8
+// and 12 the kernel returns when every sum is greater than earlyOut (Y11,
+// broadcast). The caller checks for AVX2 (hasAVX2).
+TEXT ·sad8AVX2(SB), NOSPLIT, $0-40
+	MOVQ         cur+0(FP), SI
+	MOVQ         ref+8(FP), DI
+	MOVQ         stride+16(FP), DX
+	MOVQ         earlyOut+24(FP), R8
+	MOVQ         out+32(FP), R9
+	MOVQ         R8, X11
+	VPBROADCASTD X11, Y11
+	VPXOR        Y3, Y3, Y3
+	VPXOR        Y4, Y4, Y4
+	VPXOR        Y5, Y5, Y5
+	VPXOR        Y6, Y6, Y6
+	MOVQ         $4, CX
+
+yblock:
+	MOVQ $2, BX
+
+ypair:
+	VMOVDQU     (SI), Y0
+	VMOVDQU     0(DI), X1
+	VINSERTI128 $1, 0(DI)(DX*1), Y1, Y1
+	VPSADBW     Y0, Y1, Y1
+	VMOVDQU     1(DI), X2
+	VINSERTI128 $1, 1(DI)(DX*1), Y2, Y2
+	VPSADBW     Y0, Y2, Y2
+	VPSLLQ      $32, Y2, Y2
+	VPADDQ      Y1, Y3, Y3
+	VPADDQ      Y2, Y3, Y3
+	VMOVDQU     2(DI), X1
+	VINSERTI128 $1, 2(DI)(DX*1), Y1, Y1
+	VPSADBW     Y0, Y1, Y1
+	VMOVDQU     3(DI), X2
+	VINSERTI128 $1, 3(DI)(DX*1), Y2, Y2
+	VPSADBW     Y0, Y2, Y2
+	VPSLLQ      $32, Y2, Y2
+	VPADDQ      Y1, Y4, Y4
+	VPADDQ      Y2, Y4, Y4
+	VMOVDQU     4(DI), X1
+	VINSERTI128 $1, 4(DI)(DX*1), Y1, Y1
+	VPSADBW     Y0, Y1, Y1
+	VMOVDQU     5(DI), X2
+	VINSERTI128 $1, 5(DI)(DX*1), Y2, Y2
+	VPSADBW     Y0, Y2, Y2
+	VPSLLQ      $32, Y2, Y2
+	VPADDQ      Y1, Y5, Y5
+	VPADDQ      Y2, Y5, Y5
+	VMOVDQU     6(DI), X1
+	VINSERTI128 $1, 6(DI)(DX*1), Y1, Y1
+	VPSADBW     Y0, Y1, Y1
+	VMOVDQU     7(DI), X2
+	VINSERTI128 $1, 7(DI)(DX*1), Y2, Y2
+	VPSADBW     Y0, Y2, Y2
+	VPSLLQ      $32, Y2, Y2
+	VPADDQ      Y1, Y6, Y6
+	VPADDQ      Y2, Y6, Y6
+	ADDQ        $32, SI
+	LEAQ        (DI)(DX*2), DI
+	DECQ        BX
+	JNZ         ypair
+
+	VPUNPCKLQDQ Y4, Y3, Y7
+	VPUNPCKHQDQ Y4, Y3, Y8
+	VPADDD      Y8, Y7, Y7
+	VPUNPCKLQDQ Y6, Y5, Y9
+	VPUNPCKHQDQ Y6, Y5, Y10
+	VPADDD      Y10, Y9, Y9
+	VPERM2I128  $0x20, Y9, Y7, Y8
+	VPERM2I128  $0x31, Y9, Y7, Y10
+	VPADDD      Y10, Y8, Y8
+	VMOVDQU     Y8, (R9)
+	DECQ        CX
+	JZ          ydone
+	VPCMPGTD    Y11, Y8, Y8
+	VPMOVMSKB   Y8, AX
+	CMPL        AX, $-1
+	JNE         yblock
+
+ydone:
+	VZEROUPPER
+	RET
+
+// func hasAVX2() bool
+//
+// Whether the CPU and the OS support AVX2: CPUID leaf 7 exists, CPUID.1:ECX
+// has OSXSAVE (bit 27) and AVX (bit 28), XCR0 enables the XMM and YMM
+// state (bits 1 and 2), and CPUID.(7,0):EBX has AVX2 (bit 5).
+TEXT ·hasAVX2(SB), NOSPLIT, $0-1
+	MOVB   $0, ret+0(FP)
+	XORL   AX, AX
+	CPUID
+	CMPL   AX, $7
+	JLT    noavx2
+	MOVL   $1, AX
+	XORL   CX, CX
+	CPUID
+	ANDL   $0x18000000, CX
+	CMPL   CX, $0x18000000
+	JNE    noavx2
+	XORL   CX, CX
+	XGETBV
+	ANDL   $6, AX
+	CMPL   AX, $6
+	JNE    noavx2
+	MOVL   $7, AX
+	XORL   CX, CX
+	CPUID
+	BTL    $5, BX
+	SETCS  ret+0(FP)
+
+noavx2:
+	RET

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -314,4 +316,122 @@ func TestAppendBits(t *testing.T) {
 	if !bytes.Equal(w.Bytes(), one.Bytes()) {
 		t.Errorf("spliced bytes differ")
 	}
+}
+
+// indexDecodeRow is a stream with the error class (errClass) that
+// IndexGOPs and the streaming decoder each return on it.
+type indexDecodeRow struct {
+	name          string
+	stream        []byte
+	index, decode string
+}
+
+// indexDecodeRows are the parity streams, whole and cut at a third and
+// at two thirds, and two hand-made streams. rlsq-overflow is a
+// 1×1-macroblock I frame whose block 0 holds the events (60, 1) and
+// (10, 1), which run past position 63. The token path that IndexGOPs
+// parses has no RLSQ step, so that stream indexes cleanly and fails only
+// in the decoder. dup-tref-cut is the Fig. 10 stream with coded frame 1
+// given frame 0's display index and cut 30 bits into its body; both fail
+// at the cut, because both check a display index after the frame's body.
+func indexDecodeRows(tb testing.TB) []indexDecodeRow {
+	w := NewBitWriter()
+	WriteSeqHeader(w, &SeqHeader{MBCols: 1, MBRows: 1, Q: 6, GOPN: 1, GOPM: 1, Frames: 1})
+	WriteFrameHdr(w, FrameHdr{Type: FrameI})
+	w.WriteBits(1, 4) // cbp: block 0 only
+	EncodeRunLevel(w, RunLevel{Run: 60, Level: 1})
+	EncodeRunLevel(w, RunLevel{Run: 10, Level: 1})
+	EncodeEOB(w)
+	streams := parityStreams(tb)
+	fig10 := streams["fig10-ibbp"]
+	ix, err := IndexGOPs(fig10, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tref := ix.FrameBit(1) + 18 // after the 16-bit marker and the 2-bit type
+	dup := slices.Clone(fig10[:(tref+16+30)/8])
+	for i := tref; i < tref+16; i++ {
+		dup[i/8] &^= 0x80 >> (i % 8)
+	}
+	rows := []indexDecodeRow{
+		{"rlsq-overflow", w.Bytes(), "", "overflow"},
+		{"dup-tref-cut", dup, "truncated", "truncated"},
+	}
+	names := make([]string, 0, len(streams))
+	for name := range streams {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for _, name := range names {
+		s := streams[name]
+		rows = append(rows, indexDecodeRow{name, s, "", ""},
+			indexDecodeRow{name + " cut 1/3", s[:len(s)/3], "truncated", "truncated"},
+			indexDecodeRow{name + " cut 2/3", s[:2*len(s)/3], "truncated", "truncated"})
+	}
+	return rows
+}
+
+// errClass names a codec error's class: "" for none, "overflow" for a
+// run/level overflow, "truncated" for a read past the end of the stream,
+// and the error's text for anything else.
+func errClass(err error) string {
+	switch {
+	case err == nil:
+		return ""
+	case errors.Is(err, errRunLevelOverflow):
+		return "overflow"
+	case strings.Contains(err.Error(), "read past end"):
+		return "truncated"
+	}
+	return err.Error()
+}
+
+// indexDecodeDisagree returns the errors of IndexGOPs and of the
+// streaming decoder (the served decode, which checks display indices as
+// IndexGOPs does) on stream, and how they break the one-way rule, or "".
+// The rule: a stream the decoder accepts indexes with the same frame
+// count, and a stream IndexGOPs rejects the decoder rejects with the same
+// error, text included, unless it met a run/level overflow first, the one
+// check the token path does not make. The converse does not hold
+// (rlsq-overflow).
+func indexDecodeDisagree(stream []byte) (ierr, derr error, msg string) {
+	ix, ierr := IndexGOPs(stream, nil)
+	res, derr := DecodeWithOptions(stream, DecodeOptions{OnDisplayFrame: func(int, *Frame) error { return nil }})
+	switch {
+	case derr == nil && ierr != nil:
+		msg = fmt.Sprintf("the decoder accepts, IndexGOPs rejects: %v", ierr)
+	case derr == nil && ix.Seq.Frames != len(res.Coded):
+		msg = fmt.Sprintf("the decoder decodes %d frames, IndexGOPs indexes %d", len(res.Coded), ix.Seq.Frames)
+	case ierr != nil && derr.Error() != ierr.Error() && !errors.Is(derr, errRunLevelOverflow):
+		msg = fmt.Sprintf("IndexGOPs rejects (%v), the decoder rejects otherwise (%v)", ierr, derr)
+	}
+	return ierr, derr, msg
+}
+
+func TestIndexDecodeAgree(t *testing.T) {
+	for _, row := range indexDecodeRows(t) {
+		ierr, derr, msg := indexDecodeDisagree(row.stream)
+		if msg != "" {
+			t.Errorf("%s: %s", row.name, msg)
+		}
+		if errClass(ierr) != row.index || errClass(derr) != row.decode {
+			t.Errorf("%s: IndexGOPs %v, decoder %v; want classes %q and %q", row.name, ierr, derr, row.index, row.decode)
+		}
+	}
+}
+
+// FuzzIndexDecodeAgree holds IndexGOPs and the decoder to the one-way
+// rule on arbitrary streams.
+func FuzzIndexDecodeAgree(f *testing.F) {
+	for _, row := range indexDecodeRows(f) {
+		f.Add(row.stream)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 64<<10 {
+			return // as FuzzDecodeParallelParity
+		}
+		if _, _, msg := indexDecodeDisagree(data); msg != "" {
+			t.Fatal(msg)
+		}
+	})
 }
