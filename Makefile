@@ -35,7 +35,12 @@
 #                with a transcode's spans still queued, whose pick order
 #                once depended on timing)
 #   make fuzz-smoke  a few seconds of each media-layer fuzzer — the CI
-#                    guard that the corpus-reachable code stays panic-free
+#                    guard that the corpus-reachable code stays panic-free;
+#                    each new input is minimised for at most 100 runs (go's
+#                    default is 60 s, which a whole-stream fuzzer spent
+#                    minimising its first new input instead of exploring),
+#                    and a failing input is still reported and written to
+#                    testdata/fuzz
 #                    (includes the run/level window/oracle parity fuzzer,
 #                    the fused-parse/two-pass (VLD then RLSQ) parity fuzzer,
 #                    the batch/streaming decode-parity fuzzer,
@@ -46,8 +51,8 @@
 #                    body the host runs (SSE2, and AVX2 where present),
 #                    the transform/matrix-product, SSE2-kernel/butterfly
 #                    and RLSQ scatter/three-step parity fuzzer, the MC
-#                    kernel/Go-body and clamped-fetch/Frame.At parity
-#                    fuzzer and the
+#                    kernel/Go-body, clamped-fetch/Frame.At and
+#                    prediction-view/copy-path parity fuzzer and the
 #                    one-span and span-count span-engine/two-phase
 #                    transcode-parity fuzzers)
 #   make mutate  applies each mutation listed in
@@ -100,20 +105,20 @@ race:
 	GOMAXPROCS=4 $(GO) test -race -count=10 -run 'RequestBodyReuse|GatewayBodyLifetime|SpanUnits' ./internal/serve ./internal/cluster
 
 fuzz-smoke:
-	$(GO) test -run=NONE -fuzz=FuzzBitReaderRoundTrip -fuzztime=5s ./internal/media
-	$(GO) test -run=NONE -fuzz=FuzzHuffDecode -fuzztime=5s ./internal/media
-	$(GO) test -run=NONE -fuzz=FuzzRunLevelParity -fuzztime=5s ./internal/media
-	$(GO) test -run=NONE -fuzz=FuzzFusedParseParity -fuzztime=5s ./internal/media
-	$(GO) test -run=NONE -fuzz=FuzzDecodeParallelParity -fuzztime=5s ./internal/media
-	$(GO) test -run=NONE -fuzz=FuzzIndexDecodeAgree -fuzztime=5s ./internal/media
-	$(GO) test -run=NONE -fuzz=FuzzMotionSearchParity -fuzztime=5s ./internal/media
-	$(GO) test -run=NONE -fuzz=FuzzSADKernelParity -fuzztime=5s ./internal/media
-	$(GO) test -run=NONE -fuzz=FuzzSAD8Parity -fuzztime=5s ./internal/media
-	$(GO) test -run=NONE -fuzz=FuzzTransformParity -fuzztime=5s ./internal/media
-	$(GO) test -run=NONE -fuzz=FuzzMCKernelParity -fuzztime=5s ./internal/media
-	$(GO) test -run=NONE -fuzz=FuzzCacheKeyCanonical -fuzztime=5s ./internal/serve
-	$(GO) test -run=NONE -fuzz=FuzzTranscodeFusedParity -fuzztime=5s ./internal/serve
-	$(GO) test -run=NONE -fuzz=FuzzTranscodeSegmentedParity -fuzztime=5s ./internal/serve
+	$(GO) test -run=NONE -fuzz=FuzzBitReaderRoundTrip -fuzztime=5s -fuzzminimizetime=100x ./internal/media
+	$(GO) test -run=NONE -fuzz=FuzzHuffDecode -fuzztime=5s -fuzzminimizetime=100x ./internal/media
+	$(GO) test -run=NONE -fuzz=FuzzRunLevelParity -fuzztime=5s -fuzzminimizetime=100x ./internal/media
+	$(GO) test -run=NONE -fuzz=FuzzFusedParseParity -fuzztime=5s -fuzzminimizetime=100x ./internal/media
+	$(GO) test -run=NONE -fuzz=FuzzDecodeParallelParity -fuzztime=5s -fuzzminimizetime=100x ./internal/media
+	$(GO) test -run=NONE -fuzz=FuzzIndexDecodeAgree -fuzztime=5s -fuzzminimizetime=100x ./internal/media
+	$(GO) test -run=NONE -fuzz=FuzzMotionSearchParity -fuzztime=5s -fuzzminimizetime=100x ./internal/media
+	$(GO) test -run=NONE -fuzz=FuzzSADKernelParity -fuzztime=5s -fuzzminimizetime=100x ./internal/media
+	$(GO) test -run=NONE -fuzz=FuzzSAD8Parity -fuzztime=5s -fuzzminimizetime=100x ./internal/media
+	$(GO) test -run=NONE -fuzz=FuzzTransformParity -fuzztime=5s -fuzzminimizetime=100x ./internal/media
+	$(GO) test -run=NONE -fuzz=FuzzMCKernelParity -fuzztime=5s -fuzzminimizetime=100x ./internal/media
+	$(GO) test -run=NONE -fuzz=FuzzCacheKeyCanonical -fuzztime=5s -fuzzminimizetime=100x ./internal/serve
+	$(GO) test -run=NONE -fuzz=FuzzTranscodeFusedParity -fuzztime=5s -fuzzminimizetime=100x ./internal/serve
+	$(GO) test -run=NONE -fuzz=FuzzTranscodeSegmentedParity -fuzztime=5s -fuzzminimizetime=100x ./internal/serve
 
 mutate:
 	sh internal/media/testdata/mutate.sh

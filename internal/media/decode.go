@@ -28,7 +28,7 @@ func (r *DecodeResult) DisplayFrames() []*Frame {
 }
 
 // Decode is the reference decoder, built from the stage kernels the
-// Eclipse coprocessor models run (IDCTMB, PredictHP, reconstruct; their
+// Eclipse coprocessor models run (IDCTMB, predView, reconstruct; their
 // VLD and RLSQ in one pass, parseMBCoef, held to theirs by a contract
 // test), so its output is the ground truth for the six-task Kahn decode
 // and its cycle-accurate mapping. It is one serial loop on the calling
@@ -197,8 +197,8 @@ func decodeFrameBody(r *BitReader, seq *SeqHeader, hdr FrameHdr, refs *RefChain,
 			}
 			IDCTMB(&coef, cbp, &resid)
 			x, y := mbx*MBSize, mby*MBSize
-			PredictHP(&pred, dec.Mode, fwdRef, bwdRef, x, y, dec.FMV, dec.BMV, seq.HalfPel)
-			reconstruct(frame.Pix[y*frame.W+x:], frame.W, &pred, &resid)
+			pix, ps := predView(&pred, dec.Mode, fwdRef, bwdRef, x, y, dec.FMV, dec.BMV, seq.HalfPel)
+			reconstruct(frame.Pix[y*frame.W+x:], frame.W, pix, ps, &resid)
 		}
 	}
 	return frame, r.Err()

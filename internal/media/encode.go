@@ -108,16 +108,16 @@ func (e *Encoder) encodeFrame(cur *Frame, ftype FrameType, tref int, recon *Fram
 			dec, ops := DecideMB(&mb, ftype, x, y, fwdRef, bwdRef, e.cfg.SearchRange, e.cfg.HalfPel)
 			fs.SearchOps += ops
 
-			var predPix MBPixels
-			PredictHP(&predPix, dec.Mode, fwdRef, bwdRef, x, y, dec.FMV, dec.BMV, e.cfg.HalfPel)
+			var scratch MBPixels
+			pix, ps := predView(&scratch, dec.Mode, fwdRef, bwdRef, x, y, dec.FMV, dec.BMV, e.cfg.HalfPel)
 			var resid [BlocksPerMB]Block
-			Residual(&mb, &predPix, &resid)
+			residual(&mb, pix, ps, &resid)
 			qzz, cbp, nz := TransformMB(&resid, dec.Mode == PredIntra, e.cfg.Q)
 			fs.Nonzero += nz
 
 			if IsSkipMB(ftype, dec, cbp) {
-				// predPix is already the skip reconstruction, the forward
-				// reference at zero motion, and cbp is 0.
+				// The prediction is already the skip reconstruction, the
+				// forward reference at zero motion, and cbp is 0.
 				dec = MBDecision{Mode: PredSkip}
 				fs.SkipMBs++
 			}
@@ -135,7 +135,7 @@ func (e *Encoder) encodeFrame(cur *Frame, ftype FrameType, tref int, recon *Fram
 					}
 				}
 				IDCTMB(&coef, cbp, &deq)
-				reconstruct(recon.Pix[y*recon.W+x:], recon.W, &predPix, &deq)
+				reconstruct(recon.Pix[y*recon.W+x:], recon.W, pix, ps, &deq)
 			}
 
 			EncodeMBSyntax(e.w, ftype, dec, &mvp, cbp, &qzz)

@@ -23,7 +23,7 @@ import (
 // kernelFunc is the type set of the contracts' kernels.
 type kernelFunc interface {
 	sadKernel | sad8Kernel | sadFrameKernel | activityKernel | searchFunc |
-		fetchKernel | mcKernels | transforms | dctKernel | rlsqKernel | quantKernel |
+		fetchKernel | predFunc | mcKernels | transforms | dctKernel | rlsqKernel | quantKernel |
 		dequantKernel | vleKernel | vldKernel | mbParseKernel
 }
 
@@ -854,11 +854,122 @@ func fetchContract() *contract[fetchKernel] {
 
 func TestClampedFetchMatchesAt(t *testing.T) { fetchContract().holds(t) }
 
+type predFunc func(pred *MBPixels, mode PredMode, fwd, bwd *Frame, x, y int, fmv, bmv MV, halfPel bool)
+
+// predictCopy is the copy path predView replaced, its oracle: each
+// reference block copied sample by sample, by fetchAt at a full-pel
+// position and fetchHalf at a half-pel one, and the two of a
+// bi-directional block averaged per sample.
+func predictCopy(pred *MBPixels, mode PredMode, fwd, bwd *Frame, x, y int, fmv, bmv MV, halfPel bool) {
+	grab := func(dst *MBPixels, ref *Frame, mv MV) {
+		switch hx, hy := 2*x+int(mv.X), 2*y+int(mv.Y); {
+		case !halfPel:
+			fetchAt(dst, ref, x+int(mv.X), y+int(mv.Y))
+		case (hx|hy)&1 == 0:
+			fetchAt(dst, ref, hx>>1, hy>>1)
+		default:
+			fetchHalf(dst, ref, hx, hy)
+		}
+	}
+	var b MBPixels
+	switch mode {
+	case PredIntra:
+		*pred = midGray
+	case PredFwd:
+		grab(pred, fwd, fmv)
+	case PredSkip:
+		fetchAt(pred, fwd, x, y)
+	case PredBwd:
+		grab(pred, bwd, bmv)
+	case PredBi:
+		grab(pred, fwd, fmv)
+		grab(&b, bwd, bmv)
+		for i := range pred {
+			pred[i] = byte((int(pred[i]) + int(b[i]) + 1) >> 1)
+		}
+	}
+}
+
+type predInput struct {
+	fwd, bwd *Frame
+	mode     PredMode
+	x, y     int
+	fmv, bmv MV
+	halfPel  bool
+}
+
+// predMismatch runs k into a garbage-filled block, which predView also
+// takes as its scratch, so a view it fails to fill shows.
+func predMismatch(k predFunc, in *predInput) string {
+	got, want := garbageMB, garbageMB
+	k(&got, in.mode, in.fwd, in.bwd, in.x, in.y, in.fmv, in.bmv, in.halfPel)
+	predictCopy(&want, in.mode, in.fwd, in.bwd, in.x, in.y, in.fmv, in.bmv, in.halfPel)
+	if got != want {
+		return fmt.Sprintf("%v at (%d,%d) fmv %v bmv %v half-pel %v: %v, copy path %v",
+			in.mode, in.x, in.y, in.fmv, in.bmv, in.halfPel, got, want)
+	}
+	return ""
+}
+
+// predContract holds PredictHP, predView and then the copy of its view,
+// to the copy path for every mode, with half-pel off and on, at three
+// macroblocks of a random 48×32 frame pair. Each vector points at one
+// of 49 positions: inside, one pixel past each edge, and wholly outside
+// in x and y (and, with half-pel on, at a full-, horizontal-, vertical-
+// or diagonal half-pel offset from it).
+func predContract() *contract[predFunc] {
+	fwd, bwd := randomFrame(48, 32, 40), randomFrame(48, 32, 41)
+	xs := []int{-20, -1, 0, 5, fwd.W - 16, fwd.W - 15, fwd.W + 4}
+	ys := []int{-20, -1, 0, 5, fwd.H - 16, fwd.H - 15, fwd.H + 4}
+	var ins []predInput
+	for _, mb := range [][2]int{{0, 0}, {16, 16}, {32, 16}} {
+		for t := 0; t < len(xs)*len(ys); t++ {
+			for _, halfPel := range []bool{false, true} {
+				vec := func(t int) MV {
+					rx, ry := xs[t%len(xs)], ys[t/len(xs)]
+					if !halfPel {
+						return MV{int16(rx - mb[0]), int16(ry - mb[1])}
+					}
+					return MV{int16(2*(rx-mb[0]) + t&1), int16(2*(ry-mb[1]) + t>>1&1)}
+				}
+				for mode := PredIntra; mode <= PredSkip; mode++ {
+					ins = append(ins, predInput{fwd, bwd, mode, mb[0], mb[1], vec(t), vec((t + 17) % 49), halfPel})
+				}
+			}
+		}
+	}
+	followsVector := func(pred *MBPixels, mode PredMode, fwd, bwd *Frame, x, y int, fmv, bmv MV, halfPel bool) {
+		if mode == PredSkip {
+			mode = PredFwd
+		}
+		PredictHP(pred, mode, fwd, bwd, x, y, fmv, bmv, halfPel)
+	}
+	pastRightEdge := func(pred *MBPixels, mode PredMode, fwd, bwd *Frame, x, y int, fmv, bmv MV, halfPel bool) {
+		PredictHP(pred, mode, fwd, bwd, x, y, fmv, bmv, halfPel)
+		rx, ry := x+int(fmv.X), y+int(fmv.Y)
+		if mode == PredFwd && !halfPel && rx+MBSize == fwd.W+1 && ry >= 0 && ry+MBSize < fwd.H {
+			copyView(pred, fwd.Pix[ry*fwd.W+rx:], fwd.W)
+		}
+	}
+	return &contract[predFunc]{
+		n:        len(ins),
+		mismatch: func(k predFunc, i int) string { return predMismatch(k, &ins[i]) },
+		kernel:   PredictHP,
+		oracle:   predictCopy,
+		faults: []fault[predFunc]{
+			{"a skip that follows the forward vector", followsVector},
+			{"a view read in place one pixel past the right edge", pastRightEdge},
+		},
+	}
+}
+
+func TestPredViewMatchesCopyPath(t *testing.T) { predContract().holds(t) }
+
 // mcKernels is one model of the MC kernels.
 type mcKernels struct {
-	reconstruct func(dst []byte, stride int, pred *MBPixels, blocks *[BlocksPerMB]Block)
-	residual    func(cur, pred *MBPixels, blocks *[BlocksPerMB]Block)
-	average     func(dst, a, b *MBPixels)
+	reconstruct func(dst []byte, stride int, pred []byte, pstride int, blocks *[BlocksPerMB]Block)
+	residual    func(cur *MBPixels, pred []byte, pstride int, blocks *[BlocksPerMB]Block)
+	average     func(dst *MBPixels, a []byte, astride int, b []byte, bstride int)
 }
 
 var goMC = mcKernels{reconstructGo, residualGo, averageGo}
@@ -877,36 +988,90 @@ func resAt(blocks *[BlocksPerMB]Block, i int) *int16 {
 	return &blocks[y/8*2+x/8][y%8*8+x%8]
 }
 
-// mcCaseMismatch runs reconstruct of p at two strides, residual of q
-// against p, and the average of p and q, also in place.
+// mcView is where a prediction view lies in a garbage-filled buffer: its
+// rows at stride, with three bytes of garbage after the last row, or,
+// atEnd, none, so the last row ends on the buffer's last byte.
+type mcView struct {
+	stride int
+	atEnd  bool
+}
+
+var mcViews = []mcView{{MBSize, false}, {37, false}, {176, false}, {MBSize, true}, {37, true}, {176, true}}
+
+// place returns a view of p laid out as v.
+func (v mcView) place(p *MBPixels) []byte {
+	buf := make([]byte, 3+15*v.stride+MBSize+3)
+	if v.atEnd {
+		buf = buf[:len(buf)-3]
+	}
+	for i := range buf {
+		buf[i] = garbageMB[(i+101)%len(garbageMB)]
+	}
+	for j := 0; j < MBSize; j++ {
+		copy(buf[3+j*v.stride:][:MBSize], p[j*MBSize:])
+	}
+	return buf[3:]
+}
+
+// mcCaseMismatch runs each kernel with p as a view in every mcViews
+// layout against its Go body on the block itself: reconstruct at two
+// destination strides, residual of q against p, and the average of p and
+// q (q in the next layout), also in place.
 func mcCaseMismatch(k mcKernels, c *mcCase) string {
-	for _, stride := range []int{MBSize, 37} {
-		var got, want [3 + 15*37 + MBSize + 3]byte
-		for i := range got {
-			got[i] = garbageMB[i%len(garbageMB)]
+	for li, v := range mcViews {
+		w := mcViews[(li+1)%len(mcViews)]
+		p, q := v.place(&c.p), w.place(&c.q)
+		for _, stride := range []int{MBSize, 37} {
+			var got, want [3 + 15*37 + MBSize + 3]byte
+			for i := range got {
+				got[i] = garbageMB[i%len(garbageMB)]
+			}
+			want = got
+			k.reconstruct(got[3:], stride, p, v.stride, &c.blocks)
+			reconstructGo(want[3:], stride, c.p[:], MBSize, &c.blocks)
+			if got != want {
+				return fmt.Sprintf("%s: reconstruct at stride %d from %+v %v, Go body %v", c.name, stride, v, got, want)
+			}
 		}
-		want = got
-		k.reconstruct(got[3:], stride, &c.p, &c.blocks)
-		reconstructGo(want[3:], stride, &c.p, &c.blocks)
-		if got != want {
-			return fmt.Sprintf("%s: reconstruct at stride %d %v, Go body %v", c.name, stride, got, want)
+		gotRes := [BlocksPerMB]Block{garbageBlock, garbageBlock, garbageBlock, garbageBlock}
+		var wantRes [BlocksPerMB]Block
+		k.residual(&c.q, p, v.stride, &gotRes)
+		residualGo(&c.q, c.p[:], MBSize, &wantRes)
+		if gotRes != wantRes {
+			return fmt.Sprintf("%s: residual from %+v %v, Go body %v", c.name, v, gotRes, wantRes)
 		}
-	}
-	gotRes := [BlocksPerMB]Block{garbageBlock, garbageBlock, garbageBlock, garbageBlock}
-	var wantRes [BlocksPerMB]Block
-	k.residual(&c.q, &c.p, &gotRes)
-	residualGo(&c.q, &c.p, &wantRes)
-	if gotRes != wantRes {
-		return fmt.Sprintf("%s: residual %v, Go body %v", c.name, gotRes, wantRes)
-	}
-	got, want, gotIn := garbageMB, garbageMB, c.p
-	k.average(&got, &c.p, &c.q)
-	averageGo(&want, &c.p, &c.q)
-	k.average(&gotIn, &gotIn, &c.q)
-	if got != want || gotIn != want {
-		return fmt.Sprintf("%s: average %v (in place %v), Go body %v", c.name, got, gotIn, want)
+		got, want, gotIn := garbageMB, garbageMB, c.p
+		k.average(&got, p, v.stride, q, w.stride)
+		averageGo(&want, c.p[:], MBSize, c.q[:], MBSize)
+		k.average(&gotIn, gotIn[:], MBSize, q, w.stride)
+		if got != want || gotIn != want {
+			return fmt.Sprintf("%s: average from %+v %v (in place %v), Go body %v", c.name, v, got, gotIn, want)
+		}
 	}
 	return ""
+}
+
+// misreading is the Go bodies reading each prediction row j at
+// pred[row(j, pstride)], a faulty model of the strided load.
+func misreading(row func(j, pstride int) int) mcKernels {
+	gather := func(pred []byte, pstride int) []byte {
+		var p MBPixels
+		for j := 0; j < MBSize; j++ {
+			copy(p[j*MBSize:][:MBSize], pred[row(j, pstride):])
+		}
+		return p[:]
+	}
+	return mcKernels{
+		func(dst []byte, stride int, pred []byte, pstride int, blocks *[BlocksPerMB]Block) {
+			reconstructGo(dst, stride, gather(pred, pstride), MBSize, blocks)
+		},
+		func(cur *MBPixels, pred []byte, pstride int, blocks *[BlocksPerMB]Block) {
+			residualGo(cur, gather(pred, pstride), MBSize, blocks)
+		},
+		func(dst *MBPixels, a []byte, astride int, b []byte, bstride int) {
+			averageGo(dst, gather(a, astride), MBSize, gather(b, bstride), MBSize)
+		},
+	}
 }
 
 // mcContract's inputs: the pixels 0, 1, 254 and 255 paired with each
@@ -959,15 +1124,17 @@ func mcContract(tb testing.TB) *contract[mcKernels] {
 		}
 	}
 	wrapping := goMC
-	wrapping.reconstruct = func(dst []byte, stride int, pred *MBPixels, blocks *[BlocksPerMB]Block) {
-		for i := range pred {
-			dst[i/MBSize*stride+i%MBSize] = clampByte(int(int16(int(pred[i]) + int(*resAt(blocks, i)))))
+	wrapping.reconstruct = func(dst []byte, stride int, pred []byte, pstride int, blocks *[BlocksPerMB]Block) {
+		for i := 0; i < MBSize*MBSize; i++ {
+			p := int(pred[i/MBSize*pstride+i%MBSize])
+			dst[i/MBSize*stride+i%MBSize] = clampByte(int(int16(p + int(*resAt(blocks, i)))))
 		}
 	}
 	truncating := goMC
-	truncating.average = func(dst, a, b *MBPixels) {
+	truncating.average = func(dst *MBPixels, a []byte, astride int, b []byte, bstride int) {
 		for i := range dst {
-			dst[i] = byte((int(a[i]) + int(b[i])) >> 1)
+			x, y := i%MBSize, i/MBSize
+			dst[i] = byte((int(a[y*astride+x]) + int(b[y*bstride+x])) >> 1)
 		}
 	}
 	return &contract[mcKernels]{
@@ -975,21 +1142,28 @@ func mcContract(tb testing.TB) *contract[mcKernels] {
 		mismatch: func(k mcKernels, i int) string { return mcCaseMismatch(k, &cases[i]) },
 		kernel:   mcKernels{reconstruct, residual, average},
 		oracle:   goMC,
-		faults:   []fault[mcKernels]{{"a wrapping reconstruct", wrapping}, {"a truncating average", truncating}},
+		faults: []fault[mcKernels]{
+			{"a wrapping reconstruct", wrapping},
+			{"a truncating average", truncating},
+			{"bodies that ignore pstride", misreading(func(j, _ int) int { return j * MBSize })},
+			{"bodies that read row j+8 at +128", misreading(func(j, ps int) int { return j%8*ps + j/8*128 })},
+		},
 	}
 }
 
 func TestMCKernelsMatchGo(t *testing.T) { mcContract(t).holds(t) }
 
-// TestMCParityCatchesFaults covers both MC rows: the MC kernels and the
-// clamped fetch.
+// TestMCParityCatchesFaults covers the three MC rows: the MC kernels, the
+// clamped fetch and the prediction view.
 func TestMCParityCatchesFaults(t *testing.T) {
 	mcContract(t).checkFaults(t)
 	fetchContract().checkFaults(t)
+	predContract().checkFaults(t)
 }
 
-// FuzzMCKernelParity derives an MC case and a 48×32 frame for the fetch
-// from the fuzz bytes.
+// FuzzMCKernelParity derives an MC case and two 48×32 frames for the
+// fetch and the prediction view from the fuzz bytes; the view's mode and
+// half-pel flag come from the first byte, its vectors from x and y.
 func FuzzMCKernelParity(f *testing.F) {
 	f.Add(int8(-3), int8(5), []byte("eclipse mc kernel"))
 	f.Add(int8(0), int8(0), []byte{255, 0x7f, 0xff})
@@ -1007,11 +1181,16 @@ func FuzzMCKernelParity(f *testing.F) {
 		for i := range c.p {
 			*resAt(&c.blocks, i) = int16(binary.LittleEndian.Uint16(res[2*i:]))
 		}
-		ref := NewFrame(48, 32)
+		ref, bwd := NewFrame(48, 32), NewFrame(48, 32)
 		fuzzFill(ref.Pix, data, 0)
+		fuzzFill(bwd.Pix, data, len(ref.Pix))
 		msg := mcCaseMismatch(mcKernels{reconstruct, residual, average}, &c)
 		if msg == "" {
 			msg = fetchMismatch(fetch, &fetchInput{ref, int(x), int(y)})
+		}
+		if msg == "" {
+			in := predInput{ref, bwd, PredMode(data[0] % 5), 16, 16, MV{int16(x), int16(y)}, MV{int16(y), int16(x)}, data[0]&8 != 0}
+			msg = predMismatch(PredictHP, &in)
 		}
 		if msg != "" {
 			t.Fatal(msg)

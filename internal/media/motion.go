@@ -251,29 +251,65 @@ func Predict(pred *MBPixels, mode PredMode, fwd, bwd *Frame, x, y int, fmv, bmv 
 
 // PredictHP is Predict with selectable motion-vector precision: with
 // halfPel set, vector units are half pixels and fractional positions are
-// bilinearly interpolated (the MPEG-2 MC mode).
+// bilinearly interpolated (the MPEG-2 MC mode). It is predView, then a
+// copy of the view unless it already is pred.
 func PredictHP(pred *MBPixels, mode PredMode, fwd, bwd *Frame, x, y int, fmv, bmv MV, halfPel bool) {
-	grab := func(dst *MBPixels, ref *Frame, mv MV) {
-		if halfPel {
-			fetchHalf(dst, ref, 2*x+int(mv.X), 2*y+int(mv.Y))
-		} else {
-			fetch(dst, ref, x+int(mv.X), y+int(mv.Y))
-		}
-	}
+	pix, stride := predView(pred, mode, fwd, bwd, x, y, fmv, bmv, halfPel)
+	copyView(pred, pix, stride)
+}
+
+// predView returns the prediction of PredictHP as a view whose row j
+// starts at pix[j·stride], read in place where it can be: a full-pel
+// block inside the frame is the reference frame's own pixels (stride W)
+// and intra is midGray (stride MBSize). A block that reaches outside
+// the frame or sits at a half-pel position, and the bi-directional
+// average, are written to scratch. The kernels only read a view.
+func predView(scratch *MBPixels, mode PredMode, fwd, bwd *Frame, x, y int, fmv, bmv MV, halfPel bool) (pix []byte, stride int) {
 	switch mode {
 	case PredIntra:
-		*pred = midGray
+		return midGray[:], MBSize
 	case PredFwd:
-		grab(pred, fwd, fmv)
+		return refView(scratch, fwd, x, y, fmv, halfPel)
 	case PredSkip:
-		fetch(pred, fwd, x, y)
+		return refView(scratch, fwd, x, y, MV{}, false)
 	case PredBwd:
-		grab(pred, bwd, bmv)
+		return refView(scratch, bwd, x, y, bmv, halfPel)
 	case PredBi:
 		var b MBPixels
-		grab(pred, fwd, fmv)
-		grab(&b, bwd, bmv)
-		average(pred, pred, &b)
+		fp, fs := refView(scratch, fwd, x, y, fmv, halfPel)
+		bp, bs := refView(&b, bwd, x, y, bmv, halfPel)
+		average(scratch, fp, fs, bp, bs)
+	}
+	return scratch[:], MBSize
+}
+
+// refView is predView for one reference and vector: ref's pixels in
+// place, or an edge-clamped or interpolated copy in scratch.
+func refView(scratch *MBPixels, ref *Frame, x, y int, mv MV, halfPel bool) ([]byte, int) {
+	rx, ry := x+int(mv.X), y+int(mv.Y)
+	if halfPel {
+		hx, hy := 2*x+int(mv.X), 2*y+int(mv.Y)
+		if (hx|hy)&1 != 0 {
+			fetchHalf(scratch, ref, hx, hy)
+			return scratch[:], MBSize
+		}
+		rx, ry = hx>>1, hy>>1
+	}
+	if rx >= 0 && ry >= 0 && rx+MBSize <= ref.W && ry+MBSize <= ref.H {
+		return ref.Pix[ry*ref.W+rx:], ref.W
+	}
+	copyClamped(scratch[:], MBSize, ref, rx, ry)
+	return scratch[:], MBSize
+}
+
+// copyView copies the view whose row j starts at pix[j·stride] into dst,
+// a row as one 16-byte move, unless the view is dst itself.
+func copyView(dst *MBPixels, pix []byte, stride int) {
+	if &pix[0] == &dst[0] {
+		return
+	}
+	for j := 0; j < MBSize; j++ {
+		*(*[MBSize]byte)(dst[j*MBSize:]) = *(*[MBSize]byte)(pix[j*stride:])
 	}
 }
 
@@ -286,10 +322,16 @@ var midGray = func() (m MBPixels) {
 }()
 
 // averageGo is the portable body of average, the bi-predictive kernel:
-// dst = (a+b+1)>>1 per sample. dst may be a or b.
-func averageGo(dst, a, b *MBPixels) {
-	for i := range dst {
-		dst[i] = byte((int(a[i]) + int(b[i]) + 1) >> 1)
+// dst = (a+b+1)>>1 per sample, row j of a at a[j·astride] and of b at
+// b[j·bstride]. dst may be a or b at stride MBSize.
+func averageGo(dst *MBPixels, a []byte, astride int, b []byte, bstride int) {
+	for j := 0; j < MBSize; j++ {
+		ar := a[j*astride : j*astride+MBSize : j*astride+MBSize]
+		br := b[j*bstride : j*bstride+MBSize : j*bstride+MBSize]
+		d := dst[j*MBSize : j*MBSize+MBSize : j*MBSize+MBSize]
+		for i := range d {
+			d[i] = byte((int(ar[i]) + int(br[i]) + 1) >> 1)
+		}
 	}
 }
 
@@ -325,7 +367,7 @@ func fetchHalf(dst *MBPixels, ref *Frame, hx, hy int) {
 	ix, iy := hx>>1, hy>>1
 	fx, fy := hx&1, hy&1
 	if fx == 0 && fy == 0 {
-		fetch(dst, ref, ix, iy)
+		copyClamped(dst[:], MBSize, ref, ix, iy)
 		return
 	}
 	// Interior fast paths: when the (MBSize+1)×(MBSize+1) interpolation
@@ -390,13 +432,8 @@ func fetchHalf(dst *MBPixels, ref *Frame, hx, hy int) {
 
 // fetch copies a 16×16 region at pixel position (x, y) with edge clamping.
 func fetch(dst *MBPixels, ref *Frame, x, y int) {
-	if x >= 0 && y >= 0 && x+MBSize <= ref.W && y+MBSize <= ref.H {
-		for j := 0; j < MBSize; j++ {
-			copy(dst[j*MBSize:(j+1)*MBSize], ref.Pix[(y+j)*ref.W+x:])
-		}
-		return
-	}
-	copyClamped(dst[:], MBSize, ref, x, y)
+	pix, stride := refView(dst, ref, x, y, MV{}, false)
+	copyView(dst, pix, stride)
 }
 
 // copyClamped fills dst with the n×n region of ref at (x, y), edge
@@ -423,24 +460,27 @@ func copyClamped(dst []byte, n int, ref *Frame, x, y int) {
 
 // Residual computes cur − pred into four 8×8 blocks in macroblock block
 // order (top-left, top-right, bottom-left, bottom-right).
-func Residual(cur, pred *MBPixels, blocks *[BlocksPerMB]Block) { residual(cur, pred, blocks) }
+func Residual(cur, pred *MBPixels, blocks *[BlocksPerMB]Block) {
+	residual(cur, pred[:], MBSize, blocks)
+}
 
 // Reconstruct computes clamp(pred + residual) into dst for the four 8×8
 // blocks of a macroblock, the final step of the MC stage. The decoder and
 // the encoder's reference reconstruction loop run its kernel,
 // reconstruct, straight into the frame.
 func Reconstruct(dst, pred *MBPixels, blocks *[BlocksPerMB]Block) {
-	reconstruct(dst[:], MBSize, pred, blocks)
+	reconstruct(dst[:], MBSize, pred[:], MBSize, blocks)
 }
 
-// residualGo is the portable body of residual (see Residual).
-func residualGo(cur, pred *MBPixels, blocks *[BlocksPerMB]Block) {
+// residualGo is the portable body of residual: Residual against a
+// prediction whose row j starts at pred[j·pstride].
+func residualGo(cur *MBPixels, pred []byte, pstride int, blocks *[BlocksPerMB]Block) {
 	for b := 0; b < BlocksPerMB; b++ {
 		bx, by := (b%2)*8, (b/2)*8
 		blk := &blocks[b]
 		for j := 0; j < 8; j++ {
-			p := (by+j)*MBSize + bx
-			cr := cur[p : p+8 : p+8]
+			c, p := (by+j)*MBSize+bx, (by+j)*pstride+bx
+			cr := cur[c : c+8 : c+8]
 			pr := pred[p : p+8 : p+8]
 			br := blk[j*8 : j*8+8 : j*8+8]
 			for i := 0; i < 8; i++ {
@@ -452,13 +492,14 @@ func residualGo(cur, pred *MBPixels, blocks *[BlocksPerMB]Block) {
 
 // reconstructGo is the portable body of reconstruct: Reconstruct into a
 // 16×16 block of dst whose row j starts at dst[j·stride], a macroblock
-// (stride MBSize) or a frame position.
-func reconstructGo(dst []byte, stride int, pred *MBPixels, blocks *[BlocksPerMB]Block) {
+// (stride MBSize) or a frame position, from a prediction view whose row j
+// starts at pred[j·pstride].
+func reconstructGo(dst []byte, stride int, pred []byte, pstride int, blocks *[BlocksPerMB]Block) {
 	for b := 0; b < BlocksPerMB; b++ {
 		bx, by := (b%2)*8, (b/2)*8
 		blk := &blocks[b]
 		for j := 0; j < 8; j++ {
-			p := (by+j)*MBSize + bx
+			p := (by+j)*pstride + bx
 			d := (by+j)*stride + bx
 			pr := pred[p : p+8 : p+8]
 			dr := dst[d : d+8 : d+8]

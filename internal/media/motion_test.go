@@ -99,7 +99,8 @@ func TestMotionSearchZeroBiasOnTies(t *testing.T) {
 // (DecideMB); the exported SAD's clamped block; and the MC kernels'
 // operands — Reconstruct, Residual, a full-pel bi-predictive PredictHP at
 // a border macroblock (its second reference block) and a forward one whose
-// vector points outside the frame (the clamped fetch).
+// vector points outside the frame (the clamped fetch); and predView's
+// scratch, for a view read in place and a half-pel bi-directional one.
 func TestMotionKernelsDoNotAllocate(t *testing.T) {
 	cur, ref, bwd := randomFrame(176, 144, 13), randomFrame(176, 144, 14), randomFrame(176, 144, 15)
 	var cases []allocCase
@@ -150,6 +151,16 @@ func TestMotionKernelsDoNotAllocate(t *testing.T) {
 			var pred MBPixels
 			PredictHP(&pred, PredFwd, ref, bwd, 0, 8*MBSize, MV{-20, 9}, MV{}, false)
 			benchSink += int(pred[0])
+		}},
+		{"predView fwd in place", func() {
+			var scratch MBPixels
+			pix, stride := predView(&scratch, PredFwd, ref, bwd, 5*MBSize, 4*MBSize, MV{3, -2}, MV{}, false)
+			benchSink += int(pix[15*stride+15])
+		}},
+		{"predView bi with half-pel at a border macroblock", func() {
+			var scratch MBPixels
+			pix, stride := predView(&scratch, PredBi, ref, bwd, 0, 8*MBSize, MV{-3, 2}, MV{4, 5}, true)
+			benchSink += int(pix[15*stride+15])
 		}},
 	}...))
 }

@@ -70,8 +70,8 @@ func DecideMB(mb *MBPixels, ftype FrameType, x, y int, fwdRef, bwdRef *Frame, se
 		best, mode = b.SAD, PredBwd
 	}
 	var bi MBPixels
-	PredictHP(&bi, PredBi, fwdRef, bwdRef, x, y, f.MV, b.MV, halfPel)
-	if biSAD := sadRows(mb, bi[:], MBSize, best); biSAD < best {
+	pix, ps := predView(&bi, PredBi, fwdRef, bwdRef, x, y, f.MV, b.MV, halfPel)
+	if biSAD := sadRows(mb, pix, ps, best); biSAD < best {
 		best, mode = biSAD, PredBi
 	}
 	if best > act {
