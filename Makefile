@@ -45,7 +45,8 @@
 #                    the fused-parse/two-pass (VLD then RLSQ) parity fuzzer,
 #                    the batch/streaming decode-parity fuzzer,
 #                    the GOP-index/decoder agreement fuzzer,
-#                    the motion-search/raster-reference parity fuzzer,
+#                    the motion-search/raster-reference parity fuzzer
+#                    (on the frame and on the encoder's padded plane),
 #                    the PSADBW/SWAR SAD-kernel parity fuzzer and its
 #                    eight-candidate (search grid) counterpart over each
 #                    body the host runs (SSE2, and AVX2 where present),

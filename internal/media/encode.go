@@ -37,7 +37,8 @@ type Encoder struct {
 	cfg   CodecConfig
 	seq   SeqHeader
 	w     *BitWriter
-	refs  RefChain
+	refs  RefChain // reference planes (see encodeFrame)
+	pad   int      // border of the reference planes
 	stats EncodeStats
 }
 
@@ -60,9 +61,24 @@ func Encode(cfg CodecConfig, frames []*Frame) ([]byte, []*Frame, *EncodeStats, e
 
 	types := GOPTypes(len(frames), cfg.GOPN, cfg.GOPM)
 	recon := make([]*Frame, len(frames))
+	// I and P frames reconstruct into the reference plane they drop, as
+	// in a StreamEncoder; B frames share one plane of their own.
+	var bPlane *Frame
 	for _, di := range CodedOrder(types) {
+		plane := e.refs.A
+		if types[di] == FrameB {
+			if bPlane == nil {
+				bPlane = e.newPlane(NewFrame)
+			}
+			plane = bPlane
+		} else if plane == nil {
+			plane = e.newPlane(NewFrame)
+		}
+		e.encodeFrame(frames[di], types[di], di, plane)
 		recon[di] = NewFrame(cfg.W, cfg.H)
-		e.encodeFrame(frames[di], types[di], di, recon[di])
+		for y := 0; y < cfg.H; y++ {
+			copy(recon[di].Pix[y*cfg.W:(y+1)*cfg.W], plane.Pix[(y+e.pad)*plane.W+e.pad:])
+		}
 	}
 	return e.w.Bytes(), recon, &e.stats, nil
 }
@@ -74,7 +90,7 @@ func Encode(cfg CodecConfig, frames []*Frame) ([]byte, []*Frame, *EncodeStats, e
 // display 0 writes the sequence header, later spans stay headerless so
 // StitchSegments can splice them behind it.
 func newEncoder(cfg CodecConfig, frames, lo, hi, outBytes int) *Encoder {
-	e := &Encoder{cfg: cfg, w: &BitWriter{buf: make([]byte, 0, outBytes)}, seq: SeqHeader{
+	e := &Encoder{cfg: cfg, w: &BitWriter{buf: make([]byte, 0, outBytes)}, pad: refPad(cfg.SearchRange), seq: SeqHeader{
 		MBCols: cfg.W / MBSize, MBRows: cfg.H / MBSize,
 		Q: cfg.Q, GOPN: cfg.GOPN, GOPM: cfg.GOPM, Frames: frames,
 		HalfPel: cfg.HalfPel,
@@ -86,12 +102,50 @@ func newEncoder(cfg CodecConfig, frames, lo, hi, outBytes int) *Encoder {
 	return e
 }
 
+// refPad is the border of the encoder's reference planes: the search
+// radius r rounded up to a multiple of MBSize, so a plane's dimensions
+// stay multiples of MBSize and every search window of radius r lies
+// inside it.
+func refPad(r int) int { return (r + MBSize - 1) / MBSize * MBSize }
+
+// newPlane allocates a reference plane with alloc.
+func (e *Encoder) newPlane(alloc func(w, h int) *Frame) *Frame {
+	return alloc(e.cfg.W+2*e.pad, e.cfg.H+2*e.pad)
+}
+
+// extendEdges fills the p-pixel border of a reference plane from the
+// picture inside it: each border pixel repeats the picture pixel nearest
+// to it, so f.At(x+p, y+p) is the picture's At(x, y) at every x and y.
+func extendEdges(f *Frame, p int) {
+	w := f.W
+	for y := p; y < f.H-p; y++ {
+		row := f.Pix[y*w : (y+1)*w]
+		l, r := row[p], row[w-p-1]
+		for i := 0; i < p; i++ {
+			row[i], row[w-1-i] = l, r
+		}
+	}
+	top, bot := f.Pix[p*w:(p+1)*w], f.Pix[(f.H-p-1)*w:(f.H-p)*w]
+	for y := 0; y < p; y++ {
+		copy(f.Pix[y*w:(y+1)*w], top)
+		copy(f.Pix[(f.H-1-y)*w:(f.H-y)*w], bot)
+	}
+}
+
 // encodeFrame codes one frame, reconstructs it into recon unless recon
 // is nil (which only a B frame may pass), and advances the reference
 // chain. It is one raster pass: each macroblock is analysed (mode
 // decision, motion search, transform, quantization, local
 // reconstruction) and its syntax written straight after, with the
 // motion-vector predictor restarting per row.
+//
+// recon and the references are reference planes: (W+2p)×(H+2p) frames,
+// p = e.pad, holding the picture at (p, p) and its replicated edges
+// around it, filled once per I or P frame by extendEdges. Clamping to a
+// plane lands on the pixel that clamping to the picture does, so the
+// search and the prediction read the plane at (x+p, y+p) and give the
+// picture's results for every vector; with r ≤ p every search window
+// lies inside the plane and is read in place.
 func (e *Encoder) encodeFrame(cur *Frame, ftype FrameType, tref int, recon *Frame) {
 	startBits := e.w.BitLen()
 	fs := FrameStats{Type: ftype, TRef: tref}
@@ -101,7 +155,7 @@ func (e *Encoder) encodeFrame(cur *Frame, ftype FrameType, tref int, recon *Fram
 	for mby := 0; mby < e.seq.MBRows; mby++ {
 		mvp.RowStart()
 		for mbx := 0; mbx < e.seq.MBCols; mbx++ {
-			x, y := mbx*MBSize, mby*MBSize
+			x, y := mbx*MBSize+e.pad, mby*MBSize+e.pad // in the planes
 			var mb MBPixels
 			cur.GetMB(mbx, mby, &mb)
 
@@ -140,6 +194,9 @@ func (e *Encoder) encodeFrame(cur *Frame, ftype FrameType, tref int, recon *Fram
 
 			EncodeMBSyntax(e.w, ftype, dec, &mvp, cbp, &qzz)
 		}
+	}
+	if ftype != FrameB {
+		extendEdges(recon, e.pad)
 	}
 	fs.Bits = e.w.BitLen() - startBits
 	e.stats.Frames = append(e.stats.Frames, fs)

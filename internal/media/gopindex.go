@@ -87,12 +87,11 @@ func IndexGOPs(stream []byte, onFrame func(coded int) error) (*GOPIndex, error) 
 	if err != nil {
 		return nil, err
 	}
-	ix := &GOPIndex{
-		Seq:      seq,
-		frameBit: make([]int, seq.Frames),
-		deps:     make([]frameDep, seq.Frames),
-	}
-	seen := make([]bool, seq.Frames)
+	// A frame header is 34 bits: a forged frame count sizes nothing but
+	// the bitset of display indices seen, at most 8 KiB.
+	n := min(seq.Frames, len(stream)/4)
+	ix := &GOPIndex{Seq: seq, frameBit: make([]int, 0, n), deps: make([]frameDep, 0, n)}
+	seen := make([]uint64, (seq.Frames+63)/64)
 	refA, refB := -1, -1 // reference chain over display indices
 	var mvp MVPredictor
 	var tok TokenMB // arena reused across every macroblock of the scan
@@ -102,7 +101,7 @@ func IndexGOPs(stream []byte, onFrame func(coded int) error) (*GOPIndex, error) 
 				return nil, err
 			}
 		}
-		ix.frameBit[fi] = r.BitPos()
+		ix.frameBit = append(ix.frameBit, r.BitPos())
 		hdr, err := ParseFrameHdr(r)
 		if err != nil {
 			return nil, fmt.Errorf("frame %d: %w", fi, err)
@@ -130,10 +129,10 @@ func IndexGOPs(stream []byte, onFrame func(coded int) error) (*GOPIndex, error) 
 		if di >= seq.Frames {
 			return nil, fmt.Errorf("frame %d: %w: display index %d out of range [0,%d)", fi, ErrBitstream, di, seq.Frames)
 		}
-		if seen[di] {
+		if seen[di/64]&(1<<(di%64)) != 0 {
 			return nil, fmt.Errorf("frame %d: %w: duplicate display index %d", fi, ErrBitstream, di)
 		}
-		seen[di] = true
+		seen[di/64] |= 1 << (di % 64)
 		d := frameDep{tref: di, fwd: -1, bwd: -1}
 		switch hdr.Type {
 		case FrameP:
@@ -141,7 +140,7 @@ func IndexGOPs(stream []byte, onFrame func(coded int) error) (*GOPIndex, error) 
 		case FrameB:
 			d.fwd, d.bwd = refA, refB
 		}
-		ix.deps[fi] = d
+		ix.deps = append(ix.deps, d)
 		if hdr.Type != FrameB {
 			refA, refB = refB, di
 		}

@@ -23,7 +23,7 @@ import (
 // kernelFunc is the type set of the contracts' kernels.
 type kernelFunc interface {
 	sadKernel | sad8Kernel | sadFrameKernel | activityKernel | searchFunc |
-		fetchKernel | predFunc | mcKernels | transforms | dctKernel | rlsqKernel | quantKernel |
+		fetchKernel | predFunc | padModel | mcKernels | transforms | dctKernel | rlsqKernel | quantKernel |
 		dequantKernel | vleKernel | vldKernel | mbParseKernel
 }
 
@@ -763,7 +763,9 @@ func TestMotionSearchMatchesRasterSearch(t *testing.T) {
 func TestSearchParityHarnessCatchesFaults(t *testing.T) { searchContract().checkFaults(t) }
 
 // FuzzMotionSearchParity derives frames, a macroblock and a radius from
-// the fuzz bytes; the mode byte coarsens the pixels to reach ties.
+// the fuzz bytes; the mode byte coarsens the pixels to reach ties. The
+// search runs on the reference frame and again on its padded plane, the
+// encoder's, at the shifted position; both must give the raster result.
 func FuzzMotionSearchParity(f *testing.F) {
 	f.Add(uint8(7), uint8(0), uint8(5), uint8(0), []byte("eclipse motion search"))
 	f.Add(uint8(63), uint8(1), uint8(0), uint8(1), []byte{0, 1, 1, 0, 1, 0, 0, 0, 1})
@@ -793,6 +795,10 @@ func FuzzMotionSearchParity(f *testing.F) {
 		in := newSearchInput("fuzz", cur, ref, mbx, mby, int(r)%(maxSearchRange+1))
 		if msg := searchMismatch(MotionSearch, &in); msg != "" {
 			t.Fatal(msg)
+		}
+		p := refPad(in.r)
+		if got := MotionSearch(&in.mb, shippedPad.plane(ref, p), in.x+p, in.y+p, in.r); got != in.want {
+			t.Fatalf("%s r=%d on the reference plane: got %+v, raster search %+v", in.name, in.r, got, in.want)
 		}
 	})
 }
@@ -964,6 +970,227 @@ func predContract() *contract[predFunc] {
 }
 
 func TestPredViewMatchesCopyPath(t *testing.T) { predContract().holds(t) }
+
+// padModel is one model of the encoder's reference planes: the border p
+// for a search radius, and the fill of a plane's p-pixel border from the
+// picture inside it.
+type padModel struct {
+	pad    func(r int) int
+	extend func(f *Frame, p int)
+}
+
+// shippedPad is the encoder's model.
+var shippedPad = padModel{refPad, extendEdges}
+
+// plane returns pic at (p, p) in a zeroed (W+2p)×(H+2p) frame, its border
+// filled by m.
+func (m padModel) plane(pic *Frame, p int) *Frame {
+	f := NewFrame(pic.W+2*p, pic.H+2*p)
+	for y := 0; y < pic.H; y++ {
+		copy(f.Pix[(y+p)*f.W+p:], pic.Pix[y*pic.W:(y+1)*pic.W])
+	}
+	m.extend(f, p)
+	return f
+}
+
+// padAt is the oracle: the least multiple of MBSize not below r, and
+// every border pixel read through Frame.At of the picture inside.
+var padAt = padModel{
+	pad: func(r int) int {
+		p := 0
+		for p < r {
+			p += MBSize
+		}
+		return p
+	},
+	extend: func(f *Frame, p int) {
+		pic := NewFrame(f.W-2*p, f.H-2*p)
+		for y := 0; y < pic.H; y++ {
+			copy(pic.Pix[y*pic.W:(y+1)*pic.W], f.Pix[(y+p)*f.W+p:])
+		}
+		for y := 0; y < f.H; y++ {
+			for x := 0; x < f.W; x++ {
+				f.Pix[y*f.W+x] = pic.At(x-p, y-p)
+			}
+		}
+	},
+}
+
+// extendModel is extendEdges written out again with two faults: corners
+// leaves the border's four corner squares unfilled, swap fills the left
+// border from the right edge and the right border from the left.
+func extendModel(corners, swap bool) func(f *Frame, p int) {
+	return func(f *Frame, p int) {
+		w, h := f.W, f.H
+		for y := p; y < h-p; y++ {
+			l, r := f.Pix[y*w+p], f.Pix[y*w+w-p-1]
+			if swap {
+				l, r = r, l
+			}
+			for i := 0; i < p; i++ {
+				f.Pix[y*w+i], f.Pix[y*w+w-1-i] = l, r
+			}
+		}
+		lo, hi := 0, w
+		if corners {
+			lo, hi = p, w-p
+		}
+		for y := 0; y < p; y++ {
+			copy(f.Pix[y*w+lo:y*w+hi], f.Pix[p*w+lo:])
+			copy(f.Pix[(h-1-y)*w+lo:(h-1-y)*w+hi], f.Pix[(h-p-1)*w+lo:])
+		}
+	}
+}
+
+// padInput is a picture and its border (an extend input), or, with cur
+// set, the search of one macroblock of cur in the picture at radius r
+// with half-pel refinement on or off, and the plain frame's results.
+type padInput struct {
+	pic          *Frame
+	p            int
+	cur          *Frame
+	mbx, mby, r  int
+	halfPel      bool
+	want, wantHP SearchResult // MotionSearch's and RefineHalfPel's
+	plain        []MBPixels   // padPredict's
+}
+
+// refined is RefineHalfPel from a search's result.
+func refined(cur *MBPixels, ref *Frame, x, y int, res SearchResult) SearchResult {
+	mv, sad, ops := RefineHalfPel(cur, ref, x, y, res.MV, res.SAD)
+	return SearchResult{mv, sad, ops}
+}
+
+// padVectors are the prediction vectors of a search input: the search's
+// own, and each combination of a block wholly left of or right of the
+// plane, at the macroblock, and wholly above or below it — past any pad
+// of at most 64 — in half-pel units with both half offsets when halfPel.
+func padVectors(in *padInput, mv MV) []MV {
+	x, y := in.mbx*MBSize, in.mby*MBSize
+	xs := []int{-x - 100, 0, in.pic.W - x + 70}
+	ys := []int{-y - 100, 0, in.pic.H - y + 70}
+	vs := []MV{mv}
+	for _, dy := range ys {
+		for _, dx := range xs {
+			v := MV{int16(dx), int16(dy)}
+			if in.halfPel {
+				v = MV{int16(2*dx + 1), int16(2*dy + 1)}
+			}
+			vs = append(vs, v)
+		}
+	}
+	return vs
+}
+
+// padPredict runs PredictHP — predView and then a copy of its view — on
+// ref at (x, y) for each vector: forward, and bi-directional against the
+// first vector (the search's).
+func padPredict(ref *Frame, x, y int, vs []MV, halfPel bool) []MBPixels {
+	out := make([]MBPixels, 0, 2*len(vs))
+	for _, v := range vs {
+		for _, mode := range []PredMode{PredFwd, PredBi} {
+			pred := garbageMB
+			PredictHP(&pred, mode, ref, ref, x, y, v, vs[0], halfPel)
+			out = append(out, pred)
+		}
+	}
+	return out
+}
+
+func padMismatch(m padModel, in *padInput) string {
+	if in.cur == nil {
+		f := m.plane(in.pic, in.p)
+		for y := 0; y < f.H; y++ {
+			for x := 0; x < f.W; x++ {
+				if got, want := f.Pix[y*f.W+x], in.pic.At(x-in.p, y-in.p); got != want {
+					return fmt.Sprintf("%dx%d picture, border %d: plane (%d,%d) is %d, At %d", in.pic.W, in.pic.H, in.p, x, y, got, want)
+				}
+			}
+		}
+		return ""
+	}
+	p := m.pad(in.r)
+	f := m.plane(in.pic, p)
+	name := fmt.Sprintf("%dx%d mb (%d,%d) r=%d half-pel %v, border %d", in.pic.W, in.pic.H, in.mbx, in.mby, in.r, in.halfPel, p)
+	x, y, n := in.mbx*MBSize+p, in.mby*MBSize+p, MBSize+2*in.r
+	if x-in.r < 0 || y-in.r < 0 || x-in.r+n > f.W || y-in.r+n > f.H {
+		return name + ": the search window reaches outside the plane"
+	}
+	var mb MBPixels
+	in.cur.GetMB(in.mbx, in.mby, &mb)
+	if got := MotionSearch(&mb, f, x, y, in.r); got != in.want {
+		return fmt.Sprintf("%s: search %+v on the plane, %+v on the picture", name, got, in.want)
+	}
+	mv := in.want.MV
+	if in.halfPel {
+		if got := refined(&mb, f, x, y, in.want); got != in.wantHP {
+			return fmt.Sprintf("%s: half-pel refinement %+v on the plane, %+v on the picture", name, got, in.wantHP)
+		}
+		mv = in.wantHP.MV
+	}
+	preds := padPredict(f, x, y, padVectors(in, mv), in.halfPel)
+	for i := range preds {
+		if preds[i] != in.plain[i] {
+			return fmt.Sprintf("%s: prediction %d (vector %v) %v on the plane, %v on the picture",
+				name, i, padVectors(in, mv)[i/2], preds[i], in.plain[i])
+		}
+	}
+	return ""
+}
+
+// padContract holds the encoder's reference planes to the pictures they
+// pad. extendEdges fills a random 16×16, 48×32 and QCIF picture's border
+// as Frame.At reads it, at p 0, 16 and 64. On the padded reference at
+// (x+p, y+p), MotionSearch, RefineHalfPel and predView (through
+// PredictHP) give what they give on the picture at (x, y), for every
+// macroblock of a shifted-copy pair of those sizes (the true match of a
+// border macroblock points outside the picture) at r 0, 1, 7, 8, 15, 16,
+// 17 and 63, half-pel off and on, with prediction vectors past the pad;
+// and every search window lies inside the plane, so the search reads it
+// in place.
+var padContract = sync.OnceValue(func() *contract[padModel] {
+	var ins []padInput
+	for si, sz := range [][2]int{{16, 16}, {48, 32}, {176, 144}} {
+		for _, p := range []int{0, 16, 64} {
+			ins = append(ins, padInput{pic: randomFrame(sz[0], sz[1], int64(50+si)), p: p})
+		}
+		pair := searchParityFrames(sz[0], sz[1], int64(60+si))
+		cur, ref := pair[len(pair)-1].cur, pair[len(pair)-1].ref
+		for _, r := range []int{0, 1, 7, 8, 15, 16, 17, maxSearchRange} {
+			for _, halfPel := range []bool{false, true} {
+				for mby := 0; mby < cur.MBRows(); mby++ {
+					for mbx := 0; mbx < cur.MBCols(); mbx++ {
+						in := padInput{pic: ref, cur: cur, mbx: mbx, mby: mby, r: r, halfPel: halfPel}
+						x, y := mbx*MBSize, mby*MBSize
+						var mb MBPixels
+						cur.GetMB(mbx, mby, &mb)
+						in.want = MotionSearch(&mb, ref, x, y, r)
+						mv := in.want.MV
+						if halfPel {
+							in.wantHP = refined(&mb, ref, x, y, in.want)
+							mv = in.wantHP.MV
+						}
+						in.plain = padPredict(ref, x, y, padVectors(&in, mv), halfPel)
+						ins = append(ins, in)
+					}
+				}
+			}
+		}
+	}
+	return &contract[padModel]{
+		n:        len(ins),
+		mismatch: func(m padModel, i int) string { return padMismatch(m, &ins[i]) },
+		kernel:   shippedPad,
+		oracle:   padAt,
+		faults: []fault[padModel]{
+			{"corners left unfilled", padModel{refPad, extendModel(true, false)}},
+			{"a pad one macroblock short of r", padModel{func(r int) int { return max(refPad(r)-MBSize, 0) }, extendEdges}},
+			{"left and right edges swapped", padModel{refPad, extendModel(false, true)}},
+		},
+	}
+})
+
+func TestPaddedReferencesMatchPictures(t *testing.T) { padContract().verify(t) }
 
 // mcKernels is one model of the MC kernels.
 type mcKernels struct {

@@ -182,7 +182,11 @@ func MotionSearch(cur *MBPixels, ref *Frame, x, y, r int) SearchResult {
 
 // searchClamped searches an edge-clamped copy of a window that reaches
 // outside the frame. It is a function of its own so that the 20 164-byte
-// copy is zeroed and kept on the stack only for border macroblocks.
+// copy is zeroed and kept on the stack only for border macroblocks. The
+// encoder never comes here: its reference planes carry a border of at
+// least r (encodeFrame). Only callers that search an unpadded frame do,
+// the copro encode model and direct MotionSearch callers such as the
+// benchmark rig's media.k_msearch_ns kernel timing.
 //
 //go:noinline
 func searchClamped(cur *MBPixels, ref *Frame, wx, wy, r int) SearchResult {

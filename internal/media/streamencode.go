@@ -24,7 +24,9 @@ type StreamEncoder struct {
 	Recycle func(*Frame)
 	// NewFrame, when non-nil, allocates the two reconstruction frames in
 	// place of the package's NewFrame; CloseRaw and Abort then hand them
-	// to Recycle.
+	// to Recycle. They are reference planes, larger than the source
+	// frames: (W+2p)×(H+2p), p the search range rounded up to a multiple
+	// of MBSize (16 at the default range, 0 at range 0).
 	NewFrame func(w, h int) *Frame
 
 	enc    *Encoder
@@ -141,9 +143,9 @@ func (e *StreamEncoder) Push(f *Frame) error {
 		if e.types[di] == FrameB {
 			recon = nil
 		} else if recon == nil && e.NewFrame != nil {
-			recon = e.NewFrame(e.enc.cfg.W, e.enc.cfg.H)
+			recon = e.enc.newPlane(e.NewFrame)
 		} else if recon == nil {
-			recon = NewFrame(e.enc.cfg.W, e.enc.cfg.H)
+			recon = e.enc.newPlane(NewFrame)
 		}
 		e.enc.encodeFrame(src, e.types[di], di, recon)
 		e.coded++
