@@ -20,13 +20,15 @@
 #                segment-parallel, two-tenant, unit/gate (task group and
 #                span units), job accounting before Done, transcode,
 #                concurrent stream-encoder, both
-#                cache tiers' LRU tests and the gateway's attempt-loop
+#                cache tiers' LRU tests, the flight table's storm test
+#                (internal/flight) and the gateway's attempt-loop
 #                tests (retry, pushback, mid-stream, timeout, stalled
 #                primary, storm) again at GOMAXPROCS=4 (real parallelism
 #                for parked sibling units, for a transcode's span units
 #                on two workers, for two tenants' jobs on two workers, for
-#                encoders running side by side, for the single-lock cache
-#                and for the proxy's attempt loop), and the pooled
+#                encoders running side by side, for the single-lock cache,
+#                for leaders and followers on one flight and for the
+#                proxy's attempt loop), and the pooled
 #                request-body reuse tests and the span-unit tests ten
 #                times at GOMAXPROCS=4 (two tenants' bodies returned to
 #                the pool while other jobs, a cancelled transcode and a
@@ -102,7 +104,7 @@ test:
 race:
 	$(GO) test -race ./...
 	GOMAXPROCS=4 $(GO) test -race -run 'Segment|TwoTenant|TaskGroup|SpanUnits|DoneAfterAccounting|Transcode|StreamEncoder|LRU|L1|Cache|Retry|Pushback|MidStream|Timeout|Stalled|Storm' \
-		./internal/media ./internal/serve ./internal/slab ./internal/cluster
+		./internal/media ./internal/serve ./internal/slab ./internal/cluster ./internal/flight
 	GOMAXPROCS=4 $(GO) test -race -count=10 -run 'RequestBodyReuse|GatewayBodyLifetime|SpanUnits' ./internal/serve ./internal/cluster
 
 fuzz-smoke:

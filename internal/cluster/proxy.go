@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"eclipse/internal/flight"
 	"eclipse/internal/serve"
 	"eclipse/internal/slab"
 )
@@ -234,7 +235,7 @@ func (g *Gateway) handleMedia(kind serve.Kind) http.HandlerFunc {
 // doUnshared runs do for a request that publishes no flight.
 func (g *Gateway) doUnshared(ctx context.Context, w http.ResponseWriter, r *http.Request,
 	kind serve.Kind, key serve.CacheKey, body *reqBody, deadline time.Time) {
-	if dr := g.do(ctx, w, r, kind, key, body, deadline, g.l1 != nil); dr.res != nil {
+	if dr, _ := g.do(ctx, w, r, kind, key, body, deadline, g.l1 != nil); dr.res != nil {
 		g.bufs.Put(dr.res.body)
 	}
 }
@@ -260,96 +261,51 @@ func (g *Gateway) serveL1(ctx context.Context, w http.ResponseWriter, r *http.Re
 	}
 
 	start := time.Now()
-	collapsed := false // parked on another request's flight at least once
-attempt:
-	for {
-		if e, ok := g.l1.Get(key); ok {
-			xc := XCacheL1Hit
-			if collapsed {
-				g.met.L1Collapsed.Add(1)
-				xc = XCacheL1Collapsed
-			} else {
-				g.met.L1Hits.Add(1)
-			}
-			g.serveL1Entry(w, kind, e, xc)
-			g.l1.Release(e)
-			g.met.L1HitLat.Observe(time.Since(start))
-			return
-		}
-		if !collapsed {
+	var e *l1Entry
+	first := true // one miss per request, however often it looks
+	lookup := func() (ok bool) {
+		e, ok = g.l1.Get(key)
+		if !ok && first {
 			g.met.L1Misses.Add(1)
 		}
-
-		f, leader := g.l1.flights.Join(key)
-		for !leader {
-			select {
-			case <-f.Done():
-				switch got := f.Result(); got.outcome {
-				case flightFilled:
-					// The key is resident now; serve it under our own
-					// entry reference.
-					collapsed = true
-					continue attempt
-				case flightShared:
-					g.met.L1Collapsed.Add(1)
-					if got.res != nil {
-						g.writeResponse(w, kind, key, got.res, false, XCacheL1Collapsed)
-					} else {
-						g.writeError(w, kind, got.gwStatus, got.gwMsg)
-					}
-					return
-				default:
-					// flightSolo: the leader's outcome was tied to its own
-					// connection (over-cap stream, mid-stream 502). Proxy
-					// independently.
-					pstart := time.Now()
-					g.doUnshared(ctx, w, r, kind, key, body, deadline)
-					g.met.Latency[kind].Observe(time.Since(pstart))
-					return
-				}
-			case <-f.Promoted():
-				g.l1.flights.Claim(f)
-				leader = true
-			case <-ctx.Done():
-				g.l1.flights.Leave(key, f)
-				g.budgetDone(ctx, w, kind)
-				return
-			}
-		}
-
-		// Leader. Re-check the cache first: a previous flight may have
-		// filled the key between our lookup and join, and a promoted
-		// leader inherits that window too. This recheck is what makes
-		// "32 identical requests, one backend round-trip" airtight.
-		if e, ok := g.l1.Get(key); ok {
-			g.l1.flights.Complete(key, f, doResult{outcome: flightFilled})
-			g.met.L1Hits.Add(1)
-			g.serveL1Entry(w, kind, e, XCacheL1Hit)
-			g.l1.Release(e)
-			g.met.L1HitLat.Observe(time.Since(start))
-			return
-		}
-
-		finished := false
-		defer func() {
-			// Panic safety: a leader that unwinds without completing
-			// abdicates so followers are promoted, never stranded.
-			if !finished {
-				g.l1.flights.Abdicate(key, f)
-			}
-		}()
+		first = false
+		return ok
+	}
+	dr, role, err := g.l1.flights.Do(ctx, key, lookup, func() (doResult, flight.Verdict) {
 		pstart := time.Now()
-		dr := g.do(ctx, w, r, kind, key, body, deadline, true)
+		dr, v := g.do(ctx, w, r, kind, key, body, deadline, true)
 		g.met.Latency[kind].Observe(time.Since(pstart))
-		finished = true
-		if dr.leaderSpec {
-			// Our budget died or our client hung up — the key is fine.
-			// Hand leadership to a parked follower.
-			g.l1.flights.Abdicate(key, f)
+		return dr, v
+	})
+	switch role {
+	case flight.Hit, flight.HitAfterWait:
+		xc := XCacheL1Hit
+		if role == flight.HitAfterWait {
+			g.met.L1Collapsed.Add(1)
+			xc = XCacheL1Collapsed
 		} else {
-			g.l1.flights.Complete(key, f, dr)
+			g.met.L1Hits.Add(1)
 		}
-		return
+		g.serveL1Entry(w, kind, e, xc)
+		g.l1.Release(e)
+		g.met.L1HitLat.Observe(time.Since(start))
+	case flight.Followed:
+		switch {
+		case err != nil:
+			g.budgetDone(ctx, w, kind)
+		case dr.res != nil:
+			g.met.L1Collapsed.Add(1)
+			g.writeResponse(w, kind, key, dr.res, false, XCacheL1Collapsed)
+		case dr.gwStatus != 0:
+			g.met.L1Collapsed.Add(1)
+			g.writeError(w, kind, dr.gwStatus, dr.gwMsg)
+		default:
+			// The leader's outcome was tied to its own connection
+			// (over-cap stream, mid-stream 502). Proxy independently.
+			pstart := time.Now()
+			g.doUnshared(ctx, w, r, kind, key, body, deadline)
+			g.met.Latency[kind].Observe(time.Since(pstart))
+		}
 	}
 }
 
@@ -371,12 +327,13 @@ func (g *Gateway) serveL1Entry(w http.ResponseWriter, kind serve.Kind, e *l1Entr
 
 // do runs the attempts for one request, one at a time, writes the
 // response, and reports how the exchange ended for the flight table.
-// fill allows a 200 body to be copied into the L1. do returns an upstream body to g.bufs after the write, but a flightShared
-// one to its caller: a leader's followers relay it (it is left to the GC,
-// as one dropped on a retry or while unwinding is); doUnshared puts it.
+// fill allows a 200 body to be copied into the L1. do returns an
+// upstream body to g.bufs after the write, but a published one to its
+// caller: a leader's followers relay it (it is left to the GC, as one
+// dropped on a retry or while unwinding is); doUnshared puts it.
 func (g *Gateway) do(ctx context.Context, w http.ResponseWriter, r *http.Request,
 	kind serve.Kind, key serve.CacheKey, body *reqBody, deadline time.Time,
-	fill bool) doResult {
+	fill bool) (doResult, flight.Verdict) {
 
 	order := g.ring.order(key)
 	if len(order) == 0 {
@@ -384,7 +341,7 @@ func (g *Gateway) do(ctx context.Context, w http.ResponseWriter, r *http.Request
 		msg := "cluster: no routable backend"
 		w.Header().Set("Retry-After", "1")
 		g.writeError(w, kind, http.StatusServiceUnavailable, msg)
-		return doResult{outcome: flightShared, gwStatus: http.StatusServiceUnavailable, gwMsg: msg}
+		return doResult{gwStatus: http.StatusServiceUnavailable, gwMsg: msg}, flight.Publish
 	}
 
 	var lastPush *attemptResp
@@ -414,19 +371,19 @@ func (g *Gateway) do(ctx context.Context, w http.ResponseWriter, r *http.Request
 			switch {
 			case res.stream != nil:
 				g.bufs.Put(res.body)
-				return doResult{outcome: flightSolo}
+				return doResult{}, flight.Publish
 			case filled:
 				g.bufs.Put(res.body) // the L1 holds its own copy
-				return doResult{outcome: flightFilled}
+				return doResult{}, flight.Resident
 			default:
-				return doResult{outcome: flightShared, res: res}
+				return doResult{res: res}, flight.Publish
 			}
 
 		case classMidStream:
 			g.met.MidStream.Add(1)
 			g.writeError(w, kind, http.StatusBadGateway,
 				"cluster: upstream failed mid-response: "+res.err.Error())
-			return doResult{outcome: flightSolo}
+			return doResult{}, flight.Publish
 
 		case classPushback, classTransport:
 			if res.class == classPushback {
@@ -442,11 +399,11 @@ func (g *Gateway) do(ctx context.Context, w http.ResponseWriter, r *http.Request
 				// EWMA Retry-After — crosses the gateway verbatim.
 				g.met.Passthrough.Add(1)
 				g.writeResponse(w, kind, key, lastPush, false, "")
-				return doResult{outcome: flightShared, res: lastPush}
+				return doResult{res: lastPush}, flight.Publish
 			}
 			msg := "cluster: all upstream attempts failed: " + lastErr.Error()
 			g.writeError(w, kind, http.StatusBadGateway, msg)
-			return doResult{outcome: flightShared, gwStatus: http.StatusBadGateway, gwMsg: msg}
+			return doResult{gwStatus: http.StatusBadGateway, gwMsg: msg}, flight.Publish
 		}
 	}
 }
@@ -473,7 +430,7 @@ func (g *Gateway) backoff(ctx context.Context, n int) bool {
 
 // budgetDone answers a request whose context ended before an upstream
 // answer was relayed.
-func (g *Gateway) budgetDone(ctx context.Context, w http.ResponseWriter, kind serve.Kind) doResult {
+func (g *Gateway) budgetDone(ctx context.Context, w http.ResponseWriter, kind serve.Kind) (doResult, flight.Verdict) {
 	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
 		g.writeError(w, kind, http.StatusGatewayTimeout, "cluster: timeout budget exhausted")
 	} else {
@@ -481,7 +438,7 @@ func (g *Gateway) budgetDone(ctx context.Context, w http.ResponseWriter, kind se
 		// reading, but the metrics row should say what happened.
 		g.writeError(w, kind, 499, "client closed request")
 	}
-	return doResult{leaderSpec: true}
+	return doResult{}, flight.Abdicate
 }
 
 // attempt runs one upstream try and accounts its passive health signal.
@@ -624,7 +581,7 @@ func (g *Gateway) writeResponse(w http.ResponseWriter, kind serve.Kind, key serv
 	if fill && g.l1 != nil && res.stream == nil && res.status == http.StatusOK {
 		// The tee: the same buffered bytes go to the client and (copied
 		// into a slab) into the L1. Fill before the write so a follower
-		// woken by flightFilled always finds the entry.
+		// woken by a Resident flight always finds the entry.
 		filled = g.l1.put(key, res.b.name, cacheableHeader(res.header), res.body)
 	}
 	w.WriteHeader(res.status)

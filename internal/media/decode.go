@@ -79,8 +79,14 @@ type DecodeOptions struct {
 }
 
 // DecodeWithOptions decodes with explicit frame-allocation, checkpoint
-// and delivery hooks. See Decode for the semantics; output and errors
-// are identical for every option combination.
+// and delivery hooks. See Decode for the semantics. Output and errors
+// are the same for every option combination but one: display indices
+// that are not a bijection with [0, Frames). A batch decode accepts a
+// repeated or out-of-range display index and leaves a nil slot in
+// DisplayFrames; a streaming decode (OnDisplayFrame set) rejects the
+// frame with ErrBitstream, since its consumer has already acted on
+// earlier frames. TestHTTPDecodeMalformed's duplicate-display-index row
+// pins both.
 func DecodeWithOptions(stream []byte, opts DecodeOptions) (*DecodeResult, error) {
 	r := NewBitReader(stream)
 	seq, err := ParseSeqHeader(r)
@@ -119,7 +125,6 @@ func decodeSpan(r *BitReader, seq SeqHeader, lo, hi int, opts *DecodeOptions) (*
 		return nil, err
 	}
 	var refs RefChain
-	var refDi [2]int // display indices shadowing refs.A, refs.B
 	for fi := lo; fi < hi; fi++ {
 		if opts.OnFrame != nil {
 			if err := opts.OnFrame(fi); err != nil {
@@ -146,12 +151,6 @@ func decodeSpan(r *BitReader, seq SeqHeader, lo, hi int, opts *DecodeOptions) (*
 			return fail(fmt.Errorf("frame %d: %w", fi, err))
 		}
 		res.Coded = append(res.Coded, DecodedFrame{Hdr: hdr})
-		if hdr.Type != FrameB {
-			if refs.A != nil {
-				sink.chainDrop(refDi[0])
-			}
-			refDi[0], refDi[1] = refDi[1], int(hdr.TRef)
-		}
 		refs.Advance(frame, hdr.Type)
 		if err := sink.deliver(); err != nil {
 			return fail(err)

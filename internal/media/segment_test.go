@@ -437,12 +437,15 @@ func FuzzIndexDecodeAgree(f *testing.F) {
 	})
 }
 
-// TestIndexGOPsForgedFrameCount indexes a 15-byte stream whose sequence
-// header declares 65 535 frames: the scan fails at the first macroblock,
-// and what it allocated on the way is bounded by the stream, not by the
-// declared count (it was 2.16 MB while the count sized the per-frame
-// tables). The bound is the display-index bitset of the declared count,
-// 8 KiB at most, plus 2 KiB for the rest (8 632 B/op in all, counted).
+// TestIndexGOPsForgedFrameCount runs a 15-byte stream whose sequence
+// header declares 65 535 frames through IndexGOPs and through the
+// streaming decoder (the served decode's path): each fails at the first
+// macroblock, and what it allocated on the way is bounded by the
+// stream, not by the declared count. The bound is the display-index
+// bitset of the declared count, 8 KiB at most, plus 2 KiB for the rest
+// (counted: 8 632 B/op indexing, 8 976 decoding). While the count sized
+// per-frame tables, the index allocated 2.16 MB and the decoder's
+// stream sink 1 049 569 B/op.
 func TestIndexGOPsForgedFrameCount(t *testing.T) {
 	w := NewBitWriter()
 	WriteSeqHeader(w, &SeqHeader{MBCols: 1, MBRows: 1, Q: 6, GOPN: 1, GOPM: 1, Frames: 0xFFFF})
@@ -451,19 +454,30 @@ func TestIndexGOPsForgedFrameCount(t *testing.T) {
 	if len(stream) != 15 {
 		t.Fatalf("forged stream is %d bytes, want 15", len(stream))
 	}
-	if _, err := IndexGOPs(stream, nil); errClass(err) != "truncated" {
-		t.Fatalf("IndexGOPs: %v, want a read past the end", err)
-	}
-	const ops = 16
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < ops; i++ {
-		IndexGOPs(stream, nil)
-	}
-	runtime.ReadMemStats(&after)
-	perOp := (after.TotalAlloc - before.TotalAlloc) / ops
-	t.Logf("forged header: %d B/op", perOp)
-	if perOp > 10<<10 {
-		t.Errorf("IndexGOPs allocates %d B/op on a 15-byte stream, budget %d", perOp, 10<<10)
+	streaming := DecodeOptions{OnDisplayFrame: func(int, *Frame) error { return nil }}
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"index", func() error { _, err := IndexGOPs(stream, nil); return err }},
+		{"stream-decode", func() error { _, err := DecodeWithOptions(stream, streaming); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.run(); errClass(err) != "truncated" {
+				t.Fatalf("%v, want a read past the end", err)
+			}
+			const ops = 16
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < ops; i++ {
+				tc.run()
+			}
+			runtime.ReadMemStats(&after)
+			perOp := (after.TotalAlloc - before.TotalAlloc) / ops
+			t.Logf("forged header: %d B/op", perOp)
+			if perOp > 10<<10 {
+				t.Errorf("%d B/op on a 15-byte stream, budget %d", perOp, 10<<10)
+			}
+		})
 	}
 }

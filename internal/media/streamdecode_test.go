@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -259,5 +260,50 @@ func TestStreamSinkBadTRef(t *testing.T) {
 	}
 	if err := s.frameDecoded(2, NewFrame(16, 16), false); !errors.Is(err, ErrBitstream) {
 		t.Errorf("duplicate TRef: err = %v, want ErrBitstream", err)
+	}
+}
+
+// TestStreamSinkAnyOrder feeds the sink random permutations of a
+// display range, every third frame a reference, and checks that frames
+// come out in display order and that each is retired exactly once,
+// only after its delivery, whatever the order the decoder produced them
+// in: a stream may hold its frames back in any order, so the pending
+// heap is driven far deeper here than a real GOP drives it.
+func TestStreamSinkAnyOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{1, 2, 3, 7, 64, 300} {
+		frames := make([]*Frame, n)
+		for i := range frames {
+			frames[i] = &Frame{}
+		}
+		var got []int
+		retired := map[*Frame]int{}
+		k := newStreamSink(&DecodeOptions{
+			OnDisplayFrame: func(di int, f *Frame) error {
+				if f != frames[di-10] {
+					t.Fatalf("n=%d: display %d delivered another index's frame", n, di)
+				}
+				got = append(got, di)
+				return nil
+			},
+			Retire: func(f *Frame) { retired[f]++ },
+		}, 10, 10+n)
+		for i, di := range rng.Perm(n) {
+			if err := k.frameDecoded(10+di, frames[di], i%3 == 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := k.deliver(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		k.cleanup()
+		for di, f := range frames {
+			if len(got) <= di || got[di] != 10+di {
+				t.Fatalf("n=%d: delivered %v, want 10..%d in order", n, got, 10+n-1)
+			}
+			if retired[f] != 1 {
+				t.Fatalf("n=%d: display %d retired %d times", n, di, retired[f])
+			}
+		}
 	}
 }

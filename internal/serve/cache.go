@@ -21,7 +21,7 @@ import (
 // discipline are internal/slab, shared with the gateway's L1; storm
 // collapse is internal/flight. What lives here is this tier's own:
 // tenant attribution, the hit/miss histograms, the /varz snapshot and
-// Fetch's follower loop (singleflight.go).
+// what Fetch does with the flight's answer (singleflight.go).
 
 // entryOverhead approximates an entry's bookkeeping bytes (struct, map
 // header, LRU links) for budget accounting.
@@ -64,7 +64,6 @@ type Cache struct {
 	collapsed   atomic.Uint64
 	fills       atomic.Uint64
 	evictions   atomic.Uint64
-	promotions  atomic.Uint64
 	notModified atomic.Uint64
 	tooLarge    atomic.Uint64
 
@@ -196,7 +195,7 @@ func (c *Cache) Snapshot() CacheSnapshot {
 		NotModified:   c.notModified.Load(),
 		Fills:         c.fills.Load(),
 		Evictions:     c.evictions.Load(),
-		Promotions:    c.promotions.Load(),
+		Promotions:    c.flights.Promotions(),
 		TooLarge:      c.tooLarge.Load(),
 		HitP50Ms:      metrics.Ms(c.hitLat.Quantile(0.50)),
 		HitP99Ms:      metrics.Ms(c.hitLat.Quantile(0.99)),

@@ -245,8 +245,8 @@ func TestCacheLeaderFailurePromotion(t *testing.T) {
 	if runs.Load() != 2 {
 		t.Fatalf("runner executed %d times, want 2 (failed leader + promoted follower)", runs.Load())
 	}
-	if c.promotions.Load() != 1 {
-		t.Fatalf("promotions = %d, want 1", c.promotions.Load())
+	if c.flights.Promotions() != 1 {
+		t.Fatalf("promotions = %d, want 1", c.flights.Promotions())
 	}
 }
 

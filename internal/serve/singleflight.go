@@ -3,6 +3,8 @@ package serve
 import (
 	"context"
 	"errors"
+
+	"eclipse/internal/flight"
 )
 
 // Singleflight collapse: concurrent requests for the same cache key
@@ -14,18 +16,15 @@ import (
 // queues (the GetSpace analogue) see popular content as a single unit
 // of work.
 //
-// The table and its abdication/promotion protocol are internal/flight.
+// The table and its lead/follow/promote protocol are internal/flight.
 // Here a leader abdicates when its failure is specific to its own
 // request — its client disconnected, its deadline expired, its tenant's
-// queue was full, the server is draining — and broadcasts deterministic
+// queue was full, the server is draining — and publishes deterministic
 // failures (a malformed bitstream produces the same error for every
-// requester) to all followers.
-
-// errFlightRetry is the internal completion sentinel for "the leader
-// found the key already cached": followers re-read the cache (each
-// acquiring its own entry reference) instead of sharing an unrefcounted
+// requester) to all followers. A leader that finds the key already
+// cached ends its flight Resident, so followers re-read the cache, each
+// under its own entry reference, instead of sharing an unrefcounted
 // body.
-var errFlightRetry = errors.New("serve: flight retry")
 
 // leaderSpecificErr classifies failures that condemn only the leader's
 // own request, not the key: follower promotion is the right response.
@@ -69,68 +68,39 @@ func (o CacheOutcome) String() string {
 // called after the returned body has been consumed (it pins the entry's
 // slab on the hit path; elsewhere it is a no-op). run executes on the
 // calling goroutine, at most once per Fetch.
-func (c *Cache) Fetch(ctx context.Context, key CacheKey, tenant string, run func() (Result, error)) (res Result, release func(), outcome CacheOutcome, err error) {
+func (c *Cache) Fetch(ctx context.Context, key CacheKey, tenant string, run func() (Result, error)) (Result, func(), CacheOutcome, error) {
 	noop := func() {}
 	ts := c.tstats(tenant)
-	countMiss := true
-attempt:
-	for {
-		if e, ok := c.lookup(key, ts, countMiss); ok {
-			return Result{Body: e.Body, Meta: e.Meta.meta}, func() { c.lru.Release(e) }, CacheHit, nil
-		}
+	var e *cacheEntry
+	countMiss := true // one miss per request, however often it looks
+	lookup := func() (ok bool) {
+		e, ok = c.lookup(key, ts, countMiss)
 		countMiss = false
-		f, leader := c.flights.Join(key)
-		for !leader {
-			select {
-			case <-f.Done():
-				got := f.Result()
-				if got.err == errFlightRetry {
-					// The previous leader found a fresh fill; re-read it
-					// under our own entry reference.
-					continue attempt
-				}
-				if got.err != nil {
-					return Result{}, noop, CacheCollapsed, got.err
-				}
-				c.collapsed.Add(1)
-				ts.collapsed.Add(1)
-				return got.res, noop, CacheCollapsed, nil
-			case <-f.Promoted():
-				c.flights.Claim(f)
-				c.promotions.Add(1)
-				leader = true
-			case <-ctx.Done():
-				c.flights.Leave(key, f)
-				return Result{}, noop, CacheCollapsed, ctx.Err()
-			}
-		}
-		// Leader. Re-check the cache first: a previous flight may have
-		// filled the key between our lookup and join, and a promoted
-		// leader inherits that window too. This recheck is what makes
-		// "N identical requests, exactly one decode" airtight.
-		if e, ok := c.lookup(key, ts, false); ok {
-			c.flights.Complete(key, f, fetched{err: errFlightRetry})
-			return Result{Body: e.Body, Meta: e.Meta.meta}, func() { c.lru.Release(e) }, CacheHit, nil
-		}
-		finished := false
-		defer func() {
-			// Panic safety: a leader that unwinds without completing
-			// abdicates so followers are promoted, never stranded.
-			if !finished {
-				c.flights.Abdicate(key, f)
-			}
-		}()
-		res, err = run()
+		return ok
+	}
+	got, role, err := c.flights.Do(ctx, key, lookup, func() (fetched, flight.Verdict) {
+		res, err := run()
 		if err != nil && leaderSpecificErr(err) {
-			finished = true
-			c.flights.Abdicate(key, f)
-			return Result{}, noop, CacheMiss, err
+			return fetched{err: err}, flight.Abdicate
 		}
 		if err == nil {
 			c.put(key, ts, res)
 		}
-		finished = true
-		c.flights.Complete(key, f, fetched{res, err})
-		return res, noop, CacheMiss, err
+		return fetched{res, err}, flight.Publish
+	})
+	switch role {
+	case flight.Hit, flight.HitAfterWait:
+		return Result{Body: e.Body, Meta: e.Meta.meta}, func() { c.lru.Release(e) }, CacheHit, nil
+	case flight.Led:
+		return got.res, noop, CacheMiss, got.err
 	}
+	if err == nil {
+		err = got.err
+	}
+	if err != nil {
+		return Result{}, noop, CacheCollapsed, err
+	}
+	c.collapsed.Add(1)
+	ts.collapsed.Add(1)
+	return got.res, noop, CacheCollapsed, nil
 }
