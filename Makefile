@@ -105,7 +105,7 @@ race:
 	$(GO) test -race ./...
 	GOMAXPROCS=4 $(GO) test -race -run 'Segment|TwoTenant|TaskGroup|SpanUnits|DoneAfterAccounting|Transcode|StreamEncoder|LRU|L1|Cache|Retry|Pushback|MidStream|Timeout|Stalled|Storm' \
 		./internal/media ./internal/serve ./internal/slab ./internal/cluster ./internal/flight
-	GOMAXPROCS=4 $(GO) test -race -count=10 -run 'RequestBodyReuse|GatewayBodyLifetime|SpanUnits' ./internal/serve ./internal/cluster
+	GOMAXPROCS=4 $(GO) test -race -count=10 -run 'RequestBodyReuse|GatewayBodyLifetime|SpanUnits|TranscodeForgedGOPHeader|TranscodeSegmentedFaultOrder' ./internal/serve ./internal/cluster
 
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzBitReaderRoundTrip -fuzztime=5s -fuzzminimizetime=100x ./internal/media

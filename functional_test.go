@@ -47,6 +47,63 @@ func TestThreeWayDecodeEquivalence(t *testing.T) {
 	}
 }
 
+// TestDuplicateDisplayIndexAgree rewrites coded frame 2's display index
+// (B1, 18 bits into its header) to coded frame 1's (P3), so display 3 is
+// decoded twice and display 1 never. Batch (DisplayFrames), the
+// functional KPN and the timed Fig. 8 decode all accept the stream and
+// must keep the same frame for every index: the last one decoded, and a
+// nil for the hole.
+func TestDuplicateDisplayIndexAgree(t *testing.T) {
+	stream, _ := encodeSequence(t, 32, 32, 7, func(c *media.CodecConfig) { c.GOPN, c.GOPM = 7, 3 })
+	ix, err := media.IndexGOPs(stream, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dup := append([]byte(nil), stream...)
+	tref := func(c, set int) (v int) {
+		for i, bit := 0, ix.FrameBit(c)+18; i < 16; i, bit = i+1, bit+1 {
+			v = v<<1 | int(dup[bit/8]>>(7-bit%8)&1)
+			if set >= 0 {
+				dup[bit/8] = dup[bit/8]&^(0x80>>(bit%8)) | byte(set>>(15-i)&1)<<(7-bit%8)
+			}
+		}
+		return v
+	}
+	if a, b := tref(1, -1), tref(2, -1); a != 3 || b != 1 {
+		t.Fatalf("coded frames 1 and 2 show displays %d and %d, want 3 and 1", a, b)
+	}
+	tref(2, 3)
+	ref, err := media.Decode(dup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := ref.DisplayFrames()
+	fun, err := RunFunctionalDecode(dup, DefaultDecodeBuffers())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := NewSystem(Fig8())
+	app, err := sys.AddDecodeApp("dec", dup, DecodeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Run(500_000_000); err != nil {
+		t.Fatal(err)
+	}
+	same := func(a, b *media.Frame) bool { return a == b || (a != nil && b != nil && a.Equal(b)) }
+	for i, want := range batch {
+		if (want == nil) != (i == 1) {
+			t.Fatalf("batch display %d: nil %v", i, want == nil)
+		}
+		if !same(want, fun[i]) {
+			t.Errorf("display %d: the functional decode keeps another frame than batch", i)
+		}
+		if !same(want, app.Frames()[i]) {
+			t.Errorf("display %d: the timed decode keeps another frame than batch", i)
+		}
+	}
+}
+
 // TestFunctionalDecodeTinyBuffers checks Kahn determinism across buffer
 // sizes in the functional engine: output must not depend on capacity.
 func TestFunctionalDecodeTinyBuffers(t *testing.T) {

@@ -246,7 +246,7 @@ func functionalSink(seq media.SeqHeader, out *FunctionalSink) kpn.TaskFunc {
 				}
 				frame.SetMB(mb%seq.MBCols, mb/seq.MBCols, &pix)
 			}
-			if int(hdr.TRef) < len(out.Frames) && out.Frames[hdr.TRef] == nil {
+			if int(hdr.TRef) < len(out.Frames) { // a repeated index keeps the last, as DisplayFrames does
 				out.Frames[hdr.TRef] = frame
 			}
 		}

@@ -164,15 +164,33 @@ func decodeSpan(r *BitReader, seq SeqHeader, lo, hi int, opts *DecodeOptions) (*
 	return res, nil
 }
 
+// minMBBits is the fewest bits a macroblock codes in (parseMBHeader): an
+// I's 4-bit cbp, a P's skip flag, a B's 2-bit mode and 4-bit cbp. Every
+// other element only adds bits, so MBCount times it bounds a frame body
+// from below, and frameFits fails a frame the rest of the stream cannot
+// hold, as the read past the end it would hit, before it is allocated.
+// IndexGOPs makes the same check at the same point.
+var minMBBits = [...]int{FrameI: 4, FrameP: 1, FrameB: 6}
+
+func frameFits(r *BitReader, seq *SeqHeader, t FrameType) error {
+	if left, need := 8*len(r.buf)-r.pos, seq.MBCount()*minMBBits[t]; left < need {
+		return fmt.Errorf("%w: read past end: %d macroblocks need at least %d bits, %d left", ErrBitstream, seq.MBCount(), need, left)
+	}
+	return nil
+}
+
 // decodeFrameBody decodes the macroblock layer of one frame. newFrame
-// supplies the reconstruction frame; recycle, when non-nil, reclaims it
-// on the error path.
+// supplies the reconstruction frame, drawn only once frameFits holds;
+// recycle, when non-nil, reclaims it on the error path.
 func decodeFrameBody(r *BitReader, seq *SeqHeader, hdr FrameHdr, refs *RefChain, newFrame func(w, h int) *Frame, recycle func(*Frame)) (*Frame, error) {
 	if hdr.Type != FrameI && refs.B == nil {
 		return nil, fmt.Errorf("%w: %v frame before first reference", ErrBitstream, hdr.Type)
 	}
 	if hdr.Type == FrameB && refs.A == nil {
 		return nil, fmt.Errorf("%w: B frame with a single reference", ErrBitstream)
+	}
+	if err := frameFits(r, seq, hdr.Type); err != nil {
+		return nil, err
 	}
 	frame := newFrame(seq.W(), seq.H())
 	fail := func(err error) (*Frame, error) {

@@ -28,6 +28,30 @@ func ParseTokenMB(src []byte) (TokenMB, int, error) {
 	return tok, n, nil
 }
 
+// TranscodeCuts returns the cut positions usable by a segment-parallel
+// transcode (the served engine confirms its predicted cuts with ConfirmCuts instead) into a (gopN, gopM) output structure: positions closed on
+// both the decode side (this index) and the re-encode side (the output
+// GOP structure over the same frame count).
+func (ix *GOPIndex) TranscodeCuts(gopN, gopM int) []int {
+	enc := EncodeClosedCuts(ix.Seq.Frames, gopN, gopM)
+	var out []int
+	i, j := 0, 0
+	cuts := ix.Cuts()
+	for i < len(cuts) && j < len(enc) {
+		switch {
+		case cuts[i] < enc[j]:
+			i++
+		case cuts[i] > enc[j]:
+			j++
+		default:
+			out = append(out, cuts[i])
+			i++
+			j++
+		}
+	}
+	return out
+}
+
 // sad8Body is one body of the search grid's kernel. Tests call kernel
 // directly; use, where sad8 has more than one body, switches sad8's
 // dispatch to this one until the returned func restores the probe's pick;
@@ -59,7 +83,7 @@ func eachSAD8Body(t *testing.T, f func(t *testing.T, body sad8Body)) {
 
 // Cuts returns the decode-side closed cut positions (display == coded
 // positions, by closure), ascending, excluding the trivial 0 and Frames.
-func (ix *GOPIndex) Cuts() []int { return ix.cuts }
+func (ix *GOPIndex) Cuts() []int { return closedCuts(ix.deps) }
 
 // AlignRead advances to the next byte boundary.
 func (r *BitReader) AlignRead() {

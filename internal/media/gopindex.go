@@ -23,9 +23,12 @@ package media
 // The same analysis applies to the re-encode side of a transcode: the
 // output GOP structure is GOPTypes of the *output* configuration, which
 // need not match the source's, so a transcode may only split where both
-// sides are closed (TranscodeCuts intersects the two).
+// sides are closed (ConfirmCuts checks the re-encode's on the decode side).
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // frameDep is one coded frame's display-index dependencies.
 type frameDep struct {
@@ -34,40 +37,16 @@ type frameDep struct {
 }
 
 // GOPIndex is the product of IndexGOPs: per-coded-frame bit offsets and
-// the decode-side closed cut positions of a validated bitstream.
+// dependencies of a validated bitstream.
 type GOPIndex struct {
 	Seq      SeqHeader
 	frameBit []int // bit offset of coded frame i's header (frame marker)
 	deps     []frameDep
-	cuts     []int // decode-closed cuts, ascending, exclusive of 0 and Frames
 }
 
 // FrameBit returns the bit offset of coded frame c's header. At a closed
 // cut c this is where the suffix segment's decode starts.
 func (ix *GOPIndex) FrameBit(c int) int { return ix.frameBit[c] }
-
-// TranscodeCuts returns the cut positions usable by a segment-parallel
-// transcode into a (gopN, gopM) output structure: positions closed on
-// both the decode side (this index) and the re-encode side (the output
-// GOP structure over the same frame count).
-func (ix *GOPIndex) TranscodeCuts(gopN, gopM int) []int {
-	enc := EncodeClosedCuts(ix.Seq.Frames, gopN, gopM)
-	var out []int
-	i, j := 0, 0
-	for i < len(ix.cuts) && j < len(enc) {
-		switch {
-		case ix.cuts[i] < enc[j]:
-			i++
-		case ix.cuts[i] > enc[j]:
-			j++
-		default:
-			out = append(out, ix.cuts[i])
-			i++
-			j++
-		}
-	}
-	return out
-}
 
 // IndexGOPs scans a bitstream once — entropy layer only, no
 // reconstruction — and returns its GOP index. The scan validates the
@@ -82,6 +61,37 @@ func (ix *GOPIndex) TranscodeCuts(gopN, gopM int) []int {
 // layer's preemption checkpoint, mirroring DecodeOptions.OnFrame; a
 // non-nil return aborts the scan with that error.
 func IndexGOPs(stream []byte, onFrame func(coded int) error) (*GOPIndex, error) {
+	return indexGOPs(stream, onFrame, nil)
+}
+
+// ConfirmCuts is IndexGOPs that scans only until each predicted cut
+// (ascending, within (0, Frames)) is settled by closedCuts' rule, and
+// reports each closed one as onCut(c, FrameBit(c)). The rule's suffix
+// half is settled once both chain references are >= c, two frames past
+// a GOP boundary, since later frames reference only the chain. It
+// returns len(cuts) after the last cut, or the index of the first cut
+// it finds open.
+func ConfirmCuts(stream []byte, cuts []int, onFrame func(coded int) error, onCut func(cut, bit int)) (int, error) {
+	k := 0
+	_, err := indexGOPs(stream, onFrame, func(ix *GOPIndex, refA, refB int, end bool) bool {
+		for ; k < len(cuts) && cuts[k] < len(ix.deps); k++ {
+			if !slices.Contains(closedCuts(ix.deps), cuts[k]) {
+				return false
+			}
+			if !end && min(refA, refB) < cuts[k] {
+				return true
+			}
+			onCut(cuts[k], ix.FrameBit(cuts[k]))
+		}
+		return k < len(cuts)
+	})
+	return k, err
+}
+
+// indexGOPs is the scan. more, when non-nil, is called after each coded
+// frame with the reference chain, and once more with end set after the
+// last frame; the scan stops when it returns false.
+func indexGOPs(stream []byte, onFrame func(coded int) error, more func(ix *GOPIndex, refA, refB int, end bool) bool) (*GOPIndex, error) {
 	r := NewBitReader(stream)
 	seq, err := ParseSeqHeader(r)
 	if err != nil {
@@ -111,6 +121,9 @@ func IndexGOPs(stream []byte, onFrame func(coded int) error) (*GOPIndex, error) 
 		}
 		if hdr.Type == FrameB && refA < 0 {
 			return nil, fmt.Errorf("frame %d: %w: B frame with a single reference", fi, ErrBitstream)
+		}
+		if err := frameFits(r, &seq, hdr.Type); err != nil {
+			return nil, fmt.Errorf("frame %d: %w", fi, err)
 		}
 		// Entropy-only frame body walk: the macroblock layer is
 		// variable-length, so finding the next frame header requires the
@@ -144,8 +157,13 @@ func IndexGOPs(stream []byte, onFrame func(coded int) error) (*GOPIndex, error) 
 		if hdr.Type != FrameB {
 			refA, refB = refB, di
 		}
+		if more != nil && !more(ix, refA, refB, false) {
+			return ix, nil
+		}
 	}
-	ix.cuts = closedCuts(ix.deps)
+	if more != nil {
+		more(ix, refA, refB, true)
+	}
 	return ix, nil
 }
 

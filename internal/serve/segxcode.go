@@ -2,6 +2,8 @@ package serve
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"slices"
 	"strconv"
 	"sync"
@@ -11,10 +13,13 @@ import (
 	"eclipse/internal/media"
 )
 
-// segMinFrames is the clip length below which a transcode is not worth
-// its indexing pass: short clips rarely contain more than one closed
-// GOP, so they run as one span without the scan.
+// segMinFrames is the clip length below which a transcode runs as one
+// span: a short clip rarely holds more than one closed GOP, so it is not
+// worth predicting cuts for and running the index unit beside span 0.
 const segMinFrames = 24
+
+// errSpanStop unwinds a span whose end turned out open.
+var errSpanStop = errors.New("serve: span dropped")
 
 // NewTranscodeJobSegmented builds the transcode job: it decodes a
 // bitstream and re-encodes it at quantizer q (TranscodeConfig: GOP
@@ -23,137 +28,173 @@ const segMinFrames = 24
 // span decodes its frames (media.DecodeSegment) and pushes every display
 // frame synchronously into its own span encoder
 // (media.NewStreamEncoderSegment); the span at display 0 writes the
-// sequence header, and the span that finishes last appends the others'
-// bits onto it (media.StitchSegments), so the output is byte-identical
-// to decoding everything and batch re-encoding.
+// sequence header, and the job's last step appends the others' bits onto
+// it (media.StitchSegments), so the output is byte-identical to decoding
+// everything and batch re-encoding.
 //
 // segments caps the span count; the server passes Config.Workers. With
-// segments > 1 on a clip of at least segMinFrames frames, the job's
-// first unit is one checkpointed scan (media.IndexGOPs) that finds the
-// cuts closed on both the decode and the re-encode side, and
-// media.PartitionSegments splits the clip into up to `segments` spans.
-// Otherwise the clip is the one span [0, Frames), decoded from right
-// after the sequence header; so is a clip whose GOP structure yields no
-// interior cut (open GOPs: any N, M with (N-1)%M != 0 and M > 1). The
-// X-Transcode-Segments response header reports the span count used.
+// segments > 1 on a clip of at least segMinFrames frames, the spans are
+// media.PartitionSegments over the re-encode's closed cuts
+// (media.EncodeClosedCuts of the header's GOP N and M). Span 0 starts at
+// once; beside it an index unit (media.ConfirmCuts) confirms each cut
+// closed on the decode side, forks that cut's span from its frame bit,
+// and stops after the last cut, whose span's decoder validates the tail.
+// A cut left open (only a header whose GOP fields lie) drops the span
+// ending there, and the rest of the clip runs as one span from that
+// span's start: any partition at closed cuts stitches to the same bytes.
+// A clip with no interior cut (open GOPs: (N-1)%M != 0 and M > 1) is the
+// one span [0, Frames). X-Transcode-Segments reports the span count.
 //
-// Every span is a unit the scheduler runs on its own, checkpointing once
-// per frame, and a failing span fails the job so its siblings unwind at
-// their next checkpoint. Frames are jointly owned (frameRefs) and
-// pooled, so peak in-flight memory is bounded by spans × O(GOP M), never
-// O(frames). met, when non-nil, receives the peak-in-flight gauge and
-// the segment counters. The two ints after pool are ignored; they exist
-// only for the benchmark rig.
+// A stream fault ends only the unit that meets it; the job reports the
+// one at the earliest coded frame among the index and the spans kept, so
+// the error does not depend on timing. Frames are jointly owned
+// (frameRefs) and pooled: peak in-flight memory is spans × O(GOP M).
+// met, when non-nil, receives the peak-in-flight gauge and the segment
+// counters. The two ints after pool exist only for the benchmark rig.
 func NewTranscodeJobSegmented(ctx context.Context, tenant string, stream []byte, q int, pool *media.SyncFramePool, _, _, segments int, met *Metrics) (*Job, error) {
 	r := media.NewBitReader(stream)
 	seq, err := media.ParseSeqHeader(r)
 	if err != nil {
 		return nil, err
 	}
-	firstFrameBit := r.BitPos()
 	cfg := TranscodeConfig(seq, q)
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	j := newJob(tenant, KindTranscode, ctx)
-	var ix *media.GOPIndex
-	forkSpans := func() error {
-		spans := [][2]int{{0, seq.Frames}}
-		frameBit := func(int) int { return firstFrameBit }
-		if ix != nil {
-			spans = media.PartitionSegments(seq.Frames, segments, ix.TranscodeCuts(cfg.GOPN, cfg.GOPM))
-			frameBit = ix.FrameBit
-		}
-		// A span's output writer starts at its input span's length.
-		endBit := func(hi int) int {
-			if hi == seq.Frames {
-				return 8 * len(stream)
+	track := &inflightFrames{pool: pool}
+	refs := &frameRefs{n: make(map[*media.Frame]int), track: track}
+	plan := [][2]int{{0, seq.Frames}}
+	if segments > 1 && seq.Frames >= segMinFrames {
+		plan = media.PartitionSegments(seq.Frames, segments, media.EncodeClosedCuts(seq.Frames, cfg.GOPN, cfg.GOPM))
+	}
+	// spans and the index's fault belong to this function, then to the
+	// index unit, then to finish.
+	var spans []*span
+	var ixErr error // the index unit's fault, at coded frame ixAt
+	ixAt := 0
+	finish := func() error {
+		fault, at := ixErr, ixAt
+		writers := make([]*media.BitWriter, len(spans))
+		wall := make([]time.Duration, len(spans))
+		totalBits := 0
+		for i, s := range spans {
+			if s.err != nil && (fault == nil || s.at < at) {
+				fault, at = s.err, s.at
 			}
-			return frameBit(hi)
+			writers[i], wall[i], totalBits = s.w, s.wall, totalBits+s.bits
 		}
-		nseg := len(spans)
-		track := &inflightFrames{pool: pool}
-		refs := &frameRefs{n: make(map[*media.Frame]int), track: track}
-		writers := make([]*media.BitWriter, nseg)
-		bits := make([]int, nseg)
-		wall := make([]time.Duration, nseg)
-		units := make([]*unit, nseg)
-		for i, sp := range spans {
-			lo, hi := sp[0], sp[1]
-			units[i] = &unit{name: "seg" + strconv.Itoa(i), fn: func(ctx context.Context, gate *Gate) error {
-				enc, err := media.NewStreamEncoderSegment(cfg, seq.Frames, lo, hi, (endBit(hi)-frameBit(lo)+7)/8)
-				if err != nil {
-					return err
-				}
-				enc.NewFrame, enc.Recycle = pool.Get, refs.release
-				start := time.Now()
-				_, err = media.DecodeSegment(stream, frameBit(lo), lo, hi, media.DecodeOptions{
-					NewFrame: track.get,
-					Recycle:  track.put, // undelivered frames: decoder is sole owner
-					OnFrame:  func(int) error { return checkpoint(ctx, gate) },
-					OnDisplayFrame: func(_ int, f *media.Frame) error {
-						// Two stakes: the decoder keeps reading the frame as
-						// a prediction reference until Retire; the encoder's
-						// stake drops via enc.Recycle once coded.
-						refs.add(f, 2)
-						if err := enc.Push(f); err != nil {
-							refs.release(f) // encoder stake; Retire covers the decoder's
-							return err
-						}
-						return nil
-					},
-					Retire: refs.release,
-				})
-				if err != nil {
-					enc.Abort()
-					return err
-				}
-				w, stats, err := enc.CloseRaw()
-				if err != nil {
-					return err
-				}
-				writers[i], bits[i], wall[i] = w, stats.TotalBits(), time.Since(start)
-				return nil
-			}}
+		if fault != nil {
+			return fault
 		}
-		stitch := func() error {
-			out := media.StitchSegments(writers)
-			totalBits := 0
-			for _, b := range bits {
-				totalBits += b
+		out := media.StitchSegments(writers)
+		nseg, peak := len(spans), track.peak.Load()
+		if met != nil {
+			storeMax(&met.XcodePeakFrames, peak)
+			if nseg > 1 {
+				met.XcodeSegJobs.Add(1)
+				met.XcodeSegments.Add(uint64(nseg))
+				met.XcodeStitchBytes.Add(uint64(len(out)))
+				storeMax(&met.XcodeSegSkewNs, int64(slices.Max(wall)-slices.Min(wall)))
 			}
-			if met != nil {
-				storeMax(&met.XcodePeakFrames, track.peak.Load())
-				if nseg > 1 {
-					met.XcodeSegJobs.Add(1)
-					met.XcodeSegments.Add(uint64(nseg))
-					met.XcodeStitchBytes.Add(uint64(len(out)))
-					storeMax(&met.XcodeSegSkewNs, int64(slices.Max(wall)-slices.Min(wall)))
-				}
-			}
-			meta := seqMeta(seq, seq.Frames)
-			meta["X-Seq-Q"] = strconv.Itoa(q)
-			meta["X-Seq-Bits"] = strconv.Itoa(totalBits)
-			meta["X-Transcode-Peak-Frames"] = strconv.FormatInt(track.peak.Load(), 10)
-			meta["X-Transcode-Segments"] = strconv.Itoa(nseg)
-			j.res = Result{Body: out, Meta: meta}
-			return nil
 		}
-		j.fork(stitch, units...)
+		meta := seqMeta(seq, seq.Frames)
+		meta["X-Seq-Q"] = strconv.Itoa(q)
+		meta["X-Seq-Bits"] = strconv.Itoa(totalBits)
+		meta["X-Transcode-Peak-Frames"] = strconv.FormatInt(peak, 10)
+		meta["X-Transcode-Segments"] = strconv.Itoa(nseg)
+		j.res = Result{Body: out, Meta: meta}
 		return nil
 	}
-	if segments > 1 && seq.Frames >= segMinFrames {
-		// One checkpointed scan of the bitstream builds the GOP index
-		// (frame bit offsets + closed-cut set) and validates the
-		// stream's structure before any pixel work starts.
-		j.fork(forkSpans, &unit{name: "ix", fn: func(ctx context.Context, gate *Gate) (err error) {
-			ix, err = media.IndexGOPs(stream, func(int) error { return checkpoint(ctx, gate) })
-			return err
+	fork := func(lo, hi, bit int) {
+		s := &span{lo: lo, hi: hi, bit: bit}
+		spans = append(spans, s)
+		j.fork(finish, &unit{name: "seg" + strconv.Itoa(lo), fn: func(ctx context.Context, gate *Gate) error {
+			// The writer starts at the span's share of the input left
+			// from bit; span 0's at all of it, since the stitch grows
+			// that writer to the whole output.
+			out := len(stream) - bit/8
+			if lo > 0 {
+				out = out * (hi - lo) / (seq.Frames - lo)
+			}
+			enc, err := media.NewStreamEncoderSegment(cfg, seq.Frames, lo, hi, out)
+			if err != nil {
+				return err
+			}
+			enc.NewFrame, enc.Recycle = pool.Get, refs.release
+			start, at := time.Now(), lo
+			var halt error // a checkpoint's: the job fails with it
+			_, err = media.DecodeSegment(stream, bit, lo, hi, media.DecodeOptions{
+				NewFrame: track.get,
+				Recycle:  track.put, // undelivered frames: decoder is sole owner
+				OnFrame: func(fi int) error {
+					if at = fi; s.stop.Load() {
+						return errSpanStop
+					}
+					halt = checkpoint(ctx, gate)
+					return halt
+				},
+				OnDisplayFrame: func(_ int, f *media.Frame) error {
+					// Two stakes: the decoder keeps reading the frame as
+					// a prediction reference until Retire; the encoder's
+					// stake drops via enc.Recycle once coded.
+					refs.add(f, 2)
+					if err := enc.Push(f); err != nil {
+						refs.release(f) // encoder stake; Retire covers the decoder's
+						return err
+					}
+					return nil
+				},
+				Retire: refs.release,
+			})
+			var stats *media.EncodeStats
+			if err != nil {
+				enc.Abort()
+			} else if s.w, stats, err = enc.CloseRaw(); err == nil {
+				s.bits, s.wall = stats.TotalBits(), time.Since(start)
+			}
+			if err != nil && halt == nil && !errors.Is(err, errSpanStop) {
+				s.err, s.at = fmt.Errorf("seg [%d,%d): %w", lo, hi, err), at
+			}
+			return halt
 		}})
-	} else {
-		forkSpans()
 	}
+	if len(plan) > 1 {
+		j.fork(finish, &unit{name: "ix", fn: func(ctx context.Context, gate *Gate) error {
+			var cuts []int
+			for _, sp := range plan[1:] {
+				cuts = append(cuts, sp[0])
+			}
+			var halt error
+			k, err := media.ConfirmCuts(stream, cuts, func(fi int) error {
+				ixAt, halt = fi, checkpoint(ctx, gate)
+				return halt
+			}, func(c, bit int) { fork(c, plan[len(spans)][1], bit) })
+			if halt != nil || k == len(cuts) {
+				return halt
+			}
+			// The last span ends at cut k, open or never reached.
+			last := spans[len(spans)-1]
+			last.stop.Store(true)
+			spans = spans[:len(spans)-1]
+			if ixErr = err; err == nil {
+				fork(last.lo, seq.Frames, last.bit)
+			}
+			return nil
+		}})
+	}
+	fork(0, plan[0][1], r.BitPos())
 	return j, nil
+}
+
+// span is the display range [lo, hi) one unit decodes from bit: its
+// output, or the stream fault it met at coded frame at.
+type span struct {
+	lo, hi, bit, at, bits int
+	stop                  atomic.Bool // its end is open: it is dropped
+	err                   error
+	w                     *media.BitWriter
+	wall                  time.Duration
 }
 
 // frameRefs counts the joint owners of frames a span unit hands from its

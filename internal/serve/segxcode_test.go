@@ -4,15 +4,20 @@ package serve
 // two-phase reference for every span count and clip width, concurrent
 // one-span transcodes sharing a frame pool, the one-span conditions, the spans × O(GOP) in-flight bound,
 // lifecycle (cancel / preempt / bad input) leak checks at one span and at
-// several, the parity fuzzers, and the benchmark the bounded-memory
-// claim is measured with.
+// several, the parity fuzzers, the forged-geometry allocation budget, a
+// header whose GOP fields lie, the fault order across spans, and the
+// benchmark the span speedup and the bounded-memory claim are measured
+// with.
 
 import (
 	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strconv"
+	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -437,8 +442,11 @@ func TestTranscodeSegmentedPreemptParity(t *testing.T) {
 // checkBadStream.
 func TestTranscodeFusedBadStream(t *testing.T) { checkBadStream(t, 1) }
 
-// TestTranscodeSegmentedBadStream is the same check at several spans,
-// where the job must fail in the indexing pass before any pixel work.
+// TestTranscodeSegmentedBadStream is the same check at several spans.
+// The cut falls in coded frame 25, before the last cut (26), so the
+// index unit meets it while the spans decode: the job reports the
+// index's error, and span 1, whose end the index never confirmed, is
+// dropped.
 func TestTranscodeSegmentedBadStream(t *testing.T) { checkBadStream(t, 4) }
 
 // checkBadStream runs a bitstream truncated mid-frame at segs spans: the
@@ -532,49 +540,59 @@ func checkTranscodeParity(t *testing.T, wmb, hmb, frames, q, gopn, gopm uint8, h
 	}
 }
 
-// benchClip encodes the QCIF clip BenchmarkTranscode runs: long enough
-// that O(frames) vs O(GOP M) in-flight memory is visible in bytes/op.
-func benchClip(b *testing.B, frames int, mut func(*media.CodecConfig)) []byte {
+// benchClip encodes the QCIF clip BenchmarkTranscode runs: 26 frames
+// with N = 13, M = 3, the rig's closed-GOP shape, with one closed cut at
+// 13.
+func benchClip(b *testing.B) []byte {
 	src := media.DefaultSource(176, 144)
 	src.Seed = 1
-	fr := media.NewSource(src).Frames(frames)
 	cfg := media.DefaultCodec(176, 144)
-	cfg.GOPM = 3
-	if mut != nil {
-		mut(&cfg)
-	}
-	stream, _, _, err := media.Encode(cfg, fr)
+	cfg.GOPN, cfg.GOPM = 13, 3
+	stream, _, _, err := media.Encode(cfg, media.NewSource(src).Frames(26))
 	if err != nil {
 		b.Fatal(err)
 	}
 	return stream
 }
 
-// BenchmarkTranscode measures the span engine at one span (a 24-frame
-// N=12 M=3 clip) and at two (a 26-frame N=13 M=3 clip, the rig's
-// closed-GOP shape) against the two-phase reference on the first clip,
-// each on its own scheduler and pool: wall time per op, allocated bytes
-// per op, and (span engine) the peak in-flight frame gauge.
+// cpuTime is the process's user+system CPU time.
+func cpuTime() time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+}
+
+// BenchmarkTranscode runs one clip (benchClip) through the span engine
+// at one span and at two, and through the two-phase reference, each on
+// its own two-worker scheduler and pool. Besides ns/op and bytes/op it
+// reports wall and process CPU (getrusage) milliseconds per op, so the
+// two-span wall time shows the span speedup and the CPU time what the
+// split costs, and the span engine's peak in-flight frame gauge.
 func BenchmarkTranscode(b *testing.B) {
 	const q = 9
-	oneSpan := benchClip(b, 24, nil)
-	closed := benchClip(b, 26, func(c *media.CodecConfig) { c.GOPN = 13 })
+	clip := benchClip(b)
 	for _, bc := range []struct {
-		name   string
-		stream []byte
-		segs   int
-	}{
-		{"spans-1", oneSpan, 1},
-		{"spans-2", closed, 2},
-	} {
+		name string
+		segs int // 0: the two-phase reference
+	}{{"spans-1", 1}, {"spans-2", 2}, {"two-phase", 0}} {
 		b.Run(bc.name, func(b *testing.B) {
-			s := xcodeSched(b)
+			s := NewScheduler(Config{Workers: 2, BaseSlice: time.Minute, QueueCap: 64}, NewMetrics())
+			defer s.Drain(context.Background())
 			pool := media.NewSyncFramePool(64)
 			met := NewMetrics()
 			b.ReportAllocs()
+			cpu := cpuTime()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				j, err := NewTranscodeJobSegmented(context.Background(), "t", bc.stream, q, pool, 1, 1, bc.segs, met)
+				var j *Job
+				var err error
+				if bc.segs > 0 {
+					j, err = NewTranscodeJobSegmented(context.Background(), "t", clip, q, pool, 1, 1, bc.segs, met)
+				} else {
+					j, err = newTranscodeJobTwoPhase(context.Background(), "t", clip, q, pool)
+				}
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -583,22 +601,187 @@ func BenchmarkTranscode(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			b.ReportMetric(float64(met.XcodePeakFrames.Load()), "peak-frames")
+			b.ReportMetric(float64(b.Elapsed())/1e6/float64(b.N), "wall-ms/op")
+			b.ReportMetric(float64(cpuTime()-cpu)/1e6/float64(b.N), "cpu-ms/op")
+			if bc.segs > 0 {
+				b.ReportMetric(float64(met.XcodePeakFrames.Load()), "peak-frames")
+			}
 		})
 	}
-	b.Run("two-phase", func(b *testing.B) {
-		s := xcodeSched(b)
-		pool := media.NewSyncFramePool(64)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			j, err := newTranscodeJobTwoPhase(context.Background(), "t", oneSpan, q, pool)
+}
+
+// TestForgedGeometryAllocates runs a 15-byte stream whose sequence
+// header declares 255×255 macroblocks (a 16.6 MB frame) and one I frame
+// with no body through the streaming decode and a served transcode. Each
+// fails as a read past the end, and neither allocates the frame: the
+// decoder draws one only once the rest of the stream can hold the
+// frame's minimum coded size.
+func TestForgedGeometryAllocates(t *testing.T) {
+	w := media.NewBitWriter()
+	media.WriteSeqHeader(w, &media.SeqHeader{MBCols: 255, MBRows: 255, Q: 6, GOPN: 1, GOPM: 1, Frames: 1})
+	media.WriteFrameHdr(w, media.FrameHdr{Type: media.FrameI})
+	stream := w.Bytes()
+	if len(stream) != 15 {
+		t.Fatalf("forged stream is %d bytes, want 15", len(stream))
+	}
+	s := xcodeSched(t)
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"stream-decode", func() error {
+			_, err := media.DecodeWithOptions(stream, media.DecodeOptions{OnDisplayFrame: func(int, *media.Frame) error { return nil }})
+			return err
+		}},
+		{"transcode", func() error {
+			// A fresh pool each time, so a drawn frame is allocated anew.
+			pool := media.NewSyncFramePool(4)
+			j, err := NewTranscodeJobSegmented(context.Background(), "t", stream, 9, pool, 1, 1, 2, nil)
 			if err != nil {
-				b.Fatal(err)
+				return err
 			}
-			if _, err := runSync(b, s, j); err != nil {
-				b.Fatal(err)
+			if _, err = runSync(t, s, j); pool.Outstanding() != 0 {
+				t.Errorf("pool leak: %d frames outstanding", pool.Outstanding())
+			}
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.run(); !errors.Is(err, media.ErrBitstream) || !strings.Contains(err.Error(), "read past end") {
+				t.Fatalf("%v, want a read past the end", err)
+			}
+			const ops = 8
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < ops; i++ {
+				tc.run()
+			}
+			runtime.ReadMemStats(&after)
+			perOp := (after.TotalAlloc - before.TotalAlloc) / ops
+			t.Logf("forged geometry: %d B/op", perOp)
+			if perOp >= 64<<10 {
+				t.Errorf("%d B/op on a 15-byte stream, budget %d", perOp, 64<<10)
+			}
+		})
+	}
+}
+
+// setBits overwrites n bits of b at bit offset bit, MSB first, with v.
+func setBits(b []byte, bit, n int, v uint32) {
+	for i := 0; i < n; i++ {
+		p := bit + i
+		b[p/8] = b[p/8]&^(0x80>>(p%8)) | byte(v>>(n-1-i)&1)<<(7-p%8)
+	}
+}
+
+// TestTranscodeForgedGOPHeader transcodes clips whose sequence header
+// claims GOP N = 13, M = 3 while the frames are coded with another
+// structure, so the predicted cut at 13 is open: N = 12 (the prefix
+// before 13 is whole, but frame 13 references display 12) and N = 15,
+// M = 5 (the prefix holds display 15, so span 0's own decode fails). The
+// job must drop the span, run the clip as one span, and return the
+// batch reference's bytes on every run, with the pool balanced and the
+// goroutines back to their baseline.
+func TestTranscodeForgedGOPHeader(t *testing.T) {
+	const q = 9
+	s := NewScheduler(Config{Workers: 2, BaseSlice: time.Minute, QueueCap: 64}, NewMetrics())
+	defer s.Drain(context.Background())
+	base := runtime.NumGoroutine()
+	for _, gop := range [][2]int{{12, 3}, {15, 5}} {
+		stream, _, _ := testStream(t, 64, 48, 26, func(c *media.CodecConfig) { c.GOPN, c.GOPM = gop[0], gop[1] })
+		forged := bytes.Clone(stream)
+		setBits(forged, 54, 8, 13) // GOP N, after magic, MB cols and rows and Q
+		setBits(forged, 62, 4, 3)  // GOP M
+		if seq, err := media.ParseSeqHeader(media.NewBitReader(forged)); err != nil || seq.GOPN != 13 || seq.GOPM != 3 {
+			t.Fatalf("forged header %+v, %v", seq, err)
+		}
+		want := batchTranscode(t, forged, q)
+		for _, segs := range []int{2, 4} {
+			for run := 0; run < 5; run++ {
+				pool := media.NewSyncFramePool(64)
+				j, err := NewTranscodeJobSegmented(context.Background(), "t", forged, q, pool, 1, 1, segs, NewMetrics())
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := runSync(t, s, j)
+				if err != nil {
+					t.Fatalf("coded N=%d M=%d, %s: %v", gop[0], gop[1], spansName(segs), err)
+				}
+				if !bytes.Equal(res.Body, want) || res.Meta["X-Transcode-Segments"] != "1" {
+					t.Fatalf("coded N=%d M=%d, %s: %d bytes in %s spans, want the reference's %d in 1",
+						gop[0], gop[1], spansName(segs), len(res.Body), res.Meta["X-Transcode-Segments"], len(want))
+				}
+				if n := pool.Outstanding(); n != 0 {
+					t.Fatalf("pool leak: %d frames outstanding", n)
+				}
 			}
 		}
-	})
+	}
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines, %d before the jobs", runtime.NumGoroutine(), base)
+		}
+	}
+}
+
+// overflowBit returns a bit of coded frame c's body whose flip leaves a
+// stream the index accepts and the decoder rejects at frame c with a
+// run/level overflow, the one fault only a span finds.
+func overflowBit(t *testing.T, stream []byte, c int) int {
+	t.Helper()
+	ix, err := media.IndexGOPs(stream, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for bit := ix.FrameBit(c) + 34; bit < ix.FrameBit(c+1); bit++ {
+		b := bytes.Clone(stream)
+		b[bit/8] ^= 0x80 >> (bit % 8)
+		if _, err := media.IndexGOPs(b, nil); err != nil {
+			continue
+		}
+		if _, err := media.Decode(b); err != nil && strings.HasPrefix(err.Error(), fmt.Sprintf("frame %d: ", c)) &&
+			strings.Contains(err.Error(), "run/level overflow") {
+			return bit
+		}
+	}
+	t.Fatalf("no bit of frame %d overflows", c)
+	return 0
+}
+
+// TestTranscodeSegmentedFaultOrder transcodes, at three spans on three
+// workers, a clip with a fault in every span: run/level overflows at
+// coded frames 11 and 24, which only the span decoders see, and a
+// truncation in the last frame. Whichever span fails first, the job must
+// report the fault at the earliest coded frame, the same error in every
+// run.
+func TestTranscodeSegmentedFaultOrder(t *testing.T) {
+	stream, _ := segClip(t, 39)
+	bad := bytes.Clone(stream[:len(stream)-8])
+	for _, c := range []int{11, 24} {
+		bit := overflowBit(t, stream, c)
+		bad[bit/8] ^= 0x80 >> (bit % 8)
+	}
+	s := NewScheduler(Config{Workers: 3, BaseSlice: time.Minute, QueueCap: 64}, NewMetrics())
+	defer s.Drain(context.Background())
+	var first string
+	for run := 0; run < 50; run++ {
+		pool := media.NewSyncFramePool(64)
+		j, err := NewTranscodeJobSegmented(context.Background(), "t", bad, 9, pool, 1, 1, 3, NewMetrics())
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = runSync(t, s, j)
+		if err == nil || !strings.Contains(err.Error(), "frame 11: ") || !errors.Is(err, media.ErrBitstream) {
+			t.Fatalf("run %d: %v, want the overflow at frame 11", run, err)
+		}
+		if first == "" {
+			first = err.Error()
+		} else if err.Error() != first {
+			t.Fatalf("run %d: %v, run 0: %s", run, err, first)
+		}
+		if n := pool.Outstanding(); n != 0 {
+			t.Fatalf("pool leak: %d frames outstanding", n)
+		}
+	}
+	t.Log(first)
 }

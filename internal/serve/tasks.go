@@ -101,8 +101,8 @@ func checkpoint(ctx context.Context, gate *Gate) error {
 
 // unit is what a worker runs: one body of a job on its own goroutine,
 // parked at its own gate whenever no worker holds it. A decode or an
-// encode is one unit; a transcode is its GOP-index scan, then one unit
-// per span. The body calls checkpoint once per frame.
+// encode is one unit; a transcode is one unit per span, and an index
+// unit that runs beside them. The body calls checkpoint once per frame.
 type unit struct {
 	job  *Job
 	name string
