@@ -7,8 +7,8 @@
 #                GOARCH=386, so the portable SAD, transform and MC bodies
 #                behind !amd64 are compiled and vetted on every check (the
 #                amd64 pass runs asmdecl over the SSE2 and AVX2 PSADBW
-#                kernels, the CPUID probe, and the PMADDWD and MC kernels'
-#                frame and argument sizes); then the media tests
+#                kernels, the CPUID probe, and the SSE2 and AVX2 PMADDWD
+#                and MC kernels' frame and argument sizes); then the media tests
 #                under GOARCH=386, whose binaries run on an amd64 host, so
 #                the portable bodies also run, golden hashes included; the
 #                one-window VLD and the reciprocal quantiser, which are
@@ -52,16 +52,17 @@
 #                    the PSADBW/SWAR SAD-kernel parity fuzzer and its
 #                    eight-candidate (search grid) counterpart over each
 #                    body the host runs (SSE2, and AVX2 where present),
-#                    the transform/matrix-product, SSE2-kernel/butterfly
-#                    and RLSQ scatter/three-step parity fuzzer, the MC
+#                    the transform/matrix-product, transform-kernel/
+#                    butterfly (each body the host runs) and RLSQ
+#                    scatter/three-step parity fuzzer, the MC
 #                    kernel/Go-body, clamped-fetch/Frame.At and
 #                    prediction-view/copy-path parity fuzzer and the
 #                    one-span and span-count span-engine/two-phase
 #                    transcode-parity fuzzers)
 #   make mutate  applies each mutation listed in
 #                internal/media/testdata/asm_mutations.txt (the SSE2
-#                kernels, the AVX2 search-grid kernel and their
-#                //go:noescape directives) to a temporary copy of the
+#                kernels, the AVX2 search-grid and transform kernels and
+#                their //go:noescape directives) to a temporary copy of the
 #                module, one at a time, and runs the test named beside it,
 #                which must fail; a comment-only control must pass, an
 #                entry whose old text does not occur exactly once fails the

@@ -121,7 +121,7 @@ func benchFrame(w, h int) *Frame {
 // with clamping first. swar is inside on the portable kernel, so inside
 // against swar is the shipped kernel's ratio on this host. The sad8 rows
 // time the search grid's kernel through sad8 on each of its bodies
-// (sad8Bodies), for a full call and for one that exits after row 4.
+// (kernelBodies), for a full call and for one that exits after row 4.
 func BenchmarkSAD(b *testing.B) {
 	ref := benchFrame(176, 144)
 	inside := []MV{{0, 0}, {1, -1}, {-3, 2}, {7, 5}, {-8, -8}, {4, 0}}
@@ -154,18 +154,12 @@ func BenchmarkSAD(b *testing.B) {
 	var cur MBPixels
 	ref.GetMB(3, 3, &cur)
 	row := ref.Pix[3*MBSize*ref.W+3*MBSize-4:]
-	for _, body := range sad8Bodies {
+	benchEachBody(b, "sad8/", func(b *testing.B) {
 		for _, c := range []struct {
 			name     string
 			earlyOut int
 		}{{"full", 1 << 30}, {"exit", -1}} {
-			b.Run("sad8/"+body.name+"/"+c.name, func(b *testing.B) {
-				if body.skip != "" {
-					b.Skip(body.skip)
-				}
-				if body.use != nil {
-					defer body.use()()
-				}
+			b.Run(c.name, func(b *testing.B) {
 				var sums [8]int32
 				b.ReportAllocs()
 				sink := 0
@@ -175,6 +169,22 @@ func BenchmarkSAD(b *testing.B) {
 				benchSink = sink
 			})
 		}
+	})
+}
+
+// benchEachBody runs f as sub-benchmark prefix+name for each body in
+// kernelBodies, with the dispatch switched to that body.
+func benchEachBody(b *testing.B, prefix string, f func(b *testing.B)) {
+	for _, body := range kernelBodies {
+		b.Run(prefix+body.name, func(b *testing.B) {
+			if body.skip != "" {
+				b.Skip(body.skip)
+			}
+			if body.use != nil {
+				defer body.use()()
+			}
+			f(b)
+		})
 	}
 }
 
@@ -183,7 +193,7 @@ var benchSink int
 // idctBenchBlocks returns BenchmarkIDCT's dense block, every coefficient
 // drawn from [−2048, 2047], and the same block with row 0 raised to
 // 32767 throughout, whose row pass leaves int16 (column 0 sums to about
-// 86 600), so that the SSE2 kernel declines it.
+// 86 600), so that the kernel declines it.
 func idctBenchBlocks() (dense, declined Block) {
 	state := uint32(7)
 	for i := range dense {
@@ -198,22 +208,22 @@ func idctBenchBlocks() (dense, declined Block) {
 }
 
 // BenchmarkIDCT times the inverse transform on one dense block, where
-// every coefficient row is nonzero; per block over the coded blocks of
-// one decode of the Fig. 10 clip, about half of whose rows are all zero —
-// the input a zero-row skip would have to win on; and on one block the
-// SSE2 kernel declines, which pays its row pass and then the Go
-// butterflies. The last claims nothing: no coded block is declined.
+// every coefficient row is nonzero, and per block over the coded blocks
+// of one decode of the Fig. 10 clip, about half of whose rows are all
+// zero — the input a zero-row skip would have to win on — each on every
+// body of the kernel (kernelBodies); and on one block the kernel
+// declines, which pays its row pass and then the Go butterflies. The
+// last claims nothing: no coded block is declined.
 func BenchmarkIDCT(b *testing.B) {
 	dense, declined := idctBenchBlocks()
-	b.Run("dense", func(b *testing.B) {
+	benchEachBody(b, "dense/", func(b *testing.B) {
 		var out Block
 		b.ReportAllocs()
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			IDCT(&dense, &out)
 		}
 	})
-	b.Run("coded", func(b *testing.B) {
+	benchEachBody(b, "coded/", func(b *testing.B) {
 		blocks := loadCodedClip(b).coef
 		var out Block
 		b.ReportAllocs()
@@ -246,18 +256,22 @@ func BenchmarkRLSQTokensToCoef(b *testing.B) {
 	}
 }
 
+// BenchmarkFDCT times the forward transform of one block of residuals
+// in [−128, 127] on each body of the kernel (kernelBodies).
 func BenchmarkFDCT(b *testing.B) {
-	var in, out Block
+	var in Block
 	state := uint32(11)
 	for i := range in {
 		state = state*1664525 + 1013904223
 		in[i] = int16(int32(state>>24) - 128)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		FDCT(&in, &out)
-	}
+	benchEachBody(b, "", func(b *testing.B) {
+		var out Block
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			FDCT(&in, &out)
+		}
+	})
 }
 
 // BenchmarkEncodeMBRow measures the encoder's full per-frame pipeline

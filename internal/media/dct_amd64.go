@@ -21,6 +21,21 @@ package media
 //go:noescape
 func dct2dSSE2(src, dst *Block, m *dctPassTab) bool
 
+// dct2dAVX2 is dct2dSSE2 on all eight rows at once, one VPMADDWD where
+// dct2dSSE2 has two PMADDWD (dct_amd64.s), with the same outputs and the
+// same verdict.
+//
+//go:noescape
+func dct2dAVX2(src, dst *Block, m *dctPassTab) bool
+
+// dct2d runs the transform of table m on the body useAVX2 picks.
+func dct2d(src, dst *Block, m *dctPassTab) bool {
+	if useAVX2 {
+		return dct2dAVX2(src, dst, m)
+	}
+	return dct2dSSE2(src, dst, m)
+}
+
 // dctPassTab is one transform's table in PMADDWD operand form: m[j][p]
 // holds four copies of the pair (M[2p][j], M[2p+1][j]), the weights of
 // coefficients 2p and 2p+1 in output j.
@@ -47,20 +62,20 @@ func newDCTPass(forward bool) (m dctPassTab) {
 
 // FDCT computes the forward 8×8 DCT of src into dst (row-major). Inputs
 // are expected in roughly [-256, 255] (pixel residuals or level-shifted
-// intra pixels); outputs fit comfortably in int16. The SSE2 kernel runs
-// it, and fdctGo takes the blocks the kernel declines.
+// intra pixels); outputs fit comfortably in int16. The kernel (dct2d)
+// runs it, and fdctGo takes the blocks the kernel declines.
 func FDCT(src, dst *Block) {
-	if !dct2dSSE2(src, dst, &fdctPass) {
+	if !dct2d(src, dst, &fdctPass) {
 		fdctGo(src, dst)
 	}
 }
 
 // IDCT computes the inverse 8×8 DCT of src into dst (row-major). It is
 // the deterministic inverse used by both the encoder's reconstruction
-// loop and the decoder, so the two stay bit-exact. The SSE2 kernel runs
-// it, and idctGo takes the blocks the kernel declines.
+// loop and the decoder, so the two stay bit-exact. The kernel (dct2d)
+// runs it, and idctGo takes the blocks the kernel declines.
 func IDCT(src, dst *Block) {
-	if !dct2dSSE2(src, dst, &idctPass) {
+	if !dct2d(src, dst, &idctPass) {
 		idctGo(src, dst)
 	}
 }

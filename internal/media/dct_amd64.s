@@ -143,3 +143,122 @@ TEXT ·dct2dSSE2(SB), NOSPLIT, $128-25
 decline:
 	MOVB $0, ret+24(FP)
 	RET
+
+// func dct2dAVX2(src, dst *Block, m *dctPassTab) bool
+//
+// dct2dSSE2 on all eight rows at once. Y0+p holds dword p of rows 0…3 in
+// its low lane and of rows 4…7 in its high lane (row r, then row r+4 by
+// VINSERTI128, then TRANSPOSE4 in each lane), so output j is four
+// VPMADDWD against m[j][p], broadcast from its first dword. VPACKSSDW
+// packs outputs j and j+1 interleaved by lane, VPERMQ $0xD8 orders them,
+// and one 32-byte store writes column vectors j and j+1, to the frame in
+// the row pass and to dst in the column pass. Rounding, fit test,
+// decline and src == dst are dct2dSSE2's. Every instruction is
+// VEX-encoded (TestAVX2BodiesAreVEXOnly): a legacy SSE one after the
+// first ymm write costs a state transition per call. The caller checks
+// for AVX2 (hasAVX2).
+//
+// Registers: Y0–Y3 pair vectors, Y4–Y7 transpose scratch, Y8 scratch,
+// Y9 rounding, Y10 fit accumulator, Y11 bias, Y12 and Y13 outputs j and
+// j+1, Y14 products.
+
+// YTRANSPOSE4 is TRANSPOSE4 of Y0…Y3 in each lane.
+#define YTRANSPOSE4 \
+	VPUNPCKLDQ  Y1, Y0, Y4; \
+	VPUNPCKHDQ  Y1, Y0, Y5; \
+	VPUNPCKLDQ  Y3, Y2, Y6; \
+	VPUNPCKHDQ  Y3, Y2, Y7; \
+	VPUNPCKLQDQ Y6, Y4, Y0; \
+	VPUNPCKHQDQ Y6, Y4, Y1; \
+	VPUNPCKLQDQ Y7, Y5, Y2; \
+	VPUNPCKHQDQ Y7, Y5, Y3
+
+// YLOADROWS is LOADROWS into Y0…Y3.
+#define YLOADROWS(base) \
+	VMOVDQU     0(base), X0; \
+	VINSERTI128 $1, 64(base), Y0, Y0; \
+	VMOVDQU     16(base), X1; \
+	VINSERTI128 $1, 80(base), Y1, Y1; \
+	VMOVDQU     32(base), X2; \
+	VINSERTI128 $1, 96(base), Y2, Y2; \
+	VMOVDQU     48(base), X3; \
+	VINSERTI128 $1, 112(base), Y3, Y3; \
+	YTRANSPOSE4
+
+// YDOT is DOT of all eight rows into acc.
+#define YDOT(off, acc) \
+	VPBROADCASTD (off)(AX), acc; \
+	VPMADDWD     Y0, acc, acc; \
+	VPBROADCASTD (off+16)(AX), Y14; \
+	VPMADDWD     Y1, Y14, Y14; \
+	VPADDD       Y14, acc, acc; \
+	VPBROADCASTD (off+32)(AX), Y14; \
+	VPMADDWD     Y2, Y14, Y14; \
+	VPADDD       Y14, acc, acc; \
+	VPBROADCASTD (off+48)(AX), Y14; \
+	VPMADDWD     Y3, Y14, Y14; \
+	VPADDD       Y14, acc, acc; \
+	VPADDD       Y9, acc, acc; \
+	VPSRAD       $12, acc, acc
+
+// YFIT is FIT into Y10.
+#define YFIT(acc) \
+	VPADDD Y11, acc, Y8; \
+	VPOR   Y8, Y10, Y10
+
+// YPACK leaves column vectors j (Y12) and j+1 (Y13) in order in Y12.
+#define YPACK \
+	VPACKSSDW Y13, Y12, Y12; \
+	VPERMQ    $0xD8, Y12, Y12
+
+// YROWSTEP and YCOLSTEP are ROWSTEP and COLSTEP for columns j and j+1.
+#define YROWSTEP(j) \
+	YDOT(j*64, Y12); \
+	YDOT(j*64+64, Y13); \
+	YFIT(Y12); \
+	YFIT(Y13); \
+	YPACK; \
+	VMOVDQU Y12, (j*16)(SP)
+
+#define YCOLSTEP(j) \
+	YDOT(j*64, Y12); \
+	YDOT(j*64+64, Y13); \
+	YPACK; \
+	VMOVDQU Y12, (j*16)(DI)
+
+TEXT ·dct2dAVX2(SB), NOSPLIT, $128-25
+	MOVQ         src+0(FP), SI
+	MOVQ         dst+8(FP), DI
+	MOVQ         m+16(FP), AX
+	MOVL         $2048, BX
+	VMOVD        BX, X9
+	VPBROADCASTD X9, Y9
+	MOVL         $32768, BX
+	VMOVD        BX, X11
+	VPBROADCASTD X11, Y11
+	VPXOR        Y10, Y10, Y10
+
+	YLOADROWS(SI)
+	YROWSTEP(0)
+	YROWSTEP(2)
+	YROWSTEP(4)
+	YROWSTEP(6)
+
+	// Decline unless the high half of every fit dword is zero.
+	VPSRLD    $16, Y10, Y10
+	VPXOR     Y8, Y8, Y8
+	VPCMPEQD  Y8, Y10, Y10
+	VPMOVMSKB Y10, BX
+	CMPL      BX, $0xFFFFFFFF
+	SETEQ     ret+24(FP)
+	JNE       ydone
+
+	YLOADROWS(SP)
+	YCOLSTEP(0)
+	YCOLSTEP(2)
+	YCOLSTEP(4)
+	YCOLSTEP(6)
+
+ydone:
+	VZEROUPPER
+	RET

@@ -27,14 +27,6 @@ func rowPassFits(src *Block, forward bool) bool {
 	return true
 }
 
-// dct2dShipped is dct2dSSE2 under the table of each direction.
-func dct2dShipped(src, dst *Block, forward bool) bool {
-	if forward {
-		return dct2dSSE2(src, dst, &fdctPass)
-	}
-	return dct2dSSE2(src, dst, &idctPass)
-}
-
 // dctButterflies runs the Go body of one direction on a copy of src, so
 // that dst may be src.
 func dctButterflies(src, dst *Block, forward bool) {
@@ -73,7 +65,20 @@ func dct2dMismatch(k dctKernel, b *Block) string {
 	return ""
 }
 
-func init() { dct2dFuzz = func(b *Block) string { return dct2dMismatch(dct2dShipped, b) } }
+// dct2dFuzz checks every body of dct2d this host runs.
+func init() {
+	dct2dFuzz = func(b *Block) string {
+		for _, body := range kernelBodies {
+			if body.skip != "" {
+				continue
+			}
+			if msg := dct2dMismatch(body.dct2d, b); msg != "" {
+				return body.name + ": " + msg
+			}
+		}
+		return ""
+	}
+}
 
 // boundaryBlock returns a block whose only nonzero row, row r, gives
 // row-pass output j the value target under the inverse (M = dctTab) or
@@ -120,17 +125,17 @@ func boundaryBlock(forward bool, r, j int, target int32) Block {
 // dense blocks at three amplitudes, residual-range blocks and blocks whose
 // one extreme row-pass output is 32767, 32768, −32768 or −32769. Coded and
 // residual-range blocks must be accepted, so a kernel that declines
-// everything fails too.
+// everything fails too. TestDCT2DMatchesButterflies holds each body of
+// dct2d (kernelBodies) to it directly, not through the dispatch.
 func dct2dContract(t *testing.T) *contract[dctKernel] {
 	dense, declined := idctBenchBlocks()
 	blocks := append(transformBlocks(t), dense, declined)
-	var out Block
-	if dct2dSSE2(&declined, &out, &idctPass) {
+	if rowPassFits(&declined, false) {
 		t.Error("BenchmarkIDCT/declined's block is accepted")
 	}
 	coded := loadCodedClip(t).coef
 	for i := range coded {
-		if !dct2dSSE2(&coded[i], &out, &idctPass) {
+		if !rowPassFits(&coded[i], false) {
 			t.Fatalf("coded block %d of %d declined: %v", i, len(coded), coded[i])
 		}
 	}
@@ -151,7 +156,7 @@ func dct2dContract(t *testing.T) *contract[dctKernel] {
 		for i := range b {
 			b[i] = int16(rng.Intn(512) - 256)
 		}
-		if !dct2dSSE2(&b, &out, &fdctPass) {
+		if !rowPassFits(&b, true) {
 			t.Fatalf("residual block %v declined by the forward table", b)
 		}
 		blocks = append(blocks, b)
@@ -179,7 +184,7 @@ func dct2dContract(t *testing.T) *contract[dctKernel] {
 	return &contract[dctKernel]{
 		n:        len(blocks),
 		mismatch: func(k dctKernel, i int) string { return dct2dMismatch(k, &blocks[i]) },
-		kernel:   dct2dShipped,
+		kernel:   asmDCT2D(dct2d),
 		oracle:   dct2dModel,
 		faults: []fault[dctKernel]{
 			{"a kernel that never declines", neverDeclines},
@@ -188,4 +193,11 @@ func dct2dContract(t *testing.T) *contract[dctKernel] {
 	}
 }
 
-func TestDCT2DMatchesButterflies(t *testing.T) { dct2dContract(t).verify(t) }
+func TestDCT2DMatchesButterflies(t *testing.T) {
+	c := dct2dContract(t)
+	eachKernelBody(t, func(t *testing.T, b kernelBody) {
+		c.kernel = b.dct2d
+		c.holds(t)
+	})
+	c.checkFaults(t)
+}

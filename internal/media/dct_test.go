@@ -254,9 +254,9 @@ func TestClamp16(t *testing.T) {
 }
 
 // TestTransformsDoNotAllocate pins the transforms and the per-macroblock
-// stages built on them at zero allocations. On amd64 this rests on
-// dct2dSSE2's //go:noescape: without it every block handed to the kernel
-// escapes to the heap.
+// stages built on them at zero allocations. On amd64 this rests on the
+// //go:noescape of dct2dSSE2 and dct2dAVX2: without either, every block
+// handed to the kernel escapes to the heap.
 func TestTransformsDoNotAllocate(t *testing.T) {
 	var mb [BlocksPerMB]Block
 	for b := range mb {

@@ -52,23 +52,26 @@ func (ix *GOPIndex) TranscodeCuts(gopN, gopM int) []int {
 	return out
 }
 
-// sad8Body is one body of the search grid's kernel. Tests call kernel
-// directly; use, where sad8 has more than one body, switches sad8's
-// dispatch to this one until the returned func restores the probe's pick;
-// skip, when set, says why this host cannot run it. Off amd64 the one body
-// is the portable loop; sad8_amd64_test.go lists the assembly bodies.
-type sad8Body struct {
+// kernelBody is one body of the kernels that useAVX2 dispatches: sad8,
+// the search grid's kernel, and dct2d, the transforms'. Tests call sad8
+// and dct2d directly; use, where there is more than one body, switches
+// the dispatch to this one until the returned func restores the probe's
+// pick; skip, when set, says why this host cannot run it. Off amd64 the
+// one body is the portable sad8 loop, and there is no dct2d;
+// sad8_amd64_test.go lists the assembly bodies.
+type kernelBody struct {
 	name, skip string
-	kernel     sad8Kernel
+	sad8       sad8Kernel
+	dct2d      dctKernel
 	use        func() (restore func())
 }
 
-var sad8Bodies = []sad8Body{{name: "go", kernel: sad8Go}}
+var kernelBodies = []kernelBody{{name: "go", sad8: sad8Go}}
 
-// eachSAD8Body runs f as one subtest per body of sad8, with sad8
-// dispatching to that body.
-func eachSAD8Body(t *testing.T, f func(t *testing.T, body sad8Body)) {
-	for _, b := range sad8Bodies {
+// eachKernelBody runs f as one subtest per body in kernelBodies, with the
+// dispatch switched to that body.
+func eachKernelBody(t *testing.T, f func(t *testing.T, body kernelBody)) {
+	for _, b := range kernelBodies {
 		t.Run(b.name, func(t *testing.T) {
 			if b.skip != "" {
 				t.Skip(b.skip)

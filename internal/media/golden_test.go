@@ -151,11 +151,12 @@ var goldenEncodes = []struct {
 }
 
 // TestGoldenEncodeHashes encodes each clip once per body of the search
-// grid's kernel (sad8Bodies).
+// grid's and the transforms' kernels (kernelBodies), which one dispatch
+// switches together.
 func TestGoldenEncodeHashes(t *testing.T) {
 	for _, g := range goldenEncodes {
 		t.Run(g.name, func(t *testing.T) {
-			eachSAD8Body(t, func(t *testing.T, _ sad8Body) {
+			eachKernelBody(t, func(t *testing.T, _ kernelBody) {
 				src := DefaultSource(g.w, g.h)
 				src.Seed = g.seed
 				cfg := DefaultCodec(g.w, g.h)

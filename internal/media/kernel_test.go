@@ -389,7 +389,7 @@ func sad8Mismatch(k sad8Kernel, in *sadInput) string {
 // sad8Contract holds sad8 to sad8Go on every exit path, at strides 16, 30
 // (the r = 7 window), 46 and 176 and at the smallest of the eight partial
 // sums at each exit row ±1. TestSAD8MatchesPortable holds each body of
-// sad8 (sad8Bodies) to it directly, not through the dispatch.
+// sad8 (kernelBodies) to it directly, not through the dispatch.
 func sad8Contract() *contract[sad8Kernel] {
 	ins := sadInputs(pixelPairs(22, []int{16, 30, 46, 176}, 7), func(cur *MBPixels, ref []byte, stride int) []int {
 		var partials [8][MBSize]int
@@ -417,8 +417,8 @@ func sad8Contract() *contract[sad8Kernel] {
 
 func TestSAD8MatchesPortable(t *testing.T) {
 	c := sad8Contract()
-	eachSAD8Body(t, func(t *testing.T, b sad8Body) {
-		c.kernel = b.kernel
+	eachKernelBody(t, func(t *testing.T, b kernelBody) {
+		c.kernel = b.sad8
 		c.holds(t)
 	})
 }
@@ -428,11 +428,11 @@ func TestSAD8ParityCatchesFaults(t *testing.T) { sad8Contract().checkFaults(t) }
 // FuzzSAD8Parity checks every body of sad8 this host runs.
 func FuzzSAD8Parity(f *testing.F) {
 	fuzzSAD(f, "eclipse sad8 kernel", 7, func(in *sadInput) string {
-		for _, b := range sad8Bodies {
+		for _, b := range kernelBodies {
 			if b.skip != "" {
 				continue
 			}
-			if msg := sad8Mismatch(b.kernel, in); msg != "" {
+			if msg := sad8Mismatch(b.sad8, in); msg != "" {
 				return b.name + ": " + msg
 			}
 		}
@@ -757,7 +757,7 @@ var searchContract = sync.OnceValue(func() *contract[searchFunc] {
 })
 
 func TestMotionSearchMatchesRasterSearch(t *testing.T) {
-	eachSAD8Body(t, func(t *testing.T, _ sad8Body) { searchContract().holds(t) })
+	eachKernelBody(t, func(t *testing.T, _ kernelBody) { searchContract().holds(t) })
 }
 
 func TestSearchParityHarnessCatchesFaults(t *testing.T) { searchContract().checkFaults(t) }
@@ -1539,16 +1539,16 @@ func transformContract(tb testing.TB) *contract[transforms] {
 
 func TestTransformsMatchMatrixProduct(t *testing.T) { transformContract(t).verify(t) }
 
-// dctKernel is a model of dct2dSSE2 with its table named by direction.
-// dct2dSSE2 exists only on amd64, so its row is in dct_amd64_test.go,
-// which also sets dct2dFuzz, the row's check of one block.
+// dctKernel is a model of dct2d with its table named by direction. dct2d
+// exists only on amd64, so its row is in dct_amd64_test.go, which also
+// sets dct2dFuzz, the row's check of one block on every body.
 type dctKernel func(src, dst *Block, forward bool) bool
 
 var dct2dFuzz func(b *Block) string
 
 // FuzzTransformParity reads 128 fuzz bytes as one little-endian block
 // (zero-padded, so sparse blocks are easy to reach) for the transform and
-// dct2dSSE2 rows, and the same bytes as run/level events for RLSQ.
+// dct2d rows, and the same bytes as run/level events for RLSQ.
 func FuzzTransformParity(f *testing.F) {
 	f.Add(uint8(5), []byte{})
 	f.Add(uint8(0), []byte{0x00, 0x80})

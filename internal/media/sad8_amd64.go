@@ -16,8 +16,9 @@ func sad8AVX2(cur *MBPixels, ref *byte, stride, earlyOut int, out *[8]int32)
 // hasAVX2 is the CPUID and XGETBV probe for AVX2 (sad8_amd64.s).
 func hasAVX2() bool
 
-// useAVX2 picks sad8's body once: sad8AVX2 where the probe finds AVX2,
-// else sad8SSE2, the amd64 baseline.
+// useAVX2 picks the bodies of sad8 and dct2d once: sad8AVX2 and
+// dct2dAVX2 where the probe finds AVX2, else sad8SSE2 and dct2dSSE2, the
+// amd64 baseline.
 var useAVX2 = hasAVX2()
 
 // sad8 is the eight-candidate kernel (see sad8Go for the contract). The

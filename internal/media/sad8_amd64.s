@@ -104,7 +104,7 @@ TEXT ·sad8AVX2(SB), NOSPLIT, $0-40
 	MOVQ         stride+16(FP), DX
 	MOVQ         earlyOut+24(FP), R8
 	MOVQ         out+32(FP), R9
-	MOVQ         R8, X11
+	VMOVQ        R8, X11
 	VPBROADCASTD X11, Y11
 	VPXOR        Y3, Y3, Y3
 	VPXOR        Y4, Y4, Y4

@@ -11,7 +11,18 @@ func asmSAD8(body func(cur *MBPixels, ref *byte, stride, earlyOut int, out *[8]i
 	}
 }
 
-// dispatchAVX2 returns a sad8Body.use that sets useAVX2 to on.
+// asmDCT2D is dct2d with body in place of the dispatch and the table
+// named by direction.
+func asmDCT2D(body func(src, dst *Block, m *dctPassTab) bool) dctKernel {
+	return func(src, dst *Block, forward bool) bool {
+		if forward {
+			return body(src, dst, &fdctPass)
+		}
+		return body(src, dst, &idctPass)
+	}
+}
+
+// dispatchAVX2 returns a kernelBody.use that sets useAVX2 to on.
 func dispatchAVX2(on bool) func() func() {
 	return func() func() {
 		saved := useAVX2
@@ -21,9 +32,9 @@ func dispatchAVX2(on bool) func() func() {
 }
 
 func init() {
-	avx2 := sad8Body{name: "avx2", kernel: asmSAD8(sad8AVX2), use: dispatchAVX2(true)}
+	avx2 := kernelBody{name: "avx2", sad8: asmSAD8(sad8AVX2), dct2d: asmDCT2D(dct2dAVX2), use: dispatchAVX2(true)}
 	if !hasAVX2() {
 		avx2.skip = "the CPUID probe finds no AVX2 on this host"
 	}
-	sad8Bodies = []sad8Body{{name: "sse2", kernel: asmSAD8(sad8SSE2), use: dispatchAVX2(false)}, avx2}
+	kernelBodies = []kernelBody{{name: "sse2", sad8: asmSAD8(sad8SSE2), dct2d: asmDCT2D(dct2dSSE2), use: dispatchAVX2(false)}, avx2}
 }
