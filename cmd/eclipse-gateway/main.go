@@ -20,9 +20,12 @@
 //	GET  /varz                   JSON status (per-backend states and counters)
 //	GET  /metrics                Prometheus text exposition
 //
-// X-Tenant and X-Timeout-Ms pass through; the timeout budget is
-// enforced at the gateway and the remaining budget is re-emitted to
-// each upstream attempt.
+// A media request is accepted by the backend's own front end,
+// serve.Accept, so the gateway refuses (400, or 413 with "Connection:
+// close") exactly what a backend would; one wire table, in
+// internal/cluster/front_test.go, checks both tiers. X-Tenant and X-Timeout-Ms pass through; the
+// timeout budget is enforced at the gateway and the remaining budget is
+// re-emitted to each upstream attempt.
 package main
 
 import (

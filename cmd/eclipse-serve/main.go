@@ -23,7 +23,10 @@
 // Requests carry an optional X-Tenant header (scheduling identity,
 // default "default") and an optional X-Timeout-Ms deadline that is
 // enforced end-to-end: a running job observes it at its next frame
-// checkpoint.
+// checkpoint. A media request is accepted by serve.Accept, the front end
+// the gateway shares: a bad deadline or parameter is a 400, a body past
+// -max-body a 413 with "Connection: close" (one wire table, in
+// internal/cluster/front_test.go, checks both tiers).
 //
 // Identical requests are served from a content-addressed result cache
 // with singleflight collapse (-cache-bytes budget, per-tenant on/off

@@ -1,21 +1,15 @@
 package cluster
 
-// The gateway's pooled bodies: parity with serve's request-body reader on
-// the wire, the request body's lifetime against a transport that is still
-// writing it after the handler has returned, and the pool's balance
-// across the proxy's outcomes.
+// The gateway's pooled bodies: the request body's lifetime against a
+// transport still writing it after the handler has returned, and the
+// pool's balance across the proxy's outcomes (on the wire: front_test.go).
 
 import (
-	"bufio"
 	"bytes"
 	"context"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"net/http/httptrace"
-	"runtime"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -23,81 +17,6 @@ import (
 
 	"eclipse/internal/serve"
 )
-
-// TestGatewayReadBodyParity sends serve's TestReadBodyParity wire
-// requests, parsed by net/http's own request reader, through the
-// gateway's handler to an echoing backend. Each status must be the one
-// serve answers, each 200 must carry the bytes sent, and a declared
-// length the cap refuses must not size an allocation.
-func TestGatewayReadBodyParity(t *testing.T) {
-	const max = 64 << 10
-	f := newFakeBackend(t)
-	f.mode.Store("echo")
-	g := newTestGateway(t, Config{MaxBodyBytes: max, MaxRetries: -1}, f.addr())
-	forceUp(g)
-	payload := func(n int) string {
-		b := make([]byte, n)
-		for i := range b {
-			b[i] = byte(i*131 + i>>9)
-		}
-		return string(b)
-	}
-	sized := func(cl int64, body string) string {
-		return "POST /v1/decode HTTP/1.1\r\nHost: x\r\nContent-Length: " +
-			strconv.FormatInt(cl, 10) + "\r\n\r\n" + body
-	}
-	chunked := func(body string) string {
-		var b strings.Builder
-		b.WriteString("POST /v1/decode HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n")
-		for len(body) > 0 {
-			n := min(len(body), 3000)
-			fmt.Fprintf(&b, "%x\r\n%s\r\n", n, body[:n])
-			body = body[n:]
-		}
-		b.WriteString("0\r\n\r\n")
-		return b.String()
-	}
-	for _, c := range []struct {
-		name string
-		wire string
-		sent string // the body a 200 echoes
-		want int    // serve's status for the same wire request
-	}{
-		{"exact-length", sized(20000, payload(20000)), payload(20000), http.StatusOK},
-		{"empty", sized(0, ""), "", http.StatusOK},
-		{"short", sized(20000, payload(9000)), "", http.StatusBadRequest},
-		{"chunked", chunked(payload(20000)), payload(20000), http.StatusOK},
-		{"chunked-at-cap", chunked(payload(max)), payload(max), http.StatusOK},
-		{"chunked-over-cap", chunked(payload(max + 1)), "", http.StatusRequestEntityTooLarge},
-		{"at-cap", sized(max, payload(max)), payload(max), http.StatusOK},
-		{"one-over-cap", sized(max+1, payload(max+1)), "", http.StatusRequestEntityTooLarge},
-		{"lying-length", sized(1<<40, payload(100)), "", http.StatusBadRequest},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			r, err := http.ReadRequest(bufio.NewReader(strings.NewReader(c.wire)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			w := httptest.NewRecorder()
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			g.Handler().ServeHTTP(w, r)
-			runtime.ReadMemStats(&after)
-			if w.Code != c.want {
-				t.Fatalf("status %d (%q), serve answers %d", w.Code, w.Body.String(), c.want)
-			}
-			if c.want == http.StatusOK && w.Body.String() != c.sent {
-				t.Fatalf("backend echoed %d bytes, sent %d", w.Body.Len(), len(c.sent))
-			}
-			// The lying length reaches no backend, and its slab grows only
-			// with the 100 bytes sent.
-			if n := after.TotalAlloc - before.TotalAlloc; c.name == "lying-length" && n > 4*4<<10 {
-				t.Fatalf("reading allocated %d bytes, bound %d", n, 4*4<<10)
-			}
-		})
-	}
-	waitBalanced(t, g, 0)
-}
 
 // waitBalanced waits until exactly want of the slabs g drew are still
 // out of its pool: an upstream request body's stake drops when the
@@ -117,16 +36,12 @@ func waitBalanced(t *testing.T, g *Gateway, want int64) {
 // stakes exist to prevent.
 func earlyRelease(g *Gateway) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		buf, _, err := g.bufs.ReadCapped(r.Body, r.ContentLength, g.cfg.MaxBodyBytes)
-		if err != nil {
-			http.Error(w, err.Error(), serve.BodyStatus(err))
-			return
-		}
-		defer g.bufs.Put(buf) // the fault
-		body := &reqBody{buf: buf, pool: &g.bufs}
-		body.refs.Store(1 << 20) // no stake ever returns it
-		p, _ := serve.ParseParams(serve.KindDecode, "")
-		g.doUnshared(r.Context(), w, r, serve.KindDecode, p.Key(buf), body, time.Time{})
+		serve.Accept(w, r, serve.KindDecode, &g.bufs, g.cfg.MaxBodyBytes, func(ctx context.Context, p serve.Params, buf []byte) {
+			defer g.bufs.Put(buf) // the fault
+			body := &reqBody{buf: buf, pool: &g.bufs}
+			body.refs.Store(1 << 20) // no stake ever returns it
+			g.doUnshared(ctx, w, r, serve.KindDecode, p.Key(buf), body, time.Time{})
+		})
 	})
 }
 
@@ -302,48 +217,4 @@ func TestGatewayBodyPoolBalance(t *testing.T) {
 	f.mode.Store("refuse")
 	post(make([]byte, 60<<10), http.StatusRequestEntityTooLarge, "")
 	waitBalanced(t, g, 1)
-}
-
-// TestGatewayBodyTooLargeClosesConnection is serve's
-// TestBodyTooLargeClosesConnection at the gateway, on a real socket: the
-// 413 for a body past the cap says "Connection: close" on a kept-alive
-// connection, and the client's next request opens a new one.
-func TestGatewayBodyTooLargeClosesConnection(t *testing.T) {
-	const max = 1 << 10
-	f := newFakeBackend(t)
-	g := newTestGateway(t, Config{MaxBodyBytes: max, MaxRetries: -1}, f.addr())
-	forceUp(g)
-	ts := httptest.NewServer(g.Handler())
-	defer ts.Close()
-	for i, c := range []struct {
-		size   int
-		status int
-		reused bool
-	}{
-		{16, http.StatusOK, false},
-		{max + 1, http.StatusRequestEntityTooLarge, true},
-		{16, http.StatusOK, false},
-	} {
-		var reused bool
-		trace := &httptrace.ClientTrace{GotConn: func(ci httptrace.GotConnInfo) { reused = ci.Reused }}
-		req, err := http.NewRequestWithContext(httptrace.WithClientTrace(context.Background(), trace),
-			"POST", ts.URL+"/v1/decode", bytes.NewReader(make([]byte, c.size)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := ts.Client().Do(req)
-		if err != nil {
-			t.Fatalf("request %d: %v", i, err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		tooBig := c.status == http.StatusRequestEntityTooLarge
-		if resp.StatusCode != c.status || resp.Close != tooBig || reused != c.reused {
-			t.Fatalf("request %d (%d bytes): status %d, Connection %q, reused %v; want %d, close %v, reused %v",
-				i, c.size, resp.StatusCode, resp.Header.Get("Connection"), reused, c.status, tooBig, c.reused)
-		}
-	}
-	if got := f.hits.Load(); got != 2 {
-		t.Fatalf("backend saw %d requests, want 2", got)
-	}
 }

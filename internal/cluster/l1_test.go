@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -27,17 +28,11 @@ func l1Post(t *testing.T, url, path string, body []byte, hdr map[string]string) 
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	b, err := readAllBody(resp)
+	b, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return resp, b
-}
-
-func readAllBody(resp *http.Response) ([]byte, error) {
-	var buf bytes.Buffer
-	_, err := buf.ReadFrom(resp.Body)
-	return buf.Bytes(), err
 }
 
 // TestL1Lifecycle drives the L1 against real eclipse-serve backends:

@@ -181,54 +181,32 @@ func (g *Gateway) dialUpstream(ctx context.Context, network, addr string) (net.C
 	return &upstreamConn{Conn: c, w: struct{ io.Writer }{c}, bufs: &g.bufs}, nil
 }
 
-// handleMedia serves POST kind.Path(). The request is parsed and
-// addressed by the backend's own definition (serve.ParseParams), so the
-// two tiers accept the same requests. The routing key is the backend's
-// content-address cache key, computed from the same bytes the backend
-// will hash: affinity is exact, not approximate, and the key doubles as
-// the L1 key and the entity tag, so the whole hierarchy speaks one
-// address space.
+// handleMedia serves POST kind.Path(). The request is accepted by the
+// backend's own front end (serve.Accept), so the two tiers accept the
+// same requests and answer a refused one alike. The routing key is the
+// backend's content-address cache key, computed from the same bytes the
+// backend will hash: affinity is exact, not approximate, and the key
+// doubles as the L1 key and the entity tag, so the whole hierarchy speaks
+// one address space.
 func (g *Gateway) handleMedia(kind serve.Kind) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		// The backend's checks in the backend's order: the deadline, the
-		// parameters, then the body.
-		timeout, err := serve.TimeoutFromHeader(r.Header)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		p, err := serve.ParseParams(kind, r.URL.RawQuery)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		buf, err := serve.ReadBody(w, r, &g.bufs, g.cfg.MaxBodyBytes)
-		if err != nil {
-			http.Error(w, "cluster: reading request body: "+err.Error(), serve.BodyStatus(err))
-			return
-		}
-		body := &reqBody{buf: buf, pool: &g.bufs}
-		body.refs.Store(1)
-		defer body.release()
-		key := p.Key(buf)
-		ctx := r.Context()
-		var deadline time.Time
-		if timeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, timeout)
-			defer cancel()
-			deadline, _ = ctx.Deadline()
-		}
+		serve.Accept(w, r, kind, &g.bufs, g.cfg.MaxBodyBytes, func(ctx context.Context, p serve.Params, buf []byte) {
+			body := &reqBody{buf: buf, pool: &g.bufs}
+			body.refs.Store(1)
+			defer body.release()
+			key := p.Key(buf)
+			deadline, _ := ctx.Deadline()
 
-		g.met.Requests[kind].Add(1)
-		g.met.BytesIn.Add(uint64(len(buf)))
-		if g.l1 != nil {
-			g.serveL1(ctx, w, r, kind, key, body, deadline)
-			return
-		}
-		start := time.Now()
-		g.doUnshared(ctx, w, r, kind, key, body, deadline)
-		g.met.Latency[kind].Observe(time.Since(start))
+			g.met.Requests[kind].Add(1)
+			g.met.BytesIn.Add(uint64(len(buf)))
+			if g.l1 != nil {
+				g.serveL1(ctx, w, r, kind, key, body, deadline)
+				return
+			}
+			start := time.Now()
+			g.doUnshared(ctx, w, r, kind, key, body, deadline)
+			g.met.Latency[kind].Observe(time.Since(start))
+		})
 	}
 }
 

@@ -18,8 +18,9 @@ import (
 // them); the tref field carries the display index.
 
 const (
-	seqMagic    = 0x45434C31 // "ECL1"
-	frameMarker = 0xFFA5
+	seqMagic     = 0x45434C31 // "ECL1"
+	frameMarker  = 0xFFA5
+	frameHdrBits = 16 + 2 + 16 // marker, type, tref
 )
 
 // SeqHeader carries the sequence-level parameters every pipeline stage

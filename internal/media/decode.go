@@ -107,8 +107,7 @@ func decodeSpan(r *BitReader, seq SeqHeader, lo, hi int, opts *DecodeOptions) (*
 	if newFrame == nil {
 		newFrame = NewFrame
 	}
-	// A frame header is 34 bits: a forged frame count sizes nothing.
-	res := &DecodeResult{Seq: seq, Coded: make([]DecodedFrame, 0, min(hi-lo, len(r.buf)/4))}
+	res := &DecodeResult{Seq: seq, Coded: make([]DecodedFrame, 0, min(hi-lo, seq.MaxFrames(len(r.buf))))}
 	streaming := opts.OnDisplayFrame != nil
 	var sink streamSink
 	if streaming {
@@ -171,6 +170,14 @@ func decodeSpan(r *BitReader, seq SeqHeader, lo, hi int, opts *DecodeOptions) (*
 // hold, as the read past the end it would hit, before it is allocated.
 // IndexGOPs makes the same check at the same point.
 var minMBBits = [...]int{FrameI: 4, FrameP: 1, FrameB: 6}
+
+// MaxFrames bounds the frames a stream of n bytes can hold under h by the
+// rule frameFits applies: each is a frame header and at least MBCount ×
+// minMBBits bits of body. So a forged frame count or geometry sizes
+// nothing past what the stream could carry.
+func (h *SeqHeader) MaxFrames(n int) int {
+	return 8 * n / (frameHdrBits + h.MBCount()*min(minMBBits[FrameI], minMBBits[FrameP], minMBBits[FrameB]))
+}
 
 func frameFits(r *BitReader, seq *SeqHeader, t FrameType) error {
 	if left, need := 8*len(r.buf)-r.pos, seq.MBCount()*minMBBits[t]; left < need {

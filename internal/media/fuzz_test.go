@@ -134,6 +134,9 @@ func FuzzHuffDecode(f *testing.F) {
 	f.Add([]byte{1, 1}, []byte{0x00})
 	f.Add([]byte{9, 3, 3, 1, 1, 0, 200, 45}, []byte{0xde, 0xad, 0xbe, 0xef, 0x01})
 	f.Add(bytes.Repeat([]byte{1}, 40), bytes.Repeat([]byte{0x5a}, 16))
+	// Its unlimited Huffman tree is 33 deep: HuffCodeLengths must flatten it.
+	f.Add([]byte("\x01\x01\x8a\xf4\xa6\xf5\xf3B\xfej\x80`\xaf\xaf\xdb8\x85\xe3\x8b\xd0P\xdd\xa8@\x01k\x85\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x80\x80\x01\x01\x01\x01\x01\x01\x90\x01\x01\x01\x01"),
+		[]byte("\x01\x01\x8a\xf4\xa6\xf5\xf3B\xfej\x80`\xaf\xaf\xdb8\x85\xe3\x8b\xd0P"))
 	f.Fuzz(func(t *testing.T, freqData, stream []byte) {
 		nsym := len(freqData)
 		if nsym < 2 {

@@ -97,9 +97,9 @@ func indexGOPs(stream []byte, onFrame func(coded int) error, more func(ix *GOPIn
 	if err != nil {
 		return nil, err
 	}
-	// A frame header is 34 bits: a forged frame count sizes nothing but
-	// the bitset of display indices seen, at most 8 KiB.
-	n := min(seq.Frames, len(stream)/4)
+	// A forged frame count sizes nothing but the bitset of display
+	// indices seen, at most 8 KiB.
+	n := min(seq.Frames, seq.MaxFrames(len(stream)))
 	ix := &GOPIndex{Seq: seq, frameBit: make([]int, 0, n), deps: make([]frameDep, 0, n)}
 	seen := make([]uint64, (seq.Frames+63)/64)
 	refA, refB := -1, -1 // reference chain over display indices

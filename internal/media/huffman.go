@@ -77,12 +77,36 @@ type HuffTable struct {
 	lutBits uint
 }
 
+// maxHuffLen is the longest code NewHuffTable accepts.
+const maxHuffLen = 32
+
 // HuffCodeLengths computes canonical Huffman code lengths for the given
 // symbol frequencies. Symbols with zero frequency get length 0 (unused).
 // Construction is deterministic: ties are broken by symbol index. The
-// resulting lengths satisfy the Kraft equality over used symbols.
+// resulting lengths satisfy the Kraft equality over used symbols. No
+// length exceeds maxHuffLen: while the tree is deeper, every used
+// frequency is halved (staying nonzero) and the tree rebuilt, which
+// flattens it, so a frequency set whose tree already fits keeps its
+// lengths.
 func HuffCodeLengths(freq []uint64) []uint8 {
-	lengths := make([]uint8, len(freq))
+	lengths, depth := huffDepths(freq)
+	for depth > maxHuffLen {
+		flat := make([]uint64, len(freq))
+		for s, f := range freq {
+			if f > 0 {
+				flat[s] = max(f>>1, 1)
+			}
+		}
+		freq = flat
+		lengths, depth = huffDepths(freq)
+	}
+	return lengths
+}
+
+// huffDepths is the unlimited Huffman construction: each used symbol's
+// leaf depth, and the deepest.
+func huffDepths(freq []uint64) (lengths []uint8, deepest uint8) {
+	lengths = make([]uint8, len(freq))
 	var h huffHeap
 	seq := 0
 	for s, f := range freq {
@@ -94,10 +118,10 @@ func HuffCodeLengths(freq []uint64) []uint8 {
 	}
 	switch h.Len() {
 	case 0:
-		return lengths
+		return lengths, 0
 	case 1:
 		lengths[h[0].symbol] = 1
-		return lengths
+		return lengths, 1
 	}
 	for h.Len() > 1 {
 		a := heap.Pop(&h).(*huffNode)
@@ -105,18 +129,18 @@ func HuffCodeLengths(freq []uint64) []uint8 {
 		heap.Push(&h, &huffNode{weight: a.weight + b.weight, seq: seq, symbol: -1, left: a, right: b})
 		seq++
 	}
-	root := h[0]
 	var walk func(n *huffNode, depth uint8)
 	walk = func(n *huffNode, depth uint8) {
 		if n.symbol >= 0 {
 			lengths[n.symbol] = depth
+			deepest = max(deepest, depth)
 			return
 		}
 		walk(n.left, depth+1)
 		walk(n.right, depth+1)
 	}
-	walk(root, 0)
-	return lengths
+	walk(h[0], 0)
+	return lengths, deepest
 }
 
 // NewHuffTable builds a canonical Huffman table from per-symbol code
@@ -135,8 +159,8 @@ func NewHuffTable(lengths []uint8) (*HuffTable, error) {
 		if l == 0 {
 			continue
 		}
-		if l > 32 {
-			return nil, fmt.Errorf("media: huffman code length %d > 32", l)
+		if l > maxHuffLen {
+			return nil, fmt.Errorf("media: huffman code length %d > %d", l, maxHuffLen)
 		}
 		if l > t.maxLen {
 			t.maxLen = l

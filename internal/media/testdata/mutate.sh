@@ -32,6 +32,19 @@ END {
 	printf "%s%s%s", substr(text, 1, i - 1), new, substr(text, i + length(old))
 }'
 
+# reason prints a killed mutant's first log line from a test (or subtest)
+# that failed while none of its own subtests did. go test -v streams each
+# line as it is logged, so the first _test.go: line of the log may be a
+# passing line of a parent test (its fault models' logs); it is the
+# fallback when no such line exists. Run as: awk "$reason" log log.
+reason='
+FNR == NR { if (sub(/^ *--- FAIL: /, "")) { sub(/ .*/, ""); failed[$0] = 1 }; next }
+FNR == 1 { for (f in failed) { leaf[f] = 1; for (g in failed) if (index(g, f "/") == 1) delete leaf[f] } }
+/^=== (RUN|NAME|CONT) / { cur = $3; next }
+/_test\.go:/ && first == "" { first = $0 }
+/_test\.go:/ && (cur in leaf) { print; done = 1; exit }
+END { if (!done) print first }'
+
 field() { printf '%s\n' "$1" | awk -F ' *[|] *' -v n="$2" '{ print $n }'; }
 
 status=0 killed=0 skipped=0 entries=0
@@ -66,7 +79,7 @@ while IFS= read -r line; do
 		cat "$work/log"
 		status=1
 	else
-		echo "ok   $label: killed: $(grep -m1 '_test.go:' "$work/log" | cut -c1-100)"
+		echo "ok   $label: killed: $(awk "$reason" "$work/log" "$work/log" | cut -c1-100)"
 		killed=$((killed + 1))
 	fi
 	cp "$media/$file" "$pkg/$file"

@@ -27,16 +27,15 @@ import (
 // raceDetector is set by race_test.go when the race detector is on.
 var raceDetector bool
 
-// TestReadBodyParity runs the pooled reader and the io.ReadAll over
+// TestReadBodyParity runs Accept and the io.ReadAll over
 // http.MaxBytesReader it replaced on the same wire requests, parsed by
 // net/http's own request reader so Content-Length, a short body and
-// chunked framing behave as on a live connection. Status and bytes must
-// agree, and a Content-Length above the cap must not size an
-// allocation.
+// chunked framing behave as on a live connection. Status and the body
+// Accept hands on must agree, and a Content-Length above the cap must not
+// size an allocation. internal/cluster's wire table sends these rows to
+// both tiers over sockets.
 func TestReadBodyParity(t *testing.T) {
 	const max = 64 << 10
-	srv := New(Config{Workers: 1, MaxBodyBytes: max, CacheBytes: -1})
-	defer srv.Shutdown(context.Background())
 	payload := func(n int) string {
 		b := make([]byte, n)
 		for i := range b {
@@ -82,32 +81,39 @@ func TestReadBodyParity(t *testing.T) {
 				}
 				return r
 			}
-			status := func(err error) int {
-				if err != nil {
-					return BodyStatus(err)
-				}
-				return http.StatusOK
-			}
 			old, oldErr := io.ReadAll(http.MaxBytesReader(httptest.NewRecorder(), request().Body, max))
-			r := request()
+			o := http.StatusOK
+			if oldErr != nil {
+				o = http.StatusBadRequest
+				if errors.As(oldErr, new(*http.MaxBytesError)) {
+					o = http.StatusRequestEntityTooLarge
+				}
+			}
+			r, w := request(), httptest.NewRecorder()
+			var got []byte
+			s := 0 // Accept's refusal status, or 200 once it hands a body on
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			got, err := srv.readBody(httptest.NewRecorder(), r)
+			Accept(w, r, KindDecode, &reqBufs, max, func(_ context.Context, _ Params, body []byte) { got, s = body, http.StatusOK })
 			runtime.ReadMemStats(&after)
 			defer reqBufs.Put(got)
-			if s, o := status(err), status(oldErr); s != o || s != c.want {
-				t.Fatalf("status %d (err %v), io.ReadAll path %d (err %v), want %d", s, err, o, oldErr, c.want)
+			if s == 0 {
+				s = w.Code
 			}
-			if err == nil && !bytes.Equal(got, old) {
-				t.Fatalf("read %d bytes, io.ReadAll path %d, contents differ", len(got), len(old))
+			if s != o || s != c.want {
+				t.Fatalf("status %d (%q), io.ReadAll path %d (err %v), want %d", s, w.Body.String(), o, oldErr, c.want)
+			}
+			if s == http.StatusOK && !bytes.Equal(got, old) {
+				t.Fatalf("accepted %d bytes, io.ReadAll path %d, contents differ", len(got), len(old))
 			}
 			// The slab for a body the cap admits rounds up to 2·(cap+1);
 			// anything near the declared 1 TiB would be far above it. A
 			// declared length above the cap reserves nothing for it, so
-			// the lying one's slab grows only with the 100 bytes sent.
+			// the lying one's slab grows only with the 100 bytes sent: one
+			// 4 KiB first chunk.
 			bound := uint64(4 * max)
 			if c.name == "lying-length" {
-				bound = 4 * bodyChunk
+				bound = 4 * 4 << 10
 			}
 			if n := after.TotalAlloc - before.TotalAlloc; n > bound {
 				t.Fatalf("reading allocated %d bytes, bound %d", n, bound)
@@ -351,27 +357,18 @@ func checkCollapse(t *testing.T, srv *Server, client *http.Client, base string, 
 // have.
 func earlyRelease(s *Server) http.Handler {
 	mux := http.NewServeMux()
-	for _, path := range []string{"/v1/decode", "/v1/transcode"} {
-		mux.HandleFunc("POST "+path, func(w http.ResponseWriter, r *http.Request) {
-			body, err := s.readBody(w, r)
-			if err != nil {
-				httpError(w, BodyStatus(err), err)
-				return
-			}
-			reqBufs.Put(body) // the fault: the job below still reads body
-			tenant := tenantOf(r)
-			j, key := (*Job)(nil), DecodeKey(body)
-			if path == "/v1/decode" {
-				j, err = NewDecodeJob(r.Context(), tenant, body, s.pool, 1)
-			} else {
-				j, err = NewTranscodeJobSegmented(r.Context(), tenant, body, 9, s.pool, 1, 1, s.cfg.Workers, s.met)
-				key = transcodeKey(9, body)
-			}
-			if err != nil {
-				httpError(w, http.StatusBadRequest, err)
-				return
-			}
-			s.dispatch(w, r, r.Context(), tenant, key, j)
+	for _, kind := range []Kind{KindDecode, KindTranscode} {
+		mux.HandleFunc("POST "+kind.Path(), func(w http.ResponseWriter, r *http.Request) {
+			Accept(w, r, kind, &reqBufs, s.cfg.MaxBodyBytes, func(ctx context.Context, p Params, body []byte) {
+				reqBufs.Put(body) // the fault: the job below still reads body
+				tenant := tenantOf(r)
+				j, err := s.newJob(ctx, tenant, p, body)
+				if err != nil {
+					httpError(w, http.StatusBadRequest, err)
+					return
+				}
+				s.dispatch(w, r, ctx, tenant, p.Key(body), j)
+			})
 		})
 	}
 	return mux

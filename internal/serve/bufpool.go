@@ -9,10 +9,10 @@ import "eclipse/internal/slab"
 //
 // Ownership (who may call Put, and when):
 //
-//   - reqBufs: readBody draws the request body through the one capped
-//     reader both tiers use (slab.Pool.ReadCapped), and the media handler
-//     that read it is its sole owner and returns it once dispatch has
-//     returned. Nothing reads the body after that: dispatch either never
+//   - reqBufs: Accept, the front end both tiers share, draws the request
+//     body through the one capped reader (slab.Pool.ReadCapped), and the
+//     media handler it hands the body to is its sole owner and returns it
+//     once dispatch has returned. Nothing reads the body after that: dispatch either never
 //     runs the job (a 304, a cache hit, a collapsed follower, a rejected
 //     admission) or waits on j.Done(), which closes only after every
 //     unit of the job has returned and retired (Job.retire); Cache.Fetch

@@ -116,10 +116,10 @@ func (j *Job) Result() (Result, error) { return j.res, j.err }
 func (j *Job) Preempts() int { return int(j.preempts.Load()) }
 
 // decodeEager bounds the response body a decode reserves before its
-// frames exist. A sequence header may declare more frames than its
-// stream holds, so the reservation is also capped at the frames the
-// stream can hold (a frame header is 34 bits, so at most len/4), and
-// past it the body grows with the frames the decoder delivers.
+// frames exist. A sequence header may declare more frames, or larger
+// ones, than its stream holds, so the reservation is also capped at the
+// frames the stream can hold (SeqHeader.MaxFrames), and past it the body
+// grows with the frames the decoder delivers.
 const decodeEager = 4 << 20
 
 // NewDecodeJob builds a job that decodes an ECL1 bitstream and returns
@@ -142,7 +142,7 @@ func NewDecodeJob(ctx context.Context, tenant string, stream []byte, pool *media
 		total := int64(seq.Frames) * int64(plane)
 		// Pooled response body: recycled by the uncached HTTP tail once
 		// written (see bufpool.go for the ownership rules).
-		out := respBufs.Get(int(min(total, decodeEager, int64(len(stream)/4)*int64(plane))))[:0]
+		out := respBufs.Get(int(min(total, decodeEager, int64(seq.MaxFrames(len(stream)))*int64(plane))))[:0]
 		_, err := media.DecodeWithOptions(stream, media.DecodeOptions{
 			NewFrame: pool.Get,
 			Recycle:  pool.Put,

@@ -23,10 +23,6 @@ import (
 	"eclipse/internal/media"
 )
 
-// bodyChunk is the first slab slab.Pool.ReadCapped draws for a request
-// body of unknown length, or of a declared length the cap refuses.
-const bodyChunk = 4 << 10
-
 // discardWriter is a ResponseWriter that keeps the status and the first
 // bytes of the body and allocates nothing per write, so a handler-level
 // measurement counts the server's allocations and not a recorder's.

@@ -204,11 +204,16 @@ func (s *Scheduler) TranscodeSegmentsFor(string) int { return s.cfg.Workers }
 func (s *Scheduler) EncodeWorkers() int { return 1 }
 
 // CacheEnabledFor reports whether the result cache applies to a
-// tenant's requests: the server-wide setting (CacheBytes > 0) unless
-// the tenant declared an explicit on/off override.
+// tenant's requests: never once the scheduler stops admitting work, so a
+// draining server refuses a resident key with Submit's 503 as well;
+// otherwise the server-wide setting (CacheBytes > 0) unless the tenant
+// declared an explicit on/off override.
 func (s *Scheduler) CacheEnabledFor(name string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.state != stateRunning {
+		return false
+	}
 	var mode CacheMode // an undeclared tenant follows the server
 	if t, ok := s.byName[name]; ok {
 		mode = t.cfg.Cache
@@ -479,15 +484,6 @@ func (s *Scheduler) SnapshotTenants() []TenantSnapshot {
 		})
 	}
 	return out
-}
-
-// Running reports whether the scheduler still admits work. The cached
-// serving path checks it so a draining server refuses new requests with
-// 503 even when the answer is resident.
-func (s *Scheduler) Running() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.state == stateRunning
 }
 
 // Admitted reports jobs currently in the system.

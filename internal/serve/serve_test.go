@@ -500,7 +500,8 @@ func TestHTTPBodyTooLarge(t *testing.T) {
 }
 
 // TestHTTPObservability smoke-tests /healthz, /varz and /metrics, then
-// verifies shutdown flips readiness and refuses new work with 503.
+// verifies shutdown flips readiness and refuses new work with 503, a key
+// the cache holds included.
 func TestHTTPObservability(t *testing.T) {
 	srv := New(Config{Workers: 1, BaseSlice: time.Millisecond})
 	ts := httptest.NewServer(srv.Handler())
@@ -511,6 +512,11 @@ func TestHTTPObservability(t *testing.T) {
 	readAll(t, resp)
 	if resp.StatusCode != 200 {
 		t.Fatalf("warmup decode: %d", resp.StatusCode)
+	}
+	resp = post(t, ts.URL+"/v1/decode", "alice", stream, nil)
+	readAll(t, resp)
+	if resp.Header.Get("X-Cache") != CacheHit.String() {
+		t.Fatalf("second decode: X-Cache %q, want a hit, so the key is resident at the drain", resp.Header.Get("X-Cache"))
 	}
 
 	hz, err := http.Get(ts.URL + "/healthz")

@@ -104,73 +104,45 @@ func tenantOf(r *http.Request) string {
 	return "default"
 }
 
-// requestCtx derives the job context: the client's disconnect context,
-// tightened by an optional X-Timeout-Ms deadline.
-func requestCtx(r *http.Request) (context.Context, context.CancelFunc, error) {
-	timeout, err := TimeoutFromHeader(r.Header)
+// Accept is the media front end both tiers serve a request through. It
+// checks r as a request of kind in one order: the optional X-Timeout-Ms
+// deadline (a positive count of milliseconds), the query's parameters
+// (ParseParams), then the body, read into a slab of pool under limit
+// (slab.Pool.ReadCapped: sized once from a Content-Length the cap admits,
+// grown through the pool otherwise). A request that fails a check is
+// answered here: 400, or 413 with "Connection: close" for a body past
+// limit, so its unread rest is never parsed as a request. An accepted one
+// goes to serve with the request's context, tightened by the deadline;
+// serve owns body and returns it to pool.
+func Accept(w http.ResponseWriter, r *http.Request, kind Kind, pool *slab.Pool, limit int64,
+	serve func(ctx context.Context, p Params, body []byte)) {
+	ctx := r.Context()
+	if v := r.Header.Get("X-Timeout-Ms"); v != "" {
+		ms, err := strconv.Atoi(v)
+		if err != nil || ms <= 0 {
+			httpError(w, http.StatusBadRequest, fmt.Errorf("serve: bad X-Timeout-Ms %q", v))
+			return
+		}
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(ms)*time.Millisecond)
+		defer cancel()
+	}
+	p, err := ParseParams(kind, r.URL.RawQuery)
 	if err != nil {
-		return nil, nil, err
+		httpError(w, http.StatusBadRequest, err)
+		return
 	}
-	if timeout == 0 {
-		return r.Context(), func() {}, nil
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	return ctx, cancel, nil
-}
-
-// TimeoutFromHeader parses the optional X-Timeout-Ms request header: 0
-// when absent, an error unless it is a positive integer. Exported, like
-// ParseParams, so the gateway budgets exactly the deadline the backend
-// will enforce.
-func TimeoutFromHeader(h http.Header) (time.Duration, error) {
-	v := h.Get("X-Timeout-Ms")
-	if v == "" {
-		return 0, nil
-	}
-	ms, err := strconv.Atoi(v)
-	if err != nil || ms <= 0 {
-		return 0, fmt.Errorf("serve: bad X-Timeout-Ms %q", v)
-	}
-	return time.Duration(ms) * time.Millisecond, nil
-}
-
-// readBody reads the request payload under the configured cap into a
-// reqBufs slab (slab.Pool.ReadCapped: sized once from a Content-Length
-// the cap admits, grown through the pool otherwise). The caller returns
-// the body to reqBufs once dispatch has returned (bufpool.go); a failed
-// read already has. Callers answer a failure with BodyStatus.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	buf, err := ReadBody(w, r, &reqBufs, s.cfg.MaxBodyBytes)
-	if err != nil {
-		return nil, err
-	}
-	s.met.BytesIn.Add(uint64(len(buf)))
-	return buf, nil
-}
-
-// ReadBody reads r's body into a slab of pool that the caller then owns.
-// Past limit it answers as http.MaxBytesReader would: an
-// *http.MaxBytesError, and "Connection: close" on w, so the unread rest
-// is never parsed as a request. Both tiers read a request body with it.
-func ReadBody(w http.ResponseWriter, r *http.Request, pool *slab.Pool, limit int64) ([]byte, error) {
-	buf, over, err := pool.ReadCapped(r.Body, r.ContentLength, limit)
-	if over {
-		pool.Put(buf)
+	body, over, err := pool.ReadCapped(r.Body, r.ContentLength, limit)
+	switch {
+	case over:
+		pool.Put(body)
 		w.Header().Set("Connection", "close")
-		return nil, &http.MaxBytesError{Limit: limit}
+		httpError(w, http.StatusRequestEntityTooLarge, &http.MaxBytesError{Limit: limit})
+	case err != nil:
+		httpError(w, http.StatusBadRequest, err)
+	default:
+		serve(ctx, p, body)
 	}
-	return buf, err
-}
-
-// BodyStatus maps a request-body read error to its HTTP status: 413
-// when the body exceeded the cap (ReadBody), 400 otherwise. Exported,
-// like TimeoutFromHeader, so both tiers answer an oversized body alike.
-func BodyStatus(err error) int {
-	var tooBig *http.MaxBytesError
-	if errors.As(err, &tooBig) {
-		return http.StatusRequestEntityTooLarge
-	}
-	return http.StatusBadRequest
 }
 
 // httpError writes a plain-text error with the right status code.
@@ -296,9 +268,10 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, ctx context
 }
 
 // dispatch routes a built job through the cached or uncached tail
-// according to the tenant's cache mode.
+// according to the tenant's cache mode (CacheEnabledFor, false while the
+// scheduler drains).
 func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, ctx context.Context, tenant string, key CacheKey, j *Job) {
-	if s.cache != nil && s.sched.CacheEnabledFor(tenant) && s.sched.Running() {
+	if s.cache != nil && s.sched.CacheEnabledFor(tenant) {
 		s.serveCached(w, r, ctx, tenant, key, j)
 		return
 	}
@@ -309,33 +282,21 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, ctx context.Co
 // (an ECL1 bitstream for decode and transcode, frames×w×h bytes of raw
 // luma for encode) and the response its output (raw display-order luma
 // planes for decode, an ECL1 bitstream otherwise). The query string
-// carries the kind's parameters (ParseParams).
+// carries the kind's parameters (ParseParams). The body is a reqBufs slab,
+// returned once dispatch has returned (bufpool.go).
 func (s *Server) handleMedia(kind Kind) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel, err := requestCtx(r)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		defer cancel()
-		p, err := ParseParams(kind, r.URL.RawQuery)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		body, err := s.readBody(w, r)
-		if err != nil {
-			httpError(w, BodyStatus(err), err)
-			return
-		}
-		defer reqBufs.Put(body)
-		tenant := tenantOf(r)
-		j, err := s.newJob(ctx, tenant, p, body)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		s.dispatch(w, r, ctx, tenant, p.Key(body), j)
+		Accept(w, r, kind, &reqBufs, s.cfg.MaxBodyBytes, func(ctx context.Context, p Params, body []byte) {
+			defer reqBufs.Put(body)
+			s.met.BytesIn.Add(uint64(len(body)))
+			tenant := tenantOf(r)
+			j, err := s.newJob(ctx, tenant, p, body)
+			if err != nil {
+				httpError(w, http.StatusBadRequest, err)
+				return
+			}
+			s.dispatch(w, r, ctx, tenant, p.Key(body), j)
+		})
 	}
 }
 
