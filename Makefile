@@ -11,8 +11,8 @@
 #                and MC kernels' frame and argument sizes); then the media tests
 #                under GOARCH=386, whose binaries run on an amd64 host, so
 #                the portable bodies also run, golden hashes included; the
-#                one-window VLD and the reciprocal quantiser, which are
-#                portable Go, run there too, so the quantiser's 64-bit
+#                run/level event table and the reciprocal quantiser, which
+#                are portable Go, run there too, so the quantiser's 64-bit
 #                products are checked exhaustively on a 32-bit target
 #   make test    full test suite only (tier-1; includes the benchmark
 #                rig's own tests via TestBenchmarkRig)
@@ -43,9 +43,11 @@
 #                    minimising its first new input instead of exploring),
 #                    and a failing input is still reported and written to
 #                    testdata/fuzz
-#                    (includes the run/level window/oracle parity fuzzer,
+#                    (includes the run/level event-table/oracle parity fuzzer,
 #                    the fused-parse/two-pass (VLD then RLSQ) parity fuzzer,
 #                    the batch/streaming decode-parity fuzzer,
+#                    the four-decoder (batch, streaming, functional KPN,
+#                    timed Fig. 8) agreement fuzzer on small streams,
 #                    the GOP-index/decoder agreement fuzzer,
 #                    the motion-search/raster-reference parity fuzzer
 #                    (on the frame and on the encoder's padded plane),
@@ -114,6 +116,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzRunLevelParity -fuzztime=5s -fuzzminimizetime=100x ./internal/media
 	$(GO) test -run=NONE -fuzz=FuzzFusedParseParity -fuzztime=5s -fuzzminimizetime=100x ./internal/media
 	$(GO) test -run=NONE -fuzz=FuzzDecodeParallelParity -fuzztime=5s -fuzzminimizetime=100x ./internal/media
+	$(GO) test -run=NONE -fuzz=FuzzDecodersAgree -fuzztime=5s -fuzzminimizetime=100x .
 	$(GO) test -run=NONE -fuzz=FuzzIndexDecodeAgree -fuzztime=5s -fuzzminimizetime=100x ./internal/media
 	$(GO) test -run=NONE -fuzz=FuzzMotionSearchParity -fuzztime=5s -fuzzminimizetime=100x ./internal/media
 	$(GO) test -run=NONE -fuzz=FuzzSADKernelParity -fuzztime=5s -fuzzminimizetime=100x ./internal/media

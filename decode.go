@@ -106,6 +106,9 @@ func (s *System) AddDecodeApp(name string, stream []byte, opt DecodeOptions) (*D
 	if err != nil {
 		return nil, fmt.Errorf("eclipse: %s: %w", name, err)
 	}
+	if seq.Frames == 0 { // nothing to map: every task would wait for a first frame
+		return &DecodeApp{Name: name, Seq: seq, Sink: &copro.Sink{Seq: seq, Frames: []*media.Frame{}}}, nil
+	}
 	bufs := DefaultDecodeBuffers()
 	if opt.Buffers != nil {
 		bufs = *opt.Buffers
@@ -135,7 +138,7 @@ func (s *System) AddDecodeApp(name string, stream []byte, opt DecodeOptions) (*D
 	p := func(n string) string { return name + "-" + n }
 	impls := map[string]copro.Task{
 		p("src"):  &copro.BitSource{Costs: costs, DRAM: s.DRAM, Addr: bitAddr, Len: len(stream), Chunk: opt.Chunk},
-		p("vld"):  &copro.VLD{Costs: costs, Chunk: opt.Chunk},
+		p("vld"):  &copro.VLD{Costs: costs, Chunk: opt.Chunk, Len: len(stream)},
 		p("rlsq"): &copro.RLSQ{Costs: costs, Seq: seq},
 		p("idct"): &copro.IDCT{Costs: costs, Blocks: seq.Frames * seq.MBCount() * media.BlocksPerMB},
 		p("mc"):   &copro.MC{Costs: costs, Seq: seq, FS: fs},

@@ -71,12 +71,13 @@ func (b *BitSource) Step(c *Ctx) bool {
 type VLD struct {
 	Costs *Costs
 	Chunk int // input transfer unit
+	Len   int // stream bytes: those after the last frame are read and dropped
 
 	parser   *media.StreamVLD
 	pendTok  []byte
 	pendHdr  []byte
 	pendCost uint64
-	srcDone  bool // the input stream carries exactly the whole sequence
+	fetched  int // stream bytes taken so far
 
 	// Reused backing storage: pendTok/pendHdr are rebuilt into these
 	// after every flush, and inBuf stages input transfers (the parser
@@ -136,6 +137,9 @@ func (v *VLD) Step(c *Ctx) bool {
 		v.flushPending(c)
 	case media.EventEnd:
 		v.commitInput(c)
+		if v.fetched < v.Len { // so that the source, blocked on a full buffer, can finish
+			return v.fetchInput(c)
+		}
 		return true
 	}
 	return false
@@ -153,6 +157,7 @@ func (v *VLD) fetchInput(c *Ctx) bool {
 		}
 	}
 	v.inBuf = growBytes(v.inBuf, int(n))
+	v.fetched += int(n)
 	buf := v.inBuf
 	c.Read(vldPortIn, 0, buf)
 	v.parser.Extend(buf)
@@ -371,6 +376,9 @@ func (m *MC) Step(c *Ctx) bool {
 		c.Read(mcPortHdr, 0, buf)
 		hdr, err := media.ParseFrameRec(buf, media.FrameRecHdr)
 		if err != nil {
+			panic("mc: " + err.Error())
+		}
+		if err := m.FS.refs.Check(hdr.Type); err != nil {
 			panic("mc: " + err.Error())
 		}
 		c.PutSpace(mcPortHdr, media.FrameRecSize)

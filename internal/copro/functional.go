@@ -92,8 +92,14 @@ func functionalVLD(c *kpn.TaskCtx) error {
 			if err := c.Write("hdr", hdrBuf); err != nil {
 				return err
 			}
-		case media.EventEnd:
-			return nil
+		case media.EventEnd: // drop the bytes after the last frame, so that bitsrc can finish
+			for {
+				if _, err := c.ReadSome("bits", buf); err == io.EOF {
+					return nil
+				} else if err != nil {
+					return err
+				}
+			}
 		}
 	}
 }
@@ -179,6 +185,9 @@ func functionalMC(seq media.SeqHeader) kpn.TaskFunc {
 			}
 			hdr, err := media.ParseFrameRec(frameB[:], media.FrameRecHdr)
 			if err != nil {
+				return err
+			}
+			if err := refs.Check(hdr.Type); err != nil {
 				return err
 			}
 			// Frames cycle through a free list: the MC only ever needs the

@@ -103,6 +103,34 @@ func BenchmarkDecodeRunLevel(b *testing.B) {
 	b.ReportMetric(float64(count), "events/op")
 }
 
+// BenchmarkParseMB runs the decoder's fused entropy parse, parseMBCoef,
+// over every macroblock of the Fig. 10 clip (seed 1) at the clip's own
+// q, one clip per op, and reports ns/mb and events/op. It times the
+// macroblock loop that reads the run/level event table inline, which
+// the rig's media.k_vlc_dec_ns (one DecodeRunLevel call per event) does
+// not see. It is for profiling; rig claims come from benchmark/.
+func BenchmarkParseMB(b *testing.B) {
+	mbs := streamMBs(b, "fig10", goldenStream(b))
+	events := 0
+	for _, evs := range loadCodedClip(b).events {
+		events += len(evs) + 1
+	}
+	var coef [BlocksPerMB]Block
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range mbs {
+			in := &mbs[j]
+			r, mvp := BitReader{buf: in.data, pos: in.bit}, in.mvp
+			if _, _, err := parseMBCoef(&r, in.ftype, &mvp, in.q, &coef); err != nil {
+				b.Fatalf("%s: %v", in.name, err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(mbs)), "ns/mb")
+	b.ReportMetric(float64(events), "events/op")
+}
+
 // benchFrame builds a deterministic textured frame for the pixel-kernel
 // benchmarks.
 func benchFrame(w, h int) *Frame {

@@ -190,11 +190,8 @@ func frameFits(r *BitReader, seq *SeqHeader, t FrameType) error {
 // supplies the reconstruction frame, drawn only once frameFits holds;
 // recycle, when non-nil, reclaims it on the error path.
 func decodeFrameBody(r *BitReader, seq *SeqHeader, hdr FrameHdr, refs *RefChain, newFrame func(w, h int) *Frame, recycle func(*Frame)) (*Frame, error) {
-	if hdr.Type != FrameI && refs.B == nil {
-		return nil, fmt.Errorf("%w: %v frame before first reference", ErrBitstream, hdr.Type)
-	}
-	if hdr.Type == FrameB && refs.A == nil {
-		return nil, fmt.Errorf("%w: B frame with a single reference", ErrBitstream)
+	if err := refs.Check(hdr.Type); err != nil {
+		return nil, err
 	}
 	if err := frameFits(r, seq, hdr.Type); err != nil {
 		return nil, err
@@ -237,13 +234,20 @@ func parseMBCoef(r *BitReader, ftype FrameType, mvp *MVPredictor, q int, coef *[
 	dec, cbp := parseMBHeader(r, ftype, mvp)
 	d := int32(2 * q)
 	overflow := false
+	w, avail := uint64(0), uint(0) // the event window: refill
 	for b := range coef {
 		coef[b] = Block{}
 		for n, pos := 0, 0; cbp&(1<<b) != 0; n, pos = n+1, pos+1 {
-			rl, eob, _ := DecodeRunLevel(r)
-			if err := r.Err(); err != nil {
-				return dec, cbp, err
+			w, avail = refill(r, w, avail)
+			e := coefEvents.leaf(w)
+			rl, eob, bits := event(e, w)
+			if avail == 0 || e == 0 { // the tail, a sticky error or no code
+				if rl, eob, _ = decodeRunLevelSlow(coefTable, r); r.err != nil {
+					return dec, cbp, r.err
+				}
+				bits, avail = 0, 0
 			}
+			r.pos, w, avail = r.pos+int(bits), w<<bits, avail-bits
 			if eob {
 				break
 			}

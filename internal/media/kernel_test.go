@@ -1940,8 +1940,14 @@ func runLevelStepMismatch(decode vldKernel, data []byte, skip uint) string {
 // vldContract cuts every coded event at every bit: the events follow a
 // pad of 0..7 bits and each stream is cut after every byte, so a cut falls
 // at every bit of every event and every distance from the window's 8-byte
-// bound. The faulty tables have one code one bit too long, a first-level
-// code (EOB) and one the second level resolves (ESC).
+// bound. Its kernel reads the event table (the macroblock loops' inline
+// read, then decodeRunLevel) and its reference is decodeRunLevelSlow. The
+// faults: two code tables, each with one code one bit too long, built
+// into an event table by its constructor (EOB, a first-level code, and
+// ESC, one the second level resolves); two event tables with one pair's
+// leaves edited, one bit too long at the first level (run 0, level 1) and
+// with the sign flipped at the second; and an ESC whose level field is
+// read one bit late.
 func vldContract() *contract[vldKernel] {
 	type cut struct {
 		data []byte
@@ -1963,9 +1969,32 @@ func vldContract() *contract[vldKernel] {
 				faulty.lut[i]++
 			}
 		}
+		et := newEventTable(&faulty)
 		faults = append(faults, fault[vldKernel]{fmt.Sprintf("a table whose symbol %d is one bit too long", sym),
-			func(r *BitReader) (RunLevel, bool, uint) { return decodeRunLevel(&faulty, r) }})
+			func(r *BitReader) (RunLevel, bool, uint) { return decodeRunLevel(et, &faulty, r) }})
 	}
+	leafFault := func(name string, long bool, edit func(e uint32) uint32) {
+		faulty := slices.Clone(coefEvents)
+		for i, e := range faulty {
+			if e != 0 && e&huffLUTSub == 0 && e&evESC == 0 && int32(e)>>16 != 0 && (i >= 1<<huffLUTBits) == long &&
+				(long || RunLevel{int(uint8(e >> 8)), int32(e) >> 16} == RunLevel{0, 1}) {
+				faulty[i] = edit(e)
+			}
+		}
+		faults = append(faults, fault[vldKernel]{name, func(r *BitReader) (RunLevel, bool, uint) { return decodeRunLevel(faulty, coefTable, r) }})
+	}
+	leafFault("a first-level pair leaf one bit too long", false, func(e uint32) uint32 { return e + 1 })
+	leafFault("second-level pair leaves with the sign flipped", true, func(e uint32) uint32 { return uint32(-(int32(e)>>16))<<16 | e&0xffff })
+	escLen := uint(escCode.Len) + escRunBits + escLevelBits
+	faults = append(faults, fault[vldKernel]{"an ESC level read one bit late", func(r *BitReader) (RunLevel, bool, uint) {
+		rl, eob, n := DecodeRunLevel(r)
+		if n == escLen && r.Err() == nil {
+			late := *r
+			late.pos -= escLevelBits - 1
+			rl.Level = int32(late.ReadBits(escLevelBits)<<(32-escLevelBits)) >> (32 - escLevelBits)
+		}
+		return rl, eob, n
+	}})
 	return &contract[vldKernel]{
 		n: len(ins),
 		mismatch: func(k vldKernel, i int) string {
@@ -2012,8 +2041,32 @@ func FuzzRunLevelParity(f *testing.F) {
 type mbParseKernel func(r *BitReader, ftype FrameType, mvp *MVPredictor, q int, coef *[BlocksPerMB]Block) (MBDecision, byte, error)
 
 // parseMBTwoPass is the reference model of parseMBCoef: the VLD's token,
-// then RLSQ over it, the two Fig. 8 tasks the decoder fuses.
+// every event read by decodeRunLevelSlow, then RLSQ over it, the two
+// Fig. 8 tasks the decoder fuses. No event comes from the event table.
 func parseMBTwoPass(r *BitReader, ftype FrameType, mvp *MVPredictor, q int, coef *[BlocksPerMB]Block) (MBDecision, byte, error) {
+	var tok TokenMB
+	dec, cbp := parseMBHeader(r, ftype, mvp)
+	tok.CBP = cbp
+	for b := range BlocksPerMB {
+		for cbp&(1<<b) != 0 {
+			rl, eob, _ := decodeRunLevelSlow(coefTable, r)
+			if r.Err() != nil || eob {
+				break
+			}
+			if tok.Events[b] = append(tok.Events[b], rl); len(tok.Events[b]) > maxBlockEvents {
+				return dec, cbp, errBlockEvents
+			}
+		}
+	}
+	if r.Err() != nil {
+		return dec, cbp, r.Err()
+	}
+	return dec, cbp, RLSQDecodeMB(&tok, q, coef)
+}
+
+// parseMBTokens is the token path the VLD models run, ParseMBSyntaxInto
+// then RLSQDecodeMB; it reads the event table as parseMBCoef does.
+func parseMBTokens(r *BitReader, ftype FrameType, mvp *MVPredictor, q int, coef *[BlocksPerMB]Block) (MBDecision, byte, error) {
 	var tok TokenMB
 	dec, err := ParseMBSyntaxInto(r, ftype, mvp, &tok)
 	if err == nil {
@@ -2248,7 +2301,15 @@ func fusedParseContract(tb testing.TB) *contract[mbParseKernel] {
 	}
 }
 
-func TestFusedParseMatchesTwoPass(t *testing.T) { fusedParseContract(t).verify(t) }
+// TestFusedParseMatchesTwoPass also holds the token path to the slow
+// two passes: parseBlockEventsInto is the other loop that reads the event
+// table inline.
+func TestFusedParseMatchesTwoPass(t *testing.T) {
+	c := fusedParseContract(t)
+	c.verify(t)
+	c.kernel = parseMBTokens
+	c.holds(t)
+}
 
 // FuzzFusedParseParity runs the fused-parse row on arbitrary bytes as
 // one macroblock of any frame type, from a bit offset of 0..7.

@@ -301,6 +301,17 @@ func (rc *RefChain) Refs(ftype FrameType) (fwd, bwd *Frame) {
 	return rc.B, nil
 }
 
+// Check fails, with ErrBitstream, a frame of type ftype whose references
+// the chain does not hold yet: every decoder makes this check.
+func (rc *RefChain) Check(ftype FrameType) error {
+	if ftype != FrameI && rc.B == nil {
+		return fmt.Errorf("%w: %v frame before first reference", ErrBitstream, ftype)
+	} else if ftype == FrameB && rc.A == nil {
+		return fmt.Errorf("%w: B frame with a single reference", ErrBitstream)
+	}
+	return nil
+}
+
 // Advance records a newly reconstructed frame as the newest reference if
 // it is a reference frame (I or P); B frames do not become references.
 func (rc *RefChain) Advance(recon *Frame, ftype FrameType) {

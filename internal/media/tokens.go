@@ -69,11 +69,18 @@ func (t *TokenMB) SetBlockRunLength(b int, zz *Block) {
 func parseBlockEventsInto(r *BitReader, tok *TokenMB, b int) error {
 	tok.ensureArena()
 	start := len(tok.arena)
+	w, avail := uint64(0), uint(0) // the event window: refill
 	for {
-		rl, eob, _ := DecodeRunLevel(r)
-		if err := r.Err(); err != nil {
-			return err
+		w, avail = refill(r, w, avail)
+		e := coefEvents.leaf(w)
+		rl, eob, bits := event(e, w)
+		if avail == 0 || e == 0 { // the tail, a sticky error or no code
+			if rl, eob, _ = decodeRunLevelSlow(coefTable, r); r.err != nil {
+				return r.err
+			}
+			bits, avail = 0, 0
 		}
+		r.pos, w, avail = r.pos+int(bits), w<<bits, avail-bits
 		if eob {
 			tok.sealBlock(b, start)
 			return nil

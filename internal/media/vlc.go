@@ -3,6 +3,7 @@ package media
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // Run/level variable-length coding of quantized DCT coefficients.
@@ -39,6 +40,7 @@ func pairSym(run int, absLevel int32) int {
 }
 
 var coefTable *HuffTable
+var coefEvents eventTable
 
 // pairCodes[2·(sym−2) + sign] is pair symbol sym's code followed by its
 // sign bit (1 for a negative level), packed as bits<<8 | length, so a
@@ -65,12 +67,12 @@ func init() {
 	if err != nil {
 		panic(err)
 	}
-	coefTable = t
+	coefTable, coefEvents = t, newEventTable(t)
 	escCode, eobCode = t.codes[symESC], t.codes[symEOB]
 	for i := range pairCodes {
 		c := t.codes[2+i/2]
-		if c.Len == 0 || c.Len > 23 {
-			panic("media: run/level pair code does not pack")
+		if c.Len == 0 || c.Len > 23 || escCode.Len+escRunBits+escLevelBits > evMaxBits {
+			panic("media: run/level codes do not pack")
 		}
 		pairCodes[i] = (c.Bits<<1|uint32(i&1))<<8 | uint32(c.Len+1)
 	}
@@ -112,35 +114,97 @@ func EncodeEOB(w *BitWriter) { w.WriteBits(eobCode.Bits, uint(eobCode.Len)) }
 // bitstream bits consumed, which the VLD coprocessor model uses for its
 // cycle cost. On bitstream errors the reader's sticky error is set.
 func DecodeRunLevel(r *BitReader) (rl RunLevel, eob bool, bits uint) {
-	return decodeRunLevel(coefTable, r)
+	return decodeRunLevel(coefEvents, coefTable, r)
 }
 
-// decodeRunLevel decodes one event with t. With no sticky error and 8
-// bytes left, one 64-bit load shifted by pos&7 holds ≥ 57 bits, more than
-// the longest event (ESC's 15 + 18 bits), so the code and its sign or ESC
-// fields all come from one word. Otherwise (tail, sticky error, invalid
-// prefix) decodeRunLevelSlow runs, the oracle the window path is held to.
-func decodeRunLevel(t *HuffTable, r *BitReader) (rl RunLevel, eob bool, bits uint) {
-	if i := r.pos >> 3; r.err == nil && i+8 <= len(r.buf) {
-		w := binary.BigEndian.Uint64(r.buf[i:]) << uint(r.pos&7)
-		if sym, n := t.lookup(w); n != 0 {
-			switch sym {
-			case symEOB:
-				eob = true
-			case symESC:
-				rl.Run = int(w << n >> (64 - escRunBits))
-				rl.Level = int32(int64(w<<(n+escRunBits)) >> (64 - escLevelBits)) // sign-extend
-				n += escRunBits + escLevelBits
+// decodeRunLevel decodes one event through et, t's event table, or where
+// that misses (tail, sticky error, invalid prefix) with
+// decodeRunLevelSlow, the oracle it is held to. The macroblock loops
+// inline the same read.
+func decodeRunLevel(et eventTable, t *HuffTable, r *BitReader) (rl RunLevel, eob bool, bits uint) {
+	w, avail := refill(r, 0, 0)
+	e := et.leaf(w)
+	if rl, eob, bits = event(e, w); avail == 0 || e == 0 {
+		return decodeRunLevelSlow(t, r)
+	}
+	r.pos += int(bits)
+	return rl, eob, bits
+}
+
+// eventTable is a run/level event table. Its first level, [:4096], is
+// indexed by the next 12 bits of the stream; where those do not settle
+// the event (a code of 12 bits or more, with its sign bit) it points,
+// base<<8 | huffLUTSub, to a 16-entry block indexed by the next 4 bits.
+// A leaf is a whole event: its length in bits (with the sign bit, or
+// ESC's 18 field bits) in bits 0–5, evESC, the run in bits 8–15 and the
+// signed level in bits 16–31, zero only in EOB's and ESC's. 0 is no code.
+type eventTable []uint32
+
+// evMaxBits is the longest event, ESC's 15 + 18 bits.
+const evLen, evESC, evMaxBits = 0x3f, 0x80, 33
+
+// newEventTable builds t's event table from t's LUT, one 16-bit window at
+// a time (one window per first-level entry a code under 12 bits starts).
+// An event whose code, or a pair's sign bit, the 16 bits do not hold
+// keeps zero entries and decodes serially.
+func newEventTable(t *HuffTable) eventTable {
+	et := make(eventTable, 1<<huffLUTBits)
+	for hi := range 1 << huffLUTBits {
+		var block [16]uint32
+		settled := false // by the 12 bits: the first window's leaf is all
+		for lo := 0; lo < len(block) && !settled; lo++ {
+			w := uint64(hi<<4|lo) << 48
+			sym, n := t.lookup(w)
+			switch settled = n != 0 && n < huffLUTBits; {
+			case n == 0 || n > 16 || n == 16 && sym > symESC:
+			case sym == symEOB:
+				block[lo] = uint32(n)
+			case sym == symESC:
+				block[lo] = evESC | uint32(n+escRunBits+escLevelBits)
 			default:
 				neg := int32(w << n >> 63) // the sign bit; (x ^ -neg) + neg is x or −x
-				rl.Run, rl.Level = (sym-2)/vlcMaxLevel, (int32((sym-2)%vlcMaxLevel)+1^-neg)+neg
-				n++
+				block[lo] = uint32((int32((sym-2)%vlcMaxLevel)+1^-neg)+neg)<<16 | uint32((sym-2)/vlcMaxLevel)<<8 | uint32(n+1)
 			}
-			r.pos += int(n)
-			return rl, eob, n
+		}
+		if et[hi] = block[0]; !settled && slices.Min(block[:]) != slices.Max(block[:]) {
+			et[hi] = uint32(len(et))<<8 | huffLUTSub
+			et = append(et, block[:]...)
 		}
 	}
-	return decodeRunLevelSlow(t, r)
+	return et
+}
+
+// refill keeps the event window w while avail, the count of its leading
+// bits that are the stream's from r's position, covers the longest event;
+// else it loads the 64 bits from there (≥ 57 of them the stream's), or
+// returns avail 0 on a sticky error or with fewer than 8 bytes left.
+func refill(r *BitReader, w uint64, avail uint) (uint64, uint) {
+	if avail >= evMaxBits {
+		return w, avail
+	}
+	if i := r.pos >> 3; r.err == nil && i+8 <= len(r.buf) {
+		return binary.BigEndian.Uint64(r.buf[i:]) << uint(r.pos&7), 64 - uint(r.pos&7)
+	}
+	return w, 0
+}
+
+// leaf is the table's leaf for the event at the top of w.
+func (et eventTable) leaf(w uint64) uint32 {
+	e := et[w>>(64-huffLUTBits)]
+	if e&huffLUTSub != 0 {
+		e = et[e>>8+uint32(w<<huffLUTBits>>60)]
+	}
+	return e
+}
+
+// event unpacks leaf e of window w: the event and its length n in bits.
+// ESC's run and level are the window's n−18 and n−12 bits on.
+func event(e uint32, w uint64) (rl RunLevel, eob bool, n uint) {
+	n = uint(e & evLen)
+	if e&evESC != 0 {
+		return RunLevel{int(w << (n - escRunBits - escLevelBits) >> (64 - escRunBits)), int32(int64(w<<(n-escLevelBits)) >> (64 - escLevelBits))}, false, n
+	}
+	return RunLevel{int(uint8(e >> 8)), int32(e) >> 16}, e < 1<<16, n
 }
 
 // decodeRunLevelSlow decodes the code, then its fields, each read checked.

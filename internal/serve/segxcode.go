@@ -45,9 +45,10 @@ var errSpanStop = errors.New("serve: span dropped")
 // A clip with no interior cut (open GOPs: (N-1)%M != 0 and M > 1) is the
 // one span [0, Frames). X-Transcode-Segments reports the span count.
 //
-// A stream fault ends only the unit that meets it; the job reports the
-// one at the earliest coded frame among the index and the spans kept, so
-// the error does not depend on timing. Frames are jointly owned
+// A stream fault ends the unit that meets it; one in a span whose end is
+// confirmed also stops every span starting after it. The job reports the
+// fault at the earliest coded frame among the index and the spans kept,
+// so the error does not depend on timing. Frames are jointly owned
 // (frameRefs) and pooled: peak in-flight memory is spans × O(GOP M).
 // met, when non-nil, receives the peak-in-flight gauge and the segment
 // counters. The two ints after pool exist only for the benchmark rig.
@@ -69,10 +70,19 @@ func NewTranscodeJobSegmented(ctx context.Context, tenant string, stream []byte,
 		plan = media.PartitionSegments(seq.Frames, segments, media.EncodeClosedCuts(seq.Frames, cfg.GOPN, cfg.GOPM))
 	}
 	// spans and the index's fault belong to this function, then to the
-	// index unit, then to finish.
+	// index unit, then to finish. A span ending by closed has a confirmed
+	// end, so its fault at coded frame f counts: decide(f) stops the spans
+	// starting after f, which cannot fault first. (The index forks a span
+	// only past its first frame, so a later index fault stops none.)
 	var spans []*span
 	var ixErr error // the index unit's fault, at coded frame ixAt
 	ixAt := 0
+	var closed, decided atomic.Int64
+	decided.Store(int64(seq.Frames))
+	decide := func(f int) {
+		for d := decided.Load(); int64(f) < d && !decided.CompareAndSwap(d, int64(f)); d = decided.Load() {
+		}
+	}
 	finish := func() error {
 		fault, at := ixErr, ixAt
 		writers := make([]*media.BitWriter, len(spans))
@@ -128,7 +138,10 @@ func NewTranscodeJobSegmented(ctx context.Context, tenant string, stream []byte,
 				NewFrame: track.get,
 				Recycle:  track.put, // undelivered frames: decoder is sole owner
 				OnFrame: func(fi int) error {
-					if at = fi; s.stop.Load() {
+					if spanFrames != nil {
+						spanFrames(lo, fi)
+					}
+					if at = fi; s.stop.Load() || int64(lo) > decided.Load() {
 						return errSpanStop
 					}
 					halt = checkpoint(ctx, gate)
@@ -155,6 +168,9 @@ func NewTranscodeJobSegmented(ctx context.Context, tenant string, stream []byte,
 			}
 			if err != nil && halt == nil && !errors.Is(err, errSpanStop) {
 				s.err, s.at = fmt.Errorf("seg [%d,%d): %w", lo, hi, err), at
+				if s.failed.Store(true); hi == seq.Frames || int64(hi) <= closed.Load() {
+					decide(at)
+				}
 			}
 			return halt
 		}})
@@ -169,7 +185,12 @@ func NewTranscodeJobSegmented(ctx context.Context, tenant string, stream []byte,
 			k, err := media.ConfirmCuts(stream, cuts, func(fi int) error {
 				ixAt, halt = fi, checkpoint(ctx, gate)
 				return halt
-			}, func(c, bit int) { fork(c, plan[len(spans)][1], bit) })
+			}, func(c, bit int) {
+				if closed.Store(int64(c)); spans[len(spans)-1].failed.Load() {
+					decide(spans[len(spans)-1].at)
+				}
+				fork(c, plan[len(spans)][1], bit)
+			})
 			if halt != nil || k == len(cuts) {
 				return halt
 			}
@@ -187,11 +208,16 @@ func NewTranscodeJobSegmented(ctx context.Context, tenant string, stream []byte,
 	return j, nil
 }
 
+// spanFrames, when a test sets it, sees each coded frame fi that the span
+// from lo reaches.
+var spanFrames func(lo, fi int)
+
 // span is the display range [lo, hi) one unit decodes from bit: its
 // output, or the stream fault it met at coded frame at.
 type span struct {
 	lo, hi, bit, at, bits int
 	stop                  atomic.Bool // its end is open: it is dropped
+	failed                atomic.Bool // err and at are set
 	err                   error
 	w                     *media.BitWriter
 	wall                  time.Duration

@@ -17,6 +17,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -753,7 +754,10 @@ func overflowBit(t *testing.T, stream []byte, c int) int {
 // coded frames 11 and 24, which only the span decoders see, and a
 // truncation in the last frame. Whichever span fails first, the job must
 // report the fault at the earliest coded frame, the same error in every
-// run.
+// run. Then once on one worker, where the units run one after another:
+// the overflow at frame 11 decides the error (span [0,13)'s end is
+// confirmed), so spans [13,26) and [26,39) must stop at their first
+// frame, and [26,39) never decodes its truncated last frame.
 func TestTranscodeSegmentedFaultOrder(t *testing.T) {
 	stream, _ := segClip(t, 39)
 	bad := bytes.Clone(stream[:len(stream)-8])
@@ -761,10 +765,16 @@ func TestTranscodeSegmentedFaultOrder(t *testing.T) {
 		bit := overflowBit(t, stream, c)
 		bad[bit/8] ^= 0x80 >> (bit % 8)
 	}
-	s := NewScheduler(Config{Workers: 3, BaseSlice: time.Minute, QueueCap: 64}, NewMetrics())
-	defer s.Drain(context.Background())
+	var mu sync.Mutex
+	reached := map[int]int{} // a span's first frame → the last frame it reached
+	spanFrames = func(lo, fi int) {
+		mu.Lock()
+		reached[lo] = max(reached[lo], fi)
+		mu.Unlock()
+	}
+	defer func() { spanFrames = nil }()
 	var first string
-	for run := 0; run < 50; run++ {
+	transcode := func(s *Scheduler, run int) {
 		pool := media.NewSyncFramePool(64)
 		j, err := NewTranscodeJobSegmented(context.Background(), "t", bad, 9, pool, 1, 1, 3, NewMetrics())
 		if err != nil {
@@ -783,5 +793,21 @@ func TestTranscodeSegmentedFaultOrder(t *testing.T) {
 			t.Fatalf("pool leak: %d frames outstanding", n)
 		}
 	}
-	t.Log(first)
+	s := NewScheduler(Config{Workers: 3, BaseSlice: time.Minute, QueueCap: 64}, NewMetrics())
+	defer s.Drain(context.Background())
+	last := 0 // runs in which span [26,39) reached its truncated last frame
+	for run := 0; run < 50; run++ {
+		transcode(s, run)
+		if reached[26] == 38 {
+			last++
+		}
+		clear(reached)
+	}
+	t.Logf("%s; span [26,39) reached frame 38 in %d of 50 runs on three workers", first, last)
+	one := NewScheduler(Config{Workers: 1, BaseSlice: time.Minute, QueueCap: 64}, NewMetrics())
+	defer one.Drain(context.Background())
+	transcode(one, 50)
+	if reached[13] != 13 || reached[26] != 26 {
+		t.Fatalf("on one worker, spans [13,26) and [26,39) reached frames %d and %d, want 13 and 26", reached[13], reached[26])
+	}
 }
